@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,10 +44,10 @@ def _log10_clamped(p: float) -> float:
     return max(math.log10(p), _LOG10_FLOOR)
 
 
-def _scenario(args) -> Scenario:
-    sc = load_scenario(args.scenario)
-    if getattr(args, "pfa", None) is not None:
-        from dataclasses import replace
+def _scenario(args, path: str | None = None) -> Scenario:
+    """The scenario at ``path`` (default: --scenario) with --pfa applied."""
+    sc = load_scenario(path or args.scenario)
+    if args.pfa is not None:
         sc = replace(sc, false_alarm_target=args.pfa)
     return sc
 
@@ -136,7 +137,6 @@ def _cmd_validate(args):
 def _pmd_cells(sc: Scenario, resolution: float) -> tuple[np.ndarray, np.ndarray, list[float]]:
     auth = make_authenticator(sc)
     xs, ys = grid_axes(sc, resolution)
-    from dataclasses import replace
     vals = []
     for y in ys:
         for x in xs:
@@ -161,7 +161,6 @@ def _cmd_heatmap(args):
 def _cmd_optimize(args):
     sc = _scenario(args)
     if args.grid is not None:
-        from dataclasses import replace
         sc = replace(sc, search=replace(sc.search, grid_resolution=args.grid))
     result = truncated_search(sc)
     payload = json.dumps({
@@ -185,10 +184,7 @@ def _cmd_compare(args):
               "coverage_pct,search_points,total_small_scale_optima")
     lines = [header]
     for path in args.scenario:
-        sc = load_scenario(path)
-        if args.pfa is not None:
-            from dataclasses import replace
-            sc = replace(sc, false_alarm_target=args.pfa)
+        sc = _scenario(args, path)
         result = truncated_search(sc)
         total = count_small_scale_optima(sc)
         res = args.grid or 2.0

@@ -22,7 +22,6 @@ from scipy.stats import ncx2
 from .authenticator import Authenticator, pfa_of_threshold
 from .geometry import ChannelStatistics
 from .monte_carlo import McEstimate, estimate_probability
-from .numerics import hermitian_eigendecomposition
 
 
 class UnstableQueueError(RuntimeError):
@@ -191,7 +190,7 @@ def service_outage(auth: Authenticator, rate: float, noise_density: float,
                            threads=threads).value
         return ServiceOutage(min(p_fa + p_out, 1.0), mode, p_fa, p_out, None)
     if mode == "centralized_exact_if_valid":
-        lam_min_inv = 1.0 / hermitian_eigendecomposition(stats.cov).values[0]
+        lam_min_inv = 1.0 / max(np.linalg.eigvalsh(c)[-1] for c in stats.block_covs)
         mu_norm = float(np.linalg.norm(stats.mean))
         lhs = math.sqrt(_snr_threshold(rate) * stats.dim * noise_density)
         rhs = math.sqrt(auth.threshold / (2.0 * lam_min_inv)) - mu_norm

@@ -60,15 +60,11 @@ def estimate_probability(event, stats: ChannelStatistics, samples: int,
     """
     if samples <= 0:
         raise ValueError(f"samples must be positive, got {samples}")
-    chol = cholesky_lower(stats.cov)
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     def run_block(b: int) -> int:
         count = min(BLOCK_SIZE, samples - b * BLOCK_SIZE)
-        rng = block_generator(seed, b)
-        z = rng.standard_normal((count, stats.dim * 2))
-        w = (z[:, ::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)
-        h = stats.mean + w @ chol.T
+        h = sample_channel(stats, block_generator(seed, b), count)
         flags = np.asarray(event(h), bool)
         if flags.shape != (count,):
             raise ValueError("event must map an (n, dim) block to n booleans")

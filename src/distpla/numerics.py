@@ -1,15 +1,12 @@
 """Scalar special functions and small linear-algebra helpers.
 
 Everything statistical in this package reduces to a handful of primitives:
-chi-square tails and quantiles, the regularized incomplete beta, Hermitian
-eigensystems, Cholesky factors, and bracketed scalar root finding.  They are
-collected here (backed by scipy/numpy) so the physics modules read in terms
-of the quantities they actually use and so the tolerances are pinned in one
-place.
+chi-square tails and quantiles, the regularized incomplete beta, Cholesky
+factors, and bracketed scalar root finding.  They are collected here
+(backed by scipy/numpy) so the physics modules read in terms of the
+quantities they actually use and so the tolerances are pinned in one place.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -58,27 +55,6 @@ def regularized_incomplete_beta(q: float, a: float, b: float) -> float:
     if a <= 0 or b <= 0:
         raise NumericsError(f"beta shapes must be positive, got a={a}, b={b}")
     return float(special.betainc(a, b, q))
-
-
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigenvalues sorted descending with matching eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eigendecomposition(m: np.ndarray, hermit_tol: float = 1e-10) -> HermitianEigen:
-    """Full eigensystem of a Hermitian matrix, eigenvalues descending."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NumericsError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(float(np.linalg.norm(m)), 1.0)
-    if float(np.linalg.norm(m - m.conj().T)) > hermit_tol * scale:
-        raise NumericsError("matrix is not Hermitian within tolerance")
-    values, vectors = np.linalg.eigh((m + m.conj().T) / 2.0)
-    order = np.argsort(values)[::-1]
-    return HermitianEigen(values[order], vectors[:, order])
 
 
 def cholesky_lower(m: np.ndarray) -> np.ndarray:

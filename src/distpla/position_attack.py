@@ -207,18 +207,22 @@ def _point_fields(scenario: Scenario, ctxs: list[_ArrayContext],
     return fobj, fss
 
 
+def _fields_at(scenario: Scenario, position):
+    """_point_fields at one (x, y) point as floats, or at each row of an (n, 2) array."""
+    pos = np.asarray(position, float)
+    pts = np.atleast_2d(pos)
+    fields = _point_fields(scenario, _array_contexts(scenario),
+                           pts[:, 0].copy(), pts[:, 1].copy())
+    return tuple(float(f[0]) for f in fields) if pos.ndim == 1 else fields
+
+
 def expanded_f_obj(scenario: Scenario, position) -> float | np.ndarray:
     """Mean-channel alignment objective from geometry alone.
 
     Algebraically identical to f_obj(auth, mu_E(position)); no covariance
     factorizations are needed.
     """
-    pos = np.asarray(position, float)
-    scalar = pos.ndim == 1
-    pts = pos[None, :] if scalar else pos
-    ctxs = _array_contexts(scenario)
-    fobj, _ = _point_fields(scenario, ctxs, pts[:, 0].copy(), pts[:, 1].copy())
-    return float(fobj[0]) if scalar else fobj
+    return _fields_at(scenario, position)[0]
 
 
 def f_small_scale(scenario: Scenario, position) -> float | np.ndarray:
@@ -228,12 +232,7 @@ def f_small_scale(scenario: Scenario, position) -> float | np.ndarray:
     the lobe-restricted candidate set are where miss probabilities are
     worth evaluating.
     """
-    pos = np.asarray(position, float)
-    scalar = pos.ndim == 1
-    pts = pos[None, :] if scalar else pos
-    ctxs = _array_contexts(scenario)
-    _, fss = _point_fields(scenario, ctxs, pts[:, 0].copy(), pts[:, 1].copy())
-    return float(fss[0]) if scalar else fss
+    return _fields_at(scenario, position)[1]
 
 
 # ---------------------------------------------------------------------------

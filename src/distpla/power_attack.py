@@ -10,13 +10,22 @@ standard complex Gaussians, handled here three ways:
 * an exact doubly noncentral F expression (single array),
 * Monte-Carlo on the raw acceptance event (oracle and fallback).
 
+The antenna correlation is shared by the whole scenario, so array j sees
+the attacker covariance Sigma_E,j = alpha_j Sigma_A,j with alpha_j =
+P_E,j / P_A,j, the ratio of received powers.  Every form therefore has at
+most 2 N_RRH distinct eigenvalues, and is built from per-array sums and an
+N_RRH x N_RRH eigenproblem instead of an N x N one; a term with
+multiplicity m stands for m equal eigenvalues and carries the offset
+energy of its whole eigenspace.
+
 The saddle exponent is evaluated as s(z) = c0 z + sum_i |c_i|^2 z d_i /
-(1 - z d_i) - ln z - sum_i ln(1 - z d_i) on the strip where the moment
+(1 - z d_i) - ln z - sum_i m_i ln(1 - z d_i) on the strip where the moment
 generating function of the form exists, which matches Monte-Carlo for the
 event {sum_i d_i |w_i + c_i|^2 + c0 > 0}.  Whenever the direct tail is the
 larger one, the complementary event's tail is approximated instead and
 subtracted from one; a second-order curvature correction is applied in
-both cases.  Results are clamped to [0, 1].
+both cases (after Kuonen, Biometrika 86 (1999) 929-935).  Results are
+clamped to [0, 1].
 """
 from __future__ import annotations
 
@@ -29,7 +38,7 @@ from scipy.special import betainc, gammaln
 
 from .authenticator import Authenticator
 from .geometry import ChannelStatistics
-from .numerics import NumericsError, bracketed_root_find, cholesky_lower, hermitian_eigendecomposition
+from .numerics import NumericsError, bracketed_root_find
 
 _EIG_DROP = 1e-14          # relative cutoff below which an eigenvalue is treated as zero
 _BRACKET_RIM = 1e-9        # how close the root bracket may approach the MGF singularity
@@ -58,15 +67,21 @@ NO_ATTACK = PowerStrategy(1.0, 0.0)
 class IndefiniteForm:
     """Event {sum_i d_i |w_i + c_i|^2 + constant > 0}, w iid CN(0, 1).
 
-    ``eigenvalues`` are sorted descending; ``offsets`` holds the complex
-    c_i in the matching eigenvector basis.  ``threshold_param`` records the
-    normalized acceptance parameter t = 1 - T/(2M) the form was built for.
+    Term i is an eigenspace: ``eigenvalues[i]`` repeated
+    ``multiplicities[i]`` times (``None`` means once each), and
+    ``offsets[i]`` is the norm of the offset inside that eigenspace; by
+    rotational invariance only that norm affects the law.  The builders
+    below emit at most 2 N_RRH terms and none of multiplicity zero (a
+    zero-multiplicity term would still move the saddle bracket's rim).
+    ``threshold_param`` records the normalized acceptance parameter
+    t = 1 - T/(2M) the form was built for.
     """
 
     eigenvalues: np.ndarray
     offsets: np.ndarray
     threshold_param: float
     constant: float = 0.0
+    multiplicities: np.ndarray | None = None
 
 
 def optimal_power_strategy(auth: Authenticator, h_eve: np.ndarray) -> tuple[PowerStrategy, float]:
@@ -96,26 +111,42 @@ def statistical_power_strategy(auth: Authenticator, eve_stats: ChannelStatistics
     return strategy
 
 
+def _array_layout(auth: Authenticator, eve_stats: ChannelStatistics):
+    """Per-array alpha_j = P_E,j / P_A,j, sizes n_j, and block start offsets."""
+    sizes = np.asarray(auth.stats.block_sizes)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    return eve_stats.powers / auth.stats.powers, sizes, starts
+
+
 def build_indefinite_form(auth: Authenticator, eve_stats: ChannelStatistics) -> IndefiniteForm:
     """Reduce the optimal-PMA miss event to an indefinite quadratic form.
 
     With t = 1 - T/(2M), the event {min_strategy d < T} is
     {h^H C h > 0} for C = Sigma_A^{-1} mu_A mu_A^H Sigma_A^{-1} / M
-    - t Sigma_A^{-1}, and whitening h = mu_E + L_E w turns it into
-    {sum d_i |w_i + c_i|^2 > 0} with d_i the eigenvalues of L_E^H C L_E
-    and c = U^H L_E^{-1} mu_E.  For t in (0, 1) exactly one eigenvalue is
-    positive.
+    - t Sigma_A^{-1}; whitening h = mu_E + L_E w with L_E = diag(sqrt alpha_j)
+    L_A turns C into u u^H / M - t diag(alpha_j) with u_j = sqrt(alpha_j) w_j,
+    w = L_A^{-1} mu_A.  Its eigenvalues are those of the N_RRH x N_RRH matrix
+    a a^T / M - t diag(alpha) with a_j = sqrt(alpha_j) ||w_j||, where array j
+    contributes the direction u_j with offset b_j = <w_j, x_j> / (||w_j||
+    sqrt(alpha_j)), x = L_A^{-1} mu_E, and -t alpha_j on the rest of the
+    array (multiplicity n_j - 1, offset energy ||x_j||^2 / alpha_j - |b_j|^2).
+    For t in (0, 1) exactly one eigenvalue is positive.
     """
     m_energy = auth.mahalanobis_energy
     t = 1.0 - auth.threshold / (2.0 * m_energy)
-    chol_e = cholesky_lower(eve_stats.cov)
-    sia_mu = solve_triangular(auth.chol.conj().T, auth.whitened_mean, lower=False)
-    v = chol_e.conj().T @ sia_mu
-    x = solve_triangular(auth.chol, chol_e, lower=True)
-    a_tilde = np.outer(v, v.conj()) / m_energy - t * (x.conj().T @ x)
-    eig = hermitian_eigendecomposition(a_tilde)
-    c = eig.vectors.conj().T @ solve_triangular(chol_e, eve_stats.mean, lower=True)
-    return IndefiniteForm(eigenvalues=eig.values, offsets=c, threshold_param=float(t))
+    alpha, sizes, starts = _array_layout(auth, eve_stats)
+    w = auth.whitened_mean
+    x = solve_triangular(auth.chol, eve_stats.mean, lower=True)
+    a = np.sqrt(alpha * np.add.reduceat(np.abs(w) ** 2, starts))
+    b = np.add.reduceat(w.conj() * x, starts) / a
+    values, vectors = np.linalg.eigh(np.outer(a, a) / m_energy - t * np.diag(alpha))
+    rest = np.add.reduceat(np.abs(x) ** 2, starts) / alpha - np.abs(b) ** 2
+    many = sizes > 1
+    return IndefiniteForm(
+        eigenvalues=np.concatenate((values, -t * alpha[many])),
+        offsets=np.concatenate((vectors.T @ b, np.sqrt(np.maximum(rest[many], 0.0)))),
+        threshold_param=float(t),
+        multiplicities=np.concatenate((np.ones(sizes.size, int), sizes[many] - 1)))
 
 
 def fixed_strategy_form(auth: Authenticator, eve_stats: ChannelStatistics,
@@ -123,26 +154,27 @@ def fixed_strategy_form(auth: Authenticator, eve_stats: ChannelStatistics,
     """Reduce the fixed-strategy acceptance event to an indefinite form.
 
     The event {d(scale * h) < T} becomes {sum d_i |w_i + c_i|^2 + T/2 > 0}
-    with all d_i < 0 (eigenvalues of -L_v^H Sigma_A^{-1} L_v for the
-    attacker's scaled covariance) and the threshold carried additively.
+    with d_j = -|eta|^2 alpha_j of multiplicity n_j per array, offset
+    energy ||x_j||^2 / (|eta|^2 alpha_j) for x = L_A^{-1}(scale mu_E - mu_A),
+    and the threshold carried additively.
     """
     scale = strategy.scale
     if abs(scale) == 0.0:
         raise ValueError("strategy amplitude must be positive")
-    mean_shift = scale * eve_stats.mean - auth.stats.mean
-    chol_v = abs(scale) * cholesky_lower(eve_stats.cov)
-    b = solve_triangular(auth.chol, chol_v, lower=True)
-    a_tilde = -(b.conj().T @ b)
-    eig = hermitian_eigendecomposition(a_tilde)
-    c = eig.vectors.conj().T @ solve_triangular(chol_v, mean_shift, lower=True)
+    alpha, sizes, starts = _array_layout(auth, eve_stats)
+    x = solve_triangular(auth.chol, scale * eve_stats.mean - auth.stats.mean, lower=True)
+    gain = abs(scale) ** 2 * alpha
     t = 1.0 - auth.threshold / (2.0 * auth.mahalanobis_energy)
-    return IndefiniteForm(eigenvalues=eig.values, offsets=c,
-                          threshold_param=float(t), constant=auth.threshold / 2.0)
+    return IndefiniteForm(eigenvalues=-gain,
+                          offsets=np.sqrt(np.add.reduceat(np.abs(x) ** 2, starts) / gain),
+                          threshold_param=float(t), constant=auth.threshold / 2.0,
+                          multiplicities=sizes)
 
 
-def _saddle_side(d: np.ndarray, c2: np.ndarray, const: float) -> float:
+def _saddle_side(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: float) -> float:
     """Approximate P(sum d_i |w_i + c_i|^2 + const > 0) on one side.
 
+    ``c2`` is the offset energy and ``m`` the multiplicity of each term.
     Returns an exact 0/1 when the form is sign-definite and the constant
     does not oppose it, NaN when no interior saddle exists (the caller then
     relies on the complementary side).
@@ -157,7 +189,7 @@ def _saddle_side(d: np.ndarray, c2: np.ndarray, const: float) -> float:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         def s1(z):
             u = 1.0 - z * d
-            return const + np.sum(c2 * d / u ** 2) - 1.0 / z + np.sum(d / u)
+            return const + np.sum(c2 * d / u ** 2) - 1.0 / z + np.sum(m * d / u)
 
         pos = d[d > 0]
         z_rim = float(np.min(1.0 / pos)) if pos.size else np.inf
@@ -180,10 +212,10 @@ def _saddle_side(d: np.ndarray, c2: np.ndarray, const: float) -> float:
             return np.nan
 
         u = 1.0 - z0 * d
-        s0 = const * z0 + np.sum(c2 * z0 * d / u) - np.log(z0) - np.sum(np.log(u))
-        s2 = np.sum(2.0 * c2 * d ** 2 / u ** 3) + 1.0 / z0 ** 2 + np.sum(d ** 2 / u ** 2)
-        s3 = np.sum(6.0 * c2 * d ** 3 / u ** 4) - 2.0 / z0 ** 3 + np.sum(2.0 * d ** 3 / u ** 3)
-        s4 = np.sum(24.0 * c2 * d ** 4 / u ** 5) + 6.0 / z0 ** 4 + np.sum(6.0 * d ** 4 / u ** 4)
+        s0 = const * z0 + np.sum(c2 * z0 * d / u) - np.log(z0) - np.sum(m * np.log(u))
+        s2 = np.sum(2.0 * c2 * d ** 2 / u ** 3) + 1.0 / z0 ** 2 + np.sum(m * d ** 2 / u ** 2)
+        s3 = np.sum(6.0 * c2 * d ** 3 / u ** 4) - 2.0 / z0 ** 3 + np.sum(2.0 * m * d ** 3 / u ** 3)
+        s4 = np.sum(24.0 * c2 * d ** 4 / u ** 5) + 6.0 / z0 ** 4 + np.sum(6.0 * m * d ** 4 / u ** 4)
         if not (np.isfinite(s0) and np.isfinite(s2) and s2 > 0):
             return np.nan
         # second-order steepest-descent factor; clamped because the expansion
@@ -202,12 +234,13 @@ def saddlepoint_tail_probability(form: IndefiniteForm) -> float:
     """
     d = np.asarray(form.eigenvalues, float)
     c2 = np.abs(np.asarray(form.offsets)) ** 2
+    m = np.ones(d.size) if form.multiplicities is None else np.asarray(form.multiplicities, float)
     keep = np.abs(d) > _EIG_DROP * max(float(np.max(np.abs(d), initial=0.0)), 1e-300)
-    d, c2 = d[keep], c2[keep]
+    d, c2, m = d[keep], c2[keep], m[keep]
     const = float(form.constant)
 
-    p_direct = _saddle_side(d, c2, const)
-    p_complement = _saddle_side(-d, c2, -const)
+    p_direct = _saddle_side(d, c2, m, const)
+    p_complement = _saddle_side(-d, c2, m, -const)
     if np.isnan(p_direct) and np.isnan(p_complement):
         raise SaddlepointError("no interior saddle point on either side")
     if np.isnan(p_complement):
@@ -272,22 +305,13 @@ def dncf_sf(x: float, nu1: float, nu2: float, k1: int, k2: int, tol: float = 1e-
     return float(min(max(wr @ grid @ ws, 0.0), 1.0))
 
 
-def _proportionality(auth: Authenticator, eve_stats: ChannelStatistics) -> float:
-    """Ratio alpha with Sigma_E = alpha Sigma_A, or raise if not proportional."""
-    alpha = float((eve_stats.cov[0, 0] / auth.stats.cov[0, 0]).real)
-    residual = np.linalg.norm(eve_stats.cov - alpha * auth.stats.cov)
-    if residual > 1e-9 * max(np.linalg.norm(eve_stats.cov), 1e-300):
-        raise ValueError("closed form needs attacker covariance proportional to the legitimate one")
-    return alpha
-
-
 def mdp_single_array_closed_form(auth: Authenticator, eve_stats: ChannelStatistics) -> float:
     """Exact optimal-PMA miss probability for a single receive array.
 
     P_MD = P(F > (N-1) (2M/T - 1)) for a doubly noncentral F with
     (2, 2(N-1)) degrees of freedom and noncentralities driven by the
-    attacker/legitimate mean alignment.  Requires Sigma_E = alpha Sigma_A,
-    which a shared per-array correlation model guarantees.
+    attacker/legitimate mean alignment.  Uses Sigma_E = alpha Sigma_A with
+    alpha = P_E / P_A, which the scenario-wide correlation model guarantees.
     """
     n = auth.stats.dim
     if n < 2:
@@ -296,7 +320,7 @@ def mdp_single_array_closed_form(auth: Authenticator, eve_stats: ChannelStatisti
     threshold = auth.threshold
     if threshold >= 2.0 * m_energy:
         return 1.0
-    alpha = _proportionality(auth, eve_stats)
+    alpha = float(eve_stats.powers[0] / auth.stats.powers[0])
     w_e = solve_triangular(auth.chol, eve_stats.mean, lower=True)
     cross = complex(np.vdot(auth.whitened_mean, w_e))   # mu_A^H Sigma_A^{-1} mu_E
     quad = float(np.vdot(w_e, w_e).real)                # mu_E^H Sigma_A^{-1} mu_E

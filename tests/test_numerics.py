@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from distpla.numerics import (NumericsError, bracketed_root_find, chi2_cdf,
                               chi2_quantile, chi2_tail, cholesky_lower,
-                              hermitian_eigendecomposition,
                               regularized_incomplete_beta)
 
 
@@ -58,27 +57,6 @@ def test_beta_endpoints_and_domain():
         regularized_incomplete_beta(1.5, 2.0, 3.0)
     with pytest.raises(NumericsError):
         regularized_incomplete_beta(0.5, -1.0, 3.0)
-
-
-class TestHermitianEigen:
-    def test_reconstruction_and_order(self, rng):
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        m = a + a.conj().T
-        eig = hermitian_eigendecomposition(m)
-        rebuilt = (eig.vectors * eig.values) @ eig.vectors.conj().T
-        assert np.allclose(rebuilt, m, atol=1e-10)
-        assert np.all(np.diff(eig.values) <= 1e-12)  # descending
-        gram = eig.vectors.conj().T @ eig.vectors
-        assert np.allclose(gram, np.eye(6), atol=1e-10)
-
-    def test_rejects_non_hermitian(self, rng):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        with pytest.raises(NumericsError):
-            hermitian_eigendecomposition(m)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(NumericsError):
-            hermitian_eigendecomposition(np.zeros((3, 4)))
 
 
 def test_cholesky_lower(rng):

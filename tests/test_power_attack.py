@@ -16,12 +16,20 @@ from conftest import build_scenario, random_geometry
 
 
 def _form_mc(form, samples, seed=0):
-    """Direct Monte-Carlo on the reduced event; the oracle for the saddle point."""
+    """Direct Monte-Carlo on the reduced event; the oracle for the saddle point.
+
+    Term i becomes multiplicities[i] complex normals with the eigenspace
+    offset on the first; by rotational invariance the law is the same.
+    """
     rng = np.random.default_rng(seed)
-    n = form.eigenvalues.size
-    z = rng.standard_normal((samples, 2 * n))
+    mult = (np.ones(form.eigenvalues.size, int) if form.multiplicities is None
+            else np.asarray(form.multiplicities))
+    d = np.repeat(form.eigenvalues, mult)
+    c = np.zeros(d.size, complex)
+    c[np.cumsum(mult) - mult] = form.offsets
+    z = rng.standard_normal((samples, 2 * d.size))
     w = (z[:, ::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)
-    vals = (np.abs(w + form.offsets) ** 2) @ form.eigenvalues + form.constant
+    vals = (np.abs(w + c) ** 2) @ d + form.constant
     p = float(np.mean(vals > 0))
     return p, float(np.sqrt(p * (1 - p) / samples))
 
@@ -98,7 +106,8 @@ class TestIndefiniteForm:
         assert 0.0 < t < 1.0
         n = auth.stats.dim
         expected = np.sort(np.r_[alpha * (1 - t), np.full(n - 1, -alpha * t)])[::-1]
-        assert np.allclose(np.asarray(form.eigenvalues), expected, rtol=1e-9)
+        spectrum = np.repeat(form.eigenvalues, form.multiplicities)
+        assert np.allclose(np.sort(spectrum)[::-1], expected, rtol=1e-9)
 
     def test_exactly_one_positive_eigenvalue(self, rng):
         for _ in range(15):
@@ -136,6 +145,64 @@ class TestIndefiniteForm:
         auth = make_authenticator(dual_scenario)
         with pytest.raises(ValueError):
             fixed_strategy_form(auth, eve_statistics(dual_scenario), PowerStrategy(0.0, 0.0))
+
+
+def _dense_form(auth, ev, strategy=None):
+    """The N x N reduction straight from the dense covariances (test oracle).
+
+    Whitens h = shift + L_E w for the event {h^H C h + constant > 0} and
+    diagonalizes L_E^H C L_E with a full eigensolver.
+    """
+    chol_e = np.linalg.cholesky(ev.cov)
+    sia = np.linalg.inv(auth.stats.cov)
+    t = 1.0 - auth.threshold / (2.0 * auth.mahalanobis_energy)
+    if strategy is None:
+        sia_mu = sia @ auth.stats.mean
+        c_mat = np.outer(sia_mu, sia_mu.conj()) / auth.mahalanobis_energy - t * sia
+        shift, const = ev.mean, 0.0
+    else:
+        scale = strategy.scale
+        c_mat = -abs(scale) ** 2 * sia
+        shift, const = ev.mean - auth.stats.mean / scale, auth.threshold / 2.0
+    values, vectors = np.linalg.eigh(chol_e.conj().T @ c_mat @ chol_e)
+    offsets = vectors.conj().T @ np.linalg.solve(chol_e, shift)
+    return IndefiniteForm(eigenvalues=values, offsets=offsets, threshold_param=t,
+                          constant=const)
+
+
+class TestDenseOracle:
+    """The per-array forms against the N x N reduction they replace."""
+
+    @pytest.mark.parametrize("n_rx", [None, 1])
+    def test_forms_match_dense_reduction(self, n_rx):
+        rng = np.random.default_rng(77 if n_rx is None else 78)
+        for _ in range(12):
+            sc = random_geometry(rng, n_rx=n_rx)
+            auth = make_authenticator(sc)
+            ev = eve_statistics(sc)
+            strategies = (None, statistical_power_strategy(auth, ev),
+                          PowerStrategy(float(rng.uniform(0.3, 3.0)), float(rng.uniform(-3, 3))))
+            for strategy in strategies:
+                form = (build_indefinite_form(auth, ev) if strategy is None
+                        else fixed_strategy_form(auth, ev, strategy))
+                dense = _dense_form(auth, ev, strategy)
+                assert np.all(form.multiplicities > 0)
+                d = np.repeat(form.eigenvalues, form.multiplicities)
+                scale = np.max(np.abs(dense.eigenvalues))
+                assert np.allclose(np.sort(d), dense.eigenvalues, rtol=0.0, atol=1e-12 * scale)
+                # offset energy carried by each distinct eigenvalue; energies are
+                # dimensionless noncentralities, and a strategy that cancels the
+                # mean leaves only rounding, hence the absolute floor
+                dense_c2 = np.abs(dense.offsets) ** 2
+                total = max(float(np.sum(dense_c2)), 1.0)
+                for v in form.eigenvalues:
+                    near_form = np.abs(form.eigenvalues - v) <= 1e-12 * scale
+                    near_dense = np.abs(dense.eigenvalues - v) <= 1e-12 * scale
+                    assert np.sum(np.abs(form.offsets[near_form]) ** 2) == pytest.approx(
+                        np.sum(dense_c2[near_dense]), rel=1e-9, abs=1e-9 * total)
+                if 0.0 < form.threshold_param < 1.0:
+                    assert saddlepoint_tail_probability(form) == pytest.approx(
+                        saddlepoint_tail_probability(dense), rel=1e-9)
 
 
 class TestSaddlepoint:
@@ -263,11 +330,3 @@ class TestMissProbability:
         assert p_mc == direct.value
         with pytest.raises(ValueError):
             mdp_optimal_pma(auth, ev, method="bogus")
-
-    def test_closed_form_needs_proportional_covariance(self, single_scenario):
-        auth = make_authenticator(single_scenario)
-        ev = eve_statistics(single_scenario)
-        broken = type(ev)(**{**ev.__dict__, "cov": ev.cov + np.diag(
-            np.linspace(0, 1, ev.dim) * ev.cov[0, 0].real)})
-        with pytest.raises(ValueError):
-            mdp_single_array_closed_form(auth, broken)
