@@ -12,8 +12,8 @@ from .delay_bounds import (ArrivalModel, DelayBound, ServiceModel, ServiceOutage
 from .geometry import (ChannelStatistics, Correlation, Region, RrhConfig,
                        Scenario, SearchConfig, TransmitterConfig,
                        alice_statistics, angular_sine, channel_statistics,
-                       eve_statistics, received_power, steering_vector,
-                       wavelength)
+                       eve_statistics, received_power, rice_means,
+                       steering_vector, wavelength)
 from .monte_carlo import (BLOCK_SIZE, McEstimate, acceptance_event,
                           best_case_acceptance_event, estimate_probability,
                           sample_channel)
@@ -28,8 +28,8 @@ from .power_attack import (NO_ATTACK, IndefiniteForm, PowerStrategy,
                            SaddlepointError, build_indefinite_form, dncf_cdf,
                            dncf_sf, fixed_strategy_form,
                            mdp_fixed_strategy, mdp_optimal_pma,
-                           mdp_single_array_closed_form, optimal_power_strategy,
-                           saddlepoint_tail_probability,
+                           mdp_optimal_pma_batch, mdp_single_array_closed_form,
+                           optimal_power_strategy, saddlepoint_tail_probability,
                            statistical_power_strategy)
 from .scenario_io import (ScenarioError, load_scenario, scenario_from_dict,
                           scenario_to_dict, validate_scenario)

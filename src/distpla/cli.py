@@ -21,14 +21,14 @@ import numpy as np
 from .authenticator import make_authenticator, pfa_of_threshold
 from .delay_bounds import (ArrivalModel, ServiceModel, UnstableQueueError,
                            delay_violation_bound, service_outage)
-from .geometry import Scenario, channel_statistics, eve_statistics, wavelength
+from .geometry import Scenario, eve_statistics, wavelength
 from .monte_carlo import best_case_acceptance_event, estimate_probability
 from .numerics import NumericsError
 from .position_attack import (PositionSearchError, count_small_scale_optima,
                               grid_axes, truncated_search)
 from .power_attack import (NO_ATTACK, PowerStrategy, SaddlepointError,
                            mdp_fixed_strategy, mdp_optimal_pma,
-                           statistical_power_strategy)
+                           mdp_optimal_pma_batch, statistical_power_strategy)
 from .scenario_io import ScenarioError, load_scenario
 
 _LOG10_FLOOR = -15.0
@@ -134,14 +134,12 @@ def _cmd_validate(args):
     return "\n".join(lines) + "\n", None
 
 
-def _pmd_cells(sc: Scenario, resolution: float) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    auth = make_authenticator(sc)
+def _pmd_cells(sc: Scenario, resolution: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal-attack p_md on every grid cell, y the outer and x the inner index."""
     xs, ys = grid_axes(sc, resolution)
-    vals = []
-    for y in ys:
-        for x in xs:
-            eve = replace(sc.eve, position=(float(x), float(y)))
-            vals.append(mdp_optimal_pma(auth, channel_statistics(sc, eve)))
+    gx, gy = np.meshgrid(xs, ys)
+    vals, _ = mdp_optimal_pma_batch(make_authenticator(sc), sc,
+                                    np.column_stack((gx.ravel(), gy.ravel())))
     return xs, ys, vals
 
 

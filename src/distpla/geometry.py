@@ -97,13 +97,18 @@ def wavelength(carrier_frequency: float) -> float:
     return SPEED_OF_LIGHT / carrier_frequency
 
 
-def received_power(distance: float, path_loss_exponent: float,
-                   carrier_frequency: float, tx_power: float = 1.0) -> float:
-    """Free-space style power law (wavelength/(4 pi d))^beta * P_tx."""
-    if distance <= 0:
+def received_power(distance, path_loss_exponent: float,
+                   carrier_frequency: float, tx_power: float = 1.0):
+    """Free-space style power law (wavelength/(4 pi d))^beta * P_tx, elementwise in d."""
+    d = np.asarray(distance, float)
+    if np.any(d <= 0):
         raise ValueError(f"distance must be positive, got {distance}")
-    lam = wavelength(carrier_frequency)
-    return (lam / (4.0 * np.pi * distance)) ** path_loss_exponent * tx_power
+    base = wavelength(carrier_frequency) / (4.0 * np.pi * d)
+    # Python's pow per element: numpy's vectorised power differs from it in
+    # the last bit for some inputs, and every reported probability uses P
+    gain = np.array([b ** path_loss_exponent for b in base.ravel().tolist()])
+    power = gain.reshape(d.shape) * tx_power
+    return float(power) if d.ndim == 0 else power
 
 
 def angular_sine(rrh: RrhConfig, point: tuple[float, float]) -> float:
@@ -151,49 +156,61 @@ class ChannelStatistics:
             start += size
 
 
-def channel_statistics(scenario: Scenario, tx: TransmitterConfig) -> ChannelStatistics:
-    """Rice statistics of ``tx`` as seen by every array in the scenario.
+def rice_means(scenario: Scenario, positions, tx_power: float = 1.0):
+    """Line-of-sight geometry of transmitters at each row of an (n, 2) array.
 
-    Mean of array j: sqrt(P_j K/(K+1)) e^{-j 2 pi d_j / lambda} e(Omega_j).
-    Covariance of array j: P_j/(K+1) * correlation matrix.
+    Returns the stacked Rice means (n, N), with array j's block
+    sqrt(P_j K/(K+1)) e^{-j 2 pi d_j / lambda} e(Omega_j), and the received
+    powers P_j, distances d_j and angular sines Omega_j, each (n, N_RRH).
     """
+    pts = np.asarray(positions, float).reshape(-1, 2)
     lam = wavelength(scenario.carrier_frequency)
     k_rice = scenario.rice_factor
-    means, covs, dists, omegas, powers, sizes = [], [], [], [], [], []
+    means, dists, omegas, powers = [], [], [], []
     for rrh in scenario.rrhs:
-        delta = np.asarray(tx.position, float) - np.asarray(rrh.position, float)
-        d = float(np.hypot(*delta))
-        if d == 0.0:
+        delta = pts - np.asarray(rrh.position, float)
+        d = np.hypot(delta[:, 0], delta[:, 1])
+        if np.any(d == 0.0):
             raise ValueError(f"transmitter sits on RRH {rrh.id!r}")
-        omega = float(delta @ np.asarray(rrh.array_axis, float)) / d
+        # row-wise 1-D dot products, rounded like ``delta_row @ axis``
+        omega = (delta[:, None, :] @ np.asarray(rrh.array_axis, float))[:, 0] / d
         p = received_power(d, scenario.path_loss_exponent,
-                           scenario.carrier_frequency, tx.tx_power)
-        amp = math.sqrt(p * k_rice / (k_rice + 1.0))
-        mu = amp * np.exp(-2j * np.pi * d / lam) * steering_vector(
-            omega, rrh.num_antennas, scenario.antenna_spacing)
-        cov = (p / (k_rice + 1.0)) * scenario.correlation.matrix(rrh.num_antennas)
-        means.append(mu)
-        covs.append(cov.astype(complex))
+                           scenario.carrier_frequency, tx_power)
+        amp = np.sqrt(p * k_rice / (k_rice + 1.0))
+        carrier = amp * np.exp(1j * (-2.0 * np.pi * d / lam))
+        means.append(carrier[:, None] * steering_vector(
+            omega, rrh.num_antennas, scenario.antenna_spacing))
         dists.append(d)
         omegas.append(omega)
         powers.append(p)
-        sizes.append(rrh.num_antennas)
-    dim = sum(sizes)
-    cov = np.zeros((dim, dim), complex)
-    start = 0
-    for c in covs:
-        n = c.shape[0]
-        cov[start:start + n, start:start + n] = c
-        start += n
+    return (np.concatenate(means, axis=1), np.stack(powers, axis=1),
+            np.stack(dists, axis=1), np.stack(omegas, axis=1))
+
+
+def channel_statistics(scenario: Scenario, tx: TransmitterConfig) -> ChannelStatistics:
+    """Rice statistics of ``tx`` as seen by every array in the scenario.
+
+    Means and powers come from :func:`rice_means`; the covariance of array
+    j is P_j/(K+1) * correlation matrix.
+    """
+    mean, powers, dists, omegas = (a[0] for a in rice_means(scenario, tx.position, tx.tx_power))
+    sizes = tuple(rrh.num_antennas for rrh in scenario.rrhs)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    covs = tuple(((p / (scenario.rice_factor + 1.0))
+                  * scenario.correlation.matrix(n)).astype(complex)
+                 for p, n in zip(powers, sizes))
+    cov = np.zeros((starts[-1], starts[-1]), complex)
+    for c, lo, hi in zip(covs, starts, starts[1:]):
+        cov[lo:hi, lo:hi] = c
     return ChannelStatistics(
-        mean=np.concatenate(means),
+        mean=mean,
         cov=cov,
-        block_means=tuple(means),
-        block_covs=tuple(covs),
-        distances=np.asarray(dists),
-        omegas=np.asarray(omegas),
-        powers=np.asarray(powers),
-        block_sizes=tuple(sizes),
+        block_means=tuple(mean[lo:hi] for lo, hi in zip(starts, starts[1:])),
+        block_covs=covs,
+        distances=dists,
+        omegas=omegas,
+        powers=powers,
+        block_sizes=sizes,
     )
 
 

@@ -18,7 +18,7 @@ probabilities at the survivors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -26,10 +26,10 @@ from scipy.ndimage import maximum_filter
 from scipy.optimize import minimize_scalar
 
 from .authenticator import Authenticator, make_authenticator
-from .geometry import (ChannelStatistics, Correlation, Scenario, SearchConfig,
-                       channel_statistics, steering_vector, wavelength)
+from .geometry import (Correlation, Scenario, SearchConfig, steering_vector,
+                       wavelength)
 from .numerics import bracketed_root_find
-from .power_attack import mdp_optimal_pma
+from .power_attack import mdp_optimal_pma_batch
 
 _CHUNK = 1 << 18
 _GRID_GUARD = 5_000_000
@@ -387,6 +387,8 @@ class SearchResult:
     n_evaluated: int
     grid_shape: tuple[int, int]
     resolution: float
+    n_survivors: int        # candidates before the max_candidates cap
+    n_mc_fallbacks: int     # evaluated candidates whose p_md came from Monte-Carlo
 
     @property
     def best(self) -> CandidatePosition:
@@ -484,11 +486,6 @@ def _candidate_label(scenario: Scenario, ctxs: list[_ArrayContext], lobes: LobeS
     return "other"
 
 
-def _stats_at(scenario: Scenario, position: tuple[float, float]) -> ChannelStatistics:
-    eve = replace(scenario.eve, position=position)
-    return channel_statistics(scenario, eve)
-
-
 def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
                      auth: Authenticator | None = None) -> SearchResult:
     """Worst-position miss probability by lobe-restricted candidate search.
@@ -545,26 +542,27 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
     surv_rows = np.searchsorted(member_idx, surv_idx)   # member_idx is sorted
 
     order = np.lexsort((surv_idx % nx, surv_idx // nx, -fobj_vals[surv_rows]))
-    if surv_idx.size > cfg.max_candidates:
+    n_survivors = int(surv_idx.size)
+    if n_survivors > cfg.max_candidates:
         order = order[:cfg.max_candidates]
     surv_idx = surv_idx[order]
     surv_rows = surv_rows[order]
 
-    the_auth = auth or make_authenticator(scenario)
-    entries = []
-    for k, row in zip(surv_idx, surv_rows):
-        x = float(scenario.region.x_min + (k % nx + 0.5) * res)
-        y = float(scenario.region.y_min + (k // nx + 0.5) * res)
-        p_md = mdp_optimal_pma(the_auth, _stats_at(scenario, (x, y)))
-        entries.append((p_md, int(k // nx), int(k % nx), x, y,
-                        float(fobj_vals[row]), float(fss_vals[row])))
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+    xs_c = scenario.region.x_min + (surv_idx % nx + 0.5) * res
+    ys_c = scenario.region.y_min + (surv_idx // nx + 0.5) * res
+    p_md, mc = mdp_optimal_pma_batch(auth or make_authenticator(scenario), scenario,
+                                     np.column_stack((xs_c, ys_c)))
+    entries = sorted(
+        ((float(p), int(k // nx), int(k % nx), float(x), float(y),
+          float(fobj_vals[row]), float(fss_vals[row]))
+         for p, k, row, x, y in zip(p_md, surv_idx, surv_rows, xs_c, ys_c)),
+        key=lambda e: (-e[0], e[1], e[2]))
     candidates = tuple(
-        CandidatePosition((x, y), fo, fs, p_md,
+        CandidatePosition((x, y), fo, fs, p,
                           _candidate_label(scenario, ctxs, lobes, x, y))
-        for p_md, _, _, x, y, fo, fs in entries)
+        for p, _, _, x, y, fo, fs in entries)
     return SearchResult(candidates, candidates[0].p_md, n_grid, n_allowed, n_lobe,
-                        len(candidates), shape, res)
+                        len(candidates), shape, res, n_survivors, int(mc.sum()))
 
 
 def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
@@ -595,13 +593,12 @@ def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
     top = order[0]
     k = int(member_idx[top])
     x, y = float(px[top]), float(py[top])
-    the_auth = auth or make_authenticator(scenario)
-    p_md = mdp_optimal_pma(the_auth, _stats_at(scenario, (x, y)))
+    p_md, mc = mdp_optimal_pma_batch(auth or make_authenticator(scenario), scenario, [x, y])
     lobes = lobe_sets(scenario)
-    cand = CandidatePosition((x, y), float(fobj_vals[top]), float(fss_vals[top]), p_md,
-                             _candidate_label(scenario, ctxs, lobes, x, y))
-    return SearchResult((cand,), p_md, n_grid, n_allowed, n_allowed, 1,
-                        (ys.size, xs.size), res)
+    cand = CandidatePosition((x, y), float(fobj_vals[top]), float(fss_vals[top]),
+                             float(p_md[0]), _candidate_label(scenario, ctxs, lobes, x, y))
+    return SearchResult((cand,), cand.p_md, n_grid, n_allowed, n_allowed, 1,
+                        (ys.size, xs.size), res, n_allowed, int(mc.sum()))
 
 
 def count_small_scale_optima(scenario: Scenario, config: SearchConfig | None = None) -> int:

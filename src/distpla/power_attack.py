@@ -26,22 +26,35 @@ larger one, the complementary event's tail is approximated instead and
 subtracted from one; a second-order curvature correction is applied in
 both cases (after Kuonen, Biometrika 86 (1999) 929-935).  Results are
 clamped to [0, 1].
+
+The saddle equation s'(z) = 0 is solved for many forms at once, one form
+per row of a (n, K) term array; a single form is a batch of one.  The root
+is bracketed on (1e-12, (1 - 1e-9) / max d), or, without a positive d, on
+(1e-12, 2^k) for the first k < 400 with s'(2^k) > 0.  s' is strictly
+increasing there (s'' > 0), and a safeguarded Newton-bisection finds the
+root to brentq's tolerance, (1e-15 + 4 eps |z|) / 2, or stops at an iterate
+where s' is exactly zero.  mdp_optimal_pma_batch uses this to evaluate the
+optimal-attack miss probability at many attacker positions in one pass.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import betainc, gammaln
 
 from .authenticator import Authenticator
-from .geometry import ChannelStatistics
-from .numerics import NumericsError, bracketed_root_find
+from .geometry import ChannelStatistics, Scenario, channel_statistics, rice_means
 
 _EIG_DROP = 1e-14          # relative cutoff below which an eigenvalue is treated as zero
 _BRACKET_RIM = 1e-9        # how close the root bracket may approach the MGF singularity
+_Z_LO = 1e-12              # left end of every saddle bracket
+_XTOL = 1e-15              # saddle root tolerance: absolute part ...
+_RTOL = 4 * np.finfo(float).eps   # ... and relative part, as in brentq
+_MAX_ITER = 200            # Newton-bisection steps before a row counts as unsolved
+_CHUNK = 4096              # attacker positions per batch in mdp_optimal_pma_batch
 
 
 class SaddlepointError(RuntimeError):
@@ -111,11 +124,35 @@ def statistical_power_strategy(auth: Authenticator, eve_stats: ChannelStatistics
     return strategy
 
 
-def _array_layout(auth: Authenticator, eve_stats: ChannelStatistics):
-    """Per-array alpha_j = P_E,j / P_A,j, sizes n_j, and block start offsets."""
+def _array_layout(auth: Authenticator) -> tuple[np.ndarray, np.ndarray]:
+    """Array sizes n_j and block start offsets of the stacked channel."""
     sizes = np.asarray(auth.stats.block_sizes)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    return eve_stats.powers / auth.stats.powers, sizes, starts
+    return sizes, np.concatenate(([0], np.cumsum(sizes)[:-1]))
+
+
+def _optimal_form_rows(auth: Authenticator, means: np.ndarray, powers: np.ndarray):
+    """build_indefinite_form for attacker means (n, N) and powers (n, N_RRH) at once.
+
+    Returns the eigenvalues, complex offsets and multiplicities, each of
+    shape (n, K) with K = N_RRH + #(arrays with n_j > 1), and t.
+    """
+    m_energy = auth.mahalanobis_energy
+    t = 1.0 - auth.threshold / (2.0 * m_energy)
+    sizes, starts = _array_layout(auth)
+    alpha = powers / auth.stats.powers
+    w = auth.whitened_mean
+    x = solve_triangular(auth.chol, means.T, lower=True)
+    a = np.sqrt(alpha * np.add.reduceat(np.abs(w) ** 2, starts))
+    b = np.add.reduceat(w.conj()[:, None] * x, starts, axis=0).T / a
+    values, vectors = np.linalg.eigh(a[:, :, None] * a[:, None, :] / m_energy
+                                     - t * alpha[:, :, None] * np.eye(sizes.size))
+    rest = np.add.reduceat(np.abs(x) ** 2, starts, axis=0).T / alpha - np.abs(b) ** 2
+    many = sizes > 1
+    eigenvalues = np.concatenate((values, -t * alpha[:, many]), axis=1)
+    offsets = np.concatenate((np.sum(vectors * b[:, :, None], axis=1),
+                              np.sqrt(np.maximum(rest[:, many], 0.0))), axis=1)
+    mult = np.concatenate((np.ones(sizes.size, int), sizes[many] - 1))
+    return eigenvalues, offsets, np.broadcast_to(mult, eigenvalues.shape), t
 
 
 def build_indefinite_form(auth: Authenticator, eve_stats: ChannelStatistics) -> IndefiniteForm:
@@ -132,21 +169,9 @@ def build_indefinite_form(auth: Authenticator, eve_stats: ChannelStatistics) -> 
     array (multiplicity n_j - 1, offset energy ||x_j||^2 / alpha_j - |b_j|^2).
     For t in (0, 1) exactly one eigenvalue is positive.
     """
-    m_energy = auth.mahalanobis_energy
-    t = 1.0 - auth.threshold / (2.0 * m_energy)
-    alpha, sizes, starts = _array_layout(auth, eve_stats)
-    w = auth.whitened_mean
-    x = solve_triangular(auth.chol, eve_stats.mean, lower=True)
-    a = np.sqrt(alpha * np.add.reduceat(np.abs(w) ** 2, starts))
-    b = np.add.reduceat(w.conj() * x, starts) / a
-    values, vectors = np.linalg.eigh(np.outer(a, a) / m_energy - t * np.diag(alpha))
-    rest = np.add.reduceat(np.abs(x) ** 2, starts) / alpha - np.abs(b) ** 2
-    many = sizes > 1
-    return IndefiniteForm(
-        eigenvalues=np.concatenate((values, -t * alpha[many])),
-        offsets=np.concatenate((vectors.T @ b, np.sqrt(np.maximum(rest[many], 0.0)))),
-        threshold_param=float(t),
-        multiplicities=np.concatenate((np.ones(sizes.size, int), sizes[many] - 1)))
+    d, c, m, t = _optimal_form_rows(auth, eve_stats.mean[None, :], eve_stats.powers[None, :])
+    return IndefiniteForm(eigenvalues=d[0], offsets=c[0], threshold_param=float(t),
+                          multiplicities=m[0].copy())
 
 
 def fixed_strategy_form(auth: Authenticator, eve_stats: ChannelStatistics,
@@ -161,9 +186,9 @@ def fixed_strategy_form(auth: Authenticator, eve_stats: ChannelStatistics,
     scale = strategy.scale
     if abs(scale) == 0.0:
         raise ValueError("strategy amplitude must be positive")
-    alpha, sizes, starts = _array_layout(auth, eve_stats)
+    sizes, starts = _array_layout(auth)
     x = solve_triangular(auth.chol, scale * eve_stats.mean - auth.stats.mean, lower=True)
-    gain = abs(scale) ** 2 * alpha
+    gain = abs(scale) ** 2 * (eve_stats.powers / auth.stats.powers)
     t = 1.0 - auth.threshold / (2.0 * auth.mahalanobis_energy)
     return IndefiniteForm(eigenvalues=-gain,
                           offsets=np.sqrt(np.add.reduceat(np.abs(x) ** 2, starts) / gain),
@@ -171,58 +196,122 @@ def fixed_strategy_form(auth: Authenticator, eve_stats: ChannelStatistics,
                           multiplicities=sizes)
 
 
-def _saddle_side(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: float) -> float:
-    """Approximate P(sum d_i |w_i + c_i|^2 + const > 0) on one side.
+def _slopes(z: np.ndarray, d: np.ndarray, c2: np.ndarray, m: np.ndarray,
+            const: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s'(z) and s''(z) of the saddle exponent, one z per row of (d, c2, m)."""
+    u = 1.0 - z[:, None] * d
+    s1 = const + np.sum(c2 * d / u ** 2, axis=1) - 1.0 / z + np.sum(m * d / u, axis=1)
+    s2 = (np.sum(2.0 * c2 * d ** 2 / u ** 3, axis=1) + 1.0 / z ** 2
+          + np.sum(m * d ** 2 / u ** 2, axis=1))
+    return s1, s2
+
+
+def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Bisection point, geometric while the bracket spans orders of magnitude."""
+    return np.where(hi > 4.0 * lo, np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
+
+
+def _saddle_root(d, c2, m, const, lo, hi) -> np.ndarray:
+    """Root of s'(z) on each row's bracket (lo, hi), where s'(lo) < 0 < s'(hi).
+
+    Safeguarded Newton-bisection: the Newton step on z s'(z), which is
+    nearly linear where the -1/z term dominates, is taken while it stays
+    inside the bracket and is at most half the step before last; otherwise
+    the bracket is bisected.  A row stops at an iterate where s' is exactly
+    zero (that iterate is the root), or once the step or the half-bracket
+    falls below (_XTOL + _RTOL |z|) / 2; rows still open after _MAX_ITER
+    steps get NaN.
+    """
+    root = np.full(lo.shape, np.nan)
+    rows = np.arange(lo.size)
+    z = _midpoint(lo, hi)
+    step = step_old = hi - lo
+    for _ in range(_MAX_ITER):
+        if rows.size == 0:
+            break
+        s1, s2 = _slopes(z, d, c2, m, const)
+        lo = np.where(s1 < 0, z, lo)
+        hi = np.where(s1 > 0, z, hi)
+        newton = z - z * s1 / (s1 + z * s2)
+        take = (newton > lo) & (newton < hi) & (np.abs(newton - z) <= 0.5 * np.abs(step_old))
+        z_next = np.where(take, newton, _midpoint(lo, hi))
+        step_old, step = step, z_next - z
+        tol = 0.5 * (_XTOL + _RTOL * np.abs(z_next))
+        exact = s1 == 0.0
+        done = exact | (np.abs(step) < tol) | (hi - lo < 2.0 * tol)
+        root[rows[done]] = np.where(exact, z, z_next)[done]
+        live = ~done
+        rows, z, lo, hi, step, step_old = (v[live] for v in (rows, z_next, lo, hi, step, step_old))
+        d, c2, m, const = d[live], c2[live], m[live], const[live]
+    return root
+
+
+def _saddle_side(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """Approximate P(sum_i d_i |w_i + c_i|^2 + const > 0) on one side, row by row.
 
     ``c2`` is the offset energy and ``m`` the multiplicity of each term.
-    Returns an exact 0/1 when the form is sign-definite and the constant
-    does not oppose it, NaN when no interior saddle exists (the caller then
-    relies on the complementary side).
+    A row is an exact 0/1 when the form is sign-definite and the constant
+    does not oppose it, and NaN when no interior saddle exists (the caller
+    then relies on the complementary side).  The root is bracketed on
+    (1e-12, z_rim (1 - _BRACKET_RIM)) with z_rim = 1 / max d; without a
+    positive d the right end doubles from 1 until s' > 0, at most 400 times.
     """
-    if d.size == 0:
-        return 1.0 if const > 0 else 0.0
-    if not np.any(d > 0) and const <= 0:
-        return 0.0
-    if not np.any(d < 0) and const >= 0:
-        return 1.0
-
+    p = np.where(~np.any(d > 0, axis=1) & (const <= 0), 0.0,
+                 np.where(~np.any(d < 0, axis=1) & (const >= 0), 1.0, np.nan))
+    rows = np.flatnonzero(np.isnan(p))
+    d, c2, m, const = d[rows], c2[rows], m[rows], const[rows]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        def s1(z):
-            u = 1.0 - z * d
-            return const + np.sum(c2 * d / u ** 2) - 1.0 / z + np.sum(m * d / u)
+        z_rim = np.min(np.where(d > 0, 1.0 / d, np.inf), axis=1)
+        lo = np.full(rows.size, _Z_LO)
+        hi = z_rim * (1.0 - _BRACKET_RIM)
+        doubling = np.flatnonzero(np.isinf(z_rim))
+        hi[doubling] = 1.0
+        for _ in range(400):
+            if doubling.size == 0:
+                break
+            s1, _ = _slopes(hi[doubling], d[doubling], c2[doubling], m[doubling],
+                            const[doubling])
+            doubling = doubling[~(s1 > 0)]
+            hi[doubling] *= 2.0
+        s1_lo, _ = _slopes(lo, d, c2, m, const)
+        s1_hi, _ = _slopes(hi, d, c2, m, const)
+        ok = (s1_lo < 0) & (s1_hi > 0) & (lo < hi)
+        ok[doubling] = False
+        sel = np.flatnonzero(ok)
+        d, c2, m, const = d[sel], c2[sel], m[sel], const[sel]
+        z0 = _saddle_root(d, c2, m, const, lo[sel], hi[sel])
 
-        pos = d[d > 0]
-        z_rim = float(np.min(1.0 / pos)) if pos.size else np.inf
-        lo = 1e-12
-        if np.isfinite(z_rim):
-            hi = z_rim * (1.0 - _BRACKET_RIM)
-        else:
-            hi = 1.0
-            for _ in range(400):
-                if s1(hi) > 0:
-                    break
-                hi *= 2.0
-            else:
-                return np.nan
-        if not (s1(lo) < 0 < s1(hi)):
-            return np.nan
-        try:
-            z0 = bracketed_root_find(s1, lo, hi, tol=1e-15)
-        except NumericsError:
-            return np.nan
-
-        u = 1.0 - z0 * d
-        s0 = const * z0 + np.sum(c2 * z0 * d / u) - np.log(z0) - np.sum(m * np.log(u))
-        s2 = np.sum(2.0 * c2 * d ** 2 / u ** 3) + 1.0 / z0 ** 2 + np.sum(m * d ** 2 / u ** 2)
-        s3 = np.sum(6.0 * c2 * d ** 3 / u ** 4) - 2.0 / z0 ** 3 + np.sum(2.0 * m * d ** 3 / u ** 3)
-        s4 = np.sum(24.0 * c2 * d ** 4 / u ** 5) + 6.0 / z0 ** 4 + np.sum(6.0 * m * d ** 4 / u ** 4)
-        if not (np.isfinite(s0) and np.isfinite(s2) and s2 > 0):
-            return np.nan
+        u = 1.0 - z0[:, None] * d
+        s0 = (const * z0 + np.sum(c2 * z0[:, None] * d / u, axis=1) - np.log(z0)
+              - np.sum(m * np.log(u), axis=1))
+        _, s2 = _slopes(z0, d, c2, m, const)
+        s3 = (np.sum(6.0 * c2 * d ** 3 / u ** 4, axis=1) - 2.0 / z0 ** 3
+              + np.sum(2.0 * m * d ** 3 / u ** 3, axis=1))
+        s4 = (np.sum(24.0 * c2 * d ** 4 / u ** 5, axis=1) + 6.0 / z0 ** 4
+              + np.sum(6.0 * m * d ** 4 / u ** 4, axis=1))
         # second-order steepest-descent factor; clamped because the expansion
         # degenerates when the saddle sits against the MGF singularity
-        correction = 1.0 + s4 / (8.0 * s2 ** 2) - 5.0 * s3 ** 2 / (24.0 * s2 ** 3)
-        correction = float(min(max(correction, 0.1), 10.0))
-        return float(np.exp(s0) / np.sqrt(2.0 * np.pi * s2) * correction)
+        correction = np.clip(1.0 + s4 / (8.0 * s2 ** 2) - 5.0 * s3 ** 2 / (24.0 * s2 ** 3),
+                             0.1, 10.0)
+        tail = np.exp(s0) / np.sqrt(2.0 * np.pi * s2) * correction
+    p[rows[sel]] = np.where(np.isfinite(s0) & np.isfinite(s2) & (s2 > 0), tail, np.nan)
+    return p
+
+
+def _saddle_tail(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """saddlepoint_tail_probability for each row of (d, c2, m) and const.
+
+    Terms with |d| <= _EIG_DROP max|d| become inert (d = c2 = m = 0), the
+    only padding that leaves the sign checks and the bracket untouched.
+    Rows where neither side admits a saddle are NaN.
+    """
+    big = np.maximum(np.max(np.abs(d), axis=1, initial=0.0), 1e-300)
+    drop = np.abs(d) <= _EIG_DROP * big[:, None]
+    d, c2, m = (np.where(drop, 0.0, v) for v in (d, c2, m))
+    p_direct = _saddle_side(d, c2, m, const)
+    p_complement = _saddle_side(-d, c2, m, -const)
+    return np.where(np.isnan(p_complement) | (p_direct <= p_complement),
+                    np.clip(p_direct, 0.0, 1.0), 1.0 - np.clip(p_complement, 0.0, 1.0))
 
 
 def saddlepoint_tail_probability(form: IndefiniteForm) -> float:
@@ -233,23 +322,12 @@ def saddlepoint_tail_probability(form: IndefiniteForm) -> float:
     SaddlepointError when neither side admits a saddle.
     """
     d = np.asarray(form.eigenvalues, float)
-    c2 = np.abs(np.asarray(form.offsets)) ** 2
     m = np.ones(d.size) if form.multiplicities is None else np.asarray(form.multiplicities, float)
-    keep = np.abs(d) > _EIG_DROP * max(float(np.max(np.abs(d), initial=0.0)), 1e-300)
-    d, c2, m = d[keep], c2[keep], m[keep]
-    const = float(form.constant)
-
-    p_direct = _saddle_side(d, c2, m, const)
-    p_complement = _saddle_side(-d, c2, m, -const)
-    if np.isnan(p_direct) and np.isnan(p_complement):
+    p = _saddle_tail(d[None], np.abs(np.asarray(form.offsets))[None] ** 2, m[None],
+                     np.array([float(form.constant)]))[0]
+    if np.isnan(p):
         raise SaddlepointError("no interior saddle point on either side")
-    if np.isnan(p_complement):
-        return min(max(p_direct, 0.0), 1.0)
-    if np.isnan(p_direct):
-        return 1.0 - min(max(p_complement, 0.0), 1.0)
-    if p_direct <= p_complement:
-        return min(max(p_direct, 0.0), 1.0)
-    return 1.0 - min(max(p_complement, 0.0), 1.0)
+    return float(p)
 
 
 def _poisson_window(nu: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -313,6 +391,11 @@ def mdp_single_array_closed_form(auth: Authenticator, eve_stats: ChannelStatisti
     attacker/legitimate mean alignment.  Uses Sigma_E = alpha Sigma_A with
     alpha = P_E / P_A, which the scenario-wide correlation model guarantees.
     """
+    return _closed_form(auth, eve_stats.mean, eve_stats.powers[0])
+
+
+def _closed_form(auth: Authenticator, mean: np.ndarray, power: float) -> float:
+    """mdp_single_array_closed_form for an attacker mean and received power."""
     n = auth.stats.dim
     if n < 2:
         raise ValueError("closed form needs at least two antennas")
@@ -320,8 +403,8 @@ def mdp_single_array_closed_form(auth: Authenticator, eve_stats: ChannelStatisti
     threshold = auth.threshold
     if threshold >= 2.0 * m_energy:
         return 1.0
-    alpha = float(eve_stats.powers[0] / auth.stats.powers[0])
-    w_e = solve_triangular(auth.chol, eve_stats.mean, lower=True)
+    alpha = float(power / auth.stats.powers[0])
+    w_e = solve_triangular(auth.chol, mean, lower=True)
     cross = complex(np.vdot(auth.whitened_mean, w_e))   # mu_A^H Sigma_A^{-1} mu_E
     quad = float(np.vdot(w_e, w_e).real)                # mu_E^H Sigma_A^{-1} mu_E
     nu1 = 2.0 * abs(cross) ** 2 / (alpha * m_energy)
@@ -362,6 +445,37 @@ def _mdp_optimal_mc(auth: Authenticator, eve_stats: ChannelStatistics,
     from .monte_carlo import best_case_acceptance_event, estimate_probability
     return estimate_probability(best_case_acceptance_event(auth), eve_stats,
                                 samples, seed=seed, threads=threads)
+
+
+def mdp_optimal_pma_batch(auth: Authenticator, scenario: Scenario,
+                          positions) -> tuple[np.ndarray, np.ndarray]:
+    """mdp_optimal_pma(method="auto") with the attacker at each row of an (n, 2) array.
+
+    The attacker keeps ``scenario.eve``'s transmit power.  Rows go through
+    in chunks of _CHUNK: Rice means from the geometry (no covariance is
+    built), one form build for the chunk and one vectorised saddle solve.
+    A single array takes the closed form per row; a row with no saddle on
+    either side falls back to Monte-Carlo exactly as mdp_optimal_pma does.
+    Returns the miss probabilities and a mask of the Monte-Carlo rows.
+    """
+    pts = np.asarray(positions, float).reshape(-1, 2)
+    p_md = np.ones(len(pts))
+    mc = np.zeros(len(pts), bool)
+    if auth.threshold >= 2.0 * auth.mahalanobis_energy:
+        return p_md, mc
+    for start in range(0, len(pts), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        means, powers, _, _ = rice_means(scenario, pts[rows], scenario.eve.tx_power)
+        if len(auth.stats.block_sizes) == 1:
+            p_md[rows] = [_closed_form(auth, mu, pw[0]) for mu, pw in zip(means, powers)]
+            continue
+        d, c, m, _ = _optimal_form_rows(auth, means, powers)
+        p_md[rows] = _saddle_tail(d, np.abs(c) ** 2, m.astype(float), np.zeros(len(d)))
+    for k in np.flatnonzero(np.isnan(p_md)):
+        eve = replace(scenario.eve, position=(float(pts[k, 0]), float(pts[k, 1])))
+        p_md[k] = _mdp_optimal_mc(auth, channel_statistics(scenario, eve), 400_000, 0, 1).value
+        mc[k] = True
+    return p_md, mc
 
 
 def mdp_fixed_strategy(auth: Authenticator, eve_stats: ChannelStatistics,

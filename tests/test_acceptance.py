@@ -237,6 +237,9 @@ def test_criterion_06_truncated_search_fidelity():
     if trunc.best.f_obj < 0.99 * full.best.f_obj:
         failures.append(f"truncated best {trunc.best.f_obj:.6f} below 0.99 x "
                         f"exhaustive {full.best.f_obj:.6f}")
+    if trunc.p_md_opt < 0.99 * full.p_md_opt:
+        failures.append(f"truncated p_md {trunc.p_md_opt:.6g} below 0.99 x "
+                        f"exhaustive {full.p_md_opt:.6g}")
     fraction = trunc.n_lobe_points / trunc.n_grid
     if fraction >= 0.35:
         failures.append(f"searched fraction {fraction:.3f} not under 0.35")

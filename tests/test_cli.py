@@ -161,6 +161,43 @@ class TestHeatmap:
         assert ys[0] == ys[5] == 2.0 and ys[6] == 6.0
 
 
+class TestBatchedCells:
+    def test_pmd_cells_match_scalar_evaluation(self, scenario_file):
+        from dataclasses import replace
+
+        from distpla import (channel_statistics, load_scenario, make_authenticator,
+                             mdp_optimal_pma)
+        from distpla.cli import _pmd_cells
+        sc = load_scenario(scenario_file)
+        auth = make_authenticator(sc)
+        xs, ys, vals = _pmd_cells(sc, 2.0)
+        assert vals.shape == (xs.size * ys.size,)
+        cells = [(float(x), float(y)) for y in ys for x in xs]
+        for (x, y), v in zip(cells, vals):
+            stats = channel_statistics(sc, replace(sc.eve, position=(x, y)))
+            assert v == pytest.approx(mdp_optimal_pma(auth, stats), rel=1e-9, abs=1e-300)
+
+    def test_chunk_size_does_not_change_bytes(self, capsys, scenario_file, monkeypatch):
+        import distpla.power_attack as pa
+        commands = (("heatmap", "--scenario", scenario_file, "--grid", "1.0"),
+                    ("optimize", "--scenario", scenario_file))
+        before = [run(capsys, *argv)[1] for argv in commands]
+        monkeypatch.setattr(pa, "_CHUNK", 7)
+        after = [run(capsys, *argv)[1] for argv in commands]
+        assert before == after
+        assert len(before[0].splitlines()) == 1 + 24 * 16
+
+    def test_position_on_an_rrh_is_a_config_error(self, capsys, tmp_path):
+        data = dict(SMALL)
+        data["rrhs"] = [dict(SMALL["rrhs"][0], position_m=[10.0, 14.0]), SMALL["rrhs"][1]]
+        p = tmp_path / "on_rrh.json"
+        p.write_text(json.dumps(data))
+        code, _, err = run(capsys, "heatmap", "--scenario", str(p), "--grid", "4.0")
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError" and "sits on RRH 'n'" in payload["message"]
+
+
 class TestOptimize:
     def test_payload_and_summary(self, capsys, scenario_file, tmp_path):
         out_file = tmp_path / "opt.json"

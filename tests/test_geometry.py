@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from distpla import (Correlation, RrhConfig, alice_statistics, angular_sine,
                      channel_statistics, eve_statistics, received_power,
-                     steering_vector, wavelength)
+                     rice_means, steering_vector, wavelength)
 from distpla.geometry import SPEED_OF_LIGHT, TransmitterConfig
 
 from conftest import build_scenario, random_geometry
@@ -143,3 +143,21 @@ class TestChannelStatistics:
         sc = single_scenario.with_eve(single_scenario.rrhs[0].position)
         with pytest.raises(ValueError):
             eve_statistics(sc)
+        with pytest.raises(ValueError, match="sits on RRH"):
+            rice_means(sc, [[1.0, 2.0], list(sc.rrhs[0].position)])
+
+
+def test_rice_means_rows_are_channel_statistics(rng):
+    """One formula: each batched row carries the bits of the per-position moments."""
+    for _ in range(10):
+        sc = random_geometry(rng)
+        pts = np.column_stack([rng.uniform(0, 80, 9), rng.uniform(0, 60, 9)])
+        mean, powers, dists, omegas = rice_means(sc, pts, 1.7)
+        assert mean.shape == (9, sum(r.num_antennas for r in sc.rrhs))
+        assert powers.shape == dists.shape == omegas.shape == (9, len(sc.rrhs))
+        for k, pt in enumerate(pts):
+            stats = channel_statistics(sc, TransmitterConfig(tuple(pt), 1.7))
+            assert np.array_equal(stats.mean, mean[k])
+            assert np.array_equal(stats.powers, powers[k])
+            assert np.array_equal(stats.distances, dists[k])
+            assert np.array_equal(stats.omegas, omegas[k])

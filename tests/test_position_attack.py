@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from distpla import (Correlation, SearchConfig, alice_statistics,
-                     angular_inner_product, count_small_scale_optima,
-                     eve_statistics, exhaustive_search, expanded_f_obj, f_obj,
-                     f_small_scale, lobe_sets, make_authenticator,
+                     angular_inner_product, channel_statistics,
+                     count_small_scale_optima, eve_statistics,
+                     exhaustive_search, expanded_f_obj, f_obj, f_small_scale,
+                     lobe_sets, make_authenticator, mdp_optimal_pma,
                      sample_channel, steering_vector, truncated_search,
                      wavelength)
 from distpla.position_attack import (EmptyRegionError, GridTooLargeError,
@@ -199,11 +202,24 @@ class TestSearches:
         assert top >= 0.99 * full.best.f_obj
         assert trunc.p_md_opt >= 0.99 * full.p_md_opt
         assert trunc.n_lobe_points < full.n_allowed
+        assert full.n_survivors == full.n_allowed and full.n_evaluated == 1
+
+    def test_candidates_match_scalar_evaluation(self):
+        """Every batched candidate p_md equals the per-position scalar route."""
+        sc = _search_scenario()
+        auth = make_authenticator(sc)
+        r = truncated_search(sc, auth=auth)
+        assert r.n_evaluated > 100
+        for c in r.candidates:
+            stats = channel_statistics(sc, replace(sc.eve, position=c.position))
+            assert c.p_md == pytest.approx(mdp_optimal_pma(auth, stats), rel=1e-9, abs=1e-300)
 
     def test_result_bookkeeping(self):
         sc = _search_scenario()
         r = truncated_search(sc)
         assert r.n_evaluated == len(r.candidates) <= r.n_lobe_points
+        assert r.n_survivors == r.n_evaluated       # the cap does not bind here
+        assert r.n_mc_fallbacks == 0
         assert r.n_lobe_points <= r.n_allowed <= r.n_grid
         assert r.grid_shape == (80, 120)
         assert r.best is r.candidates[0]
@@ -222,7 +238,7 @@ class TestSearches:
         sc = _search_scenario()
         capped = truncated_search(sc, config=SearchConfig(grid_resolution=0.25,
                                                           max_candidates=5))
-        assert capped.n_evaluated <= 5
+        assert capped.n_survivors > capped.n_evaluated == 5
         # the cap keeps the highest alignment objectives
         uncapped = truncated_search(sc)
         best_objs = sorted((c.f_obj for c in uncapped.candidates), reverse=True)[:5]

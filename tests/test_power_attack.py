@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from distpla import (NO_ATTACK, IndefiniteForm, PowerStrategy, discriminant,
-                     estimate_probability, eve_statistics, make_authenticator,
-                     mdp_fixed_strategy, mdp_optimal_pma,
+from distpla import (NO_ATTACK, IndefiniteForm, PowerStrategy, SaddlepointError,
+                     channel_statistics, discriminant, estimate_probability,
+                     eve_statistics, make_authenticator, mdp_fixed_strategy,
+                     mdp_optimal_pma, mdp_optimal_pma_batch,
                      mdp_single_array_closed_form, sample_channel)
+from distpla import power_attack as pa
 from distpla.monte_carlo import best_case_acceptance_event
+from distpla.numerics import NumericsError, bracketed_root_find
 from distpla.power_attack import (build_indefinite_form, dncf_cdf, dncf_sf,
                                   fixed_strategy_form, optimal_power_strategy,
                                   saddlepoint_tail_probability,
@@ -237,6 +242,191 @@ class TestSaddlepoint:
                               threshold_param=0.5, constant=-40.0)
         p = saddlepoint_tail_probability(form)
         assert 0.0 <= p < 1e-6
+
+
+def _reference_side(d, c2, m, const):
+    """One side of the saddle point with a scalar brentq solve (test oracle).
+
+    The per-form solver the batched Newton-bisection replaced: same bracket,
+    shortcuts and correction, with the root from bracketed_root_find.
+    """
+    if d.size == 0:
+        return 1.0 if const > 0 else 0.0
+    if not np.any(d > 0) and const <= 0:
+        return 0.0
+    if not np.any(d < 0) and const >= 0:
+        return 1.0
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        def s1(z):
+            u = 1.0 - z * d
+            return const + np.sum(c2 * d / u ** 2) - 1.0 / z + np.sum(m * d / u)
+
+        pos = d[d > 0]
+        z_rim = float(np.min(1.0 / pos)) if pos.size else np.inf
+        lo = 1e-12
+        if np.isfinite(z_rim):
+            hi = z_rim * (1.0 - 1e-9)
+        else:
+            hi = 1.0
+            for _ in range(400):
+                if s1(hi) > 0:
+                    break
+                hi *= 2.0
+            else:
+                return np.nan
+        if not (s1(lo) < 0 < s1(hi)):
+            return np.nan
+        try:
+            z0 = bracketed_root_find(s1, lo, hi, tol=1e-15)
+        except NumericsError:
+            return np.nan
+
+        u = 1.0 - z0 * d
+        s0 = const * z0 + np.sum(c2 * z0 * d / u) - np.log(z0) - np.sum(m * np.log(u))
+        s2 = np.sum(2.0 * c2 * d ** 2 / u ** 3) + 1.0 / z0 ** 2 + np.sum(m * d ** 2 / u ** 2)
+        s3 = np.sum(6.0 * c2 * d ** 3 / u ** 4) - 2.0 / z0 ** 3 + np.sum(2.0 * m * d ** 3 / u ** 3)
+        s4 = np.sum(24.0 * c2 * d ** 4 / u ** 5) + 6.0 / z0 ** 4 + np.sum(6.0 * m * d ** 4 / u ** 4)
+        if not (np.isfinite(s0) and np.isfinite(s2) and s2 > 0):
+            return np.nan
+        correction = 1.0 + s4 / (8.0 * s2 ** 2) - 5.0 * s3 ** 2 / (24.0 * s2 ** 3)
+        correction = float(min(max(correction, 0.1), 10.0))
+        return float(np.exp(s0) / np.sqrt(2.0 * np.pi * s2) * correction)
+
+
+def _reference_tail(form):
+    """saddlepoint_tail_probability on top of _reference_side; NaN for no saddle."""
+    d = np.asarray(form.eigenvalues, float)
+    c2 = np.abs(np.asarray(form.offsets)) ** 2
+    m = np.ones(d.size) if form.multiplicities is None else np.asarray(form.multiplicities, float)
+    keep = np.abs(d) > pa._EIG_DROP * max(float(np.max(np.abs(d), initial=0.0)), 1e-300)
+    d, c2, m = d[keep], c2[keep], m[keep]
+    p_direct = _reference_side(d, c2, m, float(form.constant))
+    p_complement = _reference_side(-d, c2, m, -float(form.constant))
+    if np.isnan(p_complement):
+        return min(max(p_direct, 0.0), 1.0)
+    if np.isnan(p_direct) or p_direct > p_complement:
+        return 1.0 - min(max(p_complement, 0.0), 1.0)
+    return min(max(p_direct, 0.0), 1.0)
+
+
+def _batched(form):
+    """saddlepoint_tail_probability(form), NaN where it raises SaddlepointError."""
+    try:
+        return saddlepoint_tail_probability(form)
+    except SaddlepointError:
+        return np.nan
+
+
+def _attack_forms(sc, rng):
+    """The optimal form and three fixed-strategy forms of one deployment."""
+    auth = make_authenticator(sc)
+    ev = eve_statistics(sc)
+    strategies = (statistical_power_strategy(auth, ev), NO_ATTACK,
+                  PowerStrategy(float(rng.uniform(0.3, 3.0)), float(rng.uniform(-3, 3))))
+    return [build_indefinite_form(auth, ev)] + [fixed_strategy_form(auth, ev, s)
+                                                for s in strategies]
+
+
+def _rows(forms, width):
+    """Stack forms as (d, c2, m, const) rows, padded with inert terms to ``width``."""
+    d, c2, m = (np.zeros((len(forms), width)) for _ in range(3))
+    for k, f in enumerate(forms):
+        n = f.eigenvalues.size
+        d[k, :n] = f.eigenvalues
+        c2[k, :n] = np.abs(f.offsets) ** 2
+        m[k, :n] = 1.0 if f.multiplicities is None else f.multiplicities
+    return d, c2, m, np.array([float(f.constant) for f in forms])
+
+
+# hand-made forms: sign-definite both ways, all d < 0 with a positive
+# constant (the doubling bracket), every term below the _EIG_DROP floor
+# both ways, and one with a rim inside the left bracket end on both sides
+_HAND_MADE = [
+    IndefiniteForm(np.array([-2.0, -0.5]), np.array([1.0, 0.3j]), 0.5),
+    IndefiniteForm(np.array([2.0, 0.5]), np.array([1.0, 0.3j]), 0.5, constant=0.1),
+    IndefiniteForm(np.array([-1.0, -0.25]), np.array([0.7, 1.5]), 0.5, constant=3.0,
+                   multiplicities=np.array([1, 3])),
+    IndefiniteForm(np.array([1e-320, -1e-321]), np.array([1.0, 1.0]), 0.5, constant=0.5),
+    IndefiniteForm(np.array([1e-320, -1e-321]), np.array([1.0, 1.0]), 0.5, constant=-0.5),
+    IndefiniteForm(np.array([1e13, -1e13]), np.array([1.0, 1.0]), 0.5),
+]
+
+
+class TestBatchedSaddle:
+    """The vectorised Newton-bisection against the scalar brentq solve."""
+
+    @pytest.mark.parametrize("rho, n_rx", [(0.0, None), (None, None), (None, 1)],
+                             ids=["identity", "exponential", "n_rx=1"])
+    def test_matches_brentq_reference(self, rho, n_rx):
+        rng = np.random.default_rng({None: 61, 1: 62}[n_rx] + (rho == 0.0))
+        for _ in range(40):
+            for form in _attack_forms(random_geometry(rng, n_rx=n_rx, rho=rho), rng):
+                ref, got = _reference_tail(form), _batched(form)
+                assert np.isnan(ref) == np.isnan(got)
+                if not np.isnan(ref):
+                    assert got == pytest.approx(ref, rel=1e-9, abs=1e-300)
+
+    def test_hand_made_rows(self):
+        expected = [0.0, 1.0, None, 1.0, 0.0, np.nan]
+        for form, want in zip(_HAND_MADE, expected):
+            ref, got = _reference_tail(form), _batched(form)
+            assert got == pytest.approx(ref, rel=1e-9, nan_ok=True)
+            if want is not None:
+                assert got == pytest.approx(want, nan_ok=True)
+        # the doubling bracket was really taken, and agrees side by side
+        d, c2, m, const = _rows(_HAND_MADE[2:3], 2)
+        assert not np.any(d > 0) and const[0] > 0
+        assert pa._saddle_side(d, c2, m, const)[0] == pytest.approx(
+            _reference_side(d[0], c2[0], m[0], const[0]), rel=1e-9)
+        assert 0.0 < _batched(_HAND_MADE[2]) < 1.0
+        with pytest.raises(SaddlepointError):
+            saddlepoint_tail_probability(_HAND_MADE[-1])
+
+    def test_rows_alone_equal_rows_in_batch(self):
+        rng = np.random.default_rng(63)
+        forms = list(_HAND_MADE)
+        for _ in range(12):
+            forms += _attack_forms(random_geometry(rng), rng)
+        d, c2, m, const = _rows(forms, max(f.eigenvalues.size for f in forms))
+        batch = pa._saddle_tail(d, c2, m, const)
+        for k, form in enumerate(forms):
+            alone = pa._saddle_tail(d[k:k + 1], c2[k:k + 1], m[k:k + 1], const[k:k + 1])
+            assert np.array_equal(alone, batch[k:k + 1], equal_nan=True)
+            # inert padding leaves the value alone
+            assert batch[k] == pytest.approx(_batched(form), rel=1e-12, nan_ok=True)
+
+    def test_exact_zero_of_the_slope_is_the_root(self):
+        # recorded from a desk_2rrh position search: an iterate of the direct
+        # side makes s' exactly 0.0, and that iterate must be returned as the
+        # root; bisecting onwards from it settles a few ulps away
+        d = np.array([[-0.846456564685113, 0.8651990095567532,
+                       -0.19444776647690648, -3.7306965465661355]])
+        c2 = np.array([[3.6004392151249753, 10.569221838064191,
+                        2.7053527269082718, 14.973559864182343]])
+        m = np.array([[1.0, 1.0, 3.0, 3.0]])
+        const = np.zeros(1)
+        hi = 1.0 / d.max() * (1.0 - pa._BRACKET_RIM)
+        z0 = pa._saddle_root(d, c2, m, const, np.array([pa._Z_LO]), np.array([hi]))
+        assert pa._slopes(z0, d, c2, m, const)[0][0] == 0.0
+        form = IndefiniteForm(d[0], np.sqrt(c2[0]), 0.5, multiplicities=m[0])
+        assert saddlepoint_tail_probability(form) == pytest.approx(_reference_tail(form),
+                                                                   rel=1e-9)
+
+    def test_no_saddle_falls_back_to_monte_carlo(self, dual_scenario):
+        # next to the larger array its alpha explodes, pushing the MGF rim
+        # inside the left bracket end on both sides
+        auth = make_authenticator(dual_scenario)
+        pos = (75.0 - 1e-5, 30.0)
+        ev = channel_statistics(dual_scenario, replace(dual_scenario.eve, position=pos))
+        with pytest.raises(SaddlepointError):
+            mdp_optimal_pma(auth, ev, method="saddlepoint")
+        p_auto = mdp_optimal_pma(auth, ev)
+        assert p_auto == pa._mdp_optimal_mc(auth, ev, 400_000, 0, 1).value
+        p_md, mc = mdp_optimal_pma_batch(auth, dual_scenario, [pos, dual_scenario.eve.position])
+        assert mc.tolist() == [True, False]
+        assert p_md[0] == p_auto
+        assert p_md[1] == mdp_optimal_pma(auth, eve_statistics(dual_scenario))
 
 
 class TestDncf:
