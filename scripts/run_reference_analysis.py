@@ -13,7 +13,8 @@ import numpy as np
 
 from distpla import (NO_ATTACK, best_case_acceptance_event, estimate_probability,
                      eve_statistics, load_scenario, make_authenticator,
-                     mdp_fixed_strategy, mdp_optimal_pma, pfa_of_threshold,
+                     mdp_fixed_strategy, mdp_fixed_strategy_sweep, mdp_optimal_pma,
+                     mdp_optimal_pma_sweep, pfa_of_threshold,
                      statistical_power_strategy)
 
 
@@ -50,15 +51,17 @@ def main() -> None:
     print(f"  p_MD optimal manipulation {p_opt:.6e}")
 
     pfas = np.logspace(-4, -1, args.points)
+    auths = [make_authenticator(sc, float(pfa)) for pfa in pfas]
+    sp = mdp_optimal_pma_sweep(auths, eve, method="saddlepoint")
+    none = mdp_fixed_strategy_sweep(auths, eve, NO_ATTACK)
+    est = estimate_probability(best_case_acceptance_event(auths[0], [a.threshold for a in auths]),
+                               eve, args.samples, seed=args.seed)
     roc_lines = ["p_fa,p_md_opt,p_md_none"]
     val_lines = ["param,saddlepoint,montecarlo,std_error"]
-    for pfa in pfas:
-        a = make_authenticator(sc, float(pfa))
-        sp = mdp_optimal_pma(a, eve, method="saddlepoint")
-        roc_lines.append(f"{pfa!r},{sp!r},{mdp_fixed_strategy(a, eve, NO_ATTACK)!r}")
-        est = estimate_probability(best_case_acceptance_event(a), eve,
-                                   args.samples, seed=args.seed)
-        val_lines.append(f"{pfa!r},{sp!r},{est.value!r},{est.std_error!r}")
+    for k, pfa in enumerate(pfas.tolist()):
+        roc_lines.append(f"{pfa!r},{sp[k].item()!r},{none[k].item()!r}")
+        val_lines.append(f"{pfa!r},{sp[k].item()!r},{est.value[k].item()!r},"
+                         f"{est.std_error[k].item()!r}")
     (out / "roc.csv").write_text("\n".join(roc_lines) + "\n")
     (out / "validate.csv").write_text("\n".join(val_lines) + "\n")
     print(f"wrote {out / 'threshold.json'}, {out / 'roc.csv'}, {out / 'validate.csv'}")

@@ -27,8 +27,9 @@ from .position_attack import (CandidatePosition, EmptyRegionError,
 from .power_attack import (NO_ATTACK, IndefiniteForm, PowerStrategy,
                            SaddlepointError, build_indefinite_form, dncf_cdf,
                            dncf_sf, fixed_strategy_form,
-                           mdp_fixed_strategy, mdp_optimal_pma,
-                           mdp_optimal_pma_batch, mdp_single_array_closed_form,
+                           mdp_fixed_strategy, mdp_fixed_strategy_sweep,
+                           mdp_optimal_pma, mdp_optimal_pma_batch,
+                           mdp_optimal_pma_sweep, mdp_single_array_closed_form,
                            optimal_power_strategy, saddlepoint_tail_probability,
                            statistical_power_strategy)
 from .scenario_io import (ScenarioError, load_scenario, scenario_from_dict,

@@ -27,8 +27,9 @@ from .numerics import NumericsError
 from .position_attack import (PositionSearchError, count_small_scale_optima,
                               grid_axes, truncated_search)
 from .power_attack import (NO_ATTACK, PowerStrategy, SaddlepointError,
-                           mdp_fixed_strategy, mdp_optimal_pma,
-                           mdp_optimal_pma_batch, statistical_power_strategy)
+                           mdp_fixed_strategy, mdp_fixed_strategy_sweep,
+                           mdp_optimal_pma, mdp_optimal_pma_batch,
+                           mdp_optimal_pma_sweep, statistical_power_strategy)
 from .scenario_io import ScenarioError, load_scenario
 
 _LOG10_FLOOR = -15.0
@@ -105,32 +106,33 @@ def _cmd_mdp(args):
     return json.dumps(out, sort_keys=True, indent=2) + "\n", None
 
 
-def _pfa_sweep(args) -> np.ndarray:
-    return np.logspace(math.log10(args.pfa_min), math.log10(args.pfa_max), args.points)
+def _sweep_authenticators(args):
+    """The attacker law, the swept false-alarm targets and one authenticator per target."""
+    sc = _scenario(args)
+    pfas = np.logspace(math.log10(args.pfa_min), math.log10(args.pfa_max), args.points)
+    return eve_statistics(sc), pfas, [make_authenticator(sc, float(p)) for p in pfas]
 
 
 def _cmd_roc(args):
-    sc = _scenario(args)
-    eve = eve_statistics(sc)
+    eve, pfas, auths = _sweep_authenticators(args)
+    p_opt = mdp_optimal_pma_sweep(auths, eve)
+    p_none = mdp_fixed_strategy_sweep(auths, eve, NO_ATTACK)
     lines = ["p_fa,p_md_opt,p_md_none"]
-    for pfa in _pfa_sweep(args):
-        auth = make_authenticator(sc, float(pfa))
-        p_opt = mdp_optimal_pma(auth, eve)
-        p_none = mdp_fixed_strategy(auth, eve, NO_ATTACK)
-        lines.append(f"{_fmt(pfa)},{_fmt(p_opt)},{_fmt(p_none)}")
+    lines += [f"{_fmt(pfa)},{_fmt(a)},{_fmt(b)}" for pfa, a, b in zip(pfas, p_opt, p_none)]
     return "\n".join(lines) + "\n", None
 
 
 def _cmd_validate(args):
-    sc = _scenario(args)
-    eve = eve_statistics(sc)
+    eve, pfas, auths = _sweep_authenticators(args)
     lines = ["param,saddlepoint,montecarlo,std_error"]
-    for pfa in _pfa_sweep(args):
-        auth = make_authenticator(sc, float(pfa))
-        p_sp = mdp_optimal_pma(auth, eve, method="saddlepoint")
-        est = estimate_probability(best_case_acceptance_event(auth), eve,
-                                   args.samples, seed=args.seed, threads=args.threads)
-        lines.append(f"{_fmt(pfa)},{_fmt(p_sp)},{_fmt(est.value)},{_fmt(est.std_error)}")
+    if auths:
+        p_sp = mdp_optimal_pma_sweep(auths, eve, method="saddlepoint")
+        # one pass over the samples tests every threshold of the sweep
+        event = best_case_acceptance_event(auths[0], [a.threshold for a in auths])
+        est = estimate_probability(event, eve, args.samples, seed=args.seed,
+                                   threads=args.threads)
+        lines += [f"{_fmt(pfa)},{_fmt(p)},{_fmt(v)},{_fmt(se)}"
+                  for pfa, p, v, se in zip(pfas, p_sp, est.value, est.std_error)]
     return "\n".join(lines) + "\n", None
 
 

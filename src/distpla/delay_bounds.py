@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.stats import ncx2
+from scipy import special
 
 from .authenticator import Authenticator, pfa_of_threshold
 from .geometry import ChannelStatistics
@@ -89,6 +88,7 @@ def delay_violation_bound(arrival: ArrivalModel, service: ServiceModel, w: int,
     hi = grid[min(i + 1, grid.size - 1)]
     best_s, best_v = float(grid[i]), float(vals[i])
     if hi > lo:
+        from scipy.optimize import minimize_scalar
         with np.errstate(invalid="ignore"):   # the kernel is inf off the stable set
             res = minimize_scalar(lambda s: _kernel(arrival, service, w, s),
                                   bounds=(float(lo), float(hi)), method="bounded",
@@ -141,7 +141,10 @@ def snr_outage(stats: ChannelStatistics, rate: float, noise_density: float,
         raise ValueError("closed form needs uncorrelated antennas with equal power")
     if sigma2 is not None and method in ("auto", "closedform"):
         lam = 2.0 * float(np.vdot(stats.mean, stats.mean).real) / sigma2
-        value = float(ncx2.cdf(2.0 * threshold / sigma2, 2 * n_a, lam))
+        # the noncentral chi-square CDF by the special functions that
+        # scipy.stats.ncx2.cdf calls, which is 0 below the support
+        x = max(2.0 * threshold / sigma2, 0.0)
+        value = float(special.chndtr(x, 2 * n_a, lam) if lam else special.chdtr(2 * n_a, x))
         return McEstimate(value, 0.0, 0, 0)
     event = lambda h: np.sum(np.abs(h) ** 2, axis=-1) < threshold
     return estimate_probability(event, stats, samples, seed=seed, threads=threads)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 
 class NumericsError(ValueError):
@@ -80,6 +79,7 @@ def bracketed_root_find(f, lo: float, hi: float, tol: float = 1e-12, max_iter: i
         return hi
     if np.sign(f_lo) == np.sign(f_hi):
         raise NumericsError(f"no sign change on bracket: f({lo})={f_lo}, f({hi})={f_hi}")
+    from scipy.optimize import brentq
     root = brentq(f, lo, hi, xtol=tol, rtol=max(tol, 4 * np.finfo(float).eps),
                   maxiter=max_iter)
     return float(min(max(root, lo), hi))

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.ndimage import maximum_filter
-from scipy.optimize import minimize_scalar
 
 from .authenticator import Authenticator, make_authenticator
 from .geometry import (Correlation, Scenario, SearchConfig, steering_vector,
@@ -301,6 +299,7 @@ def _one_side_bands(gfun, x_max: float, step: float, peak0: float, g0: float):
     z2 = zeros[1] if len(zeros) > 1 else x_max
     if z2 - z1 <= 4.0 * step and len(zeros) > 1:
         return main_edge, main_clip, None
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(lambda x: -abs(gfun(x)), bounds=(z1, z2), method="bounded",
                           options={"xatol": 1e-12})
     center = float(res.x)
@@ -451,6 +450,7 @@ def _disc_local_maxima(values: np.ndarray, member_idx: np.ndarray,
     if half >= 1:
         # square inscribed in the disc: cheap separable prefilter that can
         # only discard points already beaten inside the disc
+        from scipy.ndimage import maximum_filter
         sq_max = maximum_filter(grid, size=2 * half + 1, mode="constant", cval=-np.inf)
         keep = grid.ravel()[member_idx] >= sq_max.ravel()[member_idx]
         cand_idx = member_idx[keep]

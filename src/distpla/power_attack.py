@@ -34,7 +34,9 @@ is bracketed on (1e-12, (1 - 1e-9) / max d), or, without a positive d, on
 increasing there (s'' > 0), and a safeguarded Newton-bisection finds the
 root to brentq's tolerance, (1e-15 + 4 eps |z|) / 2, or stops at an iterate
 where s' is exactly zero.  mdp_optimal_pma_batch uses this to evaluate the
-optimal-attack miss probability at many attacker positions in one pass.
+optimal-attack miss probability at many attacker positions in one pass, and
+mdp_optimal_pma_sweep and mdp_fixed_strategy_sweep at many thresholds (the
+scalar mdp_optimal_pma and mdp_fixed_strategy are sweeps of one).
 """
 from __future__ import annotations
 
@@ -314,6 +316,23 @@ def _saddle_tail(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray
                     np.clip(p_direct, 0.0, 1.0), 1.0 - np.clip(p_complement, 0.0, 1.0))
 
 
+def _form_tails(forms) -> np.ndarray:
+    """Saddle-point tail of each form in one _saddle_tail call; NaN where no side has a saddle.
+
+    The forms must have the same number of terms, as all forms of one
+    builder on one scenario do.  No padding is added: an inert d = c2 = m = 0
+    term changes nothing in value, but it changes how numpy groups a row sum
+    of 8 or more terms, and with it the last bits.
+    """
+    if not forms:
+        return np.zeros(0)
+    d = np.array([np.asarray(f.eigenvalues, float) for f in forms])
+    c2 = np.array([np.abs(np.asarray(f.offsets)) ** 2 for f in forms])
+    m = np.array([np.ones(len(f.eigenvalues)) if f.multiplicities is None
+                  else np.asarray(f.multiplicities, float) for f in forms])
+    return _saddle_tail(d, c2, m, np.array([float(f.constant) for f in forms]))
+
+
 def saddlepoint_tail_probability(form: IndefiniteForm) -> float:
     """P(sum_i d_i |w_i + c_i|^2 + constant > 0) by saddle-point approximation.
 
@@ -321,10 +340,7 @@ def saddlepoint_tail_probability(form: IndefiniteForm) -> float:
     tail is smaller, where the approximation is accurate.  Raises
     SaddlepointError when neither side admits a saddle.
     """
-    d = np.asarray(form.eigenvalues, float)
-    m = np.ones(d.size) if form.multiplicities is None else np.asarray(form.multiplicities, float)
-    p = _saddle_tail(d[None], np.abs(np.asarray(form.offsets))[None] ** 2, m[None],
-                     np.array([float(form.constant)]))[0]
+    p = _form_tails([form])[0]
     if np.isnan(p):
         raise SaddlepointError("no interior saddle point on either side")
     return float(p)
@@ -423,21 +439,41 @@ def mdp_optimal_pma(auth: Authenticator, eve_stats: ChannelStatistics,
     search fails; "saddlepoint", "closedform", and "montecarlo" force one
     route.
     """
-    if auth.threshold >= 2.0 * auth.mahalanobis_energy:
-        return 1.0
-    if method == "closedform" or (method == "auto" and len(auth.stats.block_sizes) == 1):
-        return mdp_single_array_closed_form(auth, eve_stats)
-    if method == "montecarlo":
-        return _mdp_optimal_mc(auth, eve_stats, mc_samples, mc_seed, mc_threads).value
-    if method not in ("auto", "saddlepoint"):
-        raise ValueError(f"unknown method {method!r}")
-    form = build_indefinite_form(auth, eve_stats)
-    try:
-        return saddlepoint_tail_probability(form)
-    except SaddlepointError:
-        if method == "saddlepoint":
-            raise
-        return _mdp_optimal_mc(auth, eve_stats, mc_samples, mc_seed, mc_threads).value
+    return float(mdp_optimal_pma_sweep([auth], eve_stats, method, mc_samples,
+                                       mc_seed, mc_threads)[0])
+
+
+def mdp_optimal_pma_sweep(auths, eve_stats: ChannelStatistics, method: str = "auto",
+                          mc_samples: int = 400_000, mc_seed: int = 0,
+                          mc_threads: int = 1) -> np.ndarray:
+    """mdp_optimal_pma for each authenticator against one attacker law.
+
+    Meant for a false-alarm sweep, where the authenticators differ only in
+    threshold.  Each row takes the route mdp_optimal_pma gives it, but all
+    saddle-point rows are solved in one vectorised call; with "saddlepoint"
+    a row without a saddle raises SaddlepointError.
+    """
+    p_md = np.ones(len(auths))
+    saddle = []
+    for k, auth in enumerate(auths):
+        if auth.threshold >= 2.0 * auth.mahalanobis_energy:
+            continue
+        if method == "closedform" or (method == "auto" and len(auth.stats.block_sizes) == 1):
+            p_md[k] = mdp_single_array_closed_form(auth, eve_stats)
+        elif method == "montecarlo":
+            p_md[k] = _mdp_optimal_mc(auth, eve_stats, mc_samples, mc_seed, mc_threads).value
+        elif method in ("auto", "saddlepoint"):
+            saddle.append(k)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+    p_md[saddle] = _form_tails([build_indefinite_form(auths[k], eve_stats) for k in saddle])
+    for k in saddle:
+        if np.isnan(p_md[k]):
+            if method == "saddlepoint":
+                raise SaddlepointError("no interior saddle point on either side")
+            p_md[k] = _mdp_optimal_mc(auths[k], eve_stats, mc_samples, mc_seed,
+                                      mc_threads).value
+    return p_md
 
 
 def _mdp_optimal_mc(auth: Authenticator, eve_stats: ChannelStatistics,
@@ -483,10 +519,22 @@ def mdp_fixed_strategy(auth: Authenticator, eve_stats: ChannelStatistics,
                        mc_samples: int = 400_000, mc_seed: int = 0,
                        mc_threads: int = 1) -> float:
     """Miss probability when the attacker plays one fixed (eta, psi)."""
-    form = fixed_strategy_form(auth, eve_stats, strategy)
-    try:
-        return saddlepoint_tail_probability(form)
-    except SaddlepointError:
-        from .monte_carlo import acceptance_event, estimate_probability
-        return estimate_probability(acceptance_event(auth, strategy.scale), eve_stats,
-                                    mc_samples, seed=mc_seed, threads=mc_threads).value
+    return float(mdp_fixed_strategy_sweep([auth], eve_stats, strategy, mc_samples,
+                                          mc_seed, mc_threads)[0])
+
+
+def mdp_fixed_strategy_sweep(auths, eve_stats: ChannelStatistics,
+                             strategy: PowerStrategy = NO_ATTACK,
+                             mc_samples: int = 400_000, mc_seed: int = 0,
+                             mc_threads: int = 1) -> np.ndarray:
+    """mdp_fixed_strategy for each authenticator, with one saddle solve for all.
+
+    A row without a saddle on either side falls back to Monte-Carlo on the
+    raw acceptance event, as mdp_fixed_strategy does.
+    """
+    from .monte_carlo import acceptance_event, estimate_probability
+    p_md = _form_tails([fixed_strategy_form(auth, eve_stats, strategy) for auth in auths])
+    for k in np.flatnonzero(np.isnan(p_md)):
+        p_md[k] = estimate_probability(acceptance_event(auths[k], strategy.scale), eve_stats,
+                                       mc_samples, seed=mc_seed, threads=mc_threads).value
+    return p_md

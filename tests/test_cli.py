@@ -1,10 +1,17 @@
 """End-to-end command tests: in-process main(argv), real files, real math."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distpla
 from distpla.cli import main
+
+DESK = str(Path(__file__).resolve().parent.parent / "scenarios" / "desk_2rrh.json")
 
 SMALL = {
     "carrier_frequency_hz": 2.4e9,
@@ -144,6 +151,76 @@ class TestSweeps:
         for line in lines[1:]:
             pfa, sp, mc, se = map(float, line.split(","))
             assert abs(sp - mc) <= max(5 * se, 0.25 * max(sp, mc), 1e-3)
+
+
+def _sweep_reference(path, points, samples=None, threads=1):
+    """roc and validate rows from a loop of scalar evaluations, one point at a time."""
+    from distpla import (NO_ATTACK, best_case_acceptance_event, estimate_probability,
+                         eve_statistics, load_scenario, make_authenticator,
+                         mdp_fixed_strategy, mdp_optimal_pma)
+    sc = load_scenario(path)
+    eve = eve_statistics(sc)
+    roc, validate = [], []
+    for pfa in np.logspace(-4, -1, points):
+        auth = make_authenticator(sc, float(pfa))
+        roc.append(f"{float(pfa)!r},{mdp_optimal_pma(auth, eve)!r},"
+                   f"{mdp_fixed_strategy(auth, eve, NO_ATTACK)!r}")
+        if samples is not None:
+            est = estimate_probability(best_case_acceptance_event(auth), eve, samples,
+                                       seed=0, threads=threads)
+            validate.append(f"{float(pfa)!r},"
+                            f"{mdp_optimal_pma(auth, eve, method='saddlepoint')!r},"
+                            f"{est.value!r},{est.std_error!r}")
+    return roc, validate
+
+
+class TestSweepBatching:
+    @pytest.mark.parametrize("which", ["small", "desk"])
+    def test_sweeps_equal_pointwise_loop(self, capsys, scenario_file, which):
+        path = scenario_file if which == "small" else DESK
+        roc, validate = _sweep_reference(path, 6, samples=20_000, threads=2)
+        code, out, _ = run(capsys, "roc", "--scenario", path, "--points", "6")
+        assert code == 0
+        assert out.splitlines() == ["p_fa,p_md_opt,p_md_none"] + roc
+        code, out, _ = run(capsys, "validate", "--scenario", path, "--points", "6",
+                           "--samples", "20000", "--threads", "2")
+        assert code == 0
+        assert out.splitlines() == ["param,saddlepoint,montecarlo,std_error"] + validate
+        assert any(float(line.split(",")[2]) > 0.0 for line in validate)
+
+    def test_single_array_roc_takes_the_closed_form(self, capsys, solo_file):
+        roc, _ = _sweep_reference(solo_file, 4)
+        code, out, _ = run(capsys, "roc", "--scenario", solo_file, "--points", "4")
+        assert code == 0
+        assert out.splitlines() == ["p_fa,p_md_opt,p_md_none"] + roc
+
+    def test_empty_sweep_prints_the_header(self, capsys, scenario_file):
+        for cmd, header in (("roc", "p_fa,p_md_opt,p_md_none"),
+                            ("validate", "param,saddlepoint,montecarlo,std_error")):
+            code, out, _ = run(capsys, cmd, "--scenario", scenario_file, "--points", "0")
+            assert code == 0 and out == header + "\n"
+
+    def test_validate_without_a_saddle_exits_3(self, capsys, scenario_file, monkeypatch):
+        import distpla.power_attack as pa
+        monkeypatch.setattr(pa, "_saddle_tail", lambda d, c2, m, const: np.full(len(d), np.nan))
+        code, _, err = run(capsys, "validate", "--scenario", scenario_file,
+                           "--points", "3", "--samples", "1000")
+        assert code == 3
+        assert json.loads(err) == {"error": "SaddlepointError",
+                                   "message": "no interior saddle point on either side"}
+
+
+def test_cli_import_skips_unused_scipy():
+    """Start-up loads neither scipy.stats nor scipy.optimize nor scipy.ndimage."""
+    env = dict(os.environ)
+    src = str(Path(distpla.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, distpla.cli; print(' '.join(m for m in "
+             "('scipy.stats', 'scipy.optimize', 'scipy.ndimage') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
 
 
 class TestHeatmap:

@@ -138,6 +138,29 @@ class TestSnrOutage:
                         samples=200_000, seed=2)
         assert abs(exact.value - mc.value) < 4 * max(mc.std_error, 1e-4)
 
+    def test_closed_form_matches_scipy_ncx2(self):
+        """The special-function closed form is scipy.stats.ncx2.cdf, λ = 0 included."""
+        from scipy.stats import ncx2
+
+        from distpla import ChannelStatistics
+        rng = np.random.default_rng(17)
+        cases = [(n, float(rng.uniform(-4.0, 6.0)), lam)
+                 for n in range(1, 17) for lam in (0.0, *rng.uniform(0.0, 200.0, 4))]
+        cases += [(3, -1.0, 5.0), (3, 0.0, 5.0), (2, -1.0, 0.0)]   # x < 0 and x = 0
+        for n, rate, lam in cases:
+            mean = np.zeros(n, complex)
+            mean[0] = np.sqrt(lam / 2.0)
+            noise = float(rng.uniform(0.05, 20.0))
+            stats = ChannelStatistics(mean=mean, cov=np.eye(n, dtype=complex),
+                                      block_means=(mean,), block_covs=(np.eye(n),),
+                                      distances=np.ones(1), omegas=np.zeros(1),
+                                      powers=np.ones(1), block_sizes=(n,))
+            got = snr_outage(stats, rate, noise)
+            x = 2.0 * (2.0 ** rate - 1.0) * n * noise
+            want = float(ncx2.cdf(x, 2 * n, 2.0 * float(np.vdot(mean, mean).real)))
+            assert got.std_error == 0.0
+            assert got.value == pytest.approx(want, rel=1e-12, abs=0.0), (n, rate, lam)
+
     def test_correlated_antennas_fall_back_to_sampling(self, corr_scenario):
         stats = alice_statistics(corr_scenario)
         noise = stats.powers.min() / 20.0

@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from distpla import (BLOCK_SIZE, acceptance_event, alice_statistics,
                      best_case_acceptance_event, discriminant, estimate_probability,
-                     eve_statistics, make_authenticator, sample_channel)
+                     eve_statistics, load_scenario, make_authenticator, sample_channel)
 from distpla.monte_carlo import block_generator
 from distpla.power_attack import optimal_power_strategy
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _median_event(stats):
@@ -55,6 +59,38 @@ def test_input_validation(dual_scenario):
     with pytest.raises(ValueError):
         # event returning the wrong shape must be rejected, not mis-counted
         estimate_probability(lambda h: np.ones(3, bool), stats, 100)
+    with pytest.raises(ValueError):
+        estimate_probability(lambda h: np.ones((3, 2), bool), stats, 100)
+    with pytest.raises(ValueError):
+        estimate_probability(lambda h: np.ones((len(h), 2, 2), bool), stats, 100)
+
+
+def test_one_column_event_keeps_python_scalars(dual_scenario):
+    stats = alice_statistics(dual_scenario)
+    est = estimate_probability(_median_event(stats), stats, 1000, seed=2)
+    assert type(est.hits) is int and type(est.samples) is int
+    assert type(est.value) is float and type(est.std_error) is float
+
+
+@pytest.mark.parametrize("name", ["desk_2rrh", "reference_3rrh"])
+def test_threshold_sweep_equals_separate_estimates(name):
+    """A k-threshold best-case event gives, column for column, the hits, value
+    and standard error of k single-threshold estimates, for any thread count."""
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    eve = eve_statistics(sc)
+    auths = [make_authenticator(sc, float(p)) for p in np.logspace(-4, -1, 13)]
+    samples = 2 * BLOCK_SIZE + 1000       # ends in a partial block
+    singles = [estimate_probability(best_case_acceptance_event(a), eve, samples, seed=2)
+               for a in auths]
+    hits = [s.hits for s in singles]
+    assert hits[0] > 0 and hits == sorted(hits, reverse=True)
+    event = best_case_acceptance_event(auths[0], [a.threshold for a in auths])
+    for threads in (1, 2, 8):
+        est = estimate_probability(event, eve, samples, seed=2, threads=threads)
+        assert est.samples == samples
+        assert est.hits.tolist() == hits
+        assert est.value.tolist() == [s.value for s in singles]
+        assert est.std_error.tolist() == [s.std_error for s in singles]
 
 
 def test_block_generator_streams_are_stable():
