@@ -18,9 +18,8 @@ from .monte_carlo import (BLOCK_SIZE, McEstimate, acceptance_event,
                           best_case_acceptance_event, estimate_probability,
                           sample_channel)
 from .numerics import NumericsError, chi2_cdf, chi2_quantile, chi2_tail
-from .position_attack import (CandidatePosition, EmptyRegionError,
-                              GridTooLargeError, LobeSets, NoCandidatesError,
-                              PositionSearchError, SearchResult,
+from .position_attack import (CandidatePosition, EmptyRegionError, LobeSets,
+                              NoCandidatesError, PositionSearchError, SearchResult,
                               angular_inner_product, count_small_scale_optima,
                               exhaustive_search, expanded_f_obj, f_obj,
                               f_small_scale, lobe_sets, truncated_search)

@@ -29,9 +29,7 @@ from .geometry import (Correlation, Scenario, SearchConfig, steering_vector,
 from .numerics import bracketed_root_find
 from .power_attack import mdp_optimal_pma_batch
 
-_CHUNK = 1 << 18
-_GRID_GUARD = 5_000_000
-_EDGE_TOL = 1e-6
+_TILE_CELLS = 1 << 19      # grid cells per row tile of _walk_grid (whole rows, at least one)
 
 
 class PositionSearchError(RuntimeError):
@@ -44,10 +42,6 @@ class EmptyRegionError(PositionSearchError):
 
 class NoCandidatesError(PositionSearchError):
     """The lobe-restricted candidate set is empty."""
-
-
-class GridTooLargeError(PositionSearchError):
-    """The requested grid exceeds the exhaustive-search guard."""
 
 
 def f_obj(auth: Authenticator, h: np.ndarray) -> float | np.ndarray:
@@ -181,28 +175,21 @@ def _point_fields(scenario: Scenario, ctxs: list[_ArrayContext],
     """
     lam = wavelength(scenario.carrier_frequency)
     beta = scenario.path_loss_exponent
-    k_rice = scenario.rice_factor
-    fobj = np.empty(px.shape)
-    fss = np.empty(px.shape)
-    for start in range(0, px.size, _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        num = np.zeros(px[sl].shape, complex)
-        den = np.zeros(px[sl].shape)
-        aligned = np.zeros(px[sl].shape, complex)
-        for ctx in ctxs:
-            dist, omega = _point_geometry(ctx, px[sl], py[sl])
-            g = _angular_g(ctx, omega)
-            d_omega = omega - ctx.omega_a
-            ratio = ctx.dist_a / dist
-            phase = (2.0 * np.pi * (dist - ctx.dist_a) / lam
-                     + np.pi * (ctx.n - 1) * ctx.spacing * d_omega)
-            rot = np.exp(1j * phase)
-            num += ratio ** (beta / 2.0) * rot * g
-            den += ratio ** beta * _s_ee(ctx, omega)
-            aligned += rot * np.exp(1j * (np.pi / 2.0) * (np.sign(g) - 1.0))
-        fobj[sl] = k_rice * np.abs(num) ** 2 / den
-        fss[sl] = np.abs(aligned)
-    return fobj, fss
+    num = np.zeros(px.shape, complex)
+    den = np.zeros(px.shape)
+    aligned = np.zeros(px.shape, complex)
+    for ctx in ctxs:
+        dist, omega = _point_geometry(ctx, px, py)
+        g = _angular_g(ctx, omega)
+        d_omega = omega - ctx.omega_a
+        ratio = ctx.dist_a / dist
+        phase = (2.0 * np.pi * (dist - ctx.dist_a) / lam
+                 + np.pi * (ctx.n - 1) * ctx.spacing * d_omega)
+        rot = np.exp(1j * phase)
+        num += ratio ** (beta / 2.0) * rot * g
+        den += ratio ** beta * _s_ee(ctx, omega)
+        aligned += rot * np.exp(1j * (np.pi / 2.0) * (np.sign(g) - 1.0))
+    return scenario.rice_factor * np.abs(num) ** 2 / den, np.abs(aligned)
 
 
 def _fields_at(scenario: Scenario, position):
@@ -405,6 +392,12 @@ def grid_axes(scenario: Scenario, resolution: float) -> tuple[np.ndarray, np.nda
 
 
 def _allowed_mask(scenario: Scenario, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Cells of the ys × xs grid outside every exclusion disc.
+
+    Exclusion, like lobe membership in _band_masks, is decided in float32:
+    only a cell centre within float32 rounding of a radius or band edge can
+    land on the other side of it than in float64.
+    """
     xs32 = xs.astype(np.float32)
     ys32 = ys.astype(np.float32)
     ax, ay = scenario.alice.position
@@ -417,18 +410,23 @@ def _allowed_mask(scenario: Scenario, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     return allowed
 
 
-def _band_masks(ctx: _ArrayContext, lobes: ArrayLobes, xs: np.ndarray, ys: np.ndarray,
-                use_sidelobes: bool) -> tuple[np.ndarray, np.ndarray]:
+def _in_bands(lobes: ArrayLobes, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(in the main lobe, in a first sidelobe) per angular sine."""
+    main = (omega >= lobes.main.omega_lo) & (omega <= lobes.main.omega_hi)
+    side = np.zeros(omega.shape, bool)
+    for band in lobes.sidelobes:
+        side |= (omega >= band.omega_lo) & (omega <= band.omega_hi)
+    return main, side
+
+
+def _band_masks(ctx: _ArrayContext, lobes: ArrayLobes, xs: np.ndarray,
+                ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_in_bands over the ys × xs grid, decided in float32 like _allowed_mask."""
     dx = (xs - ctx.position[0]).astype(np.float32)
     dy = (ys - ctx.position[1]).astype(np.float32)
     dist = np.hypot(dx[None, :], dy[:, None])
     omega = (dx[None, :] * np.float32(ctx.axis[0]) + dy[:, None] * np.float32(ctx.axis[1])) / dist
-    main = (omega >= lobes.main.omega_lo) & (omega <= lobes.main.omega_hi)
-    side = np.zeros(omega.shape, bool)
-    if use_sidelobes:
-        for band in lobes.sidelobes:
-            side |= (omega >= band.omega_lo) & (omega <= band.omega_hi)
-    return main, side
+    return _in_bands(lobes, omega)
 
 
 def _disc_offsets(eps_px: int) -> tuple[np.ndarray, np.ndarray]:
@@ -440,50 +438,91 @@ def _disc_offsets(eps_px: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _disc_local_maxima(values: np.ndarray, member_idx: np.ndarray,
                        shape: tuple[int, int], eps_px: int) -> np.ndarray:
-    """Indices (into the flattened grid) of >= local maxima over the disc
-    neighborhood, among member points; plateaus count as maxima."""
-    ny, nx = shape
+    """Keep-mask over the members (flat indices into a grid of ``shape``) of
+    >= local maxima over the disc neighborhood among members; plateaus count
+    as maxima."""
+    nx = shape[1]
     grid = np.full(shape, -np.inf, np.float32)
     grid.ravel()[member_idx] = values.astype(np.float32)
-    cand_idx = member_idx
+    vals = grid.ravel()[member_idx]
+    keep = np.ones(member_idx.size, bool)
     half = int(eps_px / math.sqrt(2.0))
     if half >= 1:
         # square inscribed in the disc: cheap separable prefilter that can
         # only discard points already beaten inside the disc
         from scipy.ndimage import maximum_filter
         sq_max = maximum_filter(grid, size=2 * half + 1, mode="constant", cval=-np.inf)
-        keep = grid.ravel()[member_idx] >= sq_max.ravel()[member_idx]
-        cand_idx = member_idx[keep]
-    if eps_px < 1 or cand_idx.size == 0:
-        return cand_idx
-    oy, ox = _disc_offsets(eps_px)
-    padded = np.full((ny + 2 * eps_px, nx + 2 * eps_px), -np.inf, np.float32)
-    padded[eps_px:eps_px + ny, eps_px:eps_px + nx] = grid
-    iy = cand_idx // nx + eps_px
-    ix = cand_idx % nx + eps_px
-    vals = grid.ravel()[cand_idx]
-    alive = np.ones(cand_idx.size, bool)
-    for dy_off, dx_off in zip(oy, ox):
-        np.logical_and(alive, vals >= padded[iy + dy_off, ix + dx_off], out=alive)
-    return cand_idx[alive]
+        keep = vals >= sq_max.ravel()[member_idx]
+    cand = np.flatnonzero(keep)
+    iy, ix = np.divmod(member_idx[cand], nx)
+    cand_vals = vals[cand]
+    padded = np.pad(grid, eps_px, constant_values=-np.inf)
+    alive = np.ones(cand.size, bool)
+    for dy_off, dx_off in zip(*_disc_offsets(eps_px)):
+        np.logical_and(alive, cand_vals >= padded[iy + (eps_px + dy_off), ix + (eps_px + dx_off)],
+                       out=alive)
+    keep[cand] = alive
+    return keep
 
 
-def _candidate_label(scenario: Scenario, ctxs: list[_ArrayContext], lobes: LobeSets,
-                     x: float, y: float) -> str:
-    omegas = []
-    for ctx in ctxs:
-        _, om = _point_geometry(ctx, np.array([x]), np.array([y]))
-        omegas.append(float(om[0]))
-    in_side = []
-    for ctx, al, om in zip(ctxs, lobes.per_array, omegas):
-        if al.main.omega_lo <= om <= al.main.omega_hi:
-            return f"main:{ctx.rrh_id}"
-        in_side.append(any(b.omega_lo <= om <= b.omega_hi for b in al.sidelobes))
-    for i in range(len(ctxs)):
-        for j in range(i + 1, len(ctxs)):
-            if in_side[i] and in_side[j]:
-                return f"sidelobes:{ctxs[i].rrh_id}+{ctxs[j].rrh_id}"
-    return "other"
+def _grid(scenario: Scenario, cfg: SearchConfig) -> tuple[float, int, np.ndarray, np.ndarray]:
+    """(resolution, disc radius in whole cells, xs, ys) of a position search."""
+    lam = wavelength(scenario.carrier_frequency)
+    res = cfg.grid_resolution or lam / 10.0
+    eps = cfg.small_scale_radius if cfg.small_scale_radius is not None else lam / 2.0
+    xs, ys = grid_axes(scenario, res)
+    return res, int(math.floor(eps / res + 1e-9)), xs, ys
+
+
+def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
+               ys: np.ndarray, res: float, eps_px: int, member=None):
+    """The grid pass of every position search, in row tiles of about _TILE_CELLS cells.
+
+    Fields are evaluated at the allowed cells that ``member(tile_ys)`` keeps
+    (all if None, none if False); with ``eps_px`` >= 1 only their disc-local
+    maxima of the small-scale count survive.  ``eps_px`` halo rows around a
+    tile make results independent of the tile size, which bounds memory.
+    Yields, for each tile's core rows, n_allowed, n_members and the
+    survivors' flat grid indices, f_obj and f_small_scale; raises
+    EmptyRegionError after the last tile if no cell is allowed.
+    """
+    nx, ny = xs.size, ys.size
+    rows = max(_TILE_CELLS // nx, 1)
+    halo = max(eps_px, 0)
+    any_allowed = False
+    for r0 in range(0, ny, rows):
+        r1 = min(r0 + rows, ny)
+        h0, h1 = max(r0 - halo, 0), min(r1 + halo, ny)
+        allowed = _allowed_mask(scenario, xs, ys[h0:h1])
+        members = allowed if member is None else allowed & member(ys[h0:h1])
+        local = np.flatnonzero(members)
+        idx = local + h0 * nx
+        core = (idx >= r0 * nx) & (idx < r1 * nx)
+        px = scenario.region.x_min + (idx % nx + 0.5) * res
+        py = scenario.region.y_min + (idx // nx + 0.5) * res
+        fobj, fss = _point_fields(scenario, ctxs, px, py)
+        keep = core & _disc_local_maxima(fss, local, members.shape, eps_px) if eps_px >= 1 else core
+        n_allowed = int(np.count_nonzero(allowed[r0 - h0:r1 - h0]))
+        any_allowed |= n_allowed > 0
+        yield n_allowed, int(np.count_nonzero(core)), idx[keep], fobj[keep], fss[keep]
+    if not any_allowed:
+        raise EmptyRegionError("exclusion zones cover the whole region")
+
+
+def _candidate_labels(ctxs: list[_ArrayContext], lobes: LobeSets,
+                      px: np.ndarray, py: np.ndarray) -> list[str]:
+    """Per position: the first array whose main lobe holds it, else the first
+    pair of arrays whose first sidelobes both hold it, else "other"."""
+    main, side = zip(*(_in_bands(al, _point_geometry(ctx, px, py)[1])
+                       for ctx, al in zip(ctxs, lobes.per_array)))
+    labels = np.full(px.shape, "other", object)
+    # the later rules are written first so that the earlier ones win
+    pairs = [(i, j) for i in range(len(ctxs)) for j in range(i + 1, len(ctxs))]
+    for i, j in reversed(pairs):
+        labels[side[i] & side[j]] = f"sidelobes:{ctxs[i].rrh_id}+{ctxs[j].rrh_id}"
+    for ctx, in_main in reversed(list(zip(ctxs, main))):
+        labels[in_main] = f"main:{ctx.rrh_id}"
+    return labels.tolist()
 
 
 def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
@@ -498,106 +537,77 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
     survivors, capped at ``max_candidates`` best alignment objectives.
     """
     cfg = config or scenario.search
-    lam = wavelength(scenario.carrier_frequency)
-    res = cfg.grid_resolution or lam / 10.0
-    eps = cfg.small_scale_radius if cfg.small_scale_radius is not None else lam / 2.0
-    xs, ys = grid_axes(scenario, res)
-    shape = (ys.size, xs.size)
-    n_grid = xs.size * ys.size
-
-    allowed = _allowed_mask(scenario, xs, ys)
-    n_allowed = int(allowed.sum())
-    if n_allowed == 0:
-        raise EmptyRegionError("exclusion zones cover the whole region")
-
+    res, eps_px, xs, ys = _grid(scenario, cfg)
     ctxs = _array_contexts(scenario)
     lobes = lobe_sets(scenario)
-    lobe_mask = np.zeros(shape, bool)
-    side_masks = []
-    for ctx, al in zip(ctxs, lobes.per_array):
-        main, side = _band_masks(ctx, al, xs, ys, cfg.include_first_sidelobes and len(ctxs) > 1)
-        lobe_mask |= main
-        side_masks.append(side)
-        del main, side
-    for i in range(len(ctxs)):
-        for j in range(i + 1, len(ctxs)):
-            lobe_mask |= side_masks[i] & side_masks[j]
-    del side_masks
-    lobe_mask &= allowed
-    member_idx = np.flatnonzero(lobe_mask.ravel())
-    n_lobe = int(member_idx.size)
-    if n_lobe == 0:
-        raise NoCandidatesError("no grid point falls on a usable lobe")
+
+    def lobe_mask(tile_ys):
+        main, side = zip(*(_band_masks(ctx, al, xs, tile_ys)
+                           for ctx, al in zip(ctxs, lobes.per_array)))
+        mask = np.logical_or.reduce(main)
+        if cfg.include_first_sidelobes:
+            for i in range(len(side)):
+                for j in range(i + 1, len(side)):
+                    mask |= side[i] & side[j]
+        return mask
 
     nx = xs.size
-    px = scenario.region.x_min + (member_idx % nx + 0.5) * res
-    py = scenario.region.y_min + (member_idx // nx + 0.5) * res
-    fobj_vals, fss_vals = _point_fields(scenario, ctxs, px, py)
 
-    eps_px = int(math.floor(eps / res + 1e-9))
-    if len(ctxs) == 1 or eps_px < 1:
-        surv_idx = member_idx
-    else:
-        surv_idx = _disc_local_maxima(fss_vals, member_idx, shape, eps_px)
-    surv_rows = np.searchsorted(member_idx, surv_idx)   # member_idx is sorted
+    def best_first(idx, fobj, fss):
+        """The max_candidates survivors of largest f_obj, ties in row-major order."""
+        order = np.lexsort((idx % nx, idx // nx, -fobj))[:cfg.max_candidates]
+        return idx[order], fobj[order], fss[order]
 
-    order = np.lexsort((surv_idx % nx, surv_idx // nx, -fobj_vals[surv_rows]))
-    n_survivors = int(surv_idx.size)
-    if n_survivors > cfg.max_candidates:
-        order = order[:cfg.max_candidates]
-    surv_idx = surv_idx[order]
-    surv_rows = surv_rows[order]
-
-    xs_c = scenario.region.x_min + (surv_idx % nx + 0.5) * res
-    ys_c = scenario.region.y_min + (surv_idx // nx + 0.5) * res
+    n_allowed = n_lobe = n_survivors = 0
+    kept = (np.empty(0, np.intp), np.empty(0), np.empty(0))
+    for n_tile, m_tile, *survivors in _walk_grid(scenario, ctxs, xs, ys, res,
+                                                 eps_px if len(ctxs) > 1 else 0, lobe_mask):
+        n_allowed += n_tile
+        n_lobe += m_tile
+        n_survivors += survivors[0].size
+        kept = tuple(map(np.concatenate, zip(kept, survivors)))
+        if kept[0].size > 2 * cfg.max_candidates:     # keeps memory bounded by the cap
+            kept = best_first(*kept)
+    if n_lobe == 0:
+        raise NoCandidatesError("no grid point falls on a usable lobe")
+    idx, fobj, fss = best_first(*kept)
+    xs_c = scenario.region.x_min + (idx % nx + 0.5) * res
+    ys_c = scenario.region.y_min + (idx // nx + 0.5) * res
     p_md, mc = mdp_optimal_pma_batch(auth or make_authenticator(scenario), scenario,
                                      np.column_stack((xs_c, ys_c)))
-    entries = sorted(
-        ((float(p), int(k // nx), int(k % nx), float(x), float(y),
-          float(fobj_vals[row]), float(fss_vals[row]))
-         for p, k, row, x, y in zip(p_md, surv_idx, surv_rows, xs_c, ys_c)),
-        key=lambda e: (-e[0], e[1], e[2]))
+    labels = _candidate_labels(ctxs, lobes, xs_c, ys_c)
     candidates = tuple(
-        CandidatePosition((x, y), fo, fs, p,
-                          _candidate_label(scenario, ctxs, lobes, x, y))
-        for p, _, _, x, y, fo, fs in entries)
-    return SearchResult(candidates, candidates[0].p_md, n_grid, n_allowed, n_lobe,
-                        len(candidates), shape, res, n_survivors, int(mc.sum()))
+        CandidatePosition((float(xs_c[k]), float(ys_c[k])), float(fobj[k]), float(fss[k]),
+                          float(p_md[k]), labels[k])
+        for k in np.lexsort((idx % nx, idx // nx, -p_md)))     # p_md descending, row-major ties
+    return SearchResult(candidates, candidates[0].p_md, xs.size * ys.size, n_allowed, n_lobe,
+                        len(candidates), (ys.size, xs.size), res, n_survivors, int(mc.sum()))
 
 
 def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
                       auth: Authenticator | None = None) -> SearchResult:
     """Reference search: the alignment objective on every allowed grid cell.
 
-    Guarded to modest grids; ranks every allowed cell by the expanded
-    objective and evaluates the miss probability at the single best cell.
+    Ranks every allowed cell by the expanded objective and evaluates the
+    miss probability at the single best cell, the first in row-major order
+    among ties.
     """
     cfg = config or scenario.search
-    res = cfg.grid_resolution or wavelength(scenario.carrier_frequency) / 10.0
-    xs, ys = grid_axes(scenario, res)
-    n_grid = xs.size * ys.size
-    if n_grid > _GRID_GUARD:
-        raise GridTooLargeError(f"grid of {n_grid} points exceeds the "
-                                f"{_GRID_GUARD}-point exhaustive guard")
-    allowed = _allowed_mask(scenario, xs, ys)
-    n_allowed = int(allowed.sum())
-    if n_allowed == 0:
-        raise EmptyRegionError("exclusion zones cover the whole region")
-    member_idx = np.flatnonzero(allowed.ravel())
-    nx = xs.size
-    px = scenario.region.x_min + (member_idx % nx + 0.5) * res
-    py = scenario.region.y_min + (member_idx // nx + 0.5) * res
+    res, _, xs, ys = _grid(scenario, cfg)
     ctxs = _array_contexts(scenario)
-    fobj_vals, fss_vals = _point_fields(scenario, ctxs, px, py)
-    order = np.lexsort((member_idx % nx, member_idx // nx, -fobj_vals))
-    top = order[0]
-    k = int(member_idx[top])
-    x, y = float(px[top]), float(py[top])
+    n_allowed, best = 0, None
+    for n_tile, _, idx, fobj, fss in _walk_grid(scenario, ctxs, xs, ys, res, 0):
+        n_allowed += n_tile
+        if idx.size and (best is None or fobj.max() > best[1]):
+            top = int(np.argmax(fobj))
+            best = (int(idx[top]), float(fobj[top]), float(fss[top]))
+    k, fo, fs = best
+    x = scenario.region.x_min + (k % xs.size + 0.5) * res
+    y = scenario.region.y_min + (k // xs.size + 0.5) * res
     p_md, mc = mdp_optimal_pma_batch(auth or make_authenticator(scenario), scenario, [x, y])
-    lobes = lobe_sets(scenario)
-    cand = CandidatePosition((x, y), float(fobj_vals[top]), float(fss_vals[top]),
-                             float(p_md[0]), _candidate_label(scenario, ctxs, lobes, x, y))
-    return SearchResult((cand,), cand.p_md, n_grid, n_allowed, n_allowed, 1,
+    label = _candidate_labels(ctxs, lobe_sets(scenario), np.array([x]), np.array([y]))[0]
+    cand = CandidatePosition((x, y), fo, fs, float(p_md[0]), label)
+    return SearchResult((cand,), cand.p_md, xs.size * ys.size, n_allowed, n_allowed, 1,
                         (ys.size, xs.size), res, n_allowed, int(mc.sum()))
 
 
@@ -605,27 +615,17 @@ def count_small_scale_optima(scenario: Scenario, config: SearchConfig | None = N
     """Disc-local maxima of the small-scale count over the whole allowed grid.
 
     The denominator of the "fraction of optima actually searched" figure of
-    merit; for a single array the count is flat, so every allowed cell is a
-    (weak) maximum.
+    merit.  For a single array, whose count is flat, or a disc under one cell
+    every allowed cell is a (weak) maximum, counted without any field.
     """
     cfg = config or scenario.search
-    lam = wavelength(scenario.carrier_frequency)
-    res = cfg.grid_resolution or lam / 10.0
-    eps = cfg.small_scale_radius if cfg.small_scale_radius is not None else lam / 2.0
-    xs, ys = grid_axes(scenario, res)
-    allowed = _allowed_mask(scenario, xs, ys)
-    n_allowed = int(allowed.sum())
-    if n_allowed == 0:
-        raise EmptyRegionError("exclusion zones cover the whole region")
+    res, eps_px, xs, ys = _grid(scenario, cfg)
     ctxs = _array_contexts(scenario)
-    if len(ctxs) == 1:
-        return n_allowed
-    member_idx = np.flatnonzero(allowed.ravel())
-    nx = xs.size
-    px = scenario.region.x_min + (member_idx % nx + 0.5) * res
-    py = scenario.region.y_min + (member_idx // nx + 0.5) * res
-    _, fss_vals = _point_fields(scenario, ctxs, px, py)
-    eps_px = int(math.floor(eps / res + 1e-9))
-    if eps_px < 1:
-        return n_allowed
-    return int(_disc_local_maxima(fss_vals, member_idx, (ys.size, xs.size), eps_px).size)
+    count_only = len(ctxs) == 1 or eps_px < 1
+    n_allowed = n_optima = 0
+    for n_tile, _, idx, _, _ in _walk_grid(scenario, ctxs, xs, ys, res,
+                                           0 if count_only else eps_px,
+                                           (lambda tile_ys: False) if count_only else None):
+        n_allowed += n_tile
+        n_optima += idx.size
+    return n_allowed if count_only else n_optima

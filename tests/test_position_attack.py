@@ -1,18 +1,22 @@
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distpla.position_attack as pa
 from distpla import (Correlation, SearchConfig, alice_statistics,
                      angular_inner_product, channel_statistics,
                      count_small_scale_optima, eve_statistics,
                      exhaustive_search, expanded_f_obj, f_obj, f_small_scale,
-                     lobe_sets, make_authenticator, mdp_optimal_pma,
-                     sample_channel, steering_vector, truncated_search,
-                     wavelength)
-from distpla.position_attack import (EmptyRegionError, GridTooLargeError,
-                                     NoCandidatesError, _disc_local_maxima,
-                                     grid_axes)
+                     load_scenario, lobe_sets, make_authenticator,
+                     mdp_optimal_pma, sample_channel, steering_vector,
+                     truncated_search, wavelength)
+from distpla.position_attack import (EmptyRegionError, NoCandidatesError,
+                                     _allowed_mask, _array_contexts,
+                                     _band_masks, _disc_local_maxima,
+                                     _point_geometry, grid_axes)
 
 from conftest import build_scenario, random_geometry
 
@@ -174,7 +178,7 @@ def test_disc_local_maxima_matches_brute_force(rng):
     member_idx = np.sort(rng.choice(shape[0] * shape[1], n_members, replace=False))
     values = rng.uniform(0, 4, n_members)
     eps_px = 3
-    got = set(_disc_local_maxima(values, member_idx, shape, eps_px).tolist())
+    got = set(member_idx[_disc_local_maxima(values, member_idx, shape, eps_px)].tolist())
     iy, ix = np.divmod(member_idx, shape[1])
     expected = set()
     for a in range(n_members):
@@ -184,12 +188,12 @@ def test_disc_local_maxima_matches_brute_force(rng):
     assert got == expected
 
 
-def _search_scenario(**kwargs):
+def _search_scenario(height=20.0, resolution=0.25, **search):
     """Compact two-array deployment with a coarse grid: fast to search."""
     return build_scenario(
         [("north", (12.0, 20.0), 4), ("south", (18.0, 0.0), 4)],
-        alice=(15.0, 10.0), eve=(5.0, 15.0), region=(0, 30, 0, 20),
-        search=SearchConfig(grid_resolution=0.25), **kwargs)
+        alice=(15.0, 10.0), eve=(5.0, 15.0), region=(0, 30, 0, height),
+        search=SearchConfig(grid_resolution=resolution, **search))
 
 
 class TestSearches:
@@ -261,10 +265,56 @@ class TestSearches:
         assert r.n_evaluated == min(r.n_lobe_points, sc.search.max_candidates)
         assert count_small_scale_optima(sc) == r.n_allowed
 
-    def test_grid_guard(self):
-        sc = build_scenario([("r", (10.0, 55.0), 2)])  # default region 80 x 60
-        with pytest.raises(GridTooLargeError):
-            exhaustive_search(sc, config=SearchConfig(grid_resolution=0.01))
+    @pytest.mark.parametrize("tile", [1, 2 * 120, 7 * 120 + 3])
+    def test_tile_size_does_not_change_results(self, monkeypatch, tile):
+        """One row per tile, fewer rows than the 6-row disc halo, and a tile
+        that is not a whole number of 120-cell rows all give the results of
+        the single default tile."""
+        sc = _search_scenario()
+        cfg = SearchConfig(grid_resolution=0.25, small_scale_radius=1.5)
+        auth = make_authenticator(sc)
+
+        def searches():
+            return (truncated_search(sc, cfg, auth), exhaustive_search(sc, cfg, auth),
+                    count_small_scale_optima(sc, cfg))
+
+        whole = searches()
+        assert whole[0].grid_shape[0] * whole[0].grid_shape[1] <= pa._TILE_CELLS
+        monkeypatch.setattr(pa, "_TILE_CELLS", tile)
+        assert searches() == whole
+
+    def test_halo_covers_the_whole_disc(self, monkeypatch):
+        """On noise fields every disc offset decides some cell's maximum, so
+        a halo one row short of the 6-cell radius changes the count."""
+        sc = _search_scenario()
+        cfg = SearchConfig(grid_resolution=0.25, small_scale_radius=1.5)
+        monkeypatch.setattr(pa, "_point_fields", lambda scenario, ctxs, px, py: (
+            px, np.sin(12.9898 * px + 78.233 * py) * 43758.5453 % 1.0))
+        whole = count_small_scale_optima(sc, cfg)
+        monkeypatch.setattr(pa, "_TILE_CELLS", 1)
+        assert count_small_scale_optima(sc, cfg) == whole
+
+    def test_memory_is_bounded_by_the_tile(self, monkeypatch):
+        """Quadrupling the grid leaves the search's peak allocation nearly flat.
+
+        Both heights have more survivors than the 1,000-candidate cap, which
+        bounds the candidate list, so only a dependence on the grid size
+        could raise the peak."""
+        monkeypatch.setattr(pa, "_TILE_CELLS", 1 << 12)
+
+        def peak_bytes(height):
+            sc = _search_scenario(height, resolution=0.05, max_candidates=1000)
+            tracemalloc.start()
+            try:
+                result = truncated_search(sc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.n_survivors > 1000
+            return peak
+
+        peak_bytes(20.0)        # first-call imports and caches are not the search's
+        assert peak_bytes(80.0) < 1.5 * peak_bytes(20.0)
 
     def test_empty_region(self):
         sc = build_scenario([("r", (50.0, 50.0), 2)], alice=(5.0, 5.0),
@@ -294,3 +344,71 @@ def test_default_resolution_is_a_tenth_wavelength():
     sc = build_scenario([("r", (1.0, 30.0), 2)], region=(0, 2, 0, 2), fc=2.4e9)
     r = exhaustive_search(sc.with_eve((1.9, 1.9)))
     assert r.resolution == pytest.approx(wavelength(2.4e9) / 10.0)
+
+
+def _candidate_label(ctxs, lobes, x, y):
+    """The labelling rule one point at a time: the oracle for the search's labels."""
+    omegas = [float(_point_geometry(ctx, np.array([x]), np.array([y]))[1][0]) for ctx in ctxs]
+    in_side = []
+    for ctx, al, om in zip(ctxs, lobes.per_array, omegas):
+        if al.main.omega_lo <= om <= al.main.omega_hi:
+            return f"main:{ctx.rrh_id}"
+        in_side.append(any(b.omega_lo <= om <= b.omega_hi for b in al.sidelobes))
+    for i in range(len(ctxs)):
+        for j in range(i + 1, len(ctxs)):
+            if in_side[i] and in_side[j]:
+                return f"sidelobes:{ctxs[i].rrh_id}+{ctxs[j].rrh_id}"
+    return "other"
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def test_labels_follow_the_per_point_rule():
+    for sc in (_search_scenario(), load_scenario(SCENARIOS / "desk_2rrh.json")):
+        ctxs, lobes = _array_contexts(sc), lobe_sets(sc)
+        cands = truncated_search(sc).candidates
+        assert [c.label for c in cands] == [_candidate_label(ctxs, lobes, *c.position)
+                                            for c in cands]
+    # a candidate passed the float32 lobe masks, so float64 labels it too
+    assert "other" not in {c.label for c in cands}
+
+
+def test_float32_masks_differ_from_float64_only_at_edges():
+    """Exclusion and band membership are decided in float32; a cell may flip
+    against float64 only within float32 rounding of a radius or band edge."""
+    u = 2.0 ** -24     # float32 unit roundoff
+    sc = random_geometry(np.random.default_rng(20), n_rrh=2)
+    xs, ys = grid_axes(sc, 0.05)
+    gx, gy = np.meshgrid(xs, ys)
+    coord = 80.0       # largest coordinate magnitude: the region is [0, 80] x [0, 60]
+    allowed, near = np.ones(gx.shape, bool), np.zeros(gx.shape, bool)
+    for (cx, cy), r in [(sc.alice.position, sc.exclusion_alice)] + [
+            (rrh.position, sc.exclusion_rrh) for rrh in sc.rrhs]:
+        d = np.hypot(gx - cx, gy - cy)
+        allowed &= d >= r
+        # float32 rounds x, the centre and their difference (each off by at
+        # most u·coord), then the squares, their sum and r² (each off by
+        # u·r² near the edge): near d = r that moves d by at most
+        # 3√2·u·coord + 1.5·u·r, well inside 8·u·(coord + r)
+        near |= np.abs(d - r) <= 8 * u * (coord + r)
+    excl_flips = _allowed_mask(sc, xs, ys) != allowed
+    assert np.all(near[excl_flips])
+    band_flips = 0
+    for ctx, al in zip(_array_contexts(sc), lobe_sets(sc).per_array):
+        _, om = _point_geometry(ctx, gx, gy)
+        main32, side32 = _band_masks(ctx, al, xs, ys)
+        inside = [(b.omega_lo <= om) & (om <= b.omega_hi) for b in (al.main, *al.sidelobes)]
+        # relative to the distance, float32 rounds dx, dy, the axis, the
+        # products and their sum ((3√2 + 1)·u in the numerator), the hypot
+        # (2·u) and the quotient (u), and the edge itself rounds by u:
+        # under 10·u in all, inside the 16·u used here
+        near = np.min([np.abs(om - e) for b in (al.main, *al.sidelobes)
+                       for e in (b.omega_lo, b.omega_hi)], axis=0) <= 16 * u
+        for mask32, mask64 in ((main32, inside[0]),
+                               (side32, np.logical_or.reduce([np.zeros_like(main32)] + inside[1:]))):
+            diff = mask32 != mask64
+            assert np.all(near[diff])
+            band_flips += int(diff.sum())
+    # this grid meets both kinds of edge, so neither check above is vacuous
+    assert excl_flips.any() and band_flips > 0
