@@ -11,9 +11,8 @@ from .delay_bounds import (ArrivalModel, DelayBound, ServiceModel, ServiceOutage
                            stability_margin)
 from .geometry import (ChannelStatistics, Correlation, Region, RrhConfig,
                        Scenario, SearchConfig, TransmitterConfig,
-                       alice_statistics, angular_sine, channel_statistics,
-                       eve_statistics, received_power, rice_means,
-                       steering_vector, wavelength)
+                       alice_statistics, channel_statistics, eve_statistics,
+                       received_power, rice_means, steering_vector, wavelength)
 from .monte_carlo import (BLOCK_SIZE, McEstimate, acceptance_event,
                           best_case_acceptance_event, estimate_probability,
                           sample_channel)
@@ -21,11 +20,11 @@ from .numerics import NumericsError, chi2_cdf, chi2_quantile, chi2_tail
 from .position_attack import (CandidatePosition, EmptyRegionError, LobeSets,
                               NoCandidatesError, PositionSearchError, SearchResult,
                               angular_inner_product, count_small_scale_optima,
-                              exhaustive_search, expanded_f_obj, f_obj,
-                              f_small_scale, lobe_sets, truncated_search)
+                              exhaustive_search, f_obj, lobe_sets,
+                              truncated_search)
 from .power_attack import (NO_ATTACK, IndefiniteForm, PowerStrategy,
-                           SaddlepointError, build_indefinite_form, dncf_cdf,
-                           dncf_sf, fixed_strategy_form,
+                           SaddlepointError, build_indefinite_form, dncf_sf,
+                           fixed_strategy_form,
                            mdp_fixed_strategy, mdp_fixed_strategy_sweep,
                            mdp_optimal_pma, mdp_optimal_pma_batch,
                            mdp_optimal_pma_sweep, mdp_single_array_closed_form,

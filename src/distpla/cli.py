@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .authenticator import make_authenticator, pfa_of_threshold
+from .authenticator import make_authenticator, pfa_of_threshold, threshold_for_pfa
 from .delay_bounds import (ArrivalModel, ServiceModel, UnstableQueueError,
                            delay_violation_bound, service_outage)
 from .geometry import Scenario, eve_statistics, wavelength
@@ -66,10 +66,16 @@ def _cmd_threshold(args):
     return payload, None
 
 
-def _parse_strategy(spec: str) -> PowerStrategy:
-    body = spec.split(":", 1)[1]
+def _strategy(method: str, auth, eve) -> PowerStrategy:
+    """The fixed strategy an mdp method names: statistical, none or fixed:ETA,PSI."""
+    if method == "statistical":
+        return statistical_power_strategy(auth, eve)
+    if method == "none":
+        return NO_ATTACK
+    if not method.startswith("fixed:"):
+        raise ValueError(f"unknown mdp method {method!r}")
     try:
-        eta_s, psi_s = body.split(",")
+        eta_s, psi_s = method.split(":", 1)[1].split(",")
         return PowerStrategy(float(eta_s), float(psi_s))
     except Exception:
         raise ValueError("fixed method expects fixed:ETA,PSI") from None
@@ -82,53 +88,44 @@ def _cmd_mdp(args):
     method = args.method or "saddlepoint"
     out = {"method": method, "false_alarm_target": sc.false_alarm_target,
            "threshold": auth.threshold}
-    if method == "saddlepoint":
-        out["p_md"] = mdp_optimal_pma(auth, eve, method="saddlepoint")
-    elif method == "closedform":
-        out["p_md"] = mdp_optimal_pma(auth, eve, method="closedform")
+    if method in ("saddlepoint", "closedform"):
+        out["p_md"] = mdp_optimal_pma(auth, eve, method=method)
     elif method == "montecarlo":
         est = estimate_probability(best_case_acceptance_event(auth), eve,
                                    args.samples, seed=args.seed, threads=args.threads)
         out.update(p_md=est.value, std_error=est.std_error, samples=est.samples)
-    elif method == "statistical":
-        strat = statistical_power_strategy(auth, eve)
-        out["strategy"] = {"eta": strat.amplitude, "psi": strat.phase}
-        out["p_md"] = mdp_fixed_strategy(auth, eve, strat)
-    elif method == "none":
-        out["strategy"] = {"eta": 1.0, "psi": 0.0}
-        out["p_md"] = mdp_fixed_strategy(auth, eve, NO_ATTACK)
-    elif method.startswith("fixed:"):
-        strat = _parse_strategy(method)
-        out["strategy"] = {"eta": strat.amplitude, "psi": strat.phase}
-        out["p_md"] = mdp_fixed_strategy(auth, eve, strat)
     else:
-        raise ValueError(f"unknown mdp method {method!r}")
+        strat = _strategy(method, auth, eve)
+        out["strategy"] = {"eta": strat.amplitude, "psi": strat.phase}
+        out["p_md"] = mdp_fixed_strategy(auth, eve, strat)
     return json.dumps(out, sort_keys=True, indent=2) + "\n", None
 
 
-def _sweep_authenticators(args):
-    """The attacker law, the swept false-alarm targets and one authenticator per target."""
+def _sweep(args):
+    """The authenticator, the attacker law, the swept false-alarm targets and their thresholds."""
     sc = _scenario(args)
     pfas = np.logspace(math.log10(args.pfa_min), math.log10(args.pfa_max), args.points)
-    return eve_statistics(sc), pfas, [make_authenticator(sc, float(p)) for p in pfas]
+    auth = make_authenticator(sc)
+    thresholds = [threshold_for_pfa(float(p), auth.total_dof) for p in pfas]
+    return auth, eve_statistics(sc), pfas, thresholds
 
 
 def _cmd_roc(args):
-    eve, pfas, auths = _sweep_authenticators(args)
-    p_opt = mdp_optimal_pma_sweep(auths, eve)
-    p_none = mdp_fixed_strategy_sweep(auths, eve, NO_ATTACK)
+    auth, eve, pfas, thresholds = _sweep(args)
+    p_opt = mdp_optimal_pma_sweep(auth, eve, thresholds)
+    p_none = mdp_fixed_strategy_sweep(auth, eve, thresholds, NO_ATTACK)
     lines = ["p_fa,p_md_opt,p_md_none"]
     lines += [f"{_fmt(pfa)},{_fmt(a)},{_fmt(b)}" for pfa, a, b in zip(pfas, p_opt, p_none)]
     return "\n".join(lines) + "\n", None
 
 
 def _cmd_validate(args):
-    eve, pfas, auths = _sweep_authenticators(args)
+    auth, eve, pfas, thresholds = _sweep(args)
     lines = ["param,saddlepoint,montecarlo,std_error"]
-    if auths:
-        p_sp = mdp_optimal_pma_sweep(auths, eve, method="saddlepoint")
+    if thresholds:
+        p_sp = mdp_optimal_pma_sweep(auth, eve, thresholds, method="saddlepoint")
         # one pass over the samples tests every threshold of the sweep
-        event = best_case_acceptance_event(auths[0], [a.threshold for a in auths])
+        event = best_case_acceptance_event(auth, thresholds)
         est = estimate_probability(event, eve, args.samples, seed=args.seed,
                                    threads=args.threads)
         lines += [f"{_fmt(pfa)},{_fmt(p)},{_fmt(v)},{_fmt(se)}"

@@ -111,15 +111,6 @@ def received_power(distance, path_loss_exponent: float,
     return float(power) if d.ndim == 0 else power
 
 
-def angular_sine(rrh: RrhConfig, point: tuple[float, float]) -> float:
-    """Sine of the arrival angle: unit(RRH -> point) projected on the array axis."""
-    delta = np.asarray(point, float) - np.asarray(rrh.position, float)
-    dist = float(np.hypot(*delta))
-    if dist == 0.0:
-        raise ValueError(f"point coincides with RRH {rrh.id!r}")
-    return float(delta @ np.asarray(rrh.array_axis, float)) / dist
-
-
 def steering_vector(omega, num_antennas: int, spacing: float) -> np.ndarray:
     """ULA response [1, e^{-j2 pi spacing omega}, ...]; omega may be an array."""
     omega = np.asarray(omega, float)

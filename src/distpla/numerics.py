@@ -1,10 +1,10 @@
 """Scalar special functions and small linear-algebra helpers.
 
 Everything statistical in this package reduces to a handful of primitives:
-chi-square tails and quantiles, the regularized incomplete beta, Cholesky
-factors, and bracketed scalar root finding.  They are collected here
-(backed by scipy/numpy) so the physics modules read in terms of the
-quantities they actually use and so the tolerances are pinned in one place.
+chi-square tails and quantiles, Cholesky factors, and bracketed scalar
+root finding.  They are collected here (backed by scipy/numpy) so the
+physics modules read in terms of the quantities they actually use and so
+the tolerances are pinned in one place.
 """
 from __future__ import annotations
 
@@ -41,19 +41,6 @@ def chi2_quantile(p: float, dof: int) -> float:
     if not 0.0 < p < 1.0:
         raise NumericsError(f"quantile level must lie in (0, 1), got {p}")
     return float(2.0 * special.gammaincinv(dof / 2.0, p))
-
-
-def regularized_incomplete_beta(q: float, a: float, b: float) -> float:
-    """I_q(a, b), the regularized incomplete beta function.
-
-    Normalized so that I_0 = 0 and I_1 = 1; satisfies the reflection
-    identity I_q(a, b) = 1 - I_{1-q}(b, a).
-    """
-    if not 0.0 <= q <= 1.0:
-        raise NumericsError(f"beta argument must lie in [0, 1], got {q}")
-    if a <= 0 or b <= 0:
-        raise NumericsError(f"beta shapes must be positive, got a={a}, b={b}")
-    return float(special.betainc(a, b, q))
 
 
 def cholesky_lower(m: np.ndarray) -> np.ndarray:

@@ -167,11 +167,13 @@ def _point_fields(scenario: Scenario, ctxs: list[_ArrayContext],
                   px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(f_obj, f_small_scale) of the mean channel at candidate positions.
 
-    The expanded per-array factorization of the objective:
+    The expanded per-array factorization of the objective, algebraically
+    identical to f_obj(auth, mu_E) without any covariance factorization:
       F = K |sum_j r_j^{beta/2} e^{j dphi_j} S_EA^j|^2 / sum_j r_j^beta S_EE^j
     with r_j the legitimate/attacker distance ratio; the attacker's transmit
     power cancels exactly.  The small-scale count is the phase-aligned sum
-    |sum_j e^{j phi0_j}| with phi0 the phase of e^{j dphi} S_EA.
+    |sum_j e^{j phi0_j}| with phi0 the phase of e^{j dphi} S_EA, in
+    [0, N_RRH] and equal to N_RRH at the legitimate position.
     """
     lam = wavelength(scenario.carrier_frequency)
     beta = scenario.path_loss_exponent
@@ -190,34 +192,6 @@ def _point_fields(scenario: Scenario, ctxs: list[_ArrayContext],
         den += ratio ** beta * _s_ee(ctx, omega)
         aligned += rot * np.exp(1j * (np.pi / 2.0) * (np.sign(g) - 1.0))
     return scenario.rice_factor * np.abs(num) ** 2 / den, np.abs(aligned)
-
-
-def _fields_at(scenario: Scenario, position):
-    """_point_fields at one (x, y) point as floats, or at each row of an (n, 2) array."""
-    pos = np.asarray(position, float)
-    pts = np.atleast_2d(pos)
-    fields = _point_fields(scenario, _array_contexts(scenario),
-                           pts[:, 0].copy(), pts[:, 1].copy())
-    return tuple(float(f[0]) for f in fields) if pos.ndim == 1 else fields
-
-
-def expanded_f_obj(scenario: Scenario, position) -> float | np.ndarray:
-    """Mean-channel alignment objective from geometry alone.
-
-    Algebraically identical to f_obj(auth, mu_E(position)); no covariance
-    factorizations are needed.
-    """
-    return _fields_at(scenario, position)[0]
-
-
-def f_small_scale(scenario: Scenario, position) -> float | np.ndarray:
-    """Number of arrays an attacker position can phase-align, in [0, N_RRH].
-
-    Equals N_RRH exactly at the legitimate position; its local maxima over
-    the lobe-restricted candidate set are where miss probabilities are
-    worth evaluating.
-    """
-    return _fields_at(scenario, position)[1]
 
 
 # ---------------------------------------------------------------------------

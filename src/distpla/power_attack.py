@@ -33,10 +33,12 @@ is bracketed on (1e-12, (1 - 1e-9) / max d), or, without a positive d, on
 (1e-12, 2^k) for the first k < 400 with s'(2^k) > 0.  s' is strictly
 increasing there (s'' > 0), and a safeguarded Newton-bisection finds the
 root to brentq's tolerance, (1e-15 + 4 eps |z|) / 2, or stops at an iterate
-where s' is exactly zero.  mdp_optimal_pma_batch uses this to evaluate the
-optimal-attack miss probability at many attacker positions in one pass, and
-mdp_optimal_pma_sweep and mdp_fixed_strategy_sweep at many thresholds (the
-scalar mdp_optimal_pma and mdp_fixed_strategy are sweeps of one).
+where s' is exactly zero.  One row evaluator, _optimal_rows, chooses the
+route of every optimal-attack row (certain miss, closed form, saddle point,
+Monte-Carlo fallback): mdp_optimal_pma_batch feeds it many attacker
+positions at one threshold, and mdp_optimal_pma_sweep one attacker at many
+thresholds (mdp_optimal_pma is a sweep of one).  mdp_fixed_strategy_sweep
+builds its form once and varies only the threshold constant.
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ from scipy.special import betainc, gammaln
 
 from .authenticator import Authenticator
 from .geometry import ChannelStatistics, Scenario, channel_statistics, rice_means
+from .monte_carlo import acceptance_event, best_case_acceptance_event, estimate_probability
 
 _EIG_DROP = 1e-14          # relative cutoff below which an eigenvalue is treated as zero
 _BRACKET_RIM = 1e-9        # how close the root bracket may approach the MGF singularity
@@ -57,6 +60,7 @@ _XTOL = 1e-15              # saddle root tolerance: absolute part ...
 _RTOL = 4 * np.finfo(float).eps   # ... and relative part, as in brentq
 _MAX_ITER = 200            # Newton-bisection steps before a row counts as unsolved
 _CHUNK = 4096              # attacker positions per batch in mdp_optimal_pma_batch
+_MC_SAMPLES = 400_000      # Monte-Carlo draws (seed 0) for a row without a saddle point
 
 
 class SaddlepointError(RuntimeError):
@@ -132,25 +136,29 @@ def _array_layout(auth: Authenticator) -> tuple[np.ndarray, np.ndarray]:
     return sizes, np.concatenate(([0], np.cumsum(sizes)[:-1]))
 
 
-def _optimal_form_rows(auth: Authenticator, means: np.ndarray, powers: np.ndarray):
-    """build_indefinite_form for attacker means (n, N) and powers (n, N_RRH) at once.
+def _optimal_form_rows(auth: Authenticator, means: np.ndarray, powers: np.ndarray,
+                       thresholds: np.ndarray):
+    """build_indefinite_form for attacker means (n, N), powers (n, N_RRH) and thresholds (n,).
 
-    Returns the eigenvalues, complex offsets and multiplicities, each of
-    shape (n, K) with K = N_RRH + #(arrays with n_j > 1), and t.
+    One row of means and powers may stand for all n thresholds; it is then
+    whitened once, so every row keeps the bits of its own one-row build.
+    Returns the eigenvalues, complex offsets and multiplicities, each (n, K)
+    with K = N_RRH + #(arrays with n_j > 1), and t (n,).
     """
     m_energy = auth.mahalanobis_energy
-    t = 1.0 - auth.threshold / (2.0 * m_energy)
+    t = 1.0 - thresholds / (2.0 * m_energy)
     sizes, starts = _array_layout(auth)
-    alpha = powers / auth.stats.powers
+    alpha = np.broadcast_to(powers / auth.stats.powers, (t.size, sizes.size))
     w = auth.whitened_mean
-    x = solve_triangular(auth.chol, means.T, lower=True)
+    x = np.broadcast_to(solve_triangular(auth.chol, means.T, lower=True),
+                        (auth.stats.dim, t.size))
     a = np.sqrt(alpha * np.add.reduceat(np.abs(w) ** 2, starts))
     b = np.add.reduceat(w.conj()[:, None] * x, starts, axis=0).T / a
     values, vectors = np.linalg.eigh(a[:, :, None] * a[:, None, :] / m_energy
-                                     - t * alpha[:, :, None] * np.eye(sizes.size))
+                                     - t[:, None, None] * alpha[:, :, None] * np.eye(sizes.size))
     rest = np.add.reduceat(np.abs(x) ** 2, starts, axis=0).T / alpha - np.abs(b) ** 2
     many = sizes > 1
-    eigenvalues = np.concatenate((values, -t * alpha[:, many]), axis=1)
+    eigenvalues = np.concatenate((values, -t[:, None] * alpha[:, many]), axis=1)
     offsets = np.concatenate((np.sum(vectors * b[:, :, None], axis=1),
                               np.sqrt(np.maximum(rest[:, many], 0.0))), axis=1)
     mult = np.concatenate((np.ones(sizes.size, int), sizes[many] - 1))
@@ -171,8 +179,9 @@ def build_indefinite_form(auth: Authenticator, eve_stats: ChannelStatistics) -> 
     array (multiplicity n_j - 1, offset energy ||x_j||^2 / alpha_j - |b_j|^2).
     For t in (0, 1) exactly one eigenvalue is positive.
     """
-    d, c, m, t = _optimal_form_rows(auth, eve_stats.mean[None, :], eve_stats.powers[None, :])
-    return IndefiniteForm(eigenvalues=d[0], offsets=c[0], threshold_param=float(t),
+    d, c, m, t = _optimal_form_rows(auth, eve_stats.mean[None, :], eve_stats.powers[None, :],
+                                    np.array([auth.threshold]))
+    return IndefiniteForm(eigenvalues=d[0], offsets=c[0], threshold_param=float(t[0]),
                           multiplicities=m[0].copy())
 
 
@@ -316,23 +325,6 @@ def _saddle_tail(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray
                     np.clip(p_direct, 0.0, 1.0), 1.0 - np.clip(p_complement, 0.0, 1.0))
 
 
-def _form_tails(forms) -> np.ndarray:
-    """Saddle-point tail of each form in one _saddle_tail call; NaN where no side has a saddle.
-
-    The forms must have the same number of terms, as all forms of one
-    builder on one scenario do.  No padding is added: an inert d = c2 = m = 0
-    term changes nothing in value, but it changes how numpy groups a row sum
-    of 8 or more terms, and with it the last bits.
-    """
-    if not forms:
-        return np.zeros(0)
-    d = np.array([np.asarray(f.eigenvalues, float) for f in forms])
-    c2 = np.array([np.abs(np.asarray(f.offsets)) ** 2 for f in forms])
-    m = np.array([np.ones(len(f.eigenvalues)) if f.multiplicities is None
-                  else np.asarray(f.multiplicities, float) for f in forms])
-    return _saddle_tail(d, c2, m, np.array([float(f.constant) for f in forms]))
-
-
 def saddlepoint_tail_probability(form: IndefiniteForm) -> float:
     """P(sum_i d_i |w_i + c_i|^2 + constant > 0) by saddle-point approximation.
 
@@ -340,7 +332,11 @@ def saddlepoint_tail_probability(form: IndefiniteForm) -> float:
     tail is smaller, where the approximation is accurate.  Raises
     SaddlepointError when neither side admits a saddle.
     """
-    p = _form_tails([form])[0]
+    d = np.asarray(form.eigenvalues, float)[None, :]
+    m = (np.ones(d.shape) if form.multiplicities is None
+         else np.asarray(form.multiplicities, float)[None, :])
+    p = _saddle_tail(d, np.abs(np.asarray(form.offsets))[None, :] ** 2, m,
+                     np.array([float(form.constant)]))[0]
     if np.isnan(p):
         raise SaddlepointError("no interior saddle point on either side")
     return float(p)
@@ -360,30 +356,12 @@ def _poisson_window(nu: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return r[first:last + 1], w[first:last + 1]
 
 
-def dncf_cdf(x: float, nu1: float, nu2: float, k1: int, k2: int, tol: float = 1e-12) -> float:
-    """CDF of the doubly noncentral F ratio [chi2_{k1}(nu1)/k1] / [chi2_{k2}(nu2)/k2].
+def dncf_sf(x: float, nu1: float, nu2: float, k1: int, k2: int, tol: float = 1e-12) -> float:
+    """Upper tail of the doubly noncentral F ratio [chi2_{k1}(nu1)/k1] / [chi2_{k2}(nu2)/k2].
 
     Double Poisson mixture of regularized incomplete beta terms, truncated
     once the retained Poisson mass exceeds 1 - tol per axis (absolute error
-    at most ~tol).
-    """
-    if min(k1, k2) <= 0:
-        raise ValueError("degrees of freedom must be positive")
-    if min(nu1, nu2) < 0:
-        raise ValueError("noncentrality must be nonnegative")
-    if x <= 0.0:
-        return 0.0
-    q = k1 * x / (k2 + k1 * x)
-    r, wr = _poisson_window(nu1, tol)
-    s, ws = _poisson_window(nu2, tol)
-    grid = betainc(k1 / 2.0 + r[:, None], k2 / 2.0 + s[None, :], q)
-    return float(min(max(wr @ grid @ ws, 0.0), 1.0))
-
-
-def dncf_sf(x: float, nu1: float, nu2: float, k1: int, k2: int, tol: float = 1e-12) -> float:
-    """Upper tail 1 - dncf_cdf, summed directly so small tails keep accuracy.
-
-    Uses the reflection I_q(a, b) = 1 - I_{1-q}(b, a) inside the mixture,
+    at most ~tol).  Each term uses the reflection I_q(a, b) = 1 - I_{1-q}(b, a),
     avoiding the cancellation a literal 1 - CDF would suffer below ~1e-12.
     """
     if min(k1, k2) <= 0:
@@ -407,80 +385,77 @@ def mdp_single_array_closed_form(auth: Authenticator, eve_stats: ChannelStatisti
     attacker/legitimate mean alignment.  Uses Sigma_E = alpha Sigma_A with
     alpha = P_E / P_A, which the scenario-wide correlation model guarantees.
     """
-    return _closed_form(auth, eve_stats.mean, eve_stats.powers[0])
+    return _closed_form(auth, eve_stats.mean, eve_stats.powers[0], auth.threshold)
 
 
-def _closed_form(auth: Authenticator, mean: np.ndarray, power: float) -> float:
-    """mdp_single_array_closed_form for an attacker mean and received power."""
+def _closed_form(auth: Authenticator, mean: np.ndarray, power: float, threshold: float) -> float:
+    """mdp_single_array_closed_form for an attacker mean, received power and threshold."""
+    if len(auth.stats.block_sizes) != 1:
+        raise ValueError("closed form needs a single receive array")
     n = auth.stats.dim
     if n < 2:
         raise ValueError("closed form needs at least two antennas")
     m_energy = auth.mahalanobis_energy
-    threshold = auth.threshold
-    if threshold >= 2.0 * m_energy:
-        return 1.0
     alpha = float(power / auth.stats.powers[0])
     w_e = solve_triangular(auth.chol, mean, lower=True)
     cross = complex(np.vdot(auth.whitened_mean, w_e))   # mu_A^H Sigma_A^{-1} mu_E
     quad = float(np.vdot(w_e, w_e).real)                # mu_E^H Sigma_A^{-1} mu_E
     nu1 = 2.0 * abs(cross) ** 2 / (alpha * m_energy)
     nu2 = max(2.0 / alpha * (quad - abs(cross) ** 2 / m_energy), 0.0)
+    # T >= 2M puts x at 0, where the tail is 1
     x = max((n - 1) * (2.0 * m_energy / threshold - 1.0), 0.0)
     return dncf_sf(x, nu1, nu2, 2, 2 * (n - 1))
 
 
+def _optimal_rows(auth: Authenticator, means: np.ndarray, powers: np.ndarray,
+                  thresholds: np.ndarray, method: str, eve_of_row) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal-attack p_md per row (shapes as in _optimal_form_rows) and a mask of Monte-Carlo rows.
+
+    The one place the routes are chosen: a threshold >= 2M is a certain
+    miss; "closedform", or "auto" on a single array, takes the closed form;
+    otherwise one form build and one saddle solve, where a row without a
+    saddle raises SaddlepointError under "saddlepoint" and under "auto"
+    takes Monte-Carlo against ``eve_of_row(k)``, row k's attacker statistics.
+    """
+    p_md = np.ones(thresholds.size)
+    mc = np.zeros(thresholds.size, bool)
+    if method == "closedform" or (method == "auto" and len(auth.stats.block_sizes) == 1):
+        # every row, so a multi-array layout is refused even where T >= 2M gives 1
+        means, powers = (np.broadcast_to(v, (thresholds.size, v.shape[1])) for v in (means, powers))
+        p_md[:] = [_closed_form(auth, mu, pw[0], t) for mu, pw, t in zip(means, powers, thresholds)]
+        return p_md, mc
+    if method not in ("auto", "saddlepoint"):
+        raise ValueError(f"unknown method {method!r}")
+    live = np.flatnonzero(thresholds < 2.0 * auth.mahalanobis_energy)
+    d, c, m, _ = _optimal_form_rows(auth, means, powers, thresholds)
+    p_md[live] = _saddle_tail(d[live], np.abs(c[live]) ** 2, m[live].astype(float),
+                              np.zeros(live.size))
+    for k in np.flatnonzero(np.isnan(p_md)):
+        if method == "saddlepoint":
+            raise SaddlepointError("no interior saddle point on either side")
+        event = best_case_acceptance_event(replace(auth, threshold=float(thresholds[k])))
+        p_md[k] = estimate_probability(event, eve_of_row(k), _MC_SAMPLES, seed=0).value
+        mc[k] = True
+    return p_md, mc
+
+
 def mdp_optimal_pma(auth: Authenticator, eve_stats: ChannelStatistics,
-                    method: str = "auto", mc_samples: int = 400_000,
-                    mc_seed: int = 0, mc_threads: int = 1) -> float:
+                    method: str = "auto") -> float:
     """Worst-case miss probability under the optimal power-manipulation attack.
 
     ``method``: "auto" prefers the exact closed form for a single array and
     the saddle point otherwise, falling back to Monte-Carlo if the saddle
-    search fails; "saddlepoint", "closedform", and "montecarlo" force one
-    route.
+    search fails; "saddlepoint" and "closedform" force one route.
     """
-    return float(mdp_optimal_pma_sweep([auth], eve_stats, method, mc_samples,
-                                       mc_seed, mc_threads)[0])
+    return float(mdp_optimal_pma_sweep(auth, eve_stats, [auth.threshold], method)[0])
 
 
-def mdp_optimal_pma_sweep(auths, eve_stats: ChannelStatistics, method: str = "auto",
-                          mc_samples: int = 400_000, mc_seed: int = 0,
-                          mc_threads: int = 1) -> np.ndarray:
-    """mdp_optimal_pma for each authenticator against one attacker law.
-
-    Meant for a false-alarm sweep, where the authenticators differ only in
-    threshold.  Each row takes the route mdp_optimal_pma gives it, but all
-    saddle-point rows are solved in one vectorised call; with "saddlepoint"
-    a row without a saddle raises SaddlepointError.
-    """
-    p_md = np.ones(len(auths))
-    saddle = []
-    for k, auth in enumerate(auths):
-        if auth.threshold >= 2.0 * auth.mahalanobis_energy:
-            continue
-        if method == "closedform" or (method == "auto" and len(auth.stats.block_sizes) == 1):
-            p_md[k] = mdp_single_array_closed_form(auth, eve_stats)
-        elif method == "montecarlo":
-            p_md[k] = _mdp_optimal_mc(auth, eve_stats, mc_samples, mc_seed, mc_threads).value
-        elif method in ("auto", "saddlepoint"):
-            saddle.append(k)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    p_md[saddle] = _form_tails([build_indefinite_form(auths[k], eve_stats) for k in saddle])
-    for k in saddle:
-        if np.isnan(p_md[k]):
-            if method == "saddlepoint":
-                raise SaddlepointError("no interior saddle point on either side")
-            p_md[k] = _mdp_optimal_mc(auths[k], eve_stats, mc_samples, mc_seed,
-                                      mc_threads).value
+def mdp_optimal_pma_sweep(auth: Authenticator, eve_stats: ChannelStatistics, thresholds,
+                          method: str = "auto") -> np.ndarray:
+    """mdp_optimal_pma on ``replace(auth, threshold=T)`` for each T, bit for bit, in one pass."""
+    p_md, _ = _optimal_rows(auth, eve_stats.mean[None, :], eve_stats.powers[None, :],
+                            np.asarray(thresholds, float), method, lambda k: eve_stats)
     return p_md
-
-
-def _mdp_optimal_mc(auth: Authenticator, eve_stats: ChannelStatistics,
-                    samples: int, seed: int, threads: int = 1):
-    from .monte_carlo import best_case_acceptance_event, estimate_probability
-    return estimate_probability(best_case_acceptance_event(auth), eve_stats,
-                                samples, seed=seed, threads=threads)
 
 
 def mdp_optimal_pma_batch(auth: Authenticator, scenario: Scenario,
@@ -490,51 +465,41 @@ def mdp_optimal_pma_batch(auth: Authenticator, scenario: Scenario,
     The attacker keeps ``scenario.eve``'s transmit power.  Rows go through
     in chunks of _CHUNK: Rice means from the geometry (no covariance is
     built), one form build for the chunk and one vectorised saddle solve.
-    A single array takes the closed form per row; a row with no saddle on
-    either side falls back to Monte-Carlo exactly as mdp_optimal_pma does.
     Returns the miss probabilities and a mask of the Monte-Carlo rows.
     """
     pts = np.asarray(positions, float).reshape(-1, 2)
     p_md = np.ones(len(pts))
     mc = np.zeros(len(pts), bool)
-    if auth.threshold >= 2.0 * auth.mahalanobis_energy:
-        return p_md, mc
     for start in range(0, len(pts), _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        means, powers, _, _ = rice_means(scenario, pts[rows], scenario.eve.tx_power)
-        if len(auth.stats.block_sizes) == 1:
-            p_md[rows] = [_closed_form(auth, mu, pw[0]) for mu, pw in zip(means, powers)]
-            continue
-        d, c, m, _ = _optimal_form_rows(auth, means, powers)
-        p_md[rows] = _saddle_tail(d, np.abs(c) ** 2, m.astype(float), np.zeros(len(d)))
-    for k in np.flatnonzero(np.isnan(p_md)):
-        eve = replace(scenario.eve, position=(float(pts[k, 0]), float(pts[k, 1])))
-        p_md[k] = _mdp_optimal_mc(auth, channel_statistics(scenario, eve), 400_000, 0, 1).value
-        mc[k] = True
+        chunk = slice(start, start + _CHUNK)
+        rows = pts[chunk]
+        means, powers, _, _ = rice_means(scenario, rows, scenario.eve.tx_power)
+        p_md[chunk], mc[chunk] = _optimal_rows(
+            auth, means, powers, np.full(len(rows), auth.threshold), "auto",
+            lambda k: channel_statistics(scenario, replace(
+                scenario.eve, position=(float(rows[k, 0]), float(rows[k, 1])))))
     return p_md, mc
 
 
 def mdp_fixed_strategy(auth: Authenticator, eve_stats: ChannelStatistics,
-                       strategy: PowerStrategy = NO_ATTACK,
-                       mc_samples: int = 400_000, mc_seed: int = 0,
-                       mc_threads: int = 1) -> float:
+                       strategy: PowerStrategy = NO_ATTACK) -> float:
     """Miss probability when the attacker plays one fixed (eta, psi)."""
-    return float(mdp_fixed_strategy_sweep([auth], eve_stats, strategy, mc_samples,
-                                          mc_seed, mc_threads)[0])
+    return float(mdp_fixed_strategy_sweep(auth, eve_stats, [auth.threshold], strategy)[0])
 
 
-def mdp_fixed_strategy_sweep(auths, eve_stats: ChannelStatistics,
-                             strategy: PowerStrategy = NO_ATTACK,
-                             mc_samples: int = 400_000, mc_seed: int = 0,
-                             mc_threads: int = 1) -> np.ndarray:
-    """mdp_fixed_strategy for each authenticator, with one saddle solve for all.
+def mdp_fixed_strategy_sweep(auth: Authenticator, eve_stats: ChannelStatistics, thresholds,
+                             strategy: PowerStrategy = NO_ATTACK) -> np.ndarray:
+    """mdp_fixed_strategy on ``replace(auth, threshold=T)`` for each T, bit for bit.
 
-    A row without a saddle on either side falls back to Monte-Carlo on the
-    raw acceptance event, as mdp_fixed_strategy does.
+    The form is built once and only its constant T/2 varies; a row without
+    a saddle on either side falls back to Monte-Carlo on the raw event.
     """
-    from .monte_carlo import acceptance_event, estimate_probability
-    p_md = _form_tails([fixed_strategy_form(auth, eve_stats, strategy) for auth in auths])
+    thresholds = np.asarray(thresholds, float)
+    form = fixed_strategy_form(auth, eve_stats, strategy)
+    d, c2, m = (np.broadcast_to(v, (thresholds.size, v.size)) for v in (
+        form.eigenvalues, form.offsets ** 2, form.multiplicities.astype(float)))
+    p_md = _saddle_tail(d, c2, m, thresholds / 2.0)
     for k in np.flatnonzero(np.isnan(p_md)):
-        p_md[k] = estimate_probability(acceptance_event(auths[k], strategy.scale), eve_stats,
-                                       mc_samples, seed=mc_seed, threads=mc_threads).value
+        event = acceptance_event(replace(auth, threshold=float(thresholds[k])), strategy.scale)
+        p_md[k] = estimate_probability(event, eve_stats, _MC_SAMPLES, seed=0).value
     return p_md

@@ -3,6 +3,7 @@ import pytest
 
 from distpla import (Correlation, Region, RrhConfig, Scenario, SearchConfig,
                      TransmitterConfig)
+from distpla.position_attack import _array_contexts, _point_fields
 
 
 def build_scenario(rrhs, alice=(40.0, 30.0), eve=(26.0, 49.0), *,
@@ -21,6 +22,15 @@ def build_scenario(rrhs, alice=(40.0, 30.0), eve=(26.0, 49.0), *,
         false_alarm_target=pfa,
         **kwargs,
     )
+
+
+def point_fields(scenario, points):
+    """(f_obj, f_small_scale) arrays from the expanded geometry route, one entry per point.
+
+    ``points`` is one (x, y) point or an (n, 2) array.
+    """
+    pts = np.atleast_2d(np.asarray(points, float))
+    return _point_fields(scenario, _array_contexts(scenario), pts[:, 0].copy(), pts[:, 1].copy())
 
 
 @pytest.fixture

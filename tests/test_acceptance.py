@@ -11,17 +11,18 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import build_scenario, random_geometry
+from conftest import build_scenario, point_fields, random_geometry
 from distpla import (ArrivalModel, Correlation, ServiceModel,
-                     acceptance_event, alice_statistics, angular_sine,
+                     acceptance_event, alice_statistics,
                      best_case_acceptance_event, delay_violation_bound,
                      discriminant, estimate_probability, eve_statistics,
                      exhaustive_search, load_scenario, make_authenticator,
                      mdp_optimal_pma, optimal_power_strategy,
-                     pfa_of_threshold, sample_channel, simulate_queue_delays,
-                     stability_margin, statistical_power_strategy,
-                     steering_vector, threshold_for_pfa, truncated_search)
-from distpla import expanded_f_obj, f_obj
+                     pfa_of_threshold, rice_means, sample_channel,
+                     simulate_queue_delays, stability_margin,
+                     statistical_power_strategy, steering_vector,
+                     threshold_for_pfa, truncated_search)
+from distpla import f_obj
 from distpla.cli import main as cli_main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -206,14 +207,14 @@ def test_criterion_05_expansion_identity():
             auth = make_authenticator(sc)
             ev = eve_statistics(sc)
             direct = float(f_obj(auth, ev.mean))
-            expanded = float(expanded_f_obj(sc, sc.eve.position))
+            expanded = float(point_fields(sc, sc.eve.position)[0][0])
             rel = abs(direct - expanded) / max(abs(direct), abs(expanded))
             worst_rel = max(worst_rel, rel)
-            for rrh in sc.rrhs:
+            omegas_a = rice_means(sc, sc.alice.position)[3][0]
+            omegas_e = rice_means(sc, sc.eve.position)[3][0]
+            for rrh, om_a, om_e in zip(sc.rrhs, omegas_a, omegas_e):
                 n_ant = rrh.num_antennas
                 lam_inv = np.linalg.inv(sc.correlation.matrix(n_ant))
-                om_a = angular_sine(rrh, sc.alice.position)
-                om_e = angular_sine(rrh, sc.eve.position)
                 e_a = steering_vector(om_a, n_ant, sc.antenna_spacing)
                 e_e = steering_vector(om_e, n_ant, sc.antenna_spacing)
                 s_val = complex(e_e.conj() @ (lam_inv @ e_a))

@@ -87,6 +87,12 @@ class TestMdp:
         saddle = json.loads(out)["p_md"]
         assert closed == pytest.approx(saddle, rel=0.25)
 
+    def test_closedform_on_multi_array_is_config_error(self, capsys):
+        code, out, err = run(capsys, "mdp", "--scenario", DESK, "--method", "closedform")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "closed form needs a single receive array"}
+
     def test_montecarlo_fields(self, capsys, scenario_file):
         code, out, _ = run(capsys, "mdp", "--scenario", scenario_file,
                            "--method", "montecarlo", "--samples", "20000")

@@ -9,8 +9,7 @@ import distpla.position_attack as pa
 from distpla import (Correlation, SearchConfig, alice_statistics,
                      angular_inner_product, channel_statistics,
                      count_small_scale_optima, eve_statistics,
-                     exhaustive_search, expanded_f_obj, f_obj, f_small_scale,
-                     load_scenario, lobe_sets, make_authenticator,
+                     exhaustive_search, f_obj, load_scenario, lobe_sets, make_authenticator,
                      mdp_optimal_pma, sample_channel, steering_vector,
                      truncated_search, wavelength)
 from distpla.position_attack import (EmptyRegionError, NoCandidatesError,
@@ -18,7 +17,7 @@ from distpla.position_attack import (EmptyRegionError, NoCandidatesError,
                                      _band_masks, _disc_local_maxima,
                                      _point_geometry, grid_axes)
 
-from conftest import build_scenario, random_geometry
+from conftest import build_scenario, point_fields, random_geometry
 
 
 class TestObjective:
@@ -47,20 +46,20 @@ class TestObjective:
             auth = make_authenticator(sc)
             mu_e = eve_statistics(sc).mean
             direct = f_obj(auth, mu_e)
-            expanded = expanded_f_obj(sc, sc.eve.position)
+            expanded = point_fields(sc, sc.eve.position)[0][0]
             assert expanded == pytest.approx(direct, rel=1e-9)
 
     def test_expansion_ignores_attacker_power(self, dual_scenario):
         boosted = dual_scenario.with_eve(dual_scenario.eve.position, tx_power=37.0)
-        assert expanded_f_obj(boosted, boosted.eve.position) == pytest.approx(
-            expanded_f_obj(dual_scenario, dual_scenario.eve.position), rel=1e-12)
+        assert point_fields(boosted, boosted.eve.position)[0][0] == pytest.approx(
+            point_fields(dual_scenario, dual_scenario.eve.position)[0][0], rel=1e-12)
 
     def test_batched_positions(self, dual_scenario):
         pts = np.array([[26.0, 49.0], [30.0, 20.0], [55.0, 40.0]])
-        batch = expanded_f_obj(dual_scenario, pts)
+        batch = point_fields(dual_scenario, pts)[0]
         assert batch.shape == (3,)
         for row, point in zip(batch, pts):
-            assert row == pytest.approx(expanded_f_obj(dual_scenario, point), rel=1e-12)
+            assert row == pytest.approx(point_fields(dual_scenario, point)[0][0], rel=1e-12)
 
 
 class TestAngularInnerProduct:
@@ -101,12 +100,12 @@ class TestSmallScale:
     def test_counts_all_arrays_at_the_legitimate_position(self, rng):
         for _ in range(10):
             sc = random_geometry(rng)
-            assert f_small_scale(sc, sc.alice.position) == pytest.approx(
+            assert point_fields(sc, sc.alice.position)[1][0] == pytest.approx(
                 len(sc.rrhs), rel=1e-9)
 
     def test_range(self, dual_scenario, rng):
         pts = np.column_stack([rng.uniform(0, 80, 300), rng.uniform(0, 60, 300)])
-        vals = f_small_scale(dual_scenario, pts)
+        vals = point_fields(dual_scenario, pts)[1]
         assert np.all(vals >= 0)
         assert np.all(vals <= len(dual_scenario.rrhs) + 1e-9)
 
@@ -337,7 +336,7 @@ def test_mirror_symmetric_geometry_gives_mirror_fields():
     pts = np.array([[6.0, 14.0], [3.0, 2.5], [12.0, 17.0]])
     mirrored = pts.copy()
     mirrored[:, 1] = 20.0 - mirrored[:, 1]  # reflect across the array axis y=10
-    assert np.allclose(expanded_f_obj(sc, pts), expanded_f_obj(sc, mirrored), rtol=1e-9)
+    assert np.allclose(point_fields(sc, pts)[0], point_fields(sc, mirrored)[0], rtol=1e-9)
 
 
 def test_default_resolution_is_a_tenth_wavelength():

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,18 +7,21 @@ from scipy import stats as sps
 
 from distpla import (NO_ATTACK, IndefiniteForm, PowerStrategy, SaddlepointError,
                      channel_statistics, discriminant, estimate_probability,
-                     eve_statistics, make_authenticator, mdp_fixed_strategy,
-                     mdp_optimal_pma, mdp_optimal_pma_batch,
-                     mdp_single_array_closed_form, sample_channel)
+                     eve_statistics, load_scenario, make_authenticator,
+                     mdp_fixed_strategy, mdp_fixed_strategy_sweep, mdp_optimal_pma,
+                     mdp_optimal_pma_batch, mdp_optimal_pma_sweep,
+                     mdp_single_array_closed_form, sample_channel, threshold_for_pfa)
 from distpla import power_attack as pa
-from distpla.monte_carlo import best_case_acceptance_event
+from distpla.monte_carlo import acceptance_event, best_case_acceptance_event
 from distpla.numerics import NumericsError, bracketed_root_find
-from distpla.power_attack import (build_indefinite_form, dncf_cdf, dncf_sf,
+from distpla.power_attack import (build_indefinite_form, dncf_sf,
                                   fixed_strategy_form, optimal_power_strategy,
                                   saddlepoint_tail_probability,
                                   statistical_power_strategy)
 
 from conftest import build_scenario, random_geometry
+
+DESK = Path(__file__).resolve().parent.parent / "scenarios" / "desk_2rrh.json"
 
 
 def _form_mc(form, samples, seed=0):
@@ -422,7 +426,8 @@ class TestBatchedSaddle:
         with pytest.raises(SaddlepointError):
             mdp_optimal_pma(auth, ev, method="saddlepoint")
         p_auto = mdp_optimal_pma(auth, ev)
-        assert p_auto == pa._mdp_optimal_mc(auth, ev, 400_000, 0, 1).value
+        assert p_auto == estimate_probability(best_case_acceptance_event(auth), ev,
+                                              400_000, seed=0).value
         p_md, mc = mdp_optimal_pma_batch(auth, dual_scenario, [pos, dual_scenario.eve.position])
         assert mc.tolist() == [True, False]
         assert p_md[0] == p_auto
@@ -433,17 +438,13 @@ class TestDncf:
     def test_central_case_is_fisher_f(self):
         # frozen: scipy.stats.f.sf(1.7, 4, 6)
         assert dncf_sf(1.7, 0.0, 0.0, 4, 6) == pytest.approx(0.2671480178833008, rel=1e-10)
-        assert dncf_cdf(1.7, 0.0, 0.0, 4, 6) == pytest.approx(1 - 0.2671480178833008, rel=1e-10)
 
-    def test_cdf_sf_complement_and_monotonicity(self):
-        xs = np.linspace(0.05, 8.0, 25)
-        last = 0.0
-        for x in xs:
-            c = dncf_cdf(float(x), 3.0, 5.0, 2, 6)
+    def test_sf_is_monotone(self):
+        last = 1.0
+        for x in np.linspace(0.05, 8.0, 25):
             s = dncf_sf(float(x), 3.0, 5.0, 2, 6)
-            assert c + s == pytest.approx(1.0, abs=1e-10)
-            assert c >= last - 1e-12
-            last = c
+            assert s <= last + 1e-12
+            last = s
 
     def test_survival_side_keeps_relative_accuracy(self):
         p = dncf_sf(4000.0, 1.0, 1.0, 2, 6)
@@ -457,14 +458,13 @@ class TestDncf:
         x = 1.5
         emp = float(np.mean(num / den <= x))
         sigma = np.sqrt(emp * (1 - emp) / 400_000)
-        assert abs(dncf_cdf(x, nu1, nu2, k1, k2) - emp) < 4 * sigma
+        assert abs(1 - dncf_sf(x, nu1, nu2, k1, k2) - emp) < 4 * sigma
 
     def test_domain_errors_and_limits(self):
         with pytest.raises(ValueError):
-            dncf_cdf(1.0, 1.0, 1.0, 0, 4)
+            dncf_sf(1.0, 1.0, 1.0, 0, 4)
         with pytest.raises(ValueError):
             dncf_sf(1.0, -1.0, 1.0, 2, 4)
-        assert dncf_cdf(0.0, 1.0, 1.0, 2, 4) == 0.0
         assert dncf_sf(0.0, 1.0, 1.0, 2, 4) == 1.0
 
 
@@ -475,6 +475,19 @@ class TestMissProbability:
         p = mdp_single_array_closed_form(auth, ev)
         mc = estimate_probability(best_case_acceptance_event(auth), ev, 400_000, seed=9)
         assert abs(p - mc.value) < 4 * max(mc.std_error, 1e-4)
+
+    def test_closed_form_needs_a_single_array(self, dual_scenario):
+        # the second layout's threshold swallows the mean (T >= 2M)
+        swallowed = build_scenario([("a", (10.0, 55.0), 2), ("b", (70.0, 55.0), 2)],
+                                   rice_db=-10.0)
+        for sc in (dual_scenario, swallowed):
+            auth = make_authenticator(sc)
+            ev = eve_statistics(sc)
+            for call in (lambda: mdp_single_array_closed_form(auth, ev),
+                         lambda: mdp_optimal_pma(auth, ev, method="closedform")):
+                with pytest.raises(ValueError, match="closed form needs a single receive array"):
+                    call()
+        assert auth.threshold >= 2.0 * auth.mahalanobis_energy
 
     def test_closed_form_matches_saddlepoint(self, single_scenario):
         auth = make_authenticator(single_scenario)
@@ -512,11 +525,78 @@ class TestMissProbability:
         p_stat = mdp_fixed_strategy(auth, ev, statistical_power_strategy(auth, ev))
         assert p_stat >= p_none * 0.75 - 1e-9
 
-    def test_monte_carlo_method_dispatch(self, dual_scenario):
+    def test_unknown_method_is_rejected(self, dual_scenario):
+        # Monte-Carlo is the fallback, not a route: estimate_probability is the oracle
         auth = make_authenticator(dual_scenario)
         ev = eve_statistics(dual_scenario)
-        p_mc = mdp_optimal_pma(auth, ev, method="montecarlo", mc_samples=100_000, mc_seed=4)
-        direct = estimate_probability(best_case_acceptance_event(auth), ev, 100_000, seed=4)
-        assert p_mc == direct.value
-        with pytest.raises(ValueError):
-            mdp_optimal_pma(auth, ev, method="bogus")
+        for method in ("montecarlo", "bogus"):
+            with pytest.raises(ValueError):
+                mdp_optimal_pma(auth, ev, method=method)
+
+
+def _sweep_case(which, single_scenario):
+    """Authenticator, attacker law and a threshold sweep that ends at 2M."""
+    if which == "desk":
+        sc = load_scenario(DESK)
+    elif which == "single":
+        sc = single_scenario
+    else:
+        # non-diagonal Cholesky factor, on which whitening the mean as several
+        # columns of one solve rounds differently from a one-column solve
+        sc = random_geometry(np.random.default_rng(11), n_rrh=3, n_rx=4, rho=0.5)
+    auth = make_authenticator(sc)
+    thresholds = [threshold_for_pfa(p, auth.total_dof) for p in (1e-4, 1e-3, 1e-2, 0.1, 0.3)]
+    return sc, auth, eve_statistics(sc), thresholds + [2.0 * auth.mahalanobis_energy]
+
+
+class TestSweeps:
+    """The sweeps equal per-threshold scalar calls on replace(auth, threshold=T) bit for bit."""
+
+    @pytest.mark.parametrize("which", ["desk", "single", "exponential"])
+    def test_sweeps_equal_scalar_calls(self, which, single_scenario):
+        _, auth, ev, thresholds = _sweep_case(which, single_scenario)
+        at = [replace(auth, threshold=t) for t in thresholds]
+        for method in ("auto", "saddlepoint"):
+            p = mdp_optimal_pma_sweep(auth, ev, thresholds, method)
+            assert p.tolist() == [mdp_optimal_pma(a, ev, method) for a in at]
+            assert p[-1] == 1.0
+        strategies = (NO_ATTACK, statistical_power_strategy(auth, ev), PowerStrategy(1.7, -0.4))
+        for strat in strategies:
+            p = mdp_fixed_strategy_sweep(auth, ev, thresholds, strat)
+            assert p.tolist() == [mdp_fixed_strategy(a, ev, strat) for a in at]
+
+    def test_no_saddle_row_alone_takes_monte_carlo(self, monkeypatch):
+        sc, auth, ev, _ = _sweep_case("desk", None)
+        m_energy = auth.mahalanobis_energy
+        # the last saddle row of each call fails; its p_md is large enough
+        # that a fallback at another threshold or position reads differently
+        thresholds = [auth.threshold, 1.8 * m_energy, 2.0 * m_energy, 3.6 * m_energy]
+        high = replace(auth, threshold=1.8 * m_energy)
+        positions = [(30.0, 20.0), (50.0, 45.0), (12.0, 40.0), sc.eve.position]
+        p_opt = mdp_optimal_pma_sweep(auth, ev, thresholds)
+        p_none = mdp_fixed_strategy_sweep(auth, ev, thresholds)
+        p_batch, _ = mdp_optimal_pma_batch(high, sc, positions)
+        real = pa._saddle_tail
+
+        def last_row_fails(d, c2, m, const):
+            p = real(d, c2, m, const)
+            if len(p) > 1:
+                p[-1] = np.nan
+            return p
+
+        def mc(event):
+            return estimate_probability(event, ev, 400_000, seed=0).value
+
+        monkeypatch.setattr(pa, "_saddle_tail", last_row_fails)
+        forced = mdp_optimal_pma_sweep(auth, ev, thresholds)
+        assert forced[1] == mc(best_case_acceptance_event(high)) > 0.0
+        assert np.delete(forced, 1).tolist() == np.delete(p_opt, 1).tolist()
+        with pytest.raises(SaddlepointError):
+            mdp_optimal_pma_sweep(auth, ev, thresholds, "saddlepoint")
+        forced = mdp_fixed_strategy_sweep(auth, ev, thresholds)
+        assert forced[3] == mc(acceptance_event(replace(auth, threshold=thresholds[3]))) > 0.0
+        assert forced[:3].tolist() == p_none[:3].tolist()
+        forced, used_mc = mdp_optimal_pma_batch(high, sc, positions)
+        assert used_mc.tolist() == [False, False, False, True]
+        assert forced[3] == mc(best_case_acceptance_event(high))
+        assert forced[:3].tolist() == p_batch[:3].tolist()
