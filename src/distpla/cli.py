@@ -3,8 +3,10 @@
 Commands: threshold, mdp, roc, validate, heatmap, optimize, compare, delay.
 Outputs are JSON or CSV (header row, '.' decimal), written atomically to
 --out or printed to stdout; failures print an error JSON to stderr and
-exit 2 (configuration), 3 (numeric failure), or 4 (infeasible).  For fixed
-(scenario, seed, samples) the output bytes do not depend on --threads.
+exit 2 (configuration), 3 (numeric failure), or 4 (infeasible).  --threads
+(at least 1) sets the worker threads of the Monte-Carlo passes and of the
+optimize/compare grid pass; for fixed (scenario, seed, samples) the output
+bytes do not depend on it.
 """
 from __future__ import annotations
 
@@ -159,7 +161,7 @@ def _cmd_optimize(args):
     sc = _scenario(args)
     if args.grid is not None:
         sc = replace(sc, search=replace(sc.search, grid_resolution=args.grid))
-    result = truncated_search(sc)
+    result = truncated_search(sc, threads=args.threads)
     payload = json.dumps({
         "p_md_opt": result.p_md_opt,
         "position": list(result.best.position),
@@ -182,8 +184,8 @@ def _cmd_compare(args):
     lines = [header]
     for path in args.scenario:
         sc = _scenario(args, path)
-        result = truncated_search(sc)
-        total = count_small_scale_optima(sc)
+        result = truncated_search(sc, threads=args.threads)
+        total = count_small_scale_optima(sc, threads=args.threads)
         res = args.grid or 2.0
         _, _, vals = _pmd_cells(sc, res)
         covered = sum(1 for v in vals if v < args.coverage_pmd)
@@ -313,6 +315,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         payload, summary = args.handler(args)
     except (UnstableQueueError, PositionSearchError) as exc:
         return _emit_error(exc, 4)

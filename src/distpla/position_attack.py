@@ -18,7 +18,10 @@ probabilities at the survivors.
 from __future__ import annotations
 
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -29,7 +32,10 @@ from .geometry import (Correlation, Scenario, SearchConfig, steering_vector,
 from .numerics import bracketed_root_find
 from .power_attack import mdp_optimal_pma_batch
 
-_TILE_CELLS = 1 << 19      # grid cells per row tile of _walk_grid (whole rows, at least one)
+_TILE_CELLS = 1 << 19      # grid cells in flight in _walk_grid, split over its workers' tiles
+# exp(j (pi/2) (sign(g) - 1)) for sign(g) = -1, 0, 1: the same bits as the
+# elementwise exp, looked up by sign(g) + 1
+_SIGN_PHASE = np.exp(1j * (np.pi / 2.0) * (np.arange(-1.0, 2.0) - 1.0))
 
 
 class PositionSearchError(RuntimeError):
@@ -190,7 +196,8 @@ def _point_fields(scenario: Scenario, ctxs: list[_ArrayContext],
         rot = np.exp(1j * phase)
         num += ratio ** (beta / 2.0) * rot * g
         den += ratio ** beta * _s_ee(ctx, omega)
-        aligned += rot * np.exp(1j * (np.pi / 2.0) * (np.sign(g) - 1.0))
+        # clipping only matters for a NaN g, whose rot is NaN as well
+        aligned += rot * np.take(_SIGN_PHASE, (np.sign(g) + 1.0).astype(np.intp), mode="clip")
     return scenario.rice_factor * np.abs(num) ** 2 / den, np.abs(aligned)
 
 
@@ -410,14 +417,11 @@ def _disc_offsets(eps_px: int) -> tuple[np.ndarray, np.ndarray]:
     return oy[keep], ox[keep]
 
 
-def _disc_local_maxima(values: np.ndarray, member_idx: np.ndarray,
-                       shape: tuple[int, int], eps_px: int) -> np.ndarray:
-    """Keep-mask over the members (flat indices into a grid of ``shape``) of
-    >= local maxima over the disc neighborhood among members; plateaus count
-    as maxima."""
-    nx = shape[1]
-    grid = np.full(shape, -np.inf, np.float32)
-    grid.ravel()[member_idx] = values.astype(np.float32)
+def _disc_local_maxima(grid: np.ndarray, member_idx: np.ndarray, eps_px: int) -> np.ndarray:
+    """Keep-mask over the members (flat indices into ``grid``, float32 values
+    with -inf off the members) of >= local maxima over the disc neighborhood
+    among members; plateaus count as maxima."""
+    nx = grid.shape[1]
     vals = grid.ravel()[member_idx]
     keep = np.ones(member_idx.size, bool)
     half = int(eps_px / math.sqrt(2.0))
@@ -448,37 +452,96 @@ def _grid(scenario: Scenario, cfg: SearchConfig) -> tuple[float, int, np.ndarray
     return res, int(math.floor(eps / res + 1e-9)), xs, ys
 
 
-def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
-               ys: np.ndarray, res: float, eps_px: int, member=None):
-    """The grid pass of every position search, in row tiles of about _TILE_CELLS cells.
+def _in_order(pool: ThreadPoolExecutor, fn, args, ahead: int):
+    """fn(*a) for each a of ``args`` on the pool, yielded in order, submitting
+    at most ``ahead`` calls beyond the one awaited."""
+    pending = deque()
+    for a in args:
+        pending.append(pool.submit(fn, *a))
+        del a       # the call alone holds its arguments
+        if len(pending) > ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
-    Fields are evaluated at the allowed cells that ``member(tile_ys)`` keeps
-    (all if None, none if False); with ``eps_px`` >= 1 only their disc-local
-    maxima of the small-scale count survive.  ``eps_px`` halo rows around a
-    tile make results independent of the tile size, which bounds memory.
-    Yields, for each tile's core rows, n_allowed, n_members and the
-    survivors' flat grid indices, f_obj and f_small_scale; raises
-    EmptyRegionError after the last tile if no cell is allowed.
+
+def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
+               ys: np.ndarray, res: float, eps_px: int, member=None, threads: int = 1):
+    """The grid pass of every position search, in row tiles on up to ``threads`` threads.
+
+    Fields are evaluated once per cell, at the allowed cells that
+    ``member(tile_ys)`` keeps (all if None, none if False).  With ``eps_px``
+    >= 1 only their disc-local maxima of the small-scale count survive.  A
+    disc reaches ``eps_px`` rows past its centre, so a member is decided once
+    the tile holding those rows has its fields: the undecided members and
+    the float32 small-scale grid of the last 2·``eps_px`` rows carry from
+    tile to tile (across several tiles when tiles are thinner than that).
+    Results therefore do not depend on the tile size, which bounds memory.
+    The tiles run on min(threads, tiles) worker threads, each tile about
+    _TILE_CELLS / workers cells so that the cells in flight stay at one
+    tile's worth, and results come back in tile order, so they do not depend
+    on ``threads`` either.  Yields, for each tile, its n_allowed and
+    n_members and the flat grid indices, f_obj and f_small_scale of the
+    survivors it decided, in row-major order; raises EmptyRegionError after
+    the last tile if no cell is allowed.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     nx, ny = xs.size, ys.size
-    rows = max(_TILE_CELLS // nx, 1)
+    workers = min(threads, -(-ny // max(_TILE_CELLS // nx, 1)))
+    rows = max(_TILE_CELLS // workers // nx, 1)
     halo = max(eps_px, 0)
-    any_allowed = False
-    for r0 in range(0, ny, rows):
+
+    def fields(r0):
         r1 = min(r0 + rows, ny)
-        h0, h1 = max(r0 - halo, 0), min(r1 + halo, ny)
-        allowed = _allowed_mask(scenario, xs, ys[h0:h1])
-        members = allowed if member is None else allowed & member(ys[h0:h1])
+        allowed = _allowed_mask(scenario, xs, ys[r0:r1])
+        members = allowed if member is None else allowed & member(ys[r0:r1])
         local = np.flatnonzero(members)
-        idx = local + h0 * nx
-        core = (idx >= r0 * nx) & (idx < r1 * nx)
+        idx = local + r0 * nx
         px = scenario.region.x_min + (idx % nx + 0.5) * res
         py = scenario.region.y_min + (idx // nx + 0.5) * res
         fobj, fss = _point_fields(scenario, ctxs, px, py)
-        keep = core & _disc_local_maxima(fss, local, members.shape, eps_px) if eps_px >= 1 else core
-        n_allowed = int(np.count_nonzero(allowed[r0 - h0:r1 - h0]))
-        any_allowed |= n_allowed > 0
-        yield n_allowed, int(np.count_nonzero(core)), idx[keep], fobj[keep], fss[keep]
+        grid = None
+        if halo:
+            grid = np.full(members.shape, -np.inf, np.float32)
+            grid.ravel()[local] = fss
+        return int(np.count_nonzero(allowed)), idx.size, idx, fobj, fss, r1, grid
+
+    def decisions(done):
+        """maxima's arguments per tile.  A member's disc reaches ``halo`` rows
+        past its own, so a tile decides the members from ``halo`` rows before
+        its first row to ``halo`` rows before its end (to the grid's end for
+        the last tile); the undecided members and the grid's last 2·``halo``
+        rows carry over to the next tile."""
+        tail = np.empty((0, nx), np.float32)
+        pending = (np.empty(0, np.intp), np.empty(0), np.empty(0))
+        for n_allowed, n_members, *tile, r1, grid in done:
+            cut = (r1 - halo) * nx if r1 < ny else ny * nx
+            c_p, c_t = np.searchsorted(pending[0], cut), np.searchsorted(tile[0], cut)
+            yield (n_allowed, n_members, r1 - grid.shape[0] - tail.shape[0], (tail, grid),
+                   [a[:c_p] for a in pending], [a[:c_t] for a in tile])
+            pending = tuple(np.concatenate((a[c_p:], b[c_t:])) for a, b in zip(pending, tile))
+            tail = np.concatenate((tail, grid[-2 * halo:]))[-2 * halo:]
+            del tile, grid      # the call alone holds the tile while the next one runs
+
+    def maxima(n_allowed, n_members, g0, grids, *parts):
+        """The disc-local maxima among the members in ``parts``; ``grids``
+        hold the rows from g0 on that their discs reach."""
+        idx, fobj, fss = map(np.concatenate, zip(*parts))
+        keep = _disc_local_maxima(np.concatenate(grids), idx - g0 * nx, halo)
+        return n_allowed, n_members, idx[keep], fobj[keep], fss[keep]
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        tiles = _in_order(pool, fields, ((r0,) for r0 in range(0, ny, rows)), workers - 1)
+        if halo:
+            tiles = _in_order(pool, maxima, decisions(tiles), workers - 1)
+        any_allowed = False
+        for n_allowed, n_members, idx, fobj, fss, *_ in tiles:
+            any_allowed |= n_allowed > 0
+            yield n_allowed, n_members, idx, fobj, fss
+    finally:
+        pool.shutdown(cancel_futures=True)
     if not any_allowed:
         raise EmptyRegionError("exclusion zones cover the whole region")
 
@@ -500,7 +563,7 @@ def _candidate_labels(ctxs: list[_ArrayContext], lobes: LobeSets,
 
 
 def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
-                     auth: Authenticator | None = None) -> SearchResult:
+                     auth: Authenticator | None = None, threads: int = 1) -> SearchResult:
     """Worst-position miss probability by lobe-restricted candidate search.
 
     Grids the region, intersects the allowed area with the union of main
@@ -509,6 +572,7 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
     (every candidate qualifies for a single array, whose count is flat),
     and evaluates the optimal-power-attack miss probability only at the
     survivors, capped at ``max_candidates`` best alignment objectives.
+    The grid pass runs on up to ``threads`` threads without changing the result.
     """
     cfg = config or scenario.search
     res, eps_px, xs, ys = _grid(scenario, cfg)
@@ -535,7 +599,8 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
     n_allowed = n_lobe = n_survivors = 0
     kept = (np.empty(0, np.intp), np.empty(0), np.empty(0))
     for n_tile, m_tile, *survivors in _walk_grid(scenario, ctxs, xs, ys, res,
-                                                 eps_px if len(ctxs) > 1 else 0, lobe_mask):
+                                                 eps_px if len(ctxs) > 1 else 0, lobe_mask,
+                                                 threads):
         n_allowed += n_tile
         n_lobe += m_tile
         n_survivors += survivors[0].size
@@ -559,7 +624,7 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
 
 
 def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
-                      auth: Authenticator | None = None) -> SearchResult:
+                      auth: Authenticator | None = None, threads: int = 1) -> SearchResult:
     """Reference search: the alignment objective on every allowed grid cell.
 
     Ranks every allowed cell by the expanded objective and evaluates the
@@ -570,7 +635,8 @@ def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
     res, _, xs, ys = _grid(scenario, cfg)
     ctxs = _array_contexts(scenario)
     n_allowed, best = 0, None
-    for n_tile, _, idx, fobj, fss in _walk_grid(scenario, ctxs, xs, ys, res, 0):
+    for n_tile, _, idx, fobj, fss in _walk_grid(scenario, ctxs, xs, ys, res, 0,
+                                                threads=threads):
         n_allowed += n_tile
         if idx.size and (best is None or fobj.max() > best[1]):
             top = int(np.argmax(fobj))
@@ -585,7 +651,8 @@ def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
                         (ys.size, xs.size), res, n_allowed, int(mc.sum()))
 
 
-def count_small_scale_optima(scenario: Scenario, config: SearchConfig | None = None) -> int:
+def count_small_scale_optima(scenario: Scenario, config: SearchConfig | None = None,
+                             threads: int = 1) -> int:
     """Disc-local maxima of the small-scale count over the whole allowed grid.
 
     The denominator of the "fraction of optima actually searched" figure of
@@ -599,7 +666,8 @@ def count_small_scale_optima(scenario: Scenario, config: SearchConfig | None = N
     n_allowed = n_optima = 0
     for n_tile, _, idx, _, _ in _walk_grid(scenario, ctxs, xs, ys, res,
                                            0 if count_only else eps_px,
-                                           (lambda tile_ys: False) if count_only else None):
+                                           (lambda tile_ys: False) if count_only else None,
+                                           threads):
         n_allowed += n_tile
         n_optima += idx.size
     return n_allowed if count_only else n_optima

@@ -370,6 +370,19 @@ class TestFailureModes:
         assert code == 3
         assert json.loads(err)["error"] == "SaddlepointError"
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_a_config_error(self, capsys, scenario_file, threads):
+        scenario = ("--scenario", scenario_file)
+        for argv in (("threshold", *scenario), ("mdp", *scenario, "--method", "montecarlo"),
+                     ("roc", *scenario), ("validate", *scenario), ("heatmap", *scenario),
+                     ("optimize", *scenario), ("compare", *scenario),
+                     ("delay", *scenario, "--arrival", "8", "--rate", "4",
+                      "--resources", "4")):
+            code, out, err = run(capsys, *argv, "--threads", threads)
+            assert code == 2 and out == "", argv[0]
+            assert json.loads(err) == {"error": "ValueError",
+                                       "message": f"--threads must be at least 1, got {threads}"}
+
     def test_usage_errors(self, capsys):
         assert run(capsys, )[0] == 2
         assert run(capsys, "threshold")[0] == 2        # missing --scenario
@@ -387,6 +400,25 @@ class TestDeterminism:
             assert code == 0
             outs.append(p.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_compare_bytes_do_not_depend_on_the_thread_count(self, capsys, tmp_path,
+                                                            monkeypatch):
+        """A 0.5 m search grid with a 3-cell disc, cut into one-row tiles so
+        that three walk workers share it, gives the bytes of one worker."""
+        import distpla.position_attack as pa
+        paths = []
+        for name, rrhs in (("small", SMALL["rrhs"]), ("solo", SMALL["rrhs"][:1])):
+            data = dict(SMALL, rrhs=rrhs,
+                        search={"grid_resolution_m": 0.5, "small_scale_radius_m": 1.5})
+            paths += ["--scenario", str(tmp_path / f"{name}.json")]
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        argv = ("compare", *paths, "--grid", "4.0")
+        code, whole, _ = run(capsys, *argv)
+        assert code == 0 and len(whole.splitlines()) == 3
+        monkeypatch.setattr(pa, "_TILE_CELLS", 48)
+        for threads in ("1", "3"):
+            code, out, _ = run(capsys, *argv, "--threads", threads)
+            assert code == 0 and out == whole, threads
 
     def test_seed_changes_the_draw(self, capsys, scenario_file):
         _, out_a, _ = run(capsys, "mdp", "--scenario", scenario_file,

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -177,7 +178,9 @@ def test_disc_local_maxima_matches_brute_force(rng):
     member_idx = np.sort(rng.choice(shape[0] * shape[1], n_members, replace=False))
     values = rng.uniform(0, 4, n_members)
     eps_px = 3
-    got = set(member_idx[_disc_local_maxima(values, member_idx, shape, eps_px)].tolist())
+    grid = np.full(shape, -np.inf, np.float32)
+    grid.ravel()[member_idx] = values
+    got = set(member_idx[_disc_local_maxima(grid, member_idx, eps_px)].tolist())
     iy, ix = np.divmod(member_idx, shape[1])
     expected = set()
     for a in range(n_members):
@@ -267,53 +270,92 @@ class TestSearches:
     @pytest.mark.parametrize("tile", [1, 2 * 120, 7 * 120 + 3])
     def test_tile_size_does_not_change_results(self, monkeypatch, tile):
         """One row per tile, fewer rows than the 6-row disc halo, and a tile
-        that is not a whole number of 120-cell rows all give the results of
-        the single default tile."""
+        that is not a whole number of 120-cell rows, each on 1, 2 and 3
+        threads, all give the results of the single default tile on one."""
         sc = _search_scenario()
         cfg = SearchConfig(grid_resolution=0.25, small_scale_radius=1.5)
         auth = make_authenticator(sc)
 
-        def searches():
-            return (truncated_search(sc, cfg, auth), exhaustive_search(sc, cfg, auth),
-                    count_small_scale_optima(sc, cfg))
+        def searches(threads):
+            return (truncated_search(sc, cfg, auth, threads),
+                    exhaustive_search(sc, cfg, auth, threads),
+                    count_small_scale_optima(sc, cfg, threads))
 
-        whole = searches()
+        whole = searches(1)
         assert whole[0].grid_shape[0] * whole[0].grid_shape[1] <= pa._TILE_CELLS
         monkeypatch.setattr(pa, "_TILE_CELLS", tile)
-        assert searches() == whole
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # switch threads often: tile order must still hold
+        try:
+            for threads in (1, 2, 3):
+                assert searches(threads) == whole, threads
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_halo_covers_the_whole_disc(self, monkeypatch):
         """On noise fields every disc offset decides some cell's maximum, so
-        a halo one row short of the 6-cell radius changes the count."""
+        a halo one row short of the 6-cell radius changes the count; with
+        one-row tiles the halo comes from six neighbouring tiles."""
         sc = _search_scenario()
         cfg = SearchConfig(grid_resolution=0.25, small_scale_radius=1.5)
         monkeypatch.setattr(pa, "_point_fields", lambda scenario, ctxs, px, py: (
             px, np.sin(12.9898 * px + 78.233 * py) * 43758.5453 % 1.0))
         whole = count_small_scale_optima(sc, cfg)
         monkeypatch.setattr(pa, "_TILE_CELLS", 1)
-        assert count_small_scale_optima(sc, cfg) == whole
+        for threads in (1, 2, 3):
+            assert count_small_scale_optima(sc, cfg, threads) == whole, threads
+
+    @pytest.mark.parametrize("tile", [None, 1, 2 * 120, 7 * 120 + 3])
+    def test_fields_are_evaluated_once_per_cell(self, monkeypatch, tile):
+        """The walk evaluates each member cell's fields exactly once, halo
+        rows included, and starts no more workers than it has tiles."""
+        sc = _search_scenario()
+        cfg = SearchConfig(grid_resolution=0.25, small_scale_radius=1.5)
+        auth = make_authenticator(sc)
+        if tile is not None:
+            monkeypatch.setattr(pa, "_TILE_CELLS", tile)
+        cells, workers = [], []
+        point_fields_ = pa._point_fields
+        monkeypatch.setattr(pa, "_point_fields", lambda scenario, ctxs, px, py: (
+            cells.append(px.size), point_fields_(scenario, ctxs, px, py))[1])
+        pool = pa.ThreadPoolExecutor
+        monkeypatch.setattr(pa, "ThreadPoolExecutor", lambda n: (workers.append(n), pool(n))[1])
+        for threads in (1, 3):
+            cells.clear()
+            trunc = truncated_search(sc, cfg, auth, threads)
+            assert sum(cells) == trunc.n_lobe_points
+            cells.clear()
+            full = exhaustive_search(sc, cfg, auth, threads)
+            assert sum(cells) == full.n_allowed
+            cells.clear()
+            count_small_scale_optima(sc, cfg, threads)
+            assert sum(cells) == full.n_allowed
+        # the 80-row grid is one default tile, and at least 11 of any other size
+        assert max(workers) == (1 if tile is None else 3)
 
     def test_memory_is_bounded_by_the_tile(self, monkeypatch):
-        """Quadrupling the grid leaves the search's peak allocation nearly flat.
+        """Quadrupling the grid leaves the search's peak allocation nearly
+        flat, on one walk worker and on two.
 
         Both heights have more survivors than the 1,000-candidate cap, which
         bounds the candidate list, so only a dependence on the grid size
         could raise the peak."""
         monkeypatch.setattr(pa, "_TILE_CELLS", 1 << 12)
 
-        def peak_bytes(height):
+        def peak_bytes(height, threads):
             sc = _search_scenario(height, resolution=0.05, max_candidates=1000)
             tracemalloc.start()
             try:
-                result = truncated_search(sc)
+                result = truncated_search(sc, threads=threads)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert result.n_survivors > 1000
             return peak
 
-        peak_bytes(20.0)        # first-call imports and caches are not the search's
-        assert peak_bytes(80.0) < 1.5 * peak_bytes(20.0)
+        peak_bytes(20.0, 1)     # first-call imports and caches are not the search's
+        for threads in (1, 2):
+            assert peak_bytes(80.0, threads) < 1.5 * peak_bytes(20.0, threads), threads
 
     def test_empty_region(self):
         sc = build_scenario([("r", (50.0, 50.0), 2)], alice=(5.0, 5.0),
