@@ -8,6 +8,14 @@ thread count and any partitioning of blocks over workers.  The block size
 and key layout are part of the package's reproducibility contract and must
 not change between versions.
 
+Each block draws one (n, 2 dim) ``standard_normal`` array z, paired into
+w = z.view(complex) / sqrt(2).  A generic event receives h = mu + L w.  The
+acceptance events are :class:`WhitenedEvent` s and receive x = L_A^{-1} h: the
+shared antenna correlation gives Sigma_E,j = alpha_j Sigma_A,j, alpha_j =
+P_E,j / P_A,j, so x = L_A^{-1} mu_E + diag(sqrt(alpha_j) 1_{n_j}) w costs
+elementwise arithmetic and row sums, no matrix product or triangular solve.
+Sample i is still row i of the same z, so the layout above is unchanged.
+
 An event may also return an (n, k) boolean block, k events over the same
 draws, such as one acceptance test per threshold of a false-alarm sweep.
 Hits are then counted per column.  Column j sees exactly the samples, and
@@ -19,10 +27,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .authenticator import Authenticator
 from .geometry import ChannelStatistics
 from .numerics import cholesky_lower
 
@@ -39,6 +50,19 @@ class McEstimate:
     hits: int | np.ndarray
 
 
+@dataclass(frozen=True)
+class WhitenedEvent:
+    """An event whose ``decide`` maps a C-contiguous (n, dim) block of x = L_A^{-1} h
+    to booleans; called on a block of h, it whitens with one triangular solve."""
+
+    auth: Authenticator
+    decide: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        x = solve_triangular(self.auth.chol, np.asarray(h).T, lower=True).T
+        return self.decide(np.ascontiguousarray(x))
+
+
 def block_generator(seed: int, block_index: int) -> np.random.Generator:
     """The deterministic substream that owns samples of one block."""
     bits = np.random.Philox(key=seed, counter=[0, 0, block_index, 0])
@@ -47,16 +71,28 @@ def block_generator(seed: int, block_index: int) -> np.random.Generator:
 
 def sample_channel(stats: ChannelStatistics, rng: np.random.Generator,
                    n: int | None = None) -> np.ndarray:
-    """Draw h = mu + L w with w iid standard complex normal.
-
-    Returns one stacked vector, or an (n, dim) block when ``n`` is given.
-    """
-    chol = cholesky_lower(stats.cov)
-    count = 1 if n is None else n
-    z = rng.standard_normal((count, stats.dim * 2))
-    w = (z[:, ::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)
-    h = stats.mean + w @ chol.T
+    """Draw h = mu + L w, w iid standard complex normal: a vector, or an (n, dim) block."""
+    w = rng.standard_normal((1 if n is None else n, 2 * stats.dim)).view(complex) / np.sqrt(2.0)
+    h = stats.mean + w @ cholesky_lower(stats.cov).T
     return h[0] if n is None else h
+
+
+def _whitened_sampler(auth: Authenticator, stats: ChannelStatistics):
+    """Draws of x = L_A^{-1} h, h ~ ``stats``; each Sigma_j must be alpha_j Sigma_A,j to 1e-12."""
+    alpha = stats.powers / auth.stats.powers
+    if stats.block_sizes != auth.stats.block_sizes or any(
+            np.abs(ce - a * ca).max() > 1e-12 * np.abs(ce).max()
+            for ce, ca, a in zip(stats.block_covs, auth.stats.block_covs, alpha)):
+        raise ValueError("whitened events need block covariances alpha_j Sigma_A,j")
+    offset = solve_triangular(auth.chol, stats.mean, lower=True).view(float)
+    # each real coordinate of x is offset + sqrt(alpha_j) z / sqrt(2)
+    spread = np.repeat(np.sqrt(alpha / 2.0), 2 * np.asarray(stats.block_sizes))
+
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
+        z = rng.standard_normal((count, 2 * stats.dim))
+        return np.add(np.multiply(z, spread, out=z), offset, out=z).view(complex)
+
+    return draw
 
 
 def estimate_probability(event, stats: ChannelStatistics, samples: int,
@@ -65,17 +101,18 @@ def estimate_probability(event, stats: ChannelStatistics, samples: int,
 
     ``event`` receives an (n, dim) complex block and returns a boolean
     array of length n, or an (n, k) block of k events; then ``value``,
-    ``std_error`` and ``hits`` are length-k arrays.  Identical (seed,
-    samples) give identical results for every ``threads`` value.
+    ``std_error`` and ``hits`` are length-k arrays.  A :class:`WhitenedEvent`
+    receives x = L_A^{-1} h.  Results do not depend on ``threads``.
     """
     if samples <= 0:
         raise ValueError(f"samples must be positive, got {samples}")
+    draw, test = ((_whitened_sampler(event.auth, stats), event.decide)
+                  if isinstance(event, WhitenedEvent) else (partial(sample_channel, stats), event))
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     def run_block(b: int) -> np.ndarray:
         count = min(BLOCK_SIZE, samples - b * BLOCK_SIZE)
-        h = sample_channel(stats, block_generator(seed, b), count)
-        flags = np.asarray(event(h), bool)
+        flags = np.asarray(test(draw(block_generator(seed, b), count)), bool)
         if flags.ndim not in (1, 2) or len(flags) != count:
             raise ValueError("event must map an (n, dim) block to n booleans "
                              "or an (n, k) boolean block")
@@ -87,46 +124,39 @@ def estimate_probability(event, stats: ChannelStatistics, samples: int,
     else:
         counts = [run_block(b) for b in range(n_blocks)]
     hits = np.sum(counts, axis=0)
-    if hits.ndim == 0:
-        p = int(hits) / samples
-        return McEstimate(value=p, std_error=float(np.sqrt(p * (1.0 - p) / samples)),
-                          samples=samples, hits=int(hits))
     p = hits / samples
-    return McEstimate(value=p, std_error=np.sqrt(p * (1.0 - p) / samples),
-                      samples=samples, hits=hits)
+    err = np.sqrt(p * (1.0 - p) / samples)
+    if hits.ndim == 0:
+        return McEstimate(value=float(p), std_error=float(err), samples=samples, hits=int(hits))
+    return McEstimate(value=p, std_error=err, samples=samples, hits=hits)
 
 
-def acceptance_event(auth, scale: complex = 1.0):
-    """Event {d(scale * h) < T} as a vectorized predicate for estimate_probability."""
-    mean = auth.stats.mean
+def acceptance_event(auth: Authenticator, scale: complex = 1.0) -> WhitenedEvent:
+    """Event {d(scale * h) < T}: 2 ||scale x - L_A^{-1} mu_A||^2 < T on the whitened x."""
+    def decide(x: np.ndarray) -> np.ndarray:
+        y = (scale * x - auth.whitened_mean).view(float)
+        return 2.0 * np.einsum("ij,ij->i", y, y) < auth.threshold
 
-    def event(h: np.ndarray) -> np.ndarray:
-        centered = scale * h - mean
-        x = solve_triangular(auth.chol, centered.T, lower=True)
-        d = 2.0 * np.sum((x.conj() * x).real, axis=0)
-        return d < auth.threshold
-
-    return event
+    return WhitenedEvent(auth, decide)
 
 
-def best_case_acceptance_event(auth, thresholds=None):
+def best_case_acceptance_event(auth: Authenticator, thresholds=None) -> WhitenedEvent:
     """Event {min over power scaling of d < T}: the scale-invariant objective
-    |mu_A^H Sigma_A^{-1} h|^2 / (h^H Sigma_A^{-1} h) exceeding M - T/2.
+    |m_A^H x|^2 / ||x||^2 on the whitened x exceeding M - T/2.
 
     With ``thresholds``, a sequence of acceptance thresholds T_k for auth's
     legitimate statistics, the event returns an (n, k) block whose column k
     tests T_k; the objective is computed once per block for all of them.
     """
-    wmean = auth.whitened_mean
     t_star = auth.mahalanobis_energy - (
         auth.threshold if thresholds is None else np.asarray(thresholds, float)) / 2.0
+    # m^H x is the row sum of v . m.view(float) plus j times that of v . (j m).view(float)
+    proj_re, proj_im = auth.whitened_mean.view(float), (1j * auth.whitened_mean).view(float)
 
-    def event(h: np.ndarray) -> np.ndarray:
-        x = solve_triangular(auth.chol, h.T, lower=True)
-        num = np.abs(wmean.conj() @ x) ** 2
-        den = np.sum((x.conj() * x).real, axis=0)
-        if thresholds is None:
-            return num > t_star * den
-        return num[:, None] > t_star * den[:, None]
+    def decide(x: np.ndarray) -> np.ndarray:
+        v = x.view(float)
+        re, im = np.einsum("ij,j->i", v, proj_re), np.einsum("ij,j->i", v, proj_im)
+        num, den = re * re + im * im, np.einsum("ij,ij->i", v, v)
+        return num > t_star * den if thresholds is None else num[:, None] > t_star * den[:, None]
 
-    return event
+    return WhitenedEvent(auth, decide)

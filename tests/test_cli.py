@@ -401,6 +401,31 @@ class TestDeterminism:
             outs.append(p.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_validate_bytes_do_not_depend_on_the_thread_count(self, capsys, scenario_file,
+                                                             tmp_path):
+        """validate's Monte-Carlo column counts every threshold over one pass;
+        stdout and --out are the same bytes for any worker count."""
+        argv = ("validate", "--scenario", scenario_file, "--samples", "50000", "--points", "4")
+        outs, files = [], []
+        for threads in ("1", "2", "3"):
+            code, out, _ = run(capsys, *argv, "--threads", threads)
+            assert code == 0
+            outs.append(out)
+            p = tmp_path / f"validate_{threads}.csv"
+            assert run(capsys, *argv, "--threads", threads, "--out", str(p))[0] == 0
+            files.append(p.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        assert files[0] == files[1] == files[2] == outs[0].encode()
+        assert 0.0 < float(outs[0].splitlines()[2].split(",")[2]) < 1.0
+
+    def test_montecarlo_hits_pinned(self, capsys):
+        """A literal hit count pins the Philox block layout, whatever evaluates a block."""
+        code, out, _ = run(capsys, "mdp", "--scenario", DESK, "--method", "montecarlo",
+                           "--samples", "50000", "--seed", "3", "--pfa", "1e-6")
+        data = json.loads(out)
+        assert code == 0 and data["samples"] == 50_000
+        assert data["p_md"] == 9593 / 50_000
+
     def test_compare_bytes_do_not_depend_on_the_thread_count(self, capsys, tmp_path,
                                                             monkeypatch):
         """A 0.5 m search grid with a 3-cell disc, cut into one-row tiles so

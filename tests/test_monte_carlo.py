@@ -1,13 +1,18 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from distpla import (BLOCK_SIZE, acceptance_event, alice_statistics,
                      best_case_acceptance_event, discriminant, estimate_probability,
-                     eve_statistics, load_scenario, make_authenticator, sample_channel)
+                     eve_statistics, load_scenario, make_authenticator, sample_channel,
+                     threshold_for_pfa)
 from distpla.monte_carlo import block_generator
 from distpla.power_attack import optimal_power_strategy
+
+from conftest import build_scenario, random_geometry
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -148,3 +153,70 @@ def test_estimate_matches_closed_form_gaussian(dual_scenario):
     est = estimate_probability(lambda h: h[:, 0].real > mu0, stats, 400_000, seed=1)
     assert abs(est.value - 0.5) < 4 * est.std_error
     assert est.std_error == pytest.approx(np.sqrt(est.value * (1 - est.value) / est.samples))
+
+
+def _dense_hits(event, stats, samples, seed):
+    """The oracle: h from sample_channel on each Philox block, then event(h)."""
+    counts = []
+    for b in range(0, (samples + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        count = min(BLOCK_SIZE, samples - b * BLOCK_SIZE)
+        counts.append(np.asarray(event(sample_channel(stats, block_generator(seed, b), count)))
+                      .sum(axis=0))
+    return np.sum(counts, axis=0)
+
+
+def test_whitened_draws_count_what_the_dense_path_counts():
+    """Acceptance events drawn in the authenticator's whitened coordinates hit
+    exactly the samples that h = mu + L w followed by event(h) hits, on random
+    deployments with identity and exponential correlation."""
+    rng = np.random.default_rng(2024)
+    samples = BLOCK_SIZE + 3000          # ends in a partial block
+    for g in range(14):
+        sc = random_geometry(rng, rho=0.0 if g % 2 else None)
+        auth, eve = make_authenticator(sc), eve_statistics(sc)
+        # pilot draws from another seed place the thresholds from 0 hits to nearly all;
+        # T = 0 is never met, since |m^H x|^2 <= M ||x||^2
+        h = sample_channel(eve, block_generator(99, 0), 2000)
+        x = solve_triangular(auth.chol, h.T, lower=True)
+        best_d = 2.0 * (auth.mahalanobis_energy - np.abs(auth.whitened_mean.conj() @ x) ** 2
+                        / np.sum(np.abs(x) ** 2, axis=0))
+        thresholds = [0.0, *np.quantile(best_d, [0.02, 0.3, 0.7, 0.98])]
+        scale = complex(rng.uniform(0.3, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        d = discriminant(auth, scale * h)
+        events = [best_case_acceptance_event(auth, thresholds),
+                  acceptance_event(replace(auth, threshold=float(np.median(d))), scale)]
+        for event in events:
+            dense = _dense_hits(event, eve, samples, seed=g)
+            for threads in (1, 3):
+                est = estimate_probability(event, eve, samples, seed=g, threads=threads)
+                assert np.array_equal(est.hits, dense), (g, threads)
+        hits = estimate_probability(events[0], eve, samples, seed=g).hits
+        assert hits[0] == 0 and 0.9 * samples < hits[-1] < samples, (g, hits)
+
+
+def test_whitened_events_refuse_an_unrelated_correlation():
+    """Eve's law from a scenario whose correlation differs from the
+    authenticator's is refused, never sampled another way."""
+    rrhs = [("west", (10.0, 55.0), 3), ("east", (75.0, 30.0), 4, (0.0, 1.0))]
+    auth = make_authenticator(build_scenario(rrhs, rho=0.3))
+    eve = eve_statistics(build_scenario(rrhs, rho=0.6))
+    for event in (best_case_acceptance_event(auth), acceptance_event(auth, 0.8)):
+        with pytest.raises(ValueError, match="alpha_j"):
+            estimate_probability(event, eve, 1000)
+    same = eve_statistics(build_scenario(rrhs, rho=0.3))
+    assert estimate_probability(best_case_acceptance_event(auth), same, 1000).samples == 1000
+    # a generic event still samples h from the law itself
+    assert estimate_probability(lambda h: h[:, 0].real > 0, eve, 1000).samples == 1000
+
+
+def test_philox_layout_pinned_by_literal_hit_counts():
+    """Literal hit counts, whatever evaluates a block: a change to the block
+    size, the key layout or the real/imaginary pairing moves them."""
+    sc = load_scenario(SCENARIOS / "desk_2rrh.json")
+    auth, eve = make_authenticator(sc), eve_statistics(sc)
+    thresholds = [threshold_for_pfa(p, auth.total_dof) for p in (1e-5, 3e-6, 1e-6)]
+    est = estimate_probability(best_case_acceptance_event(auth, thresholds), eve, 50_000,
+                               seed=3, threads=2)
+    assert est.hits.tolist() == [803, 3185, 9593]
+    tight = replace(auth, threshold=thresholds[2])
+    assert estimate_probability(acceptance_event(tight, 0.5), eve, 50_000, seed=3).hits == 12
