@@ -2,9 +2,8 @@
 authentication: thresholds, power/position attack analysis, Monte-Carlo
 oracles, and delay bounds."""
 
-from .authenticator import (Authenticator, accepts, block_discriminants,
-                            discriminant, make_authenticator, pfa_of_threshold,
-                            threshold_for_pfa)
+from .authenticator import (Authenticator, discriminant, make_authenticator,
+                            pfa_of_threshold, threshold_for_pfa)
 from .delay_bounds import (ArrivalModel, DelayBound, ServiceModel, ServiceOutage,
                            UnstableQueueError, delay_violation_bound,
                            service_outage, simulate_queue_delays, snr_outage,
@@ -31,6 +30,6 @@ from .power_attack import (NO_ATTACK, IndefiniteForm, PowerStrategy,
                            optimal_power_strategy, saddlepoint_tail_probability,
                            statistical_power_strategy)
 from .scenario_io import (ScenarioError, load_scenario, scenario_from_dict,
-                          scenario_to_dict, validate_scenario)
+                          validate_scenario)
 
 __version__ = "0.1.0"

@@ -76,18 +76,3 @@ def discriminant(auth: Authenticator, h: np.ndarray) -> float | np.ndarray:
     d = 2.0 * np.sum((x.conj() * x).real, axis=0)
     return d if h.ndim == 2 else float(d)
 
-
-def block_discriminants(auth: Authenticator, h: np.ndarray) -> np.ndarray:
-    """Per-array discriminant contributions; they sum to discriminant(auth, h)."""
-    h = np.asarray(h)
-    out = []
-    # the Cholesky factor of a block-diagonal matrix is block-diagonal
-    for sl, mu in zip(auth.stats.block_slices(), auth.stats.block_means):
-        x = solve_triangular(auth.chol[sl, sl], h[sl] - mu, lower=True)
-        out.append(2.0 * float(np.vdot(x, x).real))
-    return np.asarray(out)
-
-
-def accepts(auth: Authenticator, h: np.ndarray) -> bool | np.ndarray:
-    d = discriminant(auth, h)
-    return d < auth.threshold

@@ -317,6 +317,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        if getattr(args, "grid", None) is not None and not 0.0 < args.grid < math.inf:
+            raise ValueError(f"--grid must be positive and finite, got {args.grid}")
         payload, summary = args.handler(args)
     except (UnstableQueueError, PositionSearchError) as exc:
         return _emit_error(exc, 4)

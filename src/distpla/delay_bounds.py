@@ -153,9 +153,7 @@ def snr_outage(stats: ChannelStatistics, rate: float, noise_density: float,
 def _block_stats(stats: ChannelStatistics, j: int) -> ChannelStatistics:
     sl = list(stats.block_slices())[j]
     return ChannelStatistics(
-        mean=stats.mean[sl], cov=stats.cov[sl, sl],
-        block_means=(stats.block_means[j],), block_covs=(stats.block_covs[j],),
-        distances=(stats.distances[j],), omegas=(stats.omegas[j],),
+        mean=stats.mean[sl], cov=stats.cov[sl, sl], block_covs=(stats.block_covs[j],),
         powers=(stats.powers[j],), block_sizes=(stats.block_sizes[j],))
 
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import block_diag
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -123,16 +124,13 @@ class ChannelStatistics:
     """Per-array and stacked first/second moments of one transmitter's channel.
 
     ``mean`` and ``cov`` are the stacked vector/block-diagonal matrix over
-    all arrays; the per-array pieces plus the geometry behind them
-    (distance, angular sine, received power) are kept for the attack math.
+    all arrays; the per-array covariances and received powers are kept for
+    the attack math, and ``block_slices`` cut the per-array means.
     """
 
     mean: np.ndarray
     cov: np.ndarray
-    block_means: tuple[np.ndarray, ...]
     block_covs: tuple[np.ndarray, ...]
-    distances: np.ndarray
-    omegas: np.ndarray
     powers: np.ndarray
     block_sizes: tuple[int, ...]
 
@@ -184,25 +182,13 @@ def channel_statistics(scenario: Scenario, tx: TransmitterConfig) -> ChannelStat
     Means and powers come from :func:`rice_means`; the covariance of array
     j is P_j/(K+1) * correlation matrix.
     """
-    mean, powers, dists, omegas = (a[0] for a in rice_means(scenario, tx.position, tx.tx_power))
+    mean, powers = (a[0] for a in rice_means(scenario, tx.position, tx.tx_power)[:2])
     sizes = tuple(rrh.num_antennas for rrh in scenario.rrhs)
-    starts = np.concatenate(([0], np.cumsum(sizes)))
     covs = tuple(((p / (scenario.rice_factor + 1.0))
                   * scenario.correlation.matrix(n)).astype(complex)
                  for p, n in zip(powers, sizes))
-    cov = np.zeros((starts[-1], starts[-1]), complex)
-    for c, lo, hi in zip(covs, starts, starts[1:]):
-        cov[lo:hi, lo:hi] = c
-    return ChannelStatistics(
-        mean=mean,
-        cov=cov,
-        block_means=tuple(mean[lo:hi] for lo, hi in zip(starts, starts[1:])),
-        block_covs=covs,
-        distances=dists,
-        omegas=omegas,
-        powers=powers,
-        block_sizes=sizes,
-    )
+    return ChannelStatistics(mean=mean, cov=block_diag(*covs), block_covs=covs,
+                             powers=powers, block_sizes=sizes)
 
 
 def alice_statistics(scenario: Scenario) -> ChannelStatistics:

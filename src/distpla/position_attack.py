@@ -207,15 +207,16 @@ def _point_fields(scenario: Scenario, ctxs: list[_ArrayContext],
 
 @dataclass(frozen=True)
 class LobeBand:
-    """One |g| >= peak/g0 band around a lobe, in angular-sine coordinates."""
+    """One |g| >= peak/g0 band around a lobe, in angular sines clipped to [-1, 1]."""
 
-    kind: str                       # "main" or "sidelobe"
     omega_lo: float
     omega_hi: float
     peak: float                     # |g| at the lobe peak
-    aoa_front: tuple[float, float]  # attack angles on the boresight side
-    aoa_mirror: tuple[float, float]  # the mirrored angles pi - phi
-    clipped: bool = False           # an edge hit the physical window
+
+
+def _clipped_band(a: float, b: float, peak: float) -> LobeBand:
+    lo, hi = min(a, b), max(a, b)
+    return LobeBand(max(lo, -1.0), min(hi, 1.0), peak)
 
 
 @dataclass(frozen=True)
@@ -232,102 +233,80 @@ class LobeSets:
     per_array: tuple[ArrayLobes, ...]
 
 
+def _at(fun, x: float) -> float:
+    """fun, which maps an array of offsets to an array, at the single offset x."""
+    return float(fun(np.array([x]))[0])
+
+
 def _scan_crossings(fun, lo: float, hi: float, step: float) -> list[float]:
-    """Roots of fun on [lo, hi] located by sign scanning plus bisection."""
+    """Roots of fun on [lo, hi]: sign changes of fun over one scan grid, each
+    refined by a bracketed root find on fun one point at a time."""
     if hi <= lo:
         return []
     xs = np.arange(lo, hi + step, step)
     xs[-1] = hi
-    vals = np.array([fun(x) for x in xs])
-    roots = []
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(bracketed_root_find(fun, float(xs[i]), float(xs[i + 1])))
+    vals = fun(xs)
+    roots = [float(xs[i]) if vals[i] == 0.0
+             else bracketed_root_find(lambda x: _at(fun, x), float(xs[i]), float(xs[i + 1]))
+             for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))]
     if vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
 
 
-def _one_side_bands(gfun, x_max: float, step: float, peak0: float, g0: float):
-    """(main-edge offset, clipped flag, sidelobe band or None) on one side of 0."""
-    zeros = _scan_crossings(gfun, 0.0, x_max, step)
-    target_main = peak0 / g0
+def _one_side_bands(g, x_max: float, step: float, peak0: float, g0: float):
+    """(main-edge offset, sidelobe (lo, hi, peak) offsets or None) for g, an
+    array function of the offset x in [0, x_max] from the main-lobe peak."""
+    zeros = _scan_crossings(g, 0.0, x_max, step)
     first_zero = zeros[0] if zeros else x_max
-    edge_fun = lambda x: abs(gfun(x)) - target_main
-    edges = _scan_crossings(edge_fun, 0.0, first_zero, step)
-    if edges:
-        main_edge, main_clip = edges[0], False
-    else:
-        main_edge, main_clip = first_zero if zeros else x_max, not zeros
-    if len(zeros) == 0:
-        return main_edge, main_clip, None
+    target_main = peak0 / g0
+    edges = _scan_crossings(lambda x: np.abs(g(x)) - target_main, 0.0, first_zero, step)
+    main_edge = edges[0] if edges else first_zero
+    if not zeros or (len(zeros) > 1 and zeros[1] - zeros[0] <= 4.0 * step):
+        return main_edge, None
     z1 = zeros[0]
     z2 = zeros[1] if len(zeros) > 1 else x_max
-    if z2 - z1 <= 4.0 * step and len(zeros) > 1:
-        return main_edge, main_clip, None
     from scipy.optimize import minimize_scalar
-    res = minimize_scalar(lambda x: -abs(gfun(x)), bounds=(z1, z2), method="bounded",
+    res = minimize_scalar(lambda x: -abs(_at(g, x)), bounds=(z1, z2), method="bounded",
                           options={"xatol": 1e-12})
     center = float(res.x)
-    side_peak = abs(gfun(center))
+    side_peak = abs(_at(g, center))
     if side_peak <= 0.0:
-        return main_edge, main_clip, None
+        return main_edge, None
     target_side = side_peak / g0
-    side_fun = lambda x: abs(gfun(x)) - target_side
+    side_fun = lambda x: np.abs(g(x)) - target_side
     lo_edges = _scan_crossings(side_fun, z1, center, step)
     hi_edges = _scan_crossings(side_fun, center, z2, step)
-    lo_edge = lo_edges[-1] if lo_edges else z1
-    hi_edge, clip = (hi_edges[0], False) if hi_edges else (z2, len(zeros) <= 1)
-    return main_edge, main_clip, (lo_edge, hi_edge, side_peak, clip)
-
-
-def _aoa_interval(omega_lo: float, omega_hi: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    lo = math.asin(max(-1.0, min(1.0, omega_lo)))
-    hi = math.asin(max(-1.0, min(1.0, omega_hi)))
-    return (lo, hi), (math.pi - hi, math.pi - lo)
-
-
-def _make_band(kind: str, omega_lo: float, omega_hi: float, peak: float,
-               clipped: bool) -> LobeBand:
-    omega_lo, omega_hi = max(omega_lo, -1.0), min(omega_hi, 1.0)
-    front, mirror = _aoa_interval(omega_lo, omega_hi)
-    return LobeBand(kind, omega_lo, omega_hi, peak, front, mirror, clipped)
+    return main_edge, (lo_edges[-1] if lo_edges else z1, hi_edges[0] if hi_edges else z2,
+                       side_peak)
 
 
 def lobe_sets(scenario: Scenario) -> LobeSets:
     """Main-lobe and first-sidelobe bands of every array around its Alice bearing.
 
-    Band edges solve |g| = lobe peak / g0 by bisection; each unclipped edge
-    therefore reproduces the criterion to within the bisection tolerance.
-    Both attack angles phi and pi - phi map to the same angular sine, so a
-    single omega band covers the mirrored bearing automatically.
+    Each side of the bearing is scanned in angular-sine steps of 1/(32 n s),
+    one _angular_g call per scan grid; brentq refines each sign change of g
+    (the nulls) and of |g| - lobe peak/g0 (the band edges, so an edge inside
+    [-1, 1] solves that equation).  Both attack angles phi and pi - phi share
+    an angular sine, so one omega band covers the mirrored bearing.
     """
     g0 = scenario.search.g0
     if not g0 > 1.0:
         raise ValueError("lobe threshold g0 must exceed 1")
-    ctxs = _array_contexts(scenario)
     per = []
-    for ctx in ctxs:
-        gfun = lambda x: float(_angular_g(ctx, np.array([ctx.omega_a + x]))[0])
-        peak0 = abs(gfun(0.0))
+    for ctx in _array_contexts(scenario):
         step = 1.0 / (32.0 * ctx.n * ctx.spacing)
-        x_pos = 1.0 - ctx.omega_a
-        x_neg = ctx.omega_a + 1.0
-        edge_p, clip_p, side_p = _one_side_bands(gfun, x_pos, step, peak0, g0)
-        gneg = lambda x: gfun(-x)
-        edge_n, clip_n, side_n = _one_side_bands(gneg, x_neg, step, peak0, g0)
-        main = _make_band("main", ctx.omega_a - edge_n, ctx.omega_a + edge_p,
-                          peak0, clip_p or clip_n)
-        sides = []
-        if side_p is not None:
-            lo, hi, pk, cl = side_p
-            sides.append(_make_band("sidelobe", ctx.omega_a + lo, ctx.omega_a + hi, pk, cl))
-        if side_n is not None:
-            lo, hi, pk, cl = side_n
-            sides.append(_make_band("sidelobe", ctx.omega_a - hi, ctx.omega_a - lo, pk, cl))
-        per.append(ArrayLobes(ctx.rrh_id, ctx.omega_a, main, tuple(sides)))
+        peak0 = abs(float(_angular_g(ctx, np.array([ctx.omega_a]))[0]))
+        main_ends, sides = [], []
+        for sign in (1.0, -1.0):
+            g = lambda x: _angular_g(ctx, ctx.omega_a + sign * x)
+            edge, side = _one_side_bands(g, 1.0 - sign * ctx.omega_a, step, peak0, g0)
+            main_ends.append(ctx.omega_a + sign * edge)
+            if side is not None:
+                lo, hi, peak = side
+                sides.append(_clipped_band(ctx.omega_a + sign * lo, ctx.omega_a + sign * hi, peak))
+        per.append(ArrayLobes(ctx.rrh_id, ctx.omega_a, _clipped_band(*main_ends, peak0),
+                              tuple(sides)))
     return LobeSets(g0, tuple(per))
 
 
@@ -364,6 +343,8 @@ class SearchResult:
 
 def grid_axes(scenario: Scenario, resolution: float) -> tuple[np.ndarray, np.ndarray]:
     """Cell-center coordinates covering the region at the given spacing."""
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"grid resolution must be positive and finite, got {resolution}")
     reg = scenario.region
     nx = max(int(math.floor((reg.x_max - reg.x_min) / resolution + 1e-9)), 1)
     ny = max(int(math.floor((reg.y_max - reg.y_min) / resolution + 1e-9)), 1)
@@ -446,7 +427,7 @@ def _disc_local_maxima(grid: np.ndarray, member_idx: np.ndarray, eps_px: int) ->
 def _grid(scenario: Scenario, cfg: SearchConfig) -> tuple[float, int, np.ndarray, np.ndarray]:
     """(resolution, disc radius in whole cells, xs, ys) of a position search."""
     lam = wavelength(scenario.carrier_frequency)
-    res = cfg.grid_resolution or lam / 10.0
+    res = cfg.grid_resolution if cfg.grid_resolution is not None else lam / 10.0
     eps = cfg.small_scale_radius if cfg.small_scale_radius is not None else lam / 2.0
     xs, ys = grid_axes(scenario, res)
     return res, int(math.floor(eps / res + 1e-9)), xs, ys

@@ -86,12 +86,26 @@ def scenario_from_dict(data: dict) -> Scenario:
     eve = _transmitter(need("eve") or {}, "eve", problems)
 
     search_raw = data.get("search", {})
+
+    def number(key, default):
+        """search[key] if a JSON number, ``default`` if absent (or null where the
+        default is null); anything else notes a problem."""
+        value = search_raw.get(key, default)
+        if value is not default and (isinstance(value, bool)
+                                     or not isinstance(value, (int, float))):
+            problems.append(f"search.{key} must be a number, got {value!r}")
+            return default
+        return value
+
+    sidelobes = search_raw.get("include_first_sidelobes", True)
+    if not isinstance(sidelobes, bool):
+        problems.append(f"search.include_first_sidelobes must be true or false, got {sidelobes!r}")
     search = SearchConfig(
-        grid_resolution=search_raw.get("grid_resolution_m"),
-        g0=float(search_raw.get("g0", math.sqrt(2.0))),
-        small_scale_radius=search_raw.get("small_scale_radius_m"),
-        include_first_sidelobes=bool(search_raw.get("include_first_sidelobes", True)),
-        max_candidates=int(search_raw.get("max_candidates", 20_000)))
+        grid_resolution=number("grid_resolution_m", None),
+        g0=float(number("g0", math.sqrt(2.0))),
+        small_scale_radius=number("small_scale_radius_m", None),
+        include_first_sidelobes=sidelobes,
+        max_candidates=int(number("max_candidates", 20_000)))
 
     if problems:
         raise ScenarioError(problems)
@@ -166,36 +180,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         issues.append("search.g0 must exceed 1")
     if scenario.search.grid_resolution is not None and scenario.search.grid_resolution <= 0.0:
         issues.append("search.grid_resolution_m must be positive")
+    if scenario.search.small_scale_radius is not None and scenario.search.small_scale_radius < 0.0:
+        issues.append("search.small_scale_radius_m must be nonnegative")
     if scenario.search.max_candidates < 1:
         issues.append("search.max_candidates must be at least 1")
     return issues
 
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Inverse of scenario_from_dict, for writing scenario files."""
-    return {
-        "carrier_frequency_hz": scenario.carrier_frequency,
-        "antenna_spacing_wavelengths": scenario.antenna_spacing,
-        "path_loss_exponent": scenario.path_loss_exponent,
-        "rice_factor": scenario.rice_factor,
-        "correlation": ({"model": "identity"} if scenario.correlation.kind == "identity"
-                        else {"model": "exponential", "rho": scenario.correlation.rho}),
-        "false_alarm_target": scenario.false_alarm_target,
-        "region_m": {"x_min": scenario.region.x_min, "x_max": scenario.region.x_max,
-                     "y_min": scenario.region.y_min, "y_max": scenario.region.y_max},
-        "exclusion_m": {"alice": scenario.exclusion_alice, "rrh": scenario.exclusion_rrh},
-        "alice": {"position_m": list(scenario.alice.position),
-                  "tx_power": scenario.alice.tx_power},
-        "eve": {"position_m": list(scenario.eve.position),
-                "tx_power": scenario.eve.tx_power},
-        "rrhs": [{"id": r.id, "position_m": list(r.position),
-                  "num_antennas": r.num_antennas,
-                  "array_axis_deg": math.degrees(math.atan2(r.array_axis[1], r.array_axis[0]))}
-                 for r in scenario.rrhs],
-        "search": {
-            "grid_resolution_m": scenario.search.grid_resolution,
-            "g0": scenario.search.g0,
-            "small_scale_radius_m": scenario.search.small_scale_radius,
-            "include_first_sidelobes": scenario.search.include_first_sidelobes,
-            "max_candidates": scenario.search.max_candidates},
-    }

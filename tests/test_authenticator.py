@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from distpla import (accepts, alice_statistics, block_discriminants,
-                     discriminant, make_authenticator, pfa_of_threshold,
-                     sample_channel, threshold_for_pfa)
+from distpla import (alice_statistics, discriminant, make_authenticator,
+                     pfa_of_threshold, sample_channel, threshold_for_pfa)
 
 from conftest import random_geometry
 
@@ -64,20 +63,6 @@ class TestDiscriminant:
         diff = h - auth.stats.mean
         direct = 2.0 * np.vdot(diff, np.linalg.solve(auth.stats.cov, diff)).real
         assert discriminant(auth, h) == pytest.approx(direct, rel=1e-10)
-
-    def test_blocks_sum_to_total(self, dual_scenario, rng):
-        auth = make_authenticator(dual_scenario)
-        h = sample_channel(auth.stats, rng)
-        parts = block_discriminants(auth, h)
-        assert parts.shape == (2,)
-        assert np.all(parts >= 0)
-        assert parts.sum() == pytest.approx(discriminant(auth, h), rel=1e-12)
-
-    def test_accepts_matches_threshold(self, dual_scenario, rng):
-        auth = make_authenticator(dual_scenario)
-        h = sample_channel(auth.stats, rng, 256)
-        flags = accepts(auth, h)
-        assert np.array_equal(flags, discriminant(auth, h) < auth.threshold)
 
 
 def test_null_distribution_is_chi_square(rng):

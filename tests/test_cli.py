@@ -383,6 +383,15 @@ class TestFailureModes:
             assert json.loads(err) == {"error": "ValueError",
                                        "message": f"--threads must be at least 1, got {threads}"}
 
+    @pytest.mark.parametrize("grid", ["-1", "0"])
+    def test_grid_must_be_positive(self, capsys, scenario_file, grid):
+        for command in ("heatmap", "optimize", "compare"):
+            code, out, err = run(capsys, command, "--scenario", scenario_file, "--grid", grid)
+            assert code == 2 and out == "", command
+            payload = json.loads(err)
+            assert payload["error"] == "ValueError"
+            assert payload["message"].startswith("--grid must be positive"), command
+
     def test_usage_errors(self, capsys):
         assert run(capsys, )[0] == 2
         assert run(capsys, "threshold")[0] == 2        # missing --scenario

@@ -152,9 +152,8 @@ class TestSnrOutage:
             mean[0] = np.sqrt(lam / 2.0)
             noise = float(rng.uniform(0.05, 20.0))
             stats = ChannelStatistics(mean=mean, cov=np.eye(n, dtype=complex),
-                                      block_means=(mean,), block_covs=(np.eye(n),),
-                                      distances=np.ones(1), omegas=np.zeros(1),
-                                      powers=np.ones(1), block_sizes=(n,))
+                                      block_covs=(np.eye(n),), powers=np.ones(1),
+                                      block_sizes=(n,))
             got = snr_outage(stats, rate, noise)
             x = 2.0 * (2.0 ** rate - 1.0) * n * noise
             want = float(ncx2.cdf(x, 2 * n, 2.0 * float(np.vdot(mean, mean).real)))
@@ -220,10 +219,7 @@ class TestServiceOutage:
         for j in range(len(stats.block_sizes)):
             sl = list(stats.block_slices())[j]
             sub = type(stats)(mean=stats.mean[sl], cov=stats.cov[sl, sl],
-                              block_means=(stats.block_means[j],),
                               block_covs=(stats.block_covs[j],),
-                              distances=(stats.distances[j],),
-                              omegas=(stats.omegas[j],),
                               powers=(stats.powers[j],),
                               block_sizes=(stats.block_sizes[j],))
             per *= snr_outage(sub, 1.0, noise, seed=j).value

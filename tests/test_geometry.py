@@ -92,7 +92,8 @@ class TestChannelStatistics:
             sc = random_geometry(rng)
             stats = alice_statistics(sc)
             k = sc.rice_factor
-            for j, (mu, cov) in enumerate(zip(stats.block_means, stats.block_covs)):
+            for j, (sl, cov) in enumerate(zip(stats.block_slices(), stats.block_covs)):
+                mu = stats.mean[sl]
                 n = stats.block_sizes[j]
                 p = stats.powers[j]
                 assert np.linalg.norm(mu) ** 2 == pytest.approx(
@@ -101,10 +102,10 @@ class TestChannelStatistics:
 
     def test_first_entry_carries_carrier_phase(self, single_scenario):
         stats = alice_statistics(single_scenario)
-        d = stats.distances[0]
+        d = rice_means(single_scenario, single_scenario.alice.position)[2][0, 0]
         lam = wavelength(single_scenario.carrier_frequency)
         expected = -2 * np.pi * d / lam
-        assert np.angle(stats.block_means[0][0]) == pytest.approx(
+        assert np.angle(stats.mean[0]) == pytest.approx(
             np.angle(np.exp(1j * expected)), abs=1e-9)
 
     def test_block_diagonal_stacking(self, dual_scenario):
@@ -113,7 +114,6 @@ class TestChannelStatistics:
         assert stats.block_sizes == (2, 3)
         slices = list(stats.block_slices())
         assert [s.start for s in slices] == [0, 2]
-        assert np.allclose(stats.mean, np.concatenate(stats.block_means))
         off = stats.cov[slices[0], slices[1]]
         assert np.allclose(off, 0.0)
         for sl, cov in zip(slices, stats.block_covs):
@@ -163,5 +163,3 @@ def test_rice_means_rows_are_channel_statistics(rng):
             stats = channel_statistics(sc, TransmitterConfig(tuple(pt), 1.7))
             assert np.array_equal(stats.mean, mean[k])
             assert np.array_equal(stats.powers, powers[k])
-            assert np.array_equal(stats.distances, dists[k])
-            assert np.array_equal(stats.omegas, omegas[k])

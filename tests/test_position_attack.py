@@ -20,6 +20,8 @@ from distpla.position_attack import (EmptyRegionError, NoCandidatesError,
 
 from conftest import build_scenario, point_fields, random_geometry
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
 
 class TestObjective:
     def test_scale_invariance(self, dual_scenario, rng):
@@ -133,9 +135,7 @@ class TestLobeSets:
         sets = lobe_sets(dual_scenario)
         for al in sets.per_array:
             assert al.main.omega_lo <= al.omega_a <= al.main.omega_hi
-            assert al.main.kind == "main"
             for side in al.sidelobes:
-                assert side.kind == "sidelobe"
                 assert side.peak < al.main.peak
                 # first sidelobes sit outside the main band
                 assert side.omega_hi <= al.main.omega_lo or side.omega_lo >= al.main.omega_hi
@@ -156,13 +156,42 @@ class TestLobeSets:
         with pytest.raises(ValueError):
             lobe_sets(bad)
 
-    def test_aoa_intervals_mirror(self, dual_scenario):
-        sets = lobe_sets(dual_scenario)
-        band = sets.per_array[0].main
-        lo, hi = band.aoa_front
-        mlo, mhi = band.aoa_mirror
-        assert mlo == pytest.approx(np.pi - hi)
-        assert mhi == pytest.approx(np.pi - lo)
+    # (omega_lo, omega_hi, peak) of each array's main lobe, then of its first
+    # sidelobes, recorded from the point-by-point scan; the float32 band
+    # masks of the search pick their cells from exactly these bits
+    PINNED = {
+        "desk_2rrh": {
+            "north": [(-0.11726468689207216, 0.33812773904176524, 4.0),
+                      (0.7186049740442393, 0.9748759256102552, 1.0886621079036347),
+                      (-0.7540128734605621, -0.49774192189454614, 1.0886621079036345)],
+            "south": [(-0.39209520027227596, 0.0632972256615614, 4.0),
+                      (0.44377446066403536, 0.7000454122300513, 1.0886621079036345),
+                      (-1.0, -0.7725724352747501, 1.0886621079036343)]},
+        "reference_1rrh16": {
+            "mast": [(0.6516449037088377, 0.7625686586642573, 16.0),
+                     (0.8567200107433836, 0.919231084499117, 3.521911630154962),
+                     (0.494982477873978, 0.5574935516297114, 3.521911630154962)]},
+        "reference_2rrh8": {
+            "west": [(-0.11149083655024641, 0.11149083655024655, 8.0),
+                     (0.30008689928980464, 0.4257177568737873, 1.8332538091960957),
+                     (-0.4257177568737872, -0.30008689928980453, 1.8332538091960957)],
+            "east": [(-0.11149083655024655, 0.11149083655024641, 8.0),
+                     (0.30008689928980453, 0.4257177568737872, 1.8332538091960957),
+                     (-0.4257177568737873, -0.30008689928980464, 1.8332538091960957)]},
+        "reference_3rrh": {
+            "rrh1": [(0.4103664774626047, 1.0, 2.0),
+                     (-1.0, -0.5833646757974275, 1.980209191178598)],
+            "rrh3": [(-0.696116135138184, 0.30388386486181596, 2.0),
+                     (0.9414438550203815, 1.0, 0.6064181555986957)],
+            "rrh8": [(-0.5000000000000001, 0.49999999999999994, 2.0)]},
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_committed_scenario_bands_are_pinned(self, name):
+        sets = lobe_sets(load_scenario(SCENARIOS / f"{name}.json"))
+        got = {al.rrh_id: [(b.omega_lo, b.omega_hi, b.peak) for b in (al.main, *al.sidelobes)]
+               for al in sets.per_array}
+        assert got == self.PINNED[name]
 
 
 def test_grid_axes_are_cell_centers():
@@ -170,6 +199,9 @@ def test_grid_axes_are_cell_centers():
     xs, ys = grid_axes(sc, 2.0)
     assert np.allclose(xs, [1.0, 3.0, 5.0, 7.0, 9.0])
     assert np.allclose(ys, [1.0, 3.0, 5.0])
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="grid resolution"):
+            grid_axes(sc, bad)
 
 
 def test_disc_local_maxima_matches_brute_force(rng):
@@ -400,9 +432,6 @@ def _candidate_label(ctxs, lobes, x, y):
             if in_side[i] and in_side[j]:
                 return f"sidelobes:{ctxs[i].rrh_id}+{ctxs[j].rrh_id}"
     return "other"
-
-
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_labels_follow_the_per_point_rule():

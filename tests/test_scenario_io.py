@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from distpla import (ScenarioError, load_scenario, scenario_from_dict,
-                     scenario_to_dict, validate_scenario)
+                     validate_scenario)
 
 
 BASE = {
@@ -132,21 +132,35 @@ def test_missing_file_and_bad_json(tmp_path):
         load_scenario(arr)
 
 
-def test_roundtrip_through_dict(tmp_path):
-    sc = load_scenario("scenarios/reference_3rrh.json")
-    data = scenario_to_dict(sc)
-    p = tmp_path / "rt.json"
-    p.write_text(json.dumps(data))
-    sc2 = load_scenario(p)
-    assert sc2.rrhs == sc.rrhs or all(
-        np.allclose(a.array_axis, b.array_axis, atol=1e-15) and
-        a.position == b.position and a.num_antennas == b.num_antennas
-        for a, b in zip(sc.rrhs, sc2.rrhs))
-    assert sc2.alice == sc.alice
-    assert sc2.eve == sc.eve
-    assert sc2.region == sc.region
-    assert sc2.rice_factor == pytest.approx(sc.rice_factor, rel=1e-12)
-    assert sc2.search == sc.search
+def test_search_block_types_checked():
+    bad = dict(BASE)
+    bad["search"] = {"grid_resolution_m": "abc", "g0": None, "small_scale_radius_m": "abc",
+                     "include_first_sidelobes": "false", "max_candidates": True}
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(bad)
+    assert info.value.problems == [
+        "search.include_first_sidelobes must be true or false, got 'false'",
+        "search.grid_resolution_m must be a number, got 'abc'",
+        "search.g0 must be a number, got None",
+        "search.small_scale_radius_m must be a number, got 'abc'",
+        "search.max_candidates must be a number, got True",
+    ]
+
+
+def test_search_block_values():
+    ok = dict(BASE)
+    ok["search"] = {"grid_resolution_m": 0.25, "g0": 2, "small_scale_radius_m": 0,
+                    "include_first_sidelobes": False, "max_candidates": 7}
+    search = scenario_from_dict(ok).search
+    assert (search.grid_resolution, search.g0, search.small_scale_radius,
+            search.include_first_sidelobes, search.max_candidates) == (0.25, 2.0, 0, False, 7)
+    assert scenario_from_dict(dict(BASE)).search.small_scale_radius is None
+    bad = dict(BASE)
+    bad["search"] = {"small_scale_radius_m": -1, "grid_resolution_m": 0}
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(bad)
+    assert info.value.problems == ["search.grid_resolution_m must be positive",
+                                   "search.small_scale_radius_m must be nonnegative"]
 
 
 def test_rrh_on_alice_rejected():
