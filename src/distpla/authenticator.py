@@ -50,17 +50,16 @@ class Authenticator:
     mahalanobis_energy: float
 
 
-def make_authenticator(scenario: Scenario, p_fa: float | None = None) -> Authenticator:
+def make_authenticator(scenario: Scenario) -> Authenticator:
     stats = alice_statistics(scenario)
-    target = scenario.false_alarm_target if p_fa is None else p_fa
     dof = 2 * stats.dim
     chol = cholesky_lower(stats.cov)
     wmean = solve_triangular(chol, stats.mean, lower=True)
     m_energy = float(np.vdot(wmean, wmean).real)
     return Authenticator(
         stats=stats,
-        threshold=threshold_for_pfa(target, dof),
-        false_alarm_target=target,
+        threshold=threshold_for_pfa(scenario.false_alarm_target, dof),
+        false_alarm_target=scenario.false_alarm_target,
         total_dof=dof,
         chol=chol,
         whitened_mean=wmean,

@@ -139,8 +139,8 @@ def _pmd_cells(sc: Scenario, resolution: float) -> tuple[np.ndarray, np.ndarray,
     """Optimal-attack p_md on every grid cell, y the outer and x the inner index."""
     xs, ys = grid_axes(sc, resolution)
     gx, gy = np.meshgrid(xs, ys)
-    vals, _ = mdp_optimal_pma_batch(make_authenticator(sc), sc,
-                                    np.column_stack((gx.ravel(), gy.ravel())))
+    vals = mdp_optimal_pma_batch(make_authenticator(sc), sc,
+                                 np.column_stack((gx.ravel(), gy.ravel())))
     return xs, ys, vals
 
 

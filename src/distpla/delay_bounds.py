@@ -124,8 +124,7 @@ def _common_noise_var(cov: np.ndarray) -> float | None:
 
 
 def snr_outage(stats: ChannelStatistics, rate: float, noise_density: float,
-               method: str = "auto", samples: int = 200_000, seed: int = 0,
-               threads: int = 1) -> McEstimate:
+               samples: int = 200_000, seed: int = 0, threads: int = 1) -> McEstimate:
     """P(log2(1 + ||h||^2 / (N_a N0)) < rate) for maximum-ratio combining.
 
     With uncorrelated antennas of a common per-antenna variance the squared
@@ -135,11 +134,7 @@ def snr_outage(stats: ChannelStatistics, rate: float, noise_density: float,
     n_a = stats.dim
     threshold = _snr_threshold(rate) * n_a * noise_density
     sigma2 = _common_noise_var(stats.cov)
-    if method not in ("auto", "closedform", "montecarlo"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closedform" and sigma2 is None:
-        raise ValueError("closed form needs uncorrelated antennas with equal power")
-    if sigma2 is not None and method in ("auto", "closedform"):
+    if sigma2 is not None:
         lam = 2.0 * float(np.vdot(stats.mean, stats.mean).real) / sigma2
         # the noncentral chi-square CDF by the special functions that
         # scipy.stats.ncx2.cdf calls, which is 0 below the support

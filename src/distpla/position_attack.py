@@ -334,7 +334,6 @@ class SearchResult:
     grid_shape: tuple[int, int]
     resolution: float
     n_survivors: int        # candidates before the max_candidates cap
-    n_mc_fallbacks: int     # evaluated candidates whose p_md came from Monte-Carlo
 
     @property
     def best(self) -> CandidatePosition:
@@ -593,15 +592,15 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
     idx, fobj, fss = best_first(*kept)
     xs_c = scenario.region.x_min + (idx % nx + 0.5) * res
     ys_c = scenario.region.y_min + (idx // nx + 0.5) * res
-    p_md, mc = mdp_optimal_pma_batch(auth or make_authenticator(scenario), scenario,
-                                     np.column_stack((xs_c, ys_c)))
+    p_md = mdp_optimal_pma_batch(auth or make_authenticator(scenario), scenario,
+                                 np.column_stack((xs_c, ys_c)))
     labels = _candidate_labels(ctxs, lobes, xs_c, ys_c)
     candidates = tuple(
         CandidatePosition((float(xs_c[k]), float(ys_c[k])), float(fobj[k]), float(fss[k]),
                           float(p_md[k]), labels[k])
         for k in np.lexsort((idx % nx, idx // nx, -p_md)))     # p_md descending, row-major ties
     return SearchResult(candidates, candidates[0].p_md, xs.size * ys.size, n_allowed, n_lobe,
-                        len(candidates), (ys.size, xs.size), res, n_survivors, int(mc.sum()))
+                        len(candidates), (ys.size, xs.size), res, n_survivors)
 
 
 def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
@@ -625,11 +624,11 @@ def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
     k, fo, fs = best
     x = scenario.region.x_min + (k % xs.size + 0.5) * res
     y = scenario.region.y_min + (k // xs.size + 0.5) * res
-    p_md, mc = mdp_optimal_pma_batch(auth or make_authenticator(scenario), scenario, [x, y])
+    p_md = mdp_optimal_pma_batch(auth or make_authenticator(scenario), scenario, [x, y])
     label = _candidate_labels(ctxs, lobe_sets(scenario), np.array([x]), np.array([y]))[0]
     cand = CandidatePosition((x, y), fo, fs, float(p_md[0]), label)
     return SearchResult((cand,), cand.p_md, xs.size * ys.size, n_allowed, n_allowed, 1,
-                        (ys.size, xs.size), res, n_allowed, int(mc.sum()))
+                        (ys.size, xs.size), res, n_allowed)
 
 
 def count_small_scale_optima(scenario: Scenario, config: SearchConfig | None = None,

@@ -4,11 +4,12 @@ An attacker transmitting from a fixed position can scale its complex
 baseband amplitude by eta * e^{j psi}.  Minimizing the verifier's
 discriminant over (eta, psi) has a closed form; the induced worst-case miss
 probability is the tail of an indefinite Hermitian quadratic form in
-standard complex Gaussians, handled here three ways:
+standard complex Gaussians, handled here three ways (Monte-Carlo on the
+raw acceptance event, in monte_carlo, is only their oracle):
 
 * a saddle-point approximation of the tail integral (any array layout),
 * an exact doubly noncentral F expression (single array),
-* Monte-Carlo on the raw acceptance event (oracle and fallback).
+* an exact inversion of the characteristic function (rows without a saddle).
 
 The antenna correlation is shared by the whole scenario, so array j sees
 the attacker covariance Sigma_E,j = alpha_j Sigma_A,j with alpha_j =
@@ -24,34 +25,30 @@ generating function of the form exists, which matches Monte-Carlo for the
 event {sum_i d_i |w_i + c_i|^2 + c0 > 0}.  Whenever the direct tail is the
 larger one, the complementary event's tail is approximated instead and
 subtracted from one; a second-order curvature correction is applied in
-both cases (after Kuonen, Biometrika 86 (1999) 929-935).  Results are
-clamped to [0, 1].
+both cases (after Kuonen, Biometrika 86 (1999) 929-935), and a side whose
+factor leaves [0.1, 10] has no usable saddle.  Results are clamped to [0, 1].
 
 The saddle equation s'(z) = 0 is solved for many forms at once, one form
-per row of a (n, K) term array; a single form is a batch of one.  The root
-is bracketed on (1e-12, (1 - 1e-9) / max d), or, without a positive d, on
-(1e-12, 2^k) for the first k < 400 with s'(2^k) > 0.  s' is strictly
-increasing there (s'' > 0), and a safeguarded Newton-bisection finds the
-root to brentq's tolerance, (1e-15 + 4 eps |z|) / 2, or stops at an iterate
-where s' is exactly zero.  One row evaluator, _optimal_rows, chooses the
-route of every optimal-attack row (certain miss, closed form, saddle point,
-Monte-Carlo fallback): mdp_optimal_pma_batch feeds it many attacker
-positions at one threshold, and mdp_optimal_pma_sweep one attacker at many
-thresholds (mdp_optimal_pma is a sweep of one).  mdp_fixed_strategy_sweep
-builds its form once and varies only the threshold constant.
+per row of a (n, K) term array (a single form is a batch of one), by the
+safeguarded Newton-bisection of _saddle_root; _settled_tail settles every
+row left without a saddle.  One row evaluator, _optimal_rows, chooses the
+route of every optimal-attack row (certain miss, closed form, saddle
+point): mdp_optimal_pma_batch feeds it many attacker positions at one
+threshold, and mdp_optimal_pma_sweep one attacker at many thresholds
+(mdp_optimal_pma is a sweep of one).  mdp_fixed_strategy_sweep builds its
+form once and varies only the threshold constant.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import betainc, gammaln
 
 from .authenticator import Authenticator
-from .geometry import ChannelStatistics, Scenario, channel_statistics, rice_means
-from .monte_carlo import acceptance_event, best_case_acceptance_event, estimate_probability
+from .geometry import ChannelStatistics, Scenario, rice_means
 
 _EIG_DROP = 1e-14          # relative cutoff below which an eigenvalue is treated as zero
 _BRACKET_RIM = 1e-9        # how close the root bracket may approach the MGF singularity
@@ -60,7 +57,7 @@ _XTOL = 1e-15              # saddle root tolerance: absolute part ...
 _RTOL = 4 * np.finfo(float).eps   # ... and relative part, as in brentq
 _MAX_ITER = 200            # Newton-bisection steps before a row counts as unsolved
 _CHUNK = 4096              # attacker positions per batch in mdp_optimal_pma_batch
-_MC_SAMPLES = 400_000      # Monte-Carlo draws (seed 0) for a row without a saddle point
+_CORRECTION = (0.1, 10.0)  # second-order factors outside this range leave a side without a saddle
 
 
 class SaddlepointError(RuntimeError):
@@ -223,7 +220,7 @@ def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _saddle_root(d, c2, m, const, lo, hi) -> np.ndarray:
-    """Root of s'(z) on each row's bracket (lo, hi), where s'(lo) < 0 < s'(hi).
+    """Root of s'(z) on each row's bracket (lo, hi), where s'(lo) < 0 < s'(hi) and s'' > 0.
 
     Safeguarded Newton-bisection: the Newton step on z s'(z), which is
     nearly linear where the -1/z term dominates, is taken while it stays
@@ -262,8 +259,8 @@ def _saddle_side(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray
 
     ``c2`` is the offset energy and ``m`` the multiplicity of each term.
     A row is an exact 0/1 when the form is sign-definite and the constant
-    does not oppose it, and NaN when no interior saddle exists (the caller
-    then relies on the complementary side).  The root is bracketed on
+    does not oppose it, and NaN when no usable interior saddle exists (the
+    caller then relies on the complementary side).  The root is bracketed on
     (1e-12, z_rim (1 - _BRACKET_RIM)) with z_rim = 1 / max d; without a
     positive d the right end doubles from 1 until s' > 0, at most 400 times.
     """
@@ -300,11 +297,10 @@ def _saddle_side(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray
               + np.sum(2.0 * m * d ** 3 / u ** 3, axis=1))
         s4 = (np.sum(24.0 * c2 * d ** 4 / u ** 5, axis=1) + 6.0 / z0 ** 4
               + np.sum(6.0 * m * d ** 4 / u ** 4, axis=1))
-        # second-order steepest-descent factor; clamped because the expansion
-        # degenerates when the saddle sits against the MGF singularity
-        correction = np.clip(1.0 + s4 / (8.0 * s2 ** 2) - 5.0 * s3 ** 2 / (24.0 * s2 ** 3),
-                             0.1, 10.0)
+        # second-order steepest-descent factor, degenerate outside _CORRECTION
+        correction = 1.0 + s4 / (8.0 * s2 ** 2) - 5.0 * s3 ** 2 / (24.0 * s2 ** 3)
         tail = np.exp(s0) / np.sqrt(2.0 * np.pi * s2) * correction
+        tail[(correction < _CORRECTION[0]) | (correction > _CORRECTION[1])] = np.nan
     p[rows[sel]] = np.where(np.isfinite(s0) & np.isfinite(s2) & (s2 > 0), tail, np.nan)
     return p
 
@@ -314,7 +310,7 @@ def _saddle_tail(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray
 
     Terms with |d| <= _EIG_DROP max|d| become inert (d = c2 = m = 0), the
     only padding that leaves the sign checks and the bracket untouched.
-    Rows where neither side admits a saddle are NaN.
+    Rows where neither side admits a usable saddle are NaN.
     """
     big = np.maximum(np.max(np.abs(d), axis=1, initial=0.0), 1e-300)
     drop = np.abs(d) <= _EIG_DROP * big[:, None]
@@ -330,16 +326,41 @@ def saddlepoint_tail_probability(form: IndefiniteForm) -> float:
 
     Evaluates both the direct event and its complement and keeps whichever
     tail is smaller, where the approximation is accurate.  Raises
-    SaddlepointError when neither side admits a saddle.
+    SaddlepointError when neither side admits a usable saddle.
     """
     d = np.asarray(form.eigenvalues, float)[None, :]
     m = (np.ones(d.shape) if form.multiplicities is None
          else np.asarray(form.multiplicities, float)[None, :])
-    p = _saddle_tail(d, np.abs(np.asarray(form.offsets))[None, :] ** 2, m,
-                     np.array([float(form.constant)]))[0]
-    if np.isnan(p):
+    return float(_settled_tail(d, np.abs(np.asarray(form.offsets))[None, :] ** 2, m,
+                               np.array([float(form.constant)]), exact=False)[0])
+
+
+def _exact_tail(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """P(sum_i d_i |w_i + c_i|^2 + const > 0) per row as 1/2 + (1/pi) int_0^inf Im phi(u) / u du.
+
+    Gil-Pelaez inversion (Imhof, Biometrika 48 (1961) 419-426) of each row scaled
+    by its max |d|, which keeps the event and |phi| <= 1; absolute error about 1e-12.
+    """
+    from scipy.integrate import quad
+
+    def im_phi_over_u(u, d, c2, m, const):
+        v = 1.0 - 1j * u * d
+        return np.exp(1j * u * const + np.sum(c2 * (1.0 / v - 1.0) - m * np.log(v))).imag / u
+    scale = np.max(np.abs(d), axis=1)
+    p = [0.5 + quad(im_phi_over_u, 0.0, np.inf, args=row, epsabs=1e-13, limit=500)[0] / np.pi
+         for row in zip(d / scale[:, None], c2, m, const / scale)]
+    return np.clip(p, 0.0, 1.0)
+
+
+def _settled_tail(d, c2, m, const, exact: bool) -> np.ndarray:
+    """_saddle_tail, its NaN rows taken by _exact_tail if ``exact``, else SaddlepointError."""
+    p = _saddle_tail(d, c2, m, const)
+    rows = np.flatnonzero(np.isnan(p))
+    if rows.size and not exact:
         raise SaddlepointError("no interior saddle point on either side")
-    return float(p)
+    if rows.size:
+        p[rows] = _exact_tail(d[rows], c2[rows], m[rows], const[rows])
+    return p
 
 
 def _poisson_window(nu: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -408,44 +429,37 @@ def _closed_form(auth: Authenticator, mean: np.ndarray, power: float, threshold:
 
 
 def _optimal_rows(auth: Authenticator, means: np.ndarray, powers: np.ndarray,
-                  thresholds: np.ndarray, method: str, eve_of_row) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal-attack p_md per row (shapes as in _optimal_form_rows) and a mask of Monte-Carlo rows.
+                  thresholds: np.ndarray, method: str) -> np.ndarray:
+    """Optimal-attack p_md per row (shapes as in _optimal_form_rows).
 
     The one place the routes are chosen: a threshold >= 2M is a certain
-    miss; "closedform", or "auto" on a single array, takes the closed form;
-    otherwise one form build and one saddle solve, where a row without a
-    saddle raises SaddlepointError under "saddlepoint" and under "auto"
-    takes Monte-Carlo against ``eve_of_row(k)``, row k's attacker statistics.
+    miss; "closedform", or "auto" on one array of at least two antennas,
+    takes the closed form; otherwise one form build and one _settled_tail
+    call, which takes the exact tail only under "auto".
     """
     p_md = np.ones(thresholds.size)
-    mc = np.zeros(thresholds.size, bool)
-    if method == "closedform" or (method == "auto" and len(auth.stats.block_sizes) == 1):
+    if method == "closedform" or (method == "auto" and len(auth.stats.block_sizes) == 1
+                                  and auth.stats.dim > 1):
         # every row, so a multi-array layout is refused even where T >= 2M gives 1
         means, powers = (np.broadcast_to(v, (thresholds.size, v.shape[1])) for v in (means, powers))
         p_md[:] = [_closed_form(auth, mu, pw[0], t) for mu, pw, t in zip(means, powers, thresholds)]
-        return p_md, mc
+        return p_md
     if method not in ("auto", "saddlepoint"):
         raise ValueError(f"unknown method {method!r}")
     live = np.flatnonzero(thresholds < 2.0 * auth.mahalanobis_energy)
     d, c, m, _ = _optimal_form_rows(auth, means, powers, thresholds)
-    p_md[live] = _saddle_tail(d[live], np.abs(c[live]) ** 2, m[live].astype(float),
-                              np.zeros(live.size))
-    for k in np.flatnonzero(np.isnan(p_md)):
-        if method == "saddlepoint":
-            raise SaddlepointError("no interior saddle point on either side")
-        event = best_case_acceptance_event(replace(auth, threshold=float(thresholds[k])))
-        p_md[k] = estimate_probability(event, eve_of_row(k), _MC_SAMPLES, seed=0).value
-        mc[k] = True
-    return p_md, mc
+    p_md[live] = _settled_tail(d[live], np.abs(c[live]) ** 2, m[live].astype(float),
+                               np.zeros(live.size), exact=method == "auto")
+    return p_md
 
 
 def mdp_optimal_pma(auth: Authenticator, eve_stats: ChannelStatistics,
                     method: str = "auto") -> float:
     """Worst-case miss probability under the optimal power-manipulation attack.
 
-    ``method``: "auto" prefers the exact closed form for a single array and
-    the saddle point otherwise, falling back to Monte-Carlo if the saddle
-    search fails; "saddlepoint" and "closedform" force one route.
+    ``method``: "auto" prefers the closed form for one array of at least two
+    antennas and the saddle point otherwise, with the exact tail where no
+    saddle exists; "saddlepoint" and "closedform" force one route.
     """
     return float(mdp_optimal_pma_sweep(auth, eve_stats, [auth.threshold], method)[0])
 
@@ -453,32 +467,25 @@ def mdp_optimal_pma(auth: Authenticator, eve_stats: ChannelStatistics,
 def mdp_optimal_pma_sweep(auth: Authenticator, eve_stats: ChannelStatistics, thresholds,
                           method: str = "auto") -> np.ndarray:
     """mdp_optimal_pma on ``replace(auth, threshold=T)`` for each T, bit for bit, in one pass."""
-    p_md, _ = _optimal_rows(auth, eve_stats.mean[None, :], eve_stats.powers[None, :],
-                            np.asarray(thresholds, float), method, lambda k: eve_stats)
-    return p_md
+    return _optimal_rows(auth, eve_stats.mean[None, :], eve_stats.powers[None, :],
+                         np.asarray(thresholds, float), method)
 
 
-def mdp_optimal_pma_batch(auth: Authenticator, scenario: Scenario,
-                          positions) -> tuple[np.ndarray, np.ndarray]:
+def mdp_optimal_pma_batch(auth: Authenticator, scenario: Scenario, positions) -> np.ndarray:
     """mdp_optimal_pma(method="auto") with the attacker at each row of an (n, 2) array.
 
     The attacker keeps ``scenario.eve``'s transmit power.  Rows go through
     in chunks of _CHUNK: Rice means from the geometry (no covariance is
     built), one form build for the chunk and one vectorised saddle solve.
-    Returns the miss probabilities and a mask of the Monte-Carlo rows.
     """
     pts = np.asarray(positions, float).reshape(-1, 2)
     p_md = np.ones(len(pts))
-    mc = np.zeros(len(pts), bool)
     for start in range(0, len(pts), _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        rows = pts[chunk]
-        means, powers, _, _ = rice_means(scenario, rows, scenario.eve.tx_power)
-        p_md[chunk], mc[chunk] = _optimal_rows(
-            auth, means, powers, np.full(len(rows), auth.threshold), "auto",
-            lambda k: channel_statistics(scenario, replace(
-                scenario.eve, position=(float(rows[k, 0]), float(rows[k, 1])))))
-    return p_md, mc
+        means, powers, _, _ = rice_means(scenario, pts[chunk], scenario.eve.tx_power)
+        p_md[chunk] = _optimal_rows(auth, means, powers, np.full(len(means), auth.threshold),
+                                    "auto")
+    return p_md
 
 
 def mdp_fixed_strategy(auth: Authenticator, eve_stats: ChannelStatistics,
@@ -491,15 +498,10 @@ def mdp_fixed_strategy_sweep(auth: Authenticator, eve_stats: ChannelStatistics, 
                              strategy: PowerStrategy = NO_ATTACK) -> np.ndarray:
     """mdp_fixed_strategy on ``replace(auth, threshold=T)`` for each T, bit for bit.
 
-    The form is built once and only its constant T/2 varies; a row without
-    a saddle on either side falls back to Monte-Carlo on the raw event.
+    The form is built once; only its constant T/2 varies.  Rows without a saddle are exact.
     """
     thresholds = np.asarray(thresholds, float)
     form = fixed_strategy_form(auth, eve_stats, strategy)
     d, c2, m = (np.broadcast_to(v, (thresholds.size, v.size)) for v in (
         form.eigenvalues, form.offsets ** 2, form.multiplicities.astype(float)))
-    p_md = _saddle_tail(d, c2, m, thresholds / 2.0)
-    for k in np.flatnonzero(np.isnan(p_md)):
-        event = acceptance_event(replace(auth, threshold=float(thresholds[k])), strategy.scale)
-        p_md[k] = estimate_probability(event, eve_stats, _MC_SAMPLES, seed=0).value
-    return p_md
+    return _settled_tail(d, c2, m, thresholds / 2.0, exact=True)

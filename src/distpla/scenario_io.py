@@ -27,14 +27,9 @@ def _axis_from_degrees(deg: float) -> tuple[float, float]:
     return (math.cos(rad), math.sin(rad))
 
 
-def _transmitter(raw: dict, who: str, problems: list[str]) -> TransmitterConfig:
-    pos = raw.get("position_m")
-    if not (isinstance(pos, (list, tuple)) and len(pos) == 2):
-        problems.append(f"{who}.position_m must be [x, y]")
-        pos = (0.0, 0.0)
-    power = raw.get("tx_power", 1.0)
-    return TransmitterConfig(position=(float(pos[0]), float(pos[1])),
-                             tx_power=float(power))
+def _is_number(value) -> bool:
+    """A JSON number: an int or float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -47,79 +42,84 @@ def scenario_from_dict(data: dict) -> Scenario:
             return None
         return data[key]
 
-    rice_db = data.get("rice_factor_db")
-    rice_lin = data.get("rice_factor")
-    if (rice_db is None) == (rice_lin is None):
+    def number(raw, key, default, where=""):
+        """float(raw[key]) for a JSON number, ``default`` if absent (or null where the
+        default is null); anything else notes a problem named by ``where`` + key."""
+        value = raw.get(key, default)
+        if value is default:
+            return default
+        if not _is_number(value):
+            problems.append(f"{where}{key} must be a number, got {value!r}")
+            return default
+        return float(value)
+
+    def position(raw, who, default=None):
+        pos = raw.get("position_m", default)
+        if not (isinstance(pos, (list, tuple)) and len(pos) == 2 and all(map(_is_number, pos))):
+            problems.append(f"{who}.position_m must be [x, y], got {pos!r}")
+            return (0.0, 0.0)
+        return (float(pos[0]), float(pos[1]))
+
+    def transmitter(who):
+        raw = need(who) or {}
+        return TransmitterConfig(position=position(raw, who),
+                                 tx_power=number(raw, "tx_power", 1.0, f"{who}."))
+
+    excl = data.get("exclusion_m", {})
+    fields = dict(carrier_frequency=number(data, "carrier_frequency_hz", 2.4e9),
+                  antenna_spacing=number(data, "antenna_spacing_wavelengths", 0.5),
+                  path_loss_exponent=number(data, "path_loss_exponent", 2.0),
+                  false_alarm_target=number(data, "false_alarm_target", 1e-2),
+                  exclusion_alice=number(excl, "alice", 6.0, "exclusion_m."),
+                  exclusion_rrh=number(excl, "rrh", 3.0, "exclusion_m."))
+
+    if (data.get("rice_factor_db") is None) == (data.get("rice_factor") is None):
         problems.append("exactly one of rice_factor_db / rice_factor is required")
-        rice = 1.0
-    else:
-        rice = 10.0 ** (float(rice_db) / 10.0) if rice_db is not None else float(rice_lin)
+    rice_db = number(data, "rice_factor_db", None)
+    rice = 10.0 ** (rice_db / 10.0) if rice_db is not None else number(data, "rice_factor", 1.0)
 
     corr_raw = data.get("correlation", {"model": "identity"})
     model = corr_raw.get("model", "identity")
-    rho = float(corr_raw.get("rho", 0.0))
+    rho = number(corr_raw, "rho", 0.0, "correlation.")
     if model not in ("identity", "exponential"):
         problems.append(f"correlation.model must be identity or exponential, got {model!r}")
         model = "identity"
     correlation = Correlation(kind=model, rho=rho)
 
     reg_raw = need("region_m") or {}
-    try:
-        region = Region(float(reg_raw["x_min"]), float(reg_raw["x_max"]),
-                        float(reg_raw["y_min"]), float(reg_raw["y_max"]))
-    except (KeyError, TypeError, ValueError):
+    corners = ("x_min", "x_max", "y_min", "y_max")
+    if not all(key in reg_raw for key in corners):
         problems.append("region_m must provide numeric x_min/x_max/y_min/y_max")
-        region = Region(0.0, 1.0, 0.0, 1.0)
-
-    excl = data.get("exclusion_m", {})
+    region = Region(*(number(reg_raw, key, 0.0, "region_m.") for key in corners))
 
     rrhs = []
     for i, raw in enumerate(need("rrhs") or []):
-        pos = raw.get("position_m", (0.0, 0.0))
+        who = f"rrhs[{i}]"
         rrhs.append(RrhConfig(
             id=str(raw.get("id", f"rrh{i}")),
-            position=(float(pos[0]), float(pos[1])),
-            num_antennas=int(raw.get("num_antennas", 1)),
-            array_axis=_axis_from_degrees(float(raw.get("array_axis_deg", 0.0)))))
+            position=position(raw, who, (0.0, 0.0)),
+            num_antennas=int(number(raw, "num_antennas", 1, who + ".")),
+            array_axis=_axis_from_degrees(number(raw, "array_axis_deg", 0.0, who + "."))))
 
-    alice = _transmitter(need("alice") or {}, "alice", problems)
-    eve = _transmitter(need("eve") or {}, "eve", problems)
+    alice = transmitter("alice")
+    eve = transmitter("eve")
 
     search_raw = data.get("search", {})
-
-    def number(key, default):
-        """search[key] if a JSON number, ``default`` if absent (or null where the
-        default is null); anything else notes a problem."""
-        value = search_raw.get(key, default)
-        if value is not default and (isinstance(value, bool)
-                                     or not isinstance(value, (int, float))):
-            problems.append(f"search.{key} must be a number, got {value!r}")
-            return default
-        return value
-
     sidelobes = search_raw.get("include_first_sidelobes", True)
     if not isinstance(sidelobes, bool):
         problems.append(f"search.include_first_sidelobes must be true or false, got {sidelobes!r}")
     search = SearchConfig(
-        grid_resolution=number("grid_resolution_m", None),
-        g0=float(number("g0", math.sqrt(2.0))),
-        small_scale_radius=number("small_scale_radius_m", None),
+        grid_resolution=number(search_raw, "grid_resolution_m", None, "search."),
+        g0=number(search_raw, "g0", math.sqrt(2.0), "search."),
+        small_scale_radius=number(search_raw, "small_scale_radius_m", None, "search."),
         include_first_sidelobes=sidelobes,
-        max_candidates=int(number("max_candidates", 20_000)))
+        max_candidates=int(number(search_raw, "max_candidates", 20_000, "search.")))
 
     if problems:
         raise ScenarioError(problems)
 
-    scenario = Scenario(
-        rrhs=tuple(rrhs), alice=alice, eve=eve, region=region,
-        carrier_frequency=float(data.get("carrier_frequency_hz", 2.4e9)),
-        antenna_spacing=float(data.get("antenna_spacing_wavelengths", 0.5)),
-        path_loss_exponent=float(data.get("path_loss_exponent", 2.0)),
-        rice_factor=rice, correlation=correlation,
-        false_alarm_target=float(data.get("false_alarm_target", 1e-2)),
-        exclusion_alice=float(excl.get("alice", 6.0)),
-        exclusion_rrh=float(excl.get("rrh", 3.0)),
-        search=search)
+    scenario = Scenario(rrhs=tuple(rrhs), alice=alice, eve=eve, region=region, rice_factor=rice,
+                        correlation=correlation, search=search, **fields)
     issues = validate_scenario(scenario)
     if issues:
         raise ScenarioError(issues)

@@ -183,7 +183,7 @@ def test_criterion_04_multi_array_saddlepoint_validation():
         sc = replace(base, correlation=corr)
         ev = eve_statistics(sc)
         for pfa in np.logspace(-4.0, -1.0, 5):
-            auth = make_authenticator(sc, float(pfa))
+            auth = make_authenticator(replace(sc, false_alarm_target=float(pfa)))
             sp = mdp_optimal_pma(auth, ev, method="saddlepoint")
             est = estimate_probability(best_case_acceptance_event(auth), ev, n, seed=seed)
             seed += 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -43,7 +45,7 @@ def test_make_authenticator_shape(dual_scenario):
 
 
 def test_pfa_override(dual_scenario):
-    auth = make_authenticator(dual_scenario, p_fa=1e-3)
+    auth = make_authenticator(replace(dual_scenario, false_alarm_target=1e-3))
     assert auth.false_alarm_target == 1e-3
     assert auth.threshold > make_authenticator(dual_scenario).threshold
 

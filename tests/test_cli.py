@@ -1,8 +1,10 @@
 """End-to-end command tests: in-process main(argv), real files, real math."""
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import distpla
 from distpla.cli import main
 
 DESK = str(Path(__file__).resolve().parent.parent / "scenarios" / "desk_2rrh.json")
+REF_1RRH16 = str(Path(DESK).with_name("reference_1rrh16.json"))
 
 SMALL = {
     "carrier_frequency_hz": 2.4e9,
@@ -168,7 +171,7 @@ def _sweep_reference(path, points, samples=None, threads=1):
     eve = eve_statistics(sc)
     roc, validate = [], []
     for pfa in np.logspace(-4, -1, points):
-        auth = make_authenticator(sc, float(pfa))
+        auth = make_authenticator(replace(sc, false_alarm_target=float(pfa)))
         roc.append(f"{float(pfa)!r},{mdp_optimal_pma(auth, eve)!r},"
                    f"{mdp_fixed_strategy(auth, eve, NO_ATTACK)!r}")
         if samples is not None:
@@ -217,16 +220,51 @@ class TestSweepBatching:
 
 
 def test_cli_import_skips_unused_scipy():
-    """Start-up loads neither scipy.stats nor scipy.optimize nor scipy.ndimage."""
+    """Start-up loads none of scipy.stats, scipy.optimize, scipy.ndimage, scipy.integrate."""
     env = dict(os.environ)
     src = str(Path(distpla.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     probe = ("import sys, distpla.cli; print(' '.join(m for m in "
-             "('scipy.stats', 'scipy.optimize', 'scipy.ndimage') if m in sys.modules))")
+             "('scipy.stats', 'scipy.optimize', 'scipy.ndimage', 'scipy.integrate') "
+             "if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+class TestOneAntenna:
+    """A single one-antenna array has no closed form; "auto" takes the saddle route."""
+
+    @pytest.mark.parametrize("rice_db, swallowed", [(6.0, True), (12.0, False)])
+    def test_roc_and_heatmap_equal_the_saddle_point(self, capsys, tmp_path, rice_db,
+                                                    swallowed):
+        from distpla import (channel_statistics, eve_statistics, load_scenario,
+                             make_authenticator, mdp_optimal_pma)
+        data = json.loads(Path(REF_1RRH16).read_text())
+        data["rice_factor_db"] = rice_db
+        data["rrhs"][0]["num_antennas"] = 1
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(data))
+        sc = load_scenario(path)
+        auth = make_authenticator(sc)
+        # T >= 2M makes every row a certain miss; below it the saddle solve runs
+        assert (auth.threshold >= 2.0 * auth.mahalanobis_energy) == swallowed
+        eve = eve_statistics(sc)
+        code, out, _ = run(capsys, "roc", "--scenario", str(path), "--points", "2")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 2
+        for pfa, p_opt, _ in rows:
+            at = make_authenticator(replace(sc, false_alarm_target=float(pfa)))
+            assert float(p_opt) == mdp_optimal_pma(at, eve, "saddlepoint")
+        code, out, _ = run(capsys, "heatmap", "--scenario", str(path), "--grid", "5")
+        assert code == 0
+        cells = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        assert len(cells) == 16 * 12
+        for x, y, log_p in cells:
+            stats = channel_statistics(sc, replace(sc.eve, position=(x, y)))
+            assert log_p == math.log10(mdp_optimal_pma(auth, stats, "saddlepoint"))
 
 
 class TestHeatmap:
@@ -246,8 +284,6 @@ class TestHeatmap:
 
 class TestBatchedCells:
     def test_pmd_cells_match_scalar_evaluation(self, scenario_file):
-        from dataclasses import replace
-
         from distpla import (channel_statistics, load_scenario, make_authenticator,
                              mdp_optimal_pma)
         from distpla.cli import _pmd_cells

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distpla import (ArrivalModel, ServiceModel, UnstableQueueError,
-                     alice_statistics, delay_violation_bound, eve_statistics,
-                     make_authenticator, service_outage, simulate_queue_delays,
-                     snr_outage, stability_margin)
+                     alice_statistics, delay_violation_bound, estimate_probability,
+                     eve_statistics, make_authenticator, service_outage,
+                     simulate_queue_delays, snr_outage, stability_margin)
 
 from conftest import build_scenario
 
@@ -134,8 +134,9 @@ class TestSnrOutage:
         noise = stats.powers.min() / 20.0
         exact = snr_outage(stats, rate=1.0, noise_density=noise)
         assert exact.std_error == 0.0
-        mc = snr_outage(stats, rate=1.0, noise_density=noise, method="montecarlo",
-                        samples=200_000, seed=2)
+        threshold = (2.0 ** 1.0 - 1.0) * stats.dim * noise
+        mc = estimate_probability(lambda h: np.sum(np.abs(h) ** 2, axis=-1) < threshold,
+                                  stats, 200_000, seed=2)
         assert abs(exact.value - mc.value) < 4 * max(mc.std_error, 1e-4)
 
     def test_closed_form_matches_scipy_ncx2(self):
@@ -165,19 +166,12 @@ class TestSnrOutage:
         noise = stats.powers.min() / 20.0
         est = snr_outage(stats, rate=1.0, noise_density=noise, samples=50_000)
         assert est.samples == 50_000
-        with pytest.raises(ValueError):
-            snr_outage(stats, 1.0, noise, method="closedform")
 
     def test_monotone_in_rate(self, dual_scenario):
         stats = alice_statistics(dual_scenario)
         noise = stats.powers.min() / 20.0
         probs = [snr_outage(stats, r, noise).value for r in (0.5, 1.0, 2.0, 4.0)]
         assert probs == sorted(probs)
-
-    def test_method_validation(self, dual_scenario):
-        stats = alice_statistics(dual_scenario)
-        with pytest.raises(ValueError):
-            snr_outage(stats, 1.0, 1e-9, method="bogus")
 
 
 class TestServiceOutage:

@@ -83,7 +83,8 @@ def test_threshold_sweep_equals_separate_estimates(name):
     and standard error of k single-threshold estimates, for any thread count."""
     sc = load_scenario(SCENARIOS / f"{name}.json")
     eve = eve_statistics(sc)
-    auths = [make_authenticator(sc, float(p)) for p in np.logspace(-4, -1, 13)]
+    auths = [make_authenticator(replace(sc, false_alarm_target=float(p)))
+             for p in np.logspace(-4, -1, 13)]
     samples = 2 * BLOCK_SIZE + 1000       # ends in a partial block
     singles = [estimate_probability(best_case_acceptance_event(a), eve, samples, seed=2)
                for a in auths]

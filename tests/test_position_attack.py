@@ -257,7 +257,6 @@ class TestSearches:
         r = truncated_search(sc)
         assert r.n_evaluated == len(r.candidates) <= r.n_lobe_points
         assert r.n_survivors == r.n_evaluated       # the cap does not bind here
-        assert r.n_mc_fallbacks == 0
         assert r.n_lobe_points <= r.n_allowed <= r.n_grid
         assert r.grid_shape == (80, 120)
         assert r.best is r.candidates[0]

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,3 +169,63 @@ def test_rrh_on_alice_rejected():
     bad["rrhs"] = [{"id": "r", "position_m": [65.0, 30.0], "num_antennas": 2}]
     with pytest.raises(ScenarioError, match="coincides"):
         scenario_from_dict(bad)
+
+
+DESK = "scenarios/desk_2rrh.json"
+
+
+def _desk_with(*edits):
+    """desk_2rrh's JSON with each (path, value) edit applied; a path is a key tuple."""
+    data = json.loads(Path(DESK).read_text())
+    for path, value in edits:
+        node = data
+        for key in path[:-1]:
+            node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+        node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("path, name", [
+    (("carrier_frequency_hz",), "carrier_frequency_hz"),
+    (("false_alarm_target",), "false_alarm_target"),
+    (("exclusion_m", "alice"), "exclusion_m.alice"),
+    (("exclusion_m", "rrh"), "exclusion_m.rrh"),
+    (("correlation", "rho"), "correlation.rho"),
+    (("rice_factor_db",), "rice_factor_db"),
+    (("region_m", "y_max"), "region_m.y_max"),
+    (("alice", "tx_power"), "alice.tx_power"),
+    (("eve", "tx_power"), "eve.tx_power"),
+    (("rrhs", 0, "num_antennas"), "rrhs[0].num_antennas"),
+    (("rrhs", 1, "array_axis_deg"), "rrhs[1].array_axis_deg"),
+])
+def test_numeric_keys_name_themselves(path, name):
+    # a null Rice factor counts as absent, so exactly one of the two is missing
+    for bad in ("x", True, [1.0]) + ((None,) if name != "rice_factor_db" else ()):
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(_desk_with((path, bad)))
+        assert info.value.problems == [f"{name} must be a number, got {bad!r}"]
+
+
+def test_positions_must_be_number_pairs():
+    for who, path in (("alice", ("alice", "position_m")),
+                      ("rrhs[1]", ("rrhs", 1, "position_m"))):
+        for bad in ([1.0, "y"], [1.0], "here", [True, 2.0]):
+            with pytest.raises(ScenarioError) as info:
+                scenario_from_dict(_desk_with((path, bad)))
+            assert info.value.problems == [f"{who}.position_m must be [x, y], got {bad!r}"]
+
+
+def test_every_bad_key_is_reported_at_once():
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(_desk_with((("carrier_frequency_hz",), "abc"),
+                                      (("rrhs", 0, "num_antennas"), "x")))
+    assert info.value.problems == ["carrier_frequency_hz must be a number, got 'abc'",
+                                   "rrhs[0].num_antennas must be a number, got 'x'"]
+
+
+def test_integer_valued_numbers_load_as_floats():
+    sc = scenario_from_dict(_desk_with((("carrier_frequency_hz",), 1500000000),
+                                       (("exclusion_m", "alice"), 6),
+                                       (("region_m", "x_max"), 40)))
+    assert sc == load_scenario(DESK)
+    assert type(sc.carrier_frequency) is type(sc.exclusion_alice) is type(sc.region.x_max) is float
