@@ -12,9 +12,8 @@ from .geometry import (ChannelStatistics, Correlation, Region, RrhConfig,
                        Scenario, SearchConfig, TransmitterConfig,
                        alice_statistics, channel_statistics, eve_statistics,
                        received_power, rice_means, steering_vector, wavelength)
-from .monte_carlo import (BLOCK_SIZE, McEstimate, acceptance_event,
-                          best_case_acceptance_event, estimate_probability,
-                          sample_channel)
+from .monte_carlo import (BLOCK_SIZE, McEstimate, WhitenedEvent, acceptance_event,
+                          best_case_acceptance_event, estimate_probability)
 from .numerics import NumericsError, chi2_cdf, chi2_quantile, chi2_tail
 from .position_attack import (CandidatePosition, EmptyRegionError, LobeSets,
                               NoCandidatesError, PositionSearchError, SearchResult,

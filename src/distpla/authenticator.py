@@ -36,7 +36,8 @@ def pfa_of_threshold(threshold: float, dof: int) -> float:
 class Authenticator:
     """Frozen verifier state: legitimate statistics plus derived factors.
 
-    ``chol`` is the stacked lower Cholesky factor of Sigma_A,
+    ``chol`` is the stacked lower Cholesky factor of Sigma_A, block diagonal
+    with the factor of each array's covariance,
     ``whitened_mean`` is L^{-1} mu_A, and ``mahalanobis_energy`` is
     M = mu_A^H Sigma_A^{-1} mu_A = ||L^{-1} mu_A||^2.
     """
@@ -53,7 +54,9 @@ class Authenticator:
 def make_authenticator(scenario: Scenario) -> Authenticator:
     stats = alice_statistics(scenario)
     dof = 2 * stats.dim
-    chol = cholesky_lower(stats.cov)
+    chol = np.zeros((stats.dim, stats.dim), complex)
+    for sl, cov in zip(stats.block_slices(), stats.block_covs):
+        chol[sl, sl] = cholesky_lower(cov)
     wmean = solve_triangular(chol, stats.mean, lower=True)
     m_energy = float(np.vdot(wmean, wmean).real)
     return Authenticator(

@@ -202,8 +202,7 @@ def _cmd_compare(args):
 def _cmd_delay(args):
     sc = _scenario(args)
     auth = make_authenticator(sc)
-    outage = service_outage(auth, args.rate, args.noise, mode=args.outage_mode,
-                            samples=args.samples, seed=args.seed, threads=args.threads)
+    outage = service_outage(auth, args.rate, args.noise, mode=args.outage_mode)
     arrival = ArrivalModel(args.arrival)
     service = ServiceModel(args.rate, args.resources, outage.probability)
     lines = ["w,bound,s_opt"]

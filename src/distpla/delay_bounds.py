@@ -20,7 +20,7 @@ from scipy import special
 
 from .authenticator import Authenticator, pfa_of_threshold
 from .geometry import ChannelStatistics
-from .monte_carlo import McEstimate, estimate_probability
+from .power_attack import _settled_tail
 
 
 class UnstableQueueError(RuntimeError):
@@ -107,49 +107,39 @@ def stability_margin(arrival: ArrivalModel, service: ServiceModel) -> float:
 # outage probabilities feeding the service model
 
 
-def _snr_threshold(rate: float) -> float:
-    return 2.0 ** rate - 1.0
+def _outage(mean: np.ndarray, covs: tuple[np.ndarray, ...], rate: float,
+            noise_density: float) -> float:
+    """P(||h||^2 < (2^rate - 1) N N0) for h ~ CN(mean, block_diag(covs)) of length N.
 
-
-def _common_noise_var(cov: np.ndarray) -> float | None:
-    """Per-antenna complex variance if the covariance is a scaled identity family."""
-    diag = np.diag(cov).real
-    sigma2 = float(diag[0])
-    if np.any(np.abs(diag - sigma2) > 1e-9 * sigma2):
-        return None
-    off = cov - np.diag(diag)
-    if np.max(np.abs(off)) > 1e-9 * sigma2:
-        return None
-    return sigma2
-
-
-def snr_outage(stats: ChannelStatistics, rate: float, noise_density: float,
-               samples: int = 200_000, seed: int = 0, threads: int = 1) -> McEstimate:
-    """P(log2(1 + ||h||^2 / (N_a N0)) < rate) for maximum-ratio combining.
-
-    With uncorrelated antennas of a common per-antenna variance the squared
-    norm is a scaled noncentral chi-square and the probability is exact
-    (zero standard error); otherwise Monte-Carlo on the channel law.
+    ||h||^2 sums lambda_jk |w_jk + c_jk|^2 over the eigenpairs (lambda_jk,
+    U_j) of each block, with c_jk = (U_j^H mu_j)_k / sqrt(lambda_jk), so the
+    probability is the indefinite form with d = -lambda, |c|^2 and the
+    threshold as constant: saddle point, exact tail where none exists.  One
+    common variance and no correlation make it a scaled noncentral
+    chi-square CDF.
     """
-    n_a = stats.dim
-    threshold = _snr_threshold(rate) * n_a * noise_density
-    sigma2 = _common_noise_var(stats.cov)
-    if sigma2 is not None:
-        lam = 2.0 * float(np.vdot(stats.mean, stats.mean).real) / sigma2
+    n = mean.shape[0]
+    threshold = (2.0 ** rate - 1.0) * n * noise_density
+    sigma2 = float(covs[0][0, 0].real)
+    if all(np.abs(c - sigma2 * np.eye(len(c))).max() <= 1e-9 * sigma2 for c in covs):
+        lam = 2.0 * float(np.vdot(mean, mean).real) / sigma2
         # the noncentral chi-square CDF by the special functions that
         # scipy.stats.ncx2.cdf calls, which is 0 below the support
         x = max(2.0 * threshold / sigma2, 0.0)
-        value = float(special.chndtr(x, 2 * n_a, lam) if lam else special.chdtr(2 * n_a, x))
-        return McEstimate(value, 0.0, 0, 0)
-    event = lambda h: np.sum(np.abs(h) ** 2, axis=-1) < threshold
-    return estimate_probability(event, stats, samples, seed=seed, threads=threads)
+        return float(special.chndtr(x, 2 * n, lam) if lam else special.chdtr(2 * n, x))
+    d, c2 = [], []
+    for mu, cov in zip(np.split(mean, np.cumsum([len(c) for c in covs])[:-1]), covs):
+        values, vectors = np.linalg.eigh(cov)
+        d.append(-values)
+        c2.append(np.abs(vectors.conj().T @ mu) ** 2 / values)
+    d = np.concatenate(d)[None, :]
+    return float(_settled_tail(d, np.concatenate(c2)[None, :], np.ones(d.shape),
+                               np.array([threshold]), exact=True)[0])
 
 
-def _block_stats(stats: ChannelStatistics, j: int) -> ChannelStatistics:
-    sl = list(stats.block_slices())[j]
-    return ChannelStatistics(
-        mean=stats.mean[sl], cov=stats.cov[sl, sl], block_covs=(stats.block_covs[j],),
-        powers=(stats.powers[j],), block_sizes=(stats.block_sizes[j],))
+def snr_outage(stats: ChannelStatistics, rate: float, noise_density: float) -> float:
+    """P(log2(1 + ||h||^2 / (N_a N0)) < rate) for maximum-ratio combining, evaluated."""
+    return _outage(stats.mean, stats.block_covs, rate, noise_density)
 
 
 @dataclass(frozen=True)
@@ -162,8 +152,7 @@ class ServiceOutage:
 
 
 def service_outage(auth: Authenticator, rate: float, noise_density: float,
-                   mode: str = "centralized_bound", samples: int = 200_000,
-                   seed: int = 0, threads: int = 1) -> ServiceOutage:
+                   mode: str = "centralized_bound") -> ServiceOutage:
     """Probability that a legitimate frame is dropped (rejected or undecodable).
 
     Modes:
@@ -179,30 +168,25 @@ def service_outage(auth: Authenticator, rate: float, noise_density: float,
           p_FA + prod_j P(SNR outage at array j): service fails only if
           every array is individually down.
     """
+    if mode not in ("centralized_bound", "centralized_exact_if_valid", "local_bound"):
+        raise ValueError(f"unknown mode {mode!r}")
     stats = auth.stats
     p_fa = pfa_of_threshold(auth.threshold, auth.total_dof)
-    if mode == "centralized_bound":
-        p_out = snr_outage(stats, rate, noise_density, samples=samples, seed=seed,
-                           threads=threads).value
-        return ServiceOutage(min(p_fa + p_out, 1.0), mode, p_fa, p_out, None)
+    held = None
     if mode == "centralized_exact_if_valid":
         lam_min_inv = 1.0 / max(np.linalg.eigvalsh(c)[-1] for c in stats.block_covs)
         mu_norm = float(np.linalg.norm(stats.mean))
-        lhs = math.sqrt(_snr_threshold(rate) * stats.dim * noise_density)
+        lhs = math.sqrt((2.0 ** rate - 1.0) * stats.dim * noise_density)
         rhs = math.sqrt(auth.threshold / (2.0 * lam_min_inv)) - mu_norm
         held = lhs < rhs
         if held:
             return ServiceOutage(p_fa, mode, p_fa, 0.0, True)
-        p_out = snr_outage(stats, rate, noise_density, samples=samples, seed=seed,
-                           threads=threads).value
-        return ServiceOutage(min(p_fa + p_out, 1.0), mode, p_fa, p_out, False)
     if mode == "local_bound":
-        prod = 1.0
-        for j in range(len(stats.block_sizes)):
-            prod *= snr_outage(_block_stats(stats, j), rate, noise_density,
-                               samples=samples, seed=seed + j, threads=threads).value
-        return ServiceOutage(min(p_fa + prod, 1.0), mode, p_fa, prod, None)
-    raise ValueError(f"unknown mode {mode!r}")
+        p_out = math.prod(_outage(stats.mean[sl], (cov,), rate, noise_density)
+                          for sl, cov in zip(stats.block_slices(), stats.block_covs))
+    else:
+        p_out = snr_outage(stats, rate, noise_density)
+    return ServiceOutage(min(p_fa + p_out, 1.0), mode, p_fa, p_out, held)
 
 
 # ---------------------------------------------------------------------------

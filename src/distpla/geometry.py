@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import block_diag
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -121,15 +120,15 @@ def steering_vector(omega, num_antennas: int, spacing: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelStatistics:
-    """Per-array and stacked first/second moments of one transmitter's channel.
+    """First and second moments of one transmitter's channel.
 
-    ``mean`` and ``cov`` are the stacked vector/block-diagonal matrix over
-    all arrays; the per-array covariances and received powers are kept for
-    the attack math, and ``block_slices`` cut the per-array means.
+    ``mean`` is stacked over all arrays and ``block_slices`` cut it into the
+    per-array means; array j's covariance is ``block_covs[j]`` (the arrays
+    are uncorrelated, so no stacked covariance is kept) and its received
+    power ``powers[j]``.
     """
 
     mean: np.ndarray
-    cov: np.ndarray
     block_covs: tuple[np.ndarray, ...]
     powers: np.ndarray
     block_sizes: tuple[int, ...]
@@ -187,8 +186,7 @@ def channel_statistics(scenario: Scenario, tx: TransmitterConfig) -> ChannelStat
     covs = tuple(((p / (scenario.rice_factor + 1.0))
                   * scenario.correlation.matrix(n)).astype(complex)
                  for p, n in zip(powers, sizes))
-    return ChannelStatistics(mean=mean, cov=block_diag(*covs), block_covs=covs,
-                             powers=powers, block_sizes=sizes)
+    return ChannelStatistics(mean=mean, block_covs=covs, powers=powers, block_sizes=sizes)
 
 
 def alice_statistics(scenario: Scenario) -> ChannelStatistics:

@@ -9,12 +9,12 @@ and key layout are part of the package's reproducibility contract and must
 not change between versions.
 
 Each block draws one (n, 2 dim) ``standard_normal`` array z, paired into
-w = z.view(complex) / sqrt(2).  A generic event receives h = mu + L w.  The
-acceptance events are :class:`WhitenedEvent` s and receive x = L_A^{-1} h: the
-shared antenna correlation gives Sigma_E,j = alpha_j Sigma_A,j, alpha_j =
-P_E,j / P_A,j, so x = L_A^{-1} mu_E + diag(sqrt(alpha_j) 1_{n_j}) w costs
-elementwise arithmetic and row sums, no matrix product or triangular solve.
-Sample i is still row i of the same z, so the layout above is unchanged.
+w = z.view(complex) / sqrt(2), the whitened noise of h = mu + L w.  Events
+are :class:`WhitenedEvent` s and receive x = L_A^{-1} h: the shared antenna
+correlation gives Sigma_E,j = alpha_j Sigma_A,j, alpha_j = P_E,j / P_A,j, so
+x = L_A^{-1} mu_E + diag(sqrt(alpha_j) 1_{n_j}) w costs elementwise
+arithmetic and row sums, no matrix product or triangular solve.  Sample i
+is row i of z, the layout above.
 
 An event may also return an (n, k) boolean block, k events over the same
 draws, such as one acceptance test per threshold of a false-alarm sweep.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -35,7 +34,6 @@ from scipy.linalg import solve_triangular
 
 from .authenticator import Authenticator
 from .geometry import ChannelStatistics
-from .numerics import cholesky_lower
 
 BLOCK_SIZE = 16_384
 
@@ -52,15 +50,10 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class WhitenedEvent:
-    """An event whose ``decide`` maps a C-contiguous (n, dim) block of x = L_A^{-1} h
-    to booleans; called on a block of h, it whitens with one triangular solve."""
+    """An event: ``decide`` maps a C-contiguous (n, dim) block of x = L_A^{-1} h to booleans."""
 
     auth: Authenticator
     decide: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, h: np.ndarray) -> np.ndarray:
-        x = solve_triangular(self.auth.chol, np.asarray(h).T, lower=True).T
-        return self.decide(np.ascontiguousarray(x))
 
 
 def block_generator(seed: int, block_index: int) -> np.random.Generator:
@@ -69,16 +62,21 @@ def block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def sample_channel(stats: ChannelStatistics, rng: np.random.Generator,
-                   n: int | None = None) -> np.ndarray:
-    """Draw h = mu + L w, w iid standard complex normal: a vector, or an (n, dim) block."""
-    w = rng.standard_normal((1 if n is None else n, 2 * stats.dim)).view(complex) / np.sqrt(2.0)
-    h = stats.mean + w @ cholesky_lower(stats.cov).T
-    return h[0] if n is None else h
+def estimate_probability(event: WhitenedEvent, stats: ChannelStatistics, samples: int,
+                         seed: int = 0, threads: int = 1) -> McEstimate:
+    """P(event) over h ~ CN(mu, Sigma) by exact counting.
 
-
-def _whitened_sampler(auth: Authenticator, stats: ChannelStatistics):
-    """Draws of x = L_A^{-1} h, h ~ ``stats``; each Sigma_j must be alpha_j Sigma_A,j to 1e-12."""
+    ``event`` is a :class:`WhitenedEvent`: its ``decide`` receives an (n, dim)
+    block of x = L_A^{-1} h and returns a boolean array of length n, or an
+    (n, k) block of k events; then ``value``, ``std_error`` and ``hits`` are
+    length-k arrays.  Each Sigma_j of ``stats`` must be alpha_j Sigma_A,j to
+    1e-12.  Results do not depend on ``threads``.
+    """
+    if not isinstance(event, WhitenedEvent):
+        raise TypeError(f"estimate_probability needs a WhitenedEvent, got {type(event).__name__}")
+    if samples <= 0:
+        raise ValueError(f"samples must be positive, got {samples}")
+    auth = event.auth
     alpha = stats.powers / auth.stats.powers
     if stats.block_sizes != auth.stats.block_sizes or any(
             np.abs(ce - a * ca).max() > 1e-12 * np.abs(ce).max()
@@ -87,32 +85,13 @@ def _whitened_sampler(auth: Authenticator, stats: ChannelStatistics):
     offset = solve_triangular(auth.chol, stats.mean, lower=True).view(float)
     # each real coordinate of x is offset + sqrt(alpha_j) z / sqrt(2)
     spread = np.repeat(np.sqrt(alpha / 2.0), 2 * np.asarray(stats.block_sizes))
-
-    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-        z = rng.standard_normal((count, 2 * stats.dim))
-        return np.add(np.multiply(z, spread, out=z), offset, out=z).view(complex)
-
-    return draw
-
-
-def estimate_probability(event, stats: ChannelStatistics, samples: int,
-                         seed: int = 0, threads: int = 1) -> McEstimate:
-    """P(event) over h ~ CN(mu, Sigma) by exact counting.
-
-    ``event`` receives an (n, dim) complex block and returns a boolean
-    array of length n, or an (n, k) block of k events; then ``value``,
-    ``std_error`` and ``hits`` are length-k arrays.  A :class:`WhitenedEvent`
-    receives x = L_A^{-1} h.  Results do not depend on ``threads``.
-    """
-    if samples <= 0:
-        raise ValueError(f"samples must be positive, got {samples}")
-    draw, test = ((_whitened_sampler(event.auth, stats), event.decide)
-                  if isinstance(event, WhitenedEvent) else (partial(sample_channel, stats), event))
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     def run_block(b: int) -> np.ndarray:
         count = min(BLOCK_SIZE, samples - b * BLOCK_SIZE)
-        flags = np.asarray(test(draw(block_generator(seed, b), count)), bool)
+        z = block_generator(seed, b).standard_normal((count, 2 * stats.dim))
+        x = np.add(np.multiply(z, spread, out=z), offset, out=z).view(complex)
+        flags = np.asarray(event.decide(x), bool)
         if flags.ndim not in (1, 2) or len(flags) != count:
             raise ValueError("event must map an (n, dim) block to n booleans "
                              "or an (n, k) boolean block")

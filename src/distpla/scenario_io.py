@@ -36,22 +36,33 @@ def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from parsed JSON, raising ScenarioError on problems."""
     problems: list[str] = []
 
-    def need(key):
+    def typed(value, who, kind=dict):
+        """``value`` if it is a JSON object (array for kind=list), else an empty one."""
+        if isinstance(value, kind):
+            return value
+        problems.append(f"{who} must be a JSON {'array' if kind is list else 'object'}, got {value!r}")
+        return kind()
+
+    def need(key, kind=dict):
         if key not in data:
             problems.append(f"missing key {key!r}")
-            return None
-        return data[key]
+            return kind()
+        return typed(data[key], key, kind)
 
-    def number(raw, key, default, where=""):
-        """float(raw[key]) for a JSON number, ``default`` if absent (or null where the
-        default is null); anything else notes a problem named by ``where`` + key."""
+    def number(raw, key, default, where="", whole=False):
+        """float(raw[key]) for a JSON number (int(raw[key]) for a ``whole`` one),
+        ``default`` if absent (or null where the default is null); anything
+        else notes a problem named by ``where`` + key."""
         value = raw.get(key, default)
         if value is default:
             return default
         if not _is_number(value):
             problems.append(f"{where}{key} must be a number, got {value!r}")
             return default
-        return float(value)
+        if whole and not float(value).is_integer():
+            problems.append(f"{where}{key} must be a whole number, got {value!r}")
+            return default
+        return int(value) if whole else float(value)
 
     def position(raw, who, default=None):
         pos = raw.get("position_m", default)
@@ -61,11 +72,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         return (float(pos[0]), float(pos[1]))
 
     def transmitter(who):
-        raw = need(who) or {}
+        raw = need(who)
         return TransmitterConfig(position=position(raw, who),
                                  tx_power=number(raw, "tx_power", 1.0, f"{who}."))
 
-    excl = data.get("exclusion_m", {})
+    excl = typed(data.get("exclusion_m", {}), "exclusion_m")
     fields = dict(carrier_frequency=number(data, "carrier_frequency_hz", 2.4e9),
                   antenna_spacing=number(data, "antenna_spacing_wavelengths", 0.5),
                   path_loss_exponent=number(data, "path_loss_exponent", 2.0),
@@ -78,7 +89,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     rice_db = number(data, "rice_factor_db", None)
     rice = 10.0 ** (rice_db / 10.0) if rice_db is not None else number(data, "rice_factor", 1.0)
 
-    corr_raw = data.get("correlation", {"model": "identity"})
+    corr_raw = typed(data.get("correlation", {}), "correlation")
     model = corr_raw.get("model", "identity")
     rho = number(corr_raw, "rho", 0.0, "correlation.")
     if model not in ("identity", "exponential"):
@@ -86,25 +97,26 @@ def scenario_from_dict(data: dict) -> Scenario:
         model = "identity"
     correlation = Correlation(kind=model, rho=rho)
 
-    reg_raw = need("region_m") or {}
+    reg_raw = need("region_m")
     corners = ("x_min", "x_max", "y_min", "y_max")
     if not all(key in reg_raw for key in corners):
         problems.append("region_m must provide numeric x_min/x_max/y_min/y_max")
     region = Region(*(number(reg_raw, key, 0.0, "region_m.") for key in corners))
 
     rrhs = []
-    for i, raw in enumerate(need("rrhs") or []):
+    for i, raw in enumerate(need("rrhs", list)):
         who = f"rrhs[{i}]"
+        raw = typed(raw, who)
         rrhs.append(RrhConfig(
             id=str(raw.get("id", f"rrh{i}")),
             position=position(raw, who, (0.0, 0.0)),
-            num_antennas=int(number(raw, "num_antennas", 1, who + ".")),
+            num_antennas=number(raw, "num_antennas", 1, who + ".", whole=True),
             array_axis=_axis_from_degrees(number(raw, "array_axis_deg", 0.0, who + "."))))
 
     alice = transmitter("alice")
     eve = transmitter("eve")
 
-    search_raw = data.get("search", {})
+    search_raw = typed(data.get("search", {}), "search")
     sidelobes = search_raw.get("include_first_sidelobes", True)
     if not isinstance(sidelobes, bool):
         problems.append(f"search.include_first_sidelobes must be true or false, got {sidelobes!r}")
@@ -113,7 +125,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         g0=number(search_raw, "g0", math.sqrt(2.0), "search."),
         small_scale_radius=number(search_raw, "small_scale_radius_m", None, "search."),
         include_first_sidelobes=sidelobes,
-        max_candidates=int(number(search_raw, "max_candidates", 20_000, "search.")))
+        max_candidates=number(search_raw, "max_candidates", 20_000, "search.", whole=True))
 
     if problems:
         raise ScenarioError(problems)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag, solve_triangular
 
-from distpla import (Correlation, Region, RrhConfig, Scenario, SearchConfig,
+from distpla import (BLOCK_SIZE, Correlation, Region, RrhConfig, Scenario, SearchConfig,
                      TransmitterConfig)
+from distpla.monte_carlo import block_generator
 from distpla.position_attack import _array_contexts, _point_fields
 
 
@@ -70,3 +72,38 @@ def random_geometry(rng, n_rrh=None, *, n_rx=None, rho=None, region=(0, 80, 0, 6
     rho_val = float(rng.uniform(0.0, 0.7)) if rho is None else rho
     return build_scenario(rrhs, alice=alice, eve=eve, region=region,
                           rice_db=float(rng.uniform(3, 12)), rho=rho_val)
+
+
+# The dense oracle: h = mu + L w drawn with the Cholesky factor L of the
+# stacked covariance, which the package itself never forms.  Tests that draw
+# channels, and the checks of the package's whitened sampler and of its
+# evaluated SNR outage, use it.
+
+
+def dense_cov(stats):
+    """The stacked block-diagonal covariance of ``stats``."""
+    return block_diag(*stats.block_covs)
+
+
+def sample_channel(stats, rng, n=None):
+    """Draw h = mu + L w, w iid standard complex normal: a vector, or an (n, dim) block."""
+    w = rng.standard_normal((1 if n is None else n, 2 * stats.dim)).view(complex) / np.sqrt(2.0)
+    h = stats.mean + w @ np.linalg.cholesky(dense_cov(stats)).T
+    return h[0] if n is None else h
+
+
+def decide_on_channel(event, h):
+    """A WhitenedEvent on a block of h: whiten with one triangular solve, then decide."""
+    x = solve_triangular(event.auth.chol, np.asarray(h).T, lower=True).T
+    return event.decide(np.ascontiguousarray(x))
+
+
+def dense_hits(event, stats, samples, seed):
+    """Hits of ``event`` (a function of an (n, dim) block of h) over sample_channel
+    draws on the package's Philox blocks."""
+    counts = []
+    for b in range(0, (samples + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        count = min(BLOCK_SIZE, samples - b * BLOCK_SIZE)
+        counts.append(np.asarray(event(sample_channel(stats, block_generator(seed, b), count)))
+                      .sum(axis=0))
+    return np.sum(counts, axis=0)

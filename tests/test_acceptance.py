@@ -11,14 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import build_scenario, point_fields, random_geometry
+from conftest import build_scenario, point_fields, random_geometry, sample_channel
 from distpla import (ArrivalModel, Correlation, ServiceModel,
                      acceptance_event, alice_statistics,
                      best_case_acceptance_event, delay_violation_bound,
                      discriminant, estimate_probability, eve_statistics,
                      exhaustive_search, load_scenario, make_authenticator,
                      mdp_optimal_pma, optimal_power_strategy,
-                     pfa_of_threshold, rice_means, sample_channel,
+                     pfa_of_threshold, rice_means,
                      simulate_queue_delays, stability_margin,
                      statistical_power_strategy, steering_vector,
                      threshold_for_pfa, truncated_search)

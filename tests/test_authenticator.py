@@ -5,9 +5,9 @@ import pytest
 from scipy import stats as sps
 
 from distpla import (alice_statistics, discriminant, make_authenticator,
-                     pfa_of_threshold, sample_channel, threshold_for_pfa)
+                     pfa_of_threshold, threshold_for_pfa)
 
-from conftest import random_geometry
+from conftest import dense_cov, random_geometry, sample_channel
 
 
 def test_threshold_frozen_value():
@@ -38,9 +38,10 @@ def test_make_authenticator_shape(dual_scenario):
     auth = make_authenticator(dual_scenario)
     assert auth.total_dof == 2 * 5
     assert auth.false_alarm_target == dual_scenario.false_alarm_target
-    assert np.allclose(auth.chol @ auth.chol.conj().T, auth.stats.cov)
+    cov = dense_cov(auth.stats)
+    assert np.allclose(auth.chol @ auth.chol.conj().T, cov)
     # M = mu^H Sigma^{-1} mu by direct solve
-    direct = np.vdot(auth.stats.mean, np.linalg.solve(auth.stats.cov, auth.stats.mean)).real
+    direct = np.vdot(auth.stats.mean, np.linalg.solve(cov, auth.stats.mean)).real
     assert auth.mahalanobis_energy == pytest.approx(direct, rel=1e-10)
 
 
@@ -48,6 +49,16 @@ def test_pfa_override(dual_scenario):
     auth = make_authenticator(replace(dual_scenario, false_alarm_target=1e-3))
     assert auth.false_alarm_target == 1e-3
     assert auth.threshold > make_authenticator(dual_scenario).threshold
+
+
+def test_chol_equals_the_dense_factor_bit_for_bit():
+    """The stacked factor assembled from each array's Cholesky factor has the
+    bits of one Cholesky factorization of the stacked covariance, with identity
+    and exponential correlation."""
+    rng = np.random.default_rng(31)
+    for g in range(12):
+        auth = make_authenticator(random_geometry(rng, rho=0.0 if g % 2 else None))
+        assert np.array_equal(auth.chol, np.linalg.cholesky(dense_cov(auth.stats))), g
 
 
 class TestDiscriminant:
@@ -63,7 +74,7 @@ class TestDiscriminant:
         auth = make_authenticator(dual_scenario)
         h = sample_channel(auth.stats, rng)
         diff = h - auth.stats.mean
-        direct = 2.0 * np.vdot(diff, np.linalg.solve(auth.stats.cov, diff)).real
+        direct = 2.0 * np.vdot(diff, np.linalg.solve(dense_cov(auth.stats), diff)).real
         assert discriminant(auth, h) == pytest.approx(direct, rel=1e-10)
 
 

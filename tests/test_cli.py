@@ -372,6 +372,19 @@ class TestDelay:
                                "--outage-mode", mode, "--samples", "20000")
             assert code == 0, mode
 
+    def test_seed_and_samples_do_not_change_bytes(self, capsys, scenario_file):
+        """The outage is evaluated, not sampled: at a noise level where it is
+        about 1e-2, every mode prints the same bytes for any --seed and --samples."""
+        auth = distpla.make_authenticator(distpla.load_scenario(scenario_file))
+        assert distpla.service_outage(auth, 1.0, 5e-7).p_snr > 1e-3
+        for mode in ("centralized_bound", "centralized_exact_if_valid", "local_bound"):
+            outs = {run(capsys, "delay", "--scenario", scenario_file, "--arrival", "4",
+                        "--rate", "1", "--resources", "8", "--noise", "5e-7", "--w-max", "4",
+                        "--outage-mode", mode, *extra)[1]
+                    for extra in ((), ("--seed", "7"), ("--samples", "1000"),
+                                  ("--seed", "3", "--samples", "30000", "--threads", "2"))}
+            assert len(outs) == 1 and next(iter(outs)).startswith("w,bound,s_opt\n"), mode
+
     def test_unstable_queue_exits_4(self, capsys, scenario_file):
         code, _, err = run(capsys, "delay", "--scenario", scenario_file,
                            "--arrival", "1000", "--rate", "4", "--resources", "4",

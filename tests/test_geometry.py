@@ -114,10 +114,9 @@ class TestChannelStatistics:
         assert stats.block_sizes == (2, 3)
         slices = list(stats.block_slices())
         assert [s.start for s in slices] == [0, 2]
-        off = stats.cov[slices[0], slices[1]]
-        assert np.allclose(off, 0.0)
-        for sl, cov in zip(slices, stats.block_covs):
-            assert np.allclose(stats.cov[sl, sl], cov)
+        assert [s.stop for s in slices] == [2, 5]
+        for sl, n, cov in zip(slices, stats.block_sizes, stats.block_covs):
+            assert stats.mean[sl].shape == (n,) and cov.shape == (n, n)
 
     def test_translation_invariance(self, rng):
         # shifting the whole floor plan leaves the statistics unchanged
@@ -134,14 +133,15 @@ class TestChannelStatistics:
             rho=sc.correlation.rho, region=(-100, 100, -100, 100))
         a1, a2 = alice_statistics(sc), alice_statistics(sc2)
         assert np.allclose(a1.mean, a2.mean, rtol=1e-9, atol=0)
-        assert np.allclose(a1.cov, a2.cov, rtol=1e-9, atol=0)
+        for c1, c2 in zip(a1.block_covs, a2.block_covs):
+            assert np.allclose(c1, c2, rtol=1e-9, atol=0)
 
     def test_eve_uses_her_own_position_and_power(self, single_scenario):
         sc = single_scenario.with_eve((10.0, 10.0), tx_power=2.5)
         ev = eve_statistics(sc)
         direct = channel_statistics(sc, TransmitterConfig((10.0, 10.0), 2.5))
         assert np.array_equal(ev.mean, direct.mean)
-        assert np.array_equal(ev.cov, direct.cov)
+        assert all(map(np.array_equal, ev.block_covs, direct.block_covs))
 
     def test_transmitter_on_rrh_rejected(self, single_scenario):
         sc = single_scenario.with_eve(single_scenario.rrhs[0].position)

@@ -5,74 +5,84 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from distpla import (BLOCK_SIZE, acceptance_event, alice_statistics,
+from distpla import (BLOCK_SIZE, WhitenedEvent, acceptance_event,
                      best_case_acceptance_event, discriminant, estimate_probability,
-                     eve_statistics, load_scenario, make_authenticator, sample_channel,
-                     threshold_for_pfa)
+                     eve_statistics, load_scenario, make_authenticator, threshold_for_pfa)
 from distpla.monte_carlo import block_generator
 from distpla.power_attack import optimal_power_strategy
 
-from conftest import build_scenario, random_geometry
+from conftest import (build_scenario, decide_on_channel, dense_cov, dense_hits,
+                      random_geometry, sample_channel)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def _median_event(stats):
-    mid = stats.dim // 2
-    return lambda h: h[:, mid].real > 0
+def _median_event(auth):
+    """{Re x_mid > 0} on the legitimate law: {Re h_mid > 0} under identity correlation."""
+    mid = auth.stats.dim // 2
+    return WhitenedEvent(auth, lambda x: x[:, mid].real > 0)
 
 
 def test_same_seed_same_result(dual_scenario):
-    stats = alice_statistics(dual_scenario)
-    a = estimate_probability(_median_event(stats), stats, 50_000, seed=7)
-    b = estimate_probability(_median_event(stats), stats, 50_000, seed=7)
+    auth = make_authenticator(dual_scenario)
+    stats = auth.stats
+    a = estimate_probability(_median_event(auth), stats, 50_000, seed=7)
+    b = estimate_probability(_median_event(auth), stats, 50_000, seed=7)
     assert a == b
-    c = estimate_probability(_median_event(stats), stats, 50_000, seed=8)
+    c = estimate_probability(_median_event(auth), stats, 50_000, seed=8)
     assert c.hits != a.hits  # different stream, almost surely
 
 
 @pytest.mark.parametrize("threads", [2, 4, 8])
 def test_thread_count_never_changes_hits(dual_scenario, threads):
-    stats = alice_statistics(dual_scenario)
-    base = estimate_probability(_median_event(stats), stats, 3 * BLOCK_SIZE + 17, seed=3)
-    par = estimate_probability(_median_event(stats), stats, 3 * BLOCK_SIZE + 17,
+    auth = make_authenticator(dual_scenario)
+    stats = auth.stats
+    base = estimate_probability(_median_event(auth), stats, 3 * BLOCK_SIZE + 17, seed=3)
+    par = estimate_probability(_median_event(auth), stats, 3 * BLOCK_SIZE + 17,
                                seed=3, threads=threads)
     assert par.hits == base.hits
     assert par.value == base.value
 
 
 def test_partial_final_block(dual_scenario):
-    stats = alice_statistics(dual_scenario)
-    est = estimate_probability(lambda h: np.ones(len(h), bool), stats, BLOCK_SIZE + 1)
+    auth = make_authenticator(dual_scenario)
+    est = estimate_probability(WhitenedEvent(auth, lambda x: np.ones(len(x), bool)), auth.stats,
+                               BLOCK_SIZE + 1)
     assert est.samples == BLOCK_SIZE + 1
     assert est.hits == BLOCK_SIZE + 1
     assert est.value == 1.0
 
 
 def test_complementary_events_are_exact(dual_scenario):
-    stats = alice_statistics(dual_scenario)
-    ev = _median_event(stats)
-    a = estimate_probability(ev, stats, 30_000, seed=5)
-    b = estimate_probability(lambda h: ~ev(h), stats, 30_000, seed=5)
+    auth = make_authenticator(dual_scenario)
+    ev = _median_event(auth)
+    a = estimate_probability(ev, auth.stats, 30_000, seed=5)
+    b = estimate_probability(WhitenedEvent(auth, lambda x: ~ev.decide(x)), auth.stats, 30_000,
+                             seed=5)
     assert a.hits + b.hits == 30_000
 
 
 def test_input_validation(dual_scenario):
-    stats = alice_statistics(dual_scenario)
+    auth = make_authenticator(dual_scenario)
+    stats = auth.stats
     with pytest.raises(ValueError):
-        estimate_probability(_median_event(stats), stats, 0)
+        estimate_probability(_median_event(auth), stats, 0)
     with pytest.raises(ValueError):
         # event returning the wrong shape must be rejected, not mis-counted
-        estimate_probability(lambda h: np.ones(3, bool), stats, 100)
+        estimate_probability(WhitenedEvent(auth, lambda x: np.ones(3, bool)), stats, 100)
     with pytest.raises(ValueError):
-        estimate_probability(lambda h: np.ones((3, 2), bool), stats, 100)
+        estimate_probability(WhitenedEvent(auth, lambda x: np.ones((3, 2), bool)), stats, 100)
     with pytest.raises(ValueError):
-        estimate_probability(lambda h: np.ones((len(h), 2, 2), bool), stats, 100)
+        estimate_probability(WhitenedEvent(auth, lambda x: np.ones((len(x), 2, 2), bool)),
+                             stats, 100)
+    with pytest.raises(TypeError, match="WhitenedEvent"):
+        # an event on h itself has no sampler: only whitened events are drawn
+        estimate_probability(lambda h: np.ones(len(h), bool), stats, 100)
 
 
 def test_one_column_event_keeps_python_scalars(dual_scenario):
-    stats = alice_statistics(dual_scenario)
-    est = estimate_probability(_median_event(stats), stats, 1000, seed=2)
+    auth = make_authenticator(dual_scenario)
+    est = estimate_probability(_median_event(auth), auth.stats, 1000, seed=2)
     assert type(est.hits) is int and type(est.samples) is int
     assert type(est.value) is float and type(est.std_error) is float
 
@@ -109,19 +119,21 @@ def test_block_generator_streams_are_stable():
 
 
 def test_sample_channel_moments(dual_scenario, rng):
-    stats = alice_statistics(dual_scenario)
+    """The tests' dense oracle draws from the channel law."""
+    stats = make_authenticator(dual_scenario).stats
+    cov = dense_cov(stats)
     h = sample_channel(stats, rng, 200_000)
     assert h.shape == (200_000, stats.dim)
     err_mean = np.abs(h.mean(axis=0) - stats.mean)
-    assert np.all(err_mean < 6 * np.sqrt(np.diag(stats.cov).real / len(h)))
+    assert np.all(err_mean < 6 * np.sqrt(np.diag(cov).real / len(h)))
     centered = h - stats.mean
     emp_cov = centered.T.conj() @ centered / len(h)
-    scale = np.abs(np.diag(stats.cov)).max()
-    assert np.abs(emp_cov.T - stats.cov).max() < 0.02 * scale
+    scale = np.abs(np.diag(cov)).max()
+    assert np.abs(emp_cov.T - cov).max() < 0.02 * scale
 
 
 def test_sample_channel_single_draw(dual_scenario, rng):
-    stats = alice_statistics(dual_scenario)
+    stats = make_authenticator(dual_scenario).stats
     h = sample_channel(stats, rng)
     assert h.shape == (stats.dim,)
     assert h.dtype == complex
@@ -132,7 +144,7 @@ def test_acceptance_event_matches_discriminant(dual_scenario, rng):
     ev = eve_statistics(dual_scenario)
     h = sample_channel(ev, rng, 512)
     scale = 0.8 * np.exp(0.3j)
-    flags = acceptance_event(auth, scale)(h)
+    flags = decide_on_channel(acceptance_event(auth, scale), h)
     direct = discriminant(auth, scale * h) < auth.threshold
     assert np.array_equal(flags, direct)
 
@@ -142,28 +154,20 @@ def test_best_case_event_matches_pointwise_optimum(dual_scenario, rng):
     auth = make_authenticator(dual_scenario)
     ev = eve_statistics(dual_scenario)
     h = sample_channel(ev, rng, 256)
-    flags = best_case_acceptance_event(auth)(h)
+    flags = decide_on_channel(best_case_acceptance_event(auth), h)
     direct = np.array([optimal_power_strategy(auth, row)[1] < auth.threshold for row in h])
     assert np.array_equal(flags, direct)
 
 
 def test_estimate_matches_closed_form_gaussian(dual_scenario):
-    """P(Re h_0 > E Re h_0) = 1/2: sanity of the sampling transform itself."""
-    stats = alice_statistics(dual_scenario)
-    mu0 = stats.mean[0].real
-    est = estimate_probability(lambda h: h[:, 0].real > mu0, stats, 400_000, seed=1)
+    """P(Re h_0 > E Re h_0) = 1/2: sanity of the sampling transform itself.
+    x_0 = h_0 / L_00 with L_00 > 0, so the event is {Re x_0 > Re (L^{-1} mu)_0}."""
+    auth = make_authenticator(dual_scenario)
+    mu0 = auth.whitened_mean[0].real
+    est = estimate_probability(WhitenedEvent(auth, lambda x: x[:, 0].real > mu0), auth.stats,
+                               400_000, seed=1)
     assert abs(est.value - 0.5) < 4 * est.std_error
     assert est.std_error == pytest.approx(np.sqrt(est.value * (1 - est.value) / est.samples))
-
-
-def _dense_hits(event, stats, samples, seed):
-    """The oracle: h from sample_channel on each Philox block, then event(h)."""
-    counts = []
-    for b in range(0, (samples + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        count = min(BLOCK_SIZE, samples - b * BLOCK_SIZE)
-        counts.append(np.asarray(event(sample_channel(stats, block_generator(seed, b), count)))
-                      .sum(axis=0))
-    return np.sum(counts, axis=0)
 
 
 def test_whitened_draws_count_what_the_dense_path_counts():
@@ -187,7 +191,7 @@ def test_whitened_draws_count_what_the_dense_path_counts():
         events = [best_case_acceptance_event(auth, thresholds),
                   acceptance_event(replace(auth, threshold=float(np.median(d))), scale)]
         for event in events:
-            dense = _dense_hits(event, eve, samples, seed=g)
+            dense = dense_hits(lambda h: decide_on_channel(event, h), eve, samples, seed=g)
             for threads in (1, 3):
                 est = estimate_probability(event, eve, samples, seed=g, threads=threads)
                 assert np.array_equal(est.hits, dense), (g, threads)
@@ -206,8 +210,9 @@ def test_whitened_events_refuse_an_unrelated_correlation():
             estimate_probability(event, eve, 1000)
     same = eve_statistics(build_scenario(rrhs, rho=0.3))
     assert estimate_probability(best_case_acceptance_event(auth), same, 1000).samples == 1000
-    # a generic event still samples h from the law itself
-    assert estimate_probability(lambda h: h[:, 0].real > 0, eve, 1000).samples == 1000
+    # an event on h itself is refused as well: nothing samples h densely
+    with pytest.raises(TypeError, match="WhitenedEvent"):
+        estimate_probability(lambda h: h[:, 0].real > 0, eve, 1000)
 
 
 def test_philox_layout_pinned_by_literal_hit_counts():

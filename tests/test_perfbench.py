@@ -1,6 +1,7 @@
-"""The benchmark's tracer must keep finding the functions it wraps."""
+"""The benchmark must keep finding the functions it wraps and the CLI options it passes."""
 import ast
-import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -19,3 +20,25 @@ def test_traced_names_resolve():
         module = importlib.import_module(f"distpla.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"distpla.{layer}.{name}"
+
+
+def test_workload_argv_parse():
+    """Every command of every benchmark workload, with the scenario paths, --threads
+    and --out that the runner appends, parses with the CLI's own parser, so a CLI
+    change that would break a benchmark run fails here first."""
+    from distpla.cli import build_parser
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  TRACING.with_name("workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads     # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    parser = build_parser()
+    for name, commands in workloads.WORKLOADS.items():
+        for cmd in commands:
+            argv = workloads.command_argv(cmd, Path("scenarios"), Path("out"), workloads.THREADS)
+            args = parser.parse_args(argv)
+            assert args.command == cmd.argv[0] and args.threads == workloads.THREADS, (name, argv)

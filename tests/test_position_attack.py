@@ -11,14 +11,14 @@ from distpla import (Correlation, SearchConfig, alice_statistics,
                      angular_inner_product, channel_statistics,
                      count_small_scale_optima, eve_statistics,
                      exhaustive_search, f_obj, load_scenario, lobe_sets, make_authenticator,
-                     mdp_optimal_pma, sample_channel, steering_vector,
+                     mdp_optimal_pma, steering_vector,
                      truncated_search, wavelength)
 from distpla.position_attack import (EmptyRegionError, NoCandidatesError,
                                      _allowed_mask, _array_contexts,
                                      _band_masks, _disc_local_maxima,
                                      _point_geometry, grid_axes)
 
-from conftest import build_scenario, point_fields, random_geometry
+from conftest import build_scenario, point_fields, random_geometry, sample_channel
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

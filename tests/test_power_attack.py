@@ -10,7 +10,7 @@ from distpla import (NO_ATTACK, IndefiniteForm, PowerStrategy, SaddlepointError,
                      eve_statistics, load_scenario, make_authenticator,
                      mdp_fixed_strategy, mdp_fixed_strategy_sweep, mdp_optimal_pma,
                      mdp_optimal_pma_batch, mdp_optimal_pma_sweep,
-                     mdp_single_array_closed_form, sample_channel, threshold_for_pfa)
+                     mdp_single_array_closed_form, threshold_for_pfa)
 from distpla import power_attack as pa
 from distpla.monte_carlo import acceptance_event, best_case_acceptance_event
 from distpla.numerics import NumericsError, bracketed_root_find
@@ -19,7 +19,7 @@ from distpla.power_attack import (build_indefinite_form, dncf_sf,
                                   saddlepoint_tail_probability,
                                   statistical_power_strategy)
 
-from conftest import build_scenario, random_geometry
+from conftest import build_scenario, dense_cov, random_geometry, sample_channel
 
 DESK = Path(__file__).resolve().parent.parent / "scenarios" / "desk_2rrh.json"
 
@@ -110,7 +110,7 @@ class TestIndefiniteForm:
         auth = make_authenticator(single_scenario)
         ev = eve_statistics(single_scenario)
         form = build_indefinite_form(auth, ev)
-        alpha = float((ev.cov[0, 0] / auth.stats.cov[0, 0]).real)
+        alpha = float((ev.block_covs[0][0, 0] / auth.stats.block_covs[0][0, 0]).real)
         t = form.threshold_param
         assert 0.0 < t < 1.0
         n = auth.stats.dim
@@ -162,8 +162,8 @@ def _dense_form(auth, ev, strategy=None):
     Whitens h = shift + L_E w for the event {h^H C h + constant > 0} and
     diagonalizes L_E^H C L_E with a full eigensolver.
     """
-    chol_e = np.linalg.cholesky(ev.cov)
-    sia = np.linalg.inv(auth.stats.cov)
+    chol_e = np.linalg.cholesky(dense_cov(ev))
+    sia = np.linalg.inv(dense_cov(auth.stats))
     t = 1.0 - auth.threshold / (2.0 * auth.mahalanobis_energy)
     if strategy is None:
         sia_mu = sia @ auth.stats.mean

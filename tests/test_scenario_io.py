@@ -229,3 +229,33 @@ def test_integer_valued_numbers_load_as_floats():
                                        (("region_m", "x_max"), 40)))
     assert sc == load_scenario(DESK)
     assert type(sc.carrier_frequency) is type(sc.exclusion_alice) is type(sc.region.x_max) is float
+
+
+def test_sections_must_be_objects():
+    """A section that is not a JSON object is a collected problem, not a crash."""
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(_desk_with((("exclusion_m",), 5), (("search",), [1])))
+    assert info.value.problems == ["exclusion_m must be a JSON object, got 5",
+                                   "search must be a JSON object, got [1]"]
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(_desk_with((("correlation",), "exponential"), (("rrhs", 1), 7)))
+    assert info.value.problems == ["correlation must be a JSON object, got 'exponential'",
+                                   "rrhs[1] must be a JSON object, got 7"]
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(_desk_with((("rrhs",), {"id": "a"}), (("alice",), None)))
+    assert info.value.problems == ["rrhs must be a JSON array, got {'id': 'a'}",
+                                   "alice must be a JSON object, got None",
+                                   "alice.position_m must be [x, y], got None"]
+
+
+def test_counts_must_be_whole_numbers():
+    for path, name in ((("rrhs", 0, "num_antennas"), "rrhs[0].num_antennas"),
+                       (("search", "max_candidates"), "search.max_candidates")):
+        for bad in (2.5, float("inf"), float("nan")):
+            with pytest.raises(ScenarioError) as info:
+                scenario_from_dict(_desk_with((path, bad)))
+            assert info.value.problems == [f"{name} must be a whole number, got {bad!r}"]
+    sc = scenario_from_dict(_desk_with((("rrhs", 0, "num_antennas"), 4.0),
+                                       (("search", "max_candidates"), 300)))
+    assert sc.rrhs[0].num_antennas == 4 and sc.search.max_candidates == 300
+    assert type(sc.rrhs[0].num_antennas) is type(sc.search.max_candidates) is int
