@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -148,12 +149,8 @@ def _cmd_heatmap(args):
     sc = _scenario(args)
     res = args.grid or sc.search.grid_resolution or wavelength(sc.carrier_frequency) / 10.0
     xs, ys, vals = _pmd_cells(sc, res)
-    lines = ["x_m,y_m,log10_pmd"]
-    k = 0
-    for y in ys:
-        for x in xs:
-            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(_log10_clamped(vals[k]))}")
-            k += 1
+    lines = ["x_m,y_m,log10_pmd"] + [f"{_fmt(x)},{_fmt(y)},{_fmt(_log10_clamped(v))}"
+                                     for (y, x), v in zip(product(ys, xs), vals)]
     return "\n".join(lines) + "\n", None
 
 
@@ -200,6 +197,12 @@ def _cmd_compare(args):
 
 
 def _cmd_delay(args):
+    for flag, value, zero_ok in (("--arrival", args.arrival, True), ("--noise", args.noise, True),
+                                 ("--rate", args.rate, False),
+                                 ("--resources", args.resources, False)):
+        if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+            kind = "non-negative" if zero_ok else "positive"
+            raise ValueError(f"{flag} must be {kind} and finite, got {value}")
     sc = _scenario(args)
     auth = make_authenticator(sc)
     outage = service_outage(auth, args.rate, args.noise, mode=args.outage_mode)

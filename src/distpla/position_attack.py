@@ -21,7 +21,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
+from itertools import product
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -33,6 +33,8 @@ from .numerics import bracketed_root_find
 from .power_attack import mdp_optimal_pma_batch
 
 _TILE_CELLS = 1 << 19      # grid cells in flight in _walk_grid, split over its workers' tiles
+_CHUNK_CELLS = 1 << 14     # cells per _point_fields call in _walk_grid: bounds its temporaries
+_SCAN_STRIDE = 32          # columns per float64 scan point of _lobe_columns
 # exp(j (pi/2) (sign(g) - 1)) for sign(g) = -1, 0, 1: the same bits as the
 # elementwise exp, looked up by sign(g) + 1
 _SIGN_PHASE = np.exp(1j * (np.pi / 2.0) * (np.arange(-1.0, 2.0) - 1.0))
@@ -87,13 +89,10 @@ def _array_contexts(scenario: Scenario) -> list[_ArrayContext]:
         delta = np.asarray(scenario.alice.position, float) - np.asarray(rrh.position, float)
         dist = float(np.hypot(*delta))
         omega_a = float(delta @ np.asarray(rrh.array_axis, float) / dist)
-        if scenario.correlation.kind == "identity":
-            corr_inv = None
-            w_a = steering_vector(omega_a, rrh.num_antennas, scenario.antenna_spacing)
-            peak = float(rrh.num_antennas)
-        else:
+        e_a = steering_vector(omega_a, rrh.num_antennas, scenario.antenna_spacing)
+        corr_inv, w_a, peak = None, e_a, float(rrh.num_antennas)
+        if scenario.correlation.kind != "identity":
             corr_inv = np.linalg.inv(scenario.correlation.matrix(rrh.num_antennas))
-            e_a = steering_vector(omega_a, rrh.num_antennas, scenario.antenna_spacing)
             w_a = corr_inv @ e_a
             peak = float((e_a.conj() @ w_a).real)
         ctxs.append(_ArrayContext(rrh.id, np.asarray(rrh.position, float),
@@ -108,8 +107,7 @@ def _dirichlet(x: np.ndarray, n: int, spacing: float) -> np.ndarray:
     den = np.sin(np.pi * spacing * x)
     num = np.sin(np.pi * spacing * n * x)
     tiny = np.abs(den) < 1e-9
-    safe = np.where(tiny, 1.0, den)
-    out = num / safe
+    out = num / np.where(tiny, 1.0, den)
     if np.any(tiny):
         lim = n * np.cos(np.pi * spacing * n * x) / np.cos(np.pi * spacing * x)
         out = np.where(tiny, lim, out)
@@ -153,10 +151,10 @@ def angular_inner_product(omega_e: float, omega_a: float, num_antennas: int,
     return s_val, float(g.real)
 
 
-def _s_ee(ctx: _ArrayContext, omega_e: np.ndarray) -> np.ndarray:
-    """e(Omega_E)^H Lambda^{-1} e(Omega_E), a positive real per point."""
+def _s_ee(ctx: _ArrayContext, omega_e: np.ndarray) -> np.ndarray | float:
+    """e(Omega_E)^H Lambda^{-1} e(Omega_E), a positive real per point (n for identity)."""
     if ctx.corr_inv is None:
-        return np.full(np.shape(omega_e), float(ctx.n))
+        return float(ctx.n)
     e_mat = steering_vector(np.asarray(omega_e, float), ctx.n, ctx.spacing)
     return np.einsum("ij,jk,ik->i", e_mat.conj(), ctx.corr_inv, e_mat).real
 
@@ -169,9 +167,10 @@ def _point_geometry(ctx: _ArrayContext, px: np.ndarray, py: np.ndarray):
     return dist, omega
 
 
-def _point_fields(scenario: Scenario, ctxs: list[_ArrayContext],
-                  px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f_obj, f_small_scale) of the mean channel at candidate positions.
+def _point_fields(scenario: Scenario, ctxs: list[_ArrayContext], px: np.ndarray,
+                  py: np.ndarray, objective: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """(f_obj, f_small_scale) of the mean channel at candidate positions;
+    f_obj is None without ``objective``, which skips its terms.
 
     The expanded per-array factorization of the objective, algebraically
     identical to f_obj(auth, mu_E) without any covariance factorization:
@@ -189,16 +188,17 @@ def _point_fields(scenario: Scenario, ctxs: list[_ArrayContext],
     for ctx in ctxs:
         dist, omega = _point_geometry(ctx, px, py)
         g = _angular_g(ctx, omega)
-        d_omega = omega - ctx.omega_a
-        ratio = ctx.dist_a / dist
         phase = (2.0 * np.pi * (dist - ctx.dist_a) / lam
-                 + np.pi * (ctx.n - 1) * ctx.spacing * d_omega)
+                 + np.pi * (ctx.n - 1) * ctx.spacing * (omega - ctx.omega_a))
         rot = np.exp(1j * phase)
-        num += ratio ** (beta / 2.0) * rot * g
-        den += ratio ** beta * _s_ee(ctx, omega)
         # clipping only matters for a NaN g, whose rot is NaN as well
         aligned += rot * np.take(_SIGN_PHASE, (np.sign(g) + 1.0).astype(np.intp), mode="clip")
-    return scenario.rice_factor * np.abs(num) ** 2 / den, np.abs(aligned)
+        if objective:
+            ratio = ctx.dist_a / dist
+            num += ratio ** (beta / 2.0) * rot * g
+            den += ratio ** beta * _s_ee(ctx, omega)
+    return (scenario.rice_factor * np.abs(num) ** 2 / den if objective else None,
+            np.abs(aligned))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +259,7 @@ def _one_side_bands(g, x_max: float, step: float, peak0: float, g0: float):
     array function of the offset x in [0, x_max] from the main-lobe peak."""
     zeros = _scan_crossings(g, 0.0, x_max, step)
     first_zero = zeros[0] if zeros else x_max
-    target_main = peak0 / g0
-    edges = _scan_crossings(lambda x: np.abs(g(x)) - target_main, 0.0, first_zero, step)
+    edges = _scan_crossings(lambda x: np.abs(g(x)) - peak0 / g0, 0.0, first_zero, step)
     main_edge = edges[0] if edges else first_zero
     if not zeros or (len(zeros) > 1 and zeros[1] - zeros[0] <= 4.0 * step):
         return main_edge, None
@@ -273,8 +272,7 @@ def _one_side_bands(g, x_max: float, step: float, peak0: float, g0: float):
     side_peak = abs(_at(g, center))
     if side_peak <= 0.0:
         return main_edge, None
-    target_side = side_peak / g0
-    side_fun = lambda x: np.abs(g(x)) - target_side
+    side_fun = lambda x: np.abs(g(x)) - side_peak / g0
     lo_edges = _scan_crossings(side_fun, z1, center, step)
     hi_edges = _scan_crossings(side_fun, center, z2, step)
     return main_edge, (lo_edges[-1] if lo_edges else z1, hi_edges[0] if hi_edges else z2,
@@ -340,6 +338,12 @@ class SearchResult:
         return self.candidates[0]
 
 
+def _cell_centres(scenario: Scenario, nx: int, res: float, idx):
+    """(x, y) cell centres of the flat indices ``idx`` into a grid ``nx`` cells wide."""
+    return (scenario.region.x_min + (idx % nx + 0.5) * res,
+            scenario.region.y_min + (idx // nx + 0.5) * res)
+
+
 def grid_axes(scenario: Scenario, resolution: float) -> tuple[np.ndarray, np.ndarray]:
     """Cell-center coordinates covering the region at the given spacing."""
     if not 0.0 < resolution < math.inf:
@@ -371,13 +375,24 @@ def _allowed_mask(scenario: Scenario, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     return allowed
 
 
-def _in_bands(lobes: ArrayLobes, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(in the main lobe, in a first sidelobe) per angular sine."""
-    main = (omega >= lobes.main.omega_lo) & (omega <= lobes.main.omega_hi)
+def _in_bands(lobes: ArrayLobes, omega: np.ndarray, slack=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(in the main lobe, in a first sidelobe) per angular sine, with the
+    bands widened by ``slack`` on both sides."""
+    main = (omega >= lobes.main.omega_lo - slack) & (omega <= lobes.main.omega_hi + slack)
     side = np.zeros(omega.shape, bool)
     for band in lobes.sidelobes:
-        side |= (omega >= band.omega_lo) & (omega <= band.omega_hi)
+        side |= (omega >= band.omega_lo - slack) & (omega <= band.omega_hi + slack)
     return main, side
+
+
+def _lobe_union(main, side, pairs: bool) -> np.ndarray:
+    """Any array's main-lobe mask or, with ``pairs``, any two arrays' sidelobe masks at once."""
+    mask = np.logical_or.reduce(main)
+    if pairs:
+        for i in range(len(side)):
+            for j in range(i + 1, len(side)):
+                mask |= side[i] & side[j]
+    return mask
 
 
 def _band_masks(ctx: _ArrayContext, lobes: ArrayLobes, xs: np.ndarray,
@@ -390,37 +405,69 @@ def _band_masks(ctx: _ArrayContext, lobes: ArrayLobes, xs: np.ndarray,
     return _in_bands(lobes, omega)
 
 
-def _disc_offsets(eps_px: int) -> tuple[np.ndarray, np.ndarray]:
-    span = np.arange(-eps_px, eps_px + 1)
-    oy, ox = np.meshgrid(span, span, indexing="ij")
-    keep = (oy ** 2 + ox ** 2 <= eps_px ** 2) & ~((oy == 0) & (ox == 0))
-    return oy[keep], ox[keep]
+def _lobe_columns(ctxs: list[_ArrayContext], lobes: LobeSets, xs: np.ndarray,
+                  ys: np.ndarray, res: float, pairs: bool) -> np.ndarray | slice:
+    """The columns of the ys × xs grid that can hold a cell of _lobe_mask.
+
+    Scans the centre column of each run of _SCAN_STRIDE columns in float64.
+    Along a row |dω/dx| <= 1/dist, so within h = _SCAN_STRIDE/2 cells of a
+    centre at distance r > h from an array ω moves by at most h/(r - h); 1e-5
+    more covers the float32 rounding of _band_masks (under 16 u ≈ 1e-6).
+    """
+    k = _SCAN_STRIDE
+    centres = np.minimum(np.arange(0, xs.size, k) + k // 2, xs.size - 1)
+    h = k // 2 * res
+    main, side = [], []
+    for ctx, al in zip(ctxs, lobes.per_array):
+        dist, omega = _point_geometry(ctx, xs[centres][None, :], ys[:, None])
+        close = ~(dist > h)         # no bound on ω there (NaN at the array itself)
+        bands = _in_bands(al, omega, h / np.where(close, np.inf, dist - h) + 1e-5)
+        main.append(bands[0] | close)
+        side.append(bands[1] | close)
+    runs = _lobe_union(main, side, pairs).any(axis=0)
+    return slice(None) if runs.all() else np.flatnonzero(np.repeat(runs, k)[:xs.size])
 
 
-def _disc_local_maxima(grid: np.ndarray, member_idx: np.ndarray, eps_px: int) -> np.ndarray:
-    """Keep-mask over the members (flat indices into ``grid``, float32 values
-    with -inf off the members) of >= local maxima over the disc neighborhood
-    among members; plateaus count as maxima."""
-    nx = grid.shape[1]
-    vals = grid.ravel()[member_idx]
-    keep = np.ones(member_idx.size, bool)
+def _lobe_mask(ctxs: list[_ArrayContext], lobes: LobeSets, xs: np.ndarray, ys: np.ndarray,
+               res: float, pairs: bool) -> np.ndarray:
+    """_lobe_union of the float32 _band_masks over the ys × xs grid,
+    evaluated only on the columns that _lobe_columns keeps."""
+    cols = _lobe_columns(ctxs, lobes, xs, ys, res, pairs)
+    mask = np.zeros((ys.size, xs.size), bool)
+    mask[:, cols] = _lobe_union(*zip(*(_band_masks(ctx, al, xs[cols], ys)
+                                       for ctx, al in zip(ctxs, lobes.per_array))), pairs)
+    return mask
+
+
+def _disc_local_maxima(grid: np.ndarray, r0: int, r1: int, eps_px: int) -> np.ndarray:
+    """Flat indices into ``grid`` (float32, -inf off the members) of the
+    members in rows r0:r1 that are >= every member of their disc of radius
+    ``eps_px``; plateaus count as maxima.  Only the rows the discs reach and
+    the members' column span ± ``eps_px`` are filtered."""
+    cols = np.flatnonzero((grid[r0:r1] != -np.inf).any(axis=0))
+    if cols.size == 0:
+        return np.empty(0, np.intp)
+    w0, c0 = max(r0 - eps_px, 0), max(int(cols[0]) - eps_px, 0)
+    win = grid[w0:r1 + eps_px, c0:int(cols[-1]) + eps_px + 1]
+    core = win[r0 - w0:r1 - w0]
+    keep = core != -np.inf
     half = int(eps_px / math.sqrt(2.0))
     if half >= 1:
         # square inscribed in the disc: cheap separable prefilter that can
         # only discard points already beaten inside the disc
         from scipy.ndimage import maximum_filter
-        sq_max = maximum_filter(grid, size=2 * half + 1, mode="constant", cval=-np.inf)
-        keep = vals >= sq_max.ravel()[member_idx]
-    cand = np.flatnonzero(keep)
-    iy, ix = np.divmod(member_idx[cand], nx)
-    cand_vals = vals[cand]
-    padded = np.pad(grid, eps_px, constant_values=-np.inf)
-    alive = np.ones(cand.size, bool)
-    for dy_off, dx_off in zip(*_disc_offsets(eps_px)):
-        np.logical_and(alive, cand_vals >= padded[iy + (eps_px + dy_off), ix + (eps_px + dx_off)],
-                       out=alive)
-    keep[cand] = alive
-    return keep
+        sq_max = maximum_filter(win, size=2 * half + 1, mode="constant", cval=-np.inf)
+        keep &= core >= sq_max[r0 - w0:r1 - w0]
+    iy, ix = np.nonzero(keep)
+    iy += r0 - w0
+    vals = win[iy, ix]
+    padded = np.pad(win, eps_px, constant_values=-np.inf)
+    alive = np.ones(iy.size, bool)
+    for dy_off, dx_off in product(range(-eps_px, eps_px + 1), repeat=2):
+        if 0 < dy_off ** 2 + dx_off ** 2 <= eps_px ** 2:
+            np.logical_and(alive, vals >= padded[iy + (eps_px + dy_off), ix + (eps_px + dx_off)],
+                           out=alive)
+    return (iy[alive] + w0) * grid.shape[1] + ix[alive] + c0
 
 
 def _grid(scenario: Scenario, cfg: SearchConfig) -> tuple[float, int, np.ndarray, np.ndarray]:
@@ -446,22 +493,24 @@ def _in_order(pool: ThreadPoolExecutor, fn, args, ahead: int):
 
 
 def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
-               ys: np.ndarray, res: float, eps_px: int, member=None, threads: int = 1):
+               ys: np.ndarray, res: float, eps_px: int, member=None, threads: int = 1,
+               objective: bool = True):
     """The grid pass of every position search, in row tiles on up to ``threads`` threads.
 
-    Fields are evaluated once per cell, at the allowed cells that
-    ``member(tile_ys)`` keeps (all if None, none if False).  With ``eps_px``
-    >= 1 only their disc-local maxima of the small-scale count survive.  A
-    disc reaches ``eps_px`` rows past its centre, so a member is decided once
-    the tile holding those rows has its fields: the undecided members and
-    the float32 small-scale grid of the last 2·``eps_px`` rows carry from
-    tile to tile (across several tiles when tiles are thinner than that).
-    Results therefore do not depend on the tile size, which bounds memory.
-    The tiles run on min(threads, tiles) worker threads, each tile about
-    _TILE_CELLS / workers cells so that the cells in flight stay at one
-    tile's worth, and results come back in tile order, so they do not depend
-    on ``threads`` either.  Yields, for each tile, its n_allowed and
-    n_members and the flat grid indices, f_obj and f_small_scale of the
+    The members are the allowed cells that ``member(tile_ys)`` keeps (all if
+    None, none if False).  With ``eps_px`` >= 1 the small-scale count alone
+    is evaluated once per member, into a float32 grid, and both fields
+    (if ``objective``) at its disc-local maxima, the survivors; otherwise
+    every member survives with both fields.  _point_fields takes at most
+    _CHUNK_CELLS cells a call, so memory is bounded by tile and chunk, not
+    by lobe density.  A disc reaches ``eps_px`` rows past its centre, so a
+    row is decided once its tile or a later one holds those rows: the last
+    2·``eps_px`` grid rows carry from tile to tile, and results do not
+    depend on the tile size.  The tiles run on min(threads, tiles) workers
+    of about _TILE_CELLS / workers cells each, so the cells in flight stay at
+    one tile's worth, and results come back in tile order, independent of
+    ``threads``.  Yields, per tile, n_allowed, n_members and the flat grid
+    indices, f_obj and f_small_scale (None without ``objective``) of the
     survivors it decided, in row-major order; raises EmptyRegionError after
     the last tile if no cell is allowed.
     """
@@ -472,44 +521,48 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
     rows = max(_TILE_CELLS // workers // nx, 1)
     halo = max(eps_px, 0)
 
+    def chunks(idx):
+        """(cells, x, y) of ``idx``, _CHUNK_CELLS cells at a time (one empty chunk if none)."""
+        for c in range(0, max(idx.size, 1), _CHUNK_CELLS):
+            part = idx[c:c + _CHUNK_CELLS]
+            yield part, *_cell_centres(scenario, nx, res, part)
+
+    def point_fields(idx):
+        parts = (_point_fields(scenario, ctxs, px, py) for _, px, py in chunks(idx))
+        return tuple(map(np.concatenate, zip(*parts))) if objective else (None, None)
+
     def fields(r0):
         r1 = min(r0 + rows, ny)
         allowed = _allowed_mask(scenario, xs, ys[r0:r1])
         members = allowed if member is None else allowed & member(ys[r0:r1])
-        local = np.flatnonzero(members)
-        idx = local + r0 * nx
-        px = scenario.region.x_min + (idx % nx + 0.5) * res
-        py = scenario.region.y_min + (idx // nx + 0.5) * res
-        fobj, fss = _point_fields(scenario, ctxs, px, py)
-        grid = None
-        if halo:
-            grid = np.full(members.shape, -np.inf, np.float32)
-            grid.ravel()[local] = fss
-        return int(np.count_nonzero(allowed)), idx.size, idx, fobj, fss, r1, grid
+        idx = np.flatnonzero(members)
+        idx += r0 * nx
+        n_allowed = int(np.count_nonzero(allowed))
+        if not halo:
+            return n_allowed, idx.size, idx, *point_fields(idx)
+        grid = np.full(members.shape, -np.inf, np.float32)
+        for part, px, py in chunks(idx):
+            grid.ravel()[part - r0 * nx] = _point_fields(scenario, ctxs, px, py, objective=False)[1]
+        return n_allowed, idx.size, r1, grid
 
     def decisions(done):
-        """maxima's arguments per tile.  A member's disc reaches ``halo`` rows
-        past its own, so a tile decides the members from ``halo`` rows before
-        its first row to ``halo`` rows before its end (to the grid's end for
-        the last tile); the undecided members and the grid's last 2·``halo``
-        rows carry over to the next tile."""
+        """maxima's arguments per tile: it decides the rows from the first
+        undecided one to ``halo`` rows before its end (to the grid's end for
+        the last tile) on its grid and the carried rows before it."""
         tail = np.empty((0, nx), np.float32)
-        pending = (np.empty(0, np.intp), np.empty(0), np.empty(0))
-        for n_allowed, n_members, *tile, r1, grid in done:
-            cut = (r1 - halo) * nx if r1 < ny else ny * nx
-            c_p, c_t = np.searchsorted(pending[0], cut), np.searchsorted(tile[0], cut)
-            yield (n_allowed, n_members, r1 - grid.shape[0] - tail.shape[0], (tail, grid),
-                   [a[:c_p] for a in pending], [a[:c_t] for a in tile])
-            pending = tuple(np.concatenate((a[c_p:], b[c_t:])) for a, b in zip(pending, tile))
+        d0 = 0
+        for n_allowed, n_members, r1, grid in done:
+            d1 = max(d0, r1 - halo) if r1 < ny else ny
+            yield n_allowed, n_members, r1 - grid.shape[0] - tail.shape[0], (tail, grid), d0, d1
             tail = np.concatenate((tail, grid[-2 * halo:]))[-2 * halo:]
-            del tile, grid      # the call alone holds the tile while the next one runs
+            d0 = d1
+            del grid        # the call alone holds the tile while the next one runs
 
-    def maxima(n_allowed, n_members, g0, grids, *parts):
-        """The disc-local maxima among the members in ``parts``; ``grids``
+    def maxima(n_allowed, n_members, g0, grids, d0, d1):
+        """The disc-local maxima in rows d0:d1 with their fields; ``grids``
         hold the rows from g0 on that their discs reach."""
-        idx, fobj, fss = map(np.concatenate, zip(*parts))
-        keep = _disc_local_maxima(np.concatenate(grids), idx - g0 * nx, halo)
-        return n_allowed, n_members, idx[keep], fobj[keep], fss[keep]
+        idx = g0 * nx + _disc_local_maxima(np.concatenate(grids), d0 - g0, d1 - g0, halo)
+        return n_allowed, n_members, idx, *point_fields(idx)
 
     pool = ThreadPoolExecutor(workers)
     try:
@@ -517,7 +570,7 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
         if halo:
             tiles = _in_order(pool, maxima, decisions(tiles), workers - 1)
         any_allowed = False
-        for n_allowed, n_members, idx, fobj, fss, *_ in tiles:
+        for n_allowed, n_members, idx, fobj, fss in tiles:
             any_allowed |= n_allowed > 0
             yield n_allowed, n_members, idx, fobj, fss
     finally:
@@ -550,24 +603,14 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
     lobes and pairwise first-sidelobe intersections, keeps local maxima of
     the small-scale alignment count over discs of the configured radius
     (every candidate qualifies for a single array, whose count is flat),
-    and evaluates the optimal-power-attack miss probability only at the
-    survivors, capped at ``max_candidates`` best alignment objectives.
-    The grid pass runs on up to ``threads`` threads without changing the result.
+    computes the alignment objective only at them, and evaluates the miss
+    probability at the ``max_candidates`` of best objective.  The grid pass
+    runs on up to ``threads`` threads without changing the result.
     """
     cfg = config or scenario.search
     res, eps_px, xs, ys = _grid(scenario, cfg)
     ctxs = _array_contexts(scenario)
     lobes = lobe_sets(scenario)
-
-    def lobe_mask(tile_ys):
-        main, side = zip(*(_band_masks(ctx, al, xs, tile_ys)
-                           for ctx, al in zip(ctxs, lobes.per_array)))
-        mask = np.logical_or.reduce(main)
-        if cfg.include_first_sidelobes:
-            for i in range(len(side)):
-                for j in range(i + 1, len(side)):
-                    mask |= side[i] & side[j]
-        return mask
 
     nx = xs.size
 
@@ -578,9 +621,10 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
 
     n_allowed = n_lobe = n_survivors = 0
     kept = (np.empty(0, np.intp), np.empty(0), np.empty(0))
-    for n_tile, m_tile, *survivors in _walk_grid(scenario, ctxs, xs, ys, res,
-                                                 eps_px if len(ctxs) > 1 else 0, lobe_mask,
-                                                 threads):
+    for n_tile, m_tile, *survivors in _walk_grid(
+            scenario, ctxs, xs, ys, res, eps_px if len(ctxs) > 1 else 0,
+            lambda tile_ys: _lobe_mask(ctxs, lobes, xs, tile_ys, res, cfg.include_first_sidelobes),
+            threads):
         n_allowed += n_tile
         n_lobe += m_tile
         n_survivors += survivors[0].size
@@ -590,8 +634,7 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
     if n_lobe == 0:
         raise NoCandidatesError("no grid point falls on a usable lobe")
     idx, fobj, fss = best_first(*kept)
-    xs_c = scenario.region.x_min + (idx % nx + 0.5) * res
-    ys_c = scenario.region.y_min + (idx // nx + 0.5) * res
+    xs_c, ys_c = _cell_centres(scenario, nx, res, idx)
     p_md = mdp_optimal_pma_batch(auth or make_authenticator(scenario), scenario,
                                  np.column_stack((xs_c, ys_c)))
     labels = _candidate_labels(ctxs, lobes, xs_c, ys_c)
@@ -622,8 +665,7 @@ def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
             top = int(np.argmax(fobj))
             best = (int(idx[top]), float(fobj[top]), float(fss[top]))
     k, fo, fs = best
-    x = scenario.region.x_min + (k % xs.size + 0.5) * res
-    y = scenario.region.y_min + (k // xs.size + 0.5) * res
+    x, y = _cell_centres(scenario, xs.size, res, k)
     p_md = mdp_optimal_pma_batch(auth or make_authenticator(scenario), scenario, [x, y])
     label = _candidate_labels(ctxs, lobe_sets(scenario), np.array([x]), np.array([y]))[0]
     cand = CandidatePosition((x, y), fo, fs, float(p_md[0]), label)
@@ -647,7 +689,7 @@ def count_small_scale_optima(scenario: Scenario, config: SearchConfig | None = N
     for n_tile, _, idx, _, _ in _walk_grid(scenario, ctxs, xs, ys, res,
                                            0 if count_only else eps_px,
                                            (lambda tile_ys: False) if count_only else None,
-                                           threads):
+                                           threads, objective=False):
         n_allowed += n_tile
         n_optima += idx.size
     return n_allowed if count_only else n_optima

@@ -385,6 +385,26 @@ class TestDelay:
                                   ("--seed", "3", "--samples", "30000", "--threads", "2"))}
             assert len(outs) == 1 and next(iter(outs)).startswith("w,bound,s_opt\n"), mode
 
+    @pytest.mark.parametrize("flag, bad, kind", [
+        ("--noise", "-1", "non-negative"), ("--noise", "nan", "non-negative"),
+        ("--noise", "inf", "non-negative"), ("--arrival", "-1", "non-negative"),
+        ("--arrival", "inf", "non-negative"), ("--rate", "0", "positive"),
+        ("--rate", "-4", "positive"), ("--rate", "inf", "positive"),
+        ("--resources", "0", "positive"), ("--resources", "nan", "positive")])
+    def test_out_of_range_inputs_are_config_errors(self, capsys, scenario_file, flag, bad, kind):
+        args = {"--arrival": "8", "--rate": "4", "--resources": "4", "--noise": "1e-9"}
+        args[flag] = bad
+        code, out, err = run(capsys, "delay", "--scenario", scenario_file, "--w-max", "2",
+                             *(x for item in args.items() for x in item))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message":
+                                   f"{flag} must be {kind} and finite, got {float(bad)}"}
+
+    def test_zero_noise_and_arrival_are_accepted(self, capsys, scenario_file):
+        code, out, _ = run(capsys, "delay", "--scenario", scenario_file, "--arrival", "0",
+                           "--rate", "4", "--resources", "4", "--noise", "0", "--w-max", "2")
+        assert code == 0 and out.startswith("w,bound,s_opt\n")
+
     def test_unstable_queue_exits_4(self, capsys, scenario_file):
         code, _, err = run(capsys, "delay", "--scenario", scenario_file,
                            "--arrival", "1000", "--rate", "4", "--resources", "4",

@@ -205,21 +205,34 @@ def test_grid_axes_are_cell_centers():
 
 
 def test_disc_local_maxima_matches_brute_force(rng):
+    """Members anywhere, in a narrow column band (the filter crops to its
+    span ± eps_px), and in bands touching the left or right grid edge; the
+    decided rows are the whole grid, its top, its middle and its bottom."""
+    for cols in ((0, 37), (15, 20), (0, 4), (33, 37), (0, 1), (36, 37)):
+        _check_disc_local_maxima(rng, cols)
+
+
+def _check_disc_local_maxima(rng, cols):
     shape = (40, 37)
-    n_members = 500
-    member_idx = np.sort(rng.choice(shape[0] * shape[1], n_members, replace=False))
+    iy, ix = np.meshgrid(np.arange(shape[0]), np.arange(*cols), indexing="ij")
+    pool = (iy * shape[1] + ix).ravel()
+    n_members = min(500, pool.size // 2)
+    member_idx = np.sort(rng.choice(pool, n_members, replace=False))
     values = rng.uniform(0, 4, n_members)
     eps_px = 3
     grid = np.full(shape, -np.inf, np.float32)
     grid.ravel()[member_idx] = values
-    got = set(member_idx[_disc_local_maxima(grid, member_idx, eps_px)].tolist())
     iy, ix = np.divmod(member_idx, shape[1])
-    expected = set()
-    for a in range(n_members):
-        near = (iy - iy[a]) ** 2 + (ix - ix[a]) ** 2 <= eps_px ** 2
-        if np.all(values[a] >= values[near]):
-            expected.add(int(member_idx[a]))
-    assert got == expected
+    for r0, r1 in ((0, 40), (0, 9), (11, 29), (30, 40), (17, 18), (5, 5)):
+        got = _disc_local_maxima(grid, r0, r1, eps_px)
+        expected = []
+        for a in np.flatnonzero((iy >= r0) & (iy < r1)):
+            near = (iy - iy[a]) ** 2 + (ix - ix[a]) ** 2 <= eps_px ** 2
+            if np.all(values[a] >= values[near]):
+                expected.append(int(member_idx[a]))
+        assert got.tolist() == expected, (r0, r1)
+        if r1 - r0 > 9:
+            assert 0 < len(expected) < np.count_nonzero((iy >= r0) & (iy < r1))
 
 
 def _search_scenario(height=20.0, resolution=0.25, **search):
@@ -324,43 +337,68 @@ class TestSearches:
             sys.setswitchinterval(interval)
 
     def test_halo_covers_the_whole_disc(self, monkeypatch):
-        """On noise fields every disc offset decides some cell's maximum, so
-        a halo one row short of the 6-cell radius changes the count; with
-        one-row tiles the halo comes from six neighbouring tiles."""
+        """The fields replace the small-scale count that the disc filter reads.
+        On noise every disc offset decides some cell's maximum, so deciding
+        a row while the tile holds one row short of the 6-cell radius below
+        it changes the count; on the second field (every sixth row set,
+        falling with y) each set cell is beaten only by the set cell six rows
+        before it, so carrying one row short of two radii over to the next
+        tile changes it too.  With one-row tiles the halo comes from six
+        neighbouring tiles."""
         sc = _search_scenario()
         cfg = SearchConfig(grid_resolution=0.25, small_scale_radius=1.5)
-        monkeypatch.setattr(pa, "_point_fields", lambda scenario, ctxs, px, py: (
-            px, np.sin(12.9898 * px + 78.233 * py) * 43758.5453 % 1.0))
-        whole = count_small_scale_optima(sc, cfg)
-        monkeypatch.setattr(pa, "_TILE_CELLS", 1)
-        for threads in (1, 2, 3):
-            assert count_small_scale_optima(sc, cfg, threads) == whole, threads
+        tile = pa._TILE_CELLS
+        for field in (lambda px, py: np.sin(12.9898 * px + 78.233 * py) * 43758.5453 % 1.0,
+                      lambda px, py: np.where(np.round(4.0 * py - 0.5) % 6 == 0,
+                                              2.0 - 1e-3 * py, 0.0)):
+            monkeypatch.setattr(pa, "_point_fields", lambda scenario, ctxs, px, py, objective=True:
+                                (px if objective else None, field(px, py)))
+            monkeypatch.setattr(pa, "_TILE_CELLS", tile)
+            whole = count_small_scale_optima(sc, cfg)
+            for rows in (1, 10):
+                monkeypatch.setattr(pa, "_TILE_CELLS", rows * 120)
+                for threads in (1, 2, 3):
+                    assert count_small_scale_optima(sc, cfg, threads) == whole, (rows, threads)
 
     @pytest.mark.parametrize("tile", [None, 1, 2 * 120, 7 * 120 + 3])
     def test_fields_are_evaluated_once_per_cell(self, monkeypatch, tile):
-        """The walk evaluates each member cell's fields exactly once, halo
-        rows included, and starts no more workers than it has tiles."""
+        """The walk evaluates each member cell's small-scale count exactly
+        once, halo rows included: alone where the disc filter reads it, with
+        f_obj where every member survives.  f_obj is evaluated only at the
+        filter's survivors, never in the optima count, and no call takes
+        more than _CHUNK_CELLS cells.  The walk starts no more workers than
+        it has tiles."""
         sc = _search_scenario()
         cfg = SearchConfig(grid_resolution=0.25, small_scale_radius=1.5)
         auth = make_authenticator(sc)
         if tile is not None:
             monkeypatch.setattr(pa, "_TILE_CELLS", tile)
-        cells, workers = [], []
+        monkeypatch.setattr(pa, "_CHUNK_CELLS", 100)
+        calls, workers = [], []
         point_fields_ = pa._point_fields
-        monkeypatch.setattr(pa, "_point_fields", lambda scenario, ctxs, px, py: (
-            cells.append(px.size), point_fields_(scenario, ctxs, px, py))[1])
+
+        def counted(scenario, ctxs, px, py, objective=True):
+            calls.append((px.size, objective))
+            return point_fields_(scenario, ctxs, px, py, objective)
+
+        monkeypatch.setattr(pa, "_point_fields", counted)
         pool = pa.ThreadPoolExecutor
         monkeypatch.setattr(pa, "ThreadPoolExecutor", lambda n: (workers.append(n), pool(n))[1])
+
+        def cells(search, *args):
+            """(small-scale-only cells, f_obj cells) of one search."""
+            calls.clear()
+            result = search(sc, cfg, *args)
+            assert max(n for n, _ in calls) <= 100
+            return result, tuple(sum(n for n, obj in calls if obj == want) for want in (False, True))
+
         for threads in (1, 3):
-            cells.clear()
-            trunc = truncated_search(sc, cfg, auth, threads)
-            assert sum(cells) == trunc.n_lobe_points
-            cells.clear()
-            full = exhaustive_search(sc, cfg, auth, threads)
-            assert sum(cells) == full.n_allowed
-            cells.clear()
-            count_small_scale_optima(sc, cfg, threads)
-            assert sum(cells) == full.n_allowed
+            trunc, split = cells(truncated_search, auth, threads)
+            assert split == (trunc.n_lobe_points, trunc.n_survivors)
+            assert trunc.n_survivors < trunc.n_lobe_points
+            full, split = cells(exhaustive_search, auth, threads)
+            assert split == (0, full.n_allowed)
+            assert cells(count_small_scale_optima, threads)[1] == (full.n_allowed, 0)
         # the 80-row grid is one default tile, and at least 11 of any other size
         assert max(workers) == (1 if tile is None else 3)
 
@@ -387,6 +425,34 @@ class TestSearches:
         peak_bytes(20.0, 1)     # first-call imports and caches are not the search's
         for threads in (1, 2):
             assert peak_bytes(80.0, threads) < 1.5 * peak_bytes(20.0, threads), threads
+
+    def test_memory_does_not_grow_with_lobe_density(self):
+        """A walk whose one tile is all lobe cells peaks under twice the
+        walk whose lobe cells are a 5 % column band of the same tile.  Per
+        lobe cell the walk holds only a transient index: the small-scale
+        count goes to the tile's float32 grid, in chunks, and f_obj is paid
+        at the disc filter's survivors.  (A walk that evaluates both fields
+        at every lobe cell of the tile at once gives a ratio of about 7.)"""
+        sc = _search_scenario(resolution=0.05)
+        ctxs = _array_contexts(sc)
+        xs, ys = grid_axes(sc, 0.05)
+        assert xs.size * ys.size <= pa._TILE_CELLS
+
+        def peak_bytes(cols):
+            band = np.arange(xs.size) < cols
+            tracemalloc.start()
+            try:
+                members = sum(tile[1] for tile in pa._walk_grid(
+                    sc, ctxs, xs, ys, 0.05, 3, lambda tile_ys: band[None, :]))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, members
+
+        peak_bytes(30)      # first-call imports and caches are not the walk's
+        sparse, dense = peak_bytes(30), peak_bytes(xs.size)
+        assert dense[1] > 10 * sparse[1]
+        assert dense[0] < 2 * sparse[0]
 
     def test_empty_region(self):
         sc = build_scenario([("r", (50.0, 50.0), 2)], alice=(5.0, 5.0),
@@ -441,6 +507,65 @@ def test_labels_follow_the_per_point_rule():
                                             for c in cands]
     # a candidate passed the float32 lobe masks, so float64 labels it too
     assert "other" not in {c.label for c in cands}
+
+
+def _restricted_and_dense_lobe_masks(monkeypatch, sc, res, rows):
+    """The search's _lobe_mask over the grid at ``res`` in tiles of ``rows``
+    rows, as (restricted, dense) pairs per tile, and the number of tiles whose
+    band masks ran on fewer than all columns."""
+    ctxs, lobes = _array_contexts(sc), lobe_sets(sc)
+    xs, ys = grid_axes(sc, res)
+    pairs, restricted = [], 0
+    for r0 in range(0, ys.size, rows):
+        tile_ys = ys[r0:r0 + rows]
+        restricted += isinstance(pa._lobe_columns(ctxs, lobes, xs, tile_ys, res, True), np.ndarray)
+        got = pa._lobe_mask(ctxs, lobes, xs, tile_ys, res, True)
+        with monkeypatch.context() as m:
+            m.setattr(pa, "_lobe_columns", lambda *args: slice(None))
+            pairs.append((got, pa._lobe_mask(ctxs, lobes, xs, tile_ys, res, True)))
+    return pairs, restricted
+
+
+class TestRestrictedBandMasks:
+    """_lobe_mask evaluates the float32 band masks only on the columns that
+    _lobe_columns keeps; the masks must equal the dense ones bit for bit."""
+
+    @pytest.mark.parametrize("name", ["desk_2rrh", "reference_1rrh16", "reference_2rrh8",
+                                      "reference_3rrh"])
+    def test_committed_scenarios(self, monkeypatch, name):
+        sc = load_scenario(SCENARIOS / f"{name}.json")
+        res = pa._grid(sc, sc.search)[0]
+        rows = pa._TILE_CELLS // grid_axes(sc, res)[0].size
+        pairs, restricted = _restricted_and_dense_lobe_masks(monkeypatch, sc, res, rows)
+        for got, dense in pairs:
+            assert np.array_equal(got, dense)
+        assert restricted > 0 or name == "reference_3rrh"
+
+    def test_random_deployments(self, monkeypatch):
+        restricted = 0
+        kinds = set()
+        for seed in range(100):
+            # odd seeds: identity correlation; even seeds: exponential, rho in (0, 0.7)
+            sc = random_geometry(np.random.default_rng(seed), rho=0.0 if seed % 2 else None,
+                                 region=(0, 40, 0, 30))
+            kinds.add(sc.correlation.kind)
+            pairs, n = _restricted_and_dense_lobe_masks(monkeypatch, sc, 0.05, 150)
+            restricted += n
+            for got, dense in pairs:
+                assert np.array_equal(got, dense), seed
+        assert kinds == {"identity", "exponential"} and restricted > 200
+
+    @pytest.mark.parametrize("axis", [(1.0, 0.0), (-1.0, 0.0)])
+    def test_grazing_bearing(self, monkeypatch, axis):
+        """Alice on the axis of an array whose axis runs along the grid rows:
+        her main lobe is the endfire wedge hugging that row."""
+        sc = build_scenario([("row", (10.0, 30.0), 8, axis), ("col", (40.0, 2.0), 4, (0.0, 1.0))],
+                            alice=(50.0, 30.0))
+        assert abs(pa._array_contexts(sc)[0].omega_a) == 1.0
+        pairs, restricted = _restricted_and_dense_lobe_masks(monkeypatch, sc, 0.05, 7)
+        assert restricted > 0 and any(dense.any() for _, dense in pairs)
+        for got, dense in pairs:
+            assert np.array_equal(got, dense)
 
 
 def test_float32_masks_differ_from_float64_only_at_edges():
