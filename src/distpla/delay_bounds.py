@@ -20,6 +20,7 @@ from scipy import special
 
 from .authenticator import Authenticator, pfa_of_threshold
 from .geometry import ChannelStatistics
+from .numerics import bounded_minimum
 from .power_attack import _settled_tail
 
 
@@ -84,17 +85,12 @@ def delay_violation_bound(arrival: ArrivalModel, service: ServiceModel, w: int,
     if not np.any(np.isfinite(vals)):
         return DelayBound(1.0, math.inf, math.nan, False)
     i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
     best_s, best_v = float(grid[i]), float(vals[i])
     if hi > lo:
-        from scipy.optimize import minimize_scalar
-        with np.errstate(invalid="ignore"):   # the kernel is inf off the stable set
-            res = minimize_scalar(lambda s: _kernel(arrival, service, w, s),
-                                  bounds=(float(lo), float(hi)), method="bounded",
-                                  options={"xatol": 1e-12})
-        if np.isfinite(res.fun) and res.fun < best_v:
-            best_s, best_v = float(res.x), float(res.fun)
+        s, v = bounded_minimum(lambda s: _kernel(arrival, service, w, s), lo, hi, 1e-12)
+        if math.isfinite(v) and v < best_v:     # the kernel is inf off the stable set
+            best_s, best_v = s, v
     return DelayBound(min(best_v, 1.0), best_v, best_s, True)
 
 

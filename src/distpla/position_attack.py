@@ -21,7 +21,6 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -29,12 +28,13 @@ from scipy.linalg import solve_triangular
 from .authenticator import Authenticator, make_authenticator
 from .geometry import (Correlation, Scenario, SearchConfig, steering_vector,
                        wavelength)
-from .numerics import bracketed_root_find
+from .numerics import bounded_minimum, bracketed_root_find
 from .power_attack import mdp_optimal_pma_batch
 
 _TILE_CELLS = 1 << 19      # grid cells in flight in _walk_grid, split over its workers' tiles
 _CHUNK_CELLS = 1 << 14     # cells per _point_fields call in _walk_grid: bounds its temporaries
 _SCAN_STRIDE = 32          # columns per float64 scan point of _lobe_columns
+_STRIP_ROWS = 16           # rows decided per pass of _disc_local_maxima: bounds its temporaries
 # exp(j (pi/2) (sign(g) - 1)) for sign(g) = -1, 0, 1: the same bits as the
 # elementwise exp, looked up by sign(g) + 1
 _SIGN_PHASE = np.exp(1j * (np.pi / 2.0) * (np.arange(-1.0, 2.0) - 1.0))
@@ -263,13 +263,9 @@ def _one_side_bands(g, x_max: float, step: float, peak0: float, g0: float):
     main_edge = edges[0] if edges else first_zero
     if not zeros or (len(zeros) > 1 and zeros[1] - zeros[0] <= 4.0 * step):
         return main_edge, None
-    z1 = zeros[0]
-    z2 = zeros[1] if len(zeros) > 1 else x_max
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(lambda x: -abs(_at(g, x)), bounds=(z1, z2), method="bounded",
-                          options={"xatol": 1e-12})
-    center = float(res.x)
-    side_peak = abs(_at(g, center))
+    z1, z2 = zeros[0], (zeros[1] if len(zeros) > 1 else x_max)
+    center, side_peak = bounded_minimum(lambda x: -abs(_at(g, x)), z1, z2, 1e-12)
+    side_peak = -side_peak
     if side_peak <= 0.0:
         return main_edge, None
     side_fun = lambda x: np.abs(g(x)) - side_peak / g0
@@ -283,10 +279,11 @@ def lobe_sets(scenario: Scenario) -> LobeSets:
     """Main-lobe and first-sidelobe bands of every array around its Alice bearing.
 
     Each side of the bearing is scanned in angular-sine steps of 1/(32 n s),
-    one _angular_g call per scan grid; brentq refines each sign change of g
-    (the nulls) and of |g| - lobe peak/g0 (the band edges, so an edge inside
-    [-1, 1] solves that equation).  Both attack angles phi and pi - phi share
-    an angular sine, so one omega band covers the mirrored bearing.
+    one _angular_g call per scan grid; bracketed_root_find refines each sign
+    change of g (the nulls) and of |g| - lobe peak/g0 (the band edges, so an
+    edge inside [-1, 1] solves that equation), bounded_minimum each sidelobe
+    peak, bit for bit as scipy would, which the float32 masks rely on.  Both
+    attack angles phi and pi - phi share an angular sine, so one band covers both.
     """
     g0 = scenario.search.g0
     if not g0 > 1.0:
@@ -361,17 +358,19 @@ def _allowed_mask(scenario: Scenario, xs: np.ndarray, ys: np.ndarray) -> np.ndar
 
     Exclusion, like lobe membership in _band_masks, is decided in float32:
     only a cell centre within float32 rounding of a radius or band edge can
-    land on the other side of it than in float64.
+    land on the other side of it than in float64.  Each disc is evaluated
+    on the rows and columns with squared offset under r² only: a float32 sum
+    of non-negative terms is never below either, so no other cell is excluded.
     """
-    xs32 = xs.astype(np.float32)
-    ys32 = ys.astype(np.float32)
-    ax, ay = scenario.alice.position
-    d2 = np.add.outer((ys32 - ay) ** 2, (xs32 - ax) ** 2)
-    allowed = d2 >= scenario.exclusion_alice ** 2
-    for rrh in scenario.rrhs:
-        rx, ry = rrh.position
-        d2 = np.add.outer((ys32 - ry) ** 2, (xs32 - rx) ** 2)
-        allowed &= d2 >= scenario.exclusion_rrh ** 2
+    xs32, ys32 = xs.astype(np.float32), ys.astype(np.float32)
+    allowed = np.ones((ys.size, xs.size), bool)
+    for (cx, cy), r in [(scenario.alice.position, scenario.exclusion_alice)] + [
+            (rrh.position, scenario.exclusion_rrh) for rrh in scenario.rrhs]:
+        dy2, dx2 = (ys32 - cy) ** 2, (xs32 - cx) ** 2
+        rows, cols = np.flatnonzero(dy2 < r ** 2), np.flatnonzero(dx2 < r ** 2)
+        if rows.size and cols.size:
+            box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+            allowed[box] &= np.add.outer(dy2[box[0]], dx2[box[1]]) >= r ** 2
     return allowed
 
 
@@ -441,33 +440,35 @@ def _lobe_mask(ctxs: list[_ArrayContext], lobes: LobeSets, xs: np.ndarray, ys: n
 
 def _disc_local_maxima(grid: np.ndarray, r0: int, r1: int, eps_px: int) -> np.ndarray:
     """Flat indices into ``grid`` (float32, -inf off the members) of the
-    members in rows r0:r1 that are >= every member of their disc of radius
-    ``eps_px``; plateaus count as maxima.  Only the rows the discs reach and
-    the members' column span ± ``eps_px`` are filtered."""
-    cols = np.flatnonzero((grid[r0:r1] != -np.inf).any(axis=0))
-    if cols.size == 0:
-        return np.empty(0, np.intp)
-    w0, c0 = max(r0 - eps_px, 0), max(int(cols[0]) - eps_px, 0)
-    win = grid[w0:r1 + eps_px, c0:int(cols[-1]) + eps_px + 1]
-    core = win[r0 - w0:r1 - w0]
-    keep = core != -np.inf
-    half = int(eps_px / math.sqrt(2.0))
-    if half >= 1:
-        # square inscribed in the disc: cheap separable prefilter that can
-        # only discard points already beaten inside the disc
-        from scipy.ndimage import maximum_filter
-        sq_max = maximum_filter(win, size=2 * half + 1, mode="constant", cval=-np.inf)
-        keep &= core >= sq_max[r0 - w0:r1 - w0]
-    iy, ix = np.nonzero(keep)
-    iy += r0 - w0
-    vals = win[iy, ix]
-    padded = np.pad(win, eps_px, constant_values=-np.inf)
-    alive = np.ones(iy.size, bool)
-    for dy_off, dx_off in product(range(-eps_px, eps_px + 1), repeat=2):
-        if 0 < dy_off ** 2 + dx_off ** 2 <= eps_px ** 2:
-            np.logical_and(alive, vals >= padded[iy + (eps_px + dy_off), ix + (eps_px + dx_off)],
-                           out=alive)
-    return (iy[alive] + w0) * grid.shape[1] + ix[alive] + c0
+    members in rows r0:r1 that are >= every cell of their disc of radius
+    ``eps_px``; plateaus count as maxima and NaN never does.  A disc row dy
+    off the centre reaches isqrt(eps_px² - dy²) cells each side, so the disc
+    maximum is a fold over dy of running row maxima, taken by doubling over
+    -inf-padded strips of _STRIP_ROWS decided rows that bound the temporaries."""
+    e = eps_px
+    half = [math.isqrt(e * e - dy * dy) for dy in range(-e, e + 1)]
+    padded = np.pad(grid, e, constant_values=-np.inf)
+    found = [np.empty(0, np.intp)]
+    for s0 in range(r0, r1, _STRIP_ROWS):
+        s1 = min(s0 + _STRIP_ROWS, r1)
+        cols = np.flatnonzero((grid[s0:s1] != -np.inf).any(axis=0))
+        if cols.size == 0:
+            continue
+        c0, n = int(cols[0]), int(cols[-1]) + 1 - int(cols[0])
+        runs = [padded[s0:s1 + 2 * e, c0:c0 + n + 2 * e]]     # grid rows s0 - e : s1 + e
+        for j in range((2 * e + 1).bit_length() - 1):   # runs[j][:, x]: max of 2^j cells from x
+            runs.append(np.maximum(runs[j][:, :-2 ** j], runs[j][:, 2 ** j:]))
+        core = runs[0][e:e + s1 - s0, e:e + n]
+        disc = core.copy()
+        for w in set(half):
+            j = (2 * w + 1).bit_length() - 1       # two runs of 2^j cover the 2w + 1 cells
+            a, b = e - w, e + w + 1 - 2 ** j
+            row_max = np.maximum(runs[j][:, a:a + n], runs[j][:, b:b + n])
+            for i in (i for i, hw in enumerate(half) if hw == w):
+                np.maximum(disc, row_max[i:i + s1 - s0], out=disc)
+        iy, ix = np.nonzero((core != -np.inf) & (core >= disc))
+        found.append((iy + s0) * grid.shape[1] + ix + c0)
+    return np.concatenate(found)
 
 
 def _grid(scenario: Scenario, cfg: SearchConfig) -> tuple[float, int, np.ndarray, np.ndarray]:

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
-from distpla.numerics import (NumericsError, bracketed_root_find, chi2_cdf,
-                              chi2_quantile, chi2_tail, cholesky_lower)
+from distpla.numerics import (NumericsError, bounded_minimum, bracketed_root_find,
+                              chi2_cdf, chi2_quantile, chi2_tail, cholesky_lower)
 
 
 def test_chi2_quantile_frozen():
@@ -83,3 +83,118 @@ def test_root_find_requires_sign_change():
         bracketed_root_find(lambda x: x * x + 1.0, -1.0, 1.0)
     with pytest.raises(NumericsError):
         bracketed_root_find(lambda x: x, 2.0, 1.0)
+
+
+# bracketed_root_find and bounded_minimum are Brent's methods written out to
+# return the bits of scipy's brentq and bounded minimize_scalar: the lobe
+# bands, and through them the search's float32 masks, are built from them
+
+
+def _brentq(f, lo, hi, tol=1e-12, max_iter=200):
+    from scipy.optimize import brentq
+    return brentq(f, lo, hi, xtol=tol, rtol=max(tol, 4 * np.finfo(float).eps), maxiter=max_iter)
+
+
+def _root_problems(rng):
+    """(f, lo, hi) with a sign change: smooth, steep and flat functions."""
+    for k in range(300):
+        r, a = rng.uniform(-3.0, 3.0), rng.uniform(0.05, 50.0)
+        lo, hi = r - rng.uniform(1e-3, 4.0), r + rng.uniform(1e-3, 4.0)
+        yield [lambda x: a * (x - r) + 0.4 * np.sin(3.0 * x),            # smooth
+               lambda x: np.tanh(1e3 * a * (x - r)),                      # steep
+               lambda x: np.expm1(a * (x - r)),                           # steep on one side
+               lambda x: 1e-9 * (x - r) ** 5,                             # flat near the root
+               lambda x: float(np.clip(np.floor(4.0 * (x - r)), -2.0, 2.0)),  # plateaus
+               ][k % 5], lo, hi
+
+
+def test_root_find_matches_brentq_bit_for_bit():
+    rng = np.random.default_rng(7)
+    n = 0
+    for f, lo, hi in _root_problems(rng):
+        for tol in (1e-12, 1e-15, 1e-6):
+            try:
+                want = _brentq(f, lo, hi, tol)
+            except ValueError:      # no sign change on this bracket
+                with pytest.raises(NumericsError):
+                    bracketed_root_find(f, lo, hi, tol)
+                continue
+            assert bracketed_root_find(f, lo, hi, tol) == want, (lo, hi, tol)
+            n += 1
+    assert n > 600
+
+
+def test_root_find_exact_zero_endpoints():
+    for lo, hi in ((0.5, 2.0), (-2.0, 0.5)):
+        f = lambda x: x - 0.5
+        assert bracketed_root_find(f, lo, hi) == _brentq(f, lo, hi) == 0.5
+
+
+def test_root_find_matches_brentq_on_saddle_equations():
+    """The saddle-point equation s'(z) = 0 of random indefinite forms at
+    tol 1e-15, as solved by the oracle of test_power_attack."""
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        k = int(rng.integers(1, 6))
+        d = rng.uniform(-3.0, 3.0, k)
+        c2, m = rng.uniform(0.0, 5.0, k), rng.integers(1, 4, k).astype(float)
+        const = rng.uniform(-5.0, 5.0)
+        d[0] = abs(d[0])        # a positive weight: the MGF has a rim
+        s1 = lambda z: const + np.sum(c2 * d / (1.0 - z * d) ** 2) - 1.0 / z + np.sum(
+            m * d / (1.0 - z * d))
+        lo, hi = 1e-12, float(np.min(1.0 / d[d > 0])) * (1.0 - 1e-9)
+        if s1(lo) < 0 < s1(hi):
+            assert bracketed_root_find(s1, lo, hi, tol=1e-15) == _brentq(s1, lo, hi, 1e-15)
+
+
+def test_root_find_raises_on_nan_and_non_convergence():
+    from scipy.optimize import brentq
+    hole = lambda x: np.nan if 0.4 < x < 0.6 else x - 0.5
+    for f, lo, hi in ((hole, 0.0, 1.0), (lambda x: np.nan if x > 0.9 else -1.0, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(f, lo, hi)
+        with pytest.raises(NumericsError, match="NaN"):
+            bracketed_root_find(f, lo, hi)
+    slow = lambda x: np.cbrt(x - 0.3)
+    with pytest.raises(RuntimeError):
+        brentq(slow, 0.0, 1.0, maxiter=3)
+    with pytest.raises(NumericsError, match="converge"):
+        bracketed_root_find(slow, 0.0, 1.0, max_iter=3)
+    assert bracketed_root_find(slow, 0.0, 1.0) == _brentq(slow, 0.0, 1.0)
+
+
+def _minimize(f, lo, hi, xatol):
+    from scipy.optimize import minimize_scalar
+    with np.errstate(invalid="ignore"):
+        res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return float(res.x), float(res.fun)
+
+
+def test_bounded_minimum_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for k in range(300):
+        c, w = rng.uniform(-3.0, 3.0), rng.uniform(0.2, 6.0)
+        lo, hi = c - rng.uniform(0.01, 3.0), c + rng.uniform(0.01, 3.0)
+        f = [lambda x: (x - c) ** 2 + 0.2 * np.sin(7.0 * x),
+             lambda x: -abs(np.sin(w * x)),          # a sidelobe peak between nulls
+             lambda x: abs(x - c) ** 0.5,            # a cusp
+             lambda x: float(round(w * (x - c)) ** 2),   # plateaus
+             lambda x: 1.0][k % 5]                   # flat
+        for xatol in (1e-12, 1e-5):
+            assert bounded_minimum(f, lo, hi, xatol) == _minimize(f, lo, hi, xatol)
+
+
+def test_bounded_minimum_matches_scipy_on_the_delay_kernel():
+    """The delay bound's kernel is inf off its stable set, where scipy's
+    parabolic fit meets inf - inf."""
+    from distpla.delay_bounds import ArrivalModel, ServiceModel, _kernel
+    infinite = 0
+    for arrival, outage, w in ((8.0, 0.05, 3), (12.0, 0.2, 10), (15.0, 0.01, 1)):
+        def f(s, arr=ArrivalModel(arrival), srv=ServiceModel(2.0, 8.0, outage)):
+            nonlocal infinite
+            v = _kernel(arr, srv, w, s)
+            infinite += v == np.inf
+            return v
+        for lo, hi in ((1e-3, 5.0), (0.05, 0.5), (0.2, 100.0)):
+            assert bounded_minimum(f, lo, hi, 1e-12) == _minimize(f, lo, hi, 1e-12)
+    assert infinite > 0

@@ -193,6 +193,29 @@ class TestLobeSets:
                for al in sets.per_array}
         assert got == self.PINNED[name]
 
+    def test_random_deployments_match_a_scipy_backed_scan(self, monkeypatch):
+        """The written-out Brent root finder and bounded minimizer give the
+        bands that scipy's brentq and minimize_scalar give, bit for bit."""
+        from scipy.optimize import brentq, minimize_scalar
+        scenarios = [random_geometry(np.random.default_rng(seed), rho=0.0 if seed % 2 else None)
+                     for seed in range(100)]
+        got = [lobe_sets(sc) for sc in scenarios]
+
+        def root(f, lo, hi, tol=1e-12, max_iter=200):
+            x = brentq(f, lo, hi, xtol=tol, rtol=max(tol, 4 * np.finfo(float).eps),
+                       maxiter=max_iter)
+            return float(min(max(x, lo), hi))
+
+        def minimum(f, lo, hi, xatol):
+            res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+            return float(res.x), float(res.fun)
+
+        monkeypatch.setattr(pa, "bracketed_root_find", root)
+        monkeypatch.setattr(pa, "bounded_minimum", minimum)
+        assert got == [lobe_sets(sc) for sc in scenarios]
+        assert {sc.correlation.kind for sc in scenarios} == {"identity", "exponential"}
+        assert sum(len(al.sidelobes) for sets in got for al in sets.per_array) > 200
+
 
 def test_grid_axes_are_cell_centers():
     sc = build_scenario([("r", (0.0, 0.0), 2)], region=(0, 10, 0, 6))
@@ -204,35 +227,50 @@ def test_grid_axes_are_cell_centers():
             grid_axes(sc, bad)
 
 
-def test_disc_local_maxima_matches_brute_force(rng):
+def test_disc_local_maxima_matches_brute_force(rng, monkeypatch):
     """Members anywhere, in a narrow column band (the filter crops to its
     span ± eps_px), and in bands touching the left or right grid edge; the
-    decided rows are the whole grid, its top, its middle and its bottom."""
-    for cols in ((0, 37), (15, 20), (0, 4), (33, 37), (0, 1), (36, 37)):
-        _check_disc_local_maxima(rng, cols)
+    decided rows are the whole grid, its top, its middle and its bottom.
+    Integer values make plateaus, which count as maxima; a NaN member
+    beats every member of its disc and is no maximum itself.  Every disc
+    radius from 1 to 6 cells, whose rows have different half-widths, and
+    strips of 16 and 5 rows, so that decided rows cross strip boundaries."""
+    cols = ((0, 37), (15, 20), (0, 4), (33, 37), (0, 1), (36, 37))
+    for c in cols:
+        _check_disc_local_maxima(rng, c, 3, "uniform")
+    for strip in (pa._STRIP_ROWS, 5):
+        monkeypatch.setattr(pa, "_STRIP_ROWS", strip)
+        for eps_px in range(1, 7):
+            for k, kind in enumerate(("uniform", "integer", "nan")):
+                _check_disc_local_maxima(rng, cols[(eps_px + k) % len(cols)], eps_px, kind)
 
 
-def _check_disc_local_maxima(rng, cols):
+def _check_disc_local_maxima(rng, cols, eps_px, kind):
     shape = (40, 37)
     iy, ix = np.meshgrid(np.arange(shape[0]), np.arange(*cols), indexing="ij")
     pool = (iy * shape[1] + ix).ravel()
     n_members = min(500, pool.size // 2)
     member_idx = np.sort(rng.choice(pool, n_members, replace=False))
-    values = rng.uniform(0, 4, n_members)
-    eps_px = 3
+    values = (rng.integers(0, 4, n_members).astype(float) if kind == "integer"
+              else rng.uniform(0, 4, n_members))
+    if kind == "nan":
+        values[rng.choice(n_members, 3, replace=False)] = np.nan
     grid = np.full(shape, -np.inf, np.float32)
     grid.ravel()[member_idx] = values
     iy, ix = np.divmod(member_idx, shape[1])
-    for r0, r1 in ((0, 40), (0, 9), (11, 29), (30, 40), (17, 18), (5, 5)):
+    ties = 0
+    for r0, r1 in ((0, 40), (0, 9), (11, 29), (30, 40), (17, 18), (5, 5), (3, 37)):
         got = _disc_local_maxima(grid, r0, r1, eps_px)
         expected = []
         for a in np.flatnonzero((iy >= r0) & (iy < r1)):
             near = (iy - iy[a]) ** 2 + (ix - ix[a]) ** 2 <= eps_px ** 2
-            if np.all(values[a] >= values[near]):
+            if np.all(values[a] >= values[near]):     # False for a NaN anywhere in the disc
                 expected.append(int(member_idx[a]))
-        assert got.tolist() == expected, (r0, r1)
-        if r1 - r0 > 9:
+                ties += np.count_nonzero(values[near] == values[a]) > 1
+        assert got.tolist() == expected, (r0, r1, eps_px, kind)
+        if r1 - r0 > 9 and kind != "nan":
             assert 0 < len(expected) < np.count_nonzero((iy >= r0) & (iy < r1))
+    assert ties > 0 or kind != "integer"
 
 
 def _search_scenario(height=20.0, resolution=0.25, **search):
@@ -566,6 +604,72 @@ class TestRestrictedBandMasks:
         assert restricted > 0 and any(dense.any() for _, dense in pairs)
         for got, dense in pairs:
             assert np.array_equal(got, dense)
+
+
+def _dense_allowed_mask(sc, xs, ys):
+    """_allowed_mask's rule on every cell: float32 squared distances to each centre."""
+    xs32, ys32 = xs.astype(np.float32), ys.astype(np.float32)
+    allowed = np.ones((ys.size, xs.size), bool)
+    for (cx, cy), r in [(sc.alice.position, sc.exclusion_alice)] + [
+            (rrh.position, sc.exclusion_rrh) for rrh in sc.rrhs]:
+        allowed &= np.add.outer((ys32 - cy) ** 2, (xs32 - cx) ** 2) >= r ** 2
+    return allowed
+
+
+def test_allowed_mask_equals_the_dense_mask():
+    """_allowed_mask evaluates each disc only on its bounding box of rows
+    and columns; the mask must equal the dense one bit for bit, on the
+    committed scenarios (in the walk's row tiles) and on random deployments."""
+    excluded = 0
+    for name in ("desk_2rrh", "reference_1rrh16", "reference_2rrh8", "reference_3rrh"):
+        sc = load_scenario(SCENARIOS / f"{name}.json")
+        xs, ys = grid_axes(sc, pa._grid(sc, sc.search)[0])
+        rows = pa._TILE_CELLS // xs.size
+        for r0 in range(0, ys.size, rows):
+            got = _allowed_mask(sc, xs, ys[r0:r0 + rows])
+            assert np.array_equal(got, _dense_allowed_mask(sc, xs, ys[r0:r0 + rows])), (name, r0)
+            excluded += int(np.count_nonzero(~got))
+    for seed in range(100):
+        sc = random_geometry(np.random.default_rng(seed))
+        xs, ys = grid_axes(sc, 0.05)
+        got = _allowed_mask(sc, xs, ys)
+        assert np.array_equal(got, _dense_allowed_mask(sc, xs, ys)), seed
+        excluded += int(np.count_nonzero(~got))
+    assert excluded > 0
+
+
+def test_column_scan_slack_covers_float32_rounding():
+    """Far from an array the geometric widening h/(r - h) of _lobe_columns
+    exceeds the largest change of omega over h = 16 cells by only about
+    h²/r² plus (1 - cos)·h/r terms of the tilt, less than float32 rounding
+    of omega in _band_masks.  Here a 1 mm grid row lies about 18 km (1.8e7
+    cells) from an array tilted by 0.06 rad, and the main band ends at the
+    float32 omega of the first cell of a scan run: that cell is in the
+    band, its run's centre lies beyond the widened edge, and only the
+    1e-5 slack keeps the column."""
+    th = 0.06
+    sc = build_scenario([("far", (0.0, 0.0), 8, (np.cos(th), np.sin(th)))],
+                        alice=(-360.0, 18011.0), region=(-361, -359, 18011, 18011.001))
+    ctx = _array_contexts(sc)[0]
+    res = 1e-3
+    xs, ys = grid_axes(sc, res)
+    assert ys.size == 1
+    dx, dy = (xs - ctx.position[0]).astype(np.float32), (ys - ctx.position[1]).astype(np.float32)
+    om32 = ((dx * np.float32(ctx.axis[0]) + dy * np.float32(ctx.axis[1])) / np.hypot(dx, dy))
+    k = pa._SCAN_STRIDE
+    h = k // 2 * res
+    first = np.arange(0, xs.size - k + 1, k)
+    dist, om = _point_geometry(ctx, xs[first + k // 2], ys[0])
+    # how far each run's centre lies beyond a band ending at its first cell,
+    # less the geometric widening: positive where only the slack keeps the run
+    beyond = om - om32[first] - h / (dist - h)
+    run = int(np.argmax(beyond))
+    assert np.all(np.diff(om32) >= 0) and beyond[run] > 0
+    band = pa.LobeBand(-1.0, float(om32[first[run]]), 8.0)
+    lobes = pa.LobeSets(2.0, (pa.ArrayLobes("far", ctx.omega_a, band, ()),))
+    dense = _band_masks(ctx, lobes.per_array[0], xs, ys)[0]
+    assert dense[0, first[run]] and not dense[0, first[run] + k // 2]
+    assert np.array_equal(pa._lobe_mask([ctx], lobes, xs, ys, res, False), dense)
 
 
 def test_float32_masks_differ_from_float64_only_at_edges():
