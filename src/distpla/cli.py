@@ -27,8 +27,7 @@ from .delay_bounds import (ArrivalModel, ServiceModel, UnstableQueueError,
 from .geometry import Scenario, eve_statistics, wavelength
 from .monte_carlo import best_case_acceptance_event, estimate_probability
 from .numerics import NumericsError
-from .position_attack import (PositionSearchError, count_small_scale_optima,
-                              grid_axes, truncated_search)
+from .position_attack import PositionSearchError, grid_axes, truncated_search
 from .power_attack import (NO_ATTACK, PowerStrategy, SaddlepointError,
                            mdp_fixed_strategy, mdp_fixed_strategy_sweep,
                            mdp_optimal_pma, mdp_optimal_pma_batch,
@@ -125,14 +124,12 @@ def _cmd_roc(args):
 def _cmd_validate(args):
     auth, eve, pfas, thresholds = _sweep(args)
     lines = ["param,saddlepoint,montecarlo,std_error"]
-    if thresholds:
-        p_sp = mdp_optimal_pma_sweep(auth, eve, thresholds, method="saddlepoint")
-        # one pass over the samples tests every threshold of the sweep
-        event = best_case_acceptance_event(auth, thresholds)
-        est = estimate_probability(event, eve, args.samples, seed=args.seed,
-                                   threads=args.threads)
-        lines += [f"{_fmt(pfa)},{_fmt(p)},{_fmt(v)},{_fmt(se)}"
-                  for pfa, p, v, se in zip(pfas, p_sp, est.value, est.std_error)]
+    p_sp = mdp_optimal_pma_sweep(auth, eve, thresholds, method="saddlepoint")
+    # one pass over the samples tests every threshold of the sweep
+    event = best_case_acceptance_event(auth, thresholds)
+    est = estimate_probability(event, eve, args.samples, seed=args.seed, threads=args.threads)
+    lines += [f"{_fmt(pfa)},{_fmt(p)},{_fmt(v)},{_fmt(se)}"
+              for pfa, p, v, se in zip(pfas, p_sp, est.value, est.std_error)]
     return "\n".join(lines) + "\n", None
 
 
@@ -181,18 +178,15 @@ def _cmd_compare(args):
     lines = [header]
     for path in args.scenario:
         sc = _scenario(args, path)
-        result = truncated_search(sc, threads=args.threads)
-        total = count_small_scale_optima(sc, threads=args.threads)
-        res = args.grid or 2.0
-        _, _, vals = _pmd_cells(sc, res)
-        covered = sum(1 for v in vals if v < args.coverage_pmd)
-        coverage = 100.0 * covered / len(vals)
+        result = truncated_search(sc, threads=args.threads, count_optima=True)
+        _, _, vals = _pmd_cells(sc, args.grid or 2.0)
+        coverage = 100.0 * np.count_nonzero(vals < args.coverage_pmd) / len(vals)
         n_rx = "/".join(str(n) for n in sorted({r.num_antennas for r in sc.rrhs}))
         name = Path(path).stem
         lines.append(
             f"{name},{len(sc.rrhs)},{n_rx},{sum(r.num_antennas for r in sc.rrhs)},"
             f"{_fmt(result.p_md_opt)},{_fmt(coverage)},"
-            f"{result.n_evaluated},{total}")
+            f"{result.n_evaluated},{result.n_optima}")
     return "\n".join(lines) + "\n", None
 
 
@@ -317,8 +311,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        for flag in ("threads", "points", "w_max"):
+            if getattr(args, flag, 1) < 1:
+                raise ValueError(f"--{flag.replace('_', '-')} must be at least 1, "
+                                 f"got {getattr(args, flag)}")
         if getattr(args, "grid", None) is not None and not 0.0 < args.grid < math.inf:
             raise ValueError(f"--grid must be positive and finite, got {args.grid}")
         payload, summary = args.handler(args)

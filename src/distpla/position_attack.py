@@ -141,8 +141,7 @@ def angular_inner_product(omega_e: float, omega_a: float, num_antennas: int,
     corr = correlation or Correlation()
     e_a = steering_vector(omega_a, num_antennas, spacing)
     e_e = steering_vector(omega_e, num_antennas, spacing)
-    lam_inv = (np.eye(num_antennas) if corr.kind == "identity"
-               else np.linalg.inv(corr.matrix(num_antennas)))
+    lam_inv = np.linalg.inv(corr.matrix(num_antennas))
     s_val = complex(e_e.conj() @ (lam_inv @ e_a))
     g = s_val * np.exp(-1j * np.pi * (num_antennas - 1) * spacing * (omega_e - omega_a))
     peak = float((e_a.conj() @ (lam_inv @ e_a)).real)
@@ -329,6 +328,7 @@ class SearchResult:
     grid_shape: tuple[int, int]
     resolution: float
     n_survivors: int        # candidates before the max_candidates cap
+    n_optima: int | None = None     # small-scale optima of the allowed grid, if counted
 
     @property
     def best(self) -> CandidatePosition:
@@ -472,12 +472,13 @@ def _disc_local_maxima(grid: np.ndarray, r0: int, r1: int, eps_px: int) -> np.nd
 
 
 def _grid(scenario: Scenario, cfg: SearchConfig) -> tuple[float, int, np.ndarray, np.ndarray]:
-    """(resolution, disc radius in whole cells, xs, ys) of a position search."""
+    """(resolution, disc radius in whole cells, xs, ys) of a position search;
+    the radius is 0 for a single array, whose small-scale count is flat."""
     lam = wavelength(scenario.carrier_frequency)
     res = cfg.grid_resolution if cfg.grid_resolution is not None else lam / 10.0
     eps = cfg.small_scale_radius if cfg.small_scale_radius is not None else lam / 2.0
     xs, ys = grid_axes(scenario, res)
-    return res, int(math.floor(eps / res + 1e-9)), xs, ys
+    return res, int(math.floor(eps / res + 1e-9)) if len(scenario.rrhs) > 1 else 0, xs, ys
 
 
 def _in_order(pool: ThreadPoolExecutor, fn, args, ahead: int):
@@ -495,25 +496,27 @@ def _in_order(pool: ThreadPoolExecutor, fn, args, ahead: int):
 
 def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
                ys: np.ndarray, res: float, eps_px: int, member=None, threads: int = 1,
-               objective: bool = True):
+               optima: bool = False):
     """The grid pass of every position search, in row tiles on up to ``threads`` threads.
 
     The members are the allowed cells that ``member(tile_ys)`` keeps (all if
-    None, none if False).  With ``eps_px`` >= 1 the small-scale count alone
-    is evaluated once per member, into a float32 grid, and both fields
-    (if ``objective``) at its disc-local maxima, the survivors; otherwise
-    every member survives with both fields.  _point_fields takes at most
-    _CHUNK_CELLS cells a call, so memory is bounded by tile and chunk, not
-    by lobe density.  A disc reaches ``eps_px`` rows past its centre, so a
-    row is decided once its tile or a later one holds those rows: the last
-    2·``eps_px`` grid rows carry from tile to tile, and results do not
-    depend on the tile size.  The tiles run on min(threads, tiles) workers
-    of about _TILE_CELLS / workers cells each, so the cells in flight stay at
-    one tile's worth, and results come back in tile order, independent of
-    ``threads``.  Yields, per tile, n_allowed, n_members and the flat grid
-    indices, f_obj and f_small_scale (None without ``objective``) of the
-    survivors it decided, in row-major order; raises EmptyRegionError after
-    the last tile if no cell is allowed.
+    None).  With ``eps_px`` >= 1 the small-scale count alone fills a float32
+    grid, once per member or, with ``optima``, per allowed cell; the
+    survivors are the members' disc-local maxima on it (other cells at
+    -inf), and with ``optima`` the same task counts the whole grid's, the
+    small-scale optima.  With ``eps_px`` 0 every member survives and every
+    allowed cell is an optimum.  Both fields are paid at the survivors only,
+    at most _CHUNK_CELLS cells a _point_fields call, so memory is bounded by
+    tile and chunk, not by lobe density.  A disc reaches ``eps_px`` rows past
+    its centre, so a row is decided once its tile or a later one holds those
+    rows: the last 2·``eps_px`` grid rows carry from tile to tile, and results
+    do not depend on the tile size.  The tiles run on min(threads, tiles)
+    workers of about _TILE_CELLS / workers cells each, so the cells in flight
+    stay at one tile's worth, and results come back in tile order, independent
+    of ``threads``.  Yields, per tile, n_allowed, n_members, the number of
+    optima (0 without ``optima``) and the flat grid indices, f_obj and
+    f_small_scale of the survivors it decided, in row-major order; raises
+    EmptyRegionError after the last tile if no cell is allowed.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -530,40 +533,43 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
 
     def point_fields(idx):
         parts = (_point_fields(scenario, ctxs, px, py) for _, px, py in chunks(idx))
-        return tuple(map(np.concatenate, zip(*parts))) if objective else (None, None)
+        return tuple(map(np.concatenate, zip(*parts)))
 
     def fields(r0):
         r1 = min(r0 + rows, ny)
         allowed = _allowed_mask(scenario, xs, ys[r0:r1])
         members = allowed if member is None else allowed & member(ys[r0:r1])
-        idx = np.flatnonzero(members)
+        idx = np.flatnonzero(allowed if optima and halo else members)     # the cells to evaluate
         idx += r0 * nx
         n_allowed = int(np.count_nonzero(allowed))
         if not halo:
-            return n_allowed, idx.size, idx, *point_fields(idx)
+            return n_allowed, idx.size, n_allowed if optima else 0, idx, *point_fields(idx)
         grid = np.full(members.shape, -np.inf, np.float32)
         for part, px, py in chunks(idx):
             grid.ravel()[part - r0 * nx] = _point_fields(scenario, ctxs, px, py, objective=False)[1]
-        return n_allowed, idx.size, r1, grid
+        grids = (grid, np.where(members, grid, -np.inf)) if optima else (grid,)
+        return n_allowed, int(np.count_nonzero(members)), r1, grids
 
     def decisions(done):
         """maxima's arguments per tile: it decides the rows from the first
         undecided one to ``halo`` rows before its end (to the grid's end for
-        the last tile) on its grid and the carried rows before it."""
-        tail = np.empty((0, nx), np.float32)
+        the last tile) on its grids and the carried rows before them."""
+        tails = [np.empty((0, nx), np.float32)] * (1 + optima)
         d0 = 0
-        for n_allowed, n_members, r1, grid in done:
+        for n_allowed, n_members, r1, grids in done:
             d1 = max(d0, r1 - halo) if r1 < ny else ny
-            yield n_allowed, n_members, r1 - grid.shape[0] - tail.shape[0], (tail, grid), d0, d1
-            tail = np.concatenate((tail, grid[-2 * halo:]))[-2 * halo:]
+            yield (n_allowed, n_members, r1 - grids[0].shape[0] - tails[0].shape[0],
+                   list(zip(tails, grids)), d0, d1)
+            tails = [np.concatenate((t, g[-2 * halo:]))[-2 * halo:] for t, g in zip(tails, grids)]
             d0 = d1
-            del grid        # the call alone holds the tile while the next one runs
+            del grids       # the call alone holds the tile while the next one runs
 
     def maxima(n_allowed, n_members, g0, grids, d0, d1):
-        """The disc-local maxima in rows d0:d1 with their fields; ``grids``
-        hold the rows from g0 on that their discs reach."""
-        idx = g0 * nx + _disc_local_maxima(np.concatenate(grids), d0 - g0, d1 - g0, halo)
-        return n_allowed, n_members, idx, *point_fields(idx)
+        """The disc-local maxima in rows d0:d1 of each grid, the last one's
+        with their fields; ``grids`` hold the rows from g0 on that their discs reach."""
+        found = [_disc_local_maxima(np.concatenate(g), d0 - g0, d1 - g0, halo) for g in grids]
+        idx = g0 * nx + found[-1]
+        return n_allowed, n_members, found[0].size if optima else 0, idx, *point_fields(idx)
 
     pool = ThreadPoolExecutor(workers)
     try:
@@ -571,9 +577,9 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
         if halo:
             tiles = _in_order(pool, maxima, decisions(tiles), workers - 1)
         any_allowed = False
-        for n_allowed, n_members, idx, fobj, fss in tiles:
-            any_allowed |= n_allowed > 0
-            yield n_allowed, n_members, idx, fobj, fss
+        for tile in tiles:
+            any_allowed |= tile[0] > 0
+            yield tile
     finally:
         pool.shutdown(cancel_futures=True)
     if not any_allowed:
@@ -597,7 +603,8 @@ def _candidate_labels(ctxs: list[_ArrayContext], lobes: LobeSets,
 
 
 def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
-                     auth: Authenticator | None = None, threads: int = 1) -> SearchResult:
+                     auth: Authenticator | None = None, threads: int = 1,
+                     count_optima: bool = False) -> SearchResult:
     """Worst-position miss probability by lobe-restricted candidate search.
 
     Grids the region, intersects the allowed area with the union of main
@@ -605,8 +612,11 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
     the small-scale alignment count over discs of the configured radius
     (every candidate qualifies for a single array, whose count is flat),
     computes the alignment objective only at them, and evaluates the miss
-    probability at the ``max_candidates`` of best objective.  The grid pass
-    runs on up to ``threads`` threads without changing the result.
+    probability at the ``max_candidates`` of best objective.  With
+    ``count_optima`` the grid pass evaluates the count on every allowed cell,
+    not only on the lobe cells, and returns count_small_scale_optima's figure
+    as ``n_optima``.  It runs on up to ``threads`` threads without changing
+    the result.
     """
     cfg = config or scenario.search
     res, eps_px, xs, ys = _grid(scenario, cfg)
@@ -620,14 +630,15 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
         order = np.lexsort((idx % nx, idx // nx, -fobj))[:cfg.max_candidates]
         return idx[order], fobj[order], fss[order]
 
-    n_allowed = n_lobe = n_survivors = 0
+    n_allowed = n_lobe = n_optima = n_survivors = 0
     kept = (np.empty(0, np.intp), np.empty(0), np.empty(0))
-    for n_tile, m_tile, *survivors in _walk_grid(
-            scenario, ctxs, xs, ys, res, eps_px if len(ctxs) > 1 else 0,
+    for n_tile, m_tile, o_tile, *survivors in _walk_grid(
+            scenario, ctxs, xs, ys, res, eps_px,
             lambda tile_ys: _lobe_mask(ctxs, lobes, xs, tile_ys, res, cfg.include_first_sidelobes),
-            threads):
+            threads, count_optima):
         n_allowed += n_tile
         n_lobe += m_tile
+        n_optima += o_tile
         n_survivors += survivors[0].size
         kept = tuple(map(np.concatenate, zip(kept, survivors)))
         if kept[0].size > 2 * cfg.max_candidates:     # keeps memory bounded by the cap
@@ -644,7 +655,8 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
                           float(p_md[k]), labels[k])
         for k in np.lexsort((idx % nx, idx // nx, -p_md)))     # p_md descending, row-major ties
     return SearchResult(candidates, candidates[0].p_md, xs.size * ys.size, n_allowed, n_lobe,
-                        len(candidates), (ys.size, xs.size), res, n_survivors)
+                        len(candidates), (ys.size, xs.size), res, n_survivors,
+                        n_optima if count_optima else None)
 
 
 def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
@@ -655,12 +667,11 @@ def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
     miss probability at the single best cell, the first in row-major order
     among ties.
     """
-    cfg = config or scenario.search
-    res, _, xs, ys = _grid(scenario, cfg)
+    res, _, xs, ys = _grid(scenario, config or scenario.search)
     ctxs = _array_contexts(scenario)
     n_allowed, best = 0, None
-    for n_tile, _, idx, fobj, fss in _walk_grid(scenario, ctxs, xs, ys, res, 0,
-                                                threads=threads):
+    for n_tile, _, _, idx, fobj, fss in _walk_grid(scenario, ctxs, xs, ys, res, 0,
+                                                   threads=threads):
         n_allowed += n_tile
         if idx.size and (best is None or fobj.max() > best[1]):
             top = int(np.argmax(fobj))
@@ -679,18 +690,11 @@ def count_small_scale_optima(scenario: Scenario, config: SearchConfig | None = N
     """Disc-local maxima of the small-scale count over the whole allowed grid.
 
     The denominator of the "fraction of optima actually searched" figure of
-    merit.  For a single array, whose count is flat, or a disc under one cell
-    every allowed cell is a (weak) maximum, counted without any field.
+    merit: truncated_search's ``n_optima``, from the same walk with no lobe
+    sets, no members and so no f_obj.  For a single array or a disc under
+    one cell every allowed cell is a (weak) maximum, counted without any field.
     """
-    cfg = config or scenario.search
-    res, eps_px, xs, ys = _grid(scenario, cfg)
-    ctxs = _array_contexts(scenario)
-    count_only = len(ctxs) == 1 or eps_px < 1
-    n_allowed = n_optima = 0
-    for n_tile, _, idx, _, _ in _walk_grid(scenario, ctxs, xs, ys, res,
-                                           0 if count_only else eps_px,
-                                           (lambda tile_ys: False) if count_only else None,
-                                           threads, objective=False):
-        n_allowed += n_tile
-        n_optima += idx.size
-    return n_allowed if count_only else n_optima
+    res, eps_px, xs, ys = _grid(scenario, config or scenario.search)
+    walk = _walk_grid(scenario, _array_contexts(scenario), xs, ys, res, eps_px,
+                      lambda tile_ys: False, threads, optima=True)
+    return sum(tile[2] for tile in walk)

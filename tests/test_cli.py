@@ -203,11 +203,13 @@ class TestSweepBatching:
         assert code == 0
         assert out.splitlines() == ["p_fa,p_md_opt,p_md_none"] + roc
 
-    def test_empty_sweep_prints_the_header(self, capsys, scenario_file):
-        for cmd, header in (("roc", "p_fa,p_md_opt,p_md_none"),
-                            ("validate", "param,saddlepoint,montecarlo,std_error")):
-            code, out, _ = run(capsys, cmd, "--scenario", scenario_file, "--points", "0")
-            assert code == 0 and out == header + "\n"
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_empty_sweep_is_a_config_error(self, capsys, scenario_file, points):
+        for cmd in ("roc", "validate"):
+            code, out, err = run(capsys, cmd, "--scenario", scenario_file, "--points", points)
+            assert code == 2 and out == "", cmd
+            assert json.loads(err) == {"error": "ValueError",
+                                       "message": f"--points must be at least 1, got {points}"}
 
     def test_validate_without_a_saddle_exits_3(self, capsys, scenario_file, monkeypatch):
         import distpla.power_attack as pa
@@ -365,6 +367,31 @@ class TestCompare:
         assert int(second[7]) > int(first[7])
         assert float(second[4]) >= float(first[4])
 
+    def test_one_grid_walk_per_scenario(self, capsys, tmp_path, monkeypatch):
+        """The search's own walk counts the small-scale optima: compare walks
+        each grid once, and its optima column is count_small_scale_optima's,
+        here on 0.5 m grids with a 3-cell disc."""
+        import distpla.position_attack as pa
+        paths = []
+        for name, rrhs in (("small", SMALL["rrhs"]), ("solo", SMALL["rrhs"][:1])):
+            paths.append(str(tmp_path / f"{name}.json"))
+            Path(paths[-1]).write_text(json.dumps(dict(SMALL, rrhs=rrhs, search={
+                "grid_resolution_m": 0.5, "small_scale_radius_m": 1.5})))
+        paths.append(paths[0])
+        walks, walk = [], pa._walk_grid
+
+        def counted(scenario, *args, **kwargs):
+            walks.append(len(scenario.rrhs))
+            return walk(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(pa, "_walk_grid", counted)
+        code, out, _ = run(capsys, "compare", *(x for p in paths for x in ("--scenario", p)),
+                           "--grid", "4.0")
+        assert code == 0 and walks == [2, 1, 2]
+        monkeypatch.setattr(pa, "_walk_grid", walk)
+        assert [int(line.split(",")[7]) for line in out.splitlines()[1:]] == [
+            pa.count_small_scale_optima(distpla.load_scenario(p)) for p in paths]
+
 
 class TestDelay:
     def test_bound_table(self, capsys, scenario_file):
@@ -413,6 +440,14 @@ class TestDelay:
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": "ValueError", "message":
                                    f"{flag} must be {kind} and finite, got {float(bad)}"}
+
+    @pytest.mark.parametrize("w_max", ["0", "-1"])
+    def test_empty_delay_table_is_a_config_error(self, capsys, scenario_file, w_max):
+        code, out, err = run(capsys, "delay", "--scenario", scenario_file, "--arrival", "8",
+                             "--rate", "4", "--resources", "4", "--w-max", w_max)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": f"--w-max must be at least 1, got {w_max}"}
 
     def test_zero_noise_and_arrival_are_accepted(self, capsys, scenario_file):
         code, out, _ = run(capsys, "delay", "--scenario", scenario_file, "--arrival", "0",

@@ -353,18 +353,22 @@ class TestSearches:
     def test_tile_size_does_not_change_results(self, monkeypatch, tile):
         """One row per tile, fewer rows than the 6-row disc halo, and a tile
         that is not a whole number of 120-cell rows, each on 1, 2 and 3
-        threads, all give the results of the single default tile on one."""
+        threads, all give the results of the single default tile on one,
+        the search's count of small-scale optima included."""
         sc = _search_scenario()
         cfg = SearchConfig(grid_resolution=0.25, small_scale_radius=1.5)
         auth = make_authenticator(sc)
 
         def searches(threads):
             return (truncated_search(sc, cfg, auth, threads),
+                    truncated_search(sc, cfg, auth, threads, count_optima=True),
                     exhaustive_search(sc, cfg, auth, threads),
                     count_small_scale_optima(sc, cfg, threads))
 
         whole = searches(1)
         assert whole[0].grid_shape[0] * whole[0].grid_shape[1] <= pa._TILE_CELLS
+        assert whole[0].n_optima is None and whole[1].n_optima == whole[3] > 0
+        assert replace(whole[1], n_optima=None) == whole[0]
         monkeypatch.setattr(pa, "_TILE_CELLS", tile)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)     # switch threads often: tile order must still hold
@@ -398,14 +402,51 @@ class TestSearches:
                 for threads in (1, 2, 3):
                     assert count_small_scale_optima(sc, cfg, threads) == whole, (rows, threads)
 
+    def test_optima_count_matches_a_brute_force_disc_maximum(self, monkeypatch):
+        """On seeded random deployments, alternating identity and exponential
+        correlation, the search's n_optima and count_small_scale_optima both
+        equal the allowed cells that are >= every allowed cell of their disc,
+        the count taken in float32 as the walk keeps it and the disc scanned
+        offset by offset.  The walk runs on two threads in tiles of 7 rows
+        and 3 cells.  One-antenna arrays have a flat angular response, so
+        there the lobe cells are the allowed cells; elsewhere they are fewer."""
+        rng = np.random.default_rng(20)
+        monkeypatch.setattr(pa, "_TILE_CELLS", 7 * 160 + 3)
+        cfg = SearchConfig(grid_resolution=0.25, small_scale_radius=1.0)
+        lobe_share = []
+        for k in range(6):
+            sc = random_geometry(rng, 2 + k % 2, n_rx=1 if k == 5 else None,
+                                 rho=None if k % 2 else 0.0, region=(0, 40, 0, 30))
+            sc = replace(sc, search=cfg)
+            xs, ys = grid_axes(sc, 0.25)
+            allowed = _allowed_mask(sc, xs, ys)
+            gx, gy = np.meshgrid(xs, ys)
+            count = np.where(allowed, point_fields(sc, np.column_stack((gx.ravel(), gy.ravel())))[1]
+                             .reshape(allowed.shape).astype(np.float32), -np.inf)
+            padded = np.pad(count, 4, constant_values=-np.inf)
+            is_max = allowed.copy()
+            for dy in range(-4, 5):
+                for dx in range(-4, 5):
+                    if dy * dy + dx * dx <= 16:
+                        is_max &= count >= padded[4 + dy:4 + dy + ys.size, 4 + dx:4 + dx + xs.size]
+            expected = int(np.count_nonzero(is_max))
+            result = truncated_search(sc, threads=2, count_optima=True)
+            assert result.n_optima == count_small_scale_optima(sc, threads=2) == expected, k
+            assert 0 < expected < result.n_allowed
+            lobe_share.append(result.n_lobe_points / result.n_allowed)
+        assert max(lobe_share[:5]) < 1.0 == lobe_share[5]
+        assert result.n_survivors == result.n_optima     # one grid, one set of maxima
+
     @pytest.mark.parametrize("tile", [None, 1, 2 * 120, 7 * 120 + 3])
     def test_fields_are_evaluated_once_per_cell(self, monkeypatch, tile):
         """The walk evaluates each member cell's small-scale count exactly
         once, halo rows included: alone where the disc filter reads it, with
-        f_obj where every member survives.  f_obj is evaluated only at the
-        filter's survivors, never in the optima count, and no call takes
-        more than _CHUNK_CELLS cells.  The walk starts no more workers than
-        it has tiles."""
+        f_obj where every member survives.  A search that also counts the
+        small-scale optima evaluates the count once per allowed cell, not
+        once per lobe cell and again per allowed cell.  f_obj is evaluated
+        only at the filter's survivors, never in the optima count, and no
+        call takes more than _CHUNK_CELLS cells.  The walk starts no more
+        workers than it has tiles."""
         sc = _search_scenario()
         cfg = SearchConfig(grid_resolution=0.25, small_scale_radius=1.5)
         auth = make_authenticator(sc)
@@ -434,6 +475,10 @@ class TestSearches:
             trunc, split = cells(truncated_search, auth, threads)
             assert split == (trunc.n_lobe_points, trunc.n_survivors)
             assert trunc.n_survivors < trunc.n_lobe_points
+            counted, split = cells(truncated_search, auth, threads, True)
+            assert split == (counted.n_allowed, counted.n_survivors)
+            assert counted.n_lobe_points < counted.n_allowed
+            assert counted.n_survivors == trunc.n_survivors
             full, split = cells(exhaustive_search, auth, threads)
             assert split == (0, full.n_allowed)
             assert cells(count_small_scale_optima, threads)[1] == (full.n_allowed, 0)
