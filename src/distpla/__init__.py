@@ -3,7 +3,7 @@ authentication: thresholds, power/position attack analysis, Monte-Carlo
 oracles, and delay bounds."""
 
 from .authenticator import (Authenticator, discriminant, make_authenticator,
-                            pfa_of_threshold, threshold_for_pfa)
+                            pfa_of_threshold, threshold_for_pfa, whiten)
 from .delay_bounds import (ArrivalModel, DelayBound, ServiceModel, ServiceOutage,
                            UnstableQueueError, delay_violation_bound,
                            service_outage, simulate_queue_delays, snr_outage,
@@ -17,9 +17,8 @@ from .monte_carlo import (BLOCK_SIZE, McEstimate, WhitenedEvent, acceptance_even
 from .numerics import NumericsError, chi2_cdf, chi2_quantile, chi2_tail
 from .position_attack import (CandidatePosition, EmptyRegionError, LobeSets,
                               NoCandidatesError, PositionSearchError, SearchResult,
-                              angular_inner_product, count_small_scale_optima,
-                              exhaustive_search, f_obj, lobe_sets,
-                              truncated_search)
+                              count_small_scale_optima, exhaustive_search, f_obj,
+                              lobe_sets, truncated_search)
 from .power_attack import (NO_ATTACK, IndefiniteForm, PowerStrategy,
                            SaddlepointError, build_indefinite_form, dncf_sf,
                            fixed_strategy_form,

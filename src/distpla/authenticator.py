@@ -8,16 +8,19 @@ received channel h when the discriminant
 stays below a threshold.  Under the legitimate hypothesis d(h) is exactly
 chi-square with 2 * (total antennas) degrees of freedom, which pins the
 false-alarm rate/threshold pair in closed form.
+
+Sigma_A is block diagonal with array j's block c_j Lambda, c_j = P_j/(K+1)
+and Lambda the identity or rho^|k-l|, so :func:`whiten` applies the inverse
+of its lower Cholesky factor L elementwise; no N x N factor is built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .geometry import ChannelStatistics, Scenario, alice_statistics
-from .numerics import chi2_quantile, chi2_tail, cholesky_lower
+from .numerics import NumericsError, chi2_quantile, chi2_tail
 
 
 def threshold_for_pfa(p_fa: float, dof: int) -> float:
@@ -36,45 +39,68 @@ def pfa_of_threshold(threshold: float, dof: int) -> float:
 class Authenticator:
     """Frozen verifier state: legitimate statistics plus derived factors.
 
-    ``chol`` is the stacked lower Cholesky factor of Sigma_A, block diagonal
-    with the factor of each array's covariance,
+    ``rho`` is the exponential correlation coefficient (0 for the identity)
+    and ``inv_diag`` the diagonal of L^{-1}: 1/sqrt(c_j) on array j's first
+    antenna and 1/(sqrt(c_j) sqrt(1 - rho^2)) on the others.
     ``whitened_mean`` is L^{-1} mu_A, and ``mahalanobis_energy`` is
-    M = mu_A^H Sigma_A^{-1} mu_A = ||L^{-1} mu_A||^2.
+    M = mu_A^H Sigma_A^{-1} mu_A = ||L^{-1} mu_A||^2; both follow from the rest.
     """
 
     stats: ChannelStatistics
     threshold: float
     false_alarm_target: float
     total_dof: int
-    chol: np.ndarray
-    whitened_mean: np.ndarray
-    mahalanobis_energy: float
+    rho: float
+    inv_diag: np.ndarray
+    whitened_mean: np.ndarray = field(init=False)
+    mahalanobis_energy: float = field(init=False)
+
+    def __post_init__(self):
+        wmean = whiten(self, self.stats.mean)
+        object.__setattr__(self, "whitened_mean", wmean)
+        object.__setattr__(self, "mahalanobis_energy", float(np.vdot(wmean, wmean).real))
 
 
 def make_authenticator(scenario: Scenario) -> Authenticator:
+    """The verifier of ``scenario``; raises NumericsError unless |rho| < 1."""
     stats = alice_statistics(scenario)
     dof = 2 * stats.dim
-    chol = np.zeros((stats.dim, stats.dim), complex)
-    for sl, cov in zip(stats.block_slices(), stats.block_covs):
-        chol[sl, sl] = cholesky_lower(cov)
-    wmean = solve_triangular(chol, stats.mean, lower=True)
-    m_energy = float(np.vdot(wmean, wmean).real)
-    return Authenticator(
-        stats=stats,
-        threshold=threshold_for_pfa(scenario.false_alarm_target, dof),
-        false_alarm_target=scenario.false_alarm_target,
-        total_dof=dof,
-        chol=chol,
-        whitened_mean=wmean,
-        mahalanobis_energy=m_energy,
-    )
+    rho = 0.0 if scenario.correlation.kind == "identity" else float(scenario.correlation.rho)
+    if not abs(rho) < 1.0:
+        raise NumericsError(f"exponential correlation needs |rho| < 1, got {rho}")
+    root = np.sqrt(stats.powers / (scenario.rice_factor + 1.0))     # sqrt(c_j)
+    # sqrt(1 - rho^2), factored to keep its accuracy near |rho| = 1
+    inv_diag = np.repeat(1.0 / (root * np.sqrt((1.0 - rho) * (1.0 + rho))), stats.block_sizes)
+    inv_diag[[sl.start for sl in stats.block_slices()]] = 1.0 / root
+    return Authenticator(stats=stats, threshold=threshold_for_pfa(scenario.false_alarm_target, dof),
+                         false_alarm_target=scenario.false_alarm_target, total_dof=dof,
+                         rho=rho, inv_diag=inv_diag)
+
+
+def whiten(auth: Authenticator, y) -> np.ndarray:
+    """x = L^{-1} y for a vector y (N,) or each column of an (N, n) block.
+
+    x_k = y_k / sqrt(c_j) on identity correlation, computed as LAPACK's
+    triangular solve does, y_k times the reciprocal, so with its bits; with
+    exponential correlation x_k = (y_k - rho y_{k-1}) / (sqrt(c_j) sqrt(1 -
+    rho^2)) past array j's first antenna.  Each column is whitened on its own,
+    so its bits do not depend on which columns share its block.
+    """
+    y = np.asarray(y, complex)
+    diag = auth.inv_diag.reshape((-1,) + (1,) * (y.ndim - 1))
+    if auth.rho == 0.0:
+        return y * diag
+    x = y.copy()
+    x[1:] -= auth.rho * y[:-1]
+    firsts = [sl.start for sl in auth.stats.block_slices()]
+    x[firsts] = y[firsts]
+    return x * diag
 
 
 def discriminant(auth: Authenticator, h: np.ndarray) -> float | np.ndarray:
     """d(h) = 2 (h - mu_A)^H Sigma_A^{-1} (h - mu_A); batched over rows of a 2-D h."""
     h = np.asarray(h)
-    centered = h - auth.stats.mean
-    x = solve_triangular(auth.chol, centered.T if h.ndim == 2 else centered, lower=True)
+    x = whiten(auth, (h - auth.stats.mean).T)
     d = 2.0 * np.sum((x.conj() * x).real, axis=0)
     return d if h.ndim == 2 else float(d)
 

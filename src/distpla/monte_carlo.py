@@ -12,9 +12,9 @@ Each block draws one (n, 2 dim) ``standard_normal`` array z, paired into
 w = z.view(complex) / sqrt(2), the whitened noise of h = mu + L w.  Events
 are :class:`WhitenedEvent` s and receive x = L_A^{-1} h: the shared antenna
 correlation gives Sigma_E,j = alpha_j Sigma_A,j, alpha_j = P_E,j / P_A,j, so
-x = L_A^{-1} mu_E + diag(sqrt(alpha_j) 1_{n_j}) w costs elementwise
-arithmetic and row sums, no matrix product or triangular solve.  Sample i
-is row i of z, the layout above.
+x = L_A^{-1} mu_E + diag(sqrt(alpha_j) 1_{n_j}) w, with L_A^{-1} mu_E from
+authenticator.whiten, costs elementwise arithmetic and row sums, no matrix
+product or triangular solve.  Sample i is row i of z, the layout above.
 
 An event may also return an (n, k) boolean block, k events over the same
 draws, such as one acceptance test per threshold of a false-alarm sweep.
@@ -30,9 +30,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .authenticator import Authenticator
+from .authenticator import Authenticator, whiten
 from .geometry import ChannelStatistics
 
 BLOCK_SIZE = 16_384
@@ -82,7 +81,7 @@ def estimate_probability(event: WhitenedEvent, stats: ChannelStatistics, samples
             np.abs(ce - a * ca).max() > 1e-12 * np.abs(ce).max()
             for ce, ca, a in zip(stats.block_covs, auth.stats.block_covs, alpha)):
         raise ValueError("whitened events need block covariances alpha_j Sigma_A,j")
-    offset = solve_triangular(auth.chol, stats.mean, lower=True).view(float)
+    offset = whiten(auth, stats.mean).view(float)
     # each real coordinate of x is offset + sqrt(alpha_j) z / sqrt(2)
     spread = np.repeat(np.sqrt(alpha / 2.0), 2 * np.asarray(stats.block_sizes))
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE

@@ -1,11 +1,11 @@
-"""Scalar special functions and small linear-algebra helpers.
+"""Scalar special functions and one-dimensional solvers.
 
 Everything statistical in this package reduces to a handful of primitives:
-chi-square tails and quantiles (scipy.special), Cholesky factors (numpy),
-bracketed root finding and bounded minimization.  The last two are Brent's
-methods, written out to return the bits of scipy's brentq and bounded
-minimize_scalar without loading scipy.optimize.  Collecting them here pins
-the tolerances in one place.
+chi-square tails and quantiles (scipy.special), bracketed root finding and
+bounded minimization.  The last two are Brent's methods, written out to
+return the bits of scipy's brentq and bounded minimize_scalar without
+loading scipy.optimize.  Collecting them here pins the tolerances in one
+place.
 """
 from __future__ import annotations
 
@@ -44,14 +44,6 @@ def chi2_quantile(p: float, dof: int) -> float:
     if not 0.0 < p < 1.0:
         raise NumericsError(f"quantile level must lie in (0, 1), got {p}")
     return float(2.0 * special.gammaincinv(dof / 2.0, p))
-
-
-def cholesky_lower(m: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^H = m; raises on non-PD input."""
-    try:
-        return np.linalg.cholesky(np.asarray(m))
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"matrix is not positive definite: {exc}") from exc
 
 
 def bracketed_root_find(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:

@@ -23,11 +23,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .authenticator import Authenticator, make_authenticator
-from .geometry import (Correlation, Scenario, SearchConfig, steering_vector,
-                       wavelength)
+from .authenticator import Authenticator, make_authenticator, whiten
+from .geometry import Scenario, SearchConfig, steering_vector, wavelength
 from .numerics import bounded_minimum, bracketed_root_find
 from .power_attack import mdp_optimal_pma_batch
 
@@ -60,7 +58,7 @@ def f_obj(auth: Authenticator, h: np.ndarray) -> float | np.ndarray:
     row vectors.
     """
     harr = np.asarray(h)
-    x = solve_triangular(auth.chol, harr.T if harr.ndim == 2 else harr, lower=True)
+    x = whiten(auth, harr.T)
     num = np.abs(auth.whitened_mean.conj() @ x) ** 2
     den = np.sum(np.abs(x) ** 2, axis=0)
     out = num / den
@@ -129,25 +127,6 @@ def _angular_g(ctx: _ArrayContext, omega_e: np.ndarray) -> np.ndarray:
         raise ValueError("angular inner product is not phase-separable; "
                          "unexpected correlation structure")
     return g.real
-
-
-def angular_inner_product(omega_e: float, omega_a: float, num_antennas: int,
-                          spacing: float, correlation: Correlation | None = None
-                          ) -> tuple[complex, float]:
-    """(S, g) with S = e(Omega_E)^H Lambda^{-1} e(Omega_A) = e^{j pi (n-1) s dOmega} g.
-
-    g is real for the supported correlation models; its sign tracks the
-    lobe structure of the array."""
-    corr = correlation or Correlation()
-    e_a = steering_vector(omega_a, num_antennas, spacing)
-    e_e = steering_vector(omega_e, num_antennas, spacing)
-    lam_inv = np.linalg.inv(corr.matrix(num_antennas))
-    s_val = complex(e_e.conj() @ (lam_inv @ e_a))
-    g = s_val * np.exp(-1j * np.pi * (num_antennas - 1) * spacing * (omega_e - omega_a))
-    peak = float((e_a.conj() @ (lam_inv @ e_a)).real)
-    if abs(g.imag) > 1e-9 * peak:
-        raise ValueError("angular inner product is not phase-separable")
-    return s_val, float(g.real)
 
 
 def _s_ee(ctx: _ArrayContext, omega_e: np.ndarray) -> np.ndarray | float:
@@ -274,8 +253,10 @@ def _one_side_bands(g, x_max: float, step: float, peak0: float, g0: float):
                        side_peak)
 
 
-def lobe_sets(scenario: Scenario) -> LobeSets:
+def lobe_sets(scenario: Scenario, config: SearchConfig | None = None) -> LobeSets:
     """Main-lobe and first-sidelobe bands of every array around its Alice bearing.
+
+    The band edges use the g0 of ``config``, or of ``scenario.search`` without it.
 
     Each side of the bearing is scanned in angular-sine steps of 1/(32 n s),
     one _angular_g call per scan grid; bracketed_root_find refines each sign
@@ -284,7 +265,7 @@ def lobe_sets(scenario: Scenario) -> LobeSets:
     peak, bit for bit as scipy would, which the float32 masks rely on.  Both
     attack angles phi and pi - phi share an angular sine, so one band covers both.
     """
-    g0 = scenario.search.g0
+    g0 = (config or scenario.search).g0
     if not g0 > 1.0:
         raise ValueError("lobe threshold g0 must exceed 1")
     per = []
@@ -621,7 +602,7 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
     cfg = config or scenario.search
     res, eps_px, xs, ys = _grid(scenario, cfg)
     ctxs = _array_contexts(scenario)
-    lobes = lobe_sets(scenario)
+    lobes = lobe_sets(scenario, cfg)
 
     nx = xs.size
 
@@ -667,7 +648,8 @@ def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
     miss probability at the single best cell, the first in row-major order
     among ties.
     """
-    res, _, xs, ys = _grid(scenario, config or scenario.search)
+    cfg = config or scenario.search
+    res, _, xs, ys = _grid(scenario, cfg)
     ctxs = _array_contexts(scenario)
     n_allowed, best = 0, None
     for n_tile, _, _, idx, fobj, fss in _walk_grid(scenario, ctxs, xs, ys, res, 0,
@@ -679,7 +661,7 @@ def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
     k, fo, fs = best
     x, y = _cell_centres(scenario, xs.size, res, k)
     p_md = mdp_optimal_pma_batch(auth or make_authenticator(scenario), scenario, [x, y])
-    label = _candidate_labels(ctxs, lobe_sets(scenario), np.array([x]), np.array([y]))[0]
+    label = _candidate_labels(ctxs, lobe_sets(scenario, cfg), np.array([x]), np.array([y]))[0]
     cand = CandidatePosition((x, y), fo, fs, float(p_md[0]), label)
     return SearchResult((cand,), cand.p_md, xs.size * ys.size, n_allowed, n_allowed, 1,
                         (ys.size, xs.size), res, n_allowed)

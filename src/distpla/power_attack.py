@@ -44,10 +44,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import betainc, gammaln
 
-from .authenticator import Authenticator
+from .authenticator import Authenticator, whiten
 from .geometry import ChannelStatistics, Scenario, rice_means
 
 _EIG_DROP = 1e-14          # relative cutoff below which an eigenvalue is treated as zero
@@ -106,7 +105,7 @@ def optimal_power_strategy(auth: Authenticator, h_eve: np.ndarray) -> tuple[Powe
     Returns the strategy and the attained minimum
     d_min = 2 (M - |mu_A^H Sigma_A^{-1} h|^2 / (h^H Sigma_A^{-1} h)).
     """
-    x = solve_triangular(auth.chol, np.asarray(h_eve), lower=True)
+    x = whiten(auth, h_eve)
     r = complex(np.vdot(auth.whitened_mean, x))     # mu_A^H Sigma_A^{-1} h
     q = float(np.vdot(x, x).real)                   # h^H Sigma_A^{-1} h
     if q <= 0.0:
@@ -138,7 +137,8 @@ def _optimal_form_rows(auth: Authenticator, means: np.ndarray, powers: np.ndarra
     """build_indefinite_form for attacker means (n, N), powers (n, N_RRH) and thresholds (n,).
 
     One row of means and powers may stand for all n thresholds; it is then
-    whitened once, so every row keeps the bits of its own one-row build.
+    whitened once.  whiten treats every column on its own, so every row
+    keeps the bits of its own one-row build.
     Returns the eigenvalues, complex offsets and multiplicities, each (n, K)
     with K = N_RRH + #(arrays with n_j > 1), and t (n,).
     """
@@ -147,8 +147,7 @@ def _optimal_form_rows(auth: Authenticator, means: np.ndarray, powers: np.ndarra
     sizes, starts = _array_layout(auth)
     alpha = np.broadcast_to(powers / auth.stats.powers, (t.size, sizes.size))
     w = auth.whitened_mean
-    x = np.broadcast_to(solve_triangular(auth.chol, means.T, lower=True),
-                        (auth.stats.dim, t.size))
+    x = np.broadcast_to(whiten(auth, means.T), (auth.stats.dim, t.size))
     a = np.sqrt(alpha * np.add.reduceat(np.abs(w) ** 2, starts))
     b = np.add.reduceat(w.conj()[:, None] * x, starts, axis=0).T / a
     values, vectors = np.linalg.eigh(a[:, :, None] * a[:, None, :] / m_energy
@@ -174,7 +173,8 @@ def build_indefinite_form(auth: Authenticator, eve_stats: ChannelStatistics) -> 
     contributes the direction u_j with offset b_j = <w_j, x_j> / (||w_j||
     sqrt(alpha_j)), x = L_A^{-1} mu_E, and -t alpha_j on the rest of the
     array (multiplicity n_j - 1, offset energy ||x_j||^2 / alpha_j - |b_j|^2).
-    For t in (0, 1) exactly one eigenvalue is positive.
+    For t in (0, 1) exactly one eigenvalue is positive.  L_A^{-1} is applied
+    elementwise by authenticator.whiten; no factor is formed.
     """
     d, c, m, t = _optimal_form_rows(auth, eve_stats.mean[None, :], eve_stats.powers[None, :],
                                     np.array([auth.threshold]))
@@ -195,7 +195,7 @@ def fixed_strategy_form(auth: Authenticator, eve_stats: ChannelStatistics,
     if abs(scale) == 0.0:
         raise ValueError("strategy amplitude must be positive")
     sizes, starts = _array_layout(auth)
-    x = solve_triangular(auth.chol, scale * eve_stats.mean - auth.stats.mean, lower=True)
+    x = whiten(auth, scale * eve_stats.mean - auth.stats.mean)
     gain = abs(scale) ** 2 * (eve_stats.powers / auth.stats.powers)
     t = 1.0 - auth.threshold / (2.0 * auth.mahalanobis_energy)
     return IndefiniteForm(eigenvalues=-gain,
@@ -418,7 +418,7 @@ def _closed_form(auth: Authenticator, mean: np.ndarray, power: float, threshold:
         raise ValueError("closed form needs at least two antennas")
     m_energy = auth.mahalanobis_energy
     alpha = float(power / auth.stats.powers[0])
-    w_e = solve_triangular(auth.chol, mean, lower=True)
+    w_e = whiten(auth, mean)
     cross = complex(np.vdot(auth.whitened_mean, w_e))   # mu_A^H Sigma_A^{-1} mu_E
     quad = float(np.vdot(w_e, w_e).real)                # mu_E^H Sigma_A^{-1} mu_E
     nu1 = 2.0 * abs(cross) ** 2 / (alpha * m_energy)

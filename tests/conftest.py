@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import block_diag, solve_triangular
 
 from distpla import (BLOCK_SIZE, Correlation, Region, RrhConfig, Scenario, SearchConfig,
-                     TransmitterConfig)
+                     TransmitterConfig, steering_vector)
 from distpla.monte_carlo import block_generator
 from distpla.position_attack import _array_contexts, _point_fields
 
@@ -24,6 +24,24 @@ def build_scenario(rrhs, alice=(40.0, 30.0), eve=(26.0, 49.0), *,
         false_alarm_target=pfa,
         **kwargs,
     )
+
+
+def angular_inner_product(omega_e, omega_a, num_antennas, spacing, correlation=None):
+    """The dense oracle of the angular kernel: (S, g) with
+    S = e(Omega_E)^H Lambda^{-1} e(Omega_A) = e^{j pi (n-1) s dOmega} g.
+
+    g is real for the supported correlation models; its sign tracks the
+    lobe structure of the array."""
+    corr = correlation or Correlation()
+    e_a = steering_vector(omega_a, num_antennas, spacing)
+    e_e = steering_vector(omega_e, num_antennas, spacing)
+    lam_inv = np.linalg.inv(corr.matrix(num_antennas))
+    s_val = complex(e_e.conj() @ (lam_inv @ e_a))
+    g = s_val * np.exp(-1j * np.pi * (num_antennas - 1) * spacing * (omega_e - omega_a))
+    peak = float((e_a.conj() @ (lam_inv @ e_a)).real)
+    if abs(g.imag) > 1e-9 * peak:
+        raise ValueError("angular inner product is not phase-separable")
+    return s_val, float(g.real)
 
 
 def point_fields(scenario, points):
@@ -75,9 +93,10 @@ def random_geometry(rng, n_rrh=None, *, n_rx=None, rho=None, region=(0, 80, 0, 6
 
 
 # The dense oracle: h = mu + L w drawn with the Cholesky factor L of the
-# stacked covariance, which the package itself never forms.  Tests that draw
-# channels, and the checks of the package's whitened sampler and of its
-# evaluated SNR outage, use it.
+# stacked covariance, and x = L^{-1} y by a triangular solve with it; the
+# package itself never forms L.  Tests that draw channels, and the checks of
+# the package's whitening, of its whitened sampler and of its evaluated SNR
+# outage, use it.
 
 
 def dense_cov(stats):
@@ -92,9 +111,14 @@ def sample_channel(stats, rng, n=None):
     return h[0] if n is None else h
 
 
+def dense_whiten(stats, y):
+    """L^{-1} y for a vector y or the columns of a (dim, n) block, by one triangular solve."""
+    return solve_triangular(np.linalg.cholesky(dense_cov(stats)), y, lower=True)
+
+
 def decide_on_channel(event, h):
-    """A WhitenedEvent on a block of h: whiten with one triangular solve, then decide."""
-    x = solve_triangular(event.auth.chol, np.asarray(h).T, lower=True).T
+    """A WhitenedEvent on a block of h: whiten densely, then decide."""
+    x = dense_whiten(event.auth.stats, np.asarray(h).T).T
     return event.decide(np.ascontiguousarray(x))
 
 

@@ -222,31 +222,38 @@ class TestSweepBatching:
 
 
 def test_cli_import_skips_unused_scipy(tmp_path):
-    """Start-up loads none of scipy.stats, scipy.optimize, scipy.ndimage,
-    scipy.integrate; a whole position search (lobe bands, disc filter) and
-    a delay bound (bounded minimization) load neither scipy.optimize nor
-    scipy.ndimage."""
+    """Start-up loads none of scipy.linalg, scipy.stats, scipy.optimize,
+    scipy.ndimage, scipy.integrate, and neither does any command: threshold,
+    mdp (saddle point and Monte-Carlo), roc, validate, heatmap, delay (bounded
+    minimization), optimize and compare (lobe bands, disc filter)."""
     env = dict(os.environ)
     src = str(Path(distpla.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    unused = ("scipy.linalg", "scipy.stats", "scipy.optimize", "scipy.ndimage", "scipy.integrate")
 
-    def loaded(modules, *commands):
+    def loaded(*commands):
         probe = ("import sys, distpla.cli\n"
                  f"for argv in {list(commands)!r}:\n"
                  "    assert distpla.cli.main(argv) == 0, argv\n"
-                 f"print(' '.join(m for m in {modules!r} if m in sys.modules))")
+                 f"print(' '.join(m for m in {unused!r} if m in sys.modules))")
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         return done.stdout.split("\n")[-2]     # the last line; commands print summaries first
 
-    assert loaded(("scipy.stats", "scipy.optimize", "scipy.ndimage", "scipy.integrate")) == ""
-    assert loaded(("scipy.optimize", "scipy.ndimage"),
-                  ["optimize", "--scenario", DESK, "--grid", "0.025",
+    assert loaded() == ""
+    scenario = ["--scenario", DESK]
+    assert loaded(["threshold", *scenario], ["mdp", *scenario],
+                  ["mdp", *scenario, "--method", "montecarlo", "--samples", "20000"],
+                  ["roc", *scenario, "--points", "4"],
+                  ["validate", *scenario, "--points", "3", "--samples", "20000"],
+                  ["heatmap", *scenario, "--grid", "4.0", "--out", str(tmp_path / "map.csv")],
+                  ["delay", *scenario, "--arrival", "8", "--rate", "2", "--resources", "8",
+                   "--noise", "1e-9", "--out", str(tmp_path / "delay.csv")],
+                  ["optimize", *scenario, "--grid", "0.025",
                    "--out", str(tmp_path / "best.json")],
-                  ["delay", "--scenario", DESK, "--arrival", "8", "--rate", "2",
-                   "--resources", "8", "--noise", "1e-9",
-                   "--out", str(tmp_path / "delay.csv")]) == ""
+                  ["compare", *scenario, "--grid", "4.0",
+                   "--out", str(tmp_path / "compare.csv")]) == ""
 
 
 class TestOneAntenna:

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 from distpla import (BLOCK_SIZE, WhitenedEvent, acceptance_event,
                      best_case_acceptance_event, discriminant, estimate_probability,
@@ -12,7 +11,7 @@ from distpla.monte_carlo import block_generator
 from distpla.power_attack import optimal_power_strategy
 
 from conftest import (build_scenario, decide_on_channel, dense_cov, dense_hits,
-                      random_geometry, sample_channel)
+                      dense_whiten, random_geometry, sample_channel)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -182,7 +181,7 @@ def test_whitened_draws_count_what_the_dense_path_counts():
         # pilot draws from another seed place the thresholds from 0 hits to nearly all;
         # T = 0 is never met, since |m^H x|^2 <= M ||x||^2
         h = sample_channel(eve, block_generator(99, 0), 2000)
-        x = solve_triangular(auth.chol, h.T, lower=True)
+        x = dense_whiten(auth.stats, h.T)
         best_d = 2.0 * (auth.mahalanobis_energy - np.abs(auth.whitened_mean.conj() @ x) ** 2
                         / np.sum(np.abs(x) ** 2, axis=0))
         thresholds = [0.0, *np.quantile(best_d, [0.02, 0.3, 0.7, 0.98])]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from distpla.numerics import (NumericsError, bounded_minimum, bracketed_root_find,
-                              chi2_cdf, chi2_quantile, chi2_tail, cholesky_lower)
+                              chi2_cdf, chi2_quantile, chi2_tail)
 
 
 def test_chi2_quantile_frozen():
@@ -57,16 +57,6 @@ def test_beta_endpoints_and_domain():
     assert betainc(2.0, 3.0, 1.0) == 1.0
     assert np.isnan(betainc(2.0, 3.0, 1.5))
     assert np.isnan(betainc(-1.0, 3.0, 0.5))
-
-
-def test_cholesky_lower(rng):
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    m = a @ a.conj().T + 5 * np.eye(5)
-    low = cholesky_lower(m)
-    assert np.allclose(np.triu(low, 1), 0.0)
-    assert np.allclose(low @ low.conj().T, m, atol=1e-10)
-    with pytest.raises(NumericsError):
-        cholesky_lower(-np.eye(3))
 
 
 @given(root=st.floats(-5.0, 5.0), scale=st.floats(0.1, 10.0))

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import distpla.position_attack as pa
-from distpla import (Correlation, SearchConfig, alice_statistics,
-                     angular_inner_product, channel_statistics,
+from distpla import (Correlation, SearchConfig, alice_statistics, channel_statistics,
                      count_small_scale_optima, eve_statistics,
                      exhaustive_search, f_obj, load_scenario, lobe_sets, make_authenticator,
                      mdp_optimal_pma, steering_vector,
@@ -18,7 +17,8 @@ from distpla.position_attack import (EmptyRegionError, NoCandidatesError,
                                      _band_masks, _disc_local_maxima,
                                      _point_geometry, grid_axes)
 
-from conftest import build_scenario, point_fields, random_geometry, sample_channel
+from conftest import (angular_inner_product, build_scenario, point_fields, random_geometry,
+                      sample_channel)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -282,6 +282,20 @@ def _search_scenario(height=20.0, resolution=0.25, **search):
 
 
 class TestSearches:
+    @pytest.mark.parametrize("g0, lobe_cells", [(1.2, 1370), (3.0, 4514)])
+    def test_g0_through_config_equals_g0_on_the_scenario(self, g0, lobe_cells):
+        """The lobe bands and the exhaustive search's label take g0 from the
+        settings the grid comes from: ``config``, when it is given."""
+        sc = _search_scenario()
+        cfg = replace(sc.search, g0=g0)
+        via_config = truncated_search(sc, config=cfg)
+        on_scenario = replace(sc, search=cfg)
+        assert via_config == truncated_search(on_scenario)
+        assert via_config.n_lobe_points == lobe_cells
+        assert truncated_search(sc).n_lobe_points == 2180       # the default g0 = sqrt(2)
+        assert lobe_sets(sc, cfg) == lobe_sets(on_scenario)
+        assert exhaustive_search(sc, config=cfg) == exhaustive_search(on_scenario)
+
     def test_truncated_agrees_with_exhaustive(self):
         sc = _search_scenario()
         auth = make_authenticator(sc)
