@@ -24,10 +24,10 @@ from .numerics import NumericsError, chi2_quantile, chi2_tail
 
 
 def threshold_for_pfa(p_fa: float, dof: int) -> float:
-    """Acceptance threshold hitting a target false-alarm probability."""
+    """Acceptance threshold hitting a target false-alarm probability, solved on the tail."""
     if not 0.0 < p_fa < 1.0:
         raise ValueError(f"false-alarm target must lie in (0, 1), got {p_fa}")
-    return chi2_quantile(1.0 - p_fa, dof)
+    return chi2_quantile(p_fa, dof, tail=True)
 
 
 def pfa_of_threshold(threshold: float, dof: int) -> float:

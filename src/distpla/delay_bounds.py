@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .authenticator import Authenticator, pfa_of_threshold
 from .geometry import ChannelStatistics
-from .numerics import bounded_minimum
+from .numerics import bounded_minimum, ncx2_cdf
 from .power_attack import _settled_tail
 
 
@@ -112,17 +111,14 @@ def _outage(mean: np.ndarray, covs: tuple[np.ndarray, ...], rate: float,
     probability is the indefinite form with d = -lambda, |c|^2 and the
     threshold as constant: saddle point, exact tail where none exists.  One
     common variance and no correlation make it a scaled noncentral
-    chi-square CDF.
+    chi-square CDF with 2N degrees of freedom.
     """
     n = mean.shape[0]
     threshold = (2.0 ** rate - 1.0) * n * noise_density
     sigma2 = float(covs[0][0, 0].real)
     if all(np.abs(c - sigma2 * np.eye(len(c))).max() <= 1e-9 * sigma2 for c in covs):
         lam = 2.0 * float(np.vdot(mean, mean).real) / sigma2
-        # the noncentral chi-square CDF by the special functions that
-        # scipy.stats.ncx2.cdf calls, which is 0 below the support
-        x = max(2.0 * threshold / sigma2, 0.0)
-        return float(special.chndtr(x, 2 * n, lam) if lam else special.chdtr(2 * n, x))
+        return ncx2_cdf(2.0 * threshold / sigma2, 2 * n, lam)
     d, c2 = [], []
     for mu, cov in zip(np.split(mean, np.cumsum([len(c) for c in covs])[:-1]), covs):
         values, vectors = np.linalg.eigh(cov)

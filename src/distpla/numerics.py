@@ -1,49 +1,114 @@
 """Scalar special functions and one-dimensional solvers.
 
 Everything statistical in this package reduces to a handful of primitives:
-chi-square tails and quantiles (scipy.special), bracketed root finding and
-bounded minimization.  The last two are Brent's methods, written out to
-return the bits of scipy's brentq and bounded minimize_scalar without
-loading scipy.optimize.  Collecting them here pins the tolerances in one
-place.
+chi-square tails and quantiles, which with the model's 2N degrees of freedom
+(N antennas) are finite Poisson sums, bracketed root finding and bounded
+minimization.  The last two are Brent's methods, written out to return the
+bits of scipy's brentq and bounded minimize_scalar without loading
+scipy.optimize.  Collecting them here pins the tolerances in one place.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy import special
 
 
 class NumericsError(ValueError):
     """Domain violation or numerical failure in a low-level routine."""
 
 
+def _half_dof(dof) -> int:
+    """dof / 2; odd or non-integer dof raise, as every chi-square here has 2N."""
+    if not (dof > 0 and dof % 2 == 0):
+        raise NumericsError(f"dof must be a positive even integer, got {dof}")
+    return int(dof) // 2
+
+
+def _poisson_pmf(n: int, y: float) -> float:
+    """e^{-y} y^n / n!, with y^n and n! scaled by powers of two so neither
+    overflows; in logarithms (about n log y ulp) where e^{-y} is not normal."""
+    if y < 700.0 and n < 1000:
+        mant, exp2 = math.frexp(y)
+        fact = math.factorial(n)
+        scaled = math.exp(-y) * mant ** n / (fact / (1 << fact.bit_length()))
+        if scaled > 1e-300 or y == 0.0:
+            return math.ldexp(scaled, exp2 * n - fact.bit_length())
+    return math.exp(n * math.log(y) - y - math.lgamma(n + 1.0))
+
+
+def _gamma_side(k: int, y: float, lower: bool) -> tuple[float, float]:
+    """(S, S / (y f)) at y > 0 for Y ~ Gamma(k, 1) with density f and S = P(Y <= y)
+    if ``lower`` else P(Y > y), which are f (y/k + y^2/(k(k+1)) + ...) and f (1 +
+    (k-1)/y + ...): each summed by Horner on its side of the median (above k - 1/3),
+    where its terms fall, the other one minus it."""
+    f, total = _poisson_pmf(k - 1, y), 1.0
+    below = y < k - 1.0 / 3.0
+    if below:           # by the top i the product of the ratios y/i is below 1e-17
+        for i in range(k + int(9.0 * math.sqrt(k)) + 40, k, -1):
+            total = 1.0 + total * y / i
+        total *= y / k
+    else:
+        for i in range(1, k):
+            total = 1.0 + total * i / y
+    if below == lower:
+        return f * total, total / y
+    s = 1.0 - f * total
+    return s, s / (y * f) if f else math.inf
+
+
 def chi2_cdf(x: float, dof: int) -> float:
-    """P(X <= x) for X chi-square with ``dof`` degrees of freedom."""
-    if dof <= 0:
-        raise NumericsError(f"dof must be positive, got {dof}")
-    if x < 0:
-        return 0.0
-    return float(special.gammainc(dof / 2.0, x / 2.0))
+    """P(X <= x) for X chi-square with even ``dof``; odd dof raise NumericsError."""
+    return _gamma_side(_half_dof(dof), x / 2.0, True)[0] if x > 0 else 0.0
 
 
 def chi2_tail(x: float, dof: int) -> float:
     """P(X > x), computed directly so small tails keep relative accuracy."""
-    if dof <= 0:
-        raise NumericsError(f"dof must be positive, got {dof}")
-    if x < 0:
-        return 1.0
-    return float(special.gammaincc(dof / 2.0, x / 2.0))
+    return _gamma_side(_half_dof(dof), x / 2.0, False)[0] if x > 0 else 1.0
 
 
-def chi2_quantile(p: float, dof: int) -> float:
-    """Inverse of :func:`chi2_cdf` in its first argument."""
-    if dof <= 0:
-        raise NumericsError(f"dof must be positive, got {dof}")
-    if not 0.0 < p < 1.0:
-        raise NumericsError(f"quantile level must lie in (0, 1), got {p}")
-    return float(2.0 * special.gammaincinv(dof / 2.0, p))
+def chi2_quantile(level: float, dof: int, tail: bool = False) -> float:
+    """Inverse of :func:`chi2_cdf`, or of :func:`chi2_tail` if ``tail``, in its first argument.
+
+    Newton's method in log y (y = x/2) on the log of the side at most 1/2, which
+    is concave there (log Y has a log-concave density), so every step after the
+    first moves toward the root and the solve stops at the first that does not.
+    The start bounds the root: P(Y <= y) <= y^k/k!, P(Y > k + sqrt(2kL) + L) <= e^{-L}.
+    """
+    k, lower = _half_dof(dof), not tail
+    if not 0.0 < level < 1.0:
+        raise NumericsError(f"quantile level must lie in (0, 1), got {level}")
+    if level > 0.5:
+        level, lower = 1.0 - level, tail
+    big_l = -math.log(level)
+    y = (math.exp((math.lgamma(k + 1.0) - big_l) / k) if lower
+         else k + math.sqrt(2.0 * k * big_l) + big_l)
+    for i in range(100):
+        s, ratio = _gamma_side(k, y, lower)
+        # log(S / level) keeps every bit of the residual; a tiny S is f y ratio in logarithms
+        g = (math.log(s / level) if s > 1e-300 else
+             (k - 1) * math.log(y) - y - math.lgamma(k) + math.log(y * ratio) + big_l)
+        step = y * math.expm1(-g * ratio if lower else g * ratio)
+        if i and (not (step > 0.0 if lower else step < 0.0) or y + step == y):
+            return 2.0 * y
+        y += step
+    raise NumericsError(f"chi-square quantile did not converge at level {level}, dof {dof}")
+
+
+def ncx2_cdf(x: float, dof: int, nc: float) -> float:
+    """P(X <= x) for X noncentral chi-square with even ``dof`` and noncentrality
+    ``nc``: sum_j Poisson(j; nc/2) P(Gamma(dof/2 + j) <= x/2), from j where the
+    Poisson tail is below 1e-30 down, each central CDF the one above plus a pmf."""
+    k = _half_dof(dof)
+    if x <= 0.0:
+        return 0.0
+    y, m = x / 2.0, nc / 2.0
+    top = int(m + 12.0 * math.sqrt(m) + 25.0) if m else 0
+    p, total = _gamma_side(k + top, y, True)[0], 0.0
+    for j in range(top, -1, -1):
+        total += _poisson_pmf(j, m) * p
+        p += _poisson_pmf(k + j - 1, y)
+    return total
 
 
 def bracketed_root_find(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:

@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
 from .authenticator import Authenticator, whiten
 from .geometry import ChannelStatistics, Scenario, rice_means
@@ -365,6 +364,7 @@ def _settled_tail(d, c2, m, const, exact: bool) -> np.ndarray:
 
 def _poisson_window(nu: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Indices and weights of a Poisson(nu/2) pmf covering mass >= 1 - tol."""
+    from scipy.special import gammaln     # deferred: only the single-array closed form needs scipy
     lam = nu / 2.0
     if lam <= 0.0:
         return np.array([0]), np.array([1.0])
@@ -385,6 +385,7 @@ def dncf_sf(x: float, nu1: float, nu2: float, k1: int, k2: int, tol: float = 1e-
     at most ~tol).  Each term uses the reflection I_q(a, b) = 1 - I_{1-q}(b, a),
     avoiding the cancellation a literal 1 - CDF would suffer below ~1e-12.
     """
+    from scipy.special import betainc
     if min(k1, k2) <= 0:
         raise ValueError("degrees of freedom must be positive")
     if min(nu1, nu2) < 0:

@@ -26,6 +26,14 @@ def test_threshold_pfa_roundtrip(dof, p_fa):
     assert pfa_of_threshold(threshold_for_pfa(p_fa, dof), dof) == pytest.approx(p_fa, rel=1e-9)
 
 
+@pytest.mark.parametrize("dof", [2, 32, 96])
+@pytest.mark.parametrize("p_fa", [1e-6, 1e-12, 1e-17, 1e-30])
+def test_threshold_meets_small_targets(dof, p_fa):
+    """Solved on the tail, not as the quantile of 1 - p_fa, which rounds
+    p_fa to the float spacing near one (1e-17 was lost outright)."""
+    assert abs(pfa_of_threshold(threshold_for_pfa(p_fa, dof), dof) / p_fa - 1.0) <= 1e-12
+
+
 def test_threshold_monotone_in_pfa():
     ts = [threshold_for_pfa(p, 8) for p in (1e-4, 1e-3, 1e-2, 1e-1)]
     assert ts == sorted(ts, reverse=True)

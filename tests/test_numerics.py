@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from distpla.numerics import (NumericsError, bounded_minimum, bracketed_root_find,
-                              chi2_cdf, chi2_quantile, chi2_tail)
+                              chi2_cdf, chi2_quantile, chi2_tail, ncx2_cdf)
 
 
 def test_chi2_quantile_frozen():
@@ -34,8 +37,66 @@ def test_chi2_domain_errors():
         chi2_quantile(0.5, 0)
     with pytest.raises(NumericsError):
         chi2_cdf(1.0, -2)
+    # every dof the package forms is 2N, so odd and non-integer dof are refused
+    for call in (lambda: chi2_cdf(1.0, 3), lambda: chi2_tail(1.0, 2.5),
+                 lambda: chi2_quantile(0.5, 5), lambda: chi2_quantile(0.5, 7, tail=True)):
+        with pytest.raises(NumericsError):
+            call()
     assert chi2_cdf(-1.0, 4) == 0.0
     assert chi2_tail(-1.0, 4) == 1.0
+
+
+def test_chi2_family_against_mpmath():
+    """Seeded sweep over even dof 2..96 and levels 1e-15 .. 1 - 1e-15 (each
+    side of 1/2, log-uniform in the distance to it) against 40-digit mpmath.
+    The bounds are the largest errors measured on x86-64: 0.79 and 1.09 ulp
+    for chi2_quantile without and with ``tail`` (scipy's gammaincinv and
+    gammainccinv reach 21.1 and 11.4 ulp on the same cases), 4.3e-16 and
+    3.3e-16 relative for chi2_cdf and chi2_tail at those roots."""
+    rng = np.random.default_rng(20)
+    worst = {"quantile": 0.0, "tail_quantile": 0.0, "cdf": 0.0, "tail": 0.0}
+    with mpmath.workdps(40):
+        for _ in range(330):
+            dof = 2 * int(rng.integers(1, 49))
+            near = float(10.0 ** rng.uniform(-15.0, math.log10(0.5)))
+            level = near if rng.random() < 0.5 else 1.0 - near
+            lower = lambda x: mpmath.gammainc(dof // 2, 0, x / 2, regularized=True)
+            upper = lambda x: mpmath.gammainc(dof // 2, x / 2, mpmath.inf, regularized=True)
+            for key, got, side in (("quantile", chi2_quantile(level, dof), lower),
+                                   ("tail_quantile", chi2_quantile(level, dof, tail=True), upper)):
+                root = mpmath.findroot(lambda x: side(x) - level, mpmath.mpf(got))
+                worst[key] = max(worst[key], float(abs(got - root)) / math.ulp(float(root)))
+                exact = side(mpmath.mpf(got))
+                value = (chi2_cdf if side is lower else chi2_tail)(got, dof)
+                cdf_key = "cdf" if side is lower else "tail"
+                worst[cdf_key] = max(worst[cdf_key], float(abs(value - exact) / exact))
+    assert worst["quantile"] <= 0.79 and worst["tail_quantile"] <= 1.09, worst
+    assert worst["cdf"] <= 4.3e-16 and worst["tail"] <= 3.3e-16, worst
+
+
+
+def test_ncx2_cdf_against_mpmath():
+    """The Poisson mixture of central CDFs against the same mixture at 40
+    digits, over a seeded sweep of even dof 2..48, noncentrality 1e-2..300
+    and x from far below to above the mean (CDFs down to 1e-33).  The bound
+    is the largest error measured on x86-64, 3.4e-16; scipy's chndtr, which
+    the delay bounds used before, reaches 9.2e-15 on the same cases."""
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for _ in range(60):
+            dof, nc = 2 * int(rng.integers(1, 25)), float(10.0 ** rng.uniform(-2.0, 2.5))
+            x = float((dof + nc) * 10.0 ** rng.uniform(-1.5, 0.4))
+            y, m = mpmath.mpf(x) / 2, mpmath.mpf(nc) / 2
+            exact = mpmath.mpf(0)
+            for j in range(int(m + 40.0 * math.sqrt(m) + 100.0)):
+                exact += (mpmath.exp(-m) * m ** j / mpmath.factorial(j)
+                          * mpmath.gammainc(dof // 2 + j, 0, y, regularized=True))
+            worst = max(worst, float(abs(ncx2_cdf(x, dof, nc) - exact) / exact))
+    assert worst <= 3.4e-16, worst
+    assert ncx2_cdf(0.0, 4, 2.0) == 0.0 and ncx2_cdf(3.0, 4, 0.0) == chi2_cdf(3.0, 4)
+    with pytest.raises(NumericsError):
+        ncx2_cdf(1.0, 5, 2.0)
 
 
 # The regularized incomplete beta I_q(a, b) = betainc(a, b, q) behind
