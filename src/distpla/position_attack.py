@@ -112,6 +112,19 @@ def _dirichlet(x: np.ndarray, n: int, spacing: float) -> np.ndarray:
     return out
 
 
+def _dirichlet_sign(x: np.ndarray, n: int, spacing: float) -> np.ndarray:
+    """sign(_dirichlet(x, n, spacing)) from its numerator alone: while
+    1e-8 <= |pi s x| <= pi (1 - 1e-8), the denominator sin(pi s x) clears the
+    pole test with the sign of x.  The bearing, the endfire poles x = ±2 at
+    s = 1/2 and wider spacings' far offsets take _dirichlet."""
+    sign = np.sign(np.sin(np.pi * spacing * n * x)) * np.sign(x)
+    arg = np.abs(np.pi * spacing * x)
+    pole = (arg < 1e-8) | (arg > np.pi * (1.0 - 1e-8))
+    if pole.any():
+        sign[pole] = np.sign(_dirichlet(x[pole], n, spacing))
+    return sign
+
+
 def _angular_g(ctx: _ArrayContext, omega_e: np.ndarray) -> np.ndarray:
     """Real angular kernel g with e(Omega_E)^H Lambda^{-1} e(Omega_A) =
     exp(j pi (n-1) s (Omega_E - Omega_A)) g."""
@@ -165,12 +178,14 @@ def _point_fields(scenario: Scenario, ctxs: list[_ArrayContext], px: np.ndarray,
     aligned = np.zeros(px.shape, complex)
     for ctx in ctxs:
         dist, omega = _point_geometry(ctx, px, py)
-        g = _angular_g(ctx, omega)
-        phase = (2.0 * np.pi * (dist - ctx.dist_a) / lam
-                 + np.pi * (ctx.n - 1) * ctx.spacing * (omega - ctx.omega_a))
+        x = omega - ctx.omega_a
+        # the count reads only sign(g): g itself is paid for f_obj or a correlation
+        g = _angular_g(ctx, omega) if objective or ctx.corr_inv is not None else None
+        sign = np.sign(g) if g is not None else _dirichlet_sign(x, ctx.n, ctx.spacing)
+        phase = 2.0 * np.pi * (dist - ctx.dist_a) / lam + np.pi * (ctx.n - 1) * ctx.spacing * x
         rot = np.exp(1j * phase)
         # clipping only matters for a NaN g, whose rot is NaN as well
-        aligned += rot * np.take(_SIGN_PHASE, (np.sign(g) + 1.0).astype(np.intp), mode="clip")
+        aligned += rot * np.take(_SIGN_PHASE, (sign + 1.0).astype(np.intp), mode="clip")
         if objective:
             ratio = ctx.dist_a / dist
             num += ratio ** (beta / 2.0) * rot * g
@@ -316,12 +331,6 @@ class SearchResult:
         return self.candidates[0]
 
 
-def _cell_centres(scenario: Scenario, nx: int, res: float, idx):
-    """(x, y) cell centres of the flat indices ``idx`` into a grid ``nx`` cells wide."""
-    return (scenario.region.x_min + (idx % nx + 0.5) * res,
-            scenario.region.y_min + (idx // nx + 0.5) * res)
-
-
 def grid_axes(scenario: Scenario, resolution: float) -> tuple[np.ndarray, np.ndarray]:
     """Cell-center coordinates covering the region at the given spacing."""
     if not 0.0 < resolution < math.inf:
@@ -377,10 +386,12 @@ def _lobe_union(main, side, pairs: bool) -> np.ndarray:
 
 def _band_masks(ctx: _ArrayContext, lobes: ArrayLobes, xs: np.ndarray,
                 ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_in_bands over the ys × xs grid, decided in float32 like _allowed_mask."""
+    """_in_bands over the ys × xs grid, decided in float32 like _allowed_mask, on glibc
+    hypotf's bits: the float64 root of the exact squares' sum, rounded, in IEEE operations."""
     dx = (xs - ctx.position[0]).astype(np.float32)
     dy = (ys - ctx.position[1]).astype(np.float32)
-    dist = np.hypot(dx[None, :], dy[:, None])
+    squares = np.add.outer(dy.astype(float) ** 2, dx.astype(float) ** 2)
+    dist = np.sqrt(squares, out=squares).astype(np.float32)
     omega = (dx[None, :] * np.float32(ctx.axis[0]) + dy[:, None] * np.float32(ctx.axis[1])) / dist
     return _in_bands(lobes, omega)
 
@@ -476,8 +487,7 @@ def _in_order(pool: ThreadPoolExecutor, fn, args, ahead: int):
 
 
 def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
-               ys: np.ndarray, res: float, eps_px: int, member=None, threads: int = 1,
-               optima: bool = False):
+               ys: np.ndarray, eps_px: int, member=None, threads: int = 1, optima: bool = False):
     """The grid pass of every position search, in row tiles on up to ``threads`` threads.
 
     The members are the allowed cells that ``member(tile_ys)`` keeps (all if
@@ -487,17 +497,17 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
     -inf), and with ``optima`` the same task counts the whole grid's, the
     small-scale optima.  With ``eps_px`` 0 every member survives and every
     allowed cell is an optimum.  Both fields are paid at the survivors only,
-    at most _CHUNK_CELLS cells a _point_fields call, so memory is bounded by
-    tile and chunk, not by lobe density.  A disc reaches ``eps_px`` rows past
-    its centre, so a row is decided once its tile or a later one holds those
-    rows: the last 2·``eps_px`` grid rows carry from tile to tile, and results
-    do not depend on the tile size.  The tiles run on min(threads, tiles)
-    workers of about _TILE_CELLS / workers cells each, so the cells in flight
-    stay at one tile's worth, and results come back in tile order, independent
-    of ``threads``.  Yields, per tile, n_allowed, n_members, the number of
-    optima (0 without ``optima``) and the flat grid indices, f_obj and
-    f_small_scale of the survivors it decided, in row-major order; raises
-    EmptyRegionError after the last tile if no cell is allowed.
+    at most _CHUNK_CELLS cells a _point_fields call taken from the rows that
+    hold them, so memory is bounded by tile and chunk, not by lobe density.
+    A disc reaches ``eps_px`` rows past its centre, so a row is decided once
+    its tile or a later one holds those rows: the last 2·``eps_px`` grid rows
+    carry from tile to tile, and results do not depend on the tile size.  The
+    tiles run on min(threads, tiles) workers of about _TILE_CELLS / workers
+    cells each, so the cells in flight stay at one tile's worth, and results
+    come back in tile order, independent of ``threads``.  Yields, per tile,
+    n_allowed, n_members, the number of optima (0 without ``optima``) and the
+    flat grid indices, f_obj and f_small_scale of the survivors it decided,
+    row-major; raises EmptyRegionError after the last tile if no cell is allowed.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -506,28 +516,31 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
     rows = max(_TILE_CELLS // workers // nx, 1)
     halo = max(eps_px, 0)
 
-    def chunks(idx):
-        """(cells, x, y) of ``idx``, _CHUNK_CELLS cells at a time (one empty chunk if none)."""
-        for c in range(0, max(idx.size, 1), _CHUNK_CELLS):
-            part = idx[c:c + _CHUNK_CELLS]
-            yield part, *_cell_centres(scenario, nx, res, part)
-
     def point_fields(idx):
-        parts = (_point_fields(scenario, ctxs, px, py) for _, px, py in chunks(idx))
-        return tuple(map(np.concatenate, zip(*parts)))
+        parts = (idx[c:c + _CHUNK_CELLS] for c in range(0, max(idx.size, 1), _CHUNK_CELLS))
+        both = (_point_fields(scenario, ctxs, xs[part % nx], ys[part // nx]) for part in parts)
+        return tuple(map(np.concatenate, zip(*both)))
 
     def fields(r0):
         r1 = min(r0 + rows, ny)
-        allowed = _allowed_mask(scenario, xs, ys[r0:r1])
-        members = allowed if member is None else allowed & member(ys[r0:r1])
-        idx = np.flatnonzero(allowed if optima and halo else members)     # the cells to evaluate
-        idx += r0 * nx
+        tile_ys = ys[r0:r1]
+        allowed = _allowed_mask(scenario, xs, tile_ys)
+        members = allowed if member is None else allowed & member(tile_ys)
         n_allowed = int(np.count_nonzero(allowed))
         if not halo:
+            idx = np.flatnonzero(members) + r0 * nx
             return n_allowed, idx.size, n_allowed if optima else 0, idx, *point_fields(idx)
         grid = np.full(members.shape, -np.inf, np.float32)
-        for part, px, py in chunks(idx):
-            grid.ravel()[part - r0 * nx] = _point_fields(scenario, ctxs, px, py, objective=False)[1]
+        evaluate = allowed if optima else members
+        counts = np.count_nonzero(evaluate, axis=1)
+        ends = np.cumsum(counts)        # cells to evaluate up to each row's end
+        for c in range(0, int(ends[-1]), _CHUNK_CELLS):
+            s0, s1 = np.searchsorted(ends, (c, min(c + _CHUNK_CELLS, ends[-1]) - 1), "right")
+            skip = c - ends[s0] + counts[s0]        # the cells of row s0 before cell c
+            cells = (np.flatnonzero(evaluate[s0:s1 + 1]) + s0 * nx)[skip:skip + _CHUNK_CELLS]
+            iy = np.repeat(np.arange(s0, s1 + 1), counts[s0:s1 + 1])[skip:skip + _CHUNK_CELLS]
+            grid.ravel()[cells] = _point_fields(scenario, ctxs, xs[cells - iy * nx], tile_ys[iy],
+                                                objective=False)[1]
         grids = (grid, np.where(members, grid, -np.inf)) if optima else (grid,)
         return n_allowed, int(np.count_nonzero(members)), r1, grids
 
@@ -614,7 +627,7 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
     n_allowed = n_lobe = n_optima = n_survivors = 0
     kept = (np.empty(0, np.intp), np.empty(0), np.empty(0))
     for n_tile, m_tile, o_tile, *survivors in _walk_grid(
-            scenario, ctxs, xs, ys, res, eps_px,
+            scenario, ctxs, xs, ys, eps_px,
             lambda tile_ys: _lobe_mask(ctxs, lobes, xs, tile_ys, res, cfg.include_first_sidelobes),
             threads, count_optima):
         n_allowed += n_tile
@@ -627,7 +640,7 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
     if n_lobe == 0:
         raise NoCandidatesError("no grid point falls on a usable lobe")
     idx, fobj, fss = best_first(*kept)
-    xs_c, ys_c = _cell_centres(scenario, nx, res, idx)
+    xs_c, ys_c = xs[idx % nx], ys[idx // nx]
     p_md = mdp_optimal_pma_batch(auth or make_authenticator(scenario), scenario,
                                  np.column_stack((xs_c, ys_c)))
     labels = _candidate_labels(ctxs, lobes, xs_c, ys_c)
@@ -652,14 +665,13 @@ def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
     res, _, xs, ys = _grid(scenario, cfg)
     ctxs = _array_contexts(scenario)
     n_allowed, best = 0, None
-    for n_tile, _, _, idx, fobj, fss in _walk_grid(scenario, ctxs, xs, ys, res, 0,
-                                                   threads=threads):
+    for n_tile, _, _, idx, fobj, fss in _walk_grid(scenario, ctxs, xs, ys, 0, threads=threads):
         n_allowed += n_tile
         if idx.size and (best is None or fobj.max() > best[1]):
             top = int(np.argmax(fobj))
             best = (int(idx[top]), float(fobj[top]), float(fss[top]))
     k, fo, fs = best
-    x, y = _cell_centres(scenario, xs.size, res, k)
+    x, y = float(xs[k % xs.size]), float(ys[k // xs.size])
     p_md = mdp_optimal_pma_batch(auth or make_authenticator(scenario), scenario, [x, y])
     label = _candidate_labels(ctxs, lobe_sets(scenario, cfg), np.array([x]), np.array([y]))[0]
     cand = CandidatePosition((x, y), fo, fs, float(p_md[0]), label)
@@ -676,7 +688,7 @@ def count_small_scale_optima(scenario: Scenario, config: SearchConfig | None = N
     sets, no members and so no f_obj.  For a single array or a disc under
     one cell every allowed cell is a (weak) maximum, counted without any field.
     """
-    res, eps_px, xs, ys = _grid(scenario, config or scenario.search)
-    walk = _walk_grid(scenario, _array_contexts(scenario), xs, ys, res, eps_px,
+    _, eps_px, xs, ys = _grid(scenario, config or scenario.search)
+    walk = _walk_grid(scenario, _array_contexts(scenario), xs, ys, eps_px,
                       lambda tile_ys: False, threads, optima=True)
     return sum(tile[2] for tile in walk)

@@ -203,13 +203,18 @@ def fixed_strategy_form(auth: Authenticator, eve_stats: ChannelStatistics,
                           multiplicities=sizes)
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Row sums of x, its columns added left to right onto +0.0: np.sum(x, axis=1)'s
+    bits under 8 columns (numpy goes pairwise from 8) at a tenth of its cost."""
+    return sum(x.T, np.zeros(x.shape[0]))
+
+
 def _slopes(z: np.ndarray, d: np.ndarray, c2: np.ndarray, m: np.ndarray,
             const: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """s'(z) and s''(z) of the saddle exponent, one z per row of (d, c2, m)."""
     u = 1.0 - z[:, None] * d
-    s1 = const + np.sum(c2 * d / u ** 2, axis=1) - 1.0 / z + np.sum(m * d / u, axis=1)
-    s2 = (np.sum(2.0 * c2 * d ** 2 / u ** 3, axis=1) + 1.0 / z ** 2
-          + np.sum(m * d ** 2 / u ** 2, axis=1))
+    s1 = const + _row_sum(c2 * d / u ** 2) - 1.0 / z + _row_sum(m * d / u)
+    s2 = _row_sum(2.0 * c2 * d ** 2 / u ** 3) + 1.0 / z ** 2 + _row_sum(m * d ** 2 / u ** 2)
     return s1, s2
 
 
@@ -224,10 +229,10 @@ def _saddle_root(d, c2, m, const, lo, hi) -> np.ndarray:
     Safeguarded Newton-bisection: the Newton step on z s'(z), which is
     nearly linear where the -1/z term dominates, is taken while it stays
     inside the bracket and is at most half the step before last; otherwise
-    the bracket is bisected.  A row stops at an iterate where s' is exactly
-    zero (that iterate is the root), or once the step or the half-bracket
-    falls below (_XTOL + _RTOL |z|) / 2; rows still open after _MAX_ITER
-    steps get NaN.
+    the bracket is bisected.  A row stops at an iterate z where s' is exactly
+    zero or the Newton step rounds to z (a converged iterate, which ends the
+    bracket), or once the step or the half-bracket falls below
+    (_XTOL + _RTOL |z|) / 2; rows still open after _MAX_ITER steps get NaN.
     """
     root = np.full(lo.shape, np.nan)
     rows = np.arange(lo.size)
@@ -244,7 +249,7 @@ def _saddle_root(d, c2, m, const, lo, hi) -> np.ndarray:
         z_next = np.where(take, newton, _midpoint(lo, hi))
         step_old, step = step, z_next - z
         tol = 0.5 * (_XTOL + _RTOL * np.abs(z_next))
-        exact = s1 == 0.0
+        exact = (s1 == 0.0) | (newton == z)
         done = exact | (np.abs(step) < tol) | (hi - lo < 2.0 * tol)
         root[rows[done]] = np.where(exact, z, z_next)[done]
         live = ~done
@@ -289,13 +294,12 @@ def _saddle_side(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray
         z0 = _saddle_root(d, c2, m, const, lo[sel], hi[sel])
 
         u = 1.0 - z0[:, None] * d
-        s0 = (const * z0 + np.sum(c2 * z0[:, None] * d / u, axis=1) - np.log(z0)
-              - np.sum(m * np.log(u), axis=1))
+        s0 = const * z0 + _row_sum(c2 * z0[:, None] * d / u) - np.log(z0) - _row_sum(m * np.log(u))
         _, s2 = _slopes(z0, d, c2, m, const)
-        s3 = (np.sum(6.0 * c2 * d ** 3 / u ** 4, axis=1) - 2.0 / z0 ** 3
-              + np.sum(2.0 * m * d ** 3 / u ** 3, axis=1))
-        s4 = (np.sum(24.0 * c2 * d ** 4 / u ** 5, axis=1) + 6.0 / z0 ** 4
-              + np.sum(6.0 * m * d ** 4 / u ** 4, axis=1))
+        s3 = (_row_sum(6.0 * c2 * d ** 3 / u ** 4) - 2.0 / z0 ** 3
+              + _row_sum(2.0 * m * d ** 3 / u ** 3))
+        s4 = (_row_sum(24.0 * c2 * d ** 4 / u ** 5) + 6.0 / z0 ** 4
+              + _row_sum(6.0 * m * d ** 4 / u ** 4))
         # second-order steepest-descent factor, degenerate outside _CORRECTION
         correction = 1.0 + s4 / (8.0 * s2 ** 2) - 5.0 * s3 ** 2 / (24.0 * s2 ** 3)
         tail = np.exp(s0) / np.sqrt(2.0 * np.pi * s2) * correction

@@ -3,9 +3,10 @@ import pytest
 from scipy.linalg import block_diag, solve_triangular
 
 from distpla import (BLOCK_SIZE, Correlation, Region, RrhConfig, Scenario, SearchConfig,
-                     TransmitterConfig, steering_vector)
+                     TransmitterConfig, steering_vector, wavelength)
 from distpla.monte_carlo import block_generator
-from distpla.position_attack import _array_contexts, _point_fields
+from distpla.position_attack import (_angular_g, _array_contexts, _grid, _point_fields,
+                                     _point_geometry)
 
 
 def build_scenario(rrhs, alice=(40.0, 30.0), eve=(26.0, 49.0), *,
@@ -51,6 +52,33 @@ def point_fields(scenario, points):
     """
     pts = np.atleast_2d(np.asarray(points, float))
     return _point_fields(scenario, _array_contexts(scenario), pts[:, 0].copy(), pts[:, 1].copy())
+
+
+def count_oracle(scenario, idx):
+    """The float32 small-scale count at the flat indices ``idx`` of the search
+    grid, evaluated in full: cell centres x_min + (idx % nx + 0.5) res, and
+    for identity correlation g = sin(pi s n x) / sin(pi s x) with its
+    n cos(pi s n x) / cos(pi s x) limit where |sin(pi s x)| < 1e-9, whose
+    sign turns the phase by exp(j (pi/2) (sign(g) - 1))."""
+    res, _, xs, _ = _grid(scenario, scenario.search)
+    px = scenario.region.x_min + (idx % xs.size + 0.5) * res
+    py = scenario.region.y_min + (idx // xs.size + 0.5) * res
+    lam = wavelength(scenario.carrier_frequency)
+    aligned = np.zeros(px.shape, complex)
+    for ctx in _array_contexts(scenario):
+        dist, omega = _point_geometry(ctx, px, py)
+        x, s, n = omega - ctx.omega_a, ctx.spacing, ctx.n
+        if ctx.corr_inv is None:
+            den = np.sin(np.pi * s * x)
+            num = np.sin(np.pi * s * n * x)
+            tiny = np.abs(den) < 1e-9
+            g = np.where(tiny, n * np.cos(np.pi * s * n * x) / np.cos(np.pi * s * x),
+                         num / np.where(tiny, 1.0, den))
+        else:
+            g = _angular_g(ctx, omega)
+        phase = 2.0 * np.pi * (dist - ctx.dist_a) / lam + np.pi * (n - 1) * s * x
+        aligned += np.exp(1j * phase) * np.exp(1j * (np.pi / 2.0) * (np.sign(g) - 1.0))
+    return np.abs(aligned).astype(np.float32)
 
 
 @pytest.fixture

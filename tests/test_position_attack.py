@@ -12,13 +12,13 @@ from distpla import (Correlation, SearchConfig, alice_statistics, channel_statis
                      exhaustive_search, f_obj, load_scenario, lobe_sets, make_authenticator,
                      mdp_optimal_pma, steering_vector,
                      truncated_search, wavelength)
-from distpla.position_attack import (EmptyRegionError, NoCandidatesError,
-                                     _allowed_mask, _array_contexts,
-                                     _band_masks, _disc_local_maxima,
+from distpla.position_attack import (ArrayLobes, EmptyRegionError, LobeBand,
+                                     NoCandidatesError, _allowed_mask, _array_contexts,
+                                     _band_masks, _disc_local_maxima, _in_bands,
                                      _point_geometry, grid_axes)
 
-from conftest import (angular_inner_product, build_scenario, point_fields, random_geometry,
-                      sample_channel)
+from conftest import (angular_inner_product, build_scenario, count_oracle, point_fields,
+                      random_geometry, sample_channel)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -524,12 +524,13 @@ class TestSearches:
             assert peak_bytes(80.0, threads) < 1.5 * peak_bytes(20.0, threads), threads
 
     def test_memory_does_not_grow_with_lobe_density(self):
-        """A walk whose one tile is all lobe cells peaks under twice the
+        """A walk whose one tile is all lobe cells peaks under 1.5 times the
         walk whose lobe cells are a 5 % column band of the same tile.  Per
-        lobe cell the walk holds only a transient index: the small-scale
-        count goes to the tile's float32 grid, in chunks, and f_obj is paid
-        at the disc filter's survivors.  (A walk that evaluates both fields
-        at every lobe cell of the tile at once gives a ratio of about 7.)"""
+        lobe cell the walk holds only the tile's float32 count grid: the count
+        is evaluated in chunks gathered from the rows that hold them, and
+        f_obj is paid at the disc filter's survivors.  (The ratio is 1.22; a
+        walk that keeps a flat index of the tile's lobe cells gives 1.60, one
+        that evaluates both fields at every lobe cell at once about 7.)"""
         sc = _search_scenario(resolution=0.05)
         ctxs = _array_contexts(sc)
         xs, ys = grid_axes(sc, 0.05)
@@ -540,7 +541,7 @@ class TestSearches:
             tracemalloc.start()
             try:
                 members = sum(tile[1] for tile in pa._walk_grid(
-                    sc, ctxs, xs, ys, 0.05, 3, lambda tile_ys: band[None, :]))
+                    sc, ctxs, xs, ys, 3, lambda tile_ys: band[None, :]))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -549,7 +550,7 @@ class TestSearches:
         peak_bytes(30)      # first-call imports and caches are not the walk's
         sparse, dense = peak_bytes(30), peak_bytes(xs.size)
         assert dense[1] > 10 * sparse[1]
-        assert dense[0] < 2 * sparse[0]
+        assert dense[0] < 1.5 * sparse[0]
 
     def test_empty_region(self):
         sc = build_scenario([("r", (50.0, 50.0), 2)], alice=(5.0, 5.0),
@@ -623,6 +624,72 @@ def _restricted_and_dense_lobe_masks(monkeypatch, sc, res, rows):
     return pairs, restricted
 
 
+def _walk_counts(sc, monkeypatch):
+    """The walk's float32 small-scale count of every cell of the search grid,
+    row-major, as the disc filter reads it: -inf off the allowed cells."""
+    decided, maxima = [], pa._disc_local_maxima
+
+    def record(grid, r0, r1, eps_px):
+        decided.append(grid[r0:r1])
+        return maxima(grid, r0, r1, eps_px)
+
+    monkeypatch.setattr(pa, "_disc_local_maxima", record)
+    count_small_scale_optima(sc)
+    return np.concatenate(decided[::2]).ravel()     # a tile's full grid, then its members'
+
+
+class TestCountOracle:
+    """The walk's sign-only count on centres gathered from the grid axes
+    equals the full Dirichlet kernel on centres x_min + (idx % nx + 0.5) res
+    (conftest's count_oracle) bit for bit, on every allowed cell."""
+
+    @staticmethod
+    def check(sc, monkeypatch):
+        counts = _walk_counts(sc, monkeypatch)
+        xs, ys = grid_axes(sc, sc.search.grid_resolution)
+        assert np.array_equal(counts != -np.inf, _allowed_mask(sc, xs, ys).ravel())
+        idx = np.flatnonzero(counts != -np.inf)
+        assert np.array_equal(counts[idx].view(np.uint32), count_oracle(sc, idx).view(np.uint32))
+
+    def test_random_deployments(self, monkeypatch):
+        for seed in range(6):
+            # even seeds: identity correlation; odd seeds: exponential
+            sc = random_geometry(np.random.default_rng(90 + seed), 2 + seed % 2,
+                                 rho=0.5 if seed % 2 else 0.0)
+            self.check(replace(sc, search=SearchConfig(0.25, small_scale_radius=0.75)),
+                       monkeypatch)
+
+    @pytest.mark.parametrize("alice, axis, offset", [((30.125, 10.125), (0.0, 1.0), 0.0),
+                                                      ((4.125, 10.125), (1.0, 0.0), 2.0)],
+                             ids=["bearing", "endfire"])
+    def test_pole_cells(self, monkeypatch, alice, axis, offset):
+        """A grid row through the array's own row of cells holds cells at the
+        offset x = 0 from Alice's bearing (broadside) or at x = 2 with s = 1/2
+        (Alice endfire behind the array); there sin(pi s x) is a pole.  With 13
+        antennas sin(pi s n x) x has the sign of the pole limit at x = 0 by
+        no rounding and at x = 2 by the wrong one."""
+        sc = build_scenario([("row", (10.125, 10.125), 13, axis), ("far", (35.0, 2.0), 4)],
+                            alice=alice, region=(0, 40, 0, 20),
+                            search=SearchConfig(0.25, small_scale_radius=0.75))
+        ctx = _array_contexts(sc)[0]
+        xs, ys = grid_axes(sc, 0.25)
+        row = _allowed_mask(sc, xs, ys[40:41])[0]
+        with np.errstate(invalid="ignore"):     # the array's own cell, excluded
+            x = _point_geometry(ctx, xs, ys[40])[1] - ctx.omega_a
+        assert np.count_nonzero(row & (x == offset)) > 50
+        self.check(sc, monkeypatch)
+
+    def test_spacing_above_one_half(self, monkeypatch):
+        """At s = 0.75 sin(pi s x) changes sign inside the visible region (|s x| > 1)."""
+        sc = replace(random_geometry(np.random.default_rng(97), 2, rho=0.0), antenna_spacing=0.75,
+                     search=SearchConfig(0.25, small_scale_radius=0.75))
+        xs, ys = grid_axes(sc, 0.25)
+        ctx = _array_contexts(sc)[0]
+        x = _point_geometry(ctx, xs[None, :], ys[:, None])[1] - ctx.omega_a
+        assert np.count_nonzero(np.abs(0.75 * x) > 1.0) > 1000
+        self.check(sc, monkeypatch)
+
+
 class TestRestrictedBandMasks:
     """_lobe_mask evaluates the float32 band masks only on the columns that
     _lobe_columns keeps; the masks must equal the dense ones bit for bit."""
@@ -663,6 +730,35 @@ class TestRestrictedBandMasks:
         assert restricted > 0 and any(dense.any() for _, dense in pairs)
         for got, dense in pairs:
             assert np.array_equal(got, dense)
+
+
+def test_band_distance_equals_hypotf(rng):
+    """_band_masks decides on the float32 distance that np.hypot (libm's
+    hypotf) gives, bit for bit, on random tiles that reach within 1 m of an
+    array.  Band edges placed exactly on the float32 angular sines of random
+    cells make a one-ulp change of a distance flip a mask."""
+    near = 0
+    for k in range(12):
+        sc = random_geometry(rng, int(rng.integers(1, 4)), rho=0.0 if k % 2 else None)
+        for ctx in _array_contexts(sc):
+            res = float(rng.choice([1e-3, 0.0125, 0.05, 0.3]))
+            x0, y0 = ctx.position + rng.uniform(-60.0, 0.0, 2) * res
+            xs = x0 + (np.arange(int(rng.integers(50, 150))) + 0.5) * res
+            ys = y0 + (np.arange(int(rng.integers(50, 150))) + 0.5) * res
+            dx = (xs - ctx.position[0]).astype(np.float32)
+            dy = (ys - ctx.position[1]).astype(np.float32)
+            dist = np.hypot(dx[None, :], dy[:, None])
+            omega = ((dx[None, :] * np.float32(ctx.axis[0]) + dy[:, None] * np.float32(ctx.axis[1]))
+                     / dist)
+            near += int(np.count_nonzero(dist < 1.0))
+            edges = np.sort(rng.choice(omega.ravel(), 7, replace=False)).astype(float)
+            lobes = ArrayLobes(ctx.rrh_id, ctx.omega_a, LobeBand(edges[0], edges[1], 1.0),
+                               (LobeBand(edges[2], edges[3], 1.0), LobeBand(edges[4], edges[4], 1.0),
+                                LobeBand(edges[5], edges[6], 1.0)))
+            for got, want in zip(_band_masks(ctx, lobes, xs, ys), _in_bands(lobes, omega)):
+                assert np.array_equal(got, want), k
+                assert want.any() and not want.all()
+    assert near > 1000
 
 
 def _dense_allowed_mask(sc, xs, ys):

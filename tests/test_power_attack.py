@@ -1,3 +1,5 @@
+import functools
+import operator
 from dataclasses import replace
 from pathlib import Path
 
@@ -393,13 +395,28 @@ class TestBatchedSaddle:
         forms = list(_HAND_MADE)
         for _ in range(12):
             forms += _attack_forms(random_geometry(rng), rng)
-        d, c2, m, const = _rows(forms, max(f.eigenvalues.size for f in forms))
-        batch = pa._saddle_tail(d, c2, m, const)
-        for k, form in enumerate(forms):
-            alone = pa._saddle_tail(d[k:k + 1], c2[k:k + 1], m[k:k + 1], const[k:k + 1])
-            assert np.array_equal(alone, batch[k:k + 1], equal_nan=True)
-            # inert padding leaves the value alone
-            assert batch[k] == pytest.approx(_batched(form), rel=1e-12, nan_ok=True)
+        # a 4-array optimal form has 8 terms, the width from which np.sum goes pairwise
+        wide = _attack_forms(random_geometry(rng, 4), rng)
+        for batch_forms in (forms, forms + wide):
+            width = max(f.eigenvalues.size for f in batch_forms)
+            assert (width >= 8) == (batch_forms is not forms)
+            d, c2, m, const = _rows(batch_forms, width)
+            batch = pa._saddle_tail(d, c2, m, const)
+            for k, form in enumerate(batch_forms):
+                alone = pa._saddle_tail(d[k:k + 1], c2[k:k + 1], m[k:k + 1], const[k:k + 1])
+                assert np.array_equal(alone, batch[k:k + 1], equal_nan=True)
+                # inert padding leaves the value alone
+                assert batch[k] == pytest.approx(_batched(form), rel=1e-12, nan_ok=True)
+
+    def test_row_sums_add_columns_left_to_right(self, rng):
+        for width in range(10):
+            x = rng.standard_normal((50, width)) * np.exp(rng.uniform(-30.0, 30.0, (50, width)))
+            x[:3] = -0.0
+            left_to_right = np.array([functools.reduce(operator.add, row, 0.0) for row in x])
+            assert np.array_equal(pa._row_sum(x).view(np.int64), left_to_right.view(np.int64))
+            if width < 8:   # numpy's own order, until it goes pairwise
+                assert np.array_equal(left_to_right.view(np.int64),
+                                      np.sum(x, axis=1).view(np.int64))
 
     def test_exact_zero_of_the_slope_is_the_root(self):
         # recorded from a desk_2rrh position search: an iterate of the direct
@@ -417,6 +434,30 @@ class TestBatchedSaddle:
         form = IndefiniteForm(d[0], np.sqrt(c2[0]), 0.5, multiplicities=m[0])
         assert saddlepoint_tail_probability(form) == pytest.approx(_reference_tail(form),
                                                                    rel=1e-9)
+
+    def test_converged_newton_step_is_the_root(self, monkeypatch):
+        # recorded from the seed-1 search-2rrh8 position search (row 751 of
+        # its first p_md chunk, direct side): Newton converges from one side
+        # until its next step rounds to the iterate itself; that iterate is
+        # the root.  Taken for a non-step, it left the row bisecting from the
+        # stale other end of its bracket: 58 evaluations of s' instead of 8.
+        d = np.array([[-0.21313856998049915, 0.14396739434460182,
+                       -0.39266801993916245, -0.10798337921547098]])
+        c2 = np.array([[5.914696045290329, 32.7061806939843, 0.1903506128226233,
+                        24.88591993646229]])
+        m = np.array([[1.0, 1.0, 7.0, 7.0]])
+        const = np.zeros(1)
+        hi = 1.0 / d.max() * (1.0 - pa._BRACKET_RIM)
+        slopes, evaluations = pa._slopes, []
+        monkeypatch.setattr(pa, "_slopes", lambda z, *args: (evaluations.append(z.size),
+                                                             slopes(z, *args))[1])
+        z0 = pa._saddle_root(d, c2, m, const, np.array([pa._Z_LO]), np.array([hi]))
+        assert sum(evaluations) <= 10
+        s1, s2 = slopes(z0, d, c2, m, const)
+        assert s1[0] != 0.0 and z0 - z0 * s1 / (s1 + z0 * s2) == z0
+        p = pa._saddle_tail(d, c2, m, const)[0]
+        assert p == pytest.approx(0.06445553267943421, rel=1e-13, abs=0)   # the 58-step value
+        assert p == pytest.approx(pa._exact_tail(d, c2, m, const)[0], rel=0.03)
 
     def test_no_saddle_takes_the_exact_tail(self, dual_scenario):
         # next to the larger array its alpha explodes, pushing the MGF rim
