@@ -24,10 +24,10 @@ import numpy as np
 from .authenticator import make_authenticator, pfa_of_threshold, threshold_for_pfa
 from .delay_bounds import (ArrivalModel, ServiceModel, UnstableQueueError,
                            delay_violation_bound, service_outage)
-from .geometry import Scenario, eve_statistics, wavelength
+from .geometry import Scenario, eve_statistics
 from .monte_carlo import best_case_acceptance_event, estimate_probability
 from .numerics import NumericsError
-from .position_attack import PositionSearchError, grid_axes, truncated_search
+from .position_attack import PositionSearchError, grid_axes, search_grid, truncated_search
 from .power_attack import (NO_ATTACK, PowerStrategy, SaddlepointError,
                            mdp_fixed_strategy, mdp_fixed_strategy_sweep,
                            mdp_optimal_pma, mdp_optimal_pma_batch,
@@ -87,17 +87,16 @@ def _cmd_mdp(args):
     sc = _scenario(args)
     auth = make_authenticator(sc)
     eve = eve_statistics(sc)
-    method = args.method or "saddlepoint"
-    out = {"method": method, "false_alarm_target": sc.false_alarm_target,
+    out = {"method": args.method, "false_alarm_target": sc.false_alarm_target,
            "threshold": auth.threshold}
-    if method in ("saddlepoint", "closedform"):
-        out["p_md"] = mdp_optimal_pma(auth, eve, method=method)
-    elif method == "montecarlo":
+    if args.method in ("saddlepoint", "closedform"):
+        out["p_md"] = mdp_optimal_pma(auth, eve, method=args.method)
+    elif args.method == "montecarlo":
         est = estimate_probability(best_case_acceptance_event(auth), eve,
                                    args.samples, seed=args.seed, threads=args.threads)
         out.update(p_md=est.value, std_error=est.std_error, samples=est.samples)
     else:
-        strat = _strategy(method, auth, eve)
+        strat = _strategy(args.method, auth, eve)
         out["strategy"] = {"eta": strat.amplitude, "psi": strat.phase}
         out["p_md"] = mdp_fixed_strategy(auth, eve, strat)
     return json.dumps(out, sort_keys=True, indent=2) + "\n", None
@@ -144,8 +143,7 @@ def _pmd_cells(sc: Scenario, resolution: float) -> tuple[np.ndarray, np.ndarray,
 
 def _cmd_heatmap(args):
     sc = _scenario(args)
-    res = args.grid or sc.search.grid_resolution or wavelength(sc.carrier_frequency) / 10.0
-    xs, ys, vals = _pmd_cells(sc, res)
+    xs, ys, vals = _pmd_cells(sc, args.grid or search_grid(sc)[0])
     lines = ["x_m,y_m,log10_pmd"] + [f"{_fmt(x)},{_fmt(y)},{_fmt(_log10_clamped(v))}"
                                      for (y, x), v in zip(product(ys, xs), vals)]
     return "\n".join(lines) + "\n", None

@@ -66,7 +66,6 @@ class SearchConfig:
     grid_resolution: float | None = None
     g0: float = math.sqrt(2.0)
     small_scale_radius: float | None = None
-    include_first_sidelobes: bool = True
     max_candidates: int = 20_000
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .authenticator import Authenticator, make_authenticator, whiten
-from .geometry import Scenario, SearchConfig, steering_vector, wavelength
+from .geometry import Scenario, steering_vector, wavelength
 from .numerics import bounded_minimum, bracketed_root_find
 from .power_attack import mdp_optimal_pma_batch
 
@@ -268,10 +268,9 @@ def _one_side_bands(g, x_max: float, step: float, peak0: float, g0: float):
                        side_peak)
 
 
-def lobe_sets(scenario: Scenario, config: SearchConfig | None = None) -> LobeSets:
-    """Main-lobe and first-sidelobe bands of every array around its Alice bearing.
-
-    The band edges use the g0 of ``config``, or of ``scenario.search`` without it.
+def lobe_sets(scenario: Scenario) -> LobeSets:
+    """Main-lobe and first-sidelobe bands of every array around its Alice
+    bearing, with band edges at the g0 of ``scenario.search``.
 
     Each side of the bearing is scanned in angular-sine steps of 1/(32 n s),
     one _angular_g call per scan grid; bracketed_root_find refines each sign
@@ -280,7 +279,7 @@ def lobe_sets(scenario: Scenario, config: SearchConfig | None = None) -> LobeSet
     peak, bit for bit as scipy would, which the float32 masks rely on.  Both
     attack angles phi and pi - phi share an angular sine, so one band covers both.
     """
-    g0 = (config or scenario.search).g0
+    g0 = scenario.search.g0
     if not g0 > 1.0:
         raise ValueError("lobe threshold g0 must exceed 1")
     per = []
@@ -321,8 +320,6 @@ class SearchResult:
     n_allowed: int
     n_lobe_points: int
     n_evaluated: int
-    grid_shape: tuple[int, int]
-    resolution: float
     n_survivors: int        # candidates before the max_candidates cap
     n_optima: int | None = None     # small-scale optima of the allowed grid, if counted
 
@@ -374,13 +371,12 @@ def _in_bands(lobes: ArrayLobes, omega: np.ndarray, slack=0.0) -> tuple[np.ndarr
     return main, side
 
 
-def _lobe_union(main, side, pairs: bool) -> np.ndarray:
-    """Any array's main-lobe mask or, with ``pairs``, any two arrays' sidelobe masks at once."""
+def _lobe_union(main, side) -> np.ndarray:
+    """Any array's main-lobe mask or any two arrays' sidelobe masks at once."""
     mask = np.logical_or.reduce(main)
-    if pairs:
-        for i in range(len(side)):
-            for j in range(i + 1, len(side)):
-                mask |= side[i] & side[j]
+    for i in range(len(side)):
+        for j in range(i + 1, len(side)):
+            mask |= side[i] & side[j]
     return mask
 
 
@@ -397,7 +393,7 @@ def _band_masks(ctx: _ArrayContext, lobes: ArrayLobes, xs: np.ndarray,
 
 
 def _lobe_columns(ctxs: list[_ArrayContext], lobes: LobeSets, xs: np.ndarray,
-                  ys: np.ndarray, res: float, pairs: bool) -> np.ndarray | slice:
+                  ys: np.ndarray, res: float) -> np.ndarray | slice:
     """The columns of the ys × xs grid that can hold a cell of _lobe_mask.
 
     Scans the centre column of each run of _SCAN_STRIDE columns in float64.
@@ -415,18 +411,18 @@ def _lobe_columns(ctxs: list[_ArrayContext], lobes: LobeSets, xs: np.ndarray,
         bands = _in_bands(al, omega, h / np.where(close, np.inf, dist - h) + 1e-5)
         main.append(bands[0] | close)
         side.append(bands[1] | close)
-    runs = _lobe_union(main, side, pairs).any(axis=0)
+    runs = _lobe_union(main, side).any(axis=0)
     return slice(None) if runs.all() else np.flatnonzero(np.repeat(runs, k)[:xs.size])
 
 
 def _lobe_mask(ctxs: list[_ArrayContext], lobes: LobeSets, xs: np.ndarray, ys: np.ndarray,
-               res: float, pairs: bool) -> np.ndarray:
+               res: float) -> np.ndarray:
     """_lobe_union of the float32 _band_masks over the ys × xs grid,
     evaluated only on the columns that _lobe_columns keeps."""
-    cols = _lobe_columns(ctxs, lobes, xs, ys, res, pairs)
+    cols = _lobe_columns(ctxs, lobes, xs, ys, res)
     mask = np.zeros((ys.size, xs.size), bool)
     mask[:, cols] = _lobe_union(*zip(*(_band_masks(ctx, al, xs[cols], ys)
-                                       for ctx, al in zip(ctxs, lobes.per_array))), pairs)
+                                       for ctx, al in zip(ctxs, lobes.per_array))))
     return mask
 
 
@@ -463,10 +459,11 @@ def _disc_local_maxima(grid: np.ndarray, r0: int, r1: int, eps_px: int) -> np.nd
     return np.concatenate(found)
 
 
-def _grid(scenario: Scenario, cfg: SearchConfig) -> tuple[float, int, np.ndarray, np.ndarray]:
-    """(resolution, disc radius in whole cells, xs, ys) of a position search;
-    the radius is 0 for a single array, whose small-scale count is flat."""
-    lam = wavelength(scenario.carrier_frequency)
+def search_grid(scenario: Scenario) -> tuple[float, int, np.ndarray, np.ndarray]:
+    """(resolution, disc radius in whole cells, xs, ys) of a position search
+    by ``scenario.search``; the radius is 0 for a single array, whose
+    small-scale count is flat."""
+    cfg, lam = scenario.search, wavelength(scenario.carrier_frequency)
     res = cfg.grid_resolution if cfg.grid_resolution is not None else lam / 10.0
     eps = cfg.small_scale_radius if cfg.small_scale_radius is not None else lam / 2.0
     xs, ys = grid_axes(scenario, res)
@@ -596,14 +593,13 @@ def _candidate_labels(ctxs: list[_ArrayContext], lobes: LobeSets,
     return labels.tolist()
 
 
-def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
-                     auth: Authenticator | None = None, threads: int = 1,
+def truncated_search(scenario: Scenario, threads: int = 1,
                      count_optima: bool = False) -> SearchResult:
     """Worst-position miss probability by lobe-restricted candidate search.
 
     Grids the region, intersects the allowed area with the union of main
     lobes and pairwise first-sidelobe intersections, keeps local maxima of
-    the small-scale alignment count over discs of the configured radius
+    the small-scale alignment count over discs of ``scenario.search``'s radius
     (every candidate qualifies for a single array, whose count is flat),
     computes the alignment objective only at them, and evaluates the miss
     probability at the ``max_candidates`` of best objective.  With
@@ -612,36 +608,35 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
     as ``n_optima``.  It runs on up to ``threads`` threads without changing
     the result.
     """
-    cfg = config or scenario.search
-    res, eps_px, xs, ys = _grid(scenario, cfg)
+    cap = scenario.search.max_candidates
+    res, eps_px, xs, ys = search_grid(scenario)
     ctxs = _array_contexts(scenario)
-    lobes = lobe_sets(scenario, cfg)
+    lobes = lobe_sets(scenario)
 
     nx = xs.size
 
     def best_first(idx, fobj, fss):
         """The max_candidates survivors of largest f_obj, ties in row-major order."""
-        order = np.lexsort((idx % nx, idx // nx, -fobj))[:cfg.max_candidates]
+        order = np.lexsort((idx % nx, idx // nx, -fobj))[:cap]
         return idx[order], fobj[order], fss[order]
 
     n_allowed = n_lobe = n_optima = n_survivors = 0
     kept = (np.empty(0, np.intp), np.empty(0), np.empty(0))
     for n_tile, m_tile, o_tile, *survivors in _walk_grid(
             scenario, ctxs, xs, ys, eps_px,
-            lambda tile_ys: _lobe_mask(ctxs, lobes, xs, tile_ys, res, cfg.include_first_sidelobes),
-            threads, count_optima):
+            lambda tile_ys: _lobe_mask(ctxs, lobes, xs, tile_ys, res), threads, count_optima):
         n_allowed += n_tile
         n_lobe += m_tile
         n_optima += o_tile
         n_survivors += survivors[0].size
         kept = tuple(map(np.concatenate, zip(kept, survivors)))
-        if kept[0].size > 2 * cfg.max_candidates:     # keeps memory bounded by the cap
+        if kept[0].size > 2 * cap:     # keeps memory bounded by the cap
             kept = best_first(*kept)
     if n_lobe == 0:
         raise NoCandidatesError("no grid point falls on a usable lobe")
     idx, fobj, fss = best_first(*kept)
     xs_c, ys_c = xs[idx % nx], ys[idx // nx]
-    p_md = mdp_optimal_pma_batch(auth or make_authenticator(scenario), scenario,
+    p_md = mdp_optimal_pma_batch(make_authenticator(scenario), scenario,
                                  np.column_stack((xs_c, ys_c)))
     labels = _candidate_labels(ctxs, lobes, xs_c, ys_c)
     candidates = tuple(
@@ -649,20 +644,17 @@ def truncated_search(scenario: Scenario, config: SearchConfig | None = None,
                           float(p_md[k]), labels[k])
         for k in np.lexsort((idx % nx, idx // nx, -p_md)))     # p_md descending, row-major ties
     return SearchResult(candidates, candidates[0].p_md, xs.size * ys.size, n_allowed, n_lobe,
-                        len(candidates), (ys.size, xs.size), res, n_survivors,
-                        n_optima if count_optima else None)
+                        len(candidates), n_survivors, n_optima if count_optima else None)
 
 
-def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
-                      auth: Authenticator | None = None, threads: int = 1) -> SearchResult:
+def exhaustive_search(scenario: Scenario, threads: int = 1) -> SearchResult:
     """Reference search: the alignment objective on every allowed grid cell.
 
     Ranks every allowed cell by the expanded objective and evaluates the
     miss probability at the single best cell, the first in row-major order
     among ties.
     """
-    cfg = config or scenario.search
-    res, _, xs, ys = _grid(scenario, cfg)
+    _, _, xs, ys = search_grid(scenario)
     ctxs = _array_contexts(scenario)
     n_allowed, best = 0, None
     for n_tile, _, _, idx, fobj, fss in _walk_grid(scenario, ctxs, xs, ys, 0, threads=threads):
@@ -672,15 +664,13 @@ def exhaustive_search(scenario: Scenario, config: SearchConfig | None = None,
             best = (int(idx[top]), float(fobj[top]), float(fss[top]))
     k, fo, fs = best
     x, y = float(xs[k % xs.size]), float(ys[k // xs.size])
-    p_md = mdp_optimal_pma_batch(auth or make_authenticator(scenario), scenario, [x, y])
-    label = _candidate_labels(ctxs, lobe_sets(scenario, cfg), np.array([x]), np.array([y]))[0]
+    p_md = mdp_optimal_pma_batch(make_authenticator(scenario), scenario, [x, y])
+    label = _candidate_labels(ctxs, lobe_sets(scenario), np.array([x]), np.array([y]))[0]
     cand = CandidatePosition((x, y), fo, fs, float(p_md[0]), label)
-    return SearchResult((cand,), cand.p_md, xs.size * ys.size, n_allowed, n_allowed, 1,
-                        (ys.size, xs.size), res, n_allowed)
+    return SearchResult((cand,), cand.p_md, xs.size * ys.size, n_allowed, n_allowed, 1, n_allowed)
 
 
-def count_small_scale_optima(scenario: Scenario, config: SearchConfig | None = None,
-                             threads: int = 1) -> int:
+def count_small_scale_optima(scenario: Scenario, threads: int = 1) -> int:
     """Disc-local maxima of the small-scale count over the whole allowed grid.
 
     The denominator of the "fraction of optima actually searched" figure of
@@ -688,7 +678,7 @@ def count_small_scale_optima(scenario: Scenario, config: SearchConfig | None = N
     sets, no members and so no f_obj.  For a single array or a disc under
     one cell every allowed cell is a (weak) maximum, counted without any field.
     """
-    _, eps_px, xs, ys = _grid(scenario, config or scenario.search)
+    _, eps_px, xs, ys = search_grid(scenario)
     walk = _walk_grid(scenario, _array_contexts(scenario), xs, ys, eps_px,
                       lambda tile_ys: False, threads, optima=True)
     return sum(tile[2] for tile in walk)

@@ -50,23 +50,24 @@ def scenario_from_dict(data: dict) -> Scenario:
         return typed(data[key], key, kind)
 
     def number(raw, key, default, where="", whole=False):
-        """float(raw[key]) for a JSON number (int(raw[key]) for a ``whole`` one),
+        """float(raw[key]) for a finite JSON number (int(raw[key]) for a ``whole`` one),
         ``default`` if absent (or null where the default is null); anything
         else notes a problem named by ``where`` + key."""
         value = raw.get(key, default)
         if value is default:
             return default
-        if not _is_number(value):
-            problems.append(f"{where}{key} must be a number, got {value!r}")
-            return default
-        if whole and not float(value).is_integer():
-            problems.append(f"{where}{key} must be a whole number, got {value!r}")
+        wanted = ("a number" if not _is_number(value)
+                  else "a whole number" if whole and not float(value).is_integer()
+                  else "finite" if not math.isfinite(value) else None)
+        if wanted:
+            problems.append(f"{where}{key} must be {wanted}, got {value!r}")
             return default
         return int(value) if whole else float(value)
 
     def position(raw, who, default=None):
         pos = raw.get("position_m", default)
-        if not (isinstance(pos, (list, tuple)) and len(pos) == 2 and all(map(_is_number, pos))):
+        if not (isinstance(pos, (list, tuple)) and len(pos) == 2
+                and all(_is_number(v) and math.isfinite(v) for v in pos)):
             problems.append(f"{who}.position_m must be [x, y], got {pos!r}")
             return (0.0, 0.0)
         return (float(pos[0]), float(pos[1]))
@@ -117,14 +118,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     eve = transmitter("eve")
 
     search_raw = typed(data.get("search", {}), "search")
-    sidelobes = search_raw.get("include_first_sidelobes", True)
-    if not isinstance(sidelobes, bool):
-        problems.append(f"search.include_first_sidelobes must be true or false, got {sidelobes!r}")
+    if search_raw.get("include_first_sidelobes", True) is not True:
+        problems.append("search.include_first_sidelobes: first-sidelobe pairs are always searched, "
+                        f"so it may only be true, got {search_raw['include_first_sidelobes']!r}")
     search = SearchConfig(
         grid_resolution=number(search_raw, "grid_resolution_m", None, "search."),
         g0=number(search_raw, "g0", math.sqrt(2.0), "search."),
         small_scale_radius=number(search_raw, "small_scale_radius_m", None, "search."),
-        include_first_sidelobes=sidelobes,
         max_candidates=number(search_raw, "max_candidates", 20_000, "search.", whole=True))
 
     if problems:

@@ -5,8 +5,8 @@ from scipy.linalg import block_diag, solve_triangular
 from distpla import (BLOCK_SIZE, Correlation, Region, RrhConfig, Scenario, SearchConfig,
                      TransmitterConfig, steering_vector, wavelength)
 from distpla.monte_carlo import block_generator
-from distpla.position_attack import (_angular_g, _array_contexts, _grid, _point_fields,
-                                     _point_geometry)
+from distpla.position_attack import (_angular_g, _array_contexts, _point_fields,
+                                     _point_geometry, search_grid)
 
 
 def build_scenario(rrhs, alice=(40.0, 30.0), eve=(26.0, 49.0), *,
@@ -60,7 +60,7 @@ def count_oracle(scenario, idx):
     for identity correlation g = sin(pi s n x) / sin(pi s x) with its
     n cos(pi s n x) / cos(pi s x) limit where |sin(pi s x)| < 1e-9, whose
     sign turns the phase by exp(j (pi/2) (sign(g) - 1))."""
-    res, _, xs, _ = _grid(scenario, scenario.search)
+    res, _, xs, _ = search_grid(scenario)
     px = scenario.region.x_min + (idx % xs.size + 0.5) * res
     py = scenario.region.y_min + (idx // xs.size + 0.5) * res
     lam = wavelength(scenario.carrier_frequency)

@@ -132,10 +132,12 @@ class TestMdp:
         assert stat["p_md"] >= none["p_md"] * 0.75
 
     def test_bad_method_is_config_error(self, capsys, scenario_file):
-        code, _, err = run(capsys, "mdp", "--scenario", scenario_file,
-                           "--method", "bogus")
-        assert code == 2
-        assert json.loads(err)["error"] == "ValueError"
+        for method in ("bogus", ""):    # an empty method is not the default
+            code, _, err = run(capsys, "mdp", "--scenario", scenario_file,
+                               "--method", method)
+            assert code == 2
+            assert json.loads(err) == {"error": "ValueError",
+                                       "message": f"unknown mdp method {method!r}"}
         code, _, err = run(capsys, "mdp", "--scenario", scenario_file,
                            "--method", "fixed:nonsense")
         assert code == 2

@@ -283,24 +283,22 @@ def _search_scenario(height=20.0, resolution=0.25, **search):
 
 class TestSearches:
     @pytest.mark.parametrize("g0, lobe_cells", [(1.2, 1370), (3.0, 4514)])
-    def test_g0_through_config_equals_g0_on_the_scenario(self, g0, lobe_cells):
-        """The lobe bands and the exhaustive search's label take g0 from the
-        settings the grid comes from: ``config``, when it is given."""
+    def test_g0_on_the_scenario_sets_the_lobe_cells(self, g0, lobe_cells):
+        """The lobe bands, and so the lobe cells and the exhaustive search's
+        label, take g0 from ``scenario.search``, the settings the grid comes from."""
         sc = _search_scenario()
-        cfg = replace(sc.search, g0=g0)
-        via_config = truncated_search(sc, config=cfg)
-        on_scenario = replace(sc, search=cfg)
-        assert via_config == truncated_search(on_scenario)
-        assert via_config.n_lobe_points == lobe_cells
+        on_scenario = replace(sc, search=replace(sc.search, g0=g0))
+        assert truncated_search(on_scenario).n_lobe_points == lobe_cells
         assert truncated_search(sc).n_lobe_points == 2180       # the default g0 = sqrt(2)
-        assert lobe_sets(sc, cfg) == lobe_sets(on_scenario)
-        assert exhaustive_search(sc, config=cfg) == exhaustive_search(on_scenario)
+        assert lobe_sets(on_scenario).g0 == g0
+        full = exhaustive_search(on_scenario)
+        assert full.best.label == _candidate_label(_array_contexts(on_scenario),
+                                                   lobe_sets(on_scenario), *full.best.position)
 
     def test_truncated_agrees_with_exhaustive(self):
         sc = _search_scenario()
-        auth = make_authenticator(sc)
-        trunc = truncated_search(sc, auth=auth)
-        full = exhaustive_search(sc, auth=auth)
+        trunc = truncated_search(sc)
+        full = exhaustive_search(sc)
         top = max(c.f_obj for c in trunc.candidates)
         assert top >= 0.99 * full.best.f_obj
         assert trunc.p_md_opt >= 0.99 * full.p_md_opt
@@ -311,7 +309,7 @@ class TestSearches:
         """Every batched candidate p_md equals the per-position scalar route."""
         sc = _search_scenario()
         auth = make_authenticator(sc)
-        r = truncated_search(sc, auth=auth)
+        r = truncated_search(sc)
         assert r.n_evaluated > 100
         for c in r.candidates:
             stats = channel_statistics(sc, replace(sc.eve, position=c.position))
@@ -322,8 +320,7 @@ class TestSearches:
         r = truncated_search(sc)
         assert r.n_evaluated == len(r.candidates) <= r.n_lobe_points
         assert r.n_survivors == r.n_evaluated       # the cap does not bind here
-        assert r.n_lobe_points <= r.n_allowed <= r.n_grid
-        assert r.grid_shape == (80, 120)
+        assert r.n_lobe_points <= r.n_allowed <= r.n_grid == 80 * 120
         assert r.best is r.candidates[0]
         pmds = [c.p_md for c in r.candidates]
         assert pmds == sorted(pmds, reverse=True)
@@ -338,8 +335,7 @@ class TestSearches:
 
     def test_candidate_cap(self):
         sc = _search_scenario()
-        capped = truncated_search(sc, config=SearchConfig(grid_resolution=0.25,
-                                                          max_candidates=5))
+        capped = truncated_search(_search_scenario(max_candidates=5))
         assert capped.n_survivors > capped.n_evaluated == 5
         # the cap keeps the highest alignment objectives
         uncapped = truncated_search(sc)
@@ -348,9 +344,8 @@ class TestSearches:
 
     def test_small_scale_filter_reduces_candidates(self):
         sc = _search_scenario()
-        plain = truncated_search(sc, config=SearchConfig(grid_resolution=0.25))
-        filtered = truncated_search(sc, config=SearchConfig(grid_resolution=0.25,
-                                                            small_scale_radius=1.0))
+        plain = truncated_search(sc)
+        filtered = truncated_search(_search_scenario(small_scale_radius=1.0))
         assert filtered.n_evaluated < plain.n_evaluated
         assert filtered.p_md_opt <= plain.p_md_opt * 1.05 + 1e-9
 
@@ -369,18 +364,16 @@ class TestSearches:
         that is not a whole number of 120-cell rows, each on 1, 2 and 3
         threads, all give the results of the single default tile on one,
         the search's count of small-scale optima included."""
-        sc = _search_scenario()
-        cfg = SearchConfig(grid_resolution=0.25, small_scale_radius=1.5)
-        auth = make_authenticator(sc)
+        sc = _search_scenario(small_scale_radius=1.5)
 
         def searches(threads):
-            return (truncated_search(sc, cfg, auth, threads),
-                    truncated_search(sc, cfg, auth, threads, count_optima=True),
-                    exhaustive_search(sc, cfg, auth, threads),
-                    count_small_scale_optima(sc, cfg, threads))
+            return (truncated_search(sc, threads),
+                    truncated_search(sc, threads, count_optima=True),
+                    exhaustive_search(sc, threads),
+                    count_small_scale_optima(sc, threads))
 
         whole = searches(1)
-        assert whole[0].grid_shape[0] * whole[0].grid_shape[1] <= pa._TILE_CELLS
+        assert whole[0].n_grid <= pa._TILE_CELLS
         assert whole[0].n_optima is None and whole[1].n_optima == whole[3] > 0
         assert replace(whole[1], n_optima=None) == whole[0]
         monkeypatch.setattr(pa, "_TILE_CELLS", tile)
@@ -401,8 +394,7 @@ class TestSearches:
         before it, so carrying one row short of two radii over to the next
         tile changes it too.  With one-row tiles the halo comes from six
         neighbouring tiles."""
-        sc = _search_scenario()
-        cfg = SearchConfig(grid_resolution=0.25, small_scale_radius=1.5)
+        sc = _search_scenario(small_scale_radius=1.5)
         tile = pa._TILE_CELLS
         for field in (lambda px, py: np.sin(12.9898 * px + 78.233 * py) * 43758.5453 % 1.0,
                       lambda px, py: np.where(np.round(4.0 * py - 0.5) % 6 == 0,
@@ -410,11 +402,11 @@ class TestSearches:
             monkeypatch.setattr(pa, "_point_fields", lambda scenario, ctxs, px, py, objective=True:
                                 (px if objective else None, field(px, py)))
             monkeypatch.setattr(pa, "_TILE_CELLS", tile)
-            whole = count_small_scale_optima(sc, cfg)
+            whole = count_small_scale_optima(sc)
             for rows in (1, 10):
                 monkeypatch.setattr(pa, "_TILE_CELLS", rows * 120)
                 for threads in (1, 2, 3):
-                    assert count_small_scale_optima(sc, cfg, threads) == whole, (rows, threads)
+                    assert count_small_scale_optima(sc, threads) == whole, (rows, threads)
 
     def test_optima_count_matches_a_brute_force_disc_maximum(self, monkeypatch):
         """On seeded random deployments, alternating identity and exponential
@@ -461,9 +453,7 @@ class TestSearches:
         only at the filter's survivors, never in the optima count, and no
         call takes more than _CHUNK_CELLS cells.  The walk starts no more
         workers than it has tiles."""
-        sc = _search_scenario()
-        cfg = SearchConfig(grid_resolution=0.25, small_scale_radius=1.5)
-        auth = make_authenticator(sc)
+        sc = _search_scenario(small_scale_radius=1.5)
         if tile is not None:
             monkeypatch.setattr(pa, "_TILE_CELLS", tile)
         monkeypatch.setattr(pa, "_CHUNK_CELLS", 100)
@@ -481,19 +471,19 @@ class TestSearches:
         def cells(search, *args):
             """(small-scale-only cells, f_obj cells) of one search."""
             calls.clear()
-            result = search(sc, cfg, *args)
+            result = search(sc, *args)
             assert max(n for n, _ in calls) <= 100
             return result, tuple(sum(n for n, obj in calls if obj == want) for want in (False, True))
 
         for threads in (1, 3):
-            trunc, split = cells(truncated_search, auth, threads)
+            trunc, split = cells(truncated_search, threads)
             assert split == (trunc.n_lobe_points, trunc.n_survivors)
             assert trunc.n_survivors < trunc.n_lobe_points
-            counted, split = cells(truncated_search, auth, threads, True)
+            counted, split = cells(truncated_search, threads, True)
             assert split == (counted.n_allowed, counted.n_survivors)
             assert counted.n_lobe_points < counted.n_allowed
             assert counted.n_survivors == trunc.n_survivors
-            full, split = cells(exhaustive_search, auth, threads)
+            full, split = cells(exhaustive_search, threads)
             assert split == (0, full.n_allowed)
             assert cells(count_small_scale_optima, threads)[1] == (full.n_allowed, 0)
         # the 80-row grid is one default tile, and at least 11 of any other size
@@ -579,7 +569,8 @@ def test_mirror_symmetric_geometry_gives_mirror_fields():
 def test_default_resolution_is_a_tenth_wavelength():
     sc = build_scenario([("r", (1.0, 30.0), 2)], region=(0, 2, 0, 2), fc=2.4e9)
     r = exhaustive_search(sc.with_eve((1.9, 1.9)))
-    assert r.resolution == pytest.approx(wavelength(2.4e9) / 10.0)
+    xs, ys = grid_axes(sc, wavelength(2.4e9) / 10.0)
+    assert r.n_grid == xs.size * ys.size == 160 * 160
 
 
 def _candidate_label(ctxs, lobes, x, y):
@@ -616,11 +607,11 @@ def _restricted_and_dense_lobe_masks(monkeypatch, sc, res, rows):
     pairs, restricted = [], 0
     for r0 in range(0, ys.size, rows):
         tile_ys = ys[r0:r0 + rows]
-        restricted += isinstance(pa._lobe_columns(ctxs, lobes, xs, tile_ys, res, True), np.ndarray)
-        got = pa._lobe_mask(ctxs, lobes, xs, tile_ys, res, True)
+        restricted += isinstance(pa._lobe_columns(ctxs, lobes, xs, tile_ys, res), np.ndarray)
+        got = pa._lobe_mask(ctxs, lobes, xs, tile_ys, res)
         with monkeypatch.context() as m:
             m.setattr(pa, "_lobe_columns", lambda *args: slice(None))
-            pairs.append((got, pa._lobe_mask(ctxs, lobes, xs, tile_ys, res, True)))
+            pairs.append((got, pa._lobe_mask(ctxs, lobes, xs, tile_ys, res)))
     return pairs, restricted
 
 
@@ -698,7 +689,7 @@ class TestRestrictedBandMasks:
                                       "reference_3rrh"])
     def test_committed_scenarios(self, monkeypatch, name):
         sc = load_scenario(SCENARIOS / f"{name}.json")
-        res = pa._grid(sc, sc.search)[0]
+        res = pa.search_grid(sc)[0]
         rows = pa._TILE_CELLS // grid_axes(sc, res)[0].size
         pairs, restricted = _restricted_and_dense_lobe_masks(monkeypatch, sc, res, rows)
         for got, dense in pairs:
@@ -778,7 +769,7 @@ def test_allowed_mask_equals_the_dense_mask():
     excluded = 0
     for name in ("desk_2rrh", "reference_1rrh16", "reference_2rrh8", "reference_3rrh"):
         sc = load_scenario(SCENARIOS / f"{name}.json")
-        xs, ys = grid_axes(sc, pa._grid(sc, sc.search)[0])
+        xs, ys = pa.search_grid(sc)[2:]
         rows = pa._TILE_CELLS // xs.size
         for r0 in range(0, ys.size, rows):
             got = _allowed_mask(sc, xs, ys[r0:r0 + rows])
@@ -824,7 +815,7 @@ def test_column_scan_slack_covers_float32_rounding():
     lobes = pa.LobeSets(2.0, (pa.ArrayLobes("far", ctx.omega_a, band, ()),))
     dense = _band_masks(ctx, lobes.per_array[0], xs, ys)[0]
     assert dense[0, first[run]] and not dense[0, first[run] + k // 2]
-    assert np.array_equal(pa._lobe_mask([ctx], lobes, xs, ys, res, False), dense)
+    assert np.array_equal(pa._lobe_mask([ctx], lobes, xs, ys, res), dense)
 
 
 def test_float32_masks_differ_from_float64_only_at_edges():

@@ -7,6 +7,7 @@ import pytest
 
 from distpla import (ScenarioError, load_scenario, scenario_from_dict,
                      validate_scenario)
+from distpla.cli import main
 
 
 BASE = {
@@ -140,7 +141,8 @@ def test_search_block_types_checked():
     with pytest.raises(ScenarioError) as info:
         scenario_from_dict(bad)
     assert info.value.problems == [
-        "search.include_first_sidelobes must be true or false, got 'false'",
+        "search.include_first_sidelobes: first-sidelobe pairs are always searched, "
+        "so it may only be true, got 'false'",
         "search.grid_resolution_m must be a number, got 'abc'",
         "search.g0 must be a number, got None",
         "search.small_scale_radius_m must be a number, got 'abc'",
@@ -151,10 +153,18 @@ def test_search_block_types_checked():
 def test_search_block_values():
     ok = dict(BASE)
     ok["search"] = {"grid_resolution_m": 0.25, "g0": 2, "small_scale_radius_m": 0,
-                    "include_first_sidelobes": False, "max_candidates": 7}
+                    "include_first_sidelobes": True, "max_candidates": 7}
     search = scenario_from_dict(ok).search
     assert (search.grid_resolution, search.g0, search.small_scale_radius,
-            search.include_first_sidelobes, search.max_candidates) == (0.25, 2.0, 0, False, 7)
+            search.max_candidates) == (0.25, 2.0, 0, 7)
+    # first-sidelobe pairs are always searched: a file that turns them off is
+    # refused rather than searched otherwise than it asks
+    for off in (False, None, 0):
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(dict(ok, search=dict(ok["search"], include_first_sidelobes=off)))
+        assert info.value.problems == [
+            "search.include_first_sidelobes: first-sidelobe pairs are always searched, "
+            f"so it may only be true, got {off!r}"]
     assert scenario_from_dict(dict(BASE)).search.small_scale_radius is None
     bad = dict(BASE)
     bad["search"] = {"small_scale_radius_m": -1, "grid_resolution_m": 0}
@@ -259,3 +269,29 @@ def test_counts_must_be_whole_numbers():
                                        (("search", "max_candidates"), 300)))
     assert sc.rrhs[0].num_antennas == 4 and sc.search.max_candidates == 300
     assert type(sc.rrhs[0].num_antennas) is type(sc.search.max_candidates) is int
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("carrier_frequency_hz", NAN), ("rice_factor_db", INF), ("eve.tx_power", INF),
+    ("exclusion_m.alice", NAN), ("search.small_scale_radius_m", INF),
+    ("search.small_scale_radius_m", NAN), ("region_m.x_min", -INF),
+    ("alice.position_m", [NAN, 12.0]),
+])
+def test_non_finite_numbers_are_refused(tmp_path, capsys, name, bad):
+    """Python's json reads NaN and Infinity; the loader refuses them with the
+    key's name, and every command exits 2 on such a file."""
+    problem = (f"{name} must be [x, y], got {bad!r}" if name.endswith("position_m")
+               else f"{name} must be finite, got {bad!r}")
+    scenario = tmp_path / "non_finite.json"
+    scenario.write_text(json.dumps(_desk_with((tuple(name.split(".")), bad))))
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(scenario)
+    assert info.value.problems == [problem]
+    for command in ("mdp", "optimize"):
+        assert main([command, "--scenario", str(scenario)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ScenarioError", "message": problem}
