@@ -30,12 +30,9 @@ from .numerics import bounded_minimum, bracketed_root_find
 from .power_attack import mdp_optimal_pma_batch
 
 _TILE_CELLS = 1 << 19      # grid cells in flight in _walk_grid, split over its workers' tiles
-_CHUNK_CELLS = 1 << 14     # cells per _point_fields call in _walk_grid: bounds its temporaries
+_CHUNK_CELLS = 1 << 14     # cells per field call or gather of the walk: bounds its temporaries
 _SCAN_STRIDE = 32          # columns per float64 scan point of _lobe_columns
 _STRIP_ROWS = 16           # rows decided per pass of _disc_local_maxima: bounds its temporaries
-# exp(j (pi/2) (sign(g) - 1)) for sign(g) = -1, 0, 1: the same bits as the
-# elementwise exp, looked up by sign(g) + 1
-_SIGN_PHASE = np.exp(1j * (np.pi / 2.0) * (np.arange(-1.0, 2.0) - 1.0))
 
 
 class PositionSearchError(RuntimeError):
@@ -112,19 +109,6 @@ def _dirichlet(x: np.ndarray, n: int, spacing: float) -> np.ndarray:
     return out
 
 
-def _dirichlet_sign(x: np.ndarray, n: int, spacing: float) -> np.ndarray:
-    """sign(_dirichlet(x, n, spacing)) from its numerator alone: while
-    1e-8 <= |pi s x| <= pi (1 - 1e-8), the denominator sin(pi s x) clears the
-    pole test with the sign of x.  The bearing, the endfire poles x = ±2 at
-    s = 1/2 and wider spacings' far offsets take _dirichlet."""
-    sign = np.sign(np.sin(np.pi * spacing * n * x)) * np.sign(x)
-    arg = np.abs(np.pi * spacing * x)
-    pole = (arg < 1e-8) | (arg > np.pi * (1.0 - 1e-8))
-    if pole.any():
-        sign[pole] = np.sign(_dirichlet(x[pole], n, spacing))
-    return sign
-
-
 def _angular_g(ctx: _ArrayContext, omega_e: np.ndarray) -> np.ndarray:
     """Real angular kernel g with e(Omega_E)^H Lambda^{-1} e(Omega_A) =
     exp(j pi (n-1) s (Omega_E - Omega_A)) g."""
@@ -179,19 +163,89 @@ def _point_fields(scenario: Scenario, ctxs: list[_ArrayContext], px: np.ndarray,
     for ctx in ctxs:
         dist, omega = _point_geometry(ctx, px, py)
         x = omega - ctx.omega_a
-        # the count reads only sign(g): g itself is paid for f_obj or a correlation
-        g = _angular_g(ctx, omega) if objective or ctx.corr_inv is not None else None
-        sign = np.sign(g) if g is not None else _dirichlet_sign(x, ctx.n, ctx.spacing)
+        g = _angular_g(ctx, omega)
         phase = 2.0 * np.pi * (dist - ctx.dist_a) / lam + np.pi * (ctx.n - 1) * ctx.spacing * x
         rot = np.exp(1j * phase)
-        # clipping only matters for a NaN g, whose rot is NaN as well
-        aligned += rot * np.take(_SIGN_PHASE, (sign + 1.0).astype(np.intp), mode="clip")
+        aligned += rot * np.exp(1j * (np.pi / 2.0) * (np.sign(g) - 1.0))
         if objective:
             ratio = ctx.dist_a / dist
             num += ratio ** (beta / 2.0) * rot * g
             den += ratio ** beta * _s_ee(ctx, omega)
     return (scenario.rice_factor * np.abs(num) ** 2 / den if objective else None,
             np.abs(aligned))
+
+
+def _fast_count_error(n_arrays: int) -> float:
+    """e, the bound on |_fast_count - float32(_point_fields' count)| that
+    _disc_local_maxima's settle step relies on (see _fast_count)."""
+    return n_arrays * (n_arrays + 64) * 2.0 ** -24
+
+
+def _fast_count(scenario: Scenario, ctxs: list[_ArrayContext], px: np.ndarray,
+                py: np.ndarray) -> np.ndarray:
+    """_point_fields' small-scale count in float32 arithmetic, within
+    e = _fast_count_error(N) of its float32 rounding, for N arrays.
+
+    Each array's phase p, with sign(g) folded in as (pi/2)(sign - 1), is
+    formed in float64 in turns t = p / 2 pi and reduced to q = 2 pi (t - rint t);
+    cos q and sin q are taken and summed in float32, and the count is their
+    float32 hypot.  The distance is sqrt(dx² + dy²).  sign(g) is float64's:
+    for identity correlation the parity of floor(s n x) + floor(s x) (the
+    signs of sin(pi s n x) and sin(pi s x)), else the sign of _angular_g.
+    Within 1e-9 of a null of sin(pi s n x), or |g| < 1e-9 of the lobe peak,
+    the ulp by which this distance and hypot's differ could flip the sign
+    and move a whole term, so those cells take _point_fields' geometry and sign.
+
+    The bound, with u = 2^-24 and |p| < 2^26 (a region under ten million
+    wavelengths across): per term, q is within |p| 2^-50 <= u of
+    _point_fields' phase modulo 2 pi, float32(q) within 2u of q (|q| <= pi),
+    and numpy's float32 cos and sin within 2 ulp <= 2u each, 6u together.
+    Summing N terms in float32 adds at most sqrt(2) u (2 + ... + N) <
+    0.71 (N² + N) u, the float32 hypot at most 1 ulp <= 2Nu, the rounding of
+    the float64 count to float32 Nu, and its own error under u.  In all the
+    error is under (N² + 11N) u; e = N (N + 64) u is over five times that,
+    which also covers the float32 rounding (<= Nu) of the settle step's
+    comparisons, and measured it is over 16 times the largest error.
+    """
+    lam = wavelength(scenario.carrier_frequency)
+    re = np.zeros(px.shape, np.float32)
+    im = np.zeros(px.shape, np.float32)
+    for ctx in ctxs:
+        dx = px - ctx.position[0]
+        dy = py - ctx.position[1]
+        dist = dx * dx
+        dist += dy * dy
+        np.sqrt(dist, out=dist)
+        dx *= ctx.axis[0]
+        dy *= ctx.axis[1]
+        dx += dy
+        omega = np.divide(dx, dist, out=dx)
+        if ctx.corr_inv is None:
+            x = np.subtract(omega, ctx.omega_a, out=omega)
+            y = np.multiply(x, ctx.spacing * ctx.n, out=dy)
+            half = np.floor(y)                  # (sign(g) - 1) / 2, modulo 2
+            half += np.floor(ctx.spacing * x)
+            y -= np.rint(y)
+            unsure = np.abs(y, out=y) < 1e-9
+        else:
+            g = _angular_g(ctx, omega)
+            half, unsure = 0.5 * (np.sign(g) - 1.0), np.abs(g) < 1e-9 * ctx.peak
+            x = np.subtract(omega, ctx.omega_a, out=omega)
+        if unsure.any():
+            om = _point_geometry(ctx, px[unsure], py[unsure])[1]
+            half[unsure] = 0.5 * (np.sign(_angular_g(ctx, om)) - 1.0)
+        turns = np.subtract(dist, ctx.dist_a, out=dist)
+        turns *= 1.0 / lam
+        x *= 0.5 * (ctx.n - 1) * ctx.spacing
+        turns += x
+        half *= 0.5
+        turns += half
+        turns -= np.rint(turns)
+        turns *= 2.0 * np.pi
+        q = turns.astype(np.float32)
+        re += np.cos(q)
+        im += np.sin(q)
+    return np.hypot(re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -426,20 +480,36 @@ def _lobe_mask(ctxs: list[_ArrayContext], lobes: LobeSets, xs: np.ndarray, ys: n
     return mask
 
 
-def _disc_local_maxima(grid: np.ndarray, r0: int, r1: int, eps_px: int) -> np.ndarray:
-    """Flat indices into ``grid`` (float32, -inf off the members) of the
-    members in rows r0:r1 that are >= every cell of their disc of radius
+def _disc_local_maxima(grid, r0: int, r1: int, eps_px: int, exact=None,
+                       margin: float = 0.0) -> np.ndarray:
+    """Flat indices into ``grid`` (float32, -inf off the members; or a list
+    of the row blocks that make it up, padded without joining them first) of
+    the members in rows r0:r1 that are >= every cell of their disc of radius
     ``eps_px``; plateaus count as maxima and NaN never does.  A disc row dy
     off the centre reaches isqrt(eps_px² - dy²) cells each side, so the disc
     maximum is a fold over dy of running row maxima, taken by doubling over
-    -inf-padded strips of _STRIP_ROWS decided rows that bound the temporaries."""
+    -inf-padded strips of _STRIP_ROWS decided rows that bound the temporaries.
+
+    With ``exact``, ``grid`` only filters: it holds a count within
+    ``margin`` = e of the count that decides, which exact(flat indices)
+    gives.  The contenders are the members within 2e of their disc's maximum
+    on ``grid``; R holds, per contender c, the disc cells n with grid(n) >
+    grid(c) - 2e, c among them, and the decision reads the exact count on R
+    only.  A true maximum c is a contender: grid(c) >= exact(c) - e >=
+    exact(n) - e >= grid(n) - 2e.  A disc cell outside R has exact(n) <=
+    grid(n) + e <= grid(c) - e <= exact(c), so c is a maximum iff it is >=
+    every cell of its R.  R is a function of ``grid``, not of the strips;
+    the contenders' discs are gathered once, after the strips."""
     e = eps_px
     half = [math.isqrt(e * e - dy * dy) for dy in range(-e, e + 1)]
-    padded = np.pad(grid, e, constant_values=-np.inf)
+    blocks = [grid] if isinstance(grid, np.ndarray) else grid
+    ny, nx = sum(b.shape[0] for b in blocks), blocks[0].shape[1]
+    padded = np.full((ny + 2 * e, nx + 2 * e), -np.inf, np.float32)
+    np.concatenate(blocks, out=padded[e:e + ny, e:e + nx])
     found = [np.empty(0, np.intp)]
     for s0 in range(r0, r1, _STRIP_ROWS):
         s1 = min(s0 + _STRIP_ROWS, r1)
-        cols = np.flatnonzero((grid[s0:s1] != -np.inf).any(axis=0))
+        cols = np.flatnonzero((padded[s0 + e:s1 + e, e:e + nx] != -np.inf).any(axis=0))
         if cols.size == 0:
             continue
         c0, n = int(cols[0]), int(cols[-1]) + 1 - int(cols[0])
@@ -454,9 +524,29 @@ def _disc_local_maxima(grid: np.ndarray, r0: int, r1: int, eps_px: int) -> np.nd
             row_max = np.maximum(runs[j][:, a:a + n], runs[j][:, b:b + n])
             for i in (i for i, hw in enumerate(half) if hw == w):
                 np.maximum(disc, row_max[i:i + s1 - s0], out=disc)
-        iy, ix = np.nonzero((core != -np.inf) & (core >= disc))
-        found.append((iy + s0) * grid.shape[1] + ix + c0)
-    return np.concatenate(found)
+        disc -= 2.0 * margin
+        iy, ix = np.divmod(np.flatnonzero((core != -np.inf) & (core >= disc)), n)
+        found.append((iy + s0) * nx + ix + c0)
+    found = np.concatenate(found)
+    if exact is None or found.size == 0:
+        return found
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (2 * e + 1, 2 * e + 1))
+    square = np.arange(-e, e + 1) ** 2
+    in_disc = (np.add.outer(square, square) <= e * e).ravel()
+    step = max(_CHUNK_CELLS // in_disc.size, 1)     # contenders a gather: bounds its temporaries
+    owner, at = [], []
+    for c in range(0, found.size, step):
+        iy, ix = np.divmod(found[c:c + step], nx)
+        near = windows[iy, ix].reshape(iy.size, -1) > padded[iy + e, ix + e, None] - 2.0 * margin
+        k, w = np.divmod(np.flatnonzero(near & in_disc), in_disc.size)
+        owner.append(k + c)
+        at.append(w)
+    owner, at = np.concatenate(owner), np.concatenate(at)    # R, grouped by contender
+    wy, wx = np.divmod(at, 2 * e + 1)
+    iy, ix = np.divmod(found[owner], nx)
+    counts = exact((iy + wy - e) * nx + ix + wx - e)
+    top = np.maximum.reduceat(counts, np.flatnonzero(np.diff(owner, prepend=-1)))
+    return found[counts[at == in_disc.size // 2] >= top]
 
 
 def search_grid(scenario: Scenario) -> tuple[float, int, np.ndarray, np.ndarray]:
@@ -488,14 +578,17 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
     """The grid pass of every position search, in row tiles on up to ``threads`` threads.
 
     The members are the allowed cells that ``member(tile_ys)`` keeps (all if
-    None).  With ``eps_px`` >= 1 the small-scale count alone fills a float32
-    grid, once per member or, with ``optima``, per allowed cell; the
-    survivors are the members' disc-local maxima on it (other cells at
-    -inf), and with ``optima`` the same task counts the whole grid's, the
-    small-scale optima.  With ``eps_px`` 0 every member survives and every
-    allowed cell is an optimum.  Both fields are paid at the survivors only,
-    at most _CHUNK_CELLS cells a _point_fields call taken from the rows that
-    hold them, so memory is bounded by tile and chunk, not by lobe density.
+    None).  With ``eps_px`` >= 1 the fast small-scale count alone fills a
+    float32 grid, once per member or, with ``optima``, per allowed cell, at
+    most _CHUNK_CELLS cells a _fast_count call taken from the rows that hold
+    them.  The survivors are the members' disc-local maxima of the float32
+    _point_fields count (other cells at -inf), which _disc_local_maxima
+    settles on R, and with ``optima`` the same task counts the whole grid's,
+    the small-scale optima.  With ``eps_px`` 0 every member survives and
+    every allowed cell is an optimum.  Both fields are paid at the survivors
+    only, so memory is bounded by tile and chunk, not by lobe density.  Each
+    tile settles on its own: a cell of R that discs on both sides of a seam
+    between two tiles' decided rows reach is evaluated by both.
     A disc reaches ``eps_px`` rows past its centre, so a row is decided once
     its tile or a later one holds those rows: the last 2·``eps_px`` grid rows
     carry from tile to tile, and results do not depend on the tile size.  The
@@ -512,11 +605,13 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
     workers = min(threads, -(-ny // max(_TILE_CELLS // nx, 1)))
     rows = max(_TILE_CELLS // workers // nx, 1)
     halo = max(eps_px, 0)
+    margin = _fast_count_error(len(ctxs))
 
-    def point_fields(idx):
+    def point_fields(idx, objective=True):
         parts = (idx[c:c + _CHUNK_CELLS] for c in range(0, max(idx.size, 1), _CHUNK_CELLS))
-        both = (_point_fields(scenario, ctxs, xs[part % nx], ys[part // nx]) for part in parts)
-        return tuple(map(np.concatenate, zip(*both)))
+        both = (_point_fields(scenario, ctxs, xs[part % nx], ys[part // nx], objective)
+                for part in parts)
+        return tuple(np.concatenate(f) for f in zip(*both) if f[0] is not None)
 
     def fields(r0):
         r1 = min(r0 + rows, ny)
@@ -536,8 +631,7 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
             skip = c - ends[s0] + counts[s0]        # the cells of row s0 before cell c
             cells = (np.flatnonzero(evaluate[s0:s1 + 1]) + s0 * nx)[skip:skip + _CHUNK_CELLS]
             iy = np.repeat(np.arange(s0, s1 + 1), counts[s0:s1 + 1])[skip:skip + _CHUNK_CELLS]
-            grid.ravel()[cells] = _point_fields(scenario, ctxs, xs[cells - iy * nx], tile_ys[iy],
-                                                objective=False)[1]
+            grid.ravel()[cells] = _fast_count(scenario, ctxs, xs[cells - iy * nx], tile_ys[iy])
         grids = (grid, np.where(members, grid, -np.inf)) if optima else (grid,)
         return n_allowed, int(np.count_nonzero(members)), r1, grids
 
@@ -556,9 +650,26 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
             del grids       # the call alone holds the tile while the next one runs
 
     def maxima(n_allowed, n_members, g0, grids, d0, d1):
-        """The disc-local maxima in rows d0:d1 of each grid, the last one's
-        with their fields; ``grids`` hold the rows from g0 on that their discs reach."""
-        found = [_disc_local_maxima(np.concatenate(g), d0 - g0, d1 - g0, halo) for g in grids]
+        """The disc-local maxima of the float64 count in rows d0:d1 of each
+        fast grid, the last one's with their fields; ``grids`` hold the rows
+        from g0 on that their discs reach."""
+        known, counts = np.empty(0, np.intp), np.empty(0, np.float32)
+
+        def exact(cells):
+            """The float32 of _point_fields' count at flat indices of the
+            grids, each cell evaluated once per tile."""
+            nonlocal known, counts
+            new = np.sort(cells[~np.isin(cells, known)])
+            new = new[np.diff(new, prepend=-1) > 0]
+            if new.size:
+                known = np.concatenate((known, new))
+                counts = np.concatenate((counts, point_fields(g0 * nx + new, False)[0]
+                                         .astype(np.float32)))
+                order = np.argsort(known)
+                known, counts = known[order], counts[order]
+            return counts[np.searchsorted(known, cells)]
+
+        found = [_disc_local_maxima(g, d0 - g0, d1 - g0, halo, exact, margin) for g in grids]
         idx = g0 * nx + found[-1]
         return n_allowed, n_members, found[0].size if optima else 0, idx, *point_fields(idx)
 
@@ -578,7 +689,7 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
 
 
 def _candidate_labels(ctxs: list[_ArrayContext], lobes: LobeSets,
-                      px: np.ndarray, py: np.ndarray) -> list[str]:
+                      px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Per position: the first array whose main lobe holds it, else the first
     pair of arrays whose first sidelobes both hold it, else "other"."""
     main, side = zip(*(_in_bands(al, _point_geometry(ctx, px, py)[1])
@@ -590,7 +701,7 @@ def _candidate_labels(ctxs: list[_ArrayContext], lobes: LobeSets,
         labels[side[i] & side[j]] = f"sidelobes:{ctxs[i].rrh_id}+{ctxs[j].rrh_id}"
     for ctx, in_main in reversed(list(zip(ctxs, main))):
         labels[in_main] = f"main:{ctx.rrh_id}"
-    return labels.tolist()
+    return labels
 
 
 def truncated_search(scenario: Scenario, threads: int = 1,
@@ -638,11 +749,14 @@ def truncated_search(scenario: Scenario, threads: int = 1,
     xs_c, ys_c = xs[idx % nx], ys[idx // nx]
     p_md = mdp_optimal_pma_batch(make_authenticator(scenario), scenario,
                                  np.column_stack((xs_c, ys_c)))
-    labels = _candidate_labels(ctxs, lobes, xs_c, ys_c)
+    columns = (xs_c, ys_c, fobj, fss, p_md, _candidate_labels(ctxs, lobes, xs_c, ys_c))
+    order = np.lexsort((idx % nx, idx // nx, -p_md))     # p_md descending, row-major ties
+    # from .tolist() columns, _CHUNK_CELLS rows at a time so that the lists stay short
     candidates = tuple(
-        CandidatePosition((float(xs_c[k]), float(ys_c[k])), float(fobj[k]), float(fss[k]),
-                          float(p_md[k]), labels[k])
-        for k in np.lexsort((idx % nx, idx // nx, -p_md)))     # p_md descending, row-major ties
+        CandidatePosition((x, y), fo, fs, p, label)
+        for c in range(0, order.size, _CHUNK_CELLS)
+        for x, y, fo, fs, p, label in zip(*(column[order[c:c + _CHUNK_CELLS]].tolist()
+                                            for column in columns)))
     return SearchResult(candidates, candidates[0].p_md, xs.size * ys.size, n_allowed, n_lobe,
                         len(candidates), n_survivors, n_optima if count_optima else None)
 

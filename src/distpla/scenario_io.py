@@ -32,6 +32,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    """math.isfinite of a JSON number; False for an integer beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from parsed JSON, raising ScenarioError on problems."""
     problems: list[str] = []
@@ -57,8 +65,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         if value is default:
             return default
         wanted = ("a number" if not _is_number(value)
-                  else "a whole number" if whole and not float(value).is_integer()
-                  else "finite" if not math.isfinite(value) else None)
+                  else "a whole number" if whole and not (isinstance(value, int)
+                                                          or value.is_integer())
+                  else "finite" if not _finite(value) else None)
         if wanted:
             problems.append(f"{where}{key} must be {wanted}, got {value!r}")
             return default
@@ -67,7 +76,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     def position(raw, who, default=None):
         pos = raw.get("position_m", default)
         if not (isinstance(pos, (list, tuple)) and len(pos) == 2
-                and all(_is_number(v) and math.isfinite(v) for v in pos)):
+                and all(_is_number(v) and _finite(v) for v in pos)):
             problems.append(f"{who}.position_m must be [x, y], got {pos!r}")
             return (0.0, 0.0)
         return (float(pos[0]), float(pos[1]))
@@ -88,7 +97,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     if (data.get("rice_factor_db") is None) == (data.get("rice_factor") is None):
         problems.append("exactly one of rice_factor_db / rice_factor is required")
     rice_db = number(data, "rice_factor_db", None)
-    rice = 10.0 ** (rice_db / 10.0) if rice_db is not None else number(data, "rice_factor", 1.0)
+    try:
+        rice = 10.0 ** (rice_db / 10.0) if rice_db is not None else number(data, "rice_factor", 1.0)
+    except OverflowError:
+        problems.append(f"rice_factor_db must give a finite linear factor, got {rice_db!r}")
 
     corr_raw = typed(data.get("correlation", {}), "correlation")
     model = corr_raw.get("model", "identity")

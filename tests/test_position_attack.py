@@ -17,6 +17,8 @@ from distpla.position_attack import (ArrayLobes, EmptyRegionError, LobeBand,
                                      _band_masks, _disc_local_maxima, _in_bands,
                                      _point_geometry, grid_axes)
 
+from distpla.cli import main
+
 from conftest import (angular_inner_product, build_scenario, count_oracle, point_fields,
                       random_geometry, sample_channel)
 
@@ -386,8 +388,9 @@ class TestSearches:
             sys.setswitchinterval(interval)
 
     def test_halo_covers_the_whole_disc(self, monkeypatch):
-        """The fields replace the small-scale count that the disc filter reads.
-        On noise every disc offset decides some cell's maximum, so deciding
+        """The fields replace the small-scale count, both the fast one that
+        the disc filter reads and the float64 one that decides.  On noise
+        every disc offset decides some cell's maximum, so deciding
         a row while the tile holds one row short of the 6-cell radius below
         it changes the count; on the second field (every sixth row set,
         falling with y) each set cell is beaten only by the set cell six rows
@@ -401,6 +404,8 @@ class TestSearches:
                                               2.0 - 1e-3 * py, 0.0)):
             monkeypatch.setattr(pa, "_point_fields", lambda scenario, ctxs, px, py, objective=True:
                                 (px if objective else None, field(px, py)))
+            monkeypatch.setattr(pa, "_fast_count", lambda scenario, ctxs, px, py:
+                                field(px, py).astype(np.float32))
             monkeypatch.setattr(pa, "_TILE_CELLS", tile)
             whole = count_small_scale_optima(sc)
             for rows in (1, 10):
@@ -445,47 +450,78 @@ class TestSearches:
 
     @pytest.mark.parametrize("tile", [None, 1, 2 * 120, 7 * 120 + 3])
     def test_fields_are_evaluated_once_per_cell(self, monkeypatch, tile):
-        """The walk evaluates each member cell's small-scale count exactly
-        once, halo rows included: alone where the disc filter reads it, with
-        f_obj where every member survives.  A search that also counts the
-        small-scale optima evaluates the count once per allowed cell, not
-        once per lobe cell and again per allowed cell.  f_obj is evaluated
-        only at the filter's survivors, never in the optima count, and no
-        call takes more than _CHUNK_CELLS cells.  The walk starts no more
-        workers than it has tiles."""
+        """The walk evaluates each member cell's fast small-scale count
+        exactly once, halo rows included, and a search that also counts the
+        small-scale optima each allowed cell's, not once per lobe cell and
+        again per allowed cell.  The float64 count is paid once at each cell
+        of R, the settle step's set on the fast grid (the contenders and their
+        near disc cells; under the optima count, of both grids), which holds
+        the survivors and is smaller than the members.  Tiles settle on their
+        own, so where discs on both sides of a seam between two tiles' decided
+        rows reach a cell of R, both tiles pay for it.  f_obj is evaluated
+        only at the filter's survivors, or with the count where every member
+        survives, never in the optima count, and no call takes more than
+        _CHUNK_CELLS cells.  The walk starts no more workers than it has tiles."""
         sc = _search_scenario(small_scale_radius=1.5)
+        _, eps_px, xs, ys = pa.search_grid(sc)
+        margin = pa._fast_count_error(len(sc.rrhs))
         if tile is not None:
             monkeypatch.setattr(pa, "_TILE_CELLS", tile)
         monkeypatch.setattr(pa, "_CHUNK_CELLS", 100)
         calls, workers = [], []
-        point_fields_ = pa._point_fields
+        fast = np.full((ys.size, xs.size), -np.inf, np.float32)
+        point_fields_, fast_count_ = pa._point_fields, pa._fast_count
+
+        def cell_index(px, py):
+            return np.searchsorted(ys, py) * xs.size + np.searchsorted(xs, px)
 
         def counted(scenario, ctxs, px, py, objective=True):
-            calls.append((px.size, objective))
+            calls.append(("f_obj" if objective else "count", cell_index(px, py)))
             return point_fields_(scenario, ctxs, px, py, objective)
 
+        def fast_counted(scenario, ctxs, px, py):
+            idx = cell_index(px, py)
+            calls.append(("fast", idx))
+            fast.ravel()[idx] = out = fast_count_(scenario, ctxs, px, py)
+            return out
+
         monkeypatch.setattr(pa, "_point_fields", counted)
+        monkeypatch.setattr(pa, "_fast_count", fast_counted)
         pool = pa.ThreadPoolExecutor
         monkeypatch.setattr(pa, "ThreadPoolExecutor", lambda n: (workers.append(n), pool(n))[1])
 
         def cells(search, *args):
-            """(small-scale-only cells, f_obj cells) of one search."""
+            """(fast count cells, float64 count cells, f_obj cells) of one search."""
             calls.clear()
+            fast.fill(-np.inf)
             result = search(sc, *args)
-            assert max(n for n, _ in calls) <= 100
-            return result, tuple(sum(n for n, obj in calls if obj == want) for want in (False, True))
+            assert max(idx.size for _, idx in calls) <= 100
+            return result, tuple(sum(idx.size for kind, idx in calls if kind == want)
+                                 for want in ("fast", "count", "f_obj"))
 
+        def settled(*grids):
+            """The float64 count's cells are R of the grids, each once in one tile."""
+            got = np.concatenate([idx for kind, idx in calls if kind == "count"])
+            expected = set().union(*(_settle_set(g, eps_px, margin) for g in grids))
+            assert set(got.tolist()) == expected
+            assert got.size == len(expected) if tile is None else got.size < 2 * len(expected)
+            return len(expected)
+
+        members = pa._lobe_mask(_array_contexts(sc), lobe_sets(sc), xs, ys, pa.search_grid(sc)[0])
         for threads in (1, 3):
             trunc, split = cells(truncated_search, threads)
-            assert split == (trunc.n_lobe_points, trunc.n_survivors)
-            assert trunc.n_survivors < trunc.n_lobe_points
-            counted, split = cells(truncated_search, threads, True)
-            assert split == (counted.n_allowed, counted.n_survivors)
-            assert counted.n_lobe_points < counted.n_allowed
-            assert counted.n_survivors == trunc.n_survivors
+            assert split[::2] == (trunc.n_lobe_points, trunc.n_survivors)
+            assert trunc.n_survivors <= settled(fast) < trunc.n_lobe_points
+            counted_, split = cells(truncated_search, threads, True)
+            assert split[::2] == (counted_.n_allowed, counted_.n_survivors)
+            settled(fast, np.where(members, fast, -np.inf))
+            assert counted_.n_lobe_points < counted_.n_allowed
+            assert counted_.n_survivors == trunc.n_survivors
             full, split = cells(exhaustive_search, threads)
-            assert split == (0, full.n_allowed)
-            assert cells(count_small_scale_optima, threads)[1] == (full.n_allowed, 0)
+            assert split == (0, 0, full.n_allowed)
+            optima, split = cells(count_small_scale_optima, threads)
+            assert split[::2] == (full.n_allowed, 0)
+            assert optima <= settled(fast) < full.n_allowed
         # the 80-row grid is one default tile, and at least 11 of any other size
         assert max(workers) == (1 if tile is None else 3)
 
@@ -517,10 +553,11 @@ class TestSearches:
         """A walk whose one tile is all lobe cells peaks under 1.5 times the
         walk whose lobe cells are a 5 % column band of the same tile.  Per
         lobe cell the walk holds only the tile's float32 count grid: the count
-        is evaluated in chunks gathered from the rows that hold them, and
-        f_obj is paid at the disc filter's survivors.  (The ratio is 1.22; a
-        walk that keeps a flat index of the tile's lobe cells gives 1.60, one
-        that evaluates both fields at every lobe cell at once about 7.)"""
+        is evaluated in chunks gathered from the rows that hold them, the
+        contenders' discs are gathered in chunks, and f_obj is paid at the
+        disc filter's survivors.  (The ratio is 1.30; a walk that keeps a
+        flat index of the tile's lobe cells gives 1.60, one that evaluates
+        both fields at every lobe cell at once about 7.)"""
         sc = _search_scenario(resolution=0.05)
         ctxs = _array_contexts(sc)
         xs, ys = grid_axes(sc, 0.05)
@@ -616,31 +653,95 @@ def _restricted_and_dense_lobe_masks(monkeypatch, sc, res, rows):
 
 
 def _walk_counts(sc, monkeypatch):
-    """The walk's float32 small-scale count of every cell of the search grid,
+    """The walk's fast small-scale count of every cell of the search grid,
     row-major, as the disc filter reads it: -inf off the allowed cells."""
     decided, maxima = [], pa._disc_local_maxima
 
-    def record(grid, r0, r1, eps_px):
-        decided.append(grid[r0:r1])
-        return maxima(grid, r0, r1, eps_px)
+    def record(grid, r0, r1, *args):
+        decided.append(np.vstack(grid)[r0:r1])
+        return maxima(grid, r0, r1, *args)
 
     monkeypatch.setattr(pa, "_disc_local_maxima", record)
     count_small_scale_optima(sc)
     return np.concatenate(decided[::2]).ravel()     # a tile's full grid, then its members'
 
 
+def _disc_maxima(count, eps_px):
+    """Flat indices of the cells of ``count`` (-inf off the members) that are
+    >= every cell of their disc of radius ``eps_px``, offset by offset."""
+    e, (ny, nx) = eps_px, count.shape
+    padded = np.pad(count, e, constant_values=-np.inf)
+    is_max = count != -np.inf
+    for dy in range(-e, e + 1):
+        for dx in range(-e, e + 1):
+            if dy * dy + dx * dx <= e * e:
+                is_max &= count >= padded[e + dy:e + dy + ny, e + dx:e + dx + nx]
+    return np.flatnonzero(is_max)
+
+
+def _settle_set(fast, eps_px, margin):
+    """R of _disc_local_maxima's settle step on a whole fast-count grid
+    (-inf off the members), as a set of flat indices: the contenders, members
+    within 2e of their disc's maximum, and each contender's disc cells above
+    its count less 2e, offset by offset."""
+    e, (ny, nx) = eps_px, fast.shape
+    padded = np.pad(fast, e, constant_values=-np.inf)
+    offsets = [(dy, dx) for dy in range(-e, e + 1) for dx in range(-e, e + 1)
+               if dy * dy + dx * dx <= e * e]
+    disc = np.max([padded[e + dy:e + dy + ny, e + dx:e + dx + nx] for dy, dx in offsets], axis=0)
+    contenders = (fast != -np.inf) & (fast >= disc - 2.0 * margin)
+    found = set()
+    for dy, dx in offsets:
+        near = contenders & (padded[e + dy:e + dy + ny, e + dx:e + dx + nx] > fast - 2.0 * margin)
+        iy, ix = np.nonzero(near)
+        found.update(((iy + dy) * nx + ix + dx).tolist())
+    return found
+
+
+def _walk_maxima(sc, threads):
+    """(survivor flat indices, number of optima) of the search's walk."""
+    res, eps_px, xs, ys = pa.search_grid(sc)
+    ctxs, lobes = _array_contexts(sc), lobe_sets(sc)
+    tiles = list(pa._walk_grid(sc, ctxs, xs, ys, eps_px,
+                               lambda tile_ys: pa._lobe_mask(ctxs, lobes, xs, tile_ys, res),
+                               threads, optima=True))
+    return np.concatenate([t[3] for t in tiles]), sum(t[2] for t in tiles)
+
+
 class TestCountOracle:
-    """The walk's sign-only count on centres gathered from the grid axes
-    equals the full Dirichlet kernel on centres x_min + (idx % nx + 0.5) res
-    (conftest's count_oracle) bit for bit, on every allowed cell."""
+    """conftest's count_oracle is the full Dirichlet kernel on centres
+    x_min + (idx % nx + 0.5) res.  On every allowed cell, the float64 count
+    that decides the disc maxima (_point_fields on the grid axes' centres)
+    equals it bit for bit, and the walk's float32 filter grid is _fast_count
+    on those centres, within e/16 of it.  The walk's survivors and optima,
+    in tiles of 7 rows on one and on three threads, are the disc maxima of
+    the oracle's float32 grid, over the lobe cells and over the allowed cells."""
 
     @staticmethod
     def check(sc, monkeypatch):
         counts = _walk_counts(sc, monkeypatch)
         xs, ys = grid_axes(sc, sc.search.grid_resolution)
-        assert np.array_equal(counts != -np.inf, _allowed_mask(sc, xs, ys).ravel())
-        idx = np.flatnonzero(counts != -np.inf)
-        assert np.array_equal(counts[idx].view(np.uint32), count_oracle(sc, idx).view(np.uint32))
+        allowed = _allowed_mask(sc, xs, ys)
+        assert np.array_equal(counts != -np.inf, allowed.ravel())
+        idx = np.flatnonzero(allowed)
+        ctxs, px, py = _array_contexts(sc), xs[idx % xs.size], ys[idx // xs.size]
+        oracle = count_oracle(sc, idx)
+        exact = pa._point_fields(sc, ctxs, px, py, objective=False)[1].astype(np.float32)
+        assert np.array_equal(exact.view(np.uint32), oracle.view(np.uint32))
+        fast = pa._fast_count(sc, ctxs, px, py)
+        assert np.array_equal(counts[idx].view(np.uint32), fast.view(np.uint32))
+        assert np.max(np.abs(fast.astype(float) - oracle)) <= pa._fast_count_error(len(ctxs)) / 16
+
+        grid = np.full(allowed.shape, -np.inf, np.float32)
+        grid.ravel()[idx] = oracle
+        res, eps_px = pa.search_grid(sc)[:2]
+        monkeypatch.setattr(pa, "_TILE_CELLS", 7 * xs.size + 3)
+        members = pa._lobe_mask(ctxs, lobe_sets(sc), xs, ys, res)
+        walks = [_walk_maxima(sc, threads) for threads in (1, 3)]
+        survivors = _disc_maxima(np.where(members, grid, -np.inf), eps_px)
+        optima = _disc_maxima(grid, eps_px).size
+        for got in walks:
+            assert got[0].tolist() == survivors.tolist() and got[1] == optima
 
     def test_random_deployments(self, monkeypatch):
         for seed in range(6):
@@ -653,6 +754,8 @@ class TestCountOracle:
     @pytest.mark.parametrize("alice, axis, offset", [((30.125, 10.125), (0.0, 1.0), 0.0),
                                                       ((4.125, 10.125), (1.0, 0.0), 2.0)],
                              ids=["bearing", "endfire"])
+    # the band masks of the array's own cell, which the exclusion drops, divide by zero
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
     def test_pole_cells(self, monkeypatch, alice, axis, offset):
         """A grid row through the array's own row of cells holds cells at the
         offset x = 0 from Alice's bearing (broadside) or at x = 2 with s = 1/2
@@ -679,6 +782,54 @@ class TestCountOracle:
         x = _point_geometry(ctx, xs[None, :], ys[:, None])[1] - ctx.omega_a
         assert np.count_nonzero(np.abs(0.75 * x) > 1.0) > 1000
         self.check(sc, monkeypatch)
+
+    def test_cells_on_a_null_take_the_float64_sign(self):
+        """Along an array's axis omega is exactly ±1, so with omega_A = 1/2
+        the cells on the far side sit at x = 1/2, where s n x = 1 is a null of
+        sin(pi s n x): the parity of floor(s n x) says g < 0, while the float64
+        route's sine of the rounded pi says g > 0.  The fast count takes the
+        float64 sign there and stays within e/16 of _point_fields' count."""
+        sc = build_scenario([("axis", (10.0, 10.0), 4), ("far", (35.0, 2.0), 4)],
+                            search=SearchConfig(0.25, small_scale_radius=0.75))
+        ctxs = _array_contexts(sc)
+        ctxs[0] = replace(ctxs[0], omega_a=0.5)
+        px, py = 10.0 + np.arange(1, 200) * 0.25, np.full(199, 10.0)
+        assert np.all(_point_geometry(ctxs[0], px, py)[1] - 0.5 == 0.5)
+        exact = pa._point_fields(sc, ctxs, px, py, objective=False)[1].astype(np.float32)
+        fast = pa._fast_count(sc, ctxs, px, py)
+        assert np.max(np.abs(fast.astype(float) - exact)) <= pa._fast_count_error(2) / 16
+
+
+def test_float32_cos_and_sin_err_by_under_two_ulp():
+    """_fast_count's bound takes numpy's float32 cos and sin within 2 ulp on
+    [-pi, pi]; checked on every 4,099th float32 there."""
+    x = np.arange(0, int(np.float32(np.pi).view(np.uint32)) + 1, 4099, dtype=np.uint32)
+    x = np.concatenate((x.view(np.float32), -x.view(np.float32)))
+    for fun in (np.cos, np.sin):
+        exact = fun(x.astype(float))
+        ulp = np.spacing(np.abs(exact).astype(np.float32)).astype(float)
+        assert np.max(np.abs(fun(x) - exact) / ulp) < 2.0, fun
+
+
+def test_filter_noise_within_half_the_margin_changes_nothing(monkeypatch, tmp_path, capsys):
+    """The fast count may be off by e in either direction: with seeded
+    noise in [-e/2, e/2] added to it, the survivors, the optima, every
+    candidate and the bytes of ``optimize --out`` stay the same."""
+    sc = _search_scenario(small_scale_radius=1.5)
+    margin, fast_count = pa._fast_count_error(2), pa._fast_count
+    reference = [truncated_search(sc, 2, True), _walk_maxima(sc, 2)[0].tolist()]
+    main(["optimize", "--scenario", str(SCENARIOS / "desk_2rrh.json"),
+          "--out", str(tmp_path / "reference.json")])
+    rng = np.random.default_rng(21)
+    monkeypatch.setattr(pa, "_fast_count", lambda scenario, ctxs, px, py: (
+        fast_count(scenario, ctxs, px, py) + rng.uniform(-margin / 2, margin / 2, px.size)
+    ).astype(np.float32))
+    noisy = [truncated_search(sc, 2, True), _walk_maxima(sc, 2)[0].tolist()]
+    assert noisy == reference
+    main(["optimize", "--scenario", str(SCENARIOS / "desk_2rrh.json"),
+          "--out", str(tmp_path / "noisy.json")])
+    capsys.readouterr()
+    assert (tmp_path / "noisy.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
 
 class TestRestrictedBandMasks:

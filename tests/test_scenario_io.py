@@ -295,3 +295,29 @@ def test_non_finite_numbers_are_refused(tmp_path, capsys, name, bad):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "ScenarioError", "message": problem}
+
+
+@pytest.mark.parametrize("path, name, bad", [
+    (("eve", "tx_power"), "eve.tx_power", 10 ** 400),
+    (("rrhs", 0, "num_antennas"), "rrhs[0].num_antennas", 10 ** 400),
+    (("region_m", "x_max"), "region_m.x_max", -10 ** 400),
+    (("alice", "position_m"), "alice.position_m", [10 ** 400, 12.0]),
+    (("rice_factor_db",), "rice_factor_db", 4000),
+], ids=["tx_power", "num_antennas", "region", "position", "rice_factor_db"])
+def test_numbers_beyond_the_float_range_are_refused(tmp_path, capsys, path, name, bad):
+    """A JSON integer too large for a float, or a Rice factor in dB whose
+    linear value overflows, is a problem named by its key, and every command
+    exits 2 on such a file, not on an unnamed OverflowError."""
+    problem = (f"{name} must be [x, y], got {bad!r}" if name.endswith("position_m")
+               else f"{name} must give a finite linear factor, got {float(bad)!r}"
+               if name == "rice_factor_db" else f"{name} must be finite, got {bad!r}")
+    scenario = tmp_path / "overflow.json"
+    scenario.write_text(json.dumps(_desk_with((path, bad))))
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(scenario)
+    assert info.value.problems == [problem]
+    for command in ("threshold", "optimize"):
+        assert main([command, "--scenario", str(scenario)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ScenarioError", "message": problem}
