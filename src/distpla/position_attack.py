@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .authenticator import Authenticator, make_authenticator, whiten
-from .geometry import Scenario, steering_vector, wavelength
+from .geometry import Scenario, wavelength
 from .numerics import bounded_minimum, bracketed_root_find
 from .power_attack import mdp_optimal_pma_batch
 
@@ -73,32 +73,28 @@ class _ArrayContext:
     spacing: float
     dist_a: float
     omega_a: float
-    corr_inv: np.ndarray | None     # None means identity correlation
-    w_a: np.ndarray                 # Lambda^{-1} e(Omega_A)
-    peak: float                     # g at zero angular offset (= S_AA, real > 0)
+    rho: float                      # exponential correlation coefficient, 0 for identity
+
+    @property
+    def peak(self) -> float:        # g at zero angular offset, S_AA > 0
+        return float(_s_ee(self, self.omega_a))
 
 
 def _array_contexts(scenario: Scenario) -> list[_ArrayContext]:
+    rho = 0.0 if scenario.correlation.kind == "identity" else float(scenario.correlation.rho)
     ctxs = []
     for rrh in scenario.rrhs:
         delta = np.asarray(scenario.alice.position, float) - np.asarray(rrh.position, float)
         dist = float(np.hypot(*delta))
         omega_a = float(delta @ np.asarray(rrh.array_axis, float) / dist)
-        e_a = steering_vector(omega_a, rrh.num_antennas, scenario.antenna_spacing)
-        corr_inv, w_a, peak = None, e_a, float(rrh.num_antennas)
-        if scenario.correlation.kind != "identity":
-            corr_inv = np.linalg.inv(scenario.correlation.matrix(rrh.num_antennas))
-            w_a = corr_inv @ e_a
-            peak = float((e_a.conj() @ w_a).real)
         ctxs.append(_ArrayContext(rrh.id, np.asarray(rrh.position, float),
                                   np.asarray(rrh.array_axis, float), rrh.num_antennas,
-                                  scenario.antenna_spacing, dist, omega_a, corr_inv, w_a, peak))
+                                  scenario.antenna_spacing, dist, omega_a, rho))
     return ctxs
 
 
 def _dirichlet(x: np.ndarray, n: int, spacing: float) -> np.ndarray:
     """sin(pi s n x) / sin(pi s x) with the n cos(...)/cos(...) limit at poles."""
-    x = np.asarray(x, float)
     den = np.sin(np.pi * spacing * x)
     num = np.sin(np.pi * spacing * n * x)
     tiny = np.abs(den) < 1e-9
@@ -111,29 +107,32 @@ def _dirichlet(x: np.ndarray, n: int, spacing: float) -> np.ndarray:
 
 def _angular_g(ctx: _ArrayContext, omega_e: np.ndarray) -> np.ndarray:
     """Real angular kernel g with e(Omega_E)^H Lambda^{-1} e(Omega_A) =
-    exp(j pi (n-1) s (Omega_E - Omega_A)) g."""
-    d_omega = np.asarray(omega_e, float) - ctx.omega_a
-    if ctx.corr_inv is None:
-        return _dirichlet(d_omega, ctx.n, ctx.spacing)
-    e_mat = steering_vector(np.asarray(omega_e, float), ctx.n, ctx.spacing)
-    s_ea = e_mat.conj() @ ctx.w_a
-    g = s_ea * np.exp(-1j * np.pi * (ctx.n - 1) * ctx.spacing * d_omega)
-    # the residual is judged against the lobe peak, not the pointwise |g|,
-    # which vanishes at nulls and would turn roundoff into a false alarm
-    if float(np.max(np.abs(g.imag), initial=0.0)) > 1e-9 * ctx.peak:
-        raise ValueError("angular inner product is not phase-separable; "
-                         "unexpected correlation structure")
-    return g.real
+    exp(j pi (n-1) s x) g, x = Omega_E - Omega_A, e_k(Omega) = exp(-j 2 pi s Omega k):
+      (1 - rho^2) g = (1 + rho^2) D_n(x) - 2 rho^2 cos(pi s (n-1) x)
+                      - 2 rho D_{n-1}(x) cos(pi s (Omega_E + Omega_A)),
+    D_m = _dirichlet(., m, s).  g is real because (1 - rho^2) Lambda^{-1} (1, 1 + rho^2,
+    ..., 1 + rho^2, 1 on the diagonal, -rho beside it) is real with entry (k, l) equal
+    to entry (n-1-k, n-1-l), and past that factor their two terms are conjugates."""
+    x = omega_e - ctx.omega_a
+    g = _dirichlet(x, ctx.n, ctx.spacing)
+    if not ctx.rho:
+        return g
+    r, s, n = ctx.rho, ctx.spacing, ctx.n
+    return ((1.0 + r * r) * g - 2.0 * r * r * np.cos(np.pi * s * (n - 1) * x)
+            - 2.0 * r * _dirichlet(x, n - 1, s) * np.cos(np.pi * s * (omega_e + ctx.omega_a))
+            ) / ((1.0 - r) * (1.0 + r))
 
 
 def _s_ee(ctx: _ArrayContext, omega_e: np.ndarray) -> np.ndarray | float:
-    """e(Omega_E)^H Lambda^{-1} e(Omega_E), a positive real per point (n for identity)."""
-    if ctx.corr_inv is None:
+    """S_EE = e(Omega_E)^H Lambda^{-1} e(Omega_E) > 0: _angular_g's form at Omega_A = Omega_E."""
+    if not ctx.rho:
         return float(ctx.n)
-    e_mat = steering_vector(np.asarray(omega_e, float), ctx.n, ctx.spacing)
-    return np.einsum("ij,jk,ik->i", e_mat.conj(), ctx.corr_inv, e_mat).real
+    r, n = ctx.rho, ctx.n
+    return ((n + (n - 2) * r * r - 2.0 * r * (n - 1) * np.cos(2.0 * np.pi * ctx.spacing * omega_e))
+            / ((1.0 - r) * (1.0 + r)))
 
 
+@np.errstate(invalid="ignore")      # 0/0 at the array itself, an excluded cell
 def _point_geometry(ctx: _ArrayContext, px: np.ndarray, py: np.ndarray):
     dx = px - ctx.position[0]
     dy = py - ctx.position[1]
@@ -220,7 +219,7 @@ def _fast_count(scenario: Scenario, ctxs: list[_ArrayContext], px: np.ndarray,
         dy *= ctx.axis[1]
         dx += dy
         omega = np.divide(dx, dist, out=dx)
-        if ctx.corr_inv is None:
+        if not ctx.rho:
             x = np.subtract(omega, ctx.omega_a, out=omega)
             y = np.multiply(x, ctx.spacing * ctx.n, out=dy)
             half = np.floor(y)                  # (sign(g) - 1) / 2, modulo 2
@@ -339,16 +338,15 @@ def lobe_sets(scenario: Scenario) -> LobeSets:
     per = []
     for ctx in _array_contexts(scenario):
         step = 1.0 / (32.0 * ctx.n * ctx.spacing)
-        peak0 = abs(float(_angular_g(ctx, np.array([ctx.omega_a]))[0]))
         main_ends, sides = [], []
         for sign in (1.0, -1.0):
             g = lambda x: _angular_g(ctx, ctx.omega_a + sign * x)
-            edge, side = _one_side_bands(g, 1.0 - sign * ctx.omega_a, step, peak0, g0)
+            edge, side = _one_side_bands(g, 1.0 - sign * ctx.omega_a, step, ctx.peak, g0)
             main_ends.append(ctx.omega_a + sign * edge)
             if side is not None:
                 lo, hi, peak = side
                 sides.append(_clipped_band(ctx.omega_a + sign * lo, ctx.omega_a + sign * hi, peak))
-        per.append(ArrayLobes(ctx.rrh_id, ctx.omega_a, _clipped_band(*main_ends, peak0),
+        per.append(ArrayLobes(ctx.rrh_id, ctx.omega_a, _clipped_band(*main_ends, ctx.peak),
                               tuple(sides)))
     return LobeSets(g0, tuple(per))
 
@@ -434,6 +432,7 @@ def _lobe_union(main, side) -> np.ndarray:
     return mask
 
 
+@np.errstate(invalid="ignore")      # 0/0 at the array itself, an excluded cell
 def _band_masks(ctx: _ArrayContext, lobes: ArrayLobes, xs: np.ndarray,
                 ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_in_bands over the ys × xs grid, decided in float32 like _allowed_mask, on glibc

@@ -68,7 +68,7 @@ def count_oracle(scenario, idx):
     for ctx in _array_contexts(scenario):
         dist, omega = _point_geometry(ctx, px, py)
         x, s, n = omega - ctx.omega_a, ctx.spacing, ctx.n
-        if ctx.corr_inv is None:
+        if not ctx.rho:
             den = np.sin(np.pi * s * x)
             num = np.sin(np.pi * s * n * x)
             tiny = np.abs(den) < 1e-9

@@ -47,6 +47,14 @@ def solo_file(tmp_path_factory):
     return str(p)
 
 
+def package_env():
+    """os.environ with this checkout's package first on PYTHONPATH, for subprocesses."""
+    env = dict(os.environ)
+    src = str(Path(distpla.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -234,9 +242,7 @@ def test_cli_import_skips_unused_scipy(tmp_path):
     multi-array desk_2rrh: threshold, mdp (saddle point and Monte-Carlo), roc,
     validate, heatmap, delay (bounded minimization), optimize and compare
     (lobe bands, disc filter)."""
-    env = dict(os.environ)
-    src = str(Path(distpla.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = package_env()
 
     def loaded(*commands):
         probe = ("import sys, distpla.cli\n"
@@ -360,6 +366,21 @@ class TestOptimize:
         value = data["p_md_opt"]
         assert out.strip() == f"p_MD^(Opt. Position) = {value!r}"
         assert not list(tmp_path.glob("*.tmp"))
+
+
+    def test_an_array_on_a_cell_centre_leaves_stderr_empty(self, tmp_path):
+        """An array at a cell centre makes its own cell's angular sine 0/0 in
+        the lobe columns and band masks, on the walk's pool threads; that cell
+        is excluded, and the run prints nothing on stderr."""
+        data = json.loads(Path(DESK).read_text())
+        data["search"] = {"grid_resolution_m": 0.25}
+        data["rrhs"][0]["position_m"] = [4.125, 4.125]
+        path = tmp_path / "desk_pole.json"
+        path.write_text(json.dumps(data))
+        done = subprocess.run([sys.executable, "-m", "distpla.cli", "optimize", "--scenario",
+                               str(path), "--out", str(tmp_path / "opt.json")],
+                              env=package_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == ""
 
 
 class TestCompare:

@@ -93,6 +93,29 @@ class TestAngularInnerProduct:
             # the deterministic phase factor carries all of the argument
             assert abs(s_val) == pytest.approx(abs(g), rel=1e-9)
 
+    def test_closed_forms_match_the_dense_products(self, single_scenario):
+        """_angular_g and _s_ee against the dense e(Omega)^H Lambda^{-1} e(Omega_A)
+        on 400 seeded draws: n in 2..16, rho in [0, 0.95], s in {1/4, 1/2, 3/4, 1},
+        Omega_A and Omega over [-1, 1], endfire ±1 and Omega = Omega_A (the pole
+        branch of D_n and D_{n-1}) among them.  The bounds are the largest errors
+        measured: 4.1e-13 of the lobe peak for g, where sin(pi s x) nears a pole
+        at s x = ±1 as in the identity kernel, and 1.1e-14 relative for S_EE."""
+        base = _array_contexts(single_scenario)[0]
+        rng = np.random.default_rng(22)
+        err_g = err_s = 0.0
+        for _ in range(400):
+            n, rho = int(rng.integers(2, 17)), float(rng.uniform(0.0, 0.95))
+            spacing = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
+            omega_a = float(rng.choice([-1.0, 1.0]) if rng.random() < 0.1 else rng.uniform(-1, 1))
+            ctx = replace(base, n=n, spacing=spacing, omega_a=omega_a, rho=rho)
+            omegas = np.concatenate((rng.uniform(-1.0, 1.0, 8), [-1.0, 1.0, omega_a]))
+            corr = Correlation("exponential", rho)
+            dense = [angular_inner_product(om, omega_a, n, spacing, corr)[1] for om in omegas]
+            s_ee = [angular_inner_product(om, om, n, spacing, corr)[0].real for om in omegas]
+            err_g = max(err_g, np.max(np.abs(pa._angular_g(ctx, omegas) - dense)) / ctx.peak)
+            err_s = max(err_s, np.max(np.abs(pa._s_ee(ctx, omegas) / s_ee - 1.0)))
+        assert err_g <= 4.1e-13 and err_s <= 1.1e-14
+
     def test_phase_separation_sign(self):
         # g keeps its sign through zero crossings instead of folding to |g|
         n, s = 4, 0.5
@@ -306,6 +329,13 @@ class TestSearches:
         assert trunc.p_md_opt >= 0.99 * full.p_md_opt
         assert trunc.n_lobe_points < full.n_allowed
         assert full.n_survivors == full.n_allowed and full.n_evaluated == 1
+
+    def test_exponential_rho_zero_is_the_identity_search(self):
+        """rho = 0 takes the identity route, as in make_authenticator: the same
+        SearchResult, bit for bit (repr round-trips every float)."""
+        sc = _search_scenario(small_scale_radius=1.5)
+        zero = replace(sc, correlation=Correlation("exponential", 0.0))
+        assert repr(truncated_search(zero, 2, True)) == repr(truncated_search(sc, 2, True))
 
     def test_candidates_match_scalar_evaluation(self):
         """Every batched candidate p_md equals the per-position scalar route."""
@@ -754,8 +784,6 @@ class TestCountOracle:
     @pytest.mark.parametrize("alice, axis, offset", [((30.125, 10.125), (0.0, 1.0), 0.0),
                                                       ((4.125, 10.125), (1.0, 0.0), 2.0)],
                              ids=["bearing", "endfire"])
-    # the band masks of the array's own cell, which the exclusion drops, divide by zero
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
     def test_pole_cells(self, monkeypatch, alice, axis, offset):
         """A grid row through the array's own row of cells holds cells at the
         offset x = 0 from Alice's bearing (broadside) or at x = 2 with s = 1/2
@@ -768,8 +796,7 @@ class TestCountOracle:
         ctx = _array_contexts(sc)[0]
         xs, ys = grid_axes(sc, 0.25)
         row = _allowed_mask(sc, xs, ys[40:41])[0]
-        with np.errstate(invalid="ignore"):     # the array's own cell, excluded
-            x = _point_geometry(ctx, xs, ys[40])[1] - ctx.omega_a
+        x = _point_geometry(ctx, xs, ys[40])[1] - ctx.omega_a
         assert np.count_nonzero(row & (x == offset)) > 50
         self.check(sc, monkeypatch)
 
