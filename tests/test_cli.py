@@ -237,11 +237,12 @@ class TestSweepBatching:
                                    "message": "no interior saddle point on either side"}
 
 
-def test_cli_import_skips_unused_scipy(tmp_path):
+def test_cli_import_skips_unused_scipy(tmp_path, solo_file):
     """Start-up loads no scipy module, and neither does any command on the
     multi-array desk_2rrh: threshold, mdp (saddle point and Monte-Carlo), roc,
     validate, heatmap, delay (bounded minimization), optimize and compare
-    (lobe bands, disc filter)."""
+    (lobe bands, disc filter); nor, on a single array, the closed-form
+    commands optimize, mdp, roc, heatmap and compare."""
     env = package_env()
 
     def loaded(*commands):
@@ -267,6 +268,13 @@ def test_cli_import_skips_unused_scipy(tmp_path):
                    "--out", str(tmp_path / "best.json")],
                   ["compare", *scenario, "--grid", "4.0",
                    "--out", str(tmp_path / "compare.csv")]) == ""
+    solo = ["--scenario", solo_file]
+    assert loaded(["optimize", *solo, "--out", str(tmp_path / "solo_best.json")],
+                  ["mdp", *solo, "--method", "closedform"],
+                  ["roc", *solo, "--points", "4"],
+                  ["heatmap", *solo, "--grid", "4.0", "--out", str(tmp_path / "solo_map.csv")],
+                  ["compare", *solo, "--grid", "4.0",
+                   "--out", str(tmp_path / "solo_compare.csv")]) == ""
 
 
 class TestOneAntenna:

@@ -99,8 +99,9 @@ def test_ncx2_cdf_against_mpmath():
         ncx2_cdf(1.0, 5, 2.0)
 
 
-# The regularized incomplete beta I_q(a, b) = betainc(a, b, q) behind
-# power_attack.dncf_sf, which sums the reflected terms I_{1-q}(b, a).
+# The regularized incomplete beta I_q(a, b) = betainc(a, b, q) behind the
+# beta-sum oracle of dncf_sf in test_power_attack, which sums the reflected
+# terms I_{1-q}(a', b') of the upper tail.
 # q is kept away from the endpoints: rounding 1-q costs ~1e-16 of absolute
 # error that the beta density (unbounded at the edges for shapes < 1)
 # amplifies, which is a float fact rather than a library defect

@@ -9,6 +9,7 @@ from distpla import (ScenarioError, load_scenario, scenario_from_dict,
                      validate_scenario)
 from distpla.cli import main
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 BASE = {
     "carrier_frequency_hz": 2.4e9,
@@ -25,11 +26,9 @@ BASE = {
 
 
 def test_reference_files_load():
-    for name, n_rrh in (("scenarios/reference_3rrh.json", 3),
-                        ("scenarios/reference_1rrh16.json", 1),
-                        ("scenarios/reference_2rrh8.json", 2),
-                        ("scenarios/desk_2rrh.json", 2)):
-        sc = load_scenario(name)
+    for name, n_rrh in (("reference_3rrh.json", 3), ("reference_1rrh16.json", 1),
+                        ("reference_2rrh8.json", 2), ("desk_2rrh.json", 2)):
+        sc = load_scenario(SCENARIOS / name)
         assert len(sc.rrhs) == n_rrh
         assert validate_scenario(sc) == []
 
@@ -181,7 +180,7 @@ def test_rrh_on_alice_rejected():
         scenario_from_dict(bad)
 
 
-DESK = "scenarios/desk_2rrh.json"
+DESK = SCENARIOS / "desk_2rrh.json"
 
 
 def _desk_with(*edits):
