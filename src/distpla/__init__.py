@@ -8,10 +8,10 @@ from .delay_bounds import (ArrivalModel, DelayBound, ServiceModel, ServiceOutage
                            UnstableQueueError, delay_violation_bound,
                            service_outage, simulate_queue_delays, snr_outage,
                            stability_margin)
-from .geometry import (ChannelStatistics, Correlation, Region, RrhConfig,
-                       Scenario, SearchConfig, TransmitterConfig,
-                       alice_statistics, channel_statistics, eve_statistics,
-                       received_power, rice_means, steering_vector, wavelength)
+from .geometry import (ChannelStatistics, Region, RrhConfig, Scenario, SearchConfig,
+                       TransmitterConfig, alice_statistics, channel_statistics,
+                       eve_statistics, received_power, rice_means, steering_vector,
+                       wavelength)
 from .monte_carlo import (BLOCK_SIZE, McEstimate, WhitenedEvent, acceptance_event,
                           best_case_acceptance_event, estimate_probability)
 from .numerics import NumericsError, chi2_cdf, chi2_quantile, chi2_tail

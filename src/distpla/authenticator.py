@@ -10,8 +10,9 @@ chi-square with 2 * (total antennas) degrees of freedom, which pins the
 false-alarm rate/threshold pair in closed form.
 
 Sigma_A is block diagonal with array j's block c_j Lambda, c_j = P_j/(K+1)
-and Lambda the identity or rho^|k-l|, so :func:`whiten` applies the inverse
-of its lower Cholesky factor L elementwise; no N x N factor is built.
+and Lambda = rho^|k-l| (the identity at rho = 0), so :func:`whiten` applies
+the inverse of its lower Cholesky factor L elementwise; no N x N factor is
+built.
 """
 from __future__ import annotations
 
@@ -39,9 +40,8 @@ def pfa_of_threshold(threshold: float, dof: int) -> float:
 class Authenticator:
     """Frozen verifier state: legitimate statistics plus derived factors.
 
-    ``rho`` is the exponential correlation coefficient (0 for the identity)
-    and ``inv_diag`` the diagonal of L^{-1}: 1/sqrt(c_j) on array j's first
-    antenna and 1/(sqrt(c_j) sqrt(1 - rho^2)) on the others.
+    ``inv_diag`` is the diagonal of L^{-1}: 1/sqrt(c_j) on array j's first
+    antenna and 1/(sqrt(c_j) sqrt(1 - rho^2)) on the others, rho = stats.rho.
     ``whitened_mean`` is L^{-1} mu_A, and ``mahalanobis_energy`` is
     M = mu_A^H Sigma_A^{-1} mu_A = ||L^{-1} mu_A||^2; both follow from the rest.
     """
@@ -50,7 +50,6 @@ class Authenticator:
     threshold: float
     false_alarm_target: float
     total_dof: int
-    rho: float
     inv_diag: np.ndarray
     whitened_mean: np.ndarray = field(init=False)
     mahalanobis_energy: float = field(init=False)
@@ -65,33 +64,33 @@ def make_authenticator(scenario: Scenario) -> Authenticator:
     """The verifier of ``scenario``; raises NumericsError unless |rho| < 1."""
     stats = alice_statistics(scenario)
     dof = 2 * stats.dim
-    rho = 0.0 if scenario.correlation.kind == "identity" else float(scenario.correlation.rho)
+    rho = stats.rho
     if not abs(rho) < 1.0:
         raise NumericsError(f"exponential correlation needs |rho| < 1, got {rho}")
-    root = np.sqrt(stats.powers / (scenario.rice_factor + 1.0))     # sqrt(c_j)
+    root = np.sqrt(stats.variances)                                 # sqrt(c_j)
     # sqrt(1 - rho^2), factored to keep its accuracy near |rho| = 1
     inv_diag = np.repeat(1.0 / (root * np.sqrt((1.0 - rho) * (1.0 + rho))), stats.block_sizes)
     inv_diag[[sl.start for sl in stats.block_slices()]] = 1.0 / root
     return Authenticator(stats=stats, threshold=threshold_for_pfa(scenario.false_alarm_target, dof),
                          false_alarm_target=scenario.false_alarm_target, total_dof=dof,
-                         rho=rho, inv_diag=inv_diag)
+                         inv_diag=inv_diag)
 
 
 def whiten(auth: Authenticator, y) -> np.ndarray:
     """x = L^{-1} y for a vector y (N,) or each column of an (N, n) block.
 
-    x_k = y_k / sqrt(c_j) on identity correlation, computed as LAPACK's
-    triangular solve does, y_k times the reciprocal, so with its bits; with
-    exponential correlation x_k = (y_k - rho y_{k-1}) / (sqrt(c_j) sqrt(1 -
-    rho^2)) past array j's first antenna.  Each column is whitened on its own,
-    so its bits do not depend on which columns share its block.
+    x_k = y_k / sqrt(c_j) at rho = 0, computed as LAPACK's triangular solve
+    does, y_k times the reciprocal, so with its bits; otherwise x_k = (y_k -
+    rho y_{k-1}) / (sqrt(c_j) sqrt(1 - rho^2)) past array j's first antenna.
+    Each column is whitened on its own, so its bits do not depend on which
+    columns share its block.
     """
     y = np.asarray(y, complex)
     diag = auth.inv_diag.reshape((-1,) + (1,) * (y.ndim - 1))
-    if auth.rho == 0.0:
+    if auth.stats.rho == 0.0:
         return y * diag
     x = y.copy()
-    x[1:] -= auth.rho * y[:-1]
+    x[1:] -= auth.stats.rho * y[:-1]
     firsts = [sl.start for sl in auth.stats.block_slices()]
     x[firsts] = y[firsts]
     return x * diag

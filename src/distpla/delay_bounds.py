@@ -68,8 +68,7 @@ def _kernel(arrival: ArrivalModel, service: ServiceModel, w: int, s: float) -> f
     return service.mellin(1.0 - s) ** w / (1.0 - rho)
 
 
-def delay_violation_bound(arrival: ArrivalModel, service: ServiceModel, w: int,
-                          s_grid: np.ndarray | None = None) -> DelayBound:
+def delay_violation_bound(arrival: ArrivalModel, service: ServiceModel, w: int) -> DelayBound:
     """Tightest grid-plus-refinement delay violation bound P(W > w).
 
     Scans a log grid of transform parameters, keeps the best stable point,
@@ -79,7 +78,7 @@ def delay_violation_bound(arrival: ArrivalModel, service: ServiceModel, w: int,
     """
     if w < 0:
         raise ValueError("delay must be nonnegative")
-    grid = np.logspace(-3.0, 2.0, 400) if s_grid is None else np.asarray(s_grid, float)
+    grid = np.logspace(-3.0, 2.0, 400)
     vals = np.array([_kernel(arrival, service, w, s) for s in grid])
     if not np.any(np.isfinite(vals)):
         return DelayBound(1.0, math.inf, math.nan, False)
@@ -102,7 +101,13 @@ def stability_margin(arrival: ArrivalModel, service: ServiceModel) -> float:
 # outage probabilities feeding the service model
 
 
-def _outage(mean: np.ndarray, covs: tuple[np.ndarray, ...], rate: float,
+def _array_covs(stats: ChannelStatistics) -> list[np.ndarray]:
+    """Each array's covariance v_j rho^|k-l|, for the spectra the outage needs."""
+    return [(v * stats.rho ** np.abs(k[:, None] - k[None, :])).astype(complex)
+            for v, k in zip(stats.variances, map(np.arange, stats.block_sizes))]
+
+
+def _outage(mean: np.ndarray, covs: list[np.ndarray], rate: float,
             noise_density: float) -> float:
     """P(||h||^2 < (2^rate - 1) N N0) for h ~ CN(mean, block_diag(covs)) of length N.
 
@@ -131,7 +136,7 @@ def _outage(mean: np.ndarray, covs: tuple[np.ndarray, ...], rate: float,
 
 def snr_outage(stats: ChannelStatistics, rate: float, noise_density: float) -> float:
     """P(log2(1 + ||h||^2 / (N_a N0)) < rate) for maximum-ratio combining, evaluated."""
-    return _outage(stats.mean, stats.block_covs, rate, noise_density)
+    return _outage(stats.mean, _array_covs(stats), rate, noise_density)
 
 
 @dataclass(frozen=True)
@@ -162,11 +167,11 @@ def service_outage(auth: Authenticator, rate: float, noise_density: float,
     """
     if mode not in ("centralized_bound", "centralized_exact_if_valid", "local_bound"):
         raise ValueError(f"unknown mode {mode!r}")
-    stats = auth.stats
+    stats, covs = auth.stats, _array_covs(auth.stats)
     p_fa = pfa_of_threshold(auth.threshold, auth.total_dof)
     held = None
     if mode == "centralized_exact_if_valid":
-        lam_min_inv = 1.0 / max(np.linalg.eigvalsh(c)[-1] for c in stats.block_covs)
+        lam_min_inv = 1.0 / max(np.linalg.eigvalsh(c)[-1] for c in covs)
         mu_norm = float(np.linalg.norm(stats.mean))
         lhs = math.sqrt((2.0 ** rate - 1.0) * stats.dim * noise_density)
         rhs = math.sqrt(auth.threshold / (2.0 * lam_min_inv)) - mu_norm
@@ -174,10 +179,10 @@ def service_outage(auth: Authenticator, rate: float, noise_density: float,
         if held:
             return ServiceOutage(p_fa, mode, p_fa, 0.0, True)
     if mode == "local_bound":
-        p_out = math.prod(_outage(stats.mean[sl], (cov,), rate, noise_density)
-                          for sl, cov in zip(stats.block_slices(), stats.block_covs))
+        p_out = math.prod(_outage(stats.mean[sl], [cov], rate, noise_density)
+                          for sl, cov in zip(stats.block_slices(), covs))
     else:
-        p_out = snr_outage(stats, rate, noise_density)
+        p_out = _outage(stats.mean, covs, rate, noise_density)
     return ServiceOutage(min(p_fa + p_out, 1.0), mode, p_fa, p_out, held)
 
 

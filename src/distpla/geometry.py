@@ -4,7 +4,7 @@ A scenario is a set of remote radio heads (RRHs), each a uniform linear
 array, plus transmitter positions on a 2-D floor plan.  Every transmitter
 sees each array through a line-of-sight Rice channel: the mean carries the
 carrier phase and the array steering response, the covariance the diffuse
-part through a per-array antenna correlation.
+part, P_j/(K+1) times the scenario's antenna correlation rho^|k-l|.
 """
 from __future__ import annotations
 
@@ -14,20 +14,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0
-
-
-@dataclass(frozen=True)
-class Correlation:
-    """Receive-antenna correlation: identity or exponential rho^|k-l|."""
-
-    kind: str = "identity"
-    rho: float = 0.0
-
-    def matrix(self, n: int) -> np.ndarray:
-        if self.kind == "identity" or self.rho == 0.0:
-            return np.eye(n)
-        k = np.arange(n)
-        return self.rho ** np.abs(k[:, None] - k[None, :])
 
 
 @dataclass(frozen=True)
@@ -79,7 +65,7 @@ class Scenario:
     antenna_spacing: float = 0.5          # in wavelengths
     path_loss_exponent: float = 2.0
     rice_factor: float = 10.0 ** 0.6      # linear K
-    correlation: Correlation = field(default_factory=Correlation)
+    rho: float = 0.0                      # antenna correlation rho^|k-l|; 0 is none
     false_alarm_target: float = 1e-2
     exclusion_alice: float = 6.0
     exclusion_rrh: float = 3.0
@@ -122,13 +108,14 @@ class ChannelStatistics:
     """First and second moments of one transmitter's channel.
 
     ``mean`` is stacked over all arrays and ``block_slices`` cut it into the
-    per-array means; array j's covariance is ``block_covs[j]`` (the arrays
-    are uncorrelated, so no stacked covariance is kept) and its received
-    power ``powers[j]``.
+    per-array means; array j's received power is ``powers[j]`` and its
+    covariance ``variances[j]`` rho^|k-l| (the arrays are uncorrelated, so
+    no covariance matrix is kept).
     """
 
     mean: np.ndarray
-    block_covs: tuple[np.ndarray, ...]
+    variances: np.ndarray
+    rho: float
     powers: np.ndarray
     block_sizes: tuple[int, ...]
 
@@ -177,15 +164,13 @@ def rice_means(scenario: Scenario, positions, tx_power: float = 1.0):
 def channel_statistics(scenario: Scenario, tx: TransmitterConfig) -> ChannelStatistics:
     """Rice statistics of ``tx`` as seen by every array in the scenario.
 
-    Means and powers come from :func:`rice_means`; the covariance of array
-    j is P_j/(K+1) * correlation matrix.
+    Means and powers come from :func:`rice_means`; array j's diffuse
+    variance is P_j/(K+1).
     """
     mean, powers = (a[0] for a in rice_means(scenario, tx.position, tx.tx_power)[:2])
-    sizes = tuple(rrh.num_antennas for rrh in scenario.rrhs)
-    covs = tuple(((p / (scenario.rice_factor + 1.0))
-                  * scenario.correlation.matrix(n)).astype(complex)
-                 for p, n in zip(powers, sizes))
-    return ChannelStatistics(mean=mean, block_covs=covs, powers=powers, block_sizes=sizes)
+    return ChannelStatistics(mean=mean, variances=powers / (scenario.rice_factor + 1.0),
+                             rho=scenario.rho, powers=powers,
+                             block_sizes=tuple(rrh.num_antennas for rrh in scenario.rrhs))
 
 
 def alice_statistics(scenario: Scenario) -> ChannelStatistics:

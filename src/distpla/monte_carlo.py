@@ -68,8 +68,9 @@ def estimate_probability(event: WhitenedEvent, stats: ChannelStatistics, samples
     ``event`` is a :class:`WhitenedEvent`: its ``decide`` receives an (n, dim)
     block of x = L_A^{-1} h and returns a boolean array of length n, or an
     (n, k) block of k events; then ``value``, ``std_error`` and ``hits`` are
-    length-k arrays.  Each Sigma_j of ``stats`` must be alpha_j Sigma_A,j to
-    1e-12.  Results do not depend on ``threads``.
+    length-k arrays.  ``stats`` must share the authenticator's arrays and
+    rho, with variances alpha_j times its own to 1e-12, so that each Sigma_j
+    is alpha_j Sigma_A,j.  Results do not depend on ``threads``.
     """
     if not isinstance(event, WhitenedEvent):
         raise TypeError(f"estimate_probability needs a WhitenedEvent, got {type(event).__name__}")
@@ -77,9 +78,9 @@ def estimate_probability(event: WhitenedEvent, stats: ChannelStatistics, samples
         raise ValueError(f"samples must be positive, got {samples}")
     auth = event.auth
     alpha = stats.powers / auth.stats.powers
-    if stats.block_sizes != auth.stats.block_sizes or any(
-            np.abs(ce - a * ca).max() > 1e-12 * np.abs(ce).max()
-            for ce, ca, a in zip(stats.block_covs, auth.stats.block_covs, alpha)):
+    if (stats.block_sizes != auth.stats.block_sizes or stats.rho != auth.stats.rho
+            or np.any(np.abs(stats.variances - alpha * auth.stats.variances)
+                      > 1e-12 * stats.variances)):
         raise ValueError("whitened events need block covariances alpha_j Sigma_A,j")
     offset = whiten(auth, stats.mean).view(float)
     # each real coordinate of x is offset + sqrt(alpha_j) z / sqrt(2)

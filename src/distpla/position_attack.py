@@ -73,7 +73,7 @@ class _ArrayContext:
     spacing: float
     dist_a: float
     omega_a: float
-    rho: float                      # exponential correlation coefficient, 0 for identity
+    rho: float                      # the scenario's antenna correlation, 0 for none
 
     @property
     def peak(self) -> float:        # g at zero angular offset, S_AA > 0
@@ -81,7 +81,6 @@ class _ArrayContext:
 
 
 def _array_contexts(scenario: Scenario) -> list[_ArrayContext]:
-    rho = 0.0 if scenario.correlation.kind == "identity" else float(scenario.correlation.rho)
     ctxs = []
     for rrh in scenario.rrhs:
         delta = np.asarray(scenario.alice.position, float) - np.asarray(rrh.position, float)
@@ -89,7 +88,7 @@ def _array_contexts(scenario: Scenario) -> list[_ArrayContext]:
         omega_a = float(delta @ np.asarray(rrh.array_axis, float) / dist)
         ctxs.append(_ArrayContext(rrh.id, np.asarray(rrh.position, float),
                                   np.asarray(rrh.array_axis, float), rrh.num_antennas,
-                                  scenario.antenna_spacing, dist, omega_a, rho))
+                                  scenario.antenna_spacing, dist, omega_a, scenario.rho))
     return ctxs
 
 

@@ -10,8 +10,7 @@ import json
 import math
 from pathlib import Path
 
-from .geometry import (Correlation, Region, RrhConfig, Scenario, SearchConfig,
-                       TransmitterConfig)
+from .geometry import Region, RrhConfig, Scenario, SearchConfig, TransmitterConfig
 
 
 class ScenarioError(ValueError):
@@ -20,6 +19,11 @@ class ScenarioError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+_ROOT_KEYS = ("carrier_frequency_hz", "antenna_spacing_wavelengths", "path_loss_exponent",
+              "rice_factor_db", "rice_factor", "correlation", "false_alarm_target", "region_m",
+              "exclusion_m", "alice", "eve", "rrhs", "search")
 
 
 def _axis_from_degrees(deg: float) -> tuple[float, float]:
@@ -44,18 +48,21 @@ def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from parsed JSON, raising ScenarioError on problems."""
     problems: list[str] = []
 
-    def typed(value, who, kind=dict):
-        """``value`` if it is a JSON object (array for kind=list), else an empty one."""
-        if isinstance(value, kind):
-            return value
-        problems.append(f"{who} must be a JSON {'array' if kind is list else 'object'}, got {value!r}")
-        return kind()
+    def typed(value, who, keys=None):
+        """``value`` if it is a JSON object (an array for keys=None), else an empty
+        one; each key of the object outside ``keys`` is a problem."""
+        kind = list if keys is None else dict
+        if not isinstance(value, kind):
+            problems.append(f"{who} must be a JSON {'array' if kind is list else 'object'}, got {value!r}")
+            return kind()
+        problems.extend(f"unknown key {who}.{key}" for key in value if keys and key not in keys)
+        return value
 
-    def need(key, kind=dict):
+    def need(key, keys=None):
         if key not in data:
             problems.append(f"missing key {key!r}")
-            return kind()
-        return typed(data[key], key, kind)
+            return {} if keys else []
+        return typed(data[key], key, keys)
 
     def number(raw, key, default, where="", whole=False):
         """float(raw[key]) for a finite JSON number (int(raw[key]) for a ``whole`` one),
@@ -82,11 +89,12 @@ def scenario_from_dict(data: dict) -> Scenario:
         return (float(pos[0]), float(pos[1]))
 
     def transmitter(who):
-        raw = need(who)
+        raw = need(who, ("position_m", "tx_power"))
         return TransmitterConfig(position=position(raw, who),
                                  tx_power=number(raw, "tx_power", 1.0, f"{who}."))
 
-    excl = typed(data.get("exclusion_m", {}), "exclusion_m")
+    problems.extend(f"unknown key {key}" for key in data if key not in _ROOT_KEYS)
+    excl = typed(data.get("exclusion_m", {}), "exclusion_m", ("alice", "rrh"))
     fields = dict(carrier_frequency=number(data, "carrier_frequency_hz", 2.4e9),
                   antenna_spacing=number(data, "antenna_spacing_wavelengths", 0.5),
                   path_loss_exponent=number(data, "path_loss_exponent", 2.0),
@@ -102,24 +110,24 @@ def scenario_from_dict(data: dict) -> Scenario:
     except OverflowError:
         problems.append(f"rice_factor_db must give a finite linear factor, got {rice_db!r}")
 
-    corr_raw = typed(data.get("correlation", {}), "correlation")
+    corr_raw = typed(data.get("correlation", {}), "correlation", ("model", "rho"))
     model = corr_raw.get("model", "identity")
     rho = number(corr_raw, "rho", 0.0, "correlation.")
     if model not in ("identity", "exponential"):
         problems.append(f"correlation.model must be identity or exponential, got {model!r}")
-        model = "identity"
-    correlation = Correlation(kind=model, rho=rho)
+    elif model == "identity" and "rho" in corr_raw:
+        problems.append("correlation.rho is allowed only with model exponential")
 
-    reg_raw = need("region_m")
     corners = ("x_min", "x_max", "y_min", "y_max")
+    reg_raw = need("region_m", corners)
     if not all(key in reg_raw for key in corners):
         problems.append("region_m must provide numeric x_min/x_max/y_min/y_max")
     region = Region(*(number(reg_raw, key, 0.0, "region_m.") for key in corners))
 
     rrhs = []
-    for i, raw in enumerate(need("rrhs", list)):
+    for i, raw in enumerate(need("rrhs")):
         who = f"rrhs[{i}]"
-        raw = typed(raw, who)
+        raw = typed(raw, who, ("id", "position_m", "num_antennas", "array_axis_deg"))
         rrhs.append(RrhConfig(
             id=str(raw.get("id", f"rrh{i}")),
             position=position(raw, who, (0.0, 0.0)),
@@ -129,7 +137,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     alice = transmitter("alice")
     eve = transmitter("eve")
 
-    search_raw = typed(data.get("search", {}), "search")
+    search_raw = typed(data.get("search", {}), "search", (
+        "grid_resolution_m", "g0", "small_scale_radius_m", "max_candidates",
+        "include_first_sidelobes"))
     if search_raw.get("include_first_sidelobes", True) is not True:
         problems.append("search.include_first_sidelobes: first-sidelobe pairs are always searched, "
                         f"so it may only be true, got {search_raw['include_first_sidelobes']!r}")
@@ -143,7 +153,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(problems)
 
     scenario = Scenario(rrhs=tuple(rrhs), alice=alice, eve=eve, region=region, rice_factor=rice,
-                        correlation=correlation, search=search, **fields)
+                        rho=rho, search=search, **fields)
     issues = validate_scenario(scenario)
     if issues:
         raise ScenarioError(issues)
@@ -177,7 +187,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         issues.append("path_loss_exponent must be positive")
     if scenario.rice_factor <= 0.0:
         issues.append("rice factor must be positive")
-    if scenario.correlation.kind == "exponential" and not 0.0 <= scenario.correlation.rho < 1.0:
+    if not 0.0 <= scenario.rho < 1.0:
         issues.append("correlation.rho must lie in [0, 1)")
     if scenario.region.x_max <= scenario.region.x_min or scenario.region.y_max <= scenario.region.y_min:
         issues.append("region must have positive extent")

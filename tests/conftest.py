@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, solve_triangular
 
-from distpla import (BLOCK_SIZE, Correlation, Region, RrhConfig, Scenario, SearchConfig,
+from distpla import (BLOCK_SIZE, Region, RrhConfig, Scenario, SearchConfig,
                      TransmitterConfig, steering_vector, wavelength)
 from distpla.monte_carlo import block_generator
 from distpla.position_attack import (_angular_g, _array_contexts, _point_fields,
@@ -13,7 +13,6 @@ def build_scenario(rrhs, alice=(40.0, 30.0), eve=(26.0, 49.0), *,
                    rice_db=6.0, rho=0.0, pfa=1e-2, region=(0, 80, 0, 60),
                    fc=2.4e9, **kwargs):
     """Small helper so tests can spell out only what they vary."""
-    corr = Correlation("exponential", rho) if rho else Correlation()
     return Scenario(
         rrhs=tuple(RrhConfig(*r) for r in rrhs),
         alice=TransmitterConfig(alice),
@@ -21,22 +20,27 @@ def build_scenario(rrhs, alice=(40.0, 30.0), eve=(26.0, 49.0), *,
         region=Region(*region),
         carrier_frequency=fc,
         rice_factor=10.0 ** (rice_db / 10.0),
-        correlation=corr,
+        rho=rho,
         false_alarm_target=pfa,
         **kwargs,
     )
 
 
-def angular_inner_product(omega_e, omega_a, num_antennas, spacing, correlation=None):
+def correlation_matrix(rho, n):
+    """Lambda = rho^|k-l|, the antenna correlation of an n-antenna array
+    (the identity at rho = 0): the dense oracles' only source of it."""
+    k = np.arange(n)
+    return rho ** np.abs(k[:, None] - k[None, :])
+
+
+def angular_inner_product(omega_e, omega_a, num_antennas, spacing, rho=0.0):
     """The dense oracle of the angular kernel: (S, g) with
     S = e(Omega_E)^H Lambda^{-1} e(Omega_A) = e^{j pi (n-1) s dOmega} g.
 
-    g is real for the supported correlation models; its sign tracks the
-    lobe structure of the array."""
-    corr = correlation or Correlation()
+    g is real for every rho; its sign tracks the lobe structure of the array."""
     e_a = steering_vector(omega_a, num_antennas, spacing)
     e_e = steering_vector(omega_e, num_antennas, spacing)
-    lam_inv = np.linalg.inv(corr.matrix(num_antennas))
+    lam_inv = np.linalg.inv(correlation_matrix(rho, num_antennas))
     s_val = complex(e_e.conj() @ (lam_inv @ e_a))
     g = s_val * np.exp(-1j * np.pi * (num_antennas - 1) * spacing * (omega_e - omega_a))
     peak = float((e_a.conj() @ (lam_inv @ e_a)).real)
@@ -128,8 +132,9 @@ def random_geometry(rng, n_rrh=None, *, n_rx=None, rho=None, region=(0, 80, 0, 6
 
 
 def dense_cov(stats):
-    """The stacked block-diagonal covariance of ``stats``."""
-    return block_diag(*stats.block_covs)
+    """The stacked block-diagonal covariance of ``stats``: v_j rho^|k-l| per array."""
+    return block_diag(*((v * correlation_matrix(stats.rho, n)).astype(complex)
+                        for v, n in zip(stats.variances, stats.block_sizes)))
 
 
 def sample_channel(stats, rng, n=None):

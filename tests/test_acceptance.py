@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import build_scenario, point_fields, random_geometry, sample_channel
-from distpla import (ArrivalModel, Correlation, ServiceModel,
+from conftest import (build_scenario, correlation_matrix, point_fields, random_geometry,
+                      sample_channel)
+from distpla import (ArrivalModel, ServiceModel,
                      acceptance_event, alice_statistics,
                      best_case_acceptance_event, delay_violation_bound,
                      discriminant, estimate_probability, eve_statistics,
@@ -179,8 +180,7 @@ def test_criterion_04_multi_array_saddlepoint_validation():
     n = 1_000_000
     seed = 0
     for rho in (0.0, 0.3, 0.6):
-        corr = Correlation("exponential", rho) if rho else Correlation()
-        sc = replace(base, correlation=corr)
+        sc = replace(base, rho=rho)
         ev = eve_statistics(sc)
         for pfa in np.logspace(-4.0, -1.0, 5):
             auth = make_authenticator(replace(sc, false_alarm_target=float(pfa)))
@@ -214,7 +214,7 @@ def test_criterion_05_expansion_identity():
             omegas_e = rice_means(sc, sc.eve.position)[3][0]
             for rrh, om_a, om_e in zip(sc.rrhs, omegas_a, omegas_e):
                 n_ant = rrh.num_antennas
-                lam_inv = np.linalg.inv(sc.correlation.matrix(n_ant))
+                lam_inv = np.linalg.inv(correlation_matrix(sc.rho, n_ant))
                 e_a = steering_vector(om_a, n_ant, sc.antenna_spacing)
                 e_e = steering_vector(om_e, n_ant, sc.antenna_spacing)
                 s_val = complex(e_e.conj() @ (lam_inv @ e_a))

@@ -39,9 +39,12 @@ class TestDelayBound:
         assert all(0.0 <= b <= 1.0 for b in bounds)
         assert bounds[-1] < bounds[0]  # actually decays in a stable queue
 
-    def test_refinement_beats_plain_grid(self):
-        coarse = delay_violation_bound(self.arrival, self.service, 5,
-                                       s_grid=np.logspace(-3, 2, 12))
+    def test_refinement_beats_plain_grid(self, monkeypatch):
+        """The 400-point scan plus refinement against a 12-point scan plus refinement."""
+        coarse_grid = np.logspace(-3, 2, 12)
+        with monkeypatch.context() as m:
+            m.setattr(np, "logspace", lambda *args: coarse_grid)
+            coarse = delay_violation_bound(self.arrival, self.service, 5)
         fine = delay_violation_bound(self.arrival, self.service, 5)
         assert fine.raw <= coarse.raw * (1 + 1e-9)
         assert fine.stable and coarse.stable
@@ -207,7 +210,7 @@ class TestSnrOutage:
             mean = np.zeros(n, complex)
             mean[0] = np.sqrt(lam / 2.0)
             noise = float(rng.uniform(0.05, 20.0))
-            stats = ChannelStatistics(mean=mean, block_covs=(np.eye(n, dtype=complex),),
+            stats = ChannelStatistics(mean=mean, variances=np.ones(1), rho=0.0,
                                       powers=np.ones(1), block_sizes=(n,))
             got = snr_outage(stats, rate, noise)
             x = 2.0 * (2.0 ** rate - 1.0) * n * noise
@@ -261,8 +264,8 @@ class TestServiceOutage:
             out = service_outage(auth, rate=1.0, noise_density=noise, mode="local_bound")
             per = 1.0
             for j, sl in enumerate(stats.block_slices()):
-                sub = ChannelStatistics(mean=stats.mean[sl], block_covs=(stats.block_covs[j],),
-                                        powers=stats.powers[j:j + 1],
+                sub = ChannelStatistics(mean=stats.mean[sl], variances=stats.variances[j:j + 1],
+                                        rho=stats.rho, powers=stats.powers[j:j + 1],
                                         block_sizes=(stats.block_sizes[j],))
                 per *= snr_outage(sub, 1.0, noise)
             assert 0.0 < per < 1e-4

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distpla import (Correlation, alice_statistics, channel_statistics,
+from distpla import (alice_statistics, channel_statistics,
                      eve_statistics, received_power, rice_means,
                      steering_vector, wavelength)
+from distpla.delay_bounds import _array_covs
 from distpla.geometry import SPEED_OF_LIGHT, TransmitterConfig
 
-from conftest import build_scenario, random_geometry
+from conftest import build_scenario, correlation_matrix, dense_cov, random_geometry
 
 
 def test_wavelength_frozen():
@@ -76,13 +77,20 @@ def test_steering_vector_vectorized():
 
 
 def test_correlation_matrix():
-    assert np.array_equal(Correlation().matrix(3), np.eye(3))
-    rho = 0.6
-    m = Correlation("exponential", rho).matrix(4)
-    for k in range(4):
-        for l in range(4):
-            assert m[k, l] == pytest.approx(rho ** abs(k - l))
-    assert np.all(np.linalg.eigvalsh(m) > 0)
+    """The one covariance matrix the package forms, for the outage spectra:
+    v_j rho^|k-l| per array, v_j = P_j/(K+1), with v_j I's bits at rho = 0."""
+    assert np.array_equal(correlation_matrix(0.0, 3), np.eye(3))
+    rrhs = [("west", (10.0, 55.0), 3), ("east", (75.0, 30.0), 4, (0.0, 1.0))]
+    for rho in (0.0, 0.6):
+        stats = alice_statistics(build_scenario(rrhs, rho=rho))
+        assert stats.rho == rho
+        for v, n, cov in zip(stats.variances, stats.block_sizes, _array_covs(stats)):
+            m = correlation_matrix(rho, n)
+            for k in range(n):
+                for l in range(n):
+                    assert m[k, l] == pytest.approx(rho ** abs(k - l))
+            assert np.array_equal(cov, (v * m).astype(complex))
+            assert np.all(np.linalg.eigvalsh(cov) > 0)
 
 
 class TestChannelStatistics:
@@ -92,13 +100,14 @@ class TestChannelStatistics:
             sc = random_geometry(rng)
             stats = alice_statistics(sc)
             k = sc.rice_factor
-            for j, (sl, cov) in enumerate(zip(stats.block_slices(), stats.block_covs)):
+            cov = dense_cov(stats)
+            for j, sl in enumerate(stats.block_slices()):
                 mu = stats.mean[sl]
                 n = stats.block_sizes[j]
                 p = stats.powers[j]
                 assert np.linalg.norm(mu) ** 2 == pytest.approx(
                     p * n * k / (k + 1.0), rel=1e-12)
-                assert np.trace(cov).real == pytest.approx(p * n / (k + 1.0), rel=1e-12)
+                assert np.trace(cov[sl, sl]).real == pytest.approx(p * n / (k + 1.0), rel=1e-12)
 
     def test_first_entry_carries_carrier_phase(self, single_scenario):
         stats = alice_statistics(single_scenario)
@@ -115,8 +124,9 @@ class TestChannelStatistics:
         slices = list(stats.block_slices())
         assert [s.start for s in slices] == [0, 2]
         assert [s.stop for s in slices] == [2, 5]
-        for sl, n, cov in zip(slices, stats.block_sizes, stats.block_covs):
-            assert stats.mean[sl].shape == (n,) and cov.shape == (n, n)
+        assert stats.variances.shape == stats.powers.shape == (2,)
+        for sl, n in zip(slices, stats.block_sizes):
+            assert stats.mean[sl].shape == (n,)
 
     def test_translation_invariance(self, rng):
         # shifting the whole floor plan leaves the statistics unchanged
@@ -130,18 +140,17 @@ class TestChannelStatistics:
             [(r.id, moved(r.position), r.num_antennas, r.array_axis) for r in sc.rrhs],
             alice=moved(sc.alice.position), eve=moved(sc.eve.position),
             rice_db=10 * np.log10(sc.rice_factor),
-            rho=sc.correlation.rho, region=(-100, 100, -100, 100))
+            rho=sc.rho, region=(-100, 100, -100, 100))
         a1, a2 = alice_statistics(sc), alice_statistics(sc2)
         assert np.allclose(a1.mean, a2.mean, rtol=1e-9, atol=0)
-        for c1, c2 in zip(a1.block_covs, a2.block_covs):
-            assert np.allclose(c1, c2, rtol=1e-9, atol=0)
+        assert np.allclose(dense_cov(a1), dense_cov(a2), rtol=1e-9, atol=0)
 
     def test_eve_uses_her_own_position_and_power(self, single_scenario):
         sc = single_scenario.with_eve((10.0, 10.0), tx_power=2.5)
         ev = eve_statistics(sc)
         direct = channel_statistics(sc, TransmitterConfig((10.0, 10.0), 2.5))
         assert np.array_equal(ev.mean, direct.mean)
-        assert all(map(np.array_equal, ev.block_covs, direct.block_covs))
+        assert np.array_equal(ev.variances, direct.variances) and ev.rho == direct.rho
 
     def test_transmitter_on_rrh_rejected(self, single_scenario):
         sc = single_scenario.with_eve(single_scenario.rrhs[0].position)

@@ -200,13 +200,16 @@ def test_whitened_draws_count_what_the_dense_path_counts():
 
 def test_whitened_events_refuse_an_unrelated_correlation():
     """Eve's law from a scenario whose correlation differs from the
-    authenticator's is refused, never sampled another way."""
+    authenticator's is refused, never sampled another way: another rho, or
+    the same rho with another Rice factor, whose diffuse variances
+    P_E,j/(K'+1) are not alpha_j P_A,j/(K+1)."""
     rrhs = [("west", (10.0, 55.0), 3), ("east", (75.0, 30.0), 4, (0.0, 1.0))]
     auth = make_authenticator(build_scenario(rrhs, rho=0.3))
-    eve = eve_statistics(build_scenario(rrhs, rho=0.6))
-    for event in (best_case_acceptance_event(auth), acceptance_event(auth, 0.8)):
-        with pytest.raises(ValueError, match="alpha_j"):
-            estimate_probability(event, eve, 1000)
+    for eve in (eve_statistics(build_scenario(rrhs, rho=0.6)),
+                eve_statistics(build_scenario(rrhs, rho=0.3, rice_db=9.0))):
+        for event in (best_case_acceptance_event(auth), acceptance_event(auth, 0.8)):
+            with pytest.raises(ValueError, match="alpha_j"):
+                estimate_probability(event, eve, 1000)
     same = eve_statistics(build_scenario(rrhs, rho=0.3))
     assert estimate_probability(best_case_acceptance_event(auth), same, 1000).samples == 1000
     # an event on h itself is refused as well: nothing samples h densely

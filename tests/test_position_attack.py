@@ -1,3 +1,4 @@
+import json
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 
 import distpla.position_attack as pa
-from distpla import (Correlation, SearchConfig, alice_statistics, channel_statistics,
+from distpla import (SearchConfig, alice_statistics, channel_statistics,
                      count_small_scale_optima, eve_statistics,
                      exhaustive_search, f_obj, load_scenario, lobe_sets, make_authenticator,
-                     mdp_optimal_pma, steering_vector,
+                     mdp_optimal_pma, scenario_from_dict, steering_vector,
                      truncated_search, wavelength)
 from distpla.position_attack import (ArrayLobes, EmptyRegionError, LobeBand,
                                      NoCandidatesError, _allowed_mask, _array_contexts,
@@ -19,8 +20,8 @@ from distpla.position_attack import (ArrayLobes, EmptyRegionError, LobeBand,
 
 from distpla.cli import main
 
-from conftest import (angular_inner_product, build_scenario, count_oracle, point_fields,
-                      random_geometry, sample_channel)
+from conftest import (angular_inner_product, build_scenario, correlation_matrix, count_oracle,
+                      point_fields, random_geometry, sample_channel)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -81,12 +82,11 @@ class TestAngularInnerProduct:
         assert s_val == pytest.approx(8.0 + 0j)
 
     def test_matches_direct_vector_computation(self, rng):
-        corr = Correlation("exponential", 0.55)
-        n, s = 5, 0.5
-        lam_inv = np.linalg.inv(corr.matrix(n))
+        rho, n, s = 0.55, 5, 0.5
+        lam_inv = np.linalg.inv(correlation_matrix(rho, n))
         for _ in range(20):
             om_e, om_a = rng.uniform(-1, 1, 2)
-            s_val, g = angular_inner_product(om_e, om_a, n, s, corr)
+            s_val, g = angular_inner_product(om_e, om_a, n, s, rho)
             direct = complex(steering_vector(om_e, n, s).conj() @ lam_inv
                              @ steering_vector(om_a, n, s))
             assert s_val == pytest.approx(direct, rel=1e-10)
@@ -109,9 +109,8 @@ class TestAngularInnerProduct:
             omega_a = float(rng.choice([-1.0, 1.0]) if rng.random() < 0.1 else rng.uniform(-1, 1))
             ctx = replace(base, n=n, spacing=spacing, omega_a=omega_a, rho=rho)
             omegas = np.concatenate((rng.uniform(-1.0, 1.0, 8), [-1.0, 1.0, omega_a]))
-            corr = Correlation("exponential", rho)
-            dense = [angular_inner_product(om, omega_a, n, spacing, corr)[1] for om in omegas]
-            s_ee = [angular_inner_product(om, om, n, spacing, corr)[0].real for om in omegas]
+            dense = [angular_inner_product(om, omega_a, n, spacing, rho)[1] for om in omegas]
+            s_ee = [angular_inner_product(om, om, n, spacing, rho)[0].real for om in omegas]
             err_g = max(err_g, np.max(np.abs(pa._angular_g(ctx, omegas) - dense)) / ctx.peak)
             err_s = max(err_s, np.max(np.abs(pa._s_ee(ctx, omegas) / s_ee - 1.0)))
         assert err_g <= 4.1e-13 and err_s <= 1.1e-14
@@ -152,8 +151,7 @@ class TestLobeSets:
                             continue
                         _, g = angular_inner_product(edge, al.omega_a,
                                                      rrh.num_antennas,
-                                                     sc.antenna_spacing,
-                                                     sc.correlation)
+                                                     sc.antenna_spacing, sc.rho)
                         assert abs(g) == pytest.approx(target, abs=1e-6 * band.peak)
 
     def test_main_band_straddles_the_alice_bearing(self, dual_scenario):
@@ -238,7 +236,7 @@ class TestLobeSets:
         monkeypatch.setattr(pa, "bracketed_root_find", root)
         monkeypatch.setattr(pa, "bounded_minimum", minimum)
         assert got == [lobe_sets(sc) for sc in scenarios]
-        assert {sc.correlation.kind for sc in scenarios} == {"identity", "exponential"}
+        assert {sc.rho > 0 for sc in scenarios} == {False, True}
         assert sum(len(al.sidelobes) for sets in got for al in sets.per_array) > 200
 
 
@@ -331,11 +329,15 @@ class TestSearches:
         assert full.n_survivors == full.n_allowed and full.n_evaluated == 1
 
     def test_exponential_rho_zero_is_the_identity_search(self):
-        """rho = 0 takes the identity route, as in make_authenticator: the same
-        SearchResult, bit for bit (repr round-trips every float)."""
-        sc = _search_scenario(small_scale_radius=1.5)
-        zero = replace(sc, correlation=Correlation("exponential", 0.0))
-        assert repr(truncated_search(zero, 2, True)) == repr(truncated_search(sc, 2, True))
+        """A file's exponential correlation at rho = 0 loads as its identity
+        correlation, so the search is the same, bit for bit (repr round-trips
+        every float)."""
+        data = json.loads((SCENARIOS / "desk_2rrh.json").read_text())
+        data["search"] = {"grid_resolution_m": 0.25, "small_scale_radius_m": 1.5}
+        identity = scenario_from_dict(data)
+        zero = scenario_from_dict(dict(data, correlation={"model": "exponential", "rho": 0}))
+        assert zero == identity and type(zero.rho) is float
+        assert repr(truncated_search(zero, 2, True)) == repr(truncated_search(identity, 2, True))
 
     def test_candidates_match_scalar_evaluation(self):
         """Every batched candidate p_md equals the per-position scalar route."""
@@ -881,7 +883,7 @@ class TestRestrictedBandMasks:
             # odd seeds: identity correlation; even seeds: exponential, rho in (0, 0.7)
             sc = random_geometry(np.random.default_rng(seed), rho=0.0 if seed % 2 else None,
                                  region=(0, 40, 0, 30))
-            kinds.add(sc.correlation.kind)
+            kinds.add("exponential" if sc.rho else "identity")
             pairs, n = _restricted_and_dense_lobe_masks(monkeypatch, sc, 0.05, 150)
             restricted += n
             for got, dense in pairs:

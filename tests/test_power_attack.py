@@ -115,7 +115,7 @@ class TestIndefiniteForm:
         auth = make_authenticator(single_scenario)
         ev = eve_statistics(single_scenario)
         form = build_indefinite_form(auth, ev)
-        alpha = float((ev.block_covs[0][0, 0] / auth.stats.block_covs[0][0, 0]).real)
+        alpha = float(ev.variances[0] / auth.stats.variances[0])
         t = form.threshold_param
         assert 0.0 < t < 1.0
         n = auth.stats.dim

@@ -42,7 +42,7 @@ def test_basic_fields_and_defaults():
     assert sc.antenna_spacing == 0.5             # default, in wavelengths
     assert sc.exclusion_alice == 6.0
     assert sc.exclusion_rrh == 3.0
-    assert sc.correlation.kind == "identity"
+    assert sc.rho == 0.0                         # no correlation block: identity
     assert sc.search.g0 == pytest.approx(math.sqrt(2.0))
     assert sc.eve.tx_power == 1.0
 
@@ -102,11 +102,29 @@ def test_correlation_model_checked():
         scenario_from_dict(bad)
     good = dict(BASE)
     good["correlation"] = {"model": "exponential", "rho": 0.4}
-    assert scenario_from_dict(good).correlation.rho == 0.4
+    assert scenario_from_dict(good).rho == 0.4
     out_of_range = dict(BASE)
     out_of_range["correlation"] = {"model": "exponential", "rho": 1.0}
     with pytest.raises(ScenarioError, match="rho"):
         scenario_from_dict(out_of_range)
+
+
+def test_rho_needs_the_exponential_model(tmp_path, capsys):
+    """A rho beside the identity model, named or by default, is refused rather
+    than run uncorrelated; the identity model and rho = 0 are one scenario."""
+    identity = scenario_from_dict(dict(BASE, correlation={"model": "identity"}))
+    assert identity == scenario_from_dict(dict(BASE)) and identity.rho == 0.0
+    assert scenario_from_dict(dict(BASE, correlation={"model": "exponential", "rho": 0})) == identity
+    problem = "correlation.rho is allowed only with model exponential"
+    for correlation in ({"rho": 0.5}, {"model": "identity", "rho": 0.7},
+                        {"model": "identity", "rho": 0.0}):
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(dict(BASE, correlation=correlation))
+        assert info.value.problems == [problem]
+    scenario = tmp_path / "identity_rho.json"
+    scenario.write_text(json.dumps(dict(BASE, correlation={"model": "identity", "rho": 0.7})))
+    assert main(["threshold", "--scenario", str(scenario)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ScenarioError", "message": problem}
 
 
 def test_region_shape_checked():
@@ -208,10 +226,12 @@ def _desk_with(*edits):
     (("rrhs", 1, "array_axis_deg"), "rrhs[1].array_axis_deg"),
 ])
 def test_numeric_keys_name_themselves(path, name):
-    # a null Rice factor counts as absent, so exactly one of the two is missing
+    # a null Rice factor counts as absent, so exactly one of the two is missing;
+    # a rho is read only with the exponential model
+    model = ((("correlation", "model"), "exponential"),) if name == "correlation.rho" else ()
     for bad in ("x", True, [1.0]) + ((None,) if name != "rice_factor_db" else ()):
         with pytest.raises(ScenarioError) as info:
-            scenario_from_dict(_desk_with((path, bad)))
+            scenario_from_dict(_desk_with(*model, (path, bad)))
         assert info.value.problems == [f"{name} must be a number, got {bad!r}"]
 
 
@@ -255,6 +275,29 @@ def test_sections_must_be_objects():
     assert info.value.problems == ["rrhs must be a JSON array, got {'id': 'a'}",
                                    "alice must be a JSON object, got None",
                                    "alice.position_m must be [x, y], got None"]
+
+
+@pytest.mark.parametrize("path, name", [
+    (("false_alarm",), "false_alarm"),
+    (("correlation", "Rho"), "correlation.Rho"),
+    (("region_m", "xmax"), "region_m.xmax"),
+    (("exclusion_m", "rrhs"), "exclusion_m.rrhs"),
+    (("alice", "position"), "alice.position"),
+    (("eve", "tx_power_w"), "eve.tx_power_w"),
+    (("rrhs", 1, "array_axis"), "rrhs[1].array_axis"),
+    (("search", "grid_resolution"), "search.grid_resolution"),
+])
+def test_unknown_keys_name_themselves(tmp_path, capsys, path, name):
+    """A key the loader does not read, a typo most often, is refused by its
+    path in every scenario object instead of leaving its default in force."""
+    problem = f"unknown key {name}"
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(_desk_with((path, 0.5)))
+    assert info.value.problems == [problem]
+    scenario = tmp_path / "typo.json"
+    scenario.write_text(json.dumps(_desk_with((path, 0.5))))
+    assert main(["threshold", "--scenario", str(scenario)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ScenarioError", "message": problem}
 
 
 def test_counts_must_be_whole_numbers():
