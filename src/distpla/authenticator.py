@@ -70,7 +70,7 @@ def make_authenticator(scenario: Scenario) -> Authenticator:
     root = np.sqrt(stats.variances)                                 # sqrt(c_j)
     # sqrt(1 - rho^2), factored to keep its accuracy near |rho| = 1
     inv_diag = np.repeat(1.0 / (root * np.sqrt((1.0 - rho) * (1.0 + rho))), stats.block_sizes)
-    inv_diag[[sl.start for sl in stats.block_slices()]] = 1.0 / root
+    inv_diag[stats.starts] = 1.0 / root
     return Authenticator(stats=stats, threshold=threshold_for_pfa(scenario.false_alarm_target, dof),
                          false_alarm_target=scenario.false_alarm_target, total_dof=dof,
                          inv_diag=inv_diag)
@@ -91,8 +91,7 @@ def whiten(auth: Authenticator, y) -> np.ndarray:
         return y * diag
     x = y.copy()
     x[1:] -= auth.stats.rho * y[:-1]
-    firsts = [sl.start for sl in auth.stats.block_slices()]
-    x[firsts] = y[firsts]
+    x[auth.stats.starts] = y[auth.stats.starts]
     return x * diag
 
 

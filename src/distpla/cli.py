@@ -77,10 +77,12 @@ def _strategy(method: str, auth, eve) -> PowerStrategy:
     if not method.startswith("fixed:"):
         raise ValueError(f"unknown mdp method {method!r}")
     try:
-        eta_s, psi_s = method.split(":", 1)[1].split(",")
-        return PowerStrategy(float(eta_s), float(psi_s))
+        eta, psi = map(float, method.split(":", 1)[1].split(","))
     except Exception:
         raise ValueError("fixed method expects fixed:ETA,PSI") from None
+    if not (math.isfinite(eta) and math.isfinite(psi)):
+        raise ValueError(f"--method fixed:ETA,PSI needs finite ETA and PSI, got {method!r}")
+    return PowerStrategy(eta, psi)
 
 
 def _cmd_mdp(args):
@@ -315,6 +317,8 @@ def main(argv=None) -> int:
                                  f"got {getattr(args, flag)}")
         if getattr(args, "grid", None) is not None and not 0.0 < args.grid < math.inf:
             raise ValueError(f"--grid must be positive and finite, got {args.grid}")
+        if math.isnan(getattr(args, "coverage_pmd", 0.0)):
+            raise ValueError("--coverage-pmd must be a number, got nan")
         payload, summary = args.handler(args)
     except (UnstableQueueError, PositionSearchError) as exc:
         return _emit_error(exc, 4)

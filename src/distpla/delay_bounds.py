@@ -101,34 +101,37 @@ def stability_margin(arrival: ArrivalModel, service: ServiceModel) -> float:
 # outage probabilities feeding the service model
 
 
-def _array_covs(stats: ChannelStatistics) -> list[np.ndarray]:
-    """Each array's covariance v_j rho^|k-l|, for the spectra the outage needs."""
-    return [(v * stats.rho ** np.abs(k[:, None] - k[None, :])).astype(complex)
-            for v, k in zip(stats.variances, map(np.arange, stats.block_sizes))]
+def _spectrum(rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (lambda, U) of the real n x n rho^|k-l|: ones and I at rho = 0."""
+    if rho == 0.0:
+        return np.ones(n), np.eye(n)
+    k = np.arange(n)
+    return np.linalg.eigh(rho ** np.abs(k[:, None] - k[None, :]))
 
 
-def _outage(mean: np.ndarray, covs: list[np.ndarray], rate: float,
+def _outage(stats: ChannelStatistics, arrays: list[int], rate: float,
             noise_density: float) -> float:
-    """P(||h||^2 < (2^rate - 1) N N0) for h ~ CN(mean, block_diag(covs)) of length N.
+    """P(||h||^2 < (2^rate - 1) N N0) for h the N antennas of ``arrays``.
 
-    ||h||^2 sums lambda_jk |w_jk + c_jk|^2 over the eigenpairs (lambda_jk,
-    U_j) of each block, with c_jk = (U_j^H mu_j)_k / sqrt(lambda_jk), so the
-    probability is the indefinite form with d = -lambda, |c|^2 and the
+    Array j's covariance v_j U diag(lambda) U^T makes ||h||^2 the indefinite
+    form with d = -v_j lambda, |c|^2 = |U^T mu_j|^2 / (v_j lambda) and the
     threshold as constant: saddle point, exact tail where none exists.  One
     common variance and no correlation make it a scaled noncentral
     chi-square CDF with 2N degrees of freedom.
     """
-    n = mean.shape[0]
+    means = np.split(stats.mean, stats.starts[1:])
+    n = sum(stats.block_sizes[j] for j in arrays)
     threshold = (2.0 ** rate - 1.0) * n * noise_density
-    sigma2 = float(covs[0][0, 0].real)
-    if all(np.abs(c - sigma2 * np.eye(len(c))).max() <= 1e-9 * sigma2 for c in covs):
+    sigma2 = float(stats.variances[arrays[0]])
+    if stats.rho == 0.0 and all(abs(stats.variances[j] - sigma2) <= 1e-9 * sigma2 for j in arrays):
+        mean = np.concatenate([means[j] for j in arrays])
         lam = 2.0 * float(np.vdot(mean, mean).real) / sigma2
         return ncx2_cdf(2.0 * threshold / sigma2, 2 * n, lam)
     d, c2 = [], []
-    for mu, cov in zip(np.split(mean, np.cumsum([len(c) for c in covs])[:-1]), covs):
-        values, vectors = np.linalg.eigh(cov)
-        d.append(-values)
-        c2.append(np.abs(vectors.conj().T @ mu) ** 2 / values)
+    for j in arrays:
+        values, vectors = _spectrum(stats.rho, stats.block_sizes[j])
+        d.append(-stats.variances[j] * values)
+        c2.append(np.abs(vectors.T @ means[j]) ** 2 / (stats.variances[j] * values))
     d = np.concatenate(d)[None, :]
     return float(_settled_tail(d, np.concatenate(c2)[None, :], np.ones(d.shape),
                                np.array([threshold]), exact=True)[0])
@@ -136,7 +139,7 @@ def _outage(mean: np.ndarray, covs: list[np.ndarray], rate: float,
 
 def snr_outage(stats: ChannelStatistics, rate: float, noise_density: float) -> float:
     """P(log2(1 + ||h||^2 / (N_a N0)) < rate) for maximum-ratio combining, evaluated."""
-    return _outage(stats.mean, _array_covs(stats), rate, noise_density)
+    return _outage(stats, list(range(len(stats.block_sizes))), rate, noise_density)
 
 
 @dataclass(frozen=True)
@@ -167,11 +170,12 @@ def service_outage(auth: Authenticator, rate: float, noise_density: float,
     """
     if mode not in ("centralized_bound", "centralized_exact_if_valid", "local_bound"):
         raise ValueError(f"unknown mode {mode!r}")
-    stats, covs = auth.stats, _array_covs(auth.stats)
+    stats = auth.stats
     p_fa = pfa_of_threshold(auth.threshold, auth.total_dof)
     held = None
     if mode == "centralized_exact_if_valid":
-        lam_min_inv = 1.0 / max(np.linalg.eigvalsh(c)[-1] for c in covs)
+        lam_min_inv = 1.0 / max(v * _spectrum(stats.rho, n)[0][-1]
+                                 for v, n in zip(stats.variances, stats.block_sizes))
         mu_norm = float(np.linalg.norm(stats.mean))
         lhs = math.sqrt((2.0 ** rate - 1.0) * stats.dim * noise_density)
         rhs = math.sqrt(auth.threshold / (2.0 * lam_min_inv)) - mu_norm
@@ -179,10 +183,10 @@ def service_outage(auth: Authenticator, rate: float, noise_density: float,
         if held:
             return ServiceOutage(p_fa, mode, p_fa, 0.0, True)
     if mode == "local_bound":
-        p_out = math.prod(_outage(stats.mean[sl], [cov], rate, noise_density)
-                          for sl, cov in zip(stats.block_slices(), covs))
+        p_out = math.prod(_outage(stats, [j], rate, noise_density)
+                          for j in range(len(stats.block_sizes)))
     else:
-        p_out = _outage(stats.mean, covs, rate, noise_density)
+        p_out = snr_outage(stats, rate, noise_density)
     return ServiceOutage(min(p_fa + p_out, 1.0), mode, p_fa, p_out, held)
 
 

@@ -107,10 +107,10 @@ def steering_vector(omega, num_antennas: int, spacing: float) -> np.ndarray:
 class ChannelStatistics:
     """First and second moments of one transmitter's channel.
 
-    ``mean`` is stacked over all arrays and ``block_slices`` cut it into the
-    per-array means; array j's received power is ``powers[j]`` and its
-    covariance ``variances[j]`` rho^|k-l| (the arrays are uncorrelated, so
-    no covariance matrix is kept).
+    ``mean`` is stacked over all arrays: array j's ``block_sizes[j]``
+    antennas begin at index ``starts[j]``.  Its received power is
+    ``powers[j]`` and its covariance ``variances[j]`` rho^|k-l| (the arrays
+    are uncorrelated, so no covariance matrix is kept).
     """
 
     mean: np.ndarray
@@ -123,11 +123,9 @@ class ChannelStatistics:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def block_slices(self):
-        start = 0
-        for size in self.block_sizes:
-            yield slice(start, start + size)
-            start += size
+    @property
+    def starts(self) -> np.ndarray:
+        return np.cumsum((0,) + self.block_sizes[:-1])
 
 
 def rice_means(scenario: Scenario, positions, tx_power: float = 1.0):

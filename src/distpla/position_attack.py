@@ -722,11 +722,9 @@ def truncated_search(scenario: Scenario, threads: int = 1,
     ctxs = _array_contexts(scenario)
     lobes = lobe_sets(scenario)
 
-    nx = xs.size
-
     def best_first(idx, fobj, fss):
         """The max_candidates survivors of largest f_obj, ties in row-major order."""
-        order = np.lexsort((idx % nx, idx // nx, -fobj))[:cap]
+        order = np.lexsort((idx, -fobj))[:cap]
         return idx[order], fobj[order], fss[order]
 
     n_allowed = n_lobe = n_optima = n_survivors = 0
@@ -744,11 +742,11 @@ def truncated_search(scenario: Scenario, threads: int = 1,
     if n_lobe == 0:
         raise NoCandidatesError("no grid point falls on a usable lobe")
     idx, fobj, fss = best_first(*kept)
-    xs_c, ys_c = xs[idx % nx], ys[idx // nx]
+    xs_c, ys_c = xs[idx % xs.size], ys[idx // xs.size]
     p_md = mdp_optimal_pma_batch(make_authenticator(scenario), scenario,
                                  np.column_stack((xs_c, ys_c)))
     columns = (xs_c, ys_c, fobj, fss, p_md, _candidate_labels(ctxs, lobes, xs_c, ys_c))
-    order = np.lexsort((idx % nx, idx // nx, -p_md))     # p_md descending, row-major ties
+    order = np.lexsort((idx, -p_md))  # p_md descending, row-major ties
     # from .tolist() columns, _CHUNK_CELLS rows at a time so that the lists stay short
     candidates = tuple(
         CandidatePosition((x, y), fo, fs, p, label)

@@ -128,12 +128,6 @@ def statistical_power_strategy(auth: Authenticator, eve_stats: ChannelStatistics
     return strategy
 
 
-def _array_layout(auth: Authenticator) -> tuple[np.ndarray, np.ndarray]:
-    """Array sizes n_j and block start offsets of the stacked channel."""
-    sizes = np.asarray(auth.stats.block_sizes)
-    return sizes, np.concatenate(([0], np.cumsum(sizes)[:-1]))
-
-
 def _optimal_form_rows(auth: Authenticator, means: np.ndarray, powers: np.ndarray,
                        thresholds: np.ndarray):
     """build_indefinite_form for attacker means (n, N), powers (n, N_RRH) and thresholds (n,).
@@ -146,7 +140,7 @@ def _optimal_form_rows(auth: Authenticator, means: np.ndarray, powers: np.ndarra
     """
     m_energy = auth.mahalanobis_energy
     t = 1.0 - thresholds / (2.0 * m_energy)
-    sizes, starts = _array_layout(auth)
+    sizes, starts = np.asarray(auth.stats.block_sizes), auth.stats.starts
     alpha = np.broadcast_to(powers / auth.stats.powers, (t.size, sizes.size))
     w = auth.whitened_mean
     x = np.broadcast_to(whiten(auth, means.T), (auth.stats.dim, t.size))
@@ -196,7 +190,7 @@ def fixed_strategy_form(auth: Authenticator, eve_stats: ChannelStatistics,
     scale = strategy.scale
     if abs(scale) == 0.0:
         raise ValueError("strategy amplitude must be positive")
-    sizes, starts = _array_layout(auth)
+    sizes, starts = np.asarray(auth.stats.block_sizes), auth.stats.starts
     x = whiten(auth, scale * eve_stats.mean - auth.stats.mean)
     gain = abs(scale) ** 2 * (eve_stats.powers / auth.stats.powers)
     t = 1.0 - auth.threshold / (2.0 * auth.mahalanobis_energy)

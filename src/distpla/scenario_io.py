@@ -80,8 +80,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             return default
         return int(value) if whole else float(value)
 
-    def position(raw, who, default=None):
-        pos = raw.get("position_m", default)
+    def position(raw, who):
+        pos = raw.get("position_m")
         if not (isinstance(pos, (list, tuple)) and len(pos) == 2
                 and all(_is_number(v) and _finite(v) for v in pos)):
             problems.append(f"{who}.position_m must be [x, y], got {pos!r}")
@@ -127,12 +127,15 @@ def scenario_from_dict(data: dict) -> Scenario:
     rrhs = []
     for i, raw in enumerate(need("rrhs")):
         who = f"rrhs[{i}]"
-        raw = typed(raw, who, ("id", "position_m", "num_antennas", "array_axis_deg"))
+        if typed(raw, who, ("id", "position_m", "num_antennas", "array_axis_deg")) is not raw:
+            continue            # not a JSON object, a problem typed has noted
         rrhs.append(RrhConfig(
             id=str(raw.get("id", f"rrh{i}")),
-            position=position(raw, who, (0.0, 0.0)),
+            position=position(raw, who),
             num_antennas=number(raw, "num_antennas", 1, who + ".", whole=True),
             array_axis=_axis_from_degrees(number(raw, "array_axis_deg", 0.0, who + "."))))
+        if "num_antennas" not in raw:
+            problems.append(f"missing key {who}.num_antennas")
 
     alice = transmitter("alice")
     eve = transmitter("eve")

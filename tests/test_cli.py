@@ -150,6 +150,16 @@ class TestMdp:
                            "--method", "fixed:nonsense")
         assert code == 2
 
+    def test_fixed_strategy_must_be_finite(self, capsys, scenario_file):
+        """A NaN or infinite ETA or PSI is refused, not printed as a NaN that
+        no JSON reader takes."""
+        for method in ("fixed:nan,0.3", "fixed:inf,0.3", "fixed:1.5,-inf", "fixed:1.5,nan"):
+            code, out, err = run(capsys, "mdp", "--scenario", scenario_file, "--method", method)
+            assert code == 2 and out == ""
+            assert json.loads(err) == {
+                "error": "ValueError",
+                "message": f"--method fixed:ETA,PSI needs finite ETA and PSI, got {method!r}"}
+
 
 class TestSweeps:
     def test_roc_csv(self, capsys, scenario_file):
@@ -409,6 +419,14 @@ class TestCompare:
         # so its count dwarfs the dual deployment's and its miss floor is higher
         assert int(second[7]) > int(first[7])
         assert float(second[4]) >= float(first[4])
+
+    def test_coverage_pmd_refuses_nan(self, capsys, scenario_file):
+        """No cell lies below a NaN level, so it would print a coverage of 0.0."""
+        code, out, err = run(capsys, "compare", "--scenario", scenario_file,
+                             "--coverage-pmd", "nan")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "--coverage-pmd must be a number, got nan"}
 
     def test_one_grid_walk_per_scenario(self, capsys, tmp_path, monkeypatch):
         """The search's own walk counts the small-scale optima: compare walks

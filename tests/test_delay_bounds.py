@@ -263,10 +263,10 @@ class TestServiceOutage:
             noise = stats.powers.min() / 4.0
             out = service_outage(auth, rate=1.0, noise_density=noise, mode="local_bound")
             per = 1.0
-            for j, sl in enumerate(stats.block_slices()):
-                sub = ChannelStatistics(mean=stats.mean[sl], variances=stats.variances[j:j + 1],
+            for j, (i, n) in enumerate(zip(stats.starts, stats.block_sizes)):
+                sub = ChannelStatistics(mean=stats.mean[i:i + n], variances=stats.variances[j:j + 1],
                                         rho=stats.rho, powers=stats.powers[j:j + 1],
-                                        block_sizes=(stats.block_sizes[j],))
+                                        block_sizes=(n,))
                 per *= snr_outage(sub, 1.0, noise)
             assert 0.0 < per < 1e-4
             assert out.p_snr == pytest.approx(per, rel=1e-12)

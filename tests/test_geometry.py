@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from distpla import (alice_statistics, channel_statistics,
                      eve_statistics, received_power, rice_means,
                      steering_vector, wavelength)
-from distpla.delay_bounds import _array_covs
+from distpla.delay_bounds import _spectrum
 from distpla.geometry import SPEED_OF_LIGHT, TransmitterConfig
 
 from conftest import build_scenario, correlation_matrix, dense_cov, random_geometry
@@ -77,20 +77,25 @@ def test_steering_vector_vectorized():
 
 
 def test_correlation_matrix():
-    """The one covariance matrix the package forms, for the outage spectra:
-    v_j rho^|k-l| per array, v_j = P_j/(K+1), with v_j I's bits at rho = 0."""
+    """The one correlation spectrum the package forms, for the outage: the
+    eigenpairs (lambda, U) of the real rho^|k-l|, exactly ones and the
+    identity at rho = 0 (the outage's bits there rest on it)."""
     assert np.array_equal(correlation_matrix(0.0, 3), np.eye(3))
     rrhs = [("west", (10.0, 55.0), 3), ("east", (75.0, 30.0), 4, (0.0, 1.0))]
     for rho in (0.0, 0.6):
         stats = alice_statistics(build_scenario(rrhs, rho=rho))
         assert stats.rho == rho
-        for v, n, cov in zip(stats.variances, stats.block_sizes, _array_covs(stats)):
+        for n in stats.block_sizes + (1, 16):
             m = correlation_matrix(rho, n)
             for k in range(n):
                 for l in range(n):
                     assert m[k, l] == pytest.approx(rho ** abs(k - l))
-            assert np.array_equal(cov, (v * m).astype(complex))
-            assert np.all(np.linalg.eigvalsh(cov) > 0)
+            values, vectors = _spectrum(rho, n)
+            if rho == 0.0:
+                assert np.array_equal(values, np.ones(n))
+                assert np.array_equal(vectors, np.eye(n))
+            assert np.all(values > 0)
+            assert np.abs(vectors @ np.diag(values) @ vectors.T - m).max() <= 1e-14
 
 
 class TestChannelStatistics:
@@ -101,9 +106,9 @@ class TestChannelStatistics:
             stats = alice_statistics(sc)
             k = sc.rice_factor
             cov = dense_cov(stats)
-            for j, sl in enumerate(stats.block_slices()):
+            for j, (i, n) in enumerate(zip(stats.starts, stats.block_sizes)):
+                sl = slice(i, i + n)
                 mu = stats.mean[sl]
-                n = stats.block_sizes[j]
                 p = stats.powers[j]
                 assert np.linalg.norm(mu) ** 2 == pytest.approx(
                     p * n * k / (k + 1.0), rel=1e-12)
@@ -121,12 +126,10 @@ class TestChannelStatistics:
         stats = alice_statistics(dual_scenario)
         assert stats.dim == 5
         assert stats.block_sizes == (2, 3)
-        slices = list(stats.block_slices())
-        assert [s.start for s in slices] == [0, 2]
-        assert [s.stop for s in slices] == [2, 5]
+        assert stats.starts.tolist() == [0, 2]
         assert stats.variances.shape == stats.powers.shape == (2,)
-        for sl, n in zip(slices, stats.block_sizes):
-            assert stats.mean[sl].shape == (n,)
+        for i, n in zip(stats.starts, stats.block_sizes):
+            assert stats.mean[i:i + n].shape == (n,)
 
     def test_translation_invariance(self, rng):
         # shifting the whole floor plan leaves the statistics unchanged

@@ -244,6 +244,30 @@ def test_positions_must_be_number_pairs():
             assert info.value.problems == [f"{who}.position_m must be [x, y], got {bad!r}"]
 
 
+@pytest.mark.parametrize("key, problem", [
+    ("position_m", "rrhs[1].position_m must be [x, y], got None"),
+    ("num_antennas", "missing key rrhs[1].num_antennas"),
+])
+def test_rrh_position_and_size_are_required(tmp_path, capsys, key, problem):
+    """An array without a position or an antenna count is refused by the key's
+    path instead of sitting at the origin or getting one antenna."""
+    data = _desk_with()
+    del data["rrhs"][1][key]
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(data)
+    assert info.value.problems == [problem]
+    scenario = tmp_path / "missing.json"
+    scenario.write_text(json.dumps(data))
+    assert main(["threshold", "--scenario", str(scenario)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ScenarioError", "message": problem}
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(_desk_with((("rrhs",), [{}, {}])))
+    assert info.value.problems == ["rrhs[0].position_m must be [x, y], got None",
+                                   "missing key rrhs[0].num_antennas",
+                                   "rrhs[1].position_m must be [x, y], got None",
+                                   "missing key rrhs[1].num_antennas"]
+
+
 def test_every_bad_key_is_reported_at_once():
     with pytest.raises(ScenarioError) as info:
         scenario_from_dict(_desk_with((("carrier_frequency_hz",), "abc"),
