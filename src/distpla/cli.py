@@ -4,9 +4,9 @@ Commands: threshold, mdp, roc, validate, heatmap, optimize, compare, delay.
 Outputs are JSON or CSV (header row, '.' decimal), written atomically to
 --out or printed to stdout; failures print an error JSON to stderr and
 exit 2 (configuration), 3 (numeric failure), or 4 (infeasible).  --threads
-(at least 1) sets the worker threads of the Monte-Carlo passes and of the
-optimize/compare grid pass; for fixed (scenario, seed, samples) the output
-bytes do not depend on it.
+(at least 1) sets the worker threads of the Monte-Carlo passes and the
+worker processes (forked, so POSIX) of the optimize/compare search; for
+fixed (scenario, seed, samples) the output bytes do not depend on it.
 """
 from __future__ import annotations
 
@@ -82,6 +82,8 @@ def _strategy(method: str, auth, eve) -> PowerStrategy:
         raise ValueError("fixed method expects fixed:ETA,PSI") from None
     if not (math.isfinite(eta) and math.isfinite(psi)):
         raise ValueError(f"--method fixed:ETA,PSI needs finite ETA and PSI, got {method!r}")
+    if eta < 0.0:
+        raise ValueError(f"--method fixed:ETA,PSI needs an amplitude ETA >= 0, got {method!r}")
     return PowerStrategy(eta, psi)
 
 
@@ -224,7 +226,8 @@ def _add_common(p: argparse.ArgumentParser, scenario_multi: bool = False):
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--samples", type=int, default=200_000,
                    help="Monte-Carlo samples (default 200000)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="Monte-Carlo worker threads and search worker processes (default 1)")
     p.add_argument("--pfa", type=float, default=None,
                    help="override the scenario's false-alarm target")
 

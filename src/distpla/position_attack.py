@@ -18,18 +18,19 @@ probabilities at the survivors.
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .authenticator import Authenticator, make_authenticator, whiten
 from .geometry import Scenario, wavelength
 from .numerics import bounded_minimum, bracketed_root_find
-from .power_attack import mdp_optimal_pma_batch
+from .power_attack import _CHUNK, mdp_optimal_pma_batch
 
-_TILE_CELLS = 1 << 19      # grid cells in flight in _walk_grid, split over its workers' tiles
+_BAND_CELLS = 1 << 21      # grid cells a task of _walk_grid decides: sized so halos stay a few %
+_TILE_CELLS = 1 << 19      # grid cells in flight in a band task of _walk_grid
 _CHUNK_CELLS = 1 << 14     # cells per field call or gather of the walk: bounds its temporaries
 _SCAN_STRIDE = 32          # columns per float64 scan point of _lobe_columns
 _STRIP_ROWS = 16           # rows decided per pass of _disc_local_maxima: bounds its temporaries
@@ -558,22 +559,40 @@ def search_grid(scenario: Scenario) -> tuple[float, int, np.ndarray, np.ndarray]
     return res, int(math.floor(eps / res + 1e-9)) if len(scenario.rrhs) > 1 else 0, xs, ys
 
 
-def _in_order(pool: ThreadPoolExecutor, fn, args, ahead: int):
-    """fn(*a) for each a of ``args`` on the pool, yielded in order, submitting
-    at most ``ahead`` calls beyond the one awaited."""
-    pending = deque()
-    for a in args:
-        pending.append(pool.submit(fn, *a))
-        del a       # the call alone holds its arguments
-        if len(pending) > ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+_jobs = ()      # set in a _forked pool's workers only: the functions they run
 
 
-def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
-               ys: np.ndarray, eps_px: int, member=None, threads: int = 1, optima: bool = False):
-    """The grid pass of every position search, in row tiles on up to ``threads`` threads.
+def _adopt(*jobs):
+    global _jobs
+    _jobs = jobs
+
+
+def _call(k: int, arg):
+    return _jobs[k](arg)
+
+
+@contextmanager
+def _forked(workers: int, *jobs):
+    """run(k, args): jobs[k](a) for each a of ``args``, in order, inline for one
+    worker, else on ``workers`` processes forked (POSIX; from a process with no
+    other threads running) with ``jobs``, so only arguments and results are
+    pickled; the pool is shut down and joined on exit."""
+    if workers == 1:
+        yield lambda k, args: map(jobs[k], args)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    pool = ProcessPoolExecutor(workers, get_context("fork"), initializer=_adopt, initargs=jobs)
+    try:
+        yield lambda k, args: pool.map(_call, repeat(k), args)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray, ys: np.ndarray,
+               eps_px: int, keep: int, member=None, threads: int = 1, optima: bool = False,
+               auth: Authenticator | None = None):
+    """The grid pass of every position search, in row bands on up to ``threads`` processes.
 
     The members are the allowed cells that ``member(tile_ys)`` keeps (all if
     None).  With ``eps_px`` >= 1 the fast small-scale count alone fills a
@@ -581,29 +600,41 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
     most _CHUNK_CELLS cells a _fast_count call taken from the rows that hold
     them.  The survivors are the members' disc-local maxima of the float32
     _point_fields count (other cells at -inf), which _disc_local_maxima
-    settles on R, and with ``optima`` the same task counts the whole grid's,
+    settles on R, and with ``optima`` the same pass counts the whole grid's,
     the small-scale optima.  With ``eps_px`` 0 every member survives and
     every allowed cell is an optimum.  Both fields are paid at the survivors
-    only, so memory is bounded by tile and chunk, not by lobe density.  Each
-    tile settles on its own: a cell of R that discs on both sides of a seam
-    between two tiles' decided rows reach is evaluated by both.
-    A disc reaches ``eps_px`` rows past its centre, so a row is decided once
-    its tile or a later one holds those rows: the last 2·``eps_px`` grid rows
-    carry from tile to tile, and results do not depend on the tile size.  The
-    tiles run on min(threads, tiles) workers of about _TILE_CELLS / workers
-    cells each, so the cells in flight stay at one tile's worth, and results
-    come back in tile order, independent of ``threads``.  Yields, per tile,
-    n_allowed, n_members, the number of optima (0 without ``optima``) and the
-    flat grid indices, f_obj and f_small_scale of the survivors it decided,
-    row-major; raises EmptyRegionError after the last tile if no cell is allowed.
+    only, so memory is bounded by tile, chunk and ``keep``, not by lobe density.
+
+    The grid is cut into bands of about _BAND_CELLS cells, whatever ``threads``
+    is; each band is one task, on min(threads, bands) worker processes forked
+    from this one, or inline for one.  A band walks its rows and the
+    ``eps_px`` halo rows on each side of it in tiles of about _TILE_CELLS
+    cells, and decides and counts its own rows only.  Each tile settles on its
+    own: a cell of R that discs on both sides of a seam between two tiles'
+    decided rows reach is evaluated by both.  A disc reaches ``eps_px`` rows
+    past its centre, so a row is decided once its tile or a later one holds
+    those rows: the last 2·``eps_px`` grid rows carry from tile to tile, and
+    results depend neither on the tile and band sizes nor on ``threads``.
+    Returns n_allowed, n_members, the number of optima (0 without ``optima``),
+    the number of survivors, and the flat grid indices, f_obj and f_small_scale
+    of the ``keep`` survivors of largest f_obj, ties in row-major order, then
+    with ``auth`` their miss probabilities, in mdp_optimal_pma_batch's _CHUNK
+    chunks on the same workers (else None); raises EmptyRegionError if no
+    cell is allowed.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     nx, ny = xs.size, ys.size
-    workers = min(threads, -(-ny // max(_TILE_CELLS // nx, 1)))
-    rows = max(_TILE_CELLS // workers // nx, 1)
+    band, rows = max(_BAND_CELLS // nx, 1), max(_TILE_CELLS // nx, 1)
     halo = max(eps_px, 0)
     margin = _fast_count_error(len(ctxs))
+
+    def p_md(idx):
+        return mdp_optimal_pma_batch(auth, scenario, np.column_stack((xs[idx % nx], ys[idx // nx])))
+
+    def best(idx, fobj, fss):
+        order = np.lexsort((idx, -fobj))[:keep]
+        return idx[order], fobj[order], fss[order]
 
     def point_fields(idx, objective=True):
         parts = (idx[c:c + _CHUNK_CELLS] for c in range(0, max(idx.size, 1), _CHUNK_CELLS))
@@ -611,15 +642,15 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
                 for part in parts)
         return tuple(np.concatenate(f) for f in zip(*both) if f[0] is not None)
 
-    def fields(r0):
-        r1 = min(r0 + rows, ny)
+    def fields(r0, r1, own):
+        """(n_allowed, n_members) of the ``own`` rows of tile r0:r1, and its fast
+        count grids (to evaluate, then members with ``optima``; without halo, members)."""
         tile_ys = ys[r0:r1]
         allowed = _allowed_mask(scenario, xs, tile_ys)
         members = allowed if member is None else allowed & member(tile_ys)
-        n_allowed = int(np.count_nonzero(allowed))
+        tally = (int(np.count_nonzero(allowed[own])), int(np.count_nonzero(members[own])))
         if not halo:
-            idx = np.flatnonzero(members) + r0 * nx
-            return n_allowed, idx.size, n_allowed if optima else 0, idx, *point_fields(idx)
+            return tally, np.flatnonzero(members) + r0 * nx
         grid = np.full(members.shape, -np.inf, np.float32)
         evaluate = allowed if optima else members
         counts = np.count_nonzero(evaluate, axis=1)
@@ -630,26 +661,11 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
             cells = (np.flatnonzero(evaluate[s0:s1 + 1]) + s0 * nx)[skip:skip + _CHUNK_CELLS]
             iy = np.repeat(np.arange(s0, s1 + 1), counts[s0:s1 + 1])[skip:skip + _CHUNK_CELLS]
             grid.ravel()[cells] = _fast_count(scenario, ctxs, xs[cells - iy * nx], tile_ys[iy])
-        grids = (grid, np.where(members, grid, -np.inf)) if optima else (grid,)
-        return n_allowed, int(np.count_nonzero(members)), r1, grids
+        return tally, ((grid, np.where(members, grid, -np.inf)) if optima else (grid,))
 
-    def decisions(done):
-        """maxima's arguments per tile: it decides the rows from the first
-        undecided one to ``halo`` rows before its end (to the grid's end for
-        the last tile) on its grids and the carried rows before them."""
-        tails = [np.empty((0, nx), np.float32)] * (1 + optima)
-        d0 = 0
-        for n_allowed, n_members, r1, grids in done:
-            d1 = max(d0, r1 - halo) if r1 < ny else ny
-            yield (n_allowed, n_members, r1 - grids[0].shape[0] - tails[0].shape[0],
-                   list(zip(tails, grids)), d0, d1)
-            tails = [np.concatenate((t, g[-2 * halo:]))[-2 * halo:] for t, g in zip(tails, grids)]
-            d0 = d1
-            del grids       # the call alone holds the tile while the next one runs
-
-    def maxima(n_allowed, n_members, g0, grids, d0, d1):
-        """The disc-local maxima of the float64 count in rows d0:d1 of each
-        fast grid, the last one's with their fields; ``grids`` hold the rows
+    def maxima(g0, grids, d0, d1):
+        """(number of optima, survivor indices): the disc-local maxima of the
+        float64 count in rows d0:d1 of each fast grid; ``grids`` hold the rows
         from g0 on that their discs reach."""
         known, counts = np.empty(0, np.intp), np.empty(0, np.float32)
 
@@ -668,22 +684,47 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray,
             return counts[np.searchsorted(known, cells)]
 
         found = [_disc_local_maxima(g, d0 - g0, d1 - g0, halo, exact, margin) for g in grids]
-        idx = g0 * nx + found[-1]
-        return n_allowed, n_members, found[0].size if optima else 0, idx, *point_fields(idx)
+        return found[0].size if optima else 0, g0 * nx + found[-1]
 
-    pool = ThreadPoolExecutor(workers)
-    try:
-        tiles = _in_order(pool, fields, ((r0,) for r0 in range(0, ny, rows)), workers - 1)
-        if halo:
-            tiles = _in_order(pool, maxima, decisions(tiles), workers - 1)
-        any_allowed = False
-        for tile in tiles:
-            any_allowed |= tile[0] > 0
-            yield tile
-    finally:
-        pool.shutdown(cancel_futures=True)
-    if not any_allowed:
-        raise EmptyRegionError("exclusion zones cover the whole region")
+    def walk_band(b0):
+        """Rows b0:b0 + band as _walk_grid returns the grid, less the miss probabilities."""
+        b1 = min(b0 + band, ny)
+        w0, w1 = max(b0 - halo, 0), min(b1 + halo, ny)
+        totals = np.zeros(4, int)
+        kept = (np.empty(0, np.intp), np.empty(0), np.empty(0))
+        tails = [np.empty((0, nx), np.float32)] * (1 + optima)
+        d0 = b0
+        for r0 in range(w0, w1, rows):
+            r1 = min(r0 + rows, w1)
+            tally, grids = fields(r0, r1, slice(max(b0 - r0, 0), max(b1 - r0, 0)))
+            if halo:        # decide from the first undecided row to halo rows before r1
+                d1 = b1 if r1 == w1 else max(d0, r1 - halo)
+                g0 = r1 - grids[0].shape[0] - tails[0].shape[0]
+                n_optima, idx = maxima(g0, list(zip(tails, grids)), d0, d1)
+                tails = [np.concatenate((t, g[-2 * halo:]))[-2 * halo:]
+                         for t, g in zip(tails, grids)]
+                d0 = d1
+            else:
+                n_optima, idx = tally[0] if optima else 0, grids
+            del grids
+            totals += (*tally, n_optima, idx.size)
+            kept = tuple(map(np.concatenate, zip(kept, (idx, *point_fields(idx)))))
+            if kept[0].size > 2 * keep:     # bounds memory by keep
+                kept = best(*kept)
+        return (*totals.tolist(), *best(*kept))
+
+    bands = range(0, ny, band)
+    with _forked(min(threads, len(bands)), walk_band, p_md) as run:
+        totals = np.zeros(4, int)
+        kept = (np.empty(0, np.intp), np.empty(0), np.empty(0))
+        for *counts, idx, fobj, fss in run(0, bands):
+            totals += counts
+            kept = best(*map(np.concatenate, zip(kept, (idx, fobj, fss))))
+        if not totals[0]:
+            raise EmptyRegionError("exclusion zones cover the whole region")
+        chunks = (kept[0][c:c + _CHUNK] for c in range(0, kept[0].size, _CHUNK))
+        rated = None if auth is None else np.concatenate([np.empty(0), *run(1, chunks)])
+    return (*totals.tolist(), *kept, rated)
 
 
 def _candidate_labels(ctxs: list[_ArrayContext], lobes: LobeSets,
@@ -714,37 +755,19 @@ def truncated_search(scenario: Scenario, threads: int = 1,
     probability at the ``max_candidates`` of best objective.  With
     ``count_optima`` the grid pass evaluates the count on every allowed cell,
     not only on the lobe cells, and returns count_small_scale_optima's figure
-    as ``n_optima``.  It runs on up to ``threads`` threads without changing
-    the result.
+    as ``n_optima``.  The grid pass and the miss probabilities run on up to
+    ``threads`` worker processes without changing the result.
     """
-    cap = scenario.search.max_candidates
     res, eps_px, xs, ys = search_grid(scenario)
     ctxs = _array_contexts(scenario)
     lobes = lobe_sets(scenario)
-
-    def best_first(idx, fobj, fss):
-        """The max_candidates survivors of largest f_obj, ties in row-major order."""
-        order = np.lexsort((idx, -fobj))[:cap]
-        return idx[order], fobj[order], fss[order]
-
-    n_allowed = n_lobe = n_optima = n_survivors = 0
-    kept = (np.empty(0, np.intp), np.empty(0), np.empty(0))
-    for n_tile, m_tile, o_tile, *survivors in _walk_grid(
-            scenario, ctxs, xs, ys, eps_px,
-            lambda tile_ys: _lobe_mask(ctxs, lobes, xs, tile_ys, res), threads, count_optima):
-        n_allowed += n_tile
-        n_lobe += m_tile
-        n_optima += o_tile
-        n_survivors += survivors[0].size
-        kept = tuple(map(np.concatenate, zip(kept, survivors)))
-        if kept[0].size > 2 * cap:     # keeps memory bounded by the cap
-            kept = best_first(*kept)
+    n_allowed, n_lobe, n_optima, n_survivors, idx, fobj, fss, p_md = _walk_grid(
+        scenario, ctxs, xs, ys, eps_px, scenario.search.max_candidates,
+        lambda tile_ys: _lobe_mask(ctxs, lobes, xs, tile_ys, res), threads, count_optima,
+        make_authenticator(scenario))
     if n_lobe == 0:
         raise NoCandidatesError("no grid point falls on a usable lobe")
-    idx, fobj, fss = best_first(*kept)
     xs_c, ys_c = xs[idx % xs.size], ys[idx // xs.size]
-    p_md = mdp_optimal_pma_batch(make_authenticator(scenario), scenario,
-                                 np.column_stack((xs_c, ys_c)))
     columns = (xs_c, ys_c, fobj, fss, p_md, _candidate_labels(ctxs, lobes, xs_c, ys_c))
     order = np.lexsort((idx, -p_md))  # p_md descending, row-major ties
     # from .tolist() columns, _CHUNK_CELLS rows at a time so that the lists stay short
@@ -766,17 +789,11 @@ def exhaustive_search(scenario: Scenario, threads: int = 1) -> SearchResult:
     """
     _, _, xs, ys = search_grid(scenario)
     ctxs = _array_contexts(scenario)
-    n_allowed, best = 0, None
-    for n_tile, _, _, idx, fobj, fss in _walk_grid(scenario, ctxs, xs, ys, 0, threads=threads):
-        n_allowed += n_tile
-        if idx.size and (best is None or fobj.max() > best[1]):
-            top = int(np.argmax(fobj))
-            best = (int(idx[top]), float(fobj[top]), float(fss[top]))
-    k, fo, fs = best
-    x, y = float(xs[k % xs.size]), float(ys[k // xs.size])
-    p_md = mdp_optimal_pma_batch(make_authenticator(scenario), scenario, [x, y])
+    n_allowed, _, _, _, idx, fobj, fss, p_md = _walk_grid(
+        scenario, ctxs, xs, ys, 0, 1, threads=threads, auth=make_authenticator(scenario))
+    x, y = float(xs[idx[0] % xs.size]), float(ys[idx[0] // xs.size])
     label = _candidate_labels(ctxs, lobe_sets(scenario), np.array([x]), np.array([y]))[0]
-    cand = CandidatePosition((x, y), fo, fs, float(p_md[0]), label)
+    cand = CandidatePosition((x, y), float(fobj[0]), float(fss[0]), float(p_md[0]), label)
     return SearchResult((cand,), cand.p_md, xs.size * ys.size, n_allowed, n_allowed, 1, n_allowed)
 
 
@@ -789,6 +806,5 @@ def count_small_scale_optima(scenario: Scenario, threads: int = 1) -> int:
     one cell every allowed cell is a (weak) maximum, counted without any field.
     """
     _, eps_px, xs, ys = search_grid(scenario)
-    walk = _walk_grid(scenario, _array_contexts(scenario), xs, ys, eps_px,
-                      lambda tile_ys: False, threads, optima=True)
-    return sum(tile[2] for tile in walk)
+    return _walk_grid(scenario, _array_contexts(scenario), xs, ys, eps_px, 0,
+                      lambda tile_ys: False, threads, optima=True)[2]

@@ -343,7 +343,7 @@ def test_criterion_10_determinism(tmp_path):
                 "--samples", "200000", "--seed", "9"],
         "validate": ["validate", "--scenario", scenario, "--points", "2",
                      "--samples", "100000", "--pfa-min", "1e-2", "--pfa-max", "1e-1"],
-        # the grid pass runs its row tiles on the worker threads
+        # desk_2rrh's grid is two row bands: the grid pass runs on worker processes
         "optimize": ["optimize", "--scenario", str(SCENARIOS / "desk_2rrh.json")],
     }
     for name, argv in commands.items():

@@ -160,6 +160,21 @@ class TestMdp:
                 "error": "ValueError",
                 "message": f"--method fixed:ETA,PSI needs finite ETA and PSI, got {method!r}"}
 
+    def test_fixed_strategy_refuses_a_negative_amplitude(self, capsys, scenario_file):
+        """ETA is an amplitude: fixed:-1.5,0.3 is the attack fixed:1.5,0.3+pi,
+        not the documented form, so it is refused; a zero ETA, -0 included, is
+        refused by the form build."""
+        for method in ("fixed:-1.5,0.3", "fixed:-1e-300,0"):
+            code, out, err = run(capsys, "mdp", "--scenario", scenario_file, "--method", method)
+            assert code == 2 and out == ""
+            assert json.loads(err) == {
+                "error": "ValueError",
+                "message": f"--method fixed:ETA,PSI needs an amplitude ETA >= 0, got {method!r}"}
+        for method in ("fixed:0,0.3", "fixed:-0,0.3"):
+            code, out, err = run(capsys, "mdp", "--scenario", scenario_file, "--method", method)
+            assert code == 2 and out == ""
+            assert json.loads(err)["message"] == "strategy amplitude must be positive"
+
 
 class TestSweeps:
     def test_roc_csv(self, capsys, scenario_file):
@@ -247,23 +262,47 @@ class TestSweepBatching:
                                    "message": "no interior saddle point on either side"}
 
 
+def _modules_after(prefixes, *commands) -> str:
+    """The modules under any of ``prefixes`` that a fresh interpreter has
+    loaded after importing distpla.cli and running ``commands``."""
+    probe = ("import sys, distpla.cli\n"
+             f"for argv in {list(commands)!r}:\n"
+             "    assert distpla.cli.main(argv) == 0, argv\n"
+             f"print(' '.join(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))")
+    done = subprocess.run([sys.executable, "-c", probe], env=package_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split("\n")[-2]     # the last line; commands print summaries first
+
+
+def test_cli_import_skips_the_process_pool(tmp_path):
+    """Start-up and the seven commands of the analysis-2rrh8 benchmark
+    workload (reference_2rrh8 at --threads 2) load neither multiprocessing
+    nor concurrent.futures.process, and neither does a one-worker search;
+    a search on two workers does."""
+    pool = ("multiprocessing", "concurrent.futures.process")
+    assert _modules_after(pool) == ""
+    scenario = ["--scenario", str(Path(DESK).with_name("reference_2rrh8.json"))]
+    analysis = [["threshold", *scenario], ["mdp", *scenario],
+                ["mdp", *scenario, "--method", "montecarlo", "--samples", "1000000"],
+                ["roc", *scenario], ["validate", *scenario],
+                ["heatmap", *scenario, "--grid", "1.0", "--out", str(tmp_path / "map.csv")],
+                ["delay", *scenario, "--arrival", "8", "--rate", "2", "--resources", "8",
+                 "--noise", "1e-9"]]
+    assert _modules_after(pool, *(argv + ["--threads", "2"] for argv in analysis)) == ""
+    optimize = ["optimize", "--scenario", DESK, "--out", str(tmp_path / "best.json")]
+    assert _modules_after(pool, optimize + ["--threads", "1"]) == ""
+    assert "concurrent.futures.process" in _modules_after(pool, optimize + ["--threads", "2"])
+
+
 def test_cli_import_skips_unused_scipy(tmp_path, solo_file):
     """Start-up loads no scipy module, and neither does any command on the
     multi-array desk_2rrh: threshold, mdp (saddle point and Monte-Carlo), roc,
     validate, heatmap, delay (bounded minimization), optimize and compare
     (lobe bands, disc filter); nor, on a single array, the closed-form
     commands optimize, mdp, roc, heatmap and compare."""
-    env = package_env()
-
     def loaded(*commands):
-        probe = ("import sys, distpla.cli\n"
-                 f"for argv in {list(commands)!r}:\n"
-                 "    assert distpla.cli.main(argv) == 0, argv\n"
-                 "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        return done.stdout.split("\n")[-2]     # the last line; commands print summaries first
+        return _modules_after(("scipy",), *commands)
 
     assert loaded() == ""
     scenario = ["--scenario", DESK]
@@ -388,7 +427,7 @@ class TestOptimize:
 
     def test_an_array_on_a_cell_centre_leaves_stderr_empty(self, tmp_path):
         """An array at a cell centre makes its own cell's angular sine 0/0 in
-        the lobe columns and band masks, on the walk's pool threads; that cell
+        the lobe columns and band masks, in the walk's band tasks; that cell
         is excluded, and the run prints nothing on stderr."""
         data = json.loads(Path(DESK).read_text())
         data["search"] = {"grid_resolution_m": 0.25}
@@ -524,6 +563,22 @@ class TestDelay:
 
 
 class TestFailureModes:
+    def test_all_excluded_region_exits_4_on_worker_processes(self, capsys, tmp_path,
+                                                             monkeypatch):
+        """With every cell excluded and the grid cut into one-row bands, the
+        search on two worker processes exits 4 and leaves no worker behind."""
+        import multiprocessing
+        import distpla.position_attack as pa
+        p = tmp_path / "excluded.json"
+        p.write_text(json.dumps(dict(SMALL, region_m={"x_min": 10, "x_max": 14, "y_min": 6,
+                                                      "y_max": 10})))
+        monkeypatch.setattr(pa, "_BAND_CELLS", 1)
+        code, out, err = run(capsys, "optimize", "--scenario", str(p), "--threads", "2")
+        assert code == 4 and out == ""
+        assert json.loads(err) == {"error": "EmptyRegionError",
+                                   "message": "exclusion zones cover the whole region"}
+        assert not multiprocessing.active_children()
+
     def test_missing_scenario_file(self, capsys):
         code, _, err = run(capsys, "threshold", "--scenario", "does/not/exist.json")
         assert code == 2
@@ -616,8 +671,9 @@ class TestDeterminism:
 
     def test_compare_bytes_do_not_depend_on_the_thread_count(self, capsys, tmp_path,
                                                             monkeypatch):
-        """A 0.5 m search grid with a 3-cell disc, cut into one-row tiles so
-        that three walk workers share it, gives the bytes of one worker."""
+        """A 0.5 m search grid with a 3-cell disc, cut into one-row tiles in
+        five-row bands so that three walk workers share it, gives the bytes
+        of one worker."""
         import distpla.position_attack as pa
         paths = []
         for name, rrhs in (("small", SMALL["rrhs"]), ("solo", SMALL["rrhs"][:1])):
@@ -629,6 +685,7 @@ class TestDeterminism:
         code, whole, _ = run(capsys, *argv)
         assert code == 0 and len(whole.splitlines()) == 3
         monkeypatch.setattr(pa, "_TILE_CELLS", 48)
+        monkeypatch.setattr(pa, "_BAND_CELLS", 5 * 48)
         for threads in ("1", "3"):
             code, out, _ = run(capsys, *argv, "--threads", threads)
             assert code == 0 and out == whole, threads

@@ -1,7 +1,9 @@
 import json
-import sys
+import multiprocessing
+import os
 import tracemalloc
 from dataclasses import replace
+from itertools import count, product
 from pathlib import Path
 
 import numpy as np
@@ -395,9 +397,10 @@ class TestSearches:
     @pytest.mark.parametrize("tile", [1, 2 * 120, 7 * 120 + 3])
     def test_tile_size_does_not_change_results(self, monkeypatch, tile):
         """One row per tile, fewer rows than the 6-row disc halo, and a tile
-        that is not a whole number of 120-cell rows, each on 1, 2 and 3
-        threads, all give the results of the single default tile on one,
-        the search's count of small-scale optima included."""
+        that is not a whole number of 120-cell rows, in bands of one row, of
+        fewer rows than the halo and of 17 rows and 5 cells, each on 1, 2 and
+        3 worker processes, all give the results of the single default band
+        and tile on one, the search's count of small-scale optima included."""
         sc = _search_scenario(small_scale_radius=1.5)
 
         def searches(threads):
@@ -407,17 +410,14 @@ class TestSearches:
                     count_small_scale_optima(sc, threads))
 
         whole = searches(1)
-        assert whole[0].n_grid <= pa._TILE_CELLS
+        assert whole[0].n_grid <= pa._TILE_CELLS <= pa._BAND_CELLS
         assert whole[0].n_optima is None and whole[1].n_optima == whole[3] > 0
         assert replace(whole[1], n_optima=None) == whole[0]
         monkeypatch.setattr(pa, "_TILE_CELLS", tile)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)     # switch threads often: tile order must still hold
-        try:
+        for band in (1, 4 * 120, 17 * 120 + 5):
+            monkeypatch.setattr(pa, "_BAND_CELLS", band)
             for threads in (1, 2, 3):
-                assert searches(threads) == whole, threads
-        finally:
-            sys.setswitchinterval(interval)
+                assert searches(threads) == whole, (band, threads)
 
     def test_halo_covers_the_whole_disc(self, monkeypatch):
         """The fields replace the small-scale count, both the fast one that
@@ -428,9 +428,10 @@ class TestSearches:
         falling with y) each set cell is beaten only by the set cell six rows
         before it, so carrying one row short of two radii over to the next
         tile changes it too.  With one-row tiles the halo comes from six
-        neighbouring tiles."""
+        neighbouring tiles, and with one- and seven-row bands from neighbouring
+        bands, each walked by a worker process of its own."""
         sc = _search_scenario(small_scale_radius=1.5)
-        tile = pa._TILE_CELLS
+        tile, band_cells = pa._TILE_CELLS, pa._BAND_CELLS
         for field in (lambda px, py: np.sin(12.9898 * px + 78.233 * py) * 43758.5453 % 1.0,
                       lambda px, py: np.where(np.round(4.0 * py - 0.5) % 6 == 0,
                                               2.0 - 1e-3 * py, 0.0)):
@@ -439,22 +440,26 @@ class TestSearches:
             monkeypatch.setattr(pa, "_fast_count", lambda scenario, ctxs, px, py:
                                 field(px, py).astype(np.float32))
             monkeypatch.setattr(pa, "_TILE_CELLS", tile)
+            monkeypatch.setattr(pa, "_BAND_CELLS", band_cells)
             whole = count_small_scale_optima(sc)
-            for rows in (1, 10):
+            for rows, band in product((1, 10), (1, 7)):
                 monkeypatch.setattr(pa, "_TILE_CELLS", rows * 120)
+                monkeypatch.setattr(pa, "_BAND_CELLS", band * 120)
                 for threads in (1, 2, 3):
-                    assert count_small_scale_optima(sc, threads) == whole, (rows, threads)
+                    assert count_small_scale_optima(sc, threads) == whole, (rows, band, threads)
 
     def test_optima_count_matches_a_brute_force_disc_maximum(self, monkeypatch):
         """On seeded random deployments, alternating identity and exponential
         correlation, the search's n_optima and count_small_scale_optima both
         equal the allowed cells that are >= every allowed cell of their disc,
         the count taken in float32 as the walk keeps it and the disc scanned
-        offset by offset.  The walk runs on two threads in tiles of 7 rows
-        and 3 cells.  One-antenna arrays have a flat angular response, so
-        there the lobe cells are the allowed cells; elsewhere they are fewer."""
+        offset by offset.  The walk runs on two worker processes in bands of
+        20 rows and tiles of 7 rows and 3 cells.  One-antenna arrays have a
+        flat angular response, so there the lobe cells are the allowed cells;
+        elsewhere they are fewer."""
         rng = np.random.default_rng(20)
         monkeypatch.setattr(pa, "_TILE_CELLS", 7 * 160 + 3)
+        monkeypatch.setattr(pa, "_BAND_CELLS", 20 * 160)
         cfg = SearchConfig(grid_resolution=0.25, small_scale_radius=1.0)
         lobe_share = []
         for k in range(6):
@@ -480,10 +485,12 @@ class TestSearches:
         assert max(lobe_share[:5]) < 1.0 == lobe_share[5]
         assert result.n_survivors == result.n_optima     # one grid, one set of maxima
 
-    @pytest.mark.parametrize("tile", [None, 1, 2 * 120, 7 * 120 + 3])
-    def test_fields_are_evaluated_once_per_cell(self, monkeypatch, tile):
+    @pytest.mark.parametrize("tile, band", [(None, None), (1, 20 * 120), (2 * 120, 7 * 120 + 3),
+                                            (7 * 120 + 3, 1)], ids=["None", "1", "240", "843"])
+    def test_fields_are_evaluated_once_per_cell(self, monkeypatch, tmp_path, tile, band):
         """The walk evaluates each member cell's fast small-scale count
-        exactly once, halo rows included, and a search that also counts the
+        exactly once per band that walks its row, in its own band or as halo
+        rows of the next or the previous one, and a search that also counts the
         small-scale optima each allowed cell's, not once per lobe cell and
         again per allowed cell.  The float64 count is paid once at each cell
         of R, the settle step's set on the fast grid (the contenders and their
@@ -493,89 +500,130 @@ class TestSearches:
         rows reach a cell of R, both tiles pay for it.  f_obj is evaluated
         only at the filter's survivors, or with the count where every member
         survives, never in the optima count, and no call takes more than
-        _CHUNK_CELLS cells.  The walk starts no more workers than it has tiles."""
+        _CHUNK_CELLS cells.  Worker processes record the calls in files.  The
+        walk starts min(threads, bands) workers."""
         sc = _search_scenario(small_scale_radius=1.5)
         _, eps_px, xs, ys = pa.search_grid(sc)
         margin = pa._fast_count_error(len(sc.rrhs))
         if tile is not None:
             monkeypatch.setattr(pa, "_TILE_CELLS", tile)
+            monkeypatch.setattr(pa, "_BAND_CELLS", band)
         monkeypatch.setattr(pa, "_CHUNK_CELLS", 100)
-        calls, workers = [], []
-        fast = np.full((ys.size, xs.size), -np.inf, np.float32)
-        point_fields_, fast_count_ = pa._point_fields, pa._fast_count
+        workers, serial = [], count()
+        point_fields_, fast_count_, forked = pa._point_fields, pa._fast_count, pa._forked
 
-        def cell_index(px, py):
-            return np.searchsorted(ys, py) * xs.size + np.searchsorted(xs, px)
+        def record(kind, px, py, values):
+            idx = np.searchsorted(ys, py) * xs.size + np.searchsorted(xs, px)
+            np.save(tmp_path / f"{kind}.{os.getpid()}.{next(serial)}.npy", np.stack((idx, values)))
 
         def counted(scenario, ctxs, px, py, objective=True):
-            calls.append(("f_obj" if objective else "count", cell_index(px, py)))
+            record("f_obj" if objective else "count", px, py, np.zeros(px.size))
             return point_fields_(scenario, ctxs, px, py, objective)
 
         def fast_counted(scenario, ctxs, px, py):
-            idx = cell_index(px, py)
-            calls.append(("fast", idx))
-            fast.ravel()[idx] = out = fast_count_(scenario, ctxs, px, py)
+            out = fast_count_(scenario, ctxs, px, py)
+            record("fast", px, py, out)
             return out
 
         monkeypatch.setattr(pa, "_point_fields", counted)
         monkeypatch.setattr(pa, "_fast_count", fast_counted)
-        pool = pa.ThreadPoolExecutor
-        monkeypatch.setattr(pa, "ThreadPoolExecutor", lambda n: (workers.append(n), pool(n))[1])
+        monkeypatch.setattr(pa, "_forked",
+                            lambda n, *jobs: (workers.append(n), forked(n, *jobs))[1])
+        band_rows = max(pa._BAND_CELLS // xs.size, 1)
+        starts = range(0, ys.size, band_rows)
+        allowed = _allowed_mask(sc, xs, ys)
+        members = allowed & pa._lobe_mask(_array_contexts(sc), lobe_sets(sc), xs, ys,
+                                          pa.search_grid(sc)[0])
+
+        def walked(mask):
+            """The fast counts of ``mask``'s cells that the bands' walks take:
+            its members plus, at each band seam, those of the halo rows."""
+            rows = np.count_nonzero(mask, axis=1)
+            return sum(int(rows[max(b0 - eps_px, 0):b0 + band_rows + eps_px].sum())
+                       for b0 in starts)
 
         def cells(search, *args):
-            """(fast count cells, float64 count cells, f_obj cells) of one search."""
-            calls.clear()
-            fast.fill(-np.inf)
+            """(fast count cells, float64 count cells, f_obj cells) of one search,
+            and the fast grid and calls it recorded."""
+            for f in tmp_path.glob("*.npy"):
+                f.unlink()
             result = search(sc, *args)
-            assert max(idx.size for _, idx in calls) <= 100
-            return result, tuple(sum(idx.size for kind, idx in calls if kind == want)
-                                 for want in ("fast", "count", "f_obj"))
+            calls = [(f.name.split(".")[0], np.load(f)) for f in tmp_path.glob("*.npy")]
+            assert max(rec.shape[1] for _, rec in calls) <= 100
+            fast = np.full((ys.size, xs.size), -np.inf, np.float32)
+            for kind, rec in calls:
+                if kind == "fast":
+                    fast.ravel()[rec[0].astype(np.intp)] = rec[1]
+            split = tuple(sum(rec.shape[1] for kind, rec in calls if kind == want)
+                          for want in ("fast", "count", "f_obj"))
+            return result, split, fast, calls
 
-        def settled(*grids):
+        def settled(calls, *grids):
             """The float64 count's cells are R of the grids, each once in one tile."""
-            got = np.concatenate([idx for kind, idx in calls if kind == "count"])
+            got = np.concatenate([rec[0] for kind, rec in calls if kind == "count"])
             expected = set().union(*(_settle_set(g, eps_px, margin) for g in grids))
-            assert set(got.tolist()) == expected
+            assert set(got.astype(np.intp).tolist()) == expected
             assert got.size == len(expected) if tile is None else got.size < 2 * len(expected)
             return len(expected)
 
-        members = pa._lobe_mask(_array_contexts(sc), lobe_sets(sc), xs, ys, pa.search_grid(sc)[0])
+        assert walked(members) > np.count_nonzero(members) or tile is None
         for threads in (1, 3):
-            trunc, split = cells(truncated_search, threads)
-            assert split[::2] == (trunc.n_lobe_points, trunc.n_survivors)
-            assert trunc.n_survivors <= settled(fast) < trunc.n_lobe_points
-            counted_, split = cells(truncated_search, threads, True)
-            assert split[::2] == (counted_.n_allowed, counted_.n_survivors)
-            settled(fast, np.where(members, fast, -np.inf))
-            assert counted_.n_lobe_points < counted_.n_allowed
+            trunc, split, fast, calls = cells(truncated_search, threads)
+            assert split[::2] == (walked(members), trunc.n_survivors)
+            assert np.count_nonzero(members) == trunc.n_lobe_points
+            assert trunc.n_survivors <= settled(calls, fast) < trunc.n_lobe_points
+            counted_, split, fast, calls = cells(truncated_search, threads, True)
+            assert split[::2] == (walked(allowed), counted_.n_survivors)
+            settled(calls, fast, np.where(members, fast, -np.inf))
+            assert counted_.n_lobe_points < counted_.n_allowed == np.count_nonzero(allowed)
             assert counted_.n_survivors == trunc.n_survivors
-            full, split = cells(exhaustive_search, threads)
+            full, split, _, _ = cells(exhaustive_search, threads)
             assert split == (0, 0, full.n_allowed)
-            optima, split = cells(count_small_scale_optima, threads)
-            assert split[::2] == (full.n_allowed, 0)
-            assert optima <= settled(fast) < full.n_allowed
-        # the 80-row grid is one default tile, and at least 11 of any other size
+            optima, split, fast, calls = cells(count_small_scale_optima, threads)
+            assert split[::2] == (walked(allowed), 0)
+            assert optima <= settled(calls, fast) < full.n_allowed
+        # the 80-row grid is one default band, and at least 4 of any other size
+        assert workers == [min(threads, len(starts)) for threads in (1, 3) for _ in range(4)]
         assert max(workers) == (1 if tile is None else 3)
 
-    def test_memory_is_bounded_by_the_tile(self, monkeypatch):
+    def test_memory_is_bounded_by_the_tile(self, monkeypatch, tmp_path):
         """Quadrupling the grid leaves the search's peak allocation nearly
-        flat, on one walk worker and on two.
+        flat, on one walk worker and on two, where each worker process
+        records its own peak, from the start of each task it runs.
 
         Both heights have more survivors than the 1,000-candidate cap, which
         bounds the candidate list, so only a dependence on the grid size
         could raise the peak."""
         monkeypatch.setattr(pa, "_TILE_CELLS", 1 << 12)
+        monkeypatch.setattr(pa, "_BAND_CELLS", 1 << 15)
+        forked = pa._forked
+
+        def measured(job):
+            def run(*args):
+                tracemalloc.reset_peak()
+                out = job(*args)
+                peak = tmp_path / f"peak.{os.getpid()}"
+                top = int(peak.read_text()) if peak.exists() else 0
+                peak.write_text(str(max(top, tracemalloc.get_traced_memory()[1])))
+                return out
+            return run
+
+        monkeypatch.setattr(pa, "_forked", lambda n, *jobs: forked(
+            n, *(jobs if n == 1 else map(measured, jobs))))
 
         def peak_bytes(height, threads):
             sc = _search_scenario(height, resolution=0.05, max_candidates=1000)
+            for f in tmp_path.glob("peak.*"):
+                f.unlink()
             tracemalloc.start()
             try:
                 result = truncated_search(sc, threads=threads)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert result.n_survivors > 1000
-            return peak
+            workers = [int(f.read_text()) for f in tmp_path.glob("peak.*")]
+            assert result.n_survivors > 1000 and (len(workers) > 0) == (threads > 1)
+            return max([peak] + workers)
 
         peak_bytes(20.0, 1)     # first-call imports and caches are not the search's
         for threads in (1, 2):
@@ -599,8 +647,7 @@ class TestSearches:
             band = np.arange(xs.size) < cols
             tracemalloc.start()
             try:
-                members = sum(tile[1] for tile in pa._walk_grid(
-                    sc, ctxs, xs, ys, 3, lambda tile_ys: band[None, :]))
+                members = pa._walk_grid(sc, ctxs, xs, ys, 3, 0, lambda tile_ys: band[None, :])[1]
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -617,6 +664,63 @@ class TestSearches:
                             search=SearchConfig(grid_resolution=0.5))
         with pytest.raises(EmptyRegionError):
             truncated_search(sc)
+
+    def test_workers_never_exceed_the_bands(self, monkeypatch):
+        """The walk asks its pool for min(threads, bands) workers of the fork
+        start method, one band per task whatever ``threads`` is; the pool here
+        records that and runs the calls in this process, starting none."""
+        import concurrent.futures
+
+        class InlinePool:
+            def __init__(self, workers, context, initializer, initargs):
+                made.append((workers, context.get_start_method()))
+                initializer(*initargs)
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+            def shutdown(self, cancel_futures):
+                assert cancel_futures
+
+        made = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(pa, "_jobs", ())
+        sc = _search_scenario(small_scale_radius=1.5)
+        whole = truncated_search(sc), count_small_scale_optima(sc)
+        assert (truncated_search(sc, 10_000), count_small_scale_optima(sc, 10_000)) == whole
+        assert made == []       # one default band: the search runs inline
+        for rows, bands in ((20, 4), (7, 12), (1, 80)):
+            monkeypatch.setattr(pa, "_BAND_CELLS", rows * 120)
+            assert truncated_search(sc, 10_000) == whole[0]
+            assert exhaustive_search(sc, 10_000) == exhaustive_search(sc)
+            assert made[-2:] == [(bands, "fork")] * 2
+        assert len(made) == 6 and not multiprocessing.active_children()
+
+    def test_no_worker_outlives_a_search(self, monkeypatch):
+        """No worker process is alive after a search on worker processes that
+        succeeds, one that finds no allowed cell, or one whose band task fails."""
+        sc = _search_scenario(small_scale_radius=1.5)
+        monkeypatch.setattr(pa, "_BAND_CELLS", 20 * 120)
+        assert truncated_search(sc, 2) == truncated_search(sc)
+        assert not multiprocessing.active_children()
+        empty = build_scenario([("r", (50.0, 50.0), 2)], alice=(5.0, 5.0), region=(3, 7, 3, 7),
+                               search=SearchConfig(grid_resolution=0.5))
+        monkeypatch.setattr(pa, "_BAND_CELLS", 8)
+        with pytest.raises(EmptyRegionError):
+            truncated_search(empty, 3)
+        assert not multiprocessing.active_children()
+        parent, allowed_mask = os.getpid(), pa._allowed_mask
+
+        def failing(scenario, xs, ys):
+            if os.getpid() != parent and ys[0] > 10.0:
+                raise RuntimeError("band task failed in a worker")
+            return allowed_mask(scenario, xs, ys)
+
+        monkeypatch.setattr(pa, "_BAND_CELLS", 20 * 120)
+        monkeypatch.setattr(pa, "_allowed_mask", failing)
+        with pytest.raises(RuntimeError, match="band task failed in a worker"):
+            truncated_search(sc, 2)
+        assert not multiprocessing.active_children()
 
     def test_no_candidates_when_lobes_miss_the_region(self):
         sc = build_scenario([("r", (0.0, 0.0), 8)], alice=(10.0, 0.001),
@@ -731,13 +835,13 @@ def _settle_set(fast, eps_px, margin):
 
 
 def _walk_maxima(sc, threads):
-    """(survivor flat indices, number of optima) of the search's walk."""
+    """(survivor flat indices, row-major, and number of optima) of the search's walk."""
     res, eps_px, xs, ys = pa.search_grid(sc)
     ctxs, lobes = _array_contexts(sc), lobe_sets(sc)
-    tiles = list(pa._walk_grid(sc, ctxs, xs, ys, eps_px,
-                               lambda tile_ys: pa._lobe_mask(ctxs, lobes, xs, tile_ys, res),
-                               threads, optima=True))
-    return np.concatenate([t[3] for t in tiles]), sum(t[2] for t in tiles)
+    walk = pa._walk_grid(sc, ctxs, xs, ys, eps_px, xs.size * ys.size,
+                         lambda tile_ys: pa._lobe_mask(ctxs, lobes, xs, tile_ys, res),
+                         threads, optima=True)
+    return np.sort(walk[4]), walk[2]
 
 
 class TestCountOracle:
@@ -746,7 +850,8 @@ class TestCountOracle:
     that decides the disc maxima (_point_fields on the grid axes' centres)
     equals it bit for bit, and the walk's float32 filter grid is _fast_count
     on those centres, within e/16 of it.  The walk's survivors and optima,
-    in tiles of 7 rows on one and on three threads, are the disc maxima of
+    in tiles of 7 rows and bands of 30 rows on one and on three worker
+    processes, are the disc maxima of
     the oracle's float32 grid, over the lobe cells and over the allowed cells."""
 
     @staticmethod
@@ -768,6 +873,7 @@ class TestCountOracle:
         grid.ravel()[idx] = oracle
         res, eps_px = pa.search_grid(sc)[:2]
         monkeypatch.setattr(pa, "_TILE_CELLS", 7 * xs.size + 3)
+        monkeypatch.setattr(pa, "_BAND_CELLS", 30 * xs.size + 1)
         members = pa._lobe_mask(ctxs, lobe_sets(sc), xs, ys, res)
         walks = [_walk_maxima(sc, threads) for threads in (1, 3)]
         survivors = _disc_maxima(np.where(members, grid, -np.inf), eps_px)
