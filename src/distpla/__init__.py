@@ -17,8 +17,7 @@ from .monte_carlo import (BLOCK_SIZE, McEstimate, WhitenedEvent, acceptance_even
 from .numerics import NumericsError, chi2_cdf, chi2_quantile, chi2_tail
 from .position_attack import (CandidatePosition, EmptyRegionError, LobeSets,
                               NoCandidatesError, PositionSearchError, SearchResult,
-                              count_small_scale_optima, exhaustive_search, f_obj,
-                              lobe_sets, truncated_search)
+                              count_small_scale_optima, lobe_sets, truncated_search)
 from .power_attack import (NO_ATTACK, IndefiniteForm, PowerStrategy,
                            SaddlepointError, build_indefinite_form, dncf_sf,
                            fixed_strategy_form,

@@ -43,7 +43,7 @@ def _fmt(x: float) -> str:
 
 def _log10_clamped(p: float) -> float:
     if not p > 10.0 ** _LOG10_FLOOR:
-        return _LOG10_FLOOR
+        return p if math.isnan(p) else _LOG10_FLOOR     # NaN: a cell on an RRH
     return max(math.log10(p), _LOG10_FLOOR)
 
 
@@ -137,11 +137,14 @@ def _cmd_validate(args):
 
 
 def _pmd_cells(sc: Scenario, resolution: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Optimal-attack p_md on every grid cell, y the outer and x the inner index."""
+    """Optimal-attack p_md on every grid cell, y the outer and x the inner index;
+    NaN on a cell whose centre is an RRH's position, where the channel is undefined."""
     xs, ys = grid_axes(sc, resolution)
     gx, gy = np.meshgrid(xs, ys)
-    vals = mdp_optimal_pma_batch(make_authenticator(sc), sc,
-                                 np.column_stack((gx.ravel(), gy.ravel())))
+    cells = np.column_stack((gx.ravel(), gy.ravel()))
+    on_rrh = np.any([(cells == rrh.position).all(axis=1) for rrh in sc.rrhs], axis=0)
+    vals = np.full(len(cells), np.nan)
+    vals[~on_rrh] = mdp_optimal_pma_batch(make_authenticator(sc), sc, cells[~on_rrh])
     return xs, ys, vals
 
 
@@ -320,6 +323,10 @@ def main(argv=None) -> int:
                                  f"got {getattr(args, flag)}")
         if getattr(args, "grid", None) is not None and not 0.0 < args.grid < math.inf:
             raise ValueError(f"--grid must be positive and finite, got {args.grid}")
+        for flag in ("pfa_min", "pfa_max"):
+            if not 0.0 < getattr(args, flag, 0.5) < 1.0:
+                raise ValueError(f"--{flag.replace('_', '-')} must lie in (0, 1), "
+                                 f"got {getattr(args, flag)}")
         if math.isnan(getattr(args, "coverage_pmd", 0.0)):
             raise ValueError("--coverage-pmd must be a number, got nan")
         payload, summary = args.handler(args)

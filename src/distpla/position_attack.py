@@ -24,13 +24,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .authenticator import Authenticator, make_authenticator, whiten
+from .authenticator import make_authenticator
 from .geometry import Scenario, wavelength
 from .numerics import bounded_minimum, bracketed_root_find
 from .power_attack import _CHUNK, mdp_optimal_pma_batch
 
-_BAND_CELLS = 1 << 21      # grid cells a task of _walk_grid decides: sized so halos stay a few %
-_TILE_CELLS = 1 << 19      # grid cells in flight in a band task of _walk_grid
+_BAND_CELLS = 1 << 21      # grid cells a band task decides: sized so halos stay a few %
+_TILE_CELLS = 1 << 19      # grid cells in flight in a band task
 _CHUNK_CELLS = 1 << 14     # cells per field call or gather of the walk: bounds its temporaries
 _SCAN_STRIDE = 32          # columns per float64 scan point of _lobe_columns
 _STRIP_ROWS = 16           # rows decided per pass of _disc_local_maxima: bounds its temporaries
@@ -46,21 +46,6 @@ class EmptyRegionError(PositionSearchError):
 
 class NoCandidatesError(PositionSearchError):
     """The lobe-restricted candidate set is empty."""
-
-
-def f_obj(auth: Authenticator, h: np.ndarray) -> float | np.ndarray:
-    """Alignment objective |mu_A^H Sigma_A^{-1} h|^2 / (h^H Sigma_A^{-1} h).
-
-    Scale invariant and bounded by the Mahalanobis energy M, with equality
-    iff h is proportional to mu_A.  ``h`` may be a vector or a matrix of
-    row vectors.
-    """
-    harr = np.asarray(h)
-    x = whiten(auth, harr.T)
-    num = np.abs(auth.whitened_mean.conj() @ x) ** 2
-    den = np.sum(np.abs(x) ** 2, axis=0)
-    out = num / den
-    return out if harr.ndim == 2 else float(out)
 
 
 @dataclass(frozen=True)
@@ -147,7 +132,7 @@ def _point_fields(scenario: Scenario, ctxs: list[_ArrayContext], px: np.ndarray,
     f_obj is None without ``objective``, which skips its terms.
 
     The expanded per-array factorization of the objective, algebraically
-    identical to f_obj(auth, mu_E) without any covariance factorization:
+    identical to the module's F(h) at h = mu_E without any covariance factorization:
       F = K |sum_j r_j^{beta/2} e^{j dphi_j} S_EA^j|^2 / sum_j r_j^beta S_EE^j
     with r_j the legitimate/attacker distance ratio; the attacker's transmit
     power cancels exactly.  The small-scale count is the phase-aligned sum
@@ -381,12 +366,16 @@ class SearchResult:
 
 
 def grid_axes(scenario: Scenario, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-center coordinates covering the region at the given spacing."""
+    """Centres of the whole cells that fit the region at the given spacing."""
     if not 0.0 < resolution < math.inf:
         raise ValueError(f"grid resolution must be positive and finite, got {resolution}")
     reg = scenario.region
-    nx = max(int(math.floor((reg.x_max - reg.x_min) / resolution + 1e-9)), 1)
-    ny = max(int(math.floor((reg.y_max - reg.y_min) / resolution + 1e-9)), 1)
+    width, height = reg.x_max - reg.x_min, reg.y_max - reg.y_min
+    nx = int(math.floor(width / resolution + 1e-9))
+    ny = int(math.floor(height / resolution + 1e-9))
+    if not nx or not ny:
+        raise ValueError(f"grid resolution {resolution} m fits no whole cell in the "
+                         f"{width} m x {height} m region")
     xs = reg.x_min + (np.arange(nx) + 0.5) * resolution
     ys = reg.y_min + (np.arange(ny) + 0.5) * resolution
     return xs, ys
@@ -589,47 +578,70 @@ def _forked(workers: int, *jobs):
         pool.shutdown(cancel_futures=True)
 
 
-def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray, ys: np.ndarray,
-               eps_px: int, keep: int, member=None, threads: int = 1, optima: bool = False,
-               auth: Authenticator | None = None):
-    """The grid pass of every position search, in row bands on up to ``threads`` processes.
+def _candidate_labels(ctxs: list[_ArrayContext], lobes: LobeSets,
+                      px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Per position: the first array whose main lobe holds it, else the first
+    pair of arrays whose first sidelobes both hold it, else "other"."""
+    main, side = zip(*(_in_bands(al, _point_geometry(ctx, px, py)[1])
+                       for ctx, al in zip(ctxs, lobes.per_array)))
+    labels = np.full(px.shape, "other", object)
+    # the later rules are written first so that the earlier ones win
+    pairs = [(i, j) for i in range(len(ctxs)) for j in range(i + 1, len(ctxs))]
+    for i, j in reversed(pairs):
+        labels[side[i] & side[j]] = f"sidelobes:{ctxs[i].rrh_id}+{ctxs[j].rrh_id}"
+    for ctx, in_main in reversed(list(zip(ctxs, main))):
+        labels[in_main] = f"main:{ctx.rrh_id}"
+    return labels
 
-    The members are the allowed cells that ``member(tile_ys)`` keeps (all if
-    None).  With ``eps_px`` >= 1 the fast small-scale count alone fills a
-    float32 grid, once per member or, with ``optima``, per allowed cell, at
-    most _CHUNK_CELLS cells a _fast_count call taken from the rows that hold
-    them.  The survivors are the members' disc-local maxima of the float32
-    _point_fields count (other cells at -inf), which _disc_local_maxima
-    settles on R, and with ``optima`` the same pass counts the whole grid's,
-    the small-scale optima.  With ``eps_px`` 0 every member survives and
-    every allowed cell is an optimum.  Both fields are paid at the survivors
-    only, so memory is bounded by tile, chunk and ``keep``, not by lobe density.
+
+def truncated_search(scenario: Scenario, threads: int = 1,
+                     count_optima: bool = False) -> SearchResult:
+    """Worst-position miss probability by lobe-restricted candidate search.
+
+    Grids the region and takes as members the allowed cells in the union of
+    main lobes and pairwise first-sidelobe intersections.  The survivors are
+    the members' local maxima of the small-scale alignment count over discs
+    of ``scenario.search``'s radius; the alignment objective is computed at
+    them only, and the miss probability at the ``max_candidates`` of best
+    objective, ties in row-major order.  Raises EmptyRegionError if no cell
+    is allowed and NoCandidatesError if no allowed cell is a member.
+
+    With a disc of at least one cell the fast small-scale count alone fills
+    a float32 grid, once per member or, with ``count_optima``, per allowed
+    cell, at most _CHUNK_CELLS cells a _fast_count call taken from the rows
+    that hold them.  The survivors are the disc-local maxima of the float32
+    _point_fields count on the members' grid (other cells at -inf), which
+    _disc_local_maxima settles on R, and with ``count_optima`` the same pass
+    counts those of the allowed grid, the small-scale optima, as ``n_optima``.
+    With a smaller disc (always for a single array, whose count is flat) every
+    member survives and every allowed cell is an optimum.  Both fields are
+    paid at the survivors only, so memory is bounded by tile, chunk and
+    ``max_candidates``, not by lobe density.
 
     The grid is cut into bands of about _BAND_CELLS cells, whatever ``threads``
     is; each band is one task, on min(threads, bands) worker processes forked
-    from this one, or inline for one.  A band walks its rows and the
-    ``eps_px`` halo rows on each side of it in tiles of about _TILE_CELLS
-    cells, and decides and counts its own rows only.  Each tile settles on its
-    own: a cell of R that discs on both sides of a seam between two tiles'
-    decided rows reach is evaluated by both.  A disc reaches ``eps_px`` rows
-    past its centre, so a row is decided once its tile or a later one holds
-    those rows: the last 2·``eps_px`` grid rows carry from tile to tile, and
-    results depend neither on the tile and band sizes nor on ``threads``.
-    Returns n_allowed, n_members, the number of optima (0 without ``optima``),
-    the number of survivors, and the flat grid indices, f_obj and f_small_scale
-    of the ``keep`` survivors of largest f_obj, ties in row-major order, then
-    with ``auth`` their miss probabilities, in mdp_optimal_pma_batch's _CHUNK
-    chunks on the same workers (else None); raises EmptyRegionError if no
-    cell is allowed.
+    from this one, or inline for one.  A band walks its rows and the disc's
+    halo rows on each side of it in tiles of about _TILE_CELLS cells, and
+    decides and counts its own rows only.  Each tile settles on its own: a
+    cell of R that discs on both sides of a seam between two tiles' decided
+    rows reach is evaluated by both.  A disc reaches ``halo`` rows past its
+    centre, so a row is decided once its tile or a later one holds those rows:
+    the last 2·``halo`` grid rows carry from tile to tile.  The miss
+    probabilities run in mdp_optimal_pma_batch's _CHUNK chunks on the same
+    workers.  Results depend neither on the tile and band sizes nor on ``threads``.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    nx, ny = xs.size, ys.size
+    res, eps_px, xs, ys = search_grid(scenario)
+    ctxs = _array_contexts(scenario)
+    lobes = lobe_sets(scenario)
+    auth = make_authenticator(scenario)
+    keep, nx, ny = scenario.search.max_candidates, xs.size, ys.size
     band, rows = max(_BAND_CELLS // nx, 1), max(_TILE_CELLS // nx, 1)
     halo = max(eps_px, 0)
     margin = _fast_count_error(len(ctxs))
 
-    def p_md(idx):
+    def rate(idx):
         return mdp_optimal_pma_batch(auth, scenario, np.column_stack((xs[idx % nx], ys[idx // nx])))
 
     def best(idx, fobj, fss):
@@ -644,15 +656,16 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray, ys
 
     def fields(r0, r1, own):
         """(n_allowed, n_members) of the ``own`` rows of tile r0:r1, and its fast
-        count grids (to evaluate, then members with ``optima``; without halo, members)."""
+        count grids (to evaluate, then members with ``count_optima``; without
+        halo, the members' flat indices)."""
         tile_ys = ys[r0:r1]
         allowed = _allowed_mask(scenario, xs, tile_ys)
-        members = allowed if member is None else allowed & member(tile_ys)
+        members = allowed & _lobe_mask(ctxs, lobes, xs, tile_ys, res)
         tally = (int(np.count_nonzero(allowed[own])), int(np.count_nonzero(members[own])))
         if not halo:
             return tally, np.flatnonzero(members) + r0 * nx
         grid = np.full(members.shape, -np.inf, np.float32)
-        evaluate = allowed if optima else members
+        evaluate = allowed if count_optima else members
         counts = np.count_nonzero(evaluate, axis=1)
         ends = np.cumsum(counts)        # cells to evaluate up to each row's end
         for c in range(0, int(ends[-1]), _CHUNK_CELLS):
@@ -661,7 +674,7 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray, ys
             cells = (np.flatnonzero(evaluate[s0:s1 + 1]) + s0 * nx)[skip:skip + _CHUNK_CELLS]
             iy = np.repeat(np.arange(s0, s1 + 1), counts[s0:s1 + 1])[skip:skip + _CHUNK_CELLS]
             grid.ravel()[cells] = _fast_count(scenario, ctxs, xs[cells - iy * nx], tile_ys[iy])
-        return tally, ((grid, np.where(members, grid, -np.inf)) if optima else (grid,))
+        return tally, ((grid, np.where(members, grid, -np.inf)) if count_optima else (grid,))
 
     def maxima(g0, grids, d0, d1):
         """(number of optima, survivor indices): the disc-local maxima of the
@@ -684,15 +697,17 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray, ys
             return counts[np.searchsorted(known, cells)]
 
         found = [_disc_local_maxima(g, d0 - g0, d1 - g0, halo, exact, margin) for g in grids]
-        return found[0].size if optima else 0, g0 * nx + found[-1]
+        return found[0].size if count_optima else 0, g0 * nx + found[-1]
 
     def walk_band(b0):
-        """Rows b0:b0 + band as _walk_grid returns the grid, less the miss probabilities."""
+        """Rows b0:b0 + band: n_allowed, n_members, n_optima (0 without
+        ``count_optima``) and n_survivors, then the flat indices, f_obj and
+        f_small_scale of the ``keep`` survivors of largest f_obj."""
         b1 = min(b0 + band, ny)
         w0, w1 = max(b0 - halo, 0), min(b1 + halo, ny)
         totals = np.zeros(4, int)
         kept = (np.empty(0, np.intp), np.empty(0), np.empty(0))
-        tails = [np.empty((0, nx), np.float32)] * (1 + optima)
+        tails = [np.empty((0, nx), np.float32)] * (1 + count_optima)
         d0 = b0
         for r0 in range(w0, w1, rows):
             r1 = min(r0 + rows, w1)
@@ -705,7 +720,7 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray, ys
                          for t, g in zip(tails, grids)]
                 d0 = d1
             else:
-                n_optima, idx = tally[0] if optima else 0, grids
+                n_optima, idx = tally[0] if count_optima else 0, grids
             del grids
             totals += (*tally, n_optima, idx.size)
             kept = tuple(map(np.concatenate, zip(kept, (idx, *point_fields(idx)))))
@@ -714,60 +729,21 @@ def _walk_grid(scenario: Scenario, ctxs: list[_ArrayContext], xs: np.ndarray, ys
         return (*totals.tolist(), *best(*kept))
 
     bands = range(0, ny, band)
-    with _forked(min(threads, len(bands)), walk_band, p_md) as run:
+    with _forked(min(threads, len(bands)), walk_band, rate) as run:
         totals = np.zeros(4, int)
         kept = (np.empty(0, np.intp), np.empty(0), np.empty(0))
         for *counts, idx, fobj, fss in run(0, bands):
             totals += counts
             kept = best(*map(np.concatenate, zip(kept, (idx, fobj, fss))))
-        if not totals[0]:
+        n_allowed, n_lobe, n_optima, n_survivors = totals.tolist()
+        if not n_allowed:
             raise EmptyRegionError("exclusion zones cover the whole region")
-        chunks = (kept[0][c:c + _CHUNK] for c in range(0, kept[0].size, _CHUNK))
-        rated = None if auth is None else np.concatenate([np.empty(0), *run(1, chunks)])
-    return (*totals.tolist(), *kept, rated)
-
-
-def _candidate_labels(ctxs: list[_ArrayContext], lobes: LobeSets,
-                      px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Per position: the first array whose main lobe holds it, else the first
-    pair of arrays whose first sidelobes both hold it, else "other"."""
-    main, side = zip(*(_in_bands(al, _point_geometry(ctx, px, py)[1])
-                       for ctx, al in zip(ctxs, lobes.per_array)))
-    labels = np.full(px.shape, "other", object)
-    # the later rules are written first so that the earlier ones win
-    pairs = [(i, j) for i in range(len(ctxs)) for j in range(i + 1, len(ctxs))]
-    for i, j in reversed(pairs):
-        labels[side[i] & side[j]] = f"sidelobes:{ctxs[i].rrh_id}+{ctxs[j].rrh_id}"
-    for ctx, in_main in reversed(list(zip(ctxs, main))):
-        labels[in_main] = f"main:{ctx.rrh_id}"
-    return labels
-
-
-def truncated_search(scenario: Scenario, threads: int = 1,
-                     count_optima: bool = False) -> SearchResult:
-    """Worst-position miss probability by lobe-restricted candidate search.
-
-    Grids the region, intersects the allowed area with the union of main
-    lobes and pairwise first-sidelobe intersections, keeps local maxima of
-    the small-scale alignment count over discs of ``scenario.search``'s radius
-    (every candidate qualifies for a single array, whose count is flat),
-    computes the alignment objective only at them, and evaluates the miss
-    probability at the ``max_candidates`` of best objective.  With
-    ``count_optima`` the grid pass evaluates the count on every allowed cell,
-    not only on the lobe cells, and returns count_small_scale_optima's figure
-    as ``n_optima``.  The grid pass and the miss probabilities run on up to
-    ``threads`` worker processes without changing the result.
-    """
-    res, eps_px, xs, ys = search_grid(scenario)
-    ctxs = _array_contexts(scenario)
-    lobes = lobe_sets(scenario)
-    n_allowed, n_lobe, n_optima, n_survivors, idx, fobj, fss, p_md = _walk_grid(
-        scenario, ctxs, xs, ys, eps_px, scenario.search.max_candidates,
-        lambda tile_ys: _lobe_mask(ctxs, lobes, xs, tile_ys, res), threads, count_optima,
-        make_authenticator(scenario))
-    if n_lobe == 0:
-        raise NoCandidatesError("no grid point falls on a usable lobe")
-    xs_c, ys_c = xs[idx % xs.size], ys[idx // xs.size]
+        if not n_lobe:
+            raise NoCandidatesError("no grid point falls on a usable lobe")
+        idx, fobj, fss = kept
+        chunks = (idx[c:c + _CHUNK] for c in range(0, idx.size, _CHUNK))
+        p_md = np.concatenate(list(run(1, chunks)))
+    xs_c, ys_c = xs[idx % nx], ys[idx // nx]
     columns = (xs_c, ys_c, fobj, fss, p_md, _candidate_labels(ctxs, lobes, xs_c, ys_c))
     order = np.lexsort((idx, -p_md))  # p_md descending, row-major ties
     # from .tolist() columns, _CHUNK_CELLS rows at a time so that the lists stay short
@@ -776,35 +752,17 @@ def truncated_search(scenario: Scenario, threads: int = 1,
         for c in range(0, order.size, _CHUNK_CELLS)
         for x, y, fo, fs, p, label in zip(*(column[order[c:c + _CHUNK_CELLS]].tolist()
                                             for column in columns)))
-    return SearchResult(candidates, candidates[0].p_md, xs.size * ys.size, n_allowed, n_lobe,
+    return SearchResult(candidates, candidates[0].p_md, nx * ny, n_allowed, n_lobe,
                         len(candidates), n_survivors, n_optima if count_optima else None)
-
-
-def exhaustive_search(scenario: Scenario, threads: int = 1) -> SearchResult:
-    """Reference search: the alignment objective on every allowed grid cell.
-
-    Ranks every allowed cell by the expanded objective and evaluates the
-    miss probability at the single best cell, the first in row-major order
-    among ties.
-    """
-    _, _, xs, ys = search_grid(scenario)
-    ctxs = _array_contexts(scenario)
-    n_allowed, _, _, _, idx, fobj, fss, p_md = _walk_grid(
-        scenario, ctxs, xs, ys, 0, 1, threads=threads, auth=make_authenticator(scenario))
-    x, y = float(xs[idx[0] % xs.size]), float(ys[idx[0] // xs.size])
-    label = _candidate_labels(ctxs, lobe_sets(scenario), np.array([x]), np.array([y]))[0]
-    cand = CandidatePosition((x, y), float(fobj[0]), float(fss[0]), float(p_md[0]), label)
-    return SearchResult((cand,), cand.p_md, xs.size * ys.size, n_allowed, n_allowed, 1, n_allowed)
 
 
 def count_small_scale_optima(scenario: Scenario, threads: int = 1) -> int:
     """Disc-local maxima of the small-scale count over the whole allowed grid.
 
     The denominator of the "fraction of optima actually searched" figure of
-    merit: truncated_search's ``n_optima``, from the same walk with no lobe
-    sets, no members and so no f_obj.  For a single array or a disc under
-    one cell every allowed cell is a (weak) maximum, counted without any field.
+    merit, as ``compare`` prints it: the ``n_optima`` of truncated_search with
+    ``count_optima``, so it raises NoCandidatesError, as the search does, where
+    the region holds allowed cells but no lobe cell.  For a single array or a
+    disc under one cell every allowed cell is a (weak) maximum.
     """
-    _, eps_px, xs, ys = search_grid(scenario)
-    return _walk_grid(scenario, _array_contexts(scenario), xs, ys, eps_px, 0,
-                      lambda tile_ys: False, threads, optima=True)[2]
+    return truncated_search(scenario, threads, count_optima=True).n_optima

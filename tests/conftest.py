@@ -3,10 +3,13 @@ import pytest
 from scipy.linalg import block_diag, solve_triangular
 
 from distpla import (BLOCK_SIZE, Region, RrhConfig, Scenario, SearchConfig,
-                     TransmitterConfig, steering_vector, wavelength)
+                     TransmitterConfig, lobe_sets, make_authenticator, mdp_optimal_pma_batch,
+                     steering_vector, wavelength)
+from distpla.authenticator import whiten
 from distpla.monte_carlo import block_generator
-from distpla.position_attack import (_angular_g, _array_contexts, _point_fields,
-                                     _point_geometry, search_grid)
+from distpla.position_attack import (CandidatePosition, SearchResult, _allowed_mask,
+                                     _angular_g, _array_contexts, _candidate_labels,
+                                     _point_fields, _point_geometry, search_grid)
 
 
 def build_scenario(rrhs, alice=(40.0, 30.0), eve=(26.0, 49.0), *,
@@ -56,6 +59,52 @@ def point_fields(scenario, points):
     """
     pts = np.atleast_2d(np.asarray(points, float))
     return _point_fields(scenario, _array_contexts(scenario), pts[:, 0].copy(), pts[:, 1].copy())
+
+
+def f_obj(auth, h):
+    """Alignment objective |mu_A^H Sigma_A^{-1} h|^2 / (h^H Sigma_A^{-1} h), the
+    oracle of the search's expanded objective.
+
+    Scale invariant and bounded by the Mahalanobis energy M, with equality
+    iff h is proportional to mu_A.  ``h`` may be a vector or a matrix of
+    row vectors.
+    """
+    harr = np.asarray(h)
+    x = whiten(auth, harr.T)
+    num = np.abs(auth.whitened_mean.conj() @ x) ** 2
+    den = np.sum(np.abs(x) ** 2, axis=0)
+    out = num / den
+    return out if harr.ndim == 2 else float(out)
+
+
+def exhaustive_search(scenario):
+    """The reference that certifies truncated_search: the alignment objective
+    on every allowed cell of the search grid, by brute force.
+
+    _point_fields runs on the allowed cells of row blocks of about 2^16 cells;
+    the best cell is the first by (-f_obj, flat index), as the search ranks its
+    survivors (np.argmax would pick a NaN), and only it pays a miss
+    probability.  No walk, band, tile or worker pool of the search is used.
+    """
+    _, _, xs, ys = search_grid(scenario)
+    ctxs, nx = _array_contexts(scenario), xs.size
+    rows = max((1 << 16) // nx, 1)
+    n_allowed, best = 0, []
+    for r0 in range(0, ys.size, rows):
+        idx = np.flatnonzero(_allowed_mask(scenario, xs, ys[r0:r0 + rows])) + r0 * nx
+        if idx.size:
+            fobj, fss = _point_fields(scenario, ctxs, xs[idx % nx], ys[idx // nx])
+            k = np.lexsort((idx, -fobj))[0]
+            best.append((idx[k], fobj[k], fss[k]))
+            n_allowed += idx.size
+    idx, fobj, fss = map(np.array, zip(*best))
+    k = np.lexsort((idx, -fobj))[0]
+    x, y = xs[idx[k] % nx], ys[idx[k] // nx]
+    p_md = mdp_optimal_pma_batch(make_authenticator(scenario), scenario, [[x, y]])[0]
+    label = _candidate_labels(ctxs, lobe_sets(scenario), np.array([x]), np.array([y]))[0]
+    cand = CandidatePosition((float(x), float(y)), float(fobj[k]), float(fss[k]),
+                             float(p_md), label)
+    return SearchResult((cand,), cand.p_md, xs.size * ys.size, n_allowed, n_allowed, 1, n_allowed)
 
 
 def count_oracle(scenario, idx):

@@ -399,15 +399,22 @@ class TestBatchedCells:
         assert before == after
         assert len(before[0].splitlines()) == 1 + 24 * 16
 
-    def test_position_on_an_rrh_is_a_config_error(self, capsys, tmp_path):
+    def test_cell_on_an_rrh_is_nan(self, capsys, tmp_path):
+        """A cell whose centre is an RRH's position has no channel: heatmap
+        writes nan for it alone, and compare counts it as not covered over
+        all cells (every other cell's p_md is below the level 1.01)."""
         data = dict(SMALL)
         data["rrhs"] = [dict(SMALL["rrhs"][0], position_m=[10.0, 14.0]), SMALL["rrhs"][1]]
         p = tmp_path / "on_rrh.json"
         p.write_text(json.dumps(data))
-        code, _, err = run(capsys, "heatmap", "--scenario", str(p), "--grid", "4.0")
-        assert code == 2
-        payload = json.loads(err)
-        assert payload["error"] == "ValueError" and "sits on RRH 'n'" in payload["message"]
+        code, out, _ = run(capsys, "heatmap", "--scenario", str(p), "--grid", "4.0")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 6 * 4
+        assert [row for row in rows if row[2] == "nan"] == [["10.0", "14.0", "nan"]]
+        code, out, _ = run(capsys, "compare", "--scenario", str(p), "--grid", "4.0",
+                           "--coverage-pmd", "1.01")
+        assert code == 0 and out.splitlines()[1].split(",")[5] == repr(100.0 * 23 / 24)
 
 
 class TestOptimize:
@@ -470,7 +477,8 @@ class TestCompare:
     def test_one_grid_walk_per_scenario(self, capsys, tmp_path, monkeypatch):
         """The search's own walk counts the small-scale optima: compare walks
         each grid once, and its optima column is count_small_scale_optima's,
-        here on 0.5 m grids with a 3-cell disc."""
+        here on 0.5 m grids with a 3-cell disc.  Each grid is one tile, so a
+        walk asks for the allowed cells once."""
         import distpla.position_attack as pa
         paths = []
         for name, rrhs in (("small", SMALL["rrhs"]), ("solo", SMALL["rrhs"][:1])):
@@ -478,17 +486,17 @@ class TestCompare:
             Path(paths[-1]).write_text(json.dumps(dict(SMALL, rrhs=rrhs, search={
                 "grid_resolution_m": 0.5, "small_scale_radius_m": 1.5})))
         paths.append(paths[0])
-        walks, walk = [], pa._walk_grid
+        walks, allowed_mask = [], pa._allowed_mask
 
-        def counted(scenario, *args, **kwargs):
+        def counted(scenario, *args):
             walks.append(len(scenario.rrhs))
-            return walk(scenario, *args, **kwargs)
+            return allowed_mask(scenario, *args)
 
-        monkeypatch.setattr(pa, "_walk_grid", counted)
+        monkeypatch.setattr(pa, "_allowed_mask", counted)
         code, out, _ = run(capsys, "compare", *(x for p in paths for x in ("--scenario", p)),
                            "--grid", "4.0")
         assert code == 0 and walks == [2, 1, 2]
-        monkeypatch.setattr(pa, "_walk_grid", walk)
+        monkeypatch.setattr(pa, "_allowed_mask", allowed_mask)
         assert [int(line.split(",")[7]) for line in out.splitlines()[1:]] == [
             pa.count_small_scale_optima(distpla.load_scenario(p)) for p in paths]
 
@@ -625,6 +633,27 @@ class TestFailureModes:
             payload = json.loads(err)
             assert payload["error"] == "ValueError"
             assert payload["message"].startswith("--grid must be positive"), command
+
+    @pytest.mark.parametrize("grid", ["100", "17"])
+    def test_grid_must_fit_a_whole_cell(self, capsys, scenario_file, grid):
+        """A cell wider or taller than the 24 m x 16 m region fits none: refused,
+        not placed with its centre outside the region."""
+        for command in ("heatmap", "optimize", "compare"):
+            code, out, err = run(capsys, command, "--scenario", scenario_file, "--grid", grid)
+            assert code == 2 and out == "", command
+            assert json.loads(err) == {"error": "ValueError", "message": (
+                f"grid resolution {float(grid)} m fits no whole cell in the "
+                "24.0 m x 16.0 m region")}, command
+
+    @pytest.mark.parametrize("flag, value", [("--pfa-min", "0"), ("--pfa-min", "2"),
+                                             ("--pfa-max", "1"), ("--pfa-max", "-0.5"),
+                                             ("--pfa-min", "nan")])
+    def test_pfa_bounds_must_lie_in_the_unit_interval(self, capsys, scenario_file, flag, value):
+        for command in ("roc", "validate"):
+            code, out, err = run(capsys, command, "--scenario", scenario_file, flag, value)
+            assert code == 2 and out == "", command
+            assert json.loads(err) == {"error": "ValueError", "message": (
+                f"{flag} must lie in (0, 1), got {float(value)}")}, command
 
     def test_usage_errors(self, capsys):
         assert run(capsys, )[0] == 2

@@ -11,9 +11,8 @@ import pytest
 
 import distpla.position_attack as pa
 from distpla import (SearchConfig, alice_statistics, channel_statistics,
-                     count_small_scale_optima, eve_statistics,
-                     exhaustive_search, f_obj, load_scenario, lobe_sets, make_authenticator,
-                     mdp_optimal_pma, scenario_from_dict, steering_vector,
+                     count_small_scale_optima, eve_statistics, load_scenario, lobe_sets,
+                     make_authenticator, mdp_optimal_pma, scenario_from_dict, steering_vector,
                      truncated_search, wavelength)
 from distpla.position_attack import (ArrayLobes, EmptyRegionError, LobeBand,
                                      NoCandidatesError, _allowed_mask, _array_contexts,
@@ -23,7 +22,7 @@ from distpla.position_attack import (ArrayLobes, EmptyRegionError, LobeBand,
 from distpla.cli import main
 
 from conftest import (angular_inner_product, build_scenario, correlation_matrix, count_oracle,
-                      point_fields, random_geometry, sample_channel)
+                      exhaustive_search, f_obj, point_fields, random_geometry, sample_channel)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -406,12 +405,11 @@ class TestSearches:
         def searches(threads):
             return (truncated_search(sc, threads),
                     truncated_search(sc, threads, count_optima=True),
-                    exhaustive_search(sc, threads),
                     count_small_scale_optima(sc, threads))
 
         whole = searches(1)
         assert whole[0].n_grid <= pa._TILE_CELLS <= pa._BAND_CELLS
-        assert whole[0].n_optima is None and whole[1].n_optima == whole[3] > 0
+        assert whole[0].n_optima is None and whole[1].n_optima == whole[2] > 0
         assert replace(whole[1], n_optima=None) == whole[0]
         monkeypatch.setattr(pa, "_TILE_CELLS", tile)
         for band in (1, 4 * 120, 17 * 120 + 5):
@@ -498,8 +496,7 @@ class TestSearches:
         the survivors and is smaller than the members.  Tiles settle on their
         own, so where discs on both sides of a seam between two tiles' decided
         rows reach a cell of R, both tiles pay for it.  f_obj is evaluated
-        only at the filter's survivors, or with the count where every member
-        survives, never in the optima count, and no call takes more than
+        only at the filter's survivors, and no call takes more than
         _CHUNK_CELLS cells.  Worker processes record the calls in files.  The
         walk starts min(threads, bands) workers."""
         sc = _search_scenario(small_scale_radius=1.5)
@@ -574,16 +571,12 @@ class TestSearches:
             assert trunc.n_survivors <= settled(calls, fast) < trunc.n_lobe_points
             counted_, split, fast, calls = cells(truncated_search, threads, True)
             assert split[::2] == (walked(allowed), counted_.n_survivors)
-            settled(calls, fast, np.where(members, fast, -np.inf))
+            assert (counted_.n_optima <= settled(calls, fast, np.where(members, fast, -np.inf))
+                    < counted_.n_allowed)
             assert counted_.n_lobe_points < counted_.n_allowed == np.count_nonzero(allowed)
             assert counted_.n_survivors == trunc.n_survivors
-            full, split, _, _ = cells(exhaustive_search, threads)
-            assert split == (0, 0, full.n_allowed)
-            optima, split, fast, calls = cells(count_small_scale_optima, threads)
-            assert split[::2] == (walked(allowed), 0)
-            assert optima <= settled(calls, fast) < full.n_allowed
         # the 80-row grid is one default band, and at least 4 of any other size
-        assert workers == [min(threads, len(starts)) for threads in (1, 3) for _ in range(4)]
+        assert workers == [min(threads, len(starts)) for threads in (1, 3) for _ in range(2)]
         assert max(workers) == (1 if tile is None else 3)
 
     def test_memory_is_bounded_by_the_tile(self, monkeypatch, tmp_path):
@@ -629,31 +622,32 @@ class TestSearches:
         for threads in (1, 2):
             assert peak_bytes(80.0, threads) < 1.5 * peak_bytes(20.0, threads), threads
 
-    def test_memory_does_not_grow_with_lobe_density(self):
-        """A walk whose one tile is all lobe cells peaks under 1.5 times the
-        walk whose lobe cells are a 5 % column band of the same tile.  Per
-        lobe cell the walk holds only the tile's float32 count grid: the count
-        is evaluated in chunks gathered from the rows that hold them, the
-        contenders' discs are gathered in chunks, and f_obj is paid at the
-        disc filter's survivors.  (The ratio is 1.30; a walk that keeps a
-        flat index of the tile's lobe cells gives 1.60, one that evaluates
-        both fields at every lobe cell at once about 7.)"""
-        sc = _search_scenario(resolution=0.05)
-        ctxs = _array_contexts(sc)
+    def test_memory_does_not_grow_with_lobe_density(self, monkeypatch):
+        """A search whose one tile is all lobe cells peaks under 1.5 times the
+        search whose lobe cells are a 5 % column band of the same tile (the
+        lobe mask is replaced by the band, the disc is 3 cells and one
+        candidate is kept).  Per lobe cell the walk holds only the tile's
+        float32 count grid: the count is evaluated in chunks gathered from the
+        rows that hold them, the contenders' discs are gathered in chunks, and
+        f_obj is paid at the disc filter's survivors.  (The ratio is 1.30; a
+        walk that keeps a flat index of the tile's lobe cells gives 1.60, one
+        that evaluates both fields at every lobe cell at once about 7.)"""
+        sc = _search_scenario(resolution=0.05, small_scale_radius=0.15, max_candidates=1)
         xs, ys = grid_axes(sc, 0.05)
-        assert xs.size * ys.size <= pa._TILE_CELLS
+        assert xs.size * ys.size <= pa._TILE_CELLS and pa.search_grid(sc)[1] == 3
 
         def peak_bytes(cols):
             band = np.arange(xs.size) < cols
+            monkeypatch.setattr(pa, "_lobe_mask", lambda *args: band[None, :])
             tracemalloc.start()
             try:
-                members = pa._walk_grid(sc, ctxs, xs, ys, 3, 0, lambda tile_ys: band[None, :])[1]
+                members = truncated_search(sc).n_lobe_points
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             return peak, members
 
-        peak_bytes(30)      # first-call imports and caches are not the walk's
+        peak_bytes(30)      # first-call imports and caches are not the search's
         sparse, dense = peak_bytes(30), peak_bytes(xs.size)
         assert dense[1] > 10 * sparse[1]
         assert dense[0] < 1.5 * sparse[0]
@@ -692,7 +686,7 @@ class TestSearches:
         for rows, bands in ((20, 4), (7, 12), (1, 80)):
             monkeypatch.setattr(pa, "_BAND_CELLS", rows * 120)
             assert truncated_search(sc, 10_000) == whole[0]
-            assert exhaustive_search(sc, 10_000) == exhaustive_search(sc)
+            assert count_small_scale_optima(sc, 10_000) == whole[1]
             assert made[-2:] == [(bands, "fork")] * 2
         assert len(made) == 6 and not multiprocessing.active_children()
 
@@ -723,11 +717,15 @@ class TestSearches:
         assert not multiprocessing.active_children()
 
     def test_no_candidates_when_lobes_miss_the_region(self):
+        """The region holds allowed cells but no lobe cell: the search, and so
+        its count of the small-scale optima, raises NoCandidatesError."""
         sc = build_scenario([("r", (0.0, 0.0), 8)], alice=(10.0, 0.001),
                             eve=(-15.0, 0.0), region=(-20, -10, -5, 5),
                             search=SearchConfig(grid_resolution=0.5))
         with pytest.raises(NoCandidatesError):
             truncated_search(sc)
+        with pytest.raises(NoCandidatesError):
+            count_small_scale_optima(sc)
 
 
 def test_mirror_symmetric_geometry_gives_mirror_fields():
@@ -835,13 +833,15 @@ def _settle_set(fast, eps_px, margin):
 
 
 def _walk_maxima(sc, threads):
-    """(survivor flat indices, row-major, and number of optima) of the search's walk."""
-    res, eps_px, xs, ys = pa.search_grid(sc)
-    ctxs, lobes = _array_contexts(sc), lobe_sets(sc)
-    walk = pa._walk_grid(sc, ctxs, xs, ys, eps_px, xs.size * ys.size,
-                         lambda tile_ys: pa._lobe_mask(ctxs, lobes, xs, tile_ys, res),
-                         threads, optima=True)
-    return np.sort(walk[4]), walk[2]
+    """(survivor flat indices, row-major, and number of optima) of the search,
+    with a candidate cap that keeps every survivor."""
+    xs, ys = pa.search_grid(sc)[2:]
+    r = truncated_search(replace(sc, search=replace(sc.search, max_candidates=xs.size * ys.size)),
+                         threads, count_optima=True)
+    idx = [np.searchsorted(ys, y) * xs.size + np.searchsorted(xs, x)
+           for x, y in (c.position for c in r.candidates)]
+    assert len(idx) == r.n_survivors
+    return np.sort(idx), r.n_optima
 
 
 class TestCountOracle:
