@@ -226,7 +226,7 @@ def _add_common(p: argparse.ArgumentParser, scenario_multi: bool = False):
     else:
         p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--out", help="output file (atomic write); default stdout")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2**128) (default 0)")
     p.add_argument("--samples", type=int, default=200_000,
                    help="Monte-Carlo samples (default 200000)")
     p.add_argument("--threads", type=int, default=1,
@@ -317,10 +317,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        for flag in ("threads", "points", "w_max"):
+        for flag in ("threads", "samples", "points", "w_max"):
             if getattr(args, flag, 1) < 1:
                 raise ValueError(f"--{flag.replace('_', '-')} must be at least 1, "
                                  f"got {getattr(args, flag)}")
+        if not 0 <= args.seed < 2 ** 128:
+            raise ValueError(f"--seed must lie in [0, 2**128), got {args.seed}")
         if getattr(args, "grid", None) is not None and not 0.0 < args.grid < math.inf:
             raise ValueError(f"--grid must be positive and finite, got {args.grid}")
         for flag in ("pfa_min", "pfa_max"):

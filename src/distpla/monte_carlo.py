@@ -8,7 +8,7 @@ thread count and any partitioning of blocks over workers.  The block size
 and key layout are part of the package's reproducibility contract and must
 not change between versions.
 
-Each block draws one (n, 2 dim) ``standard_normal`` array z, paired into
+Each block is one (n, 2 dim) ``standard_normal`` draw z, paired into
 w = z.view(complex) / sqrt(2), the whitened noise of h = mu + L w.  Events
 are :class:`WhitenedEvent` s and receive x = L_A^{-1} h: the shared antenna
 correlation gives Sigma_E,j = alpha_j Sigma_A,j, alpha_j = P_E,j / P_A,j, so
@@ -16,12 +16,19 @@ x = L_A^{-1} mu_E + diag(sqrt(alpha_j) 1_{n_j}) w, with L_A^{-1} mu_E from
 authenticator.whiten, costs elementwise arithmetic and row sums, no matrix
 product or triangular solve.  Sample i is row i of z, the layout above.
 
+A block is streamed, not held: each of min(threads, blocks) workers owns one
+(_SUB_ROWS, 2 dim) float64 buffer and a fixed set of blocks, and refills the
+buffer _SUB_ROWS rows at a time from the block's generator.  Consecutive
+draws continue the generator's stream, so the sub-blocks are the rows of the
+block's one draw, bit for bit, and memory per worker is the buffer plus the
+event's temporaries over _SUB_ROWS rows, whatever the block size.
+
 An event may also return an (n, k) boolean block, k events over the same
 draws, such as one acceptance test per threshold of a false-alarm sweep.
 Hits are then counted per column.  Column j sees exactly the samples, and
-the block-by-block integer sums, that a separate call with column j's event
-would see, so its hits, value and standard error equal that call's bit for
-bit; k thresholds cost one pass over the samples instead of k.
+the integer sums, that a separate call with column j's event would see, so
+its hits, value and standard error equal that call's bit for bit; k
+thresholds cost one pass over the samples instead of k.
 """
 from __future__ import annotations
 
@@ -35,6 +42,7 @@ from .authenticator import Authenticator, whiten
 from .geometry import ChannelStatistics
 
 BLOCK_SIZE = 16_384
+_SUB_ROWS = 2_048          # rows drawn and decided at a time; any value gives the same hits
 
 
 @dataclass(frozen=True)
@@ -49,7 +57,12 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class WhitenedEvent:
-    """An event: ``decide`` maps a C-contiguous (n, dim) block of x = L_A^{-1} h to booleans."""
+    """An event: ``decide`` maps a C-contiguous (n, dim) block of x = L_A^{-1} h to booleans.
+
+    ``decide`` must be row-wise: row i of its result depends on row i of x
+    alone.  It sees at most ``_SUB_ROWS`` rows a call, and x is a view of a
+    buffer that the next call overwrites, valid only during the call.
+    """
 
     auth: Authenticator
     decide: Callable[[np.ndarray], np.ndarray]
@@ -70,12 +83,15 @@ def estimate_probability(event: WhitenedEvent, stats: ChannelStatistics, samples
     (n, k) block of k events; then ``value``, ``std_error`` and ``hits`` are
     length-k arrays.  ``stats`` must share the authenticator's arrays and
     rho, with variances alpha_j times its own to 1e-12, so that each Sigma_j
-    is alpha_j Sigma_A,j.  Results do not depend on ``threads``.
+    is alpha_j Sigma_A,j.  ``threads`` (at least 1) caps the worker threads;
+    results do not depend on it.
     """
     if not isinstance(event, WhitenedEvent):
         raise TypeError(f"estimate_probability needs a WhitenedEvent, got {type(event).__name__}")
     if samples <= 0:
         raise ValueError(f"samples must be positive, got {samples}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     auth = event.auth
     alpha = stats.powers / auth.stats.powers
     if (stats.block_sizes != auth.stats.block_sizes or stats.rho != auth.stats.rho
@@ -86,22 +102,30 @@ def estimate_probability(event: WhitenedEvent, stats: ChannelStatistics, samples
     # each real coordinate of x is offset + sqrt(alpha_j) z / sqrt(2)
     spread = np.repeat(np.sqrt(alpha / 2.0), 2 * np.asarray(stats.block_sizes))
     n_blocks = (samples + BLOCK_SIZE - 1) // BLOCK_SIZE
+    workers = min(threads, n_blocks)
 
-    def run_block(b: int) -> np.ndarray:
-        count = min(BLOCK_SIZE, samples - b * BLOCK_SIZE)
-        z = block_generator(seed, b).standard_normal((count, 2 * stats.dim))
-        x = np.add(np.multiply(z, spread, out=z), offset, out=z).view(complex)
-        flags = np.asarray(event.decide(x), bool)
-        if flags.ndim not in (1, 2) or len(flags) != count:
-            raise ValueError("event must map an (n, dim) block to n booleans "
-                             "or an (n, k) boolean block")
-        return flags.sum(axis=0)
+    def run_blocks(blocks: range) -> np.ndarray:
+        buf = np.empty((_SUB_ROWS, 2 * stats.dim))
+        hits = 0
+        for b in blocks:
+            gen, count = block_generator(seed, b), min(BLOCK_SIZE, samples - b * BLOCK_SIZE)
+            for start in range(0, count, _SUB_ROWS):
+                z = buf[:min(_SUB_ROWS, count - start)]
+                gen.standard_normal(out=z)
+                x = np.add(np.multiply(z, spread, out=z), offset, out=z).view(complex)
+                flags = np.asarray(event.decide(x), bool)
+                if flags.ndim not in (1, 2) or len(flags) != len(z):
+                    raise ValueError("event must map an (n, dim) block to n booleans "
+                                     "or an (n, k) boolean block")
+                hits = hits + flags.sum(axis=0)
+        return hits
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(run_block, range(n_blocks)))
+    shares = [range(w, n_blocks, workers) for w in range(workers)]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(run_blocks, shares))
     else:
-        counts = [run_block(b) for b in range(n_blocks)]
+        counts = list(map(run_blocks, shares))
     hits = np.sum(counts, axis=0)
     p = hits / samples
     err = np.sqrt(p * (1.0 - p) / samples)

@@ -612,18 +612,41 @@ class TestFailureModes:
         assert code == 3
         assert json.loads(err)["error"] == "SaddlepointError"
 
+    @staticmethod
+    def _every_command(scenario_file):
+        scenario = ("--scenario", scenario_file)
+        return (("threshold", *scenario), ("mdp", *scenario, "--method", "montecarlo"),
+                ("roc", *scenario), ("validate", *scenario), ("heatmap", *scenario),
+                ("optimize", *scenario), ("compare", *scenario),
+                ("delay", *scenario, "--arrival", "8", "--rate", "4", "--resources", "4"))
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_a_config_error(self, capsys, scenario_file, threads):
-        scenario = ("--scenario", scenario_file)
-        for argv in (("threshold", *scenario), ("mdp", *scenario, "--method", "montecarlo"),
-                     ("roc", *scenario), ("validate", *scenario), ("heatmap", *scenario),
-                     ("optimize", *scenario), ("compare", *scenario),
-                     ("delay", *scenario, "--arrival", "8", "--rate", "4",
-                      "--resources", "4")):
+        for argv in self._every_command(scenario_file):
             code, out, err = run(capsys, *argv, "--threads", threads)
             assert code == 2 and out == "", argv[0]
             assert json.loads(err) == {"error": "ValueError",
                                        "message": f"--threads must be at least 1, got {threads}"}
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "--seed must lie in [0, 2**128), got -1"),
+        ("--seed", str(2 ** 128), f"--seed must lie in [0, 2**128), got {2 ** 128}"),
+        ("--samples", "0", "--samples must be at least 1, got 0"),
+        ("--samples", "-3", "--samples must be at least 1, got -3"),
+    ])
+    def test_seed_and_samples_out_of_range_are_config_errors(self, capsys, scenario_file,
+                                                             flag, value, message):
+        """Every command refuses them by flag name, not by numpy's key message."""
+        for argv in self._every_command(scenario_file):
+            code, out, err = run(capsys, *argv, flag, value)
+            assert code == 2 and out == "", argv[0]
+            assert json.loads(err) == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("seed", ["0", str(2 ** 128 - 1)])
+    def test_seed_range_ends_are_valid(self, capsys, scenario_file, seed):
+        code, out, _ = run(capsys, "mdp", "--scenario", scenario_file, "--method", "montecarlo",
+                           "--samples", "1000", "--seed", seed)
+        assert code == 0 and json.loads(out)["samples"] == 1000
 
     @pytest.mark.parametrize("grid", ["-1", "0"])
     def test_grid_must_be_positive(self, capsys, scenario_file, grid):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from distpla import (BLOCK_SIZE, WhitenedEvent, acceptance_event,
                      best_case_acceptance_event, discriminant, estimate_probability,
                      eve_statistics, load_scenario, make_authenticator, threshold_for_pfa)
+import distpla.monte_carlo as mc
 from distpla.monte_carlo import block_generator
 from distpla.power_attack import optimal_power_strategy
 
@@ -43,6 +45,86 @@ def test_thread_count_never_changes_hits(dual_scenario, threads):
     assert par.value == base.value
 
 
+def test_workers_are_capped_by_the_blocks(dual_scenario, monkeypatch):
+    """min(threads, blocks) workers split the blocks between them, asked of a
+    stand-in pool that records its size and starts no thread; one block runs
+    without a pool."""
+    asked, parts = [], []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            parts.append(list(items))
+            return map(fn, parts[-1])
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
+    auth = make_authenticator(dual_scenario)
+    samples = 3 * BLOCK_SIZE + 17                     # four blocks
+    base = estimate_probability(_median_event(auth), auth.stats, samples, seed=3)
+    assert asked == []
+    for threads in (2, 3, 4, 5, 10_000):
+        asked.clear()
+        parts.clear()
+        est = estimate_probability(_median_event(auth), auth.stats, samples, seed=3,
+                                   threads=threads)
+        assert asked == [min(threads, 4)] and est == base
+        assert sorted(b for blocks in parts[0] for b in blocks) == [0, 1, 2, 3]
+    asked.clear()
+    estimate_probability(_median_event(auth), auth.stats, BLOCK_SIZE, threads=10_000)
+    assert asked == []
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+def test_sub_block_rows_never_change_hits(monkeypatch, rho):
+    """Blocks drawn and decided one row, 7 rows (which leave a partial
+    sub-block at the end of every block) or a whole block at a time hit
+    exactly what the default sub-block hits, for one- and 13-column events,
+    at 1 to 3 threads, under identity and exponential correlation."""
+    sc = replace(load_scenario(SCENARIOS / "reference_3rrh.json"), rho=rho)
+    auth, eve = make_authenticator(sc), eve_statistics(sc)
+    thresholds = [threshold_for_pfa(float(p), auth.total_dof) for p in np.logspace(-4, -1, 13)]
+    events = [best_case_acceptance_event(replace(auth, threshold=thresholds[6])),
+              best_case_acceptance_event(auth, thresholds)]
+    samples = 2 * BLOCK_SIZE + 1000       # ends in a partial block
+    base = [estimate_probability(e, eve, samples, seed=4).hits for e in events]
+    assert 0 < base[0] < samples and base[1][6] == base[0]
+    for rows in (1, 7, BLOCK_SIZE):
+        monkeypatch.setattr(mc, "_SUB_ROWS", rows)
+        for threads in (1, 2, 3):
+            for event, hits in zip(events, base):
+                est = estimate_probability(event, eve, samples, seed=4, threads=threads)
+                assert np.array_equal(est.hits, hits), (rows, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_peak_memory_does_not_grow_with_the_block(threads):
+    """A 100-threshold pass over 200,000 samples on reference_2rrh8 (32 real
+    coordinates) holds, per worker, the sub-block buffer and the event's
+    temporaries over it (about 2.3 MiB), not a block: its traced peak stays
+    below 2 MiB plus 3 MiB a worker, where a worker holding a whole
+    16,384-row block and its temporaries would take about 18 MiB."""
+    sc = load_scenario(SCENARIOS / "reference_2rrh8.json")
+    auth, eve = make_authenticator(sc), eve_statistics(sc)
+    thresholds = [threshold_for_pfa(float(p), auth.total_dof) for p in np.logspace(-4, -1, 100)]
+    event = best_case_acceptance_event(auth, thresholds)
+    tracemalloc.start()
+    try:
+        est = estimate_probability(event, eve, 200_000, seed=1, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.hits.shape == (100,)
+    assert peak < (2 + 3 * threads) * 2 ** 20, peak
+
+
 def test_partial_final_block(dual_scenario):
     auth = make_authenticator(dual_scenario)
     est = estimate_probability(WhitenedEvent(auth, lambda x: np.ones(len(x), bool)), auth.stats,
@@ -77,6 +159,9 @@ def test_input_validation(dual_scenario):
     with pytest.raises(TypeError, match="WhitenedEvent"):
         # an event on h itself has no sampler: only whitened events are drawn
         estimate_probability(lambda h: np.ones(len(h), bool), stats, 100)
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            estimate_probability(_median_event(auth), stats, 100, threads=threads)
 
 
 def test_one_column_event_keeps_python_scalars(dual_scenario):
