@@ -82,8 +82,8 @@ def _strategy(method: str, auth, eve) -> PowerStrategy:
         raise ValueError("fixed method expects fixed:ETA,PSI") from None
     if not (math.isfinite(eta) and math.isfinite(psi)):
         raise ValueError(f"--method fixed:ETA,PSI needs finite ETA and PSI, got {method!r}")
-    if eta < 0.0:
-        raise ValueError(f"--method fixed:ETA,PSI needs an amplitude ETA >= 0, got {method!r}")
+    if not eta > 0.0:
+        raise ValueError(f"--method fixed:ETA,PSI needs an amplitude ETA > 0, got {method!r}")
     return PowerStrategy(eta, psi)
 
 

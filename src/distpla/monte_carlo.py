@@ -43,6 +43,7 @@ from .geometry import ChannelStatistics
 
 BLOCK_SIZE = 16_384
 _SUB_ROWS = 2_048          # rows drawn and decided at a time; any value gives the same hits
+_EVENT_COLUMNS = 64        # thresholds a best-case event compares at a time; any value, same hits
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,7 @@ def estimate_probability(event: WhitenedEvent, stats: ChannelStatistics, samples
                     raise ValueError("event must map an (n, dim) block to n booleans "
                                      "or an (n, k) boolean block")
                 hits = hits + flags.sum(axis=0)
+                del flags       # not alive while decide builds the next sub-block's
         return hits
 
     shares = [range(w, n_blocks, workers) for w in range(workers)]
@@ -149,10 +151,12 @@ def best_case_acceptance_event(auth: Authenticator, thresholds=None) -> Whitened
 
     With ``thresholds``, a sequence of acceptance thresholds T_k for auth's
     legitimate statistics, the event returns an (n, k) block whose column k
-    tests T_k; the objective is computed once per block for all of them.
+    tests T_k; the objective is computed once per block for all of them, and
+    compared _EVENT_COLUMNS thresholds at a time, so its temporaries do not
+    grow with k.
     """
     t_star = auth.mahalanobis_energy - (
-        auth.threshold if thresholds is None else np.asarray(thresholds, float)) / 2.0
+        auth.threshold if thresholds is None else np.asarray(thresholds, float).ravel()) / 2.0
     # m^H x is the row sum of v . m.view(float) plus j times that of v . (j m).view(float)
     proj_re, proj_im = auth.whitened_mean.view(float), (1j * auth.whitened_mean).view(float)
 
@@ -160,6 +164,12 @@ def best_case_acceptance_event(auth: Authenticator, thresholds=None) -> Whitened
         v = x.view(float)
         re, im = np.einsum("ij,j->i", v, proj_re), np.einsum("ij,j->i", v, proj_im)
         num, den = re * re + im * im, np.einsum("ij,ij->i", v, v)
-        return num > t_star * den if thresholds is None else num[:, None] > t_star * den[:, None]
+        if thresholds is None:
+            return num > t_star * den
+        flags = np.empty((len(v), t_star.size), bool)
+        for j in range(0, t_star.size, _EVENT_COLUMNS):
+            cols = slice(j, j + _EVENT_COLUMNS)
+            np.greater(num[:, None], t_star[cols] * den[:, None], out=flags[:, cols])
+        return flags
 
     return WhitenedEvent(auth, decide)

@@ -15,9 +15,9 @@ The antenna correlation is shared by the whole scenario, so array j sees
 the attacker covariance Sigma_E,j = alpha_j Sigma_A,j with alpha_j =
 P_E,j / P_A,j, the ratio of received powers.  Every form therefore has at
 most 2 N_RRH distinct eigenvalues, and is built from per-array sums and an
-N_RRH x N_RRH eigenproblem instead of an N x N one; a term with
-multiplicity m stands for m equal eigenvalues and carries the offset
-energy of its whole eigenspace.
+N_RRH x N_RRH eigenproblem instead of an N x N one.  Every route hands the
+tail a form as a row (d, c, m, const): term i is the eigenvalue d_i taken
+m_i times, with offset norm |c_i| over its whole eigenspace.
 
 The saddle exponent is evaluated as s(z) = c0 z + sum_i |c_i|^2 z d_i /
 (1 - z d_i) - ln z - sum_i m_i ln(1 - z d_i) on the strip where the moment
@@ -80,27 +80,6 @@ class PowerStrategy:
 NO_ATTACK = PowerStrategy(1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class IndefiniteForm:
-    """Event {sum_i d_i |w_i + c_i|^2 + constant > 0}, w iid CN(0, 1).
-
-    Term i is an eigenspace: ``eigenvalues[i]`` repeated
-    ``multiplicities[i]`` times (``None`` means once each), and
-    ``offsets[i]`` is the norm of the offset inside that eigenspace; by
-    rotational invariance only that norm affects the law.  The builders
-    below emit at most 2 N_RRH terms and none of multiplicity zero (a
-    zero-multiplicity term would still move the saddle bracket's rim).
-    ``threshold_param`` records the normalized acceptance parameter
-    t = 1 - T/(2M) the form was built for.
-    """
-
-    eigenvalues: np.ndarray
-    offsets: np.ndarray
-    threshold_param: float
-    constant: float = 0.0
-    multiplicities: np.ndarray | None = None
-
-
 def optimal_power_strategy(auth: Authenticator, h_eve: np.ndarray) -> tuple[PowerStrategy, float]:
     """Discriminant-minimizing (eta, psi) for a known attacker channel.
 
@@ -130,13 +109,26 @@ def statistical_power_strategy(auth: Authenticator, eve_stats: ChannelStatistics
 
 def _optimal_form_rows(auth: Authenticator, means: np.ndarray, powers: np.ndarray,
                        thresholds: np.ndarray):
-    """build_indefinite_form for attacker means (n, N), powers (n, N_RRH) and thresholds (n,).
+    """The optimal-PMA miss event as indefinite forms, one row per attacker and threshold.
 
-    One row of means and powers may stand for all n thresholds; it is then
+    With t = 1 - T/(2M), the event {min_strategy d < T} is
+    {h^H C h > 0} for C = Sigma_A^{-1} mu_A mu_A^H Sigma_A^{-1} / M
+    - t Sigma_A^{-1}; whitening h = mu_E + L_E w with L_E = diag(sqrt alpha_j)
+    L_A turns C into u u^H / M - t diag(alpha_j) with u_j = sqrt(alpha_j) w_j,
+    w = L_A^{-1} mu_A.  Its eigenvalues are those of the N_RRH x N_RRH matrix
+    a a^T / M - t diag(alpha) with a_j = sqrt(alpha_j) ||w_j||, where array j
+    contributes the direction u_j with offset b_j = <w_j, x_j> / (||w_j||
+    sqrt(alpha_j)), x = L_A^{-1} mu_E, and -t alpha_j on the rest of the
+    array (multiplicity n_j - 1, offset energy ||x_j||^2 / alpha_j - |b_j|^2).
+    For t in (0, 1) exactly one eigenvalue is positive.  L_A^{-1} is applied
+    elementwise by authenticator.whiten; no factor is formed.
+
+    Attacker means are (n, N), powers (n, N_RRH) and thresholds (n,).  One
+    row of means and powers may stand for all n thresholds; it is then
     whitened once.  whiten treats every column on its own, so every row
     keeps the bits of its own one-row build.
     Returns the eigenvalues, complex offsets and multiplicities, each (n, K)
-    with K = N_RRH + #(arrays with n_j > 1), and t (n,).
+    with K = N_RRH + #(arrays with n_j > 1), and t (n,); the constant is 0.
     """
     m_energy = auth.mahalanobis_energy
     t = 1.0 - thresholds / (2.0 * m_energy)
@@ -157,30 +149,17 @@ def _optimal_form_rows(auth: Authenticator, means: np.ndarray, powers: np.ndarra
     return eigenvalues, offsets, np.broadcast_to(mult, eigenvalues.shape), t
 
 
-def build_indefinite_form(auth: Authenticator, eve_stats: ChannelStatistics) -> IndefiniteForm:
-    """Reduce the optimal-PMA miss event to an indefinite quadratic form.
-
-    With t = 1 - T/(2M), the event {min_strategy d < T} is
-    {h^H C h > 0} for C = Sigma_A^{-1} mu_A mu_A^H Sigma_A^{-1} / M
-    - t Sigma_A^{-1}; whitening h = mu_E + L_E w with L_E = diag(sqrt alpha_j)
-    L_A turns C into u u^H / M - t diag(alpha_j) with u_j = sqrt(alpha_j) w_j,
-    w = L_A^{-1} mu_A.  Its eigenvalues are those of the N_RRH x N_RRH matrix
-    a a^T / M - t diag(alpha) with a_j = sqrt(alpha_j) ||w_j||, where array j
-    contributes the direction u_j with offset b_j = <w_j, x_j> / (||w_j||
-    sqrt(alpha_j)), x = L_A^{-1} mu_E, and -t alpha_j on the rest of the
-    array (multiplicity n_j - 1, offset energy ||x_j||^2 / alpha_j - |b_j|^2).
-    For t in (0, 1) exactly one eigenvalue is positive.  L_A^{-1} is applied
-    elementwise by authenticator.whiten; no factor is formed.
-    """
-    d, c, m, t = _optimal_form_rows(auth, eve_stats.mean[None, :], eve_stats.powers[None, :],
+def build_indefinite_form(auth: Authenticator, eve_stats: ChannelStatistics):
+    """The optimal-PMA miss event at auth's threshold as one row (d, c, m, const) of
+    _optimal_form_rows.  No route calls it; it stays while perfbench's TRACED names it."""
+    d, c, m, _ = _optimal_form_rows(auth, eve_stats.mean[None, :], eve_stats.powers[None, :],
                                     np.array([auth.threshold]))
-    return IndefiniteForm(eigenvalues=d[0], offsets=c[0], threshold_param=float(t[0]),
-                          multiplicities=m[0].copy())
+    return d, c, m, np.zeros(1)
 
 
 def fixed_strategy_form(auth: Authenticator, eve_stats: ChannelStatistics,
-                        strategy: PowerStrategy) -> IndefiniteForm:
-    """Reduce the fixed-strategy acceptance event to an indefinite form.
+                        strategy: PowerStrategy):
+    """The fixed-strategy acceptance event as one row (d, c, m, const).
 
     The event {d(scale * h) < T} becomes {sum d_i |w_i + c_i|^2 + T/2 > 0}
     with d_j = -|eta|^2 alpha_j of multiplicity n_j per array, offset
@@ -193,11 +172,8 @@ def fixed_strategy_form(auth: Authenticator, eve_stats: ChannelStatistics,
     sizes, starts = np.asarray(auth.stats.block_sizes), auth.stats.starts
     x = whiten(auth, scale * eve_stats.mean - auth.stats.mean)
     gain = abs(scale) ** 2 * (eve_stats.powers / auth.stats.powers)
-    t = 1.0 - auth.threshold / (2.0 * auth.mahalanobis_energy)
-    return IndefiniteForm(eigenvalues=-gain,
-                          offsets=np.sqrt(np.add.reduceat(np.abs(x) ** 2, starts) / gain),
-                          threshold_param=float(t), constant=auth.threshold / 2.0,
-                          multiplicities=sizes)
+    offsets = np.sqrt(np.add.reduceat(np.abs(x) ** 2, starts) / gain)
+    return -gain[None, :], offsets[None, :], sizes[None, :], np.array([auth.threshold / 2.0])
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
@@ -321,18 +297,13 @@ def _saddle_tail(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray
                     np.clip(p_direct, 0.0, 1.0), 1.0 - np.clip(p_complement, 0.0, 1.0))
 
 
-def saddlepoint_tail_probability(form: IndefiniteForm) -> float:
-    """P(sum_i d_i |w_i + c_i|^2 + constant > 0) by saddle-point approximation.
+def saddlepoint_tail_probability(d, c, m, const) -> np.ndarray:
+    """P(sum_i d_i |w_i + c_i|^2 + const > 0) per row of (d, c, m) and const by saddle point.
 
-    Evaluates both the direct event and its complement and keeps whichever
-    tail is smaller, where the approximation is accurate.  Raises
-    SaddlepointError when neither side admits a usable saddle.
+    Raises SaddlepointError when a row admits a usable saddle on neither side.
+    No route calls it; it stays while perfbench's TRACED names it.
     """
-    d = np.asarray(form.eigenvalues, float)[None, :]
-    m = (np.ones(d.shape) if form.multiplicities is None
-         else np.asarray(form.multiplicities, float)[None, :])
-    return float(_settled_tail(d, np.abs(np.asarray(form.offsets))[None, :] ** 2, m,
-                               np.array([float(form.constant)]), exact=False)[0])
+    return _settled_tail(d, np.abs(c) ** 2, np.asarray(m, float), const, exact=False)
 
 
 def _exact_tail(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray) -> np.ndarray:
@@ -418,20 +389,17 @@ def dncf_sf(x, nu1, nu2, k1: int, k2: int):
 
 
 def mdp_single_array_closed_form(auth: Authenticator, eve_stats: ChannelStatistics) -> float:
-    """Exact optimal-PMA miss probability for a single receive array.
-
-    P_MD = P(F > (N-1) (2M/T - 1)) for a doubly noncentral F with
-    (2, 2(N-1)) degrees of freedom and noncentralities driven by the
-    attacker/legitimate mean alignment.  Uses Sigma_E = alpha Sigma_A with
-    alpha = P_E / P_A, which the scenario-wide correlation model guarantees.
-    """
+    """mdp_optimal_pma(method="closedform").  No route calls it; it stays while
+    perfbench's TRACED names it."""
     return mdp_optimal_pma(auth, eve_stats, method="closedform")
 
 
 def _closed_form(auth: Authenticator, means: np.ndarray, powers: np.ndarray,
                  thresholds: np.ndarray) -> np.ndarray:
-    """mdp_single_array_closed_form per row (shapes as in _optimal_form_rows); the optimal
-    form's two terms, of multiplicity 1 and N - 1, give the noncentralities 2 |c|^2."""
+    """Exact optimal-PMA miss probability per row (shapes as in _optimal_form_rows) on one
+    array: P(F > (N-1) (2M/T - 1)) for a doubly noncentral F with (2, 2(N-1)) degrees of
+    freedom, whose noncentralities 2 |c|^2 come from the form's two terms (multiplicity 1
+    and N - 1).  Uses Sigma_E = alpha Sigma_A, which the shared correlation guarantees."""
     if len(auth.stats.block_sizes) != 1:
         raise ValueError("closed form needs a single receive array")
     n = auth.stats.dim
@@ -510,10 +478,11 @@ def mdp_fixed_strategy_sweep(auth: Authenticator, eve_stats: ChannelStatistics, 
                              strategy: PowerStrategy = NO_ATTACK) -> np.ndarray:
     """mdp_fixed_strategy on ``replace(auth, threshold=T)`` for each T, bit for bit.
 
-    The form is built once; only its constant T/2 varies.  Rows without a saddle are exact.
+    The form's row is built once and broadcast over the thresholds; only its
+    constant T/2 varies.  Rows without a saddle are exact.
     """
     thresholds = np.asarray(thresholds, float)
-    form = fixed_strategy_form(auth, eve_stats, strategy)
-    d, c2, m = (np.broadcast_to(v, (thresholds.size, v.size)) for v in (
-        form.eigenvalues, form.offsets ** 2, form.multiplicities.astype(float)))
+    d, c, m, _ = fixed_strategy_form(auth, eve_stats, strategy)
+    d, c2, m = (np.broadcast_to(v, (thresholds.size, v.shape[1]))
+                for v in (d, np.abs(c) ** 2, m.astype(float)))
     return _settled_tail(d, c2, m, thresholds / 2.0, exact=True)

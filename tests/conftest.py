@@ -77,6 +77,16 @@ def f_obj(auth, h):
     return out if harr.ndim == 2 else float(out)
 
 
+def form_row(eigenvalues, offsets, constant=0.0, multiplicities=None):
+    """A hand-built form {sum_i d_i |w_i + c_i|^2 + constant > 0}, w iid CN(0, 1), as
+    the one row (d, c, m, const) the power-attack tails take: (1, K) arrays and a (1,)
+    constant.  Term i is d_i taken m_i times (default once each), with offset norm
+    |c_i| over its eigenspace."""
+    d = np.asarray(eigenvalues, float)[None, :]
+    m = np.ones(d.shape) if multiplicities is None else np.asarray(multiplicities, float)[None, :]
+    return d, np.asarray(offsets)[None, :], m, np.array([float(constant)])
+
+
 def exhaustive_search(scenario):
     """The reference that certifies truncated_search: the alignment objective
     on every allowed cell of the search grid, by brute force.

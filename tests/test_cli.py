@@ -162,18 +162,14 @@ class TestMdp:
 
     def test_fixed_strategy_refuses_a_negative_amplitude(self, capsys, scenario_file):
         """ETA is an amplitude: fixed:-1.5,0.3 is the attack fixed:1.5,0.3+pi,
-        not the documented form, so it is refused; a zero ETA, -0 included, is
-        refused by the form build."""
+        not the documented form, so it is refused (a zero ETA too, by the same
+        message: TestFailureModes)."""
         for method in ("fixed:-1.5,0.3", "fixed:-1e-300,0"):
             code, out, err = run(capsys, "mdp", "--scenario", scenario_file, "--method", method)
             assert code == 2 and out == ""
             assert json.loads(err) == {
                 "error": "ValueError",
-                "message": f"--method fixed:ETA,PSI needs an amplitude ETA >= 0, got {method!r}"}
-        for method in ("fixed:0,0.3", "fixed:-0,0.3"):
-            code, out, err = run(capsys, "mdp", "--scenario", scenario_file, "--method", method)
-            assert code == 2 and out == ""
-            assert json.loads(err)["message"] == "strategy amplitude must be positive"
+                "message": f"--method fixed:ETA,PSI needs an amplitude ETA > 0, got {method!r}"}
 
 
 class TestSweeps:
@@ -677,6 +673,14 @@ class TestFailureModes:
             assert code == 2 and out == "", command
             assert json.loads(err) == {"error": "ValueError", "message": (
                 f"{flag} must lie in (0, 1), got {float(value)}")}, command
+
+    @pytest.mark.parametrize("method", ["fixed:0,0", "fixed:-0.0,0", "fixed:0,0.3", "fixed:-0,0.3"])
+    def test_zero_strategy_amplitude_is_refused_by_flag(self, capsys, scenario_file, method):
+        """A zero amplitude has no fixed-strategy form; the refusal names the flag."""
+        code, out, err = run(capsys, "mdp", "--scenario", scenario_file, "--method", method)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": (
+            f"--method fixed:ETA,PSI needs an amplitude ETA > 0, got {method!r}")}
 
     def test_usage_errors(self, capsys):
         assert run(capsys, )[0] == 2

@@ -125,6 +125,28 @@ def test_peak_memory_does_not_grow_with_the_block(threads):
     assert peak < (2 + 3 * threads) * 2 ** 20, peak
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_peak_memory_does_not_grow_with_the_thresholds(threads):
+    """A 2,000-threshold pass over two blocks on reference_2rrh8 holds, per
+    worker, one sub-block's (rows, k) boolean result (3.9 MiB), a block of
+    threshold columns' products and the buffer: its traced peak stays below
+    2 MiB plus 6 MiB a worker, where a (rows, k) float64 product would add
+    31 MiB a worker, and a worker holding its last result while deciding the
+    next would add 3.9 MiB."""
+    sc = load_scenario(SCENARIOS / "reference_2rrh8.json")
+    auth, eve = make_authenticator(sc), eve_statistics(sc)
+    thresholds = [threshold_for_pfa(float(p), auth.total_dof) for p in np.logspace(-4, -1, 2000)]
+    event = best_case_acceptance_event(auth, thresholds)
+    tracemalloc.start()
+    try:
+        est = estimate_probability(event, eve, BLOCK_SIZE + 3616, seed=1, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.hits.shape == (2000,)
+    assert peak < (2 + 6 * threads) * 2 ** 20, peak
+
+
 def test_partial_final_block(dual_scenario):
     auth = make_authenticator(dual_scenario)
     est = estimate_probability(WhitenedEvent(auth, lambda x: np.ones(len(x), bool)), auth.stats,
@@ -169,6 +191,23 @@ def test_one_column_event_keeps_python_scalars(dual_scenario):
     est = estimate_probability(_median_event(auth), auth.stats, 1000, seed=2)
     assert type(est.hits) is int and type(est.samples) is int
     assert type(est.value) is float and type(est.std_error) is float
+
+
+def test_threshold_column_blocks_never_change_flags(monkeypatch):
+    """150 thresholds compared one, 7 (which leave a partial block at the end),
+    64 or all columns at a time give the flags of the 150 single-threshold
+    events, on one sub-block of draws of reference_3rrh."""
+    sc = load_scenario(SCENARIOS / "reference_3rrh.json")
+    auth, eve = make_authenticator(sc), eve_statistics(sc)
+    thresholds = [threshold_for_pfa(float(p), auth.total_dof) for p in np.logspace(-6, -0.2, 150)]
+    h = sample_channel(eve, np.random.default_rng(8), mc._SUB_ROWS)
+    singles = np.column_stack([decide_on_channel(best_case_acceptance_event(
+        replace(auth, threshold=t)), h) for t in thresholds])
+    assert 0 < singles.sum() < singles.size
+    for columns in (1, 7, 64, 150):
+        monkeypatch.setattr(mc, "_EVENT_COLUMNS", columns)
+        assert np.array_equal(decide_on_channel(best_case_acceptance_event(auth, thresholds), h),
+                              singles)
 
 
 @pytest.mark.parametrize("name", ["desk_2rrh", "reference_3rrh"])

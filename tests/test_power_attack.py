@@ -10,7 +10,7 @@ import pytest
 from scipy import stats as sps
 from scipy.special import betainc, gammaln
 
-from distpla import (NO_ATTACK, IndefiniteForm, PowerStrategy, SaddlepointError,
+from distpla import (NO_ATTACK, PowerStrategy, SaddlepointError,
                      channel_statistics, discriminant, estimate_probability,
                      eve_statistics, load_scenario, make_authenticator,
                      mdp_fixed_strategy, mdp_fixed_strategy_sweep, mdp_optimal_pma,
@@ -24,26 +24,32 @@ from distpla.power_attack import (build_indefinite_form, dncf_sf,
                                   saddlepoint_tail_probability,
                                   statistical_power_strategy)
 
-from conftest import build_scenario, dense_cov, random_geometry, sample_channel
+from conftest import build_scenario, dense_cov, form_row, random_geometry, sample_channel
 
-DESK = Path(__file__).resolve().parent.parent / "scenarios" / "desk_2rrh.json"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+DESK = SCENARIOS / "desk_2rrh.json"
+
+
+def _t(auth):
+    """The normalized acceptance parameter t = 1 - T/(2M) the optimal form is built at."""
+    return 1.0 - auth.threshold / (2.0 * auth.mahalanobis_energy)
 
 
 def _form_mc(form, samples, seed=0):
-    """Direct Monte-Carlo on the reduced event; the oracle for the saddle point.
+    """Direct Monte-Carlo on the reduced event of a one-row form; the oracle for the saddle point.
 
-    Term i becomes multiplicities[i] complex normals with the eigenspace
-    offset on the first; by rotational invariance the law is the same.
+    Term i becomes m_i complex normals with the eigenspace offset on the
+    first; by rotational invariance the law is the same.
     """
     rng = np.random.default_rng(seed)
-    mult = (np.ones(form.eigenvalues.size, int) if form.multiplicities is None
-            else np.asarray(form.multiplicities))
-    d = np.repeat(form.eigenvalues, mult)
+    eigenvalues, offsets, mult, const = (v[0] for v in form)
+    mult = np.asarray(mult, int)
+    d = np.repeat(eigenvalues, mult)
     c = np.zeros(d.size, complex)
-    c[np.cumsum(mult) - mult] = form.offsets
+    c[np.cumsum(mult) - mult] = offsets
     z = rng.standard_normal((samples, 2 * d.size))
     w = (z[:, ::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)
-    vals = (np.abs(w + c) ** 2) @ d + form.constant
+    vals = (np.abs(w + c) ** 2) @ d + const
     p = float(np.mean(vals > 0))
     return p, float(np.sqrt(p * (1 - p) / samples))
 
@@ -114,22 +120,22 @@ class TestIndefiniteForm:
         """With Sigma_E = alpha Sigma_A the spectrum is {alpha(1-t), -alpha t (N-1 times)}."""
         auth = make_authenticator(single_scenario)
         ev = eve_statistics(single_scenario)
-        form = build_indefinite_form(auth, ev)
+        d, _, m, _ = build_indefinite_form(auth, ev)
         alpha = float(ev.variances[0] / auth.stats.variances[0])
-        t = form.threshold_param
+        t = _t(auth)
         assert 0.0 < t < 1.0
         n = auth.stats.dim
         expected = np.sort(np.r_[alpha * (1 - t), np.full(n - 1, -alpha * t)])[::-1]
-        spectrum = np.repeat(form.eigenvalues, form.multiplicities)
+        spectrum = np.repeat(d[0], m[0])
         assert np.allclose(np.sort(spectrum)[::-1], expected, rtol=1e-9)
 
     def test_exactly_one_positive_eigenvalue(self, rng):
         for _ in range(15):
             sc = random_geometry(rng)
             auth = make_authenticator(sc)
-            form = build_indefinite_form(auth, eve_statistics(sc))
-            if 0.0 < form.threshold_param < 1.0:
-                assert int(np.sum(form.eigenvalues > 0)) == 1
+            d = build_indefinite_form(auth, eve_statistics(sc))[0]
+            if 0.0 < _t(auth) < 1.0:
+                assert int(np.sum(d > 0)) == 1
 
     def test_reduced_event_matches_raw_event(self, dual_scenario):
         """The whitened form and the physical miss event have the same law."""
@@ -147,8 +153,9 @@ class TestIndefiniteForm:
         ev = eve_statistics(dual_scenario)
         strat = PowerStrategy(1.4, 0.6)
         form = fixed_strategy_form(auth, ev, strat)
-        assert np.all(form.eigenvalues < 0)
-        assert form.constant == pytest.approx(auth.threshold / 2.0)
+        d, _, _, const = form
+        assert np.all(d < 0)
+        assert const[0] == pytest.approx(auth.threshold / 2.0)
         p_form, s_form = _form_mc(form, 200_000, seed=31)
         raw = estimate_probability(acceptance_event(auth, strat.scale), ev,
                                    200_000, seed=32)
@@ -169,7 +176,7 @@ def _dense_form(auth, ev, strategy=None):
     """
     chol_e = np.linalg.cholesky(dense_cov(ev))
     sia = np.linalg.inv(dense_cov(auth.stats))
-    t = 1.0 - auth.threshold / (2.0 * auth.mahalanobis_energy)
+    t = _t(auth)
     if strategy is None:
         sia_mu = sia @ auth.stats.mean
         c_mat = np.outer(sia_mu, sia_mu.conj()) / auth.mahalanobis_energy - t * sia
@@ -180,8 +187,7 @@ def _dense_form(auth, ev, strategy=None):
         shift, const = ev.mean - auth.stats.mean / scale, auth.threshold / 2.0
     values, vectors = np.linalg.eigh(chol_e.conj().T @ c_mat @ chol_e)
     offsets = vectors.conj().T @ np.linalg.solve(chol_e, shift)
-    return IndefiniteForm(eigenvalues=values, offsets=offsets, threshold_param=t,
-                          constant=const)
+    return form_row(values, offsets, const)
 
 
 class TestDenseOracle:
@@ -200,56 +206,52 @@ class TestDenseOracle:
                 form = (build_indefinite_form(auth, ev) if strategy is None
                         else fixed_strategy_form(auth, ev, strategy))
                 dense = _dense_form(auth, ev, strategy)
-                assert np.all(form.multiplicities > 0)
-                d = np.repeat(form.eigenvalues, form.multiplicities)
-                scale = np.max(np.abs(dense.eigenvalues))
-                assert np.allclose(np.sort(d), dense.eigenvalues, rtol=0.0, atol=1e-12 * scale)
+                values, offsets, mult = form[0][0], form[1][0], form[2][0]
+                dense_values, dense_offsets = dense[0][0], dense[1][0]
+                assert np.all(mult > 0)
+                d = np.repeat(values, mult)
+                scale = np.max(np.abs(dense_values))
+                assert np.allclose(np.sort(d), dense_values, rtol=0.0, atol=1e-12 * scale)
                 # offset energy carried by each distinct eigenvalue; energies are
                 # dimensionless noncentralities, and a strategy that cancels the
                 # mean leaves only rounding, hence the absolute floor
-                dense_c2 = np.abs(dense.offsets) ** 2
+                dense_c2 = np.abs(dense_offsets) ** 2
                 total = max(float(np.sum(dense_c2)), 1.0)
-                for v in form.eigenvalues:
-                    near_form = np.abs(form.eigenvalues - v) <= 1e-12 * scale
-                    near_dense = np.abs(dense.eigenvalues - v) <= 1e-12 * scale
-                    assert np.sum(np.abs(form.offsets[near_form]) ** 2) == pytest.approx(
+                for v in values:
+                    near_form = np.abs(values - v) <= 1e-12 * scale
+                    near_dense = np.abs(dense_values - v) <= 1e-12 * scale
+                    assert np.sum(np.abs(offsets[near_form]) ** 2) == pytest.approx(
                         np.sum(dense_c2[near_dense]), rel=1e-9, abs=1e-9 * total)
-                if 0.0 < form.threshold_param < 1.0:
-                    assert saddlepoint_tail_probability(form) == pytest.approx(
-                        saddlepoint_tail_probability(dense), rel=1e-9)
+                if 0.0 < _t(auth) < 1.0:
+                    assert saddlepoint_tail_probability(*form)[0] == pytest.approx(
+                        saddlepoint_tail_probability(*dense)[0], rel=1e-9)
 
 
 class TestSaddlepoint:
     def test_symmetric_form_gives_half(self):
-        form = IndefiniteForm(eigenvalues=np.array([1.0, -1.0]),
-                              offsets=np.zeros(2, complex), threshold_param=0.5)
-        assert saddlepoint_tail_probability(form) == pytest.approx(0.5, abs=0.05)
+        form = form_row([1.0, -1.0], np.zeros(2, complex))
+        assert saddlepoint_tail_probability(*form)[0] == pytest.approx(0.5, abs=0.05)
 
     def test_definite_forms_are_exact(self):
-        neg = IndefiniteForm(eigenvalues=np.array([-2.0, -0.5]),
-                             offsets=np.array([1.0 + 0j, 0.3j]), threshold_param=0.5)
-        assert saddlepoint_tail_probability(neg) == 0.0
-        pos = IndefiniteForm(eigenvalues=np.array([2.0, 0.5]),
-                             offsets=np.array([1.0 + 0j, 0.3j]), threshold_param=0.5,
-                             constant=0.1)
-        assert saddlepoint_tail_probability(pos) == 1.0
+        neg = form_row([-2.0, -0.5], [1.0 + 0j, 0.3j])
+        assert saddlepoint_tail_probability(*neg)[0] == 0.0
+        pos = form_row([2.0, 0.5], [1.0 + 0j, 0.3j], constant=0.1)
+        assert saddlepoint_tail_probability(*pos)[0] == 1.0
 
     def test_against_direct_simulation(self, rng):
         for seed in range(4):
             sc = random_geometry(np.random.default_rng(100 + seed), n_rrh=2)
             auth = make_authenticator(sc)
             form = build_indefinite_form(auth, eve_statistics(sc))
-            p_sp = saddlepoint_tail_probability(form)
+            p_sp = saddlepoint_tail_probability(*form)[0]
             p_mc, s_mc = _form_mc(form, 400_000, seed=seed)
             assert abs(p_sp - p_mc) < max(4 * s_mc, 0.25 * max(p_mc, 1e-5), 2e-5)
 
     def test_tiny_tails_stay_positive(self):
         # a deeply negative-shifted form: the approximation must underflow
         # gracefully to a small positive number, not to garbage
-        form = IndefiniteForm(eigenvalues=np.array([1.0, -1.0, -1.0, -1.0]),
-                              offsets=np.array([0j, 3.0 + 0j, 3.0j, 2.0 + 2.0j]),
-                              threshold_param=0.5, constant=-40.0)
-        p = saddlepoint_tail_probability(form)
+        form = form_row([1.0, -1.0, -1.0, -1.0], [0j, 3.0 + 0j, 3.0j, 2.0 + 2.0j], constant=-40.0)
+        p = saddlepoint_tail_probability(*form)[0]
         assert 0.0 <= p < 1e-6
 
 
@@ -305,14 +307,14 @@ def _reference_side(d, c2, m, const):
 
 
 def _reference_tail(form):
-    """saddlepoint_tail_probability on top of _reference_side; NaN for no saddle."""
-    d = np.asarray(form.eigenvalues, float)
-    c2 = np.abs(np.asarray(form.offsets)) ** 2
-    m = np.ones(d.size) if form.multiplicities is None else np.asarray(form.multiplicities, float)
+    """saddlepoint_tail_probability on top of _reference_side for a one-row form; NaN for
+    no saddle."""
+    d, c, m, const = (v[0] for v in form)
+    d, c2, m = np.asarray(d, float), np.abs(c) ** 2, np.asarray(m, float)
     keep = np.abs(d) > pa._EIG_DROP * max(float(np.max(np.abs(d), initial=0.0)), 1e-300)
     d, c2, m = d[keep], c2[keep], m[keep]
-    p_direct = _reference_side(d, c2, m, float(form.constant))
-    p_complement = _reference_side(-d, c2, m, -float(form.constant))
+    p_direct = _reference_side(d, c2, m, float(const))
+    p_complement = _reference_side(-d, c2, m, -float(const))
     if np.isnan(p_complement):
         return min(max(p_direct, 0.0), 1.0)
     if np.isnan(p_direct) or p_direct > p_complement:
@@ -321,9 +323,9 @@ def _reference_tail(form):
 
 
 def _batched(form):
-    """saddlepoint_tail_probability(form), NaN where it raises SaddlepointError."""
+    """saddlepoint_tail_probability of a one-row form, NaN where it raises SaddlepointError."""
     try:
-        return saddlepoint_tail_probability(form)
+        return saddlepoint_tail_probability(*form)[0]
     except SaddlepointError:
         return np.nan
 
@@ -338,28 +340,32 @@ def _attack_forms(sc, rng):
                                                 for s in strategies]
 
 
-def _rows(forms, width):
-    """Stack forms as (d, c2, m, const) rows, padded with inert terms to ``width``."""
-    d, c2, m = (np.zeros((len(forms), width)) for _ in range(3))
-    for k, f in enumerate(forms):
-        n = f.eigenvalues.size
-        d[k, :n] = f.eigenvalues
-        c2[k, :n] = np.abs(f.offsets) ** 2
-        m[k, :n] = 1.0 if f.multiplicities is None else f.multiplicities
-    return d, c2, m, np.array([float(f.constant) for f in forms])
+def _width(forms):
+    return max(f[0].shape[1] for f in forms)
+
+
+def _rows(forms, width=None):
+    """Stack one-row forms as (d, c2, m, const) rows, padded with inert terms to
+    ``width`` (default: the widest form)."""
+    d, c2, m = (np.zeros((len(forms), width or _width(forms))) for _ in range(3))
+    for k, (fd, fc, fm, _) in enumerate(forms):
+        n = fd.shape[1]
+        d[k, :n] = fd[0]
+        c2[k, :n] = np.abs(fc[0]) ** 2
+        m[k, :n] = fm[0]
+    return d, c2, m, np.concatenate([f[3] for f in forms]).astype(float)
 
 
 # hand-made forms: sign-definite both ways, all d < 0 with a positive
 # constant (the doubling bracket), every term below the _EIG_DROP floor
 # both ways, and one with a rim inside the left bracket end on both sides
 _HAND_MADE = [
-    IndefiniteForm(np.array([-2.0, -0.5]), np.array([1.0, 0.3j]), 0.5),
-    IndefiniteForm(np.array([2.0, 0.5]), np.array([1.0, 0.3j]), 0.5, constant=0.1),
-    IndefiniteForm(np.array([-1.0, -0.25]), np.array([0.7, 1.5]), 0.5, constant=3.0,
-                   multiplicities=np.array([1, 3])),
-    IndefiniteForm(np.array([1e-320, -1e-321]), np.array([1.0, 1.0]), 0.5, constant=0.5),
-    IndefiniteForm(np.array([1e-320, -1e-321]), np.array([1.0, 1.0]), 0.5, constant=-0.5),
-    IndefiniteForm(np.array([1e13, -1e13]), np.array([1.0, 1.0]), 0.5),
+    form_row([-2.0, -0.5], [1.0, 0.3j]),
+    form_row([2.0, 0.5], [1.0, 0.3j], constant=0.1),
+    form_row([-1.0, -0.25], [0.7, 1.5], constant=3.0, multiplicities=[1, 3]),
+    form_row([1e-320, -1e-321], [1.0, 1.0], constant=0.5),
+    form_row([1e-320, -1e-321], [1.0, 1.0], constant=-0.5),
+    form_row([1e13, -1e13], [1.0, 1.0]),
 ]
 
 
@@ -391,7 +397,7 @@ class TestBatchedSaddle:
             _reference_side(d[0], c2[0], m[0], const[0]), rel=1e-9)
         assert 0.0 < _batched(_HAND_MADE[2]) < 1.0
         with pytest.raises(SaddlepointError):
-            saddlepoint_tail_probability(_HAND_MADE[-1])
+            saddlepoint_tail_probability(*_HAND_MADE[-1])
 
     def test_rows_alone_equal_rows_in_batch(self):
         rng = np.random.default_rng(63)
@@ -401,7 +407,7 @@ class TestBatchedSaddle:
         # a 4-array optimal form has 8 terms, the width from which np.sum goes pairwise
         wide = _attack_forms(random_geometry(rng, 4), rng)
         for batch_forms in (forms, forms + wide):
-            width = max(f.eigenvalues.size for f in batch_forms)
+            width = _width(batch_forms)
             assert (width >= 8) == (batch_forms is not forms)
             d, c2, m, const = _rows(batch_forms, width)
             batch = pa._saddle_tail(d, c2, m, const)
@@ -434,9 +440,9 @@ class TestBatchedSaddle:
         hi = 1.0 / d.max() * (1.0 - pa._BRACKET_RIM)
         z0 = pa._saddle_root(d, c2, m, const, np.array([pa._Z_LO]), np.array([hi]))
         assert pa._slopes(z0, d, c2, m, const)[0][0] == 0.0
-        form = IndefiniteForm(d[0], np.sqrt(c2[0]), 0.5, multiplicities=m[0])
-        assert saddlepoint_tail_probability(form) == pytest.approx(_reference_tail(form),
-                                                                   rel=1e-9)
+        form = (d, np.sqrt(c2), m, const)
+        assert saddlepoint_tail_probability(*form)[0] == pytest.approx(_reference_tail(form),
+                                                                       rel=1e-9)
 
     def test_converged_newton_step_is_the_root(self, monkeypatch):
         # recorded from the seed-1 search-2rrh8 position search (row 751 of
@@ -471,9 +477,9 @@ class TestBatchedSaddle:
         with pytest.raises(SaddlepointError):
             mdp_optimal_pma(auth, ev, method="saddlepoint")
         form = build_indefinite_form(auth, ev)
-        assert np.isnan(pa._saddle_tail(*_rows([form], form.eigenvalues.size))[0])
+        assert np.isnan(pa._saddle_tail(*_rows([form]))[0])
         p_auto = mdp_optimal_pma(auth, ev)
-        assert p_auto == pa._exact_tail(*_rows([form], form.eigenvalues.size))[0]
+        assert p_auto == pa._exact_tail(*_rows([form]))[0]
         mc = estimate_probability(best_case_acceptance_event(auth), ev, 400_000, seed=0)
         assert abs(p_auto - mc.value) < 4 * mc.std_error
         p_md = mdp_optimal_pma_batch(auth, dual_scenario, [pos, dual_scenario.eve.position])
@@ -495,7 +501,7 @@ class TestExactTail:
             if auth.threshold >= 2.0 * auth.mahalanobis_energy:
                 continue
             form = build_indefinite_form(auth, ev)
-            exact = pa._exact_tail(*_rows([form], form.eigenvalues.size))[0]
+            exact = pa._exact_tail(*_rows([form]))[0]
             assert exact == pytest.approx(mdp_single_array_closed_form(auth, ev), rel=0, abs=1e-9)
             checked += 1
         assert checked >= 35
@@ -509,7 +515,7 @@ class TestExactTail:
         forms = []
         for _ in range(40):
             forms += _attack_forms(random_geometry(rng, int(rng.integers(2, 4)), rho=rho), rng)
-        rows = _rows(forms, max(f.eigenvalues.size for f in forms))
+        rows = _rows(forms)
         exact = pa._exact_tail(*rows)
         keep = (exact >= 1e-8) & (exact <= 0.5)
         assert keep.sum() >= 30
@@ -518,7 +524,7 @@ class TestExactTail:
     def test_rows_alone_equal_rows_in_batch(self):
         rng = np.random.default_rng(64)
         forms = _HAND_MADE[2:3] + _attack_forms(random_geometry(rng, 3), rng)
-        d, c2, m, const = _rows(forms, max(f.eigenvalues.size for f in forms))
+        d, c2, m, const = _rows(forms)
         batch = pa._exact_tail(d, c2, m, const)
         for k in range(len(forms)):
             assert pa._exact_tail(d[k:k + 1], c2[k:k + 1], m[k:k + 1], const[k:k + 1]) == batch[k]
@@ -531,7 +537,7 @@ class TestExactTail:
         ev = eve_statistics(dual_scenario)
         forms = [build_indefinite_form(auth, ev), fixed_strategy_form(auth, ev, NO_ATTACK),
                  _HAND_MADE[0]]
-        rows = _rows(forms, max(f.eigenvalues.size for f in forms))
+        rows = _rows(forms)
         saddle = pa._saddle_tail(*rows)
         monkeypatch.setattr(pa, "_CORRECTION", (10.0, 100.0))
         forced = pa._settled_tail(*rows, exact=True)
@@ -825,7 +831,7 @@ class TestSweeps:
             return p
 
         def exact(form):
-            return pa._exact_tail(*_rows([form], form.eigenvalues.size))[0]
+            return pa._exact_tail(*_rows([form]))[0]
 
         def near_mc(p, event):
             est = estimate_probability(event, ev, 400_000, seed=0)
@@ -847,3 +853,26 @@ class TestSweeps:
         assert forced[3] == pytest.approx(exact(build_indefinite_form(high, ev)), rel=1e-9)
         assert forced[3] != pytest.approx(p_batch[3], rel=1e-6)
         assert forced[:3].tolist() == p_batch[:3].tolist()
+
+
+class TestRowViews:
+    """The one-row views the tracer names equal, bit for bit, the routes the CLI runs."""
+
+    @pytest.mark.parametrize("name, rho", [("desk_2rrh", None), ("reference_1rrh16", None),
+                                           ("reference_2rrh8", None), ("reference_3rrh", None),
+                                           ("reference_3rrh", 0.5)])
+    def test_row_views_equal_the_cli_routes(self, name, rho):
+        sc = load_scenario(SCENARIOS / f"{name}.json")
+        sc = sc if rho is None else replace(sc, rho=rho)
+        auth, ev = make_authenticator(sc), eve_statistics(sc)
+        p_opt = saddlepoint_tail_probability(*build_indefinite_form(auth, ev))
+        assert p_opt.tolist() == [mdp_optimal_pma(auth, ev, method="saddlepoint")]
+        thresholds = np.array([threshold_for_pfa(p, auth.total_dof)
+                               for p in (1e-4, 1e-3, 1e-2, 0.1, 0.3)])
+        for strategy in (NO_ATTACK, statistical_power_strategy(auth, ev),
+                         PowerStrategy(2.0, 0.5)):
+            d, c, m, const = fixed_strategy_form(auth, ev, strategy)
+            assert const.tolist() == [auth.threshold / 2.0]
+            rows = (np.broadcast_to(v, (thresholds.size, v.shape[1])) for v in (d, c, m))
+            assert (saddlepoint_tail_probability(*rows, thresholds / 2.0).tolist()
+                    == mdp_fixed_strategy_sweep(auth, ev, thresholds, strategy).tolist())
