@@ -19,7 +19,7 @@ from .position_attack import (CandidatePosition, EmptyRegionError, LobeSets,
                               NoCandidatesError, PositionSearchError, SearchResult,
                               count_small_scale_optima, lobe_sets, truncated_search)
 from .power_attack import (NO_ATTACK, PowerStrategy, SaddlepointError,
-                           build_indefinite_form, dncf_sf, fixed_strategy_form,
+                           build_indefinite_form, fixed_strategy_form,
                            mdp_fixed_strategy, mdp_fixed_strategy_sweep,
                            mdp_optimal_pma, mdp_optimal_pma_batch,
                            mdp_optimal_pma_sweep, mdp_single_array_closed_form,

@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mdp", help="missed-detection probability at the scenario's attacker position")
     _add_common(p)
     p.add_argument("--method", default="saddlepoint",
-                   help="saddlepoint | closedform | montecarlo | fixed:ETA,PSI | statistical | none")
+                   help="saddlepoint | closedform (the auto route of roc, heatmap and "
+                        "optimize) | montecarlo | fixed:ETA,PSI | statistical | none")
     p.set_defaults(handler=_cmd_mdp)
 
     for name, handler, hlp in (("roc", _cmd_roc, "miss probability versus false-alarm sweep"),

@@ -19,8 +19,8 @@ import numpy as np
 
 from .authenticator import Authenticator, pfa_of_threshold
 from .geometry import ChannelStatistics
-from .numerics import bounded_minimum, ncx2_cdf
-from .power_attack import _settled_tail
+from .numerics import bounded_minimum
+from .power_attack import _tail
 
 
 class UnstableQueueError(RuntimeError):
@@ -115,26 +115,19 @@ def _outage(stats: ChannelStatistics, arrays: list[int], rate: float,
 
     Array j's covariance v_j U diag(lambda) U^T makes ||h||^2 the indefinite
     form with d = -v_j lambda, |c|^2 = |U^T mu_j|^2 / (v_j lambda) and the
-    threshold as constant: saddle point, exact tail where none exists.  One
-    common variance and no correlation make it a scaled noncentral
-    chi-square CDF with 2N degrees of freedom.
+    threshold as constant, whose tail power_attack._tail takes.
     """
     means = np.split(stats.mean, stats.starts[1:])
     n = sum(stats.block_sizes[j] for j in arrays)
     threshold = (2.0 ** rate - 1.0) * n * noise_density
-    sigma2 = float(stats.variances[arrays[0]])
-    if stats.rho == 0.0 and all(abs(stats.variances[j] - sigma2) <= 1e-9 * sigma2 for j in arrays):
-        mean = np.concatenate([means[j] for j in arrays])
-        lam = 2.0 * float(np.vdot(mean, mean).real) / sigma2
-        return ncx2_cdf(2.0 * threshold / sigma2, 2 * n, lam)
     d, c2 = [], []
     for j in arrays:
         values, vectors = _spectrum(stats.rho, stats.block_sizes[j])
         d.append(-stats.variances[j] * values)
         c2.append(np.abs(vectors.T @ means[j]) ** 2 / (stats.variances[j] * values))
     d = np.concatenate(d)[None, :]
-    return float(_settled_tail(d, np.concatenate(c2)[None, :], np.ones(d.shape),
-                               np.array([threshold]), exact=True)[0])
+    return float(_tail(d, np.concatenate(c2)[None, :], np.ones(d.shape),
+                       np.array([threshold]))[0])
 
 
 def snr_outage(stats: ChannelStatistics, rate: float, noise_density: float) -> float:

@@ -1,11 +1,10 @@
 """Scalar special functions and one-dimensional solvers.
 
-Everything statistical in this package reduces to a handful of primitives:
-chi-square tails and quantiles, which with the model's 2N degrees of freedom
+Chi-square tails and quantiles, which with the model's 2N degrees of freedom
 (N antennas) are finite Poisson sums, bracketed root finding and bounded
 minimization.  The last two are Brent's methods, written out to return the
-bits of scipy's brentq and bounded minimize_scalar without loading
-scipy.optimize.  Collecting them here pins the tolerances in one place.
+bits of scipy's brentq and bounded minimize_scalar; scipy is not a
+dependency.  Collecting them here pins the tolerances in one place.
 """
 from __future__ import annotations
 
@@ -93,22 +92,6 @@ def chi2_quantile(level: float, dof: int, tail: bool = False) -> float:
             return 2.0 * y
         y += step
     raise NumericsError(f"chi-square quantile did not converge at level {level}, dof {dof}")
-
-
-def ncx2_cdf(x: float, dof: int, nc: float) -> float:
-    """P(X <= x) for X noncentral chi-square with even ``dof`` and noncentrality
-    ``nc``: sum_j Poisson(j; nc/2) P(Gamma(dof/2 + j) <= x/2), from j where the
-    Poisson tail is below 1e-30 down, each central CDF the one above plus a pmf."""
-    k = _half_dof(dof)
-    if x <= 0.0:
-        return 0.0
-    y, m = x / 2.0, nc / 2.0
-    top = int(m + 12.0 * math.sqrt(m) + 25.0) if m else 0
-    p, total = _gamma_side(k + top, y, True)[0], 0.0
-    for j in range(top, -1, -1):
-        total += _poisson_pmf(j, m) * p
-        p += _poisson_pmf(k + j - 1, y)
-    return total
 
 
 def bracketed_root_find(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:

@@ -104,11 +104,13 @@ class TestMdp:
         saddle = json.loads(out)["p_md"]
         assert closed == pytest.approx(saddle, rel=0.25)
 
-    def test_closedform_on_multi_array_is_config_error(self, capsys):
-        code, out, err = run(capsys, "mdp", "--scenario", DESK, "--method", "closedform")
-        assert code == 2 and out == ""
-        assert json.loads(err) == {"error": "ValueError",
-                                   "message": "closed form needs a single receive array"}
+    def test_closedform_on_multi_array_equals_auto(self, capsys):
+        from distpla import eve_statistics, load_scenario, make_authenticator, mdp_optimal_pma
+        code, out, _ = run(capsys, "mdp", "--scenario", DESK, "--method", "closedform")
+        assert code == 0
+        sc = load_scenario(DESK)
+        assert json.loads(out)["p_md"] == mdp_optimal_pma(make_authenticator(sc),
+                                                          eve_statistics(sc))
 
     def test_montecarlo_fields(self, capsys, scenario_file):
         code, out, _ = run(capsys, "mdp", "--scenario", scenario_file,
@@ -258,10 +260,12 @@ class TestSweepBatching:
                                    "message": "no interior saddle point on either side"}
 
 
-def _modules_after(prefixes, *commands) -> str:
+def _modules_after(prefixes, *commands, without_scipy=False) -> str:
     """The modules under any of ``prefixes`` that a fresh interpreter has
-    loaded after importing distpla.cli and running ``commands``."""
-    probe = ("import sys, distpla.cli\n"
+    loaded after importing distpla.cli and running ``commands``; with
+    ``without_scipy`` every import of scipy in it fails."""
+    probe = ("import sys\n" + ("sys.modules['scipy'] = None\n" if without_scipy else "")
+             + "import distpla.cli\n"
              f"for argv in {list(commands)!r}:\n"
              "    assert distpla.cli.main(argv) == 0, argv\n"
              f"print(' '.join(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))")
@@ -322,8 +326,33 @@ def test_cli_import_skips_unused_scipy(tmp_path, solo_file):
                    "--out", str(tmp_path / "solo_compare.csv")]) == ""
 
 
+def test_every_command_runs_without_scipy(tmp_path):
+    """scipy is a test dependency only: with every import of it failing, each
+    command runs on each committed scenario, mdp by every method (closedform
+    on the multi-array layouts too) and delay in all three outage modes."""
+    commands = []
+    for path in sorted(Path(DESK).parent.glob("*.json")):
+        scenario, out = ["--scenario", str(path)], str(tmp_path / path.stem)
+        commands += [["threshold", *scenario]]
+        commands += [["mdp", *scenario, "--method", method, "--samples", "20000"]
+                     for method in ("saddlepoint", "closedform", "montecarlo", "statistical",
+                                    "none", "fixed:2.0,0.5")]
+        commands += [["roc", *scenario, "--points", "4"],
+                     ["validate", *scenario, "--points", "3", "--samples", "20000"],
+                     ["heatmap", *scenario, "--grid", "4.0", "--out", out + "_map.csv"],
+                     ["optimize", *scenario, "--out", out + "_best.json"],
+                     ["compare", *scenario, "--grid", "4.0", "--out", out + "_compare.csv"]]
+        commands += [["delay", *scenario, "--arrival", "8", "--rate", "2", "--resources", "8",
+                      "--noise", "1e-9", "--outage-mode", mode, "--out", out + "_delay.csv"]
+                     for mode in ("centralized_bound", "centralized_exact_if_valid",
+                                  "local_bound")]
+    assert len(commands) == 4 * 15
+    assert _modules_after(("scipy",), *commands, without_scipy=True) == "scipy"
+
+
 class TestOneAntenna:
-    """A single one-antenna array has no closed form; "auto" takes the saddle route."""
+    """A single one-antenna array: its form has no negative term, so "auto" and the
+    saddle point both give the certain miss 1.0."""
 
     @pytest.mark.parametrize("rice_db, swallowed", [(6.0, True), (12.0, False)])
     def test_roc_and_heatmap_equal_the_saddle_point(self, capsys, tmp_path, rice_db,
@@ -716,6 +745,25 @@ class TestDeterminism:
         assert outs[0] == outs[1] == outs[2]
         assert files[0] == files[1] == files[2] == outs[0].encode()
         assert 0.0 < float(outs[0].splitlines()[2].split(",")[2]) < 1.0
+
+    def test_optimize_bytes_and_candidates(self, capsys, tmp_path):
+        """optimize on desk_2rrh writes the same bytes at --threads 1, 2 and 3, and
+        each of its 50 candidates' p_md is mdp_optimal_pma there, bit for bit."""
+        from distpla import channel_statistics, load_scenario, make_authenticator, mdp_optimal_pma
+        outs = []
+        for threads in ("1", "2", "3"):
+            p = tmp_path / f"best_{threads}.json"
+            assert run(capsys, "optimize", "--scenario", DESK, "--threads", threads,
+                       "--out", str(p))[0] == 0
+            outs.append(p.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        sc = load_scenario(DESK)
+        auth = make_authenticator(sc)
+        candidates = json.loads(outs[0])["candidates"]
+        assert len(candidates) == 50
+        for c in candidates:
+            ev = channel_statistics(sc, replace(sc.eve, position=tuple(c["position"])))
+            assert mdp_optimal_pma(auth, ev) == c["p_md"]
 
     def test_montecarlo_hits_pinned(self, capsys):
         """A literal hit count pins the Philox block layout, whatever evaluates a block."""

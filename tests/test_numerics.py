@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from distpla.numerics import (NumericsError, bounded_minimum, bracketed_root_find,
-                              chi2_cdf, chi2_quantile, chi2_tail, ncx2_cdf)
+                              chi2_cdf, chi2_quantile, chi2_tail)
+
+from conftest import ncx2_cdf
 
 
 def test_chi2_quantile_frozen():
