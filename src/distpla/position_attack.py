@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
@@ -61,27 +61,31 @@ class _ArrayContext:
     omega_a: float
     rho: float                      # the scenario's antenna correlation, 0 for none
 
-    @property
-    def peak(self) -> float:        # g at zero angular offset, S_AA > 0
-        return float(_s_ee(self, self.omega_a))
-
 
 def _array_contexts(scenario: Scenario) -> list[_ArrayContext]:
+    alice = [np.array([v], float) for v in scenario.alice.position]
     ctxs = []
     for rrh in scenario.rrhs:
-        delta = np.asarray(scenario.alice.position, float) - np.asarray(rrh.position, float)
-        dist = float(np.hypot(*delta))
-        omega_a = float(delta @ np.asarray(rrh.array_axis, float) / dist)
-        ctxs.append(_ArrayContext(rrh.id, np.asarray(rrh.position, float),
-                                  np.asarray(rrh.array_axis, float), rrh.num_antennas,
-                                  scenario.antenna_spacing, dist, omega_a, scenario.rho))
+        ctx = _ArrayContext(rrh.id, np.asarray(rrh.position, float),
+                            np.asarray(rrh.array_axis, float), rrh.num_antennas,
+                            scenario.antenna_spacing, 0.0, 0.0, scenario.rho)
+        dist_a, omega_a = (float(v[0]) for v in _point_geometry(ctx, *alice))
+        ctxs.append(replace(ctx, dist_a=dist_a, omega_a=omega_a))
     return ctxs
 
 
 def _dirichlet(x: np.ndarray, n: int, spacing: float) -> np.ndarray:
-    """sin(pi s n x) / sin(pi s x) with the n cos(...)/cos(...) limit at poles."""
+    """D_n(x) = sin(pi s n x) / sin(pi s x) with the n cos(...)/cos(...) limit at poles.
+    Where |sin(pi s x)| < 0.1 about a pole k = rint(s x) != 0 the sines are taken at
+    x - k/s, D_n(x) = (-1)^((n-1) k) D_n(x - k/s): the rounding of pi s x near k pi
+    cost up to 1.5e-7 of n at 1e-8 off the pole, shifted under 5e-16."""
     den = np.sin(np.pi * spacing * x)
     num = np.sin(np.pi * spacing * n * x)
+    at = np.flatnonzero(np.abs(den) < 0.1)
+    k = np.rint(spacing * x[at])
+    at, k = at[k != 0], k[k != 0]
+    den[at] = np.sin(np.pi * spacing * (x[at] - k / spacing))
+    num[at] = np.sin(np.pi * spacing * n * (x[at] - k / spacing)) * (1.0 - 2.0 * ((n - 1) * k % 2))
     tiny = np.abs(den) < 1e-9
     out = num / np.where(tiny, 1.0, den)
     if np.any(tiny):
@@ -119,10 +123,15 @@ def _s_ee(ctx: _ArrayContext, omega_e: np.ndarray) -> np.ndarray | float:
 
 @np.errstate(invalid="ignore")      # 0/0 at the array itself, an excluded cell
 def _point_geometry(ctx: _ArrayContext, px: np.ndarray, py: np.ndarray):
+    """(distance, angular sine ω) of positions from an array, the search's one
+    geometry: float64 sqrt(dx dx + dy dy) and (dx a_0 + dy a_1)/distance, with px
+    and py broadcast (a row of columns and a column of rows make a tile)."""
     dx = px - ctx.position[0]
     dy = py - ctx.position[1]
-    dist = np.hypot(dx, dy)
-    omega = (dx * ctx.axis[0] + dy * ctx.axis[1]) / dist
+    dist = dx * dx + dy * dy
+    np.sqrt(dist, out=dist)
+    omega = dx * ctx.axis[0] + dy * ctx.axis[1]
+    omega /= dist
     return dist, omega
 
 
@@ -173,12 +182,11 @@ def _fast_count(scenario: Scenario, ctxs: list[_ArrayContext], px: np.ndarray,
     Each array's phase p, with sign(g) folded in as (pi/2)(sign - 1), is
     formed in float64 in turns t = p / 2 pi and reduced to q = 2 pi (t - rint t);
     cos q and sin q are taken and summed in float32, and the count is their
-    float32 hypot.  The distance is sqrt(dx² + dy²).  sign(g) is float64's:
-    for identity correlation the parity of floor(s n x) + floor(s x) (the
-    signs of sin(pi s n x) and sin(pi s x)), else the sign of _angular_g.
-    Within 1e-9 of a null of sin(pi s n x), or |g| < 1e-9 of the lobe peak,
-    the ulp by which this distance and hypot's differ could flip the sign
-    and move a whole term, so those cells take _point_fields' geometry and sign.
+    float32 hypot.  Distance and ω are _point_geometry's and sign(g) is
+    _point_fields': _angular_g's for exponential correlation; for identity
+    the parity of floor(s n x) + floor(s x) (the signs of sin(pi s n x) and
+    sin(pi s x)), or _dirichlet's within 1e-9 of a null of sin(pi s n x),
+    where the rounding of the sines' arguments could flip it.
 
     The bound, with u = 2^-24 and |p| < 2^26 (a region under ten million
     wavelengths across): per term, q is within |p| 2^-50 <= u of
@@ -195,29 +203,18 @@ def _fast_count(scenario: Scenario, ctxs: list[_ArrayContext], px: np.ndarray,
     re = np.zeros(px.shape, np.float32)
     im = np.zeros(px.shape, np.float32)
     for ctx in ctxs:
-        dx = px - ctx.position[0]
-        dy = py - ctx.position[1]
-        dist = dx * dx
-        dist += dy * dy
-        np.sqrt(dist, out=dist)
-        dx *= ctx.axis[0]
-        dy *= ctx.axis[1]
-        dx += dy
-        omega = np.divide(dx, dist, out=dx)
+        dist, omega = _point_geometry(ctx, px, py)
+        if ctx.rho:
+            half = 0.5 * (np.sign(_angular_g(ctx, omega)) - 1.0)
+        x = np.subtract(omega, ctx.omega_a, out=omega)
         if not ctx.rho:
-            x = np.subtract(omega, ctx.omega_a, out=omega)
-            y = np.multiply(x, ctx.spacing * ctx.n, out=dy)
+            y = x * (ctx.spacing * ctx.n)
             half = np.floor(y)                  # (sign(g) - 1) / 2, modulo 2
             half += np.floor(ctx.spacing * x)
             y -= np.rint(y)
             unsure = np.abs(y, out=y) < 1e-9
-        else:
-            g = _angular_g(ctx, omega)
-            half, unsure = 0.5 * (np.sign(g) - 1.0), np.abs(g) < 1e-9 * ctx.peak
-            x = np.subtract(omega, ctx.omega_a, out=omega)
-        if unsure.any():
-            om = _point_geometry(ctx, px[unsure], py[unsure])[1]
-            half[unsure] = 0.5 * (np.sign(_angular_g(ctx, om)) - 1.0)
+            if unsure.any():
+                half[unsure] = 0.5 * (np.sign(_dirichlet(x[unsure], ctx.n, ctx.spacing)) - 1.0)
         turns = np.subtract(dist, ctx.dist_a, out=dist)
         turns *= 1.0 / lam
         x *= 0.5 * (ctx.n - 1) * ctx.spacing
@@ -314,8 +311,8 @@ def lobe_sets(scenario: Scenario) -> LobeSets:
     one _angular_g call per scan grid; bracketed_root_find refines each sign
     change of g (the nulls) and of |g| - lobe peak/g0 (the band edges, so an
     edge inside [-1, 1] solves that equation), bounded_minimum each sidelobe
-    peak, bit for bit as scipy would, which the float32 masks rely on.  Both
-    attack angles phi and pi - phi share an angular sine, so one band covers both.
+    peak, bit for bit as scipy would.  Both attack angles phi and pi - phi
+    share an angular sine, so one band covers both.
     """
     g0 = scenario.search.g0
     if not g0 > 1.0:
@@ -323,15 +320,16 @@ def lobe_sets(scenario: Scenario) -> LobeSets:
     per = []
     for ctx in _array_contexts(scenario):
         step = 1.0 / (32.0 * ctx.n * ctx.spacing)
+        peak0 = float(_s_ee(ctx, ctx.omega_a))     # g at zero angular offset, S_AA > 0
         main_ends, sides = [], []
         for sign in (1.0, -1.0):
             g = lambda x: _angular_g(ctx, ctx.omega_a + sign * x)
-            edge, side = _one_side_bands(g, 1.0 - sign * ctx.omega_a, step, ctx.peak, g0)
+            edge, side = _one_side_bands(g, 1.0 - sign * ctx.omega_a, step, peak0, g0)
             main_ends.append(ctx.omega_a + sign * edge)
             if side is not None:
                 lo, hi, peak = side
                 sides.append(_clipped_band(ctx.omega_a + sign * lo, ctx.omega_a + sign * hi, peak))
-        per.append(ArrayLobes(ctx.rrh_id, ctx.omega_a, _clipped_band(*main_ends, ctx.peak),
+        per.append(ArrayLobes(ctx.rrh_id, ctx.omega_a, _clipped_band(*main_ends, peak0),
                               tuple(sides)))
     return LobeSets(g0, tuple(per))
 
@@ -382,19 +380,14 @@ def grid_axes(scenario: Scenario, resolution: float) -> tuple[np.ndarray, np.nda
 
 
 def _allowed_mask(scenario: Scenario, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Cells of the ys × xs grid outside every exclusion disc.
-
-    Exclusion, like lobe membership in _band_masks, is decided in float32:
-    only a cell centre within float32 rounding of a radius or band edge can
-    land on the other side of it than in float64.  Each disc is evaluated
-    on the rows and columns with squared offset under r² only: a float32 sum
-    of non-negative terms is never below either, so no other cell is excluded.
-    """
-    xs32, ys32 = xs.astype(np.float32), ys.astype(np.float32)
+    """Cells of the ys × xs grid outside every exclusion disc, by float64
+    squared distances.  Each disc is evaluated on the rows and columns with
+    squared offset under r² only: a rounded sum of non-negative terms is
+    never below either, so no other cell is excluded."""
     allowed = np.ones((ys.size, xs.size), bool)
     for (cx, cy), r in [(scenario.alice.position, scenario.exclusion_alice)] + [
             (rrh.position, scenario.exclusion_rrh) for rrh in scenario.rrhs]:
-        dy2, dx2 = (ys32 - cy) ** 2, (xs32 - cx) ** 2
+        dy2, dx2 = (ys - cy) ** 2, (xs - cx) ** 2
         rows, cols = np.flatnonzero(dy2 < r ** 2), np.flatnonzero(dx2 < r ** 2)
         if rows.size and cols.size:
             box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
@@ -421,50 +414,41 @@ def _lobe_union(main, side) -> np.ndarray:
     return mask
 
 
-@np.errstate(invalid="ignore")      # 0/0 at the array itself, an excluded cell
-def _band_masks(ctx: _ArrayContext, lobes: ArrayLobes, xs: np.ndarray,
-                ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_in_bands over the ys × xs grid, decided in float32 like _allowed_mask, on glibc
-    hypotf's bits: the float64 root of the exact squares' sum, rounded, in IEEE operations."""
-    dx = (xs - ctx.position[0]).astype(np.float32)
-    dy = (ys - ctx.position[1]).astype(np.float32)
-    squares = np.add.outer(dy.astype(float) ** 2, dx.astype(float) ** 2)
-    dist = np.sqrt(squares, out=squares).astype(np.float32)
-    omega = (dx[None, :] * np.float32(ctx.axis[0]) + dy[:, None] * np.float32(ctx.axis[1])) / dist
-    return _in_bands(lobes, omega)
-
-
 def _lobe_columns(ctxs: list[_ArrayContext], lobes: LobeSets, xs: np.ndarray,
-                  ys: np.ndarray, res: float) -> np.ndarray | slice:
+                  ys: np.ndarray) -> np.ndarray | slice:
     """The columns of the ys × xs grid that can hold a cell of _lobe_mask.
 
-    Scans the centre column of each run of _SCAN_STRIDE columns in float64.
-    Along a row |dω/dx| <= 1/dist, so within h = _SCAN_STRIDE/2 cells of a
-    centre at distance r > h from an array ω moves by at most h/(r - h); 1e-5
-    more covers the float32 rounding of _band_masks (under 16 u ≈ 1e-6).
+    Scans the centre column of each run of _SCAN_STRIDE columns.  Along a
+    row |dω/dx| <= 1/dist, so within h, the largest float64 offset of a
+    column from its run's centre, of a centre at distance r > h from an
+    array ω moves by at most h/(r - h).  1e-12 more covers the rounding: each
+    float64 ω is within 8u (u = 2^-53) of its exact value at its cell, and
+    the rounding of h and r moves h/(r - h) by under 30u wherever it is
+    under 2 (past 2 the widened bands cover all of [-1, 1]).
     """
     k = _SCAN_STRIDE
     centres = np.minimum(np.arange(0, xs.size, k) + k // 2, xs.size - 1)
-    h = k // 2 * res
+    h = np.max(np.abs(xs - np.repeat(xs[centres], k)[:xs.size]))
     main, side = [], []
     for ctx, al in zip(ctxs, lobes.per_array):
         dist, omega = _point_geometry(ctx, xs[centres][None, :], ys[:, None])
         close = ~(dist > h)         # no bound on ω there (NaN at the array itself)
-        bands = _in_bands(al, omega, h / np.where(close, np.inf, dist - h) + 1e-5)
+        bands = _in_bands(al, omega, h / np.where(close, np.inf, dist - h) + 1e-12)
         main.append(bands[0] | close)
         side.append(bands[1] | close)
     runs = _lobe_union(main, side).any(axis=0)
     return slice(None) if runs.all() else np.flatnonzero(np.repeat(runs, k)[:xs.size])
 
 
-def _lobe_mask(ctxs: list[_ArrayContext], lobes: LobeSets, xs: np.ndarray, ys: np.ndarray,
-               res: float) -> np.ndarray:
-    """_lobe_union of the float32 _band_masks over the ys × xs grid,
+def _lobe_mask(ctxs: list[_ArrayContext], lobes: LobeSets, xs: np.ndarray,
+               ys: np.ndarray) -> np.ndarray:
+    """_lobe_union of _in_bands on _point_geometry's ω over the ys × xs grid,
     evaluated only on the columns that _lobe_columns keeps."""
-    cols = _lobe_columns(ctxs, lobes, xs, ys, res)
+    cols = _lobe_columns(ctxs, lobes, xs, ys)
     mask = np.zeros((ys.size, xs.size), bool)
-    mask[:, cols] = _lobe_union(*zip(*(_band_masks(ctx, al, xs[cols], ys)
-                                       for ctx, al in zip(ctxs, lobes.per_array))))
+    mask[:, cols] = _lobe_union(*zip(*(
+        _in_bands(al, _point_geometry(ctx, xs[cols][None, :], ys[:, None])[1])
+        for ctx, al in zip(ctxs, lobes.per_array))))
     return mask
 
 
@@ -632,7 +616,7 @@ def truncated_search(scenario: Scenario, threads: int = 1,
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    res, eps_px, xs, ys = search_grid(scenario)
+    _, eps_px, xs, ys = search_grid(scenario)
     ctxs = _array_contexts(scenario)
     lobes = lobe_sets(scenario)
     auth = make_authenticator(scenario)
@@ -660,7 +644,7 @@ def truncated_search(scenario: Scenario, threads: int = 1,
         halo, the members' flat indices)."""
         tile_ys = ys[r0:r1]
         allowed = _allowed_mask(scenario, xs, tile_ys)
-        members = allowed & _lobe_mask(ctxs, lobes, xs, tile_ys, res)
+        members = allowed & _lobe_mask(ctxs, lobes, xs, tile_ys)
         tally = (int(np.count_nonzero(allowed[own])), int(np.count_nonzero(members[own])))
         if not halo:
             return tally, np.flatnonzero(members) + r0 * nx

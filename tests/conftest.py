@@ -11,9 +11,9 @@ from distpla import (BLOCK_SIZE, Region, RrhConfig, Scenario, SearchConfig,
 from distpla.authenticator import whiten
 from distpla.monte_carlo import block_generator
 from distpla.numerics import NumericsError, _gamma_side, _half_dof, _poisson_pmf
-from distpla.position_attack import (CandidatePosition, SearchResult, _allowed_mask,
-                                     _angular_g, _array_contexts, _candidate_labels,
-                                     _point_fields, _point_geometry, search_grid)
+from distpla.position_attack import (CandidatePosition, SearchResult, _angular_g,
+                                     _array_contexts, _candidate_labels, _point_fields,
+                                     _point_geometry, search_grid)
 
 
 def build_scenario(rrhs, alice=(40.0, 30.0), eve=(26.0, 49.0), *,
@@ -264,6 +264,8 @@ def exhaustive_search(scenario):
     """The reference that certifies truncated_search: the alignment objective
     on every allowed cell of the search grid, by brute force.
 
+    A cell is allowed where (x - cx)² + (y - cy)² >= r² in float64 for every
+    exclusion disc, decided cell by cell without the search's mask.
     _point_fields runs on the allowed cells of row blocks of about 2^16 cells;
     the best cell is the first by (-f_obj, flat index), as the search ranks its
     survivors (np.argmax would pick a NaN), and only it pays a miss
@@ -271,10 +273,15 @@ def exhaustive_search(scenario):
     """
     _, _, xs, ys = search_grid(scenario)
     ctxs, nx = _array_contexts(scenario), xs.size
+    zones = [(scenario.alice.position, scenario.exclusion_alice)] + [
+        (rrh.position, scenario.exclusion_rrh) for rrh in scenario.rrhs]
     rows = max((1 << 16) // nx, 1)
     n_allowed, best = 0, []
     for r0 in range(0, ys.size, rows):
-        idx = np.flatnonzero(_allowed_mask(scenario, xs, ys[r0:r0 + rows])) + r0 * nx
+        idx = np.arange(r0 * nx, min(r0 + rows, ys.size) * nx)
+        px, py = xs[idx % nx], ys[idx // nx]
+        idx = idx[np.logical_and.reduce([(px - cx) ** 2 + (py - cy) ** 2 >= r ** 2
+                                         for (cx, cy), r in zones])]
         if idx.size:
             fobj, fss = _point_fields(scenario, ctxs, xs[idx % nx], ys[idx // nx])
             k = np.lexsort((idx, -fobj))[0]

@@ -141,7 +141,7 @@ def test_root_find_requires_sign_change():
 
 # bracketed_root_find and bounded_minimum are Brent's methods written out to
 # return the bits of scipy's brentq and bounded minimize_scalar: the lobe
-# bands, and through them the search's float32 masks, are built from them
+# bands, and through them the search's lobe masks, are built from them
 
 
 def _brentq(f, lo, hi, tol=1e-12, max_iter=200):

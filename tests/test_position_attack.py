@@ -16,7 +16,7 @@ from distpla import (SearchConfig, alice_statistics, channel_statistics,
                      truncated_search, wavelength)
 from distpla.position_attack import (ArrayLobes, EmptyRegionError, LobeBand,
                                      NoCandidatesError, _allowed_mask, _array_contexts,
-                                     _band_masks, _disc_local_maxima, _in_bands,
+                                     _disc_local_maxima, _in_bands, _lobe_union,
                                      _point_geometry, grid_axes)
 
 from distpla.cli import main
@@ -99,8 +99,9 @@ class TestAngularInnerProduct:
         on 400 seeded draws: n in 2..16, rho in [0, 0.95], s in {1/4, 1/2, 3/4, 1},
         Omega_A and Omega over [-1, 1], endfire ±1 and Omega = Omega_A (the pole
         branch of D_n and D_{n-1}) among them.  The bounds are the largest errors
-        measured: 4.1e-13 of the lobe peak for g, where sin(pi s x) nears a pole
-        at s x = ±1 as in the identity kernel, and 1.1e-14 relative for S_EE."""
+        measured: 1.2e-13 of the lobe peak for g, at rho = 0.91 where 1 - rho²
+        is small (4.1e-13 near a pole before _dirichlet shifted its sines), and
+        1.1e-14 relative for S_EE."""
         base = _array_contexts(single_scenario)[0]
         rng = np.random.default_rng(22)
         err_g = err_s = 0.0
@@ -112,9 +113,49 @@ class TestAngularInnerProduct:
             omegas = np.concatenate((rng.uniform(-1.0, 1.0, 8), [-1.0, 1.0, omega_a]))
             dense = [angular_inner_product(om, omega_a, n, spacing, rho)[1] for om in omegas]
             s_ee = [angular_inner_product(om, om, n, spacing, rho)[0].real for om in omegas]
-            err_g = max(err_g, np.max(np.abs(pa._angular_g(ctx, omegas) - dense)) / ctx.peak)
+            err_g = max(err_g, np.max(np.abs(pa._angular_g(ctx, omegas) - dense))
+                        / pa._s_ee(ctx, omega_a))
             err_s = max(err_s, np.max(np.abs(pa._s_ee(ctx, omegas) / s_ee - 1.0)))
-        assert err_g <= 4.1e-13 and err_s <= 1.1e-14
+        assert err_g <= 1.2e-13 and err_s <= 1.1e-14
+
+    def test_dirichlet_near_poles_off_zero(self, single_scenario):
+        """Where sin(pi s x) nears a pole s x = k != 0, _dirichlet takes its sines
+        at x - k/s.  Against 40-digit mpmath: the closed-form g of the draw that
+        test_closed_forms_match_the_dense_products finds worst (n = 6, rho =
+        0.165, s = 1, Omega_A = 1; 4.1e-13 of the lobe peak unshifted) is within
+        1e-15 of the peak of the dense product e(Omega_E)^H Lambda^{-1} e(Omega_A),
+        and D_n on 600 seeded x from 1e-8 to 10^-1.5 off every reachable pole is
+        within 1e-15 of n (3.8e-16 measured; unshifted up to 1.5e-7).  Where
+        |sin(pi s x)| >= 0.1 the bits are the plain quotient's."""
+        import mpmath
+        n, rho, spacing, omega_a = 6, 0.16456634242169266, 1.0, 1.0
+        omega_e = -0.00018587195264618828
+        ctx = replace(_array_contexts(single_scenario)[0], n=n, spacing=spacing, omega_a=omega_a,
+                      rho=rho)
+        with mpmath.workdps(40):
+            steer = [[mpmath.expjpi(-2 * spacing * mpmath.mpf(om) * k) for k in range(n)]
+                     for om in (omega_e, omega_a)]
+            lam = [[mpmath.mpf(rho) ** abs(k - m) for m in range(n)] for k in range(n)]
+            lam_inv = mpmath.inverse(mpmath.matrix(lam))
+            s_ea = sum(mpmath.conj(steer[0][k]) * lam_inv[k, m] * steer[1][m]
+                       for k in range(n) for m in range(n))
+            g = s_ea * mpmath.expjpi(-(n - 1) * spacing * (mpmath.mpf(omega_e) - omega_a))
+            assert abs(mpmath.im(g)) < 1e-30
+            peak = pa._s_ee(ctx, omega_a)
+            assert abs(pa._angular_g(ctx, np.array([omega_e]))[0] - mpmath.re(g)) <= 1e-15 * peak
+        rng = np.random.default_rng(23)
+        for _ in range(600):
+            s, n = float(rng.choice([0.5, 0.75, 1.0])), int(rng.integers(2, 17))
+            k = int(rng.choice([k for k in range(-int(2 * s), int(2 * s) + 1) if k]))
+            x = (k + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-8, -1.5)) / s
+            with mpmath.workdps(40):
+                exact = mpmath.sin(mpmath.pi * s * n * x) / mpmath.sin(mpmath.pi * s * x)
+            assert abs(pa._dirichlet(np.array([x]), n, s)[0] - exact) <= 1e-15 * n, (s, n, x)
+        x = rng.uniform(-2.0, 2.0, 100_000)
+        for s in (0.5, 0.75, 1.0):
+            off = np.abs(np.sin(np.pi * s * x)) >= 0.1
+            plain = np.sin(np.pi * s * 7 * x[off]) / np.sin(np.pi * s * x[off])
+            assert np.array_equal(pa._dirichlet(x, 7, s)[off], plain)
 
     def test_phase_separation_sign(self):
         # g keeps its sign through zero crossings instead of folding to |g|
@@ -181,8 +222,8 @@ class TestLobeSets:
             lobe_sets(bad)
 
     # (omega_lo, omega_hi, peak) of each array's main lobe, then of its first
-    # sidelobes, recorded from the point-by-point scan; the float32 band
-    # masks of the search pick their cells from exactly these bits
+    # sidelobes, recorded from the point-by-point scan; the band masks of
+    # the search pick their cells from exactly these bits
     PINNED = {
         "desk_2rrh": {
             "north": [(-0.11726468689207216, 0.33812773904176524, 4.0),
@@ -326,7 +367,7 @@ class TestSearches:
         top = max(c.f_obj for c in trunc.candidates)
         assert top >= 0.99 * full.best.f_obj
         assert trunc.p_md_opt >= 0.99 * full.p_md_opt
-        assert trunc.n_lobe_points < full.n_allowed
+        assert trunc.n_lobe_points < full.n_allowed == trunc.n_allowed
         assert full.n_survivors == full.n_allowed and full.n_evaluated == 1
 
     def test_exponential_rho_zero_is_the_identity_search(self):
@@ -529,8 +570,7 @@ class TestSearches:
         band_rows = max(pa._BAND_CELLS // xs.size, 1)
         starts = range(0, ys.size, band_rows)
         allowed = _allowed_mask(sc, xs, ys)
-        members = allowed & pa._lobe_mask(_array_contexts(sc), lobe_sets(sc), xs, ys,
-                                          pa.search_grid(sc)[0])
+        members = allowed & pa._lobe_mask(_array_contexts(sc), lobe_sets(sc), xs, ys)
 
         def walked(mask):
             """The fast counts of ``mask``'s cells that the bands' walks take:
@@ -765,8 +805,43 @@ def test_labels_follow_the_per_point_rule():
         cands = truncated_search(sc).candidates
         assert [c.label for c in cands] == [_candidate_label(ctxs, lobes, *c.position)
                                             for c in cands]
-    # a candidate passed the float32 lobe masks, so float64 labels it too
-    assert "other" not in {c.label for c in cands}
+
+
+def test_labels_match_the_walk_masks():
+    """Labels and lobe membership come from one geometry.  On _search_scenario
+    and six seeded deployments, identity and exponential correlation in turn,
+    the walk's lobe mask is the union of the per-array band masks on
+    _point_geometry's grid; no candidate is labelled "other", and at each
+    candidate's cell its label's rule holds in those masks: "main:a" in a's
+    main band and no earlier array's, "sidelobes:a+b" in no main band, in
+    both first sidelobes, and in no earlier pair's."""
+    scenarios = [_search_scenario()] + [
+        replace(random_geometry(np.random.default_rng(40 + seed), 2 + seed % 2,
+                                rho=0.5 if seed % 2 else 0.0),
+                search=SearchConfig(0.25, small_scale_radius=0.75)) for seed in range(6)]
+    kinds = set()
+    for sc in scenarios:
+        ctxs, lobes = _array_contexts(sc), lobe_sets(sc)
+        xs, ys = grid_axes(sc, sc.search.grid_resolution)
+        main, side = zip(*(_in_bands(al, _point_geometry(ctx, xs[None, :], ys[:, None])[1])
+                           for ctx, al in zip(ctxs, lobes.per_array)))
+        assert np.array_equal(pa._lobe_mask(ctxs, lobes, xs, ys), _lobe_union(main, side))
+        ids = [ctx.rrh_id for ctx in ctxs]
+        pairs = [(a, b) for a in range(len(ids)) for b in range(a + 1, len(ids))]
+        for c in truncated_search(sc).candidates:
+            cell = np.searchsorted(ys, c.position[1]), np.searchsorted(xs, c.position[0])
+            in_main = [m[cell] for m in main]
+            kind, _, names = c.label.partition(":")
+            kinds.add(kind)
+            if kind == "main":
+                a = ids.index(names)
+                assert in_main[a] and not any(in_main[:a]), c
+            else:
+                assert kind == "sidelobes" and not any(in_main), c
+                pair = pairs.index(tuple(map(ids.index, names.split("+"))))
+                assert [side[a][cell] and side[b][cell] for a, b in pairs[:pair + 1]] == (
+                    [False] * pair + [True]), c
+    assert kinds == {"main", "sidelobes"}
 
 
 def _restricted_and_dense_lobe_masks(monkeypatch, sc, res, rows):
@@ -778,11 +853,11 @@ def _restricted_and_dense_lobe_masks(monkeypatch, sc, res, rows):
     pairs, restricted = [], 0
     for r0 in range(0, ys.size, rows):
         tile_ys = ys[r0:r0 + rows]
-        restricted += isinstance(pa._lobe_columns(ctxs, lobes, xs, tile_ys, res), np.ndarray)
-        got = pa._lobe_mask(ctxs, lobes, xs, tile_ys, res)
+        restricted += isinstance(pa._lobe_columns(ctxs, lobes, xs, tile_ys), np.ndarray)
+        got = pa._lobe_mask(ctxs, lobes, xs, tile_ys)
         with monkeypatch.context() as m:
             m.setattr(pa, "_lobe_columns", lambda *args: slice(None))
-            pairs.append((got, pa._lobe_mask(ctxs, lobes, xs, tile_ys, res)))
+            pairs.append((got, pa._lobe_mask(ctxs, lobes, xs, tile_ys)))
     return pairs, restricted
 
 
@@ -871,10 +946,10 @@ class TestCountOracle:
 
         grid = np.full(allowed.shape, -np.inf, np.float32)
         grid.ravel()[idx] = oracle
-        res, eps_px = pa.search_grid(sc)[:2]
+        eps_px = pa.search_grid(sc)[1]
         monkeypatch.setattr(pa, "_TILE_CELLS", 7 * xs.size + 3)
         monkeypatch.setattr(pa, "_BAND_CELLS", 30 * xs.size + 1)
-        members = pa._lobe_mask(ctxs, lobe_sets(sc), xs, ys, res)
+        members = pa._lobe_mask(ctxs, lobe_sets(sc), xs, ys)
         walks = [_walk_maxima(sc, threads) for threads in (1, 3)]
         survivors = _disc_maxima(np.where(members, grid, -np.inf), eps_px)
         optima = _disc_maxima(grid, eps_px).size
@@ -968,7 +1043,7 @@ def test_filter_noise_within_half_the_margin_changes_nothing(monkeypatch, tmp_pa
 
 
 class TestRestrictedBandMasks:
-    """_lobe_mask evaluates the float32 band masks only on the columns that
+    """_lobe_mask evaluates the band masks only on the columns that
     _lobe_columns keeps; the masks must equal the dense ones bit for bit."""
 
     @pytest.mark.parametrize("name", ["desk_2rrh", "reference_1rrh16", "reference_2rrh8",
@@ -1009,11 +1084,40 @@ class TestRestrictedBandMasks:
             assert np.array_equal(got, dense)
 
 
-def test_band_distance_equals_hypotf(rng):
-    """_band_masks decides on the float32 distance that np.hypot (libm's
-    hypotf) gives, bit for bit, on random tiles that reach within 1 m of an
-    array.  Band edges placed exactly on the float32 angular sines of random
-    cells make a one-ulp change of a distance flip a mask."""
+    def test_band_edge_on_a_far_run(self):
+        """Far from an array the widening h/(r - h) of _lobe_columns exceeds
+        the largest change of ω over a run by only about h²/r² plus (1 - cos)
+        h/r terms of the tilt.  Here a 1 mm grid row lies about 18 km (1.8e7
+        cells) from an array tilted by 0.06 rad, and the main band ends at the
+        ω of the first cell of the run where the widening has least to spare:
+        the band holds that cell and not its run's centre, and the restricted
+        mask still equals the dense one."""
+        th = 0.06
+        sc = build_scenario([("far", (0.0, 0.0), 8, (np.cos(th), np.sin(th)))],
+                            alice=(-360.0, 18011.0), region=(-361, -359, 18011, 18011.001))
+        ctx = _array_contexts(sc)[0]
+        xs, ys = grid_axes(sc, 1e-3)
+        k = pa._SCAN_STRIDE
+        first = np.arange(0, xs.size - k + 1, k)
+        omega = _point_geometry(ctx, xs, ys[0])[1]
+        dist, centre = _point_geometry(ctx, xs[first + k // 2], ys[0])
+        h = k // 2 * 1e-3
+        run = first[np.argmin(h / (dist - h) - (centre - omega[first]))]
+        assert ys.size == 1 and np.all(np.diff(omega) > 0)
+        band = LobeBand(-1.0, omega[run], 8.0)
+        lobes = pa.LobeSets(2.0, (ArrayLobes("far", ctx.omega_a, band, ()),))
+        dense = _in_bands(lobes.per_array[0], omega)[0]
+        assert dense[run] and not dense[run + k // 2]
+        assert np.array_equal(pa._lobe_mask([ctx], lobes, xs, ys)[0], dense)
+
+
+def test_lobe_mask_is_in_bands_on_point_geometry(rng):
+    """_lobe_mask, formed on broadcast axes over the columns that
+    _lobe_columns keeps, equals _in_bands on _point_geometry's ω taken cell by
+    cell, bit for bit, on random tiles that reach within 1 m of an array.
+    Band edges placed exactly on the ω of random cells make a one-ulp change
+    of an ω flip a mask: through one array's main band, and through the
+    sidelobes of two arrays at the same place (the main band then off [-1, 1])."""
     near = 0
     for k in range(12):
         sc = random_geometry(rng, int(rng.integers(1, 4)), rho=0.0 if k % 2 else None)
@@ -1022,29 +1126,29 @@ def test_band_distance_equals_hypotf(rng):
             x0, y0 = ctx.position + rng.uniform(-60.0, 0.0, 2) * res
             xs = x0 + (np.arange(int(rng.integers(50, 150))) + 0.5) * res
             ys = y0 + (np.arange(int(rng.integers(50, 150))) + 0.5) * res
-            dx = (xs - ctx.position[0]).astype(np.float32)
-            dy = (ys - ctx.position[1]).astype(np.float32)
-            dist = np.hypot(dx[None, :], dy[:, None])
-            omega = ((dx[None, :] * np.float32(ctx.axis[0]) + dy[:, None] * np.float32(ctx.axis[1]))
-                     / dist)
+            gx, gy = np.meshgrid(xs, ys)
+            dist, omega = _point_geometry(ctx, gx.ravel(), gy.ravel())
+            omega = omega.reshape(gx.shape)
             near += int(np.count_nonzero(dist < 1.0))
-            edges = np.sort(rng.choice(omega.ravel(), 7, replace=False)).astype(float)
-            lobes = ArrayLobes(ctx.rrh_id, ctx.omega_a, LobeBand(edges[0], edges[1], 1.0),
-                               (LobeBand(edges[2], edges[3], 1.0), LobeBand(edges[4], edges[4], 1.0),
-                                LobeBand(edges[5], edges[6], 1.0)))
-            for got, want in zip(_band_masks(ctx, lobes, xs, ys), _in_bands(lobes, omega)):
+            edges = np.sort(rng.choice(omega.ravel(), 7, replace=False))
+            main = ArrayLobes(ctx.rrh_id, ctx.omega_a, LobeBand(edges[0], edges[1], 1.0), ())
+            side = ArrayLobes(ctx.rrh_id, ctx.omega_a, LobeBand(2.0, 2.0, 1.0),
+                              (LobeBand(edges[2], edges[3], 1.0), LobeBand(edges[4], edges[4], 1.0),
+                               LobeBand(edges[5], edges[6], 1.0)))
+            for ctxs, lobes, want in (([ctx], (main,), _in_bands(main, omega)[0]),
+                                      ([ctx, ctx], (side, side), _in_bands(side, omega)[1])):
+                got = pa._lobe_mask(ctxs, pa.LobeSets(2.0, lobes), xs, ys)
                 assert np.array_equal(got, want), k
                 assert want.any() and not want.all()
     assert near > 1000
 
 
 def _dense_allowed_mask(sc, xs, ys):
-    """_allowed_mask's rule on every cell: float32 squared distances to each centre."""
-    xs32, ys32 = xs.astype(np.float32), ys.astype(np.float32)
+    """_allowed_mask's rule on every cell: float64 squared distances to each centre."""
     allowed = np.ones((ys.size, xs.size), bool)
     for (cx, cy), r in [(sc.alice.position, sc.exclusion_alice)] + [
             (rrh.position, sc.exclusion_rrh) for rrh in sc.rrhs]:
-        allowed &= np.add.outer((ys32 - cy) ** 2, (xs32 - cx) ** 2) >= r ** 2
+        allowed &= np.add.outer((ys - cy) ** 2, (xs - cx) ** 2) >= r ** 2
     return allowed
 
 
@@ -1070,75 +1174,96 @@ def test_allowed_mask_equals_the_dense_mask():
     assert excluded > 0
 
 
-def test_column_scan_slack_covers_float32_rounding():
-    """Far from an array the geometric widening h/(r - h) of _lobe_columns
-    exceeds the largest change of omega over h = 16 cells by only about
-    h²/r² plus (1 - cos)·h/r terms of the tilt, less than float32 rounding
-    of omega in _band_masks.  Here a 1 mm grid row lies about 18 km (1.8e7
-    cells) from an array tilted by 0.06 rad, and the main band ends at the
-    float32 omega of the first cell of a scan run: that cell is in the
-    band, its run's centre lies beyond the widened edge, and only the
-    1e-5 slack keeps the column."""
-    th = 0.06
-    sc = build_scenario([("far", (0.0, 0.0), 8, (np.cos(th), np.sin(th)))],
-                        alice=(-360.0, 18011.0), region=(-361, -359, 18011, 18011.001))
-    ctx = _array_contexts(sc)[0]
-    res = 1e-3
-    xs, ys = grid_axes(sc, res)
-    assert ys.size == 1
-    dx, dy = (xs - ctx.position[0]).astype(np.float32), (ys - ctx.position[1]).astype(np.float32)
-    om32 = ((dx * np.float32(ctx.axis[0]) + dy * np.float32(ctx.axis[1])) / np.hypot(dx, dy))
-    k = pa._SCAN_STRIDE
-    h = k // 2 * res
-    first = np.arange(0, xs.size - k + 1, k)
-    dist, om = _point_geometry(ctx, xs[first + k // 2], ys[0])
-    # how far each run's centre lies beyond a band ending at its first cell,
-    # less the geometric widening: positive where only the slack keeps the run
-    beyond = om - om32[first] - h / (dist - h)
-    run = int(np.argmax(beyond))
-    assert np.all(np.diff(om32) >= 0) and beyond[run] > 0
-    band = pa.LobeBand(-1.0, float(om32[first[run]]), 8.0)
-    lobes = pa.LobeSets(2.0, (pa.ArrayLobes("far", ctx.omega_a, band, ()),))
-    dense = _band_masks(ctx, lobes.per_array[0], xs, ys)[0]
-    assert dense[0, first[run]] and not dense[0, first[run] + k // 2]
-    assert np.array_equal(pa._lobe_mask([ctx], lobes, xs, ys, res), dense)
+def _sign(v):
+    return (v > 0).astype(int) - (v < 0).astype(int)
 
 
-def test_float32_masks_differ_from_float64_only_at_edges():
-    """Exclusion and band membership are decided in float32; a cell may flip
-    against float64 only within float32 rounding of a radius or band edge."""
-    u = 2.0 ** -24     # float32 unit roundoff
-    sc = random_geometry(np.random.default_rng(20), n_rrh=2)
-    xs, ys = grid_axes(sc, 0.05)
-    gx, gy = np.meshgrid(xs, ys)
-    coord = 80.0       # largest coordinate magnitude: the region is [0, 80] x [0, 60]
-    allowed, near = np.ones(gx.shape, bool), np.zeros(gx.shape, bool)
-    for (cx, cy), r in [(sc.alice.position, sc.exclusion_alice)] + [
-            (rrh.position, sc.exclusion_rrh) for rrh in sc.rrhs]:
-        d = np.hypot(gx - cx, gy - cy)
-        allowed &= d >= r
-        # float32 rounds x, the centre and their difference (each off by at
-        # most u·coord), then the squares, their sum and r² (each off by
-        # u·r² near the edge): near d = r that moves d by at most
-        # 3√2·u·coord + 1.5·u·r, well inside 8·u·(coord + r)
-        near |= np.abs(d - r) <= 8 * u * (coord + r)
-    excl_flips = _allowed_mask(sc, xs, ys) != allowed
-    assert np.all(near[excl_flips])
-    band_flips = 0
-    for ctx, al in zip(_array_contexts(sc), lobe_sets(sc).per_array):
-        _, om = _point_geometry(ctx, gx, gy)
-        main32, side32 = _band_masks(ctx, al, xs, ys)
-        inside = [(b.omega_lo <= om) & (om <= b.omega_hi) for b in (al.main, *al.sidelobes)]
-        # relative to the distance, float32 rounds dx, dy, the axis, the
-        # products and their sum ((3√2 + 1)·u in the numerator), the hypot
-        # (2·u) and the quotient (u), and the edge itself rounds by u:
-        # under 10·u in all, inside the 16·u used here
-        near = np.min([np.abs(om - e) for b in (al.main, *al.sidelobes)
-                       for e in (b.omega_lo, b.omega_hi)], axis=0) <= 16 * u
-        for mask32, mask64 in ((main32, inside[0]),
-                               (side32, np.logical_or.reduce([np.zeros_like(main32)] + inside[1:]))):
-            diff = mask32 != mask64
-            assert np.all(near[diff])
-            band_flips += int(diff.sum())
-    # this grid meets both kinds of edge, so neither check above is vacuous
-    assert excl_flips.any() and band_flips > 0
+def _exact_sign(num, den2, edge):
+    """sign(num / sqrt(den2) - edge) for exact integers: ``num`` and ``den2`` > 0
+    broadcast object arrays of Python ints, ``edge`` an int.  With num and edge
+    of one strict sign it is the sign of num² - edge² den2 times num's, else
+    the sign of sign(num) - sign(edge)."""
+    same = _sign(num) * np.sign(edge) > 0
+    return np.where(same, _sign(num * num - edge * edge * den2) * _sign(num),
+                    np.sign(_sign(num) - np.sign(edge)))
+
+
+def test_masks_equal_the_exact_decision_off_the_rounding_band():
+    """_allowed_mask and _lobe_mask equal the exact decision on the float64
+    cell centres on every cell outside float64 rounding of a radius or band
+    edge.  Every float64 is m 2^-S for integers m and S, so the exact
+    decision is made on Python integers (what fractions.Fraction would do,
+    with one denominator 2^S).  With u = 2^-53, the computed squared
+    distance is d²(1 + θ), |θ| <= 4u, and r² rounds by u, so a cell with
+    |d² - r²| > 8u r² is decided exactly; the computed ω is within 8u of the
+    exact ω at its cell (see _lobe_columns), so a cell farther than 8u from
+    every edge is.  The radii and band edges are placed on the float64
+    distance or ω of random cells, half of them exactly, so that rounding
+    bands hold cells, and half 2^-40 (about 1000 ulp) off, beyond each
+    band, where float32 masks would err."""
+    rng = np.random.default_rng(20)
+    sc = random_geometry(rng, n_rrh=2)
+    xs, ys = grid_axes(sc, 0.25)
+    cells = [(int(rng.integers(ys.size)), int(rng.integers(xs.size))) for _ in range(2)]
+    radii = [float(np.sqrt((xs[j] - c[0]) ** 2 + (ys[i] - c[1]) ** 2)) * f
+             for (i, j), c, f in zip(cells, (sc.alice.position, sc.rrhs[0].position),
+                                     (1.0, 1.0 + 2.0 ** -40))]
+    sc = replace(sc, exclusion_alice=radii[0], exclusion_rrh=radii[1])
+    ctxs = _array_contexts(sc)
+    lobes, off = [], 2.0 ** -40 * np.array([0, -1, 1, 0, -1, 1])
+    for ctx in ctxs:
+        omega = _point_geometry(ctx, xs[None, :], ys[:, None])[1]
+        e = np.sort(rng.choice(omega.ravel(), 6, replace=False)) + off
+        lobes.append(ArrayLobes(ctx.rrh_id, ctx.omega_a, LobeBand(e[0], e[1], 1.0),
+                                (LobeBand(e[2], e[3], 1.0), LobeBand(e[4], e[5], 1.0))))
+    allowed, lobe = _allowed_mask(sc, xs, ys), pa._lobe_mask(ctxs, pa.LobeSets(2.0, lobes), xs, ys)
+
+    zones = [(sc.alice.position, radii[0])] + [(rrh.position, radii[1]) for rrh in sc.rrhs]
+    floats = np.concatenate([xs, ys, radii, np.ravel([c for c, _ in zones])]
+                            + [np.concatenate((ctx.axis, [b.omega_lo, b.omega_hi]))
+                               for ctx, al in zip(ctxs, lobes) for b in (al.main, *al.sidelobes)])
+    shift = max(53, max(float(v).as_integer_ratio()[1].bit_length() - 1 for v in floats))
+
+    def exact(values):
+        """values 2^shift as Python ints in an object array: no rounding."""
+        return np.array([n * 2 ** shift // d for n, d in
+                         (float(v).as_integer_ratio() for v in np.ravel(values))], object)
+
+    ix, iy = exact(xs)[None, :], exact(ys)[:, None]
+    exact_allowed = np.ones(allowed.shape, bool)
+    near_radius, close_radius = np.zeros(allowed.shape, bool), np.zeros(allowed.shape, bool)
+    for (cx, cy), r in zones:
+        cx, cy, r = exact([cx, cy, r])
+        gap = (ix - cx) ** 2 + (iy - cy) ** 2 - r * r
+        exact_allowed &= gap >= 0
+        near_radius |= abs(gap) * 2 ** 53 <= 8 * r * r
+        close_radius |= abs(gap) * 2 ** 38 <= r * r
+
+    def within(num, den2, e, width):
+        """|ω - e| <= width, all in units of 2^-shift."""
+        return (_exact_sign(num, den2, e - width) >= 0) & (_exact_sign(num, den2, e + width) <= 0)
+
+    main, side = [], []
+    near_edge, close_edge = np.zeros(lobe.shape, bool), np.zeros(lobe.shape, bool)
+    for ctx, al in zip(ctxs, lobes):
+        px, py, a0, a1 = exact(np.concatenate((ctx.position, ctx.axis)))
+        dx, dy = ix - px, iy - py
+        num, den2 = dx * a0 + dy * a1, dx * dx + dy * dy      # ω 2^shift = num / sqrt(den2)
+        inside = []
+        for b in (al.main, *al.sidelobes):
+            lo, hi = exact([b.omega_lo, b.omega_hi])
+            inside.append((_exact_sign(num, den2, lo) >= 0) & (_exact_sign(num, den2, hi) <= 0))
+            for e in (lo, hi):
+                near_edge |= within(num, den2, e, 8 * 2 ** (shift - 53))
+                close_edge |= within(num, den2, e, 2 ** (shift - 38))
+        main.append(inside[0])
+        side.append(inside[1] | inside[2])
+    exact_lobe = _lobe_union(main, side)
+
+    assert np.array_equal(allowed[~near_radius], exact_allowed[~near_radius])
+    assert np.array_equal(lobe[~near_edge], exact_lobe[~near_edge])
+    # cells inside the rounding bands, and cells just beyond them
+    assert near_radius.any() and near_edge.sum() >= 4
+    assert (close_radius & ~near_radius).any() and (close_edge & ~near_edge).sum() >= 8
+    for mask in (exact_allowed, exact_lobe):
+        assert mask.any() and not mask.all()
