@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import product, repeat
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .power_attack import _CHUNK, mdp_optimal_pma_batch
 
 _BAND_CELLS = 1 << 21      # grid cells a band task decides: sized so halos stay a few %
 _TILE_CELLS = 1 << 19      # grid cells in flight in a band task
-_CHUNK_CELLS = 1 << 14     # cells per field call or gather of the walk: bounds its temporaries
+_CHUNK_CELLS = 1 << 14     # cells per tile-pass chunk or field call: bounds their temporaries
 _SCAN_STRIDE = 32          # columns per float64 scan point of _lobe_columns
 _STRIP_ROWS = 16           # rows decided per pass of _disc_local_maxima: bounds its temporaries
 
@@ -78,7 +78,8 @@ def _dirichlet(x: np.ndarray, n: int, spacing: float) -> np.ndarray:
     """D_n(x) = sin(pi s n x) / sin(pi s x) with the n cos(...)/cos(...) limit at poles.
     Where |sin(pi s x)| < 0.1 about a pole k = rint(s x) != 0 the sines are taken at
     x - k/s, D_n(x) = (-1)^((n-1) k) D_n(x - k/s): the rounding of pi s x near k pi
-    cost up to 1.5e-7 of n at 1e-8 off the pole, shifted under 5e-16."""
+    cost up to 1.5e-7 of n at 1e-8 off the pole, shifted under 5e-16.  Any shape."""
+    shape, x = np.shape(x), np.ravel(x)
     den = np.sin(np.pi * spacing * x)
     num = np.sin(np.pi * spacing * n * x)
     at = np.flatnonzero(np.abs(den) < 0.1)
@@ -91,7 +92,7 @@ def _dirichlet(x: np.ndarray, n: int, spacing: float) -> np.ndarray:
     if np.any(tiny):
         lim = n * np.cos(np.pi * spacing * n * x) / np.cos(np.pi * spacing * x)
         out = np.where(tiny, lim, out)
-    return out
+    return out.reshape(shape)
 
 
 def _angular_g(ctx: _ArrayContext, omega_e: np.ndarray) -> np.ndarray:
@@ -169,24 +170,24 @@ def _point_fields(scenario: Scenario, ctxs: list[_ArrayContext], px: np.ndarray,
 
 
 def _fast_count_error(n_arrays: int) -> float:
-    """e, the bound on |_fast_count - float32(_point_fields' count)| that
-    _disc_local_maxima's settle step relies on (see _fast_count)."""
+    """e, the bound on |fast count - float32(_point_fields' count)| that
+    _disc_local_maxima's settle step relies on (see _count_term)."""
     return n_arrays * (n_arrays + 64) * 2.0 ** -24
 
 
-def _fast_count(scenario: Scenario, ctxs: list[_ArrayContext], px: np.ndarray,
-                py: np.ndarray) -> np.ndarray:
-    """_point_fields' small-scale count in float32 arithmetic, within
-    e = _fast_count_error(N) of its float32 rounding, for N arrays.
+def _count_term(ctx: _ArrayContext, lam: float, dist: np.ndarray,
+                omega: np.ndarray) -> np.ndarray:
+    """One array's float32 phase q of the fast small-scale count, from its
+    _point_geometry (dist, ω), which it overwrites.  _tile_fields sums cos q
+    and sin q in float32 and takes their float32 hypot: _point_fields' count
+    within e = _fast_count_error(N) of its float32 rounding, for N arrays.
 
-    Each array's phase p, with sign(g) folded in as (pi/2)(sign - 1), is
-    formed in float64 in turns t = p / 2 pi and reduced to q = 2 pi (t - rint t);
-    cos q and sin q are taken and summed in float32, and the count is their
-    float32 hypot.  Distance and ω are _point_geometry's and sign(g) is
-    _point_fields': _angular_g's for exponential correlation; for identity
-    the parity of floor(s n x) + floor(s x) (the signs of sin(pi s n x) and
-    sin(pi s x)), or _dirichlet's within 1e-9 of a null of sin(pi s n x),
-    where the rounding of the sines' arguments could flip it.
+    The phase p, with sign(g) folded in as (pi/2)(sign - 1), is formed in
+    float64 in turns t = p / 2 pi and reduced to q = 2 pi (t - rint t).
+    sign(g) is _point_fields': _angular_g's for exponential correlation; for
+    identity the parity of floor(s n x) + floor(s x) (the signs of
+    sin(pi s n x) and sin(pi s x)), or _dirichlet's within 1e-9 of a null of
+    sin(pi s n x), where the rounding of the sines' arguments could flip it.
 
     The bound, with u = 2^-24 and |p| < 2^26 (a region under ten million
     wavelengths across): per term, q is within |p| 2^-50 <= u of
@@ -199,34 +200,26 @@ def _fast_count(scenario: Scenario, ctxs: list[_ArrayContext], px: np.ndarray,
     which also covers the float32 rounding (<= Nu) of the settle step's
     comparisons, and measured it is over 16 times the largest error.
     """
-    lam = wavelength(scenario.carrier_frequency)
-    re = np.zeros(px.shape, np.float32)
-    im = np.zeros(px.shape, np.float32)
-    for ctx in ctxs:
-        dist, omega = _point_geometry(ctx, px, py)
-        if ctx.rho:
-            half = 0.5 * (np.sign(_angular_g(ctx, omega)) - 1.0)
-        x = np.subtract(omega, ctx.omega_a, out=omega)
-        if not ctx.rho:
-            y = x * (ctx.spacing * ctx.n)
-            half = np.floor(y)                  # (sign(g) - 1) / 2, modulo 2
-            half += np.floor(ctx.spacing * x)
-            y -= np.rint(y)
-            unsure = np.abs(y, out=y) < 1e-9
-            if unsure.any():
-                half[unsure] = 0.5 * (np.sign(_dirichlet(x[unsure], ctx.n, ctx.spacing)) - 1.0)
-        turns = np.subtract(dist, ctx.dist_a, out=dist)
-        turns *= 1.0 / lam
-        x *= 0.5 * (ctx.n - 1) * ctx.spacing
-        turns += x
-        half *= 0.5
-        turns += half
-        turns -= np.rint(turns)
-        turns *= 2.0 * np.pi
-        q = turns.astype(np.float32)
-        re += np.cos(q)
-        im += np.sin(q)
-    return np.hypot(re, im)
+    if ctx.rho:
+        half = 0.5 * (np.sign(_angular_g(ctx, omega)) - 1.0)
+    x = np.subtract(omega, ctx.omega_a, out=omega)
+    if not ctx.rho:
+        y = x * (ctx.spacing * ctx.n)
+        half = np.floor(y)                  # (sign(g) - 1) / 2, modulo 2
+        half += np.floor(ctx.spacing * x)
+        y -= np.rint(y)
+        unsure = np.abs(y, out=y) < 1e-9
+        if unsure.any():
+            half[unsure] = 0.5 * (np.sign(_dirichlet(x[unsure], ctx.n, ctx.spacing)) - 1.0)
+    turns = np.subtract(dist, ctx.dist_a, out=dist)
+    turns *= 1.0 / lam
+    x *= 0.5 * (ctx.n - 1) * ctx.spacing
+    turns += x
+    half *= 0.5
+    turns += half
+    turns -= np.rint(turns)
+    turns *= 2.0 * np.pi
+    return turns.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +331,7 @@ def lobe_sets(scenario: Scenario) -> LobeSets:
 # grid search
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidatePosition:
     position: tuple[float, float]
     f_obj: float
@@ -416,7 +409,7 @@ def _lobe_union(main, side) -> np.ndarray:
 
 def _lobe_columns(ctxs: list[_ArrayContext], lobes: LobeSets, xs: np.ndarray,
                   ys: np.ndarray) -> np.ndarray | slice:
-    """The columns of the ys × xs grid that can hold a cell of _lobe_mask.
+    """The columns of the ys × xs grid that can hold a lobe cell of _tile_fields.
 
     Scans the centre column of each run of _SCAN_STRIDE columns.  Along a
     row |dω/dx| <= 1/dist, so within h, the largest float64 offset of a
@@ -440,16 +433,38 @@ def _lobe_columns(ctxs: list[_ArrayContext], lobes: LobeSets, xs: np.ndarray,
     return slice(None) if runs.all() else np.flatnonzero(np.repeat(runs, k)[:xs.size])
 
 
-def _lobe_mask(ctxs: list[_ArrayContext], lobes: LobeSets, xs: np.ndarray,
-               ys: np.ndarray) -> np.ndarray:
-    """_lobe_union of _in_bands on _point_geometry's ω over the ys × xs grid,
-    evaluated only on the columns that _lobe_columns keeps."""
-    cols = _lobe_columns(ctxs, lobes, xs, ys)
-    mask = np.zeros((ys.size, xs.size), bool)
-    mask[:, cols] = _lobe_union(*zip(*(
-        _in_bands(al, _point_geometry(ctx, xs[cols][None, :], ys[:, None])[1])
-        for ctx, al in zip(ctxs, lobes.per_array))))
-    return mask
+def _tile_fields(scenario: Scenario, ctxs: list[_ArrayContext], lobes: LobeSets,
+                 xs: np.ndarray, ys: np.ndarray, evaluate: str | None):
+    """(allowed, members, count) of the ys × xs tile: its _allowed_mask, its
+    allowed lobe cells (_lobe_union of _in_bands on _point_geometry's ω), and
+    the float32 fast small-scale count at the ``evaluate`` cells, "members"
+    or "allowed", -inf elsewhere (None for ``evaluate`` None).  One pass
+    over the columns that _lobe_columns keeps (every column for "allowed"),
+    at most _CHUNK_CELLS cells at a time: each array's _point_geometry,
+    taken once per chunk, decides its bands and gives its _count_term."""
+    allowed = _allowed_mask(scenario, xs, ys)
+    members = np.zeros(allowed.shape, bool)
+    count = None if evaluate is None else np.full(allowed.shape, -np.inf, np.float32)
+    cols = slice(None) if evaluate == "allowed" else _lobe_columns(ctxs, lobes, xs, ys)
+    kept, lam = xs[cols], wavelength(scenario.carrier_frequency)
+    width = min(kept.size, _CHUNK_CELLS) or 1
+    rows = _CHUNK_CELLS // width
+    for r0, c0 in product(range(0, ys.size, rows), range(0, kept.size, width)):
+        at = np.s_[r0:r0 + rows, c0:c0 + width] if isinstance(cols, slice) else (
+            np.s_[r0:r0 + rows], cols[c0:c0 + width])
+        px, py, ok = kept[None, c0:c0 + width], ys[r0:r0 + rows, None], allowed[at]
+        re = im = np.float32(0.0)
+        bands = []
+        for ctx, al in zip(ctxs, lobes.per_array):
+            dist, omega = _point_geometry(ctx, px, py)
+            bands.append(_in_bands(al, omega))
+            if count is not None:
+                q = _count_term(ctx, lam, dist, omega)
+                re, im = re + np.cos(q), im + np.sin(q)
+        members[at] = lobe = _lobe_union(*zip(*bands)) & ok
+        if count is not None:
+            count[at] = np.where(ok if evaluate == "allowed" else lobe, np.hypot(re, im), -np.inf)
+    return allowed, members, count
 
 
 def _disc_local_maxima(grid, r0: int, r1: int, eps_px: int, exact=None,
@@ -590,17 +605,16 @@ def truncated_search(scenario: Scenario, threads: int = 1,
     objective, ties in row-major order.  Raises EmptyRegionError if no cell
     is allowed and NoCandidatesError if no allowed cell is a member.
 
-    With a disc of at least one cell the fast small-scale count alone fills
-    a float32 grid, once per member or, with ``count_optima``, per allowed
-    cell, at most _CHUNK_CELLS cells a _fast_count call taken from the rows
-    that hold them.  The survivors are the disc-local maxima of the float32
-    _point_fields count on the members' grid (other cells at -inf), which
-    _disc_local_maxima settles on R, and with ``count_optima`` the same pass
-    counts those of the allowed grid, the small-scale optima, as ``n_optima``.
-    With a smaller disc (always for a single array, whose count is flat) every
-    member survives and every allowed cell is an optimum.  Both fields are
-    paid at the survivors only, so memory is bounded by tile, chunk and
-    ``max_candidates``, not by lobe density.
+    Each tile is one _tile_fields pass: it decides the members and, with a
+    disc of at least one cell, fills a float32 grid with the fast small-scale
+    count at the members (the allowed cells with ``count_optima``).  The
+    survivors are the disc-local maxima of the float32 _point_fields count on
+    the members' grid, which _disc_local_maxima settles on R; with
+    ``count_optima`` the same pass counts those of the allowed grid, the
+    small-scale optima, as ``n_optima``.  With a smaller disc (always for a
+    single array, whose count is flat) every member survives and every allowed
+    cell is an optimum.  Both fields are paid at the survivors only, so memory
+    is bounded by tile, chunk and ``max_candidates``, not by lobe density.
 
     The grid is cut into bands of about _BAND_CELLS cells, whatever ``threads``
     is; each band is one task, on min(threads, bands) worker processes forked
@@ -624,6 +638,7 @@ def truncated_search(scenario: Scenario, threads: int = 1,
     band, rows = max(_BAND_CELLS // nx, 1), max(_TILE_CELLS // nx, 1)
     halo = max(eps_px, 0)
     margin = _fast_count_error(len(ctxs))
+    evaluate = None if not halo else "allowed" if count_optima else "members"
 
     def rate(idx):
         return mdp_optimal_pma_batch(auth, scenario, np.column_stack((xs[idx % nx], ys[idx // nx])))
@@ -637,28 +652,6 @@ def truncated_search(scenario: Scenario, threads: int = 1,
         both = (_point_fields(scenario, ctxs, xs[part % nx], ys[part // nx], objective)
                 for part in parts)
         return tuple(np.concatenate(f) for f in zip(*both) if f[0] is not None)
-
-    def fields(r0, r1, own):
-        """(n_allowed, n_members) of the ``own`` rows of tile r0:r1, and its fast
-        count grids (to evaluate, then members with ``count_optima``; without
-        halo, the members' flat indices)."""
-        tile_ys = ys[r0:r1]
-        allowed = _allowed_mask(scenario, xs, tile_ys)
-        members = allowed & _lobe_mask(ctxs, lobes, xs, tile_ys)
-        tally = (int(np.count_nonzero(allowed[own])), int(np.count_nonzero(members[own])))
-        if not halo:
-            return tally, np.flatnonzero(members) + r0 * nx
-        grid = np.full(members.shape, -np.inf, np.float32)
-        evaluate = allowed if count_optima else members
-        counts = np.count_nonzero(evaluate, axis=1)
-        ends = np.cumsum(counts)        # cells to evaluate up to each row's end
-        for c in range(0, int(ends[-1]), _CHUNK_CELLS):
-            s0, s1 = np.searchsorted(ends, (c, min(c + _CHUNK_CELLS, ends[-1]) - 1), "right")
-            skip = c - ends[s0] + counts[s0]        # the cells of row s0 before cell c
-            cells = (np.flatnonzero(evaluate[s0:s1 + 1]) + s0 * nx)[skip:skip + _CHUNK_CELLS]
-            iy = np.repeat(np.arange(s0, s1 + 1), counts[s0:s1 + 1])[skip:skip + _CHUNK_CELLS]
-            grid.ravel()[cells] = _fast_count(scenario, ctxs, xs[cells - iy * nx], tile_ys[iy])
-        return tally, ((grid, np.where(members, grid, -np.inf)) if count_optima else (grid,))
 
     def maxima(g0, grids, d0, d1):
         """(number of optima, survivor indices): the disc-local maxima of the
@@ -695,17 +688,22 @@ def truncated_search(scenario: Scenario, threads: int = 1,
         d0 = b0
         for r0 in range(w0, w1, rows):
             r1 = min(r0 + rows, w1)
-            tally, grids = fields(r0, r1, slice(max(b0 - r0, 0), max(b1 - r0, 0)))
+            allowed, members, grid = _tile_fields(scenario, ctxs, lobes, xs, ys[r0:r1], evaluate)
+            own = np.s_[max(b0 - r0, 0):max(b1 - r0, 0)]
+            tally = (int(np.count_nonzero(allowed[own])), int(np.count_nonzero(members[own])))
             if halo:        # decide from the first undecided row to halo rows before r1
+                grids = (grid, np.where(members, grid, -np.inf)) if count_optima else (grid,)
+                del allowed, members, grid
                 d1 = b1 if r1 == w1 else max(d0, r1 - halo)
-                g0 = r1 - grids[0].shape[0] - tails[0].shape[0]
+                g0 = r0 - tails[0].shape[0]
                 n_optima, idx = maxima(g0, list(zip(tails, grids)), d0, d1)
                 tails = [np.concatenate((t, g[-2 * halo:]))[-2 * halo:]
                          for t, g in zip(tails, grids)]
                 d0 = d1
+                del grids
             else:
-                n_optima, idx = tally[0] if count_optima else 0, grids
-            del grids
+                n_optima, idx = tally[0] if count_optima else 0, np.flatnonzero(members) + r0 * nx
+                del allowed, members
             totals += (*tally, n_optima, idx.size)
             kept = tuple(map(np.concatenate, zip(kept, (idx, *point_fields(idx)))))
             if kept[0].size > 2 * keep:     # bounds memory by keep

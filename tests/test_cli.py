@@ -765,6 +765,23 @@ class TestDeterminism:
             ev = channel_statistics(sc, replace(sc.eve, position=tuple(c["position"])))
             assert mdp_optimal_pma(auth, ev) == c["p_md"]
 
+    def test_optimize_bytes_under_exponential_correlation(self, capsys, tmp_path):
+        """optimize on desk_2rrh with exponential correlation at rho = 0.5, where
+        the search takes the sign of g from the correlated kernel on 2-D tiles
+        of cells, writes the same bytes at --threads 1, 2 and 3 (two bands)."""
+        data = json.loads(Path(DESK).read_text())
+        data["correlation"] = {"model": "exponential", "rho": 0.5}
+        scenario = tmp_path / "desk_rho.json"
+        scenario.write_text(json.dumps(data))
+        outs = []
+        for threads in ("1", "2", "3"):
+            p = tmp_path / f"best_{threads}.json"
+            assert run(capsys, "optimize", "--scenario", str(scenario), "--threads", threads,
+                       "--out", str(p))[0] == 0
+            outs.append(p.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0])["candidates"]
+
     def test_montecarlo_hits_pinned(self, capsys):
         """A literal hit count pins the Philox block layout, whatever evaluates a block."""
         code, out, _ = run(capsys, "mdp", "--scenario", DESK, "--method", "montecarlo",

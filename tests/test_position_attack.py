@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import count, product
@@ -25,6 +26,20 @@ from conftest import (angular_inner_product, build_scenario, correlation_matrix,
                       exhaustive_search, f_obj, point_fields, random_geometry, sample_channel)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+_TILE_FIELDS = pa._tile_fields      # the tile pass, before any test replaces it
+
+
+def _replace_count(monkeypatch, values):
+    """Make the tile pass's fast count values(px, py, count) at the cells it
+    evaluates (-inf elsewhere), here and on the worker processes forked later."""
+    def replaced(scenario, ctxs, lobes, xs, ys, evaluate):
+        allowed, members, count = _TILE_FIELDS(scenario, ctxs, lobes, xs, ys, evaluate)
+        if count is not None:
+            count = np.where(count != -np.inf, values(xs[None, :], ys[:, None], count),
+                             -np.inf).astype(np.float32)
+        return allowed, members, count
+
+    monkeypatch.setattr(pa, "_tile_fields", replaced)
 
 
 class TestObjective:
@@ -156,6 +171,26 @@ class TestAngularInnerProduct:
             off = np.abs(np.sin(np.pi * s * x)) >= 0.1
             plain = np.sin(np.pi * s * 7 * x[off]) / np.sin(np.pi * s * x[off])
             assert np.array_equal(pa._dirichlet(x, 7, s)[off], plain)
+
+    def test_dirichlet_on_any_shape(self, single_scenario):
+        """_dirichlet and the correlated _angular_g on a 2-D x give the bits of
+        the 1-D call reshaped, with cells inside the shifted-pole band
+        (|sin(pi s x)| < 0.1 about s x = k != 0), on the poles and at the pole
+        at zero; a constant (3, 4) x gives the constant."""
+        n, s = 8, 0.5
+        x = np.concatenate((np.linspace(-4.0, 4.0, 41),
+                            [2.0 + 1e-8, -2.0 - 3e-3, 1.97, 4.0 - 1e-10]))
+        assert np.count_nonzero((np.abs(np.sin(np.pi * s * x)) < 0.1) & (np.rint(s * x) != 0)) >= 8
+        assert {-4.0, -2.0, 0.0, 2.0, 4.0} <= set(x.tolist())
+        flat = pa._dirichlet(x, n, s)
+        assert pa._dirichlet(x.reshape(5, 9), n, s).tobytes() == flat.tobytes()
+        assert pa._dirichlet(x.reshape(3, 5, 3), n, s).shape == (3, 5, 3)
+        full = pa._dirichlet(np.full((3, 4), 0.3), n, s)
+        assert full.shape == (3, 4) and np.all(full == pa._dirichlet(np.array([0.3]), n, s)[0])
+        ctx = replace(_array_contexts(single_scenario)[0], n=n, spacing=s, omega_a=0.25, rho=0.5)
+        omega = x / 4.0
+        assert (pa._angular_g(ctx, omega.reshape(5, 9)).tobytes()
+                == pa._angular_g(ctx, omega).tobytes())
 
     def test_phase_separation_sign(self):
         # g keeps its sign through zero crossings instead of folding to |g|
@@ -458,6 +493,26 @@ class TestSearches:
             for threads in (1, 2, 3):
                 assert searches(threads) == whole, (band, threads)
 
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        """Tile-pass chunks of 7 cells (under a row), of 100 and of the default
+        size give the search and its count of the small-scale optima of one
+        default band on one worker, in bands of 20 rows on 1 and 2 worker
+        processes, on _search_scenario and on a deployment with exponential
+        correlation at rho = 0.5."""
+        rho = replace(random_geometry(np.random.default_rng(33), 2, rho=0.5, region=(0, 40, 0, 30)),
+                      search=SearchConfig(0.25, small_scale_radius=0.75))
+        default = pa._CHUNK_CELLS
+        for sc in (_search_scenario(small_scale_radius=1.5), rho):
+            whole = truncated_search(sc), truncated_search(sc, 1, True)
+            assert whole[1].n_optima > 0 and whole[0].n_lobe_points < whole[0].n_allowed
+            monkeypatch.setattr(pa, "_BAND_CELLS", 20 * pa.search_grid(sc)[2].size)
+            for chunk in (7, 100, default):
+                monkeypatch.setattr(pa, "_CHUNK_CELLS", chunk)
+                for threads in (1, 2):
+                    assert (truncated_search(sc, threads),
+                            truncated_search(sc, threads, True)) == whole, (chunk, threads)
+            monkeypatch.undo()
+
     def test_halo_covers_the_whole_disc(self, monkeypatch):
         """The fields replace the small-scale count, both the fast one that
         the disc filter reads and the float64 one that decides.  On noise
@@ -476,8 +531,7 @@ class TestSearches:
                                               2.0 - 1e-3 * py, 0.0)):
             monkeypatch.setattr(pa, "_point_fields", lambda scenario, ctxs, px, py, objective=True:
                                 (px if objective else None, field(px, py)))
-            monkeypatch.setattr(pa, "_fast_count", lambda scenario, ctxs, px, py:
-                                field(px, py).astype(np.float32))
+            _replace_count(monkeypatch, lambda px, py, count: field(px, py))
             monkeypatch.setattr(pa, "_TILE_CELLS", tile)
             monkeypatch.setattr(pa, "_BAND_CELLS", band_cells)
             whole = count_small_scale_optima(sc)
@@ -527,73 +581,98 @@ class TestSearches:
     @pytest.mark.parametrize("tile, band", [(None, None), (1, 20 * 120), (2 * 120, 7 * 120 + 3),
                                             (7 * 120 + 3, 1)], ids=["None", "1", "240", "843"])
     def test_fields_are_evaluated_once_per_cell(self, monkeypatch, tmp_path, tile, band):
-        """The walk evaluates each member cell's fast small-scale count
-        exactly once per band that walks its row, in its own band or as halo
-        rows of the next or the previous one, and a search that also counts the
-        small-scale optima each allowed cell's, not once per lobe cell and
-        again per allowed cell.  The float64 count is paid once at each cell
-        of R, the settle step's set on the fast grid (the contenders and their
-        near disc cells; under the optima count, of both grids), which holds
-        the survivors and is smaller than the members.  Tiles settle on their
-        own, so where discs on both sides of a seam between two tiles' decided
-        rows reach a cell of R, both tiles pay for it.  f_obj is evaluated
-        only at the filter's survivors, and no call takes more than
-        _CHUNK_CELLS cells.  Worker processes record the calls in files.  The
-        walk starts min(threads, bands) workers."""
+        """The tile pass takes each array's geometry, which decides the lobe
+        bands and gives the fast small-scale count, exactly once per band that
+        walks a cell's row, in its own band or as halo rows of the next or the
+        previous one.  It takes it at every member, and at every cell when the
+        small-scale optima are counted, not once for the lobe mask and again
+        for the count.  Its fast count fills each member once per such band,
+        and each allowed cell under the optima count.  The float64 count is paid
+        once at each cell of R, the settle step's set on the fast grid (the
+        contenders and their near disc cells; under the optima count, of both
+        grids), which holds the survivors and is smaller than the members.
+        Tiles settle on their own, so where discs on both sides of a seam
+        between two tiles' decided rows reach a cell of R, both tiles pay for
+        it.  f_obj is evaluated only at the filter's survivors, and no call
+        takes more than _CHUNK_CELLS cells.  Worker processes record the calls
+        in files.  The walk starts min(threads, bands) workers."""
         sc = _search_scenario(small_scale_radius=1.5)
         _, eps_px, xs, ys = pa.search_grid(sc)
         margin = pa._fast_count_error(len(sc.rrhs))
+        allowed, members, _ = pa._tile_fields(sc, _array_contexts(sc), lobe_sets(sc), xs, ys, None)
         if tile is not None:
             monkeypatch.setattr(pa, "_TILE_CELLS", tile)
             monkeypatch.setattr(pa, "_BAND_CELLS", band)
         monkeypatch.setattr(pa, "_CHUNK_CELLS", 100)
         workers, serial = [], count()
-        point_fields_, fast_count_, forked = pa._point_fields, pa._fast_count, pa._forked
+        geometry_, point_fields_, forked = pa._point_geometry, pa._point_fields, pa._forked
 
         def record(kind, px, py, values):
+            px, py = np.broadcast_arrays(px, py)
             idx = np.searchsorted(ys, py) * xs.size + np.searchsorted(xs, px)
-            np.save(tmp_path / f"{kind}.{os.getpid()}.{next(serial)}.npy", np.stack((idx, values)))
+            np.save(tmp_path / f"{kind}.{os.getpid()}.{next(serial)}.npy",
+                    np.stack((idx.ravel(), np.ravel(values))))
+
+        def geometry(ctx, px, py):
+            if sys._getframe(1).f_code.co_name == "_tile_fields":
+                record(f"geometry-{ctx.rrh_id}", px, py, 0.0 * (px + py))
+            return geometry_(ctx, px, py)
 
         def counted(scenario, ctxs, px, py, objective=True):
             record("f_obj" if objective else "count", px, py, np.zeros(px.size))
             return point_fields_(scenario, ctxs, px, py, objective)
 
-        def fast_counted(scenario, ctxs, px, py):
-            out = fast_count_(scenario, ctxs, px, py)
-            record("fast", px, py, out)
+        def tile_fields(scenario, ctxs, lobes, xs_, ys_, evaluate):
+            out = _TILE_FIELDS(scenario, ctxs, lobes, xs_, ys_, evaluate)
+            record("fast", xs_[None, :], ys_[:, None], out[2])
             return out
 
+        monkeypatch.setattr(pa, "_point_geometry", geometry)
         monkeypatch.setattr(pa, "_point_fields", counted)
-        monkeypatch.setattr(pa, "_fast_count", fast_counted)
+        monkeypatch.setattr(pa, "_tile_fields", tile_fields)
         monkeypatch.setattr(pa, "_forked",
                             lambda n, *jobs: (workers.append(n), forked(n, *jobs))[1])
         band_rows = max(pa._BAND_CELLS // xs.size, 1)
         starts = range(0, ys.size, band_rows)
-        allowed = _allowed_mask(sc, xs, ys)
-        members = allowed & pa._lobe_mask(_array_contexts(sc), lobe_sets(sc), xs, ys)
+        walks = np.zeros(ys.size, int)      # per row, the bands whose walks take it
+        for b0 in starts:
+            walks[max(b0 - eps_px, 0):b0 + band_rows + eps_px] += 1
 
         def walked(mask):
-            """The fast counts of ``mask``'s cells that the bands' walks take:
-            its members plus, at each band seam, those of the halo rows."""
-            rows = np.count_nonzero(mask, axis=1)
-            return sum(int(rows[max(b0 - eps_px, 0):b0 + band_rows + eps_px].sum())
-                       for b0 in starts)
+            """The cells of ``mask`` that the bands' walks take: its own plus,
+            at each band seam, those of the halo rows."""
+            return int(np.count_nonzero(mask, axis=1) @ walks)
 
         def cells(search, *args):
             """(fast count cells, float64 count cells, f_obj cells) of one search,
-            and the fast grid and calls it recorded."""
+            the fast grid, each array's geometry evaluations per cell, and the
+            calls it recorded."""
             for f in tmp_path.glob("*.npy"):
                 f.unlink()
             result = search(sc, *args)
             calls = [(f.name.split(".")[0], np.load(f)) for f in tmp_path.glob("*.npy")]
-            assert max(rec.shape[1] for _, rec in calls) <= 100
+            assert max(rec.shape[1] for kind, rec in calls if kind != "fast") <= 100
             fast = np.full((ys.size, xs.size), -np.inf, np.float32)
+            hits = {ctx.rrh_id: np.zeros(ys.size * xs.size, int) for ctx in _array_contexts(sc)}
             for kind, rec in calls:
                 if kind == "fast":
-                    fast.ravel()[rec[0].astype(np.intp)] = rec[1]
-            split = tuple(sum(rec.shape[1] for kind, rec in calls if kind == want)
-                          for want in ("fast", "count", "f_obj"))
-            return result, split, fast, calls
+                    at = rec[1] != -np.inf
+                    fast.ravel()[rec[0][at].astype(np.intp)] = rec[1][at]
+                elif kind.startswith("geometry-"):
+                    np.add.at(hits[kind.partition("-")[2]], rec[0].astype(np.intp), 1)
+            split = (sum(int(np.count_nonzero(rec[1] != -np.inf)) for kind, rec in calls
+                         if kind == "fast"),) + tuple(
+                sum(rec.shape[1] for kind, rec in calls if kind == want)
+                for want in ("count", "f_obj"))
+            return result, split, fast, [h.reshape(ys.size, xs.size) for h in hits.values()], calls
+
+        def once_per_walk(hits, mask):
+            """Each array's geometry is taken at every cell of ``mask``, and at any
+            cell it is taken at, once per band whose walk takes the cell's row."""
+            for h in hits:
+                assert np.array_equal(h, hits[0])
+                assert np.array_equal(h, np.where(h > 0, walks[:, None], 0))
+                assert np.all(h[mask] > 0)
 
         def settled(calls, *grids):
             """The float64 count's cells are R of the grids, each once in one tile."""
@@ -605,12 +684,14 @@ class TestSearches:
 
         assert walked(members) > np.count_nonzero(members) or tile is None
         for threads in (1, 3):
-            trunc, split, fast, calls = cells(truncated_search, threads)
+            trunc, split, fast, hits, calls = cells(truncated_search, threads)
             assert split[::2] == (walked(members), trunc.n_survivors)
+            once_per_walk(hits, members)
             assert np.count_nonzero(members) == trunc.n_lobe_points
             assert trunc.n_survivors <= settled(calls, fast) < trunc.n_lobe_points
-            counted_, split, fast, calls = cells(truncated_search, threads, True)
+            counted_, split, fast, hits, calls = cells(truncated_search, threads, True)
             assert split[::2] == (walked(allowed), counted_.n_survivors)
+            once_per_walk(hits, np.ones(allowed.shape, bool))
             assert (counted_.n_optima <= settled(calls, fast, np.where(members, fast, -np.inf))
                     < counted_.n_allowed)
             assert counted_.n_lobe_points < counted_.n_allowed == np.count_nonzero(allowed)
@@ -664,21 +745,26 @@ class TestSearches:
 
     def test_memory_does_not_grow_with_lobe_density(self, monkeypatch):
         """A search whose one tile is all lobe cells peaks under 1.5 times the
-        search whose lobe cells are a 5 % column band of the same tile (the
-        lobe mask is replaced by the band, the disc is 3 cells and one
-        candidate is kept).  Per lobe cell the walk holds only the tile's
-        float32 count grid: the count is evaluated in chunks gathered from the
-        rows that hold them, the contenders' discs are gathered in chunks, and
-        f_obj is paid at the disc filter's survivors.  (The ratio is 1.30; a
-        walk that keeps a flat index of the tile's lobe cells gives 1.60, one
-        that evaluates both fields at every lobe cell at once about 7.)"""
+        search whose lobe cells are a 5 % band of one array's angular sine in
+        the same tile (the lobe sets are replaced: that band or all of [-1, 1]
+        as the first array's main lobe, no other band; the disc is 3 cells and
+        one candidate is kept).  Per lobe cell the walk holds only the tile's
+        masks and float32 count grid: the tile pass takes the geometry and the
+        count in chunks, the contenders' discs are gathered in chunks, and f_obj
+        is paid at the disc filter's survivors.  (The ratio is 1.43: 3.61 MB
+        against 2.53 MB, all lobe cells against 9,173.)"""
         sc = _search_scenario(resolution=0.05, small_scale_radius=0.15, max_candidates=1)
         xs, ys = grid_axes(sc, 0.05)
         assert xs.size * ys.size <= pa._TILE_CELLS and pa.search_grid(sc)[1] == 3
+        lobes = lobe_sets(sc)
+        omega = _point_geometry(_array_contexts(sc)[0], xs[None, :], ys[:, None])[1]
+        omega = omega[_allowed_mask(sc, xs, ys)]
+        nowhere = LobeBand(2.0, 2.0, 1.0)
 
-        def peak_bytes(cols):
-            band = np.arange(xs.size) < cols
-            monkeypatch.setattr(pa, "_lobe_mask", lambda *args: band[None, :])
+        def peak_bytes(lo, hi):
+            first = [replace(lobes.per_array[0], main=LobeBand(lo, hi, 1.0), sidelobes=())]
+            per = first + [replace(al, main=nowhere, sidelobes=()) for al in lobes.per_array[1:]]
+            monkeypatch.setattr(pa, "lobe_sets", lambda scenario: pa.LobeSets(lobes.g0, tuple(per)))
             tracemalloc.start()
             try:
                 members = truncated_search(sc).n_lobe_points
@@ -687,8 +773,9 @@ class TestSearches:
                 tracemalloc.stop()
             return peak, members
 
-        peak_bytes(30)      # first-call imports and caches are not the search's
-        sparse, dense = peak_bytes(30), peak_bytes(xs.size)
+        band = np.quantile(omega, [0.5, 0.55])     # 5 % of the allowed cells
+        peak_bytes(*band)       # first-call imports and caches are not the search's
+        sparse, dense = peak_bytes(*band), peak_bytes(-1.0, 1.0)
         assert dense[1] > 10 * sparse[1]
         assert dense[0] < 1.5 * sparse[0]
 
@@ -810,8 +897,8 @@ def test_labels_follow_the_per_point_rule():
 def test_labels_match_the_walk_masks():
     """Labels and lobe membership come from one geometry.  On _search_scenario
     and six seeded deployments, identity and exponential correlation in turn,
-    the walk's lobe mask is the union of the per-array band masks on
-    _point_geometry's grid; no candidate is labelled "other", and at each
+    the tile pass's members are the allowed cells of the union of the
+    per-array band masks on _point_geometry's grid; no candidate is labelled "other", and at each
     candidate's cell its label's rule holds in those masks: "main:a" in a's
     main band and no earlier array's, "sidelobes:a+b" in no main band, in
     both first sidelobes, and in no earlier pair's."""
@@ -825,7 +912,8 @@ def test_labels_match_the_walk_masks():
         xs, ys = grid_axes(sc, sc.search.grid_resolution)
         main, side = zip(*(_in_bands(al, _point_geometry(ctx, xs[None, :], ys[:, None])[1])
                            for ctx, al in zip(ctxs, lobes.per_array)))
-        assert np.array_equal(pa._lobe_mask(ctxs, lobes, xs, ys), _lobe_union(main, side))
+        allowed, members, _ = pa._tile_fields(sc, ctxs, lobes, xs, ys, None)
+        assert np.array_equal(members, allowed & _lobe_union(main, side))
         ids = [ctx.rrh_id for ctx in ctxs]
         pairs = [(a, b) for a in range(len(ids)) for b in range(a + 1, len(ids))]
         for c in truncated_search(sc).candidates:
@@ -844,8 +932,15 @@ def test_labels_match_the_walk_masks():
     assert kinds == {"main", "sidelobes"}
 
 
+def _lobe_mask(sc, ctxs, lobes, xs, ys):
+    """The tile pass's lobe mask over the ys × xs grid: its members with no
+    exclusion zone, so that every cell is allowed."""
+    open_sc = replace(sc, exclusion_alice=0.0, exclusion_rrh=0.0)
+    return pa._tile_fields(open_sc, ctxs, lobes, xs, ys, None)[1]
+
+
 def _restricted_and_dense_lobe_masks(monkeypatch, sc, res, rows):
-    """The search's _lobe_mask over the grid at ``res`` in tiles of ``rows``
+    """The tile pass's lobe mask over the grid at ``res`` in tiles of ``rows``
     rows, as (restricted, dense) pairs per tile, and the number of tiles whose
     band masks ran on fewer than all columns."""
     ctxs, lobes = _array_contexts(sc), lobe_sets(sc)
@@ -854,10 +949,10 @@ def _restricted_and_dense_lobe_masks(monkeypatch, sc, res, rows):
     for r0 in range(0, ys.size, rows):
         tile_ys = ys[r0:r0 + rows]
         restricted += isinstance(pa._lobe_columns(ctxs, lobes, xs, tile_ys), np.ndarray)
-        got = pa._lobe_mask(ctxs, lobes, xs, tile_ys)
+        got = _lobe_mask(sc, ctxs, lobes, xs, tile_ys)
         with monkeypatch.context() as m:
             m.setattr(pa, "_lobe_columns", lambda *args: slice(None))
-            pairs.append((got, pa._lobe_mask(ctxs, lobes, xs, tile_ys)))
+            pairs.append((got, _lobe_mask(sc, ctxs, lobes, xs, tile_ys)))
     return pairs, restricted
 
 
@@ -923,11 +1018,11 @@ class TestCountOracle:
     """conftest's count_oracle is the full Dirichlet kernel on centres
     x_min + (idx % nx + 0.5) res.  On every allowed cell, the float64 count
     that decides the disc maxima (_point_fields on the grid axes' centres)
-    equals it bit for bit, and the walk's float32 filter grid is _fast_count
-    on those centres, within e/16 of it.  The walk's survivors and optima,
-    in tiles of 7 rows and bands of 30 rows on one and on three worker
-    processes, are the disc maxima of
-    the oracle's float32 grid, over the lobe cells and over the allowed cells."""
+    equals it bit for bit, and the walk's float32 filter grid is the tile
+    pass's fast count over the whole grid at once, within e/16 of it.  The
+    walk's survivors and optima, in tiles of 7 rows and bands of 30 rows on
+    one and on three worker processes, are the disc maxima of the oracle's
+    float32 grid, over the lobe cells and over the allowed cells."""
 
     @staticmethod
     def check(sc, monkeypatch):
@@ -940,8 +1035,9 @@ class TestCountOracle:
         oracle = count_oracle(sc, idx)
         exact = pa._point_fields(sc, ctxs, px, py, objective=False)[1].astype(np.float32)
         assert np.array_equal(exact.view(np.uint32), oracle.view(np.uint32))
-        fast = pa._fast_count(sc, ctxs, px, py)
-        assert np.array_equal(counts[idx].view(np.uint32), fast.view(np.uint32))
+        _, members, fast = pa._tile_fields(sc, ctxs, lobe_sets(sc), xs, ys, "allowed")
+        assert np.array_equal(counts.view(np.uint32), fast.ravel().view(np.uint32))
+        fast = fast.ravel()[idx]
         assert np.max(np.abs(fast.astype(float) - oracle)) <= pa._fast_count_error(len(ctxs)) / 16
 
         grid = np.full(allowed.shape, -np.inf, np.float32)
@@ -949,7 +1045,6 @@ class TestCountOracle:
         eps_px = pa.search_grid(sc)[1]
         monkeypatch.setattr(pa, "_TILE_CELLS", 7 * xs.size + 3)
         monkeypatch.setattr(pa, "_BAND_CELLS", 30 * xs.size + 1)
-        members = pa._lobe_mask(ctxs, lobe_sets(sc), xs, ys)
         walks = [_walk_maxima(sc, threads) for threads in (1, 3)]
         survivors = _disc_maxima(np.where(members, grid, -np.inf), eps_px)
         optima = _disc_maxima(grid, eps_px).size
@@ -998,20 +1093,22 @@ class TestCountOracle:
         the cells on the far side sit at x = 1/2, where s n x = 1 is a null of
         sin(pi s n x): the parity of floor(s n x) says g < 0, while the float64
         route's sine of the rounded pi says g > 0.  The fast count takes the
-        float64 sign there and stays within e/16 of _point_fields' count."""
+        float64 sign there and stays within e/16 of _point_fields' count
+        (the tile pass on that row of cells, with no exclusion zone)."""
         sc = build_scenario([("axis", (10.0, 10.0), 4), ("far", (35.0, 2.0), 4)],
-                            search=SearchConfig(0.25, small_scale_radius=0.75))
+                            search=SearchConfig(0.25, small_scale_radius=0.75),
+                            exclusion_alice=0.0, exclusion_rrh=0.0)
         ctxs = _array_contexts(sc)
         ctxs[0] = replace(ctxs[0], omega_a=0.5)
         px, py = 10.0 + np.arange(1, 200) * 0.25, np.full(199, 10.0)
         assert np.all(_point_geometry(ctxs[0], px, py)[1] - 0.5 == 0.5)
         exact = pa._point_fields(sc, ctxs, px, py, objective=False)[1].astype(np.float32)
-        fast = pa._fast_count(sc, ctxs, px, py)
+        fast = pa._tile_fields(sc, ctxs, lobe_sets(sc), px, py[:1], "allowed")[2][0]
         assert np.max(np.abs(fast.astype(float) - exact)) <= pa._fast_count_error(2) / 16
 
 
 def test_float32_cos_and_sin_err_by_under_two_ulp():
-    """_fast_count's bound takes numpy's float32 cos and sin within 2 ulp on
+    """_count_term's bound takes numpy's float32 cos and sin within 2 ulp on
     [-pi, pi]; checked on every 4,099th float32 there."""
     x = np.arange(0, int(np.float32(np.pi).view(np.uint32)) + 1, 4099, dtype=np.uint32)
     x = np.concatenate((x.view(np.float32), -x.view(np.float32)))
@@ -1026,14 +1123,13 @@ def test_filter_noise_within_half_the_margin_changes_nothing(monkeypatch, tmp_pa
     noise in [-e/2, e/2] added to it, the survivors, the optima, every
     candidate and the bytes of ``optimize --out`` stay the same."""
     sc = _search_scenario(small_scale_radius=1.5)
-    margin, fast_count = pa._fast_count_error(2), pa._fast_count
+    margin = pa._fast_count_error(2)
     reference = [truncated_search(sc, 2, True), _walk_maxima(sc, 2)[0].tolist()]
     main(["optimize", "--scenario", str(SCENARIOS / "desk_2rrh.json"),
           "--out", str(tmp_path / "reference.json")])
     rng = np.random.default_rng(21)
-    monkeypatch.setattr(pa, "_fast_count", lambda scenario, ctxs, px, py: (
-        fast_count(scenario, ctxs, px, py) + rng.uniform(-margin / 2, margin / 2, px.size)
-    ).astype(np.float32))
+    _replace_count(monkeypatch, lambda px, py, count: (
+        count + rng.uniform(-margin / 2, margin / 2, count.shape)))
     noisy = [truncated_search(sc, 2, True), _walk_maxima(sc, 2)[0].tolist()]
     assert noisy == reference
     main(["optimize", "--scenario", str(SCENARIOS / "desk_2rrh.json"),
@@ -1043,7 +1139,7 @@ def test_filter_noise_within_half_the_margin_changes_nothing(monkeypatch, tmp_pa
 
 
 class TestRestrictedBandMasks:
-    """_lobe_mask evaluates the band masks only on the columns that
+    """The tile pass evaluates the band masks only on the columns that
     _lobe_columns keeps; the masks must equal the dense ones bit for bit."""
 
     @pytest.mark.parametrize("name", ["desk_2rrh", "reference_1rrh16", "reference_2rrh8",
@@ -1108,13 +1204,14 @@ class TestRestrictedBandMasks:
         lobes = pa.LobeSets(2.0, (ArrayLobes("far", ctx.omega_a, band, ()),))
         dense = _in_bands(lobes.per_array[0], omega)[0]
         assert dense[run] and not dense[run + k // 2]
-        assert np.array_equal(pa._lobe_mask([ctx], lobes, xs, ys)[0], dense)
+        assert np.array_equal(_lobe_mask(sc, [ctx], lobes, xs, ys)[0], dense)
 
 
 def test_lobe_mask_is_in_bands_on_point_geometry(rng):
-    """_lobe_mask, formed on broadcast axes over the columns that
-    _lobe_columns keeps, equals _in_bands on _point_geometry's ω taken cell by
-    cell, bit for bit, on random tiles that reach within 1 m of an array.
+    """The tile pass's lobe mask, formed on broadcast axes over the columns
+    that _lobe_columns keeps in chunks of _CHUNK_CELLS cells, equals
+    _in_bands on _point_geometry's ω taken cell by cell, bit for bit, on
+    random tiles that reach within 1 m of an array.
     Band edges placed exactly on the ω of random cells make a one-ulp change
     of an ω flip a mask: through one array's main band, and through the
     sidelobes of two arrays at the same place (the main band then off [-1, 1])."""
@@ -1137,7 +1234,7 @@ def test_lobe_mask_is_in_bands_on_point_geometry(rng):
                                LobeBand(edges[5], edges[6], 1.0)))
             for ctxs, lobes, want in (([ctx], (main,), _in_bands(main, omega)[0]),
                                       ([ctx, ctx], (side, side), _in_bands(side, omega)[1])):
-                got = pa._lobe_mask(ctxs, pa.LobeSets(2.0, lobes), xs, ys)
+                got = _lobe_mask(sc, ctxs, pa.LobeSets(2.0, lobes), xs, ys)
                 assert np.array_equal(got, want), k
                 assert want.any() and not want.all()
     assert near > 1000
@@ -1189,9 +1286,10 @@ def _exact_sign(num, den2, edge):
 
 
 def test_masks_equal_the_exact_decision_off_the_rounding_band():
-    """_allowed_mask and _lobe_mask equal the exact decision on the float64
-    cell centres on every cell outside float64 rounding of a radius or band
-    edge.  Every float64 is m 2^-S for integers m and S, so the exact
+    """_allowed_mask and the tile pass's lobe mask equal the exact decision
+    on the float64 cell centres on every cell outside float64 rounding of a
+    radius or band edge, and the pass's members are the allowed lobe cells.
+    Every float64 is m 2^-S for integers m and S, so the exact
     decision is made on Python integers (what fractions.Fraction would do,
     with one denominator 2^S).  With u = 2^-53, the computed squared
     distance is d²(1 + θ), |θ| <= 4u, and r² rounds by u, so a cell with
@@ -1216,7 +1314,9 @@ def test_masks_equal_the_exact_decision_off_the_rounding_band():
         e = np.sort(rng.choice(omega.ravel(), 6, replace=False)) + off
         lobes.append(ArrayLobes(ctx.rrh_id, ctx.omega_a, LobeBand(e[0], e[1], 1.0),
                                 (LobeBand(e[2], e[3], 1.0), LobeBand(e[4], e[5], 1.0))))
-    allowed, lobe = _allowed_mask(sc, xs, ys), pa._lobe_mask(ctxs, pa.LobeSets(2.0, lobes), xs, ys)
+    allowed, lobe = _allowed_mask(sc, xs, ys), _lobe_mask(sc, ctxs, pa.LobeSets(2.0, lobes), xs, ys)
+    tile = pa._tile_fields(sc, ctxs, pa.LobeSets(2.0, lobes), xs, ys, None)
+    assert np.array_equal(tile[0], allowed) and np.array_equal(tile[1], allowed & lobe)
 
     zones = [(sc.alice.position, radii[0])] + [(rrh.position, radii[1]) for rrh in sc.rrhs]
     floats = np.concatenate([xs, ys, radii, np.ravel([c for c, _ in zones])]
