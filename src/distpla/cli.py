@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import product
 from pathlib import Path
 
@@ -168,10 +168,7 @@ def _cmd_optimize(args):
         "n_allowed": result.n_allowed,
         "n_lobe_points": result.n_lobe_points,
         "n_evaluated": result.n_evaluated,
-        "candidates": [
-            {"position": list(c.position), "f_obj": c.f_obj,
-             "f_small_scale": c.f_small_scale, "p_md": c.p_md, "label": c.label}
-            for c in result.candidates[:50]],
+        "candidates": [asdict(c) for c in result.candidates],
     }, sort_keys=True, indent=2) + "\n"
     summary = f"p_MD^(Opt. Position) = {_fmt(result.p_md_opt)}"
     return payload, summary

@@ -109,6 +109,13 @@ def _spectrum(rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(rho ** np.abs(k[:, None] - k[None, :]))
 
 
+def _snr_threshold(rate: float, n: int, noise_density: float) -> float:
+    """(2^rate - 1) n N0: 0 without noise, inf where it passes the float range."""
+    if not noise_density:
+        return 0.0
+    return (2.0 ** rate - 1.0) * n * noise_density if rate < 1024.0 else math.inf
+
+
 def _outage(stats: ChannelStatistics, arrays: list[int], rate: float,
             noise_density: float) -> float:
     """P(||h||^2 < (2^rate - 1) N N0) for h the N antennas of ``arrays``.
@@ -119,7 +126,6 @@ def _outage(stats: ChannelStatistics, arrays: list[int], rate: float,
     """
     means = np.split(stats.mean, stats.starts[1:])
     n = sum(stats.block_sizes[j] for j in arrays)
-    threshold = (2.0 ** rate - 1.0) * n * noise_density
     d, c2 = [], []
     for j in arrays:
         values, vectors = _spectrum(stats.rho, stats.block_sizes[j])
@@ -127,7 +133,7 @@ def _outage(stats: ChannelStatistics, arrays: list[int], rate: float,
         c2.append(np.abs(vectors.T @ means[j]) ** 2 / (stats.variances[j] * values))
     d = np.concatenate(d)[None, :]
     return float(_tail(d, np.concatenate(c2)[None, :], np.ones(d.shape),
-                       np.array([threshold]))[0])
+                       np.array([_snr_threshold(rate, n, noise_density)]))[0])
 
 
 def snr_outage(stats: ChannelStatistics, rate: float, noise_density: float) -> float:
@@ -170,7 +176,7 @@ def service_outage(auth: Authenticator, rate: float, noise_density: float,
         lam_min_inv = 1.0 / max(v * _spectrum(stats.rho, n)[0][-1]
                                  for v, n in zip(stats.variances, stats.block_sizes))
         mu_norm = float(np.linalg.norm(stats.mean))
-        lhs = math.sqrt((2.0 ** rate - 1.0) * stats.dim * noise_density)
+        lhs = math.sqrt(_snr_threshold(rate, stats.dim, noise_density))
         rhs = math.sqrt(auth.threshold / (2.0 * lam_min_inv)) - mu_norm
         held = lhs < rhs
         if held:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import product, repeat
+from itertools import combinations, product, repeat
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .power_attack import _CHUNK, mdp_optimal_pma_batch
 _BAND_CELLS = 1 << 21      # grid cells a band task decides: sized so halos stay a few %
 _TILE_CELLS = 1 << 19      # grid cells in flight in a band task
 _CHUNK_CELLS = 1 << 14     # cells per tile-pass chunk or field call: bounds their temporaries
+_REPORTED = 50             # candidates a search returns, those of highest p_md
 _SCAN_STRIDE = 32          # columns per float64 scan point of _lobe_columns
 _STRIP_ROWS = 16           # rows decided per pass of _disc_local_maxima: bounds its temporaries
 
@@ -342,7 +343,7 @@ class CandidatePosition:
 
 @dataclass(frozen=True)
 class SearchResult:
-    candidates: tuple[CandidatePosition, ...]   # miss-probability ranked, descending
+    candidates: tuple[CandidatePosition, ...]   # the _REPORTED of highest p_md, descending
     p_md_opt: float
     n_grid: int
     n_allowed: int
@@ -401,9 +402,8 @@ def _in_bands(lobes: ArrayLobes, omega: np.ndarray, slack=0.0) -> tuple[np.ndarr
 def _lobe_union(main, side) -> np.ndarray:
     """Any array's main-lobe mask or any two arrays' sidelobe masks at once."""
     mask = np.logical_or.reduce(main)
-    for i in range(len(side)):
-        for j in range(i + 1, len(side)):
-            mask |= side[i] & side[j]
+    for i, j in combinations(range(len(side)), 2):
+        mask |= side[i] & side[j]
     return mask
 
 
@@ -585,8 +585,7 @@ def _candidate_labels(ctxs: list[_ArrayContext], lobes: LobeSets,
                        for ctx, al in zip(ctxs, lobes.per_array)))
     labels = np.full(px.shape, "other", object)
     # the later rules are written first so that the earlier ones win
-    pairs = [(i, j) for i in range(len(ctxs)) for j in range(i + 1, len(ctxs))]
-    for i, j in reversed(pairs):
+    for i, j in reversed(list(combinations(range(len(ctxs)), 2))):
         labels[side[i] & side[j]] = f"sidelobes:{ctxs[i].rrh_id}+{ctxs[j].rrh_id}"
     for ctx, in_main in reversed(list(zip(ctxs, main))):
         labels[in_main] = f"main:{ctx.rrh_id}"
@@ -600,9 +599,10 @@ def truncated_search(scenario: Scenario, threads: int = 1,
     Grids the region and takes as members the allowed cells in the union of
     main lobes and pairwise first-sidelobe intersections.  The survivors are
     the members' local maxima of the small-scale alignment count over discs
-    of ``scenario.search``'s radius; the alignment objective is computed at
-    them only, and the miss probability at the ``max_candidates`` of best
-    objective, ties in row-major order.  Raises EmptyRegionError if no cell
+    of ``scenario.search``'s radius.  The alignment objective is paid at them
+    only, the miss probability at the ``max_candidates`` of best objective,
+    and labels at the _REPORTED of highest miss probability, which it
+    returns; ties go in row-major order.  Raises EmptyRegionError if no cell
     is allowed and NoCandidatesError if no allowed cell is a member.
 
     Each tile is one _tile_fields pass: it decides the members and, with a
@@ -725,17 +725,13 @@ def truncated_search(scenario: Scenario, threads: int = 1,
         idx, fobj, fss = kept
         chunks = (idx[c:c + _CHUNK] for c in range(0, idx.size, _CHUNK))
         p_md = np.concatenate(list(run(1, chunks)))
-    xs_c, ys_c = xs[idx % nx], ys[idx // nx]
-    columns = (xs_c, ys_c, fobj, fss, p_md, _candidate_labels(ctxs, lobes, xs_c, ys_c))
-    order = np.lexsort((idx, -p_md))  # p_md descending, row-major ties
-    # from .tolist() columns, _CHUNK_CELLS rows at a time so that the lists stay short
-    candidates = tuple(
-        CandidatePosition((x, y), fo, fs, p, label)
-        for c in range(0, order.size, _CHUNK_CELLS)
-        for x, y, fo, fs, p, label in zip(*(column[order[c:c + _CHUNK_CELLS]].tolist()
-                                            for column in columns)))
+    top = np.lexsort((idx, -p_md))[:_REPORTED]     # p_md descending, row-major ties
+    xs_c, ys_c = xs[idx[top] % nx], ys[idx[top] // nx]
+    labels = _candidate_labels(ctxs, lobes, xs_c, ys_c)
+    candidates = tuple(map(CandidatePosition, zip(xs_c.tolist(), ys_c.tolist()),
+                           *(v[top].tolist() for v in (fobj, fss, p_md)), labels))
     return SearchResult(candidates, candidates[0].p_md, nx * ny, n_allowed, n_lobe,
-                        len(candidates), n_survivors, n_optima if count_optima else None)
+                        idx.size, n_survivors, n_optima if count_optima else None)
 
 
 def count_small_scale_optima(scenario: Scenario, threads: int = 1) -> int:

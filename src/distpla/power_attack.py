@@ -388,7 +388,8 @@ def _series_tail(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray
     # d+ in case (i), beta in case (ii)
     base = np.where(opt, np.max(np.where(pos, d, 0.0), axis=1),
                     np.min(np.where(neg, -d, np.inf), axis=1))
-    mu = np.where(opt, _row_sum(np.where(pos, c2, 0.0)), const / base)
+    with np.errstate(over="ignore"):                        # const / beta past the float range
+        mu = np.where(opt, _row_sum(np.where(pos, c2, 0.0)), const / base)
     s = np.where(opt, _row_sum(np.where(pos, m, 0.0)),
                  1.0 - _row_sum(np.where(neg, m, 0.0))).astype(int)
     # each row's negative terms first, in their order; columns no row needs go
@@ -419,7 +420,7 @@ def _series_tail(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray
                                + mu[c_rows, None] * np.expm1(-log_z), axis=1)
         top_c[c_rows] = np.ceil(np.min((log_g + _CUT) / log_z, axis=1)) - 1.0
         cut = _CUT + np.where(direct, np.maximum(-log_b, 0.0), 0.0)
-    top_p = np.ceil(mu + cut / 3.0 + np.sqrt(cut ** 2 / 9.0 + 2.0 * cut * mu)) * (mu > 0.0)
+        top_p = np.ceil(mu + cut / 3.0 + np.sqrt(cut ** 2 / 9.0 + 2.0 * cut * mu)) * (mu > 0.0)
     steps = np.where(direct, top_p + p_start, np.maximum(top_c, 0.0) + c_start) + 1.0
     rare = log_b < np.where(direct, -1075.0, -54.0) * math.log(2.0)
     p[rows[rare]], steps[rare] = np.where(direct, 0.0, 1.0)[rare], 0.0

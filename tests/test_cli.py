@@ -456,6 +456,17 @@ class TestOptimize:
         assert out.strip() == f"p_MD^(Opt. Position) = {value!r}"
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("grid, reported, evaluated", [("2.0", 50, 89), ("3.0", 36, 36)])
+    def test_prints_the_fifty_candidates_of_highest_p_md(self, capsys, tmp_path, grid,
+                                                         reported, evaluated):
+        """optimize prints the search's 50 candidates of highest p_md, or every
+        evaluated one where fewer are; n_evaluated counts them all."""
+        code, out, _ = run(capsys, "optimize", "--scenario", DESK, "--grid", grid,
+                           "--out", str(tmp_path / "opt.json"))
+        data = json.loads((tmp_path / "opt.json").read_text())
+        assert code == 0 and (len(data["candidates"]), data["n_evaluated"]) == (reported, evaluated)
+        pmds = [c["p_md"] for c in data["candidates"]]
+        assert pmds == sorted(pmds, reverse=True) and pmds[0] == data["p_md_opt"]
 
     def test_an_array_on_a_cell_centre_leaves_stderr_empty(self, tmp_path):
         """An array at a cell centre makes its own cell's angular sine 0/0 in
@@ -594,6 +605,28 @@ class TestDelay:
         assert code == 4
         assert json.loads(err)["error"] == "UnstableQueueError"
 
+
+    @pytest.mark.parametrize("mode", ["centralized_bound", "centralized_exact_if_valid",
+                                      "local_bound"])
+    @pytest.mark.parametrize("rate", ["1024", "1e6"])
+    def test_rate_past_the_float_range_is_unstable(self, capsys, rate, mode):
+        """From --rate 1024 on 2^rate - 1 is past the float range: every mode
+        takes the outage as 1 and exits 4 on the unstable queue, as at 1023."""
+        code, out, err = run(capsys, "delay", "--scenario", DESK, "--arrival", "8",
+                             "--rate", rate, "--resources", "8", "--outage-mode", mode)
+        assert code == 4 and out == ""
+        assert json.loads(err) == {"error": "UnstableQueueError", "message": (
+            "no transform parameter stabilizes the queue (arrival 8.0 bits/frame vs "
+            f"service {float(rate) * 8.0} bits at outage 1.0)")}
+
+    def test_noise_past_the_float_range_is_an_outage(self, capsys):
+        """--noise 1e300 puts the outage form's constant over its smallest
+        eigenvalue past the float range: the outage is 1, with no overflow
+        warning (which the suite turns into an error)."""
+        code, out, err = run(capsys, "delay", "--scenario", DESK, "--arrival", "8",
+                             "--rate", "2", "--resources", "8", "--noise", "1e300")
+        assert code == 4 and out == ""
+        assert json.loads(err)["message"].endswith("at outage 1.0)")
 
 class TestFailureModes:
     def test_all_excluded_region_exits_4_on_worker_processes(self, capsys, tmp_path,

@@ -257,6 +257,14 @@ class TestSnrOutage:
         assert probs == sorted(probs)
 
 
+    def test_rate_past_the_float_range_is_an_outage(self, dual_scenario):
+        """From rate 1024 on 2^rate - 1 is past the float range: the threshold
+        is inf and the outage 1.  Without noise the threshold is 0 at any rate,
+        also where (2^rate - 1) N alone passes the float range (rate 1023)."""
+        stats = alice_statistics(dual_scenario)
+        assert snr_outage(stats, 1024.0, 1.0) == snr_outage(stats, 1e6, 1.0) == 1.0
+        assert [snr_outage(stats, rate, 0.0) for rate in (1.0, 1023.0, 1024.0)] == [0.0] * 3
+
 class TestServiceOutage:
     def test_union_bound_composition(self, dual_scenario):
         auth = make_authenticator(dual_scenario)

@@ -15,7 +15,7 @@ from distpla import (SearchConfig, alice_statistics, channel_statistics,
                      count_small_scale_optima, eve_statistics, load_scenario, lobe_sets,
                      make_authenticator, mdp_optimal_pma, scenario_from_dict, steering_vector,
                      truncated_search, wavelength)
-from distpla.position_attack import (ArrayLobes, EmptyRegionError, LobeBand,
+from distpla.position_attack import (ArrayLobes, CandidatePosition, EmptyRegionError, LobeBand,
                                      NoCandidatesError, _allowed_mask, _array_contexts,
                                      _disc_local_maxima, _in_bands, _lobe_union,
                                      _point_geometry, grid_axes)
@@ -40,6 +40,16 @@ def _replace_count(monkeypatch, values):
         return allowed, members, count
 
     monkeypatch.setattr(pa, "_tile_fields", replaced)
+
+
+@pytest.fixture
+def every_candidate():
+    """Raise _REPORTED past any test grid, so that a search returns every
+    evaluated candidate; worker processes forked later inherit it.  Its own
+    patch context, so that a test's monkeypatch.undo() keeps it."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pa, "_REPORTED", sys.maxsize)
+        yield
 
 
 class TestObjective:
@@ -395,6 +405,7 @@ class TestSearches:
         assert full.best.label == _candidate_label(_array_contexts(on_scenario),
                                                    lobe_sets(on_scenario), *full.best.position)
 
+    @pytest.mark.usefixtures("every_candidate")
     def test_truncated_agrees_with_exhaustive(self):
         sc = _search_scenario()
         trunc = truncated_search(sc)
@@ -405,6 +416,7 @@ class TestSearches:
         assert trunc.n_lobe_points < full.n_allowed == trunc.n_allowed
         assert full.n_survivors == full.n_allowed and full.n_evaluated == 1
 
+    @pytest.mark.usefixtures("every_candidate")
     def test_exponential_rho_zero_is_the_identity_search(self):
         """A file's exponential correlation at rho = 0 loads as its identity
         correlation, so the search is the same, bit for bit (repr round-trips
@@ -416,6 +428,7 @@ class TestSearches:
         assert zero == identity and type(zero.rho) is float
         assert repr(truncated_search(zero, 2, True)) == repr(truncated_search(identity, 2, True))
 
+    @pytest.mark.usefixtures("every_candidate")
     def test_candidates_match_scalar_evaluation(self):
         """Every batched candidate p_md equals the per-position scalar route."""
         sc = _search_scenario()
@@ -426,10 +439,11 @@ class TestSearches:
             stats = channel_statistics(sc, replace(sc.eve, position=c.position))
             assert c.p_md == pytest.approx(mdp_optimal_pma(auth, stats), rel=1e-9, abs=1e-300)
 
+    @pytest.mark.usefixtures("every_candidate")
     def test_result_bookkeeping(self):
         sc = _search_scenario()
         r = truncated_search(sc)
-        assert r.n_evaluated == len(r.candidates) <= r.n_lobe_points
+        assert len(r.candidates) == min(pa._REPORTED, r.n_evaluated) <= r.n_lobe_points
         assert r.n_survivors == r.n_evaluated       # the cap does not bind here
         assert r.n_lobe_points <= r.n_allowed <= r.n_grid == 80 * 120
         assert r.best is r.candidates[0]
@@ -444,6 +458,39 @@ class TestSearches:
         for c in r.candidates:
             assert np.hypot(c.position[0] - ax, c.position[1] - ay) >= sc.exclusion_alice
 
+    def test_candidates_are_the_first_reported_of_every_evaluated_one(self, monkeypatch):
+        """The search returns the _REPORTED candidates of highest p_md: bit for
+        bit the first _REPORTED of the search that returns every evaluated
+        candidate, the rest of the result alike, on 1, 2 and 3 worker
+        processes (bands of 20 rows), with and without the optima count, on
+        _search_scenario and on a deployment with exponential correlation at
+        rho = 0.5."""
+        rho = replace(random_geometry(np.random.default_rng(33), 2, rho=0.5, region=(0, 40, 0, 30)),
+                      search=SearchConfig(0.25, small_scale_radius=0.75))
+        for sc in (_search_scenario(), rho):
+            monkeypatch.setattr(pa, "_BAND_CELLS", 20 * pa.search_grid(sc)[2].size)
+            for threads, count_optima in product((1, 2, 3), (False, True)):
+                reported = truncated_search(sc, threads, count_optima)
+                with monkeypatch.context() as m:
+                    m.setattr(pa, "_REPORTED", sys.maxsize)
+                    every = truncated_search(sc, threads, count_optima)
+                assert len(every.candidates) == every.n_evaluated > 2 * pa._REPORTED
+                first = replace(every, candidates=every.candidates[:pa._REPORTED])
+                assert repr(reported) == repr(first), (threads, count_optima)
+
+    def test_only_the_reported_rows_are_labelled_and_built(self, monkeypatch):
+        """Labels and CandidatePositions are made for the _REPORTED returned
+        rows only, not for every evaluated one."""
+        labels, sizes, built = pa._candidate_labels, [], []
+        monkeypatch.setattr(pa, "_candidate_labels", lambda ctxs, lobes, px, py: (
+            sizes.append(px.size), labels(ctxs, lobes, px, py))[1])
+        monkeypatch.setattr(pa, "CandidatePosition", lambda *args: (
+            built.append(1), CandidatePosition(*args))[1])
+        r = truncated_search(_search_scenario())
+        assert r.n_evaluated > 2 * pa._REPORTED
+        assert sizes == [pa._REPORTED] and len(built) == len(r.candidates) == pa._REPORTED
+
+    @pytest.mark.usefixtures("every_candidate")
     def test_candidate_cap(self):
         sc = _search_scenario()
         capped = truncated_search(_search_scenario(max_candidates=5))
@@ -469,6 +516,7 @@ class TestSearches:
         assert r.n_evaluated == min(r.n_lobe_points, sc.search.max_candidates)
         assert count_small_scale_optima(sc) == r.n_allowed
 
+    @pytest.mark.usefixtures("every_candidate")
     @pytest.mark.parametrize("tile", [1, 2 * 120, 7 * 120 + 3])
     def test_tile_size_does_not_change_results(self, monkeypatch, tile):
         """One row per tile, fewer rows than the 6-row disc halo, and a tile
@@ -493,6 +541,7 @@ class TestSearches:
             for threads in (1, 2, 3):
                 assert searches(threads) == whole, (band, threads)
 
+    @pytest.mark.usefixtures("every_candidate")
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         """Tile-pass chunks of 7 cells (under a row), of 100 and of the default
         size give the search and its count of the small-scale optima of one
@@ -706,8 +755,8 @@ class TestSearches:
         records its own peak, from the start of each task it runs.
 
         Both heights have more survivors than the 1,000-candidate cap, which
-        bounds the candidate list, so only a dependence on the grid size
-        could raise the peak."""
+        bounds the rows given a miss probability, so only a dependence on the
+        grid size could raise the peak."""
         monkeypatch.setattr(pa, "_TILE_CELLS", 1 << 12)
         monkeypatch.setattr(pa, "_BAND_CELLS", 1 << 15)
         forked = pa._forked
@@ -786,6 +835,7 @@ class TestSearches:
         with pytest.raises(EmptyRegionError):
             truncated_search(sc)
 
+    @pytest.mark.usefixtures("every_candidate")
     def test_workers_never_exceed_the_bands(self, monkeypatch):
         """The walk asks its pool for min(threads, bands) workers of the fork
         start method, one band per task whatever ``threads`` is; the pool here
@@ -817,6 +867,7 @@ class TestSearches:
             assert made[-2:] == [(bands, "fork")] * 2
         assert len(made) == 6 and not multiprocessing.active_children()
 
+    @pytest.mark.usefixtures("every_candidate")
     def test_no_worker_outlives_a_search(self, monkeypatch):
         """No worker process is alive after a search on worker processes that
         succeeds, one that finds no allowed cell, or one whose band task fails."""
@@ -886,6 +937,7 @@ def _candidate_label(ctxs, lobes, x, y):
     return "other"
 
 
+@pytest.mark.usefixtures("every_candidate")
 def test_labels_follow_the_per_point_rule():
     for sc in (_search_scenario(), load_scenario(SCENARIOS / "desk_2rrh.json")):
         ctxs, lobes = _array_contexts(sc), lobe_sets(sc)
@@ -894,6 +946,7 @@ def test_labels_follow_the_per_point_rule():
                                             for c in cands]
 
 
+@pytest.mark.usefixtures("every_candidate")
 def test_labels_match_the_walk_masks():
     """Labels and lobe membership come from one geometry.  On _search_scenario
     and six seeded deployments, identity and exponential correlation in turn,
@@ -1051,6 +1104,7 @@ class TestCountOracle:
         for got in walks:
             assert got[0].tolist() == survivors.tolist() and got[1] == optima
 
+    @pytest.mark.usefixtures("every_candidate")
     def test_random_deployments(self, monkeypatch):
         for seed in range(6):
             # even seeds: identity correlation; odd seeds: exponential
@@ -1059,6 +1113,7 @@ class TestCountOracle:
             self.check(replace(sc, search=SearchConfig(0.25, small_scale_radius=0.75)),
                        monkeypatch)
 
+    @pytest.mark.usefixtures("every_candidate")
     @pytest.mark.parametrize("alice, axis, offset", [((30.125, 10.125), (0.0, 1.0), 0.0),
                                                       ((4.125, 10.125), (1.0, 0.0), 2.0)],
                              ids=["bearing", "endfire"])
@@ -1078,6 +1133,7 @@ class TestCountOracle:
         assert np.count_nonzero(row & (x == offset)) > 50
         self.check(sc, monkeypatch)
 
+    @pytest.mark.usefixtures("every_candidate")
     def test_spacing_above_one_half(self, monkeypatch):
         """At s = 0.75 sin(pi s x) changes sign inside the visible region (|s x| > 1)."""
         sc = replace(random_geometry(np.random.default_rng(97), 2, rho=0.0), antenna_spacing=0.75,
@@ -1118,6 +1174,7 @@ def test_float32_cos_and_sin_err_by_under_two_ulp():
         assert np.max(np.abs(fun(x) - exact) / ulp) < 2.0, fun
 
 
+@pytest.mark.usefixtures("every_candidate")
 def test_filter_noise_within_half_the_margin_changes_nothing(monkeypatch, tmp_path, capsys):
     """The fast count may be off by e in either direction: with seeded
     noise in [-e/2, e/2] added to it, the survivors, the optima, every

@@ -643,6 +643,13 @@ class TestExactTail:
             p = inversion_tail(*(v[k] for v in rows))
             assert abs(got[k] - p) <= 5e-13 * min(p, 1 - p), k
 
+    def test_constant_past_the_float_range_is_sure(self):
+        """Case (ii) with const / beta past the float range (about 1e306 here)
+        gives 1 with no overflow warning; the suite turns one into an error."""
+        d, c2, m = np.array([[-1.0, -0.5]]), np.array([[1.0, 2.0]]), np.array([[1.0, 3.0]])
+        for const in (1e306, 1e307, 1e308, np.inf):
+            assert pa._tail(d, c2, m, np.array([const])).tolist() == [1.0], const
+
     def test_rows_past_the_cap_take_the_saddle_point(self):
         """A fixed form with mu = 4.5e5 (the statistical strategy of a seeded
         deployment) would take the series about 13 s; past _MAX_STEPS terms every
