@@ -79,7 +79,7 @@ def delay_violation_bound(arrival: ArrivalModel, service: ServiceModel, w: int) 
     if w < 0:
         raise ValueError("delay must be nonnegative")
     grid = np.logspace(-3.0, 2.0, 400)
-    vals = np.array([_kernel(arrival, service, w, s) for s in grid])
+    vals = np.array([_kernel(arrival, service, w, s) for s in grid.tolist()])
     if not np.any(np.isfinite(vals)):
         return DelayBound(1.0, math.inf, math.nan, False)
     i = int(np.argmin(vals))

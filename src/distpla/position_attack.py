@@ -29,8 +29,7 @@ from .geometry import Scenario, wavelength
 from .numerics import bounded_minimum, bracketed_root_find
 from .power_attack import _CHUNK, mdp_optimal_pma_batch
 
-_BAND_CELLS = 1 << 21      # grid cells a band task decides: sized so halos stay a few %
-_TILE_CELLS = 1 << 19      # grid cells in flight in a band task
+_BAND_CELLS = 3 << 18      # grid cells a band decides in one tile pass: trades halo rows against memory
 _CHUNK_CELLS = 1 << 14     # cells per tile-pass chunk or field call: bounds their temporaries
 _REPORTED = 50             # candidates a search returns, those of highest p_md
 _SCAN_STRIDE = 32          # columns per float64 scan point of _lobe_columns
@@ -467,15 +466,17 @@ def _tile_fields(scenario: Scenario, ctxs: list[_ArrayContext], lobes: LobeSets,
     return allowed, members, count
 
 
-def _disc_local_maxima(grid, r0: int, r1: int, eps_px: int, exact=None,
+def _disc_local_maxima(grid: np.ndarray, r0: int, r1: int, eps_px: int, exact=None,
                        margin: float = 0.0) -> np.ndarray:
-    """Flat indices into ``grid`` (float32, -inf off the members; or a list
-    of the row blocks that make it up, padded without joining them first) of
-    the members in rows r0:r1 that are >= every cell of their disc of radius
+    """Flat indices into ``grid`` (float32, -inf off the members) of the
+    members in rows r0:r1 that are >= every cell of their disc of radius
     ``eps_px``; plateaus count as maxima and NaN never does.  A disc row dy
     off the centre reaches isqrt(eps_px² - dy²) cells each side, so the disc
     maximum is a fold over dy of running row maxima, taken by doubling over
-    -inf-padded strips of _STRIP_ROWS decided rows that bound the temporaries.
+    strips of _STRIP_ROWS decided rows.  Each strip copies the columns from
+    its first to its last member, with the disc's ``eps_px`` rows and columns
+    around them, into a -inf buffer the size of a strip, so the temporaries
+    are bounded by the strip and no copy of ``grid`` is made.
 
     With ``exact``, ``grid`` only filters: it holds a count within
     ``margin`` = e of the count that decides, which exact(flat indices)
@@ -485,25 +486,31 @@ def _disc_local_maxima(grid, r0: int, r1: int, eps_px: int, exact=None,
     only.  A true maximum c is a contender: grid(c) >= exact(c) - e >=
     exact(n) - e >= grid(n) - 2e.  A disc cell outside R has exact(n) <=
     grid(n) + e <= grid(c) - e <= exact(c), so c is a maximum iff it is >=
-    every cell of its R.  R is a function of ``grid``, not of the strips;
-    the contenders' discs are gathered once, after the strips."""
-    e = eps_px
+    every cell of its R.  R is a function of ``grid``, not of the strips:
+    each strip gathers its contenders' discs from its buffer, and one exact
+    call settles R after the strips."""
+    e, nx = eps_px, grid.shape[1]
     half = [math.isqrt(e * e - dy * dy) for dy in range(-e, e + 1)]
-    blocks = [grid] if isinstance(grid, np.ndarray) else grid
-    ny, nx = sum(b.shape[0] for b in blocks), blocks[0].shape[1]
-    padded = np.full((ny + 2 * e, nx + 2 * e), -np.inf, np.float32)
-    np.concatenate(blocks, out=padded[e:e + ny, e:e + nx])
-    found = [np.empty(0, np.intp)]
+    wy, wx = (v - e for v in np.divmod(np.arange((2 * e + 1) ** 2), 2 * e + 1))
+    in_disc, offset = wy * wy + wx * wx <= e * e, wy * nx + wx     # per disc window cell
+    step = max(_CHUNK_CELLS // in_disc.size, 1)     # contenders a gather: bounds its temporaries
+    found, owner, at = [np.empty(0, np.intp)], [], []
+    pad = np.empty((_STRIP_ROWS + 2 * e, nx + 2 * e), np.float32)     # each strip's buffer
     for s0 in range(r0, r1, _STRIP_ROWS):
         s1 = min(s0 + _STRIP_ROWS, r1)
-        cols = np.flatnonzero((padded[s0 + e:s1 + e, e:e + nx] != -np.inf).any(axis=0))
+        cols = np.flatnonzero((grid[s0:s1] != -np.inf).any(axis=0))
         if cols.size == 0:
             continue
         c0, n = int(cols[0]), int(cols[-1]) + 1 - int(cols[0])
-        runs = [padded[s0:s1 + 2 * e, c0:c0 + n + 2 * e]]     # grid rows s0 - e : s1 + e
+        y0, x0 = max(s0 - e, 0), max(c0 - e, 0)
+        src = grid[y0:s1 + e, x0:c0 + n + e]
+        buf = pad[:s1 - s0 + 2 * e, :n + 2 * e]     # from grid row s0 - e, column c0 - e
+        buf.fill(-np.inf)
+        buf[y0 - s0 + e:, x0 - c0 + e:][:src.shape[0], :src.shape[1]] = src
+        runs = [buf]
         for j in range((2 * e + 1).bit_length() - 1):   # runs[j][:, x]: max of 2^j cells from x
             runs.append(np.maximum(runs[j][:, :-2 ** j], runs[j][:, 2 ** j:]))
-        core = runs[0][e:e + s1 - s0, e:e + n]
+        core = buf[e:e + s1 - s0, e:e + n]
         disc = core.copy()
         for w in set(half):
             j = (2 * w + 1).bit_length() - 1       # two runs of 2^j cover the 2w + 1 cells
@@ -513,25 +520,21 @@ def _disc_local_maxima(grid, r0: int, r1: int, eps_px: int, exact=None,
                 np.maximum(disc, row_max[i:i + s1 - s0], out=disc)
         disc -= 2.0 * margin
         iy, ix = np.divmod(np.flatnonzero((core != -np.inf) & (core >= disc)), n)
+        if exact is not None:
+            windows = np.lib.stride_tricks.sliding_window_view(buf, (2 * e + 1, 2 * e + 1))
+            base = sum(f.size for f in found)
+            for c in range(0, iy.size, step):
+                cy, cx = iy[c:c + step], ix[c:c + step]
+                near = windows[cy, cx].reshape(cy.size, -1) > core[cy, cx, None] - 2.0 * margin
+                k, cell = np.divmod(np.flatnonzero(near & in_disc), in_disc.size)
+                owner.append(k + base + c)
+                at.append(cell)
         found.append((iy + s0) * nx + ix + c0)
     found = np.concatenate(found)
     if exact is None or found.size == 0:
         return found
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (2 * e + 1, 2 * e + 1))
-    square = np.arange(-e, e + 1) ** 2
-    in_disc = (np.add.outer(square, square) <= e * e).ravel()
-    step = max(_CHUNK_CELLS // in_disc.size, 1)     # contenders a gather: bounds its temporaries
-    owner, at = [], []
-    for c in range(0, found.size, step):
-        iy, ix = np.divmod(found[c:c + step], nx)
-        near = windows[iy, ix].reshape(iy.size, -1) > padded[iy + e, ix + e, None] - 2.0 * margin
-        k, w = np.divmod(np.flatnonzero(near & in_disc), in_disc.size)
-        owner.append(k + c)
-        at.append(w)
     owner, at = np.concatenate(owner), np.concatenate(at)    # R, grouped by contender
-    wy, wx = np.divmod(at, 2 * e + 1)
-    iy, ix = np.divmod(found[owner], nx)
-    counts = exact((iy + wy - e) * nx + ix + wx - e)
+    counts = exact(found[owner] + offset[at])
     top = np.maximum.reduceat(counts, np.flatnonzero(np.diff(owner, prepend=-1)))
     return found[counts[at == in_disc.size // 2] >= top]
 
@@ -605,7 +608,7 @@ def truncated_search(scenario: Scenario, threads: int = 1,
     returns; ties go in row-major order.  Raises EmptyRegionError if no cell
     is allowed and NoCandidatesError if no allowed cell is a member.
 
-    Each tile is one _tile_fields pass: it decides the members and, with a
+    Each band is one _tile_fields pass: it decides the members and, with a
     disc of at least one cell, fills a float32 grid with the fast small-scale
     count at the members (the allowed cells with ``count_optima``).  The
     survivors are the disc-local maxima of the float32 _point_fields count on
@@ -614,19 +617,17 @@ def truncated_search(scenario: Scenario, threads: int = 1,
     small-scale optima, as ``n_optima``.  With a smaller disc (always for a
     single array, whose count is flat) every member survives and every allowed
     cell is an optimum.  Both fields are paid at the survivors only, so memory
-    is bounded by tile, chunk and ``max_candidates``, not by lobe density.
+    is bounded by band, chunk and ``max_candidates``, not by lobe density.
 
     The grid is cut into bands of about _BAND_CELLS cells, whatever ``threads``
     is; each band is one task, on min(threads, bands) worker processes forked
-    from this one, or inline for one.  A band walks its rows and the disc's
-    halo rows on each side of it in tiles of about _TILE_CELLS cells, and
-    decides and counts its own rows only.  Each tile settles on its own: a
-    cell of R that discs on both sides of a seam between two tiles' decided
-    rows reach is evaluated by both.  A disc reaches ``halo`` rows past its
-    centre, so a row is decided once its tile or a later one holds those rows:
-    the last 2·``halo`` grid rows carry from tile to tile.  The miss
-    probabilities run in mdp_optimal_pma_batch's _CHUNK chunks on the same
-    workers.  Results depend neither on the tile and band sizes nor on ``threads``.
+    from this one, or inline for one.  A disc reaches ``halo`` rows past its
+    centre, so a band's pass takes its rows and ``halo`` rows past each seam,
+    and decides and counts its own rows only.  Each band settles on its own: a
+    cell of R that discs on both sides of a seam reach is evaluated by both
+    bands.  The miss probabilities run in mdp_optimal_pma_batch's _CHUNK
+    chunks on the same workers.  Results depend neither on the band size nor
+    on ``threads``.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -635,7 +636,7 @@ def truncated_search(scenario: Scenario, threads: int = 1,
     lobes = lobe_sets(scenario)
     auth = make_authenticator(scenario)
     keep, nx, ny = scenario.search.max_candidates, xs.size, ys.size
-    band, rows = max(_BAND_CELLS // nx, 1), max(_TILE_CELLS // nx, 1)
+    band = max(_BAND_CELLS // nx, 1)
     halo = max(eps_px, 0)
     margin = _fast_count_error(len(ctxs))
     evaluate = None if not halo else "allowed" if count_optima else "members"
@@ -653,62 +654,41 @@ def truncated_search(scenario: Scenario, threads: int = 1,
                 for part in parts)
         return tuple(np.concatenate(f) for f in zip(*both) if f[0] is not None)
 
-    def maxima(g0, grids, d0, d1):
-        """(number of optima, survivor indices): the disc-local maxima of the
-        float64 count in rows d0:d1 of each fast grid; ``grids`` hold the rows
-        from g0 on that their discs reach."""
+    def walk_band(b0):
+        """Rows b0:b0 + band, one _tile_fields pass over them and the ``halo``
+        rows past each seam: n_allowed, n_members, n_optima (0 without
+        ``count_optima``) and n_survivors, then the flat indices, f_obj and
+        f_small_scale of the ``keep`` survivors of largest f_obj."""
+        b1, w0 = min(b0 + band, ny), max(b0 - halo, 0)
         known, counts = np.empty(0, np.intp), np.empty(0, np.float32)
 
         def exact(cells):
             """The float32 of _point_fields' count at flat indices of the
-            grids, each cell evaluated once per tile."""
+            pass's rows, each cell evaluated once per band."""
             nonlocal known, counts
             new = np.sort(cells[~np.isin(cells, known)])
             new = new[np.diff(new, prepend=-1) > 0]
             if new.size:
                 known = np.concatenate((known, new))
-                counts = np.concatenate((counts, point_fields(g0 * nx + new, False)[0]
+                counts = np.concatenate((counts, point_fields(w0 * nx + new, False)[0]
                                          .astype(np.float32)))
                 order = np.argsort(known)
                 known, counts = known[order], counts[order]
             return counts[np.searchsorted(known, cells)]
 
-        found = [_disc_local_maxima(g, d0 - g0, d1 - g0, halo, exact, margin) for g in grids]
-        return found[0].size if count_optima else 0, g0 * nx + found[-1]
-
-    def walk_band(b0):
-        """Rows b0:b0 + band: n_allowed, n_members, n_optima (0 without
-        ``count_optima``) and n_survivors, then the flat indices, f_obj and
-        f_small_scale of the ``keep`` survivors of largest f_obj."""
-        b1 = min(b0 + band, ny)
-        w0, w1 = max(b0 - halo, 0), min(b1 + halo, ny)
-        totals = np.zeros(4, int)
-        kept = (np.empty(0, np.intp), np.empty(0), np.empty(0))
-        tails = [np.empty((0, nx), np.float32)] * (1 + count_optima)
-        d0 = b0
-        for r0 in range(w0, w1, rows):
-            r1 = min(r0 + rows, w1)
-            allowed, members, grid = _tile_fields(scenario, ctxs, lobes, xs, ys[r0:r1], evaluate)
-            own = np.s_[max(b0 - r0, 0):max(b1 - r0, 0)]
-            tally = (int(np.count_nonzero(allowed[own])), int(np.count_nonzero(members[own])))
-            if halo:        # decide from the first undecided row to halo rows before r1
-                grids = (grid, np.where(members, grid, -np.inf)) if count_optima else (grid,)
-                del allowed, members, grid
-                d1 = b1 if r1 == w1 else max(d0, r1 - halo)
-                g0 = r0 - tails[0].shape[0]
-                n_optima, idx = maxima(g0, list(zip(tails, grids)), d0, d1)
-                tails = [np.concatenate((t, g[-2 * halo:]))[-2 * halo:]
-                         for t, g in zip(tails, grids)]
-                d0 = d1
-                del grids
-            else:
-                n_optima, idx = tally[0] if count_optima else 0, np.flatnonzero(members) + r0 * nx
-                del allowed, members
-            totals += (*tally, n_optima, idx.size)
-            kept = tuple(map(np.concatenate, zip(kept, (idx, *point_fields(idx)))))
-            if kept[0].size > 2 * keep:     # bounds memory by keep
-                kept = best(*kept)
-        return (*totals.tolist(), *best(*kept))
+        allowed, members, grid = _tile_fields(scenario, ctxs, lobes, xs, ys[w0:b1 + halo], evaluate)
+        own = np.s_[b0 - w0:b1 - w0]
+        n_allowed, n_members = np.count_nonzero(allowed[own]), np.count_nonzero(members[own])
+        if halo:        # the disc maxima of the allowed grid, then of the members' grid
+            grids = (grid, np.where(members, grid, -np.inf)) if count_optima else (grid,)
+            del allowed, members, grid
+            found = [_disc_local_maxima(g, b0 - w0, b1 - w0, halo, exact, margin) for g in grids]
+            del grids
+            n_optima, idx = found[0].size if count_optima else 0, w0 * nx + found[-1]
+        else:
+            n_optima = n_allowed if count_optima else 0
+            idx = np.flatnonzero(members[own]) + b0 * nx
+        return n_allowed, n_members, n_optima, idx.size, *best(idx, *point_fields(idx))
 
     bands = range(0, ny, band)
     with _forked(min(threads, len(bands)), walk_band, rate) as run:

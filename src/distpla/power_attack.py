@@ -162,15 +162,21 @@ def fixed_strategy_form(auth: Authenticator, eve_stats: ChannelStatistics,
     The event {d(scale * h) < T} becomes {sum d_i |w_i + c_i|^2 + T/2 > 0}
     with d_j = -|eta|^2 alpha_j of multiplicity n_j per array, offset
     energy ||x_j||^2 / (|eta|^2 alpha_j) for x = L_A^{-1}(scale mu_E - mu_A),
-    and the threshold carried additively.
+    and the threshold carried additively.  Raises NumericsError unless every
+    |eta|^2 alpha_j is a finite normal float and every offset is finite.
     """
     scale = strategy.scale
     if abs(scale) == 0.0:
         raise ValueError("strategy amplitude must be positive")
     sizes, starts = np.asarray(auth.stats.block_sizes), auth.stats.starts
-    x = whiten(auth, scale * eve_stats.mean - auth.stats.mean)
-    gain = abs(scale) ** 2 * (eve_stats.powers / auth.stats.powers)
-    offsets = np.sqrt(np.add.reduceat(np.abs(x) ** 2, starts) / gain)
+    eta2 = abs(scale) ** 2 if abs(scale) < 2.0 ** 512 else math.inf    # ** raises past 2^512
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):     # refused below
+        x = whiten(auth, scale * eve_stats.mean - auth.stats.mean)
+        gain = eta2 * (eve_stats.powers / auth.stats.powers)
+        offsets = np.sqrt(np.add.reduceat(np.abs(x) ** 2, starts) / gain)
+    if not (np.all(np.isfinite(gain) & (gain >= np.finfo(float).tiny)) and np.isfinite(offsets).all()):
+        raise NumericsError(f"strategy amplitude {strategy.amplitude!r} takes |eta|^2 alpha_j or "
+                            f"an offset past the float range")
     return -gain[None, :], offsets[None, :], sizes[None, :], np.array([auth.threshold / 2.0])
 
 

@@ -513,7 +513,7 @@ class TestCompare:
     def test_one_grid_walk_per_scenario(self, capsys, tmp_path, monkeypatch):
         """The search's own walk counts the small-scale optima: compare walks
         each grid once, and its optima column is count_small_scale_optima's,
-        here on 0.5 m grids with a 3-cell disc.  Each grid is one tile, so a
+        here on 0.5 m grids with a 3-cell disc.  Each grid is one band, so a
         walk asks for the allowed cells once."""
         import distpla.position_attack as pa
         paths = []
@@ -618,6 +618,17 @@ class TestDelay:
         assert json.loads(err) == {"error": "UnstableQueueError", "message": (
             "no transform parameter stabilizes the queue (arrival 8.0 bits/frame vs "
             f"service {float(rate) * 8.0} bits at outage 1.0)")}
+
+    def test_arrival_past_the_float_range_warns_nothing(self, capsys):
+        """--arrival 1e308 overflows the Mellin product at every transform
+        parameter: the run exits 4 on the unstable queue, with no overflow
+        warning (which the suite turns into an error)."""
+        code, out, err = run(capsys, "delay", "--scenario", DESK, "--arrival", "1e308",
+                             "--rate", "2", "--resources", "8")
+        assert code == 4 and out == ""
+        assert json.loads(err) == {"error": "UnstableQueueError", "message": (
+            "no transform parameter stabilizes the queue (arrival 1e+308 bits/frame vs "
+            "service 16.0 bits at outage 1.0)")}
 
     def test_noise_past_the_float_range_is_an_outage(self, capsys):
         """--noise 1e300 puts the outage form's constant over its smallest
@@ -736,6 +747,25 @@ class TestFailureModes:
             assert json.loads(err) == {"error": "ValueError", "message": (
                 f"{flag} must lie in (0, 1), got {float(value)}")}, command
 
+    def test_fixed_amplitude_past_the_float_range_exits_3(self, capsys):
+        """On desk_2rrh 2M = 63.70 exceeds T = 32, so a fixed strategy's miss
+        probability goes to 0 at very small and very large amplitudes.  Where
+        some |eta|^2 alpha_j leaves the normal floats or an offset overflows,
+        mdp exits 3 on a NumericsError naming the amplitude; from 1e-152 to
+        1e153 it prints p_md 0.0 (1e-153 exits 3 too).  No amplitude emits a
+        RuntimeWarning, which the suite turns into an error."""
+        off = ["1e-300", "1e-200", "1e-160", "1e-156", "1e-155", "1e-154", "1e154", "1e155",
+               "1e200", "1.7e308"]
+        for eta in ["1e-153", *off]:
+            code, out, err = run(capsys, "mdp", "--scenario", DESK, "--method", f"fixed:{eta},0.5")
+            assert code == 3 and out == "", eta
+            assert eta not in off or json.loads(err) == {"error": "NumericsError", "message": (
+                f"strategy amplitude {float(eta)!r} takes |eta|^2 alpha_j or an offset past "
+                "the float range")}
+        for eta in ("1e-152", "1e-100", "1e100", "1e153"):
+            code, out, _ = run(capsys, "mdp", "--scenario", DESK, "--method", f"fixed:{eta},0.5")
+            assert code == 0 and json.loads(out)["p_md"] == 0.0, eta
+
     @pytest.mark.parametrize("method", ["fixed:0,0", "fixed:-0.0,0", "fixed:0,0.3", "fixed:-0,0.3"])
     def test_zero_strategy_amplitude_is_refused_by_flag(self, capsys, scenario_file, method):
         """A zero amplitude has no fixed-strategy form; the refusal names the flag."""
@@ -825,9 +855,8 @@ class TestDeterminism:
 
     def test_compare_bytes_do_not_depend_on_the_thread_count(self, capsys, tmp_path,
                                                             monkeypatch):
-        """A 0.5 m search grid with a 3-cell disc, cut into one-row tiles in
-        five-row bands so that three walk workers share it, gives the bytes
-        of one worker."""
+        """A 0.5 m search grid with a 3-cell disc, cut into one-row bands so
+        that three walk workers share it, gives the bytes of one worker."""
         import distpla.position_attack as pa
         paths = []
         for name, rrhs in (("small", SMALL["rrhs"]), ("solo", SMALL["rrhs"][:1])):
@@ -838,8 +867,7 @@ class TestDeterminism:
         argv = ("compare", *paths, "--grid", "4.0")
         code, whole, _ = run(capsys, *argv)
         assert code == 0 and len(whole.splitlines()) == 3
-        monkeypatch.setattr(pa, "_TILE_CELLS", 48)
-        monkeypatch.setattr(pa, "_BAND_CELLS", 5 * 48)
+        monkeypatch.setattr(pa, "_BAND_CELLS", 48)
         for threads in ("1", "3"):
             code, out, _ = run(capsys, *argv, "--threads", threads)
             assert code == 0 and out == whole, threads

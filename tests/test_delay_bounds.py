@@ -75,6 +75,14 @@ class TestDelayBound:
         b = delay_violation_bound(ArrivalModel(1e6), ServiceModel(2.0, 8.0, 0.1), 2)
         assert not b.stable
 
+    def test_arrival_past_the_float_range_warns_nothing(self):
+        """At 1e308 bits a frame the Mellin product overflows at every point
+        of the scan: the bound reads unstable, each overflow caught as
+        Python's OverflowError, not left as numpy's RuntimeWarning (which
+        the suite turns into an error)."""
+        b = delay_violation_bound(ArrivalModel(1e308), ServiceModel(2.0, 8.0, 0.1), 2)
+        assert not b.stable and b.probability == 1.0
+
 
 class TestQueueSimulation:
     def test_empty_queue_has_zero_delays(self):

@@ -344,7 +344,10 @@ def test_disc_local_maxima_matches_brute_force(rng, monkeypatch):
     Integer values make plateaus, which count as maxima; a NaN member
     beats every member of its disc and is no maximum itself.  Every disc
     radius from 1 to 6 cells, whose rows have different half-widths, and
-    strips of 16 and 5 rows, so that decided rows cross strip boundaries."""
+    strips of 16 and 5 rows, so that decided rows cross strip boundaries.
+    Members on every cell of the four grid edges, so that the strips' discs
+    are clipped on all four sides.  Each case also runs the settle step,
+    with the grid as its exact count, which must decide the same maxima."""
     cols = ((0, 37), (15, 20), (0, 4), (33, 37), (0, 1), (36, 37))
     for c in cols:
         _check_disc_local_maxima(rng, c, 3, "uniform")
@@ -353,16 +356,24 @@ def test_disc_local_maxima_matches_brute_force(rng, monkeypatch):
         for eps_px in range(1, 7):
             for k, kind in enumerate(("uniform", "integer", "nan")):
                 _check_disc_local_maxima(rng, cols[(eps_px + k) % len(cols)], eps_px, kind)
+            _check_disc_local_maxima(rng, cols[0], eps_px, "uniform", edges=True)
 
 
-def _check_disc_local_maxima(rng, cols, eps_px, kind):
+def _check_disc_local_maxima(rng, cols, eps_px, kind, edges=False):
     shape = (40, 37)
     iy, ix = np.meshgrid(np.arange(shape[0]), np.arange(*cols), indexing="ij")
     pool = (iy * shape[1] + ix).ravel()
-    n_members = min(500, pool.size // 2)
-    member_idx = np.sort(rng.choice(pool, n_members, replace=False))
+    member_idx = rng.choice(pool, min(500, pool.size // 2), replace=False)
+    if edges:       # every cell of the four grid edges is a member
+        ring = np.zeros(shape, bool)
+        ring[[0, -1], :] = ring[:, [0, -1]] = True
+        member_idx = np.concatenate((member_idx, np.flatnonzero(ring)))
+    member_idx = np.unique(member_idx)
+    n_members = member_idx.size
     values = (rng.integers(0, 4, n_members).astype(float) if kind == "integer"
               else rng.uniform(0, 4, n_members))
+    if edges:       # above the inner cells, so that each edge holds maxima
+        values[np.isin(member_idx, np.flatnonzero(ring))] += 4.0
     if kind == "nan":
         values[rng.choice(n_members, 3, replace=False)] = np.nan
     grid = np.full(shape, -np.inf, np.float32)
@@ -371,6 +382,8 @@ def _check_disc_local_maxima(rng, cols, eps_px, kind):
     ties = 0
     for r0, r1 in ((0, 40), (0, 9), (11, 29), (30, 40), (17, 18), (5, 5), (3, 37)):
         got = _disc_local_maxima(grid, r0, r1, eps_px)
+        settled = _disc_local_maxima(grid, r0, r1, eps_px, lambda cells: grid.ravel()[cells], 0.25)
+        assert settled.tolist() == got.tolist(), (r0, r1, eps_px, kind)
         expected = []
         for a in np.flatnonzero((iy >= r0) & (iy < r1)):
             near = (iy - iy[a]) ** 2 + (ix - ix[a]) ** 2 <= eps_px ** 2
@@ -380,7 +393,35 @@ def _check_disc_local_maxima(rng, cols, eps_px, kind):
         assert got.tolist() == expected, (r0, r1, eps_px, kind)
         if r1 - r0 > 9 and kind != "nan":
             assert 0 < len(expected) < np.count_nonzero((iy >= r0) & (iy < r1))
+        if edges and (r0, r1) == (0, 40):
+            rows, cols_ = np.divmod(got, shape[1])
+            assert {0, shape[0] - 1} <= set(rows.tolist()) and {0, shape[1] - 1} <= set(cols_.tolist())
     assert ties > 0 or kind != "integer"
+
+
+def test_disc_filter_memory_does_not_grow_with_the_rows():
+    """The disc filter copies one strip at a time into a buffer of its own:
+    its tracemalloc peak, settle step included (the grid as its exact
+    count), on float32 grids of 1,000 columns holding 4,000 members does
+    not grow from 200 rows to 2,000.  A padded copy of the grid would grow
+    tenfold."""
+    rng = np.random.default_rng(36)
+
+    def peak_bytes(ny):
+        grid = np.full((ny, 1000), -np.inf, np.float32)
+        grid.ravel()[rng.choice(grid.size, 4000, replace=False)] = rng.uniform(0, 4, 4000)
+        tracemalloc.start()
+        try:
+            found = _disc_local_maxima(grid, 0, ny, 5, lambda cells: grid.ravel()[cells], 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1000 < found.size < 4000
+        return peak
+
+    peak_bytes(200)     # first-call imports and caches are not the filter's
+    short, tall = peak_bytes(200), peak_bytes(2000)
+    assert tall < 1.1 * short, (short, tall)
 
 
 def _search_scenario(height=20.0, resolution=0.25, **search):
@@ -517,13 +558,13 @@ class TestSearches:
         assert count_small_scale_optima(sc) == r.n_allowed
 
     @pytest.mark.usefixtures("every_candidate")
-    @pytest.mark.parametrize("tile", [1, 2 * 120, 7 * 120 + 3])
-    def test_tile_size_does_not_change_results(self, monkeypatch, tile):
-        """One row per tile, fewer rows than the 6-row disc halo, and a tile
-        that is not a whole number of 120-cell rows, in bands of one row, of
-        fewer rows than the halo and of 17 rows and 5 cells, each on 1, 2 and
-        3 worker processes, all give the results of the single default band
-        and tile on one, the search's count of small-scale optima included."""
+    @pytest.mark.parametrize("band", [1, 2 * 120, 7 * 120 + 3])
+    def test_tile_size_does_not_change_results(self, monkeypatch, band):
+        """Bands, each one tile pass, of one row, of fewer rows than the 6-row
+        disc halo, and of a size that is not a whole number of 120-cell rows,
+        each on 1, 2 and 3 worker processes, all give the results of the
+        single default band on one, the search's count of small-scale optima
+        included."""
         sc = _search_scenario(small_scale_radius=1.5)
 
         def searches(threads):
@@ -532,14 +573,12 @@ class TestSearches:
                     count_small_scale_optima(sc, threads))
 
         whole = searches(1)
-        assert whole[0].n_grid <= pa._TILE_CELLS <= pa._BAND_CELLS
+        assert whole[0].n_grid <= pa._BAND_CELLS
         assert whole[0].n_optima is None and whole[1].n_optima == whole[2] > 0
         assert replace(whole[1], n_optima=None) == whole[0]
-        monkeypatch.setattr(pa, "_TILE_CELLS", tile)
-        for band in (1, 4 * 120, 17 * 120 + 5):
-            monkeypatch.setattr(pa, "_BAND_CELLS", band)
-            for threads in (1, 2, 3):
-                assert searches(threads) == whole, (band, threads)
+        monkeypatch.setattr(pa, "_BAND_CELLS", band)
+        for threads in (1, 2, 3):
+            assert searches(threads) == whole, threads
 
     @pytest.mark.usefixtures("every_candidate")
     def test_chunk_size_does_not_change_results(self, monkeypatch):
@@ -566,29 +605,26 @@ class TestSearches:
         """The fields replace the small-scale count, both the fast one that
         the disc filter reads and the float64 one that decides.  On noise
         every disc offset decides some cell's maximum, so deciding
-        a row while the tile holds one row short of the 6-cell radius below
-        it changes the count; on the second field (every sixth row set,
+        a row while the band's pass holds one row short of the 6-cell radius
+        past it changes the count; on the second field (every sixth row set,
         falling with y) each set cell is beaten only by the set cell six rows
-        before it, so carrying one row short of two radii over to the next
-        tile changes it too.  With one-row tiles the halo comes from six
-        neighbouring tiles, and with one- and seven-row bands from neighbouring
-        bands, each walked by a worker process of its own."""
+        before it, so a pass one row short above its seam changes it too.
+        With one- and seven-row bands the halo comes from neighbouring bands,
+        each walked by a worker process of its own."""
         sc = _search_scenario(small_scale_radius=1.5)
-        tile, band_cells = pa._TILE_CELLS, pa._BAND_CELLS
+        band_cells = pa._BAND_CELLS
         for field in (lambda px, py: np.sin(12.9898 * px + 78.233 * py) * 43758.5453 % 1.0,
                       lambda px, py: np.where(np.round(4.0 * py - 0.5) % 6 == 0,
                                               2.0 - 1e-3 * py, 0.0)):
             monkeypatch.setattr(pa, "_point_fields", lambda scenario, ctxs, px, py, objective=True:
                                 (px if objective else None, field(px, py)))
             _replace_count(monkeypatch, lambda px, py, count: field(px, py))
-            monkeypatch.setattr(pa, "_TILE_CELLS", tile)
             monkeypatch.setattr(pa, "_BAND_CELLS", band_cells)
             whole = count_small_scale_optima(sc)
-            for rows, band in product((1, 10), (1, 7)):
-                monkeypatch.setattr(pa, "_TILE_CELLS", rows * 120)
+            for band in (1, 7):
                 monkeypatch.setattr(pa, "_BAND_CELLS", band * 120)
                 for threads in (1, 2, 3):
-                    assert count_small_scale_optima(sc, threads) == whole, (rows, band, threads)
+                    assert count_small_scale_optima(sc, threads) == whole, (band, threads)
 
     def test_optima_count_matches_a_brute_force_disc_maximum(self, monkeypatch):
         """On seeded random deployments, alternating identity and exponential
@@ -596,12 +632,11 @@ class TestSearches:
         equal the allowed cells that are >= every allowed cell of their disc,
         the count taken in float32 as the walk keeps it and the disc scanned
         offset by offset.  The walk runs on two worker processes in bands of
-        20 rows and tiles of 7 rows and 3 cells.  One-antenna arrays have a
+        7 rows and 3 cells.  One-antenna arrays have a
         flat angular response, so there the lobe cells are the allowed cells;
         elsewhere they are fewer."""
         rng = np.random.default_rng(20)
-        monkeypatch.setattr(pa, "_TILE_CELLS", 7 * 160 + 3)
-        monkeypatch.setattr(pa, "_BAND_CELLS", 20 * 160)
+        monkeypatch.setattr(pa, "_BAND_CELLS", 7 * 160 + 3)
         cfg = SearchConfig(grid_resolution=0.25, small_scale_radius=1.0)
         lobe_share = []
         for k in range(6):
@@ -627,9 +662,9 @@ class TestSearches:
         assert max(lobe_share[:5]) < 1.0 == lobe_share[5]
         assert result.n_survivors == result.n_optima     # one grid, one set of maxima
 
-    @pytest.mark.parametrize("tile, band", [(None, None), (1, 20 * 120), (2 * 120, 7 * 120 + 3),
-                                            (7 * 120 + 3, 1)], ids=["None", "1", "240", "843"])
-    def test_fields_are_evaluated_once_per_cell(self, monkeypatch, tmp_path, tile, band):
+    @pytest.mark.parametrize("band", [None, 1, 2 * 120, 7 * 120 + 3],
+                             ids=["None", "1", "240", "843"])
+    def test_fields_are_evaluated_once_per_cell(self, monkeypatch, tmp_path, band):
         """The tile pass takes each array's geometry, which decides the lobe
         bands and gives the fast small-scale count, exactly once per band that
         walks a cell's row, in its own band or as halo rows of the next or the
@@ -640,17 +675,15 @@ class TestSearches:
         once at each cell of R, the settle step's set on the fast grid (the
         contenders and their near disc cells; under the optima count, of both
         grids), which holds the survivors and is smaller than the members.
-        Tiles settle on their own, so where discs on both sides of a seam
-        between two tiles' decided rows reach a cell of R, both tiles pay for
-        it.  f_obj is evaluated only at the filter's survivors, and no call
+        Bands settle on their own, so where discs on both sides of a seam
+        between two bands reach a cell of R, both bands pay for it.  f_obj is evaluated only at the filter's survivors, and no call
         takes more than _CHUNK_CELLS cells.  Worker processes record the calls
         in files.  The walk starts min(threads, bands) workers."""
         sc = _search_scenario(small_scale_radius=1.5)
         _, eps_px, xs, ys = pa.search_grid(sc)
         margin = pa._fast_count_error(len(sc.rrhs))
         allowed, members, _ = pa._tile_fields(sc, _array_contexts(sc), lobe_sets(sc), xs, ys, None)
-        if tile is not None:
-            monkeypatch.setattr(pa, "_TILE_CELLS", tile)
+        if band is not None:
             monkeypatch.setattr(pa, "_BAND_CELLS", band)
         monkeypatch.setattr(pa, "_CHUNK_CELLS", 100)
         workers, serial = [], count()
@@ -724,14 +757,14 @@ class TestSearches:
                 assert np.all(h[mask] > 0)
 
         def settled(calls, *grids):
-            """The float64 count's cells are R of the grids, each once in one tile."""
+            """The float64 count's cells are R of the grids, each once in one band."""
             got = np.concatenate([rec[0] for kind, rec in calls if kind == "count"])
             expected = set().union(*(_settle_set(g, eps_px, margin) for g in grids))
             assert set(got.astype(np.intp).tolist()) == expected
-            assert got.size == len(expected) if tile is None else got.size < 2 * len(expected)
+            assert got.size == len(expected) if band is None else got.size < 2 * len(expected)
             return len(expected)
 
-        assert walked(members) > np.count_nonzero(members) or tile is None
+        assert walked(members) > np.count_nonzero(members) or band is None
         for threads in (1, 3):
             trunc, split, fast, hits, calls = cells(truncated_search, threads)
             assert split[::2] == (walked(members), trunc.n_survivors)
@@ -747,9 +780,9 @@ class TestSearches:
             assert counted_.n_survivors == trunc.n_survivors
         # the 80-row grid is one default band, and at least 4 of any other size
         assert workers == [min(threads, len(starts)) for threads in (1, 3) for _ in range(2)]
-        assert max(workers) == (1 if tile is None else 3)
+        assert max(workers) == (1 if band is None else 3)
 
-    def test_memory_is_bounded_by_the_tile(self, monkeypatch, tmp_path):
+    def test_memory_is_bounded_by_the_band(self, monkeypatch, tmp_path):
         """Quadrupling the grid leaves the search's peak allocation nearly
         flat, on one walk worker and on two, where each worker process
         records its own peak, from the start of each task it runs.
@@ -757,7 +790,6 @@ class TestSearches:
         Both heights have more survivors than the 1,000-candidate cap, which
         bounds the rows given a miss probability, so only a dependence on the
         grid size could raise the peak."""
-        monkeypatch.setattr(pa, "_TILE_CELLS", 1 << 12)
         monkeypatch.setattr(pa, "_BAND_CELLS", 1 << 15)
         forked = pa._forked
 
@@ -793,18 +825,18 @@ class TestSearches:
             assert peak_bytes(80.0, threads) < 1.5 * peak_bytes(20.0, threads), threads
 
     def test_memory_does_not_grow_with_lobe_density(self, monkeypatch):
-        """A search whose one tile is all lobe cells peaks under 1.5 times the
+        """A search whose one band is all lobe cells peaks under 1.5 times the
         search whose lobe cells are a 5 % band of one array's angular sine in
-        the same tile (the lobe sets are replaced: that band or all of [-1, 1]
+        the same band (the lobe sets are replaced: that band or all of [-1, 1]
         as the first array's main lobe, no other band; the disc is 3 cells and
-        one candidate is kept).  Per lobe cell the walk holds only the tile's
+        one candidate is kept).  Per lobe cell the walk holds only the band's
         masks and float32 count grid: the tile pass takes the geometry and the
         count in chunks, the contenders' discs are gathered in chunks, and f_obj
         is paid at the disc filter's survivors.  (The ratio is 1.43: 3.61 MB
         against 2.53 MB, all lobe cells against 9,173.)"""
         sc = _search_scenario(resolution=0.05, small_scale_radius=0.15, max_candidates=1)
         xs, ys = grid_axes(sc, 0.05)
-        assert xs.size * ys.size <= pa._TILE_CELLS and pa.search_grid(sc)[1] == 3
+        assert xs.size * ys.size <= pa._BAND_CELLS and pa.search_grid(sc)[1] == 3
         lobes = lobe_sets(sc)
         omega = _point_geometry(_array_contexts(sc)[0], xs[None, :], ys[:, None])[1]
         omega = omega[_allowed_mask(sc, xs, ys)]
@@ -1015,12 +1047,12 @@ def _walk_counts(sc, monkeypatch):
     decided, maxima = [], pa._disc_local_maxima
 
     def record(grid, r0, r1, *args):
-        decided.append(np.vstack(grid)[r0:r1])
+        decided.append(grid[r0:r1])
         return maxima(grid, r0, r1, *args)
 
     monkeypatch.setattr(pa, "_disc_local_maxima", record)
     count_small_scale_optima(sc)
-    return np.concatenate(decided[::2]).ravel()     # a tile's full grid, then its members'
+    return np.concatenate(decided[::2]).ravel()     # a band's full grid, then its members'
 
 
 def _disc_maxima(count, eps_px):
@@ -1073,8 +1105,8 @@ class TestCountOracle:
     that decides the disc maxima (_point_fields on the grid axes' centres)
     equals it bit for bit, and the walk's float32 filter grid is the tile
     pass's fast count over the whole grid at once, within e/16 of it.  The
-    walk's survivors and optima, in tiles of 7 rows and bands of 30 rows on
-    one and on three worker processes, are the disc maxima of the oracle's
+    walk's survivors and optima, in bands of 7 rows and 3 cells on one and
+    on three worker processes, are the disc maxima of the oracle's
     float32 grid, over the lobe cells and over the allowed cells."""
 
     @staticmethod
@@ -1096,8 +1128,7 @@ class TestCountOracle:
         grid = np.full(allowed.shape, -np.inf, np.float32)
         grid.ravel()[idx] = oracle
         eps_px = pa.search_grid(sc)[1]
-        monkeypatch.setattr(pa, "_TILE_CELLS", 7 * xs.size + 3)
-        monkeypatch.setattr(pa, "_BAND_CELLS", 30 * xs.size + 1)
+        monkeypatch.setattr(pa, "_BAND_CELLS", 7 * xs.size + 3)
         walks = [_walk_maxima(sc, threads) for threads in (1, 3)]
         survivors = _disc_maxima(np.where(members, grid, -np.inf), eps_px)
         optima = _disc_maxima(grid, eps_px).size
@@ -1204,7 +1235,7 @@ class TestRestrictedBandMasks:
     def test_committed_scenarios(self, monkeypatch, name):
         sc = load_scenario(SCENARIOS / f"{name}.json")
         res = pa.search_grid(sc)[0]
-        rows = pa._TILE_CELLS // grid_axes(sc, res)[0].size
+        rows = pa._BAND_CELLS // grid_axes(sc, res)[0].size
         pairs, restricted = _restricted_and_dense_lobe_masks(monkeypatch, sc, res, rows)
         for got, dense in pairs:
             assert np.array_equal(got, dense)
@@ -1314,7 +1345,7 @@ def test_allowed_mask_equals_the_dense_mask():
     for name in ("desk_2rrh", "reference_1rrh16", "reference_2rrh8", "reference_3rrh"):
         sc = load_scenario(SCENARIOS / f"{name}.json")
         xs, ys = pa.search_grid(sc)[2:]
-        rows = pa._TILE_CELLS // xs.size
+        rows = pa._BAND_CELLS // xs.size
         for r0 in range(0, ys.size, rows):
             got = _allowed_mask(sc, xs, ys[r0:r0 + rows])
             assert np.array_equal(got, _dense_allowed_mask(sc, xs, ys[r0:r0 + rows])), (name, r0)
