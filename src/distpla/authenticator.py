@@ -79,16 +79,14 @@ def make_authenticator(scenario: Scenario) -> Authenticator:
 def whiten(auth: Authenticator, y) -> np.ndarray:
     """x = L^{-1} y for a vector y (N,) or each column of an (N, n) block.
 
-    x_k = y_k / sqrt(c_j) at rho = 0, computed as LAPACK's triangular solve
-    does, y_k times the reciprocal, so with its bits; otherwise x_k = (y_k -
-    rho y_{k-1}) / (sqrt(c_j) sqrt(1 - rho^2)) past array j's first antenna.
-    Each column is whitened on its own, so its bits do not depend on which
-    columns share its block.
+    x_k = (y_k - rho y_{k-1}) / (sqrt(c_j) sqrt(1 - rho^2)) past array j's first
+    antenna and y_k / sqrt(c_j) on it, the numerator times inv_diag: at rho = 0
+    y_k times the reciprocal, LAPACK's triangular solve up to the sign of a zero
+    (an infinite y gives NaN).  Each column is whitened on its own, so its bits
+    do not depend on which columns share its block.
     """
     y = np.asarray(y, complex)
     diag = auth.inv_diag.reshape((-1,) + (1,) * (y.ndim - 1))
-    if auth.stats.rho == 0.0:
-        return y * diag
     x = y.copy()
     x[1:] -= auth.stats.rho * y[:-1]
     x[auth.stats.starts] = y[auth.stats.starts]

@@ -75,7 +75,7 @@ def _strategy(method: str, auth, eve) -> PowerStrategy:
     if method == "none":
         return NO_ATTACK
     if not method.startswith("fixed:"):
-        raise ValueError(f"unknown mdp method {method!r}")
+        raise ValueError(f"unknown mdp --method {method!r}")
     try:
         eta, psi = map(float, method.split(":", 1)[1].split(","))
     except Exception:
@@ -93,12 +93,12 @@ def _cmd_mdp(args):
     eve = eve_statistics(sc)
     out = {"method": args.method, "false_alarm_target": sc.false_alarm_target,
            "threshold": auth.threshold}
-    if args.method in ("saddlepoint", "closedform"):
+    if args.method in ("saddlepoint", "auto"):
         out["p_md"] = mdp_optimal_pma(auth, eve, method=args.method)
     elif args.method == "montecarlo":
         est = estimate_probability(best_case_acceptance_event(auth), eve,
                                    args.samples, seed=args.seed, threads=args.threads)
-        out.update(p_md=est.value, std_error=est.std_error, samples=est.samples)
+        out.update(p_md=est.value[0], std_error=est.std_error[0], samples=est.samples)
     else:
         strat = _strategy(args.method, auth, eve)
         out["strategy"] = {"eta": strat.amplitude, "psi": strat.phase}
@@ -246,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mdp", help="missed-detection probability at the scenario's attacker position")
     _add_common(p)
     p.add_argument("--method", default="saddlepoint",
-                   help="saddlepoint | closedform (the auto route of roc, heatmap and "
-                        "optimize) | montecarlo | fixed:ETA,PSI | statistical | none")
+                   help="saddlepoint | auto (the route of roc, heatmap and optimize) | "
+                        "montecarlo | fixed:ETA,PSI | statistical | none")
     p.set_defaults(handler=_cmd_mdp)
 
     for name, handler, hlp in (("roc", _cmd_roc, "miss probability versus false-alarm sweep"),

@@ -23,12 +23,12 @@ draws continue the generator's stream, so the sub-blocks are the rows of the
 block's one draw, bit for bit, and memory per worker is the buffer plus the
 event's temporaries over _SUB_ROWS rows, whatever the block size.
 
-An event may also return an (n, k) boolean block, k events over the same
-draws, such as one acceptance test per threshold of a false-alarm sweep.
-Hits are then counted per column.  Column j sees exactly the samples, and
-the integer sums, that a separate call with column j's event would see, so
-its hits, value and standard error equal that call's bit for bit; k
-thresholds cost one pass over the samples instead of k.
+An event returns an (n, k) boolean block, k events over the same draws,
+such as one acceptance test per threshold of a false-alarm sweep; a single
+event is one column.  Hits are counted per column.  Column j sees exactly
+the samples, and the integer sums, that a separate call with column j's
+event would see, so its hits, value and standard error equal that call's
+bit for bit; k thresholds cost one pass over the samples instead of k.
 """
 from __future__ import annotations
 
@@ -48,21 +48,21 @@ _EVENT_COLUMNS = 64        # thresholds a best-case event compares at a time; an
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Hit count and estimate; arrays of length k for a k-column event."""
+    """Hit counts and estimates of a k-column event, each an array of length k."""
 
-    value: float | np.ndarray
-    std_error: float | np.ndarray
+    value: np.ndarray
+    std_error: np.ndarray
     samples: int
-    hits: int | np.ndarray
+    hits: np.ndarray
 
 
 @dataclass(frozen=True)
 class WhitenedEvent:
-    """An event: ``decide`` maps a C-contiguous (n, dim) block of x = L_A^{-1} h to booleans.
+    """An event: ``decide`` maps an (n, dim) block of x = L_A^{-1} h to (n, k) booleans.
 
     ``decide`` must be row-wise: row i of its result depends on row i of x
-    alone.  It sees at most ``_SUB_ROWS`` rows a call, and x is a view of a
-    buffer that the next call overwrites, valid only during the call.
+    alone.  It sees at most ``_SUB_ROWS`` rows a call, and x is a C-contiguous
+    view of a buffer that the next call overwrites, valid only during the call.
     """
 
     auth: Authenticator
@@ -80,12 +80,11 @@ def estimate_probability(event: WhitenedEvent, stats: ChannelStatistics, samples
     """P(event) over h ~ CN(mu, Sigma) by exact counting.
 
     ``event`` is a :class:`WhitenedEvent`: its ``decide`` receives an (n, dim)
-    block of x = L_A^{-1} h and returns a boolean array of length n, or an
-    (n, k) block of k events; then ``value``, ``std_error`` and ``hits`` are
-    length-k arrays.  ``stats`` must share the authenticator's arrays and
-    rho, with variances alpha_j times its own to 1e-12, so that each Sigma_j
-    is alpha_j Sigma_A,j.  ``threads`` (at least 1) caps the worker threads;
-    results do not depend on it.
+    block of x = L_A^{-1} h and returns an (n, k) block of k events, and
+    ``value``, ``std_error`` and ``hits`` are length-k arrays.  ``stats`` must
+    share the authenticator's arrays and rho, with variances alpha_j times its
+    own to 1e-12, so that each Sigma_j is alpha_j Sigma_A,j.  ``threads`` (at
+    least 1) caps the worker threads; results do not depend on it.
     """
     if not isinstance(event, WhitenedEvent):
         raise TypeError(f"estimate_probability needs a WhitenedEvent, got {type(event).__name__}")
@@ -115,9 +114,8 @@ def estimate_probability(event: WhitenedEvent, stats: ChannelStatistics, samples
                 gen.standard_normal(out=z)
                 x = np.add(np.multiply(z, spread, out=z), offset, out=z).view(complex)
                 flags = np.asarray(event.decide(x), bool)
-                if flags.ndim not in (1, 2) or len(flags) != len(z):
-                    raise ValueError("event must map an (n, dim) block to n booleans "
-                                     "or an (n, k) boolean block")
+                if flags.ndim != 2 or len(flags) != len(z):
+                    raise ValueError("event must map an (n, dim) block to an (n, k) boolean block")
                 hits = hits + flags.sum(axis=0)
                 del flags       # not alive while decide builds the next sub-block's
         return hits
@@ -131,8 +129,6 @@ def estimate_probability(event: WhitenedEvent, stats: ChannelStatistics, samples
     hits = np.sum(counts, axis=0)
     p = hits / samples
     err = np.sqrt(p * (1.0 - p) / samples)
-    if hits.ndim == 0:
-        return McEstimate(value=float(p), std_error=float(err), samples=samples, hits=int(hits))
     return McEstimate(value=p, std_error=err, samples=samples, hits=hits)
 
 
@@ -140,7 +136,7 @@ def acceptance_event(auth: Authenticator, scale: complex = 1.0) -> WhitenedEvent
     """Event {d(scale * h) < T}: 2 ||scale x - L_A^{-1} mu_A||^2 < T on the whitened x."""
     def decide(x: np.ndarray) -> np.ndarray:
         y = (scale * x - auth.whitened_mean).view(float)
-        return 2.0 * np.einsum("ij,ij->i", y, y) < auth.threshold
+        return (2.0 * np.einsum("ij,ij->i", y, y) < auth.threshold)[:, None]
 
     return WhitenedEvent(auth, decide)
 
@@ -149,14 +145,14 @@ def best_case_acceptance_event(auth: Authenticator, thresholds=None) -> Whitened
     """Event {min over power scaling of d < T}: the scale-invariant objective
     |m_A^H x|^2 / ||x||^2 on the whitened x exceeding M - T/2.
 
-    With ``thresholds``, a sequence of acceptance thresholds T_k for auth's
-    legitimate statistics, the event returns an (n, k) block whose column k
-    tests T_k; the objective is computed once per block for all of them, and
-    compared _EVENT_COLUMNS thresholds at a time, so its temporaries do not
-    grow with k.
+    ``thresholds``, a sequence of acceptance thresholds T_k for auth's
+    legitimate statistics (default the one column auth.threshold), gives an
+    (n, k) block whose column k tests T_k; the objective is computed once per
+    block for all of them, and compared _EVENT_COLUMNS thresholds at a time,
+    so its temporaries do not grow with k.
     """
-    t_star = auth.mahalanobis_energy - (
-        auth.threshold if thresholds is None else np.asarray(thresholds, float).ravel()) / 2.0
+    t_star = auth.mahalanobis_energy - np.asarray(
+        (auth.threshold,) if thresholds is None else thresholds, float).ravel() / 2.0
     # m^H x is the row sum of v . m.view(float) plus j times that of v . (j m).view(float)
     proj_re, proj_im = auth.whitened_mean.view(float), (1j * auth.whitened_mean).view(float)
 
@@ -164,8 +160,6 @@ def best_case_acceptance_event(auth: Authenticator, thresholds=None) -> Whitened
         v = x.view(float)
         re, im = np.einsum("ij,j->i", v, proj_re), np.einsum("ij,j->i", v, proj_im)
         num, den = re * re + im * im, np.einsum("ij,ij->i", v, v)
-        if thresholds is None:
-            return num > t_star * den
         flags = np.empty((len(v), t_star.size), bool)
         for j in range(0, t_star.size, _EVENT_COLUMNS):
             cols = slice(j, j + _EVENT_COLUMNS)

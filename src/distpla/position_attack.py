@@ -115,8 +115,6 @@ def _angular_g(ctx: _ArrayContext, omega_e: np.ndarray) -> np.ndarray:
 
 def _s_ee(ctx: _ArrayContext, omega_e: np.ndarray) -> np.ndarray | float:
     """S_EE = e(Omega_E)^H Lambda^{-1} e(Omega_E) > 0: _angular_g's form at Omega_A = Omega_E."""
-    if not ctx.rho:
-        return float(ctx.n)
     r, n = ctx.rho, ctx.n
     return ((n + (n - 2) * r * r - 2.0 * r * (n - 1) * np.cos(2.0 * np.pi * ctx.spacing * omega_e))
             / ((1.0 - r) * (1.0 + r)))

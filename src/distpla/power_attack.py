@@ -13,10 +13,9 @@ eigenproblem, has at most 2 N_RRH distinct eigenvalues.
 
 The tail is taken two ways (Monte-Carlo, in monte_carlo, is their oracle):
 * exactly by _series_tail, a Poisson mixture of non-negative terms, on every
-  form the package builds: "auto" and "closedform", the fixed strategies and
-  the SNR outage of delay_bounds, all through _tail, which hands a row whose
-  sum would pass _MAX_STEPS terms (its cost grows with the Poisson mean) to
-  the saddle point;
+  form the package builds: "auto", the fixed strategies and the SNR outage
+  of delay_bounds, all through _tail, which hands a row whose sum would pass
+  _MAX_STEPS terms (its cost grows with the Poisson mean) to the saddle point;
 * by the paper's saddle-point approximation, "saddlepoint" (mdp's default
   and validate's column), which raises SaddlepointError without a saddle.
 The saddle exponent s(z) = c0 z + sum_i |c_i|^2 z d_i / (1 - z d_i) - ln z -
@@ -408,12 +407,18 @@ def _series_tail(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray
     kappa = np.where(neg, c2, 0.0).T * np.where(opt, q, 1.0)
     mult = np.where(neg, m, 0.0).T
     c_start, p_start = np.maximum(1 - s, 0), np.maximum(s - 1, 0)
-    direct = sum((mult * q + kappa) / omq) + c_start >= mu + p_start
+    # the side test and the p side's Chernoff bound, linear in (mu, kappa, mult, starts),
+    # take them times 2^-e, e > 0 only past 2^1000: exact, and no sum overflows
+    e = np.maximum(np.frexp(np.maximum(mu, np.max(kappa, axis=0)))[1] - 1000, 0)
+    sc = np.ldexp(1.0, -e)
+    ks, ms = kappa * sc, mult * sc
+    direct = sum((ms * q + ks) / omq) + c_start * sc >= (mu + p_start) * sc
     p_rows, c_rows = np.flatnonzero(direct), np.flatnonzero(~direct)
     log_b, top_c = np.empty(direct.size), np.zeros(direct.size)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_b[p_rows] = _chernoff_exponent(*(v[:, p_rows] for v in (q, omq, kappa, mult)),
-                                           (c_start - p_start)[p_rows], mu[p_rows])
+        log_b[p_rows] = _chernoff_exponent(*(v[:, p_rows] for v in (q, omq, ks, ms)),
+                                           ((c_start - p_start) * sc)[p_rows],
+                                           (mu * sc)[p_rows]) / sc[p_rows]
         qc, wc, kc, mc = (v[:, c_rows] for v in (q, omq, kappa, mult))
         z_max = np.minimum(1.0 / np.max(qc, axis=0, initial=0.0), 1e3)
         log_z = np.log(z_max)[:, None] * _CHERNOFF_GRID
@@ -492,9 +497,9 @@ def _tail(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray) -> np
 
 
 def mdp_single_array_closed_form(auth: Authenticator, eve_stats: ChannelStatistics) -> float:
-    """mdp_optimal_pma(method="closedform"), the series on any layout.  No route calls
+    """mdp_optimal_pma's default route, the series on any layout.  No route calls
     it; it stays while perfbench's TRACED names it."""
-    return mdp_optimal_pma(auth, eve_stats, method="closedform")
+    return mdp_optimal_pma(auth, eve_stats)
 
 
 def _optimal_rows(auth: Authenticator, means: np.ndarray, powers: np.ndarray,
@@ -502,10 +507,10 @@ def _optimal_rows(auth: Authenticator, means: np.ndarray, powers: np.ndarray,
     """Optimal-attack p_md per row (shapes as in _optimal_form_rows).
 
     The one place the routes are chosen: a threshold >= 2M is a certain
-    miss; otherwise one form build, then _tail under "auto" or
-    "closedform" and the saddle point under "saddlepoint".
+    miss; otherwise one form build, then _tail under "auto" and the saddle
+    point under "saddlepoint".
     """
-    if method not in ("auto", "closedform", "saddlepoint"):
+    if method not in ("auto", "saddlepoint"):
         raise ValueError(f"unknown method {method!r}")
     p_md = np.ones(thresholds.size)
     live = np.flatnonzero(thresholds < 2.0 * auth.mahalanobis_energy)
@@ -520,8 +525,8 @@ def mdp_optimal_pma(auth: Authenticator, eve_stats: ChannelStatistics,
                     method: str = "auto") -> float:
     """Worst-case miss probability under the optimal power-manipulation attack.
 
-    ``method``: "auto" and its alias "closedform" take the exact series on any
-    layout; "saddlepoint" takes the paper's saddle-point approximation.
+    ``method``: "auto" takes the exact series on any layout; "saddlepoint"
+    takes the paper's saddle-point approximation.
     """
     return float(mdp_optimal_pma_sweep(auth, eve_stats, [auth.threshold], method)[0])
 

@@ -141,11 +141,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     eve = transmitter("eve")
 
     search_raw = typed(data.get("search", {}), "search", (
-        "grid_resolution_m", "g0", "small_scale_radius_m", "max_candidates",
-        "include_first_sidelobes"))
-    if search_raw.get("include_first_sidelobes", True) is not True:
-        problems.append("search.include_first_sidelobes: first-sidelobe pairs are always searched, "
-                        f"so it may only be true, got {search_raw['include_first_sidelobes']!r}")
+        "grid_resolution_m", "g0", "small_scale_radius_m", "max_candidates"))
     search = SearchConfig(
         grid_resolution=number(search_raw, "grid_resolution_m", None, "search."),
         g0=number(search_raw, "g0", math.sqrt(2.0), "search."),

@@ -119,7 +119,7 @@ def _ray_scenario(n_rx: int, k_db: float, radial: float, lateral: float):
 def _closed_at(n_rx: int, k_db: float, radial: float, lateral: float):
     sc = _ray_scenario(n_rx, k_db, radial, lateral)
     auth = make_authenticator(sc)
-    return mdp_optimal_pma(auth, eve_statistics(sc), method="closedform"), sc
+    return mdp_optimal_pma(auth, eve_statistics(sc), method="auto"), sc
 
 
 def _lateral_for_target(n_rx: int, k_db: float, radial: float, target: float) -> float:
@@ -156,11 +156,11 @@ def test_criterion_03_single_array_triple_agreement():
         auth = make_authenticator(sc)
         ev = eve_statistics(sc)
         saddle = mdp_optimal_pma(auth, ev, method="saddlepoint")
-        est = estimate_probability(best_case_acceptance_event(auth), ev, n, seed=100 + i)
-        sig = _sigma(est.value, closed, n)
-        if abs(closed - est.value) > 3.0 * sig:
+        mc = estimate_probability(best_case_acceptance_event(auth), ev, n, seed=100 + i).value[0]
+        sig = _sigma(mc, closed, n)
+        if abs(closed - mc) > 3.0 * sig:
             failures.append(f"case {i} (N={n_rx}, K={k_db}dB): closed={closed:.4e} "
-                            f"vs mc={est.value:.4e} (3sig={3 * sig:.2e})")
+                            f"vs mc={mc:.4e} (3sig={3 * sig:.2e})")
         if 1e-4 <= closed <= 0.5:
             in_band += 1
             if abs(saddle - closed) > 0.25 * closed:
@@ -184,12 +184,12 @@ def test_criterion_04_multi_array_saddlepoint_validation():
         for pfa in np.logspace(-4.0, -1.0, 5):
             auth = make_authenticator(replace(sc, false_alarm_target=float(pfa)))
             sp = mdp_optimal_pma(auth, ev, method="saddlepoint")
-            est = estimate_probability(best_case_acceptance_event(auth), ev, n, seed=seed)
+            mc = estimate_probability(best_case_acceptance_event(auth), ev, n, seed=seed).value[0]
             seed += 1
-            tol = max(3.0 * _sigma(est.value, sp, n), 0.25 * est.value)
-            if abs(sp - est.value) > tol:
+            tol = max(3.0 * _sigma(mc, sp, n), 0.25 * mc)
+            if abs(sp - mc) > tol:
                 failures.append(f"rho={rho} pfa={pfa:.1e}: saddle={sp:.4e} "
-                                f"vs mc={est.value:.4e} (tol={tol:.2e})")
+                                f"vs mc={mc:.4e} (tol={tol:.2e})")
     _finish(4, "multi-array saddle-point validation", t0, 300.0, failures)
 
 
@@ -275,14 +275,16 @@ def test_criterion_08_attack_knowledge_ordering():
                                       ev, n, seed=3 * g + 1)
         p_opt = estimate_probability(best_case_acceptance_event(auth), ev, n,
                                      seed=3 * g + 2)
-        s1 = math.hypot(p_none.std_error, p_stat.std_error) + 1e-12
-        s2 = math.hypot(p_stat.std_error, p_opt.std_error) + 1e-12
-        if p_none.value > p_stat.value + 3.0 * s1:
-            failures.append(f"geometry {g}: none={p_none.value:.4e} above "
-                            f"statistical={p_stat.value:.4e} + 3sig")
-        if p_stat.value > p_opt.value + 6.0 * s2:
-            failures.append(f"geometry {g}: statistical={p_stat.value:.4e} above "
-                            f"optimal={p_opt.value:.4e} + 6sig")
+        (s_none,), (s_stat,), (s_opt,) = (e.std_error for e in (p_none, p_stat, p_opt))
+        (v_none,), (v_stat,), (v_opt,) = (e.value for e in (p_none, p_stat, p_opt))
+        s1 = math.hypot(s_none, s_stat) + 1e-12
+        s2 = math.hypot(s_stat, s_opt) + 1e-12
+        if v_none > v_stat + 3.0 * s1:
+            failures.append(f"geometry {g}: none={v_none:.4e} above "
+                            f"statistical={v_stat:.4e} + 3sig")
+        if v_stat > v_opt + 6.0 * s2:
+            failures.append(f"geometry {g}: statistical={v_stat:.4e} above "
+                            f"optimal={v_opt:.4e} + 6sig")
     _finish(8, "attack-knowledge ordering", t0, 300.0, failures)
 
 

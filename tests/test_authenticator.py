@@ -104,6 +104,23 @@ def test_whiten_near_the_unit_circle(rho, bound):
         assert _normwise_error(whiten(auth, y), dense_whiten(auth.stats, y)) < bound, k
 
 
+def test_whiten_at_zero_correlation_is_the_reciprocal_scaling():
+    """At rho = 0 the general step subtracts 0 y_{k-1}, so x equals y times
+    inv_diag on seeded complex vectors and (N, n) blocks with exact zeros (and
+    zero real or imaginary parts) among their entries.  Compared with ==, which
+    does not see the sign of a zero, and that sign may differ."""
+    rng = np.random.default_rng(37)
+    for k, (sc, _) in enumerate(_whitening_cases()):
+        auth = make_authenticator(replace(sc, rho=0.0))
+        y = rng.standard_normal((auth.stats.dim, 6)) + 1j * rng.standard_normal((auth.stats.dim, 6))
+        y[rng.random(y.shape) < 0.2] = 0.0
+        y.real[rng.random(y.shape) < 0.2] = 0.0
+        y.imag[rng.random(y.shape) < 0.2] = -0.0
+        diag = auth.inv_diag[:, None]
+        assert np.all(whiten(auth, y) == y * diag), k
+        assert np.all(whiten(auth, y[:, 0]) == y[:, 0] * auth.inv_diag), k
+
+
 def test_whiten_treats_every_column_on_its_own():
     """A block is whitened with the bits of its columns whitened one at a time."""
     for k, (sc, y) in enumerate(_whitening_cases()):

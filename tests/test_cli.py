@@ -95,22 +95,29 @@ class TestMdp:
         assert data["method"] == "saddlepoint"
         assert 0.0 <= data["p_md"] <= 1.0
 
-    def test_closedform_single_array(self, capsys, solo_file):
-        code, out, _ = run(capsys, "mdp", "--scenario", solo_file,
-                           "--method", "closedform")
+    def test_auto_single_array(self, capsys, solo_file):
+        code, out, _ = run(capsys, "mdp", "--scenario", solo_file, "--method", "auto")
         assert code == 0
         closed = json.loads(out)["p_md"]
         code, out, _ = run(capsys, "mdp", "--scenario", solo_file)
         saddle = json.loads(out)["p_md"]
         assert closed == pytest.approx(saddle, rel=0.25)
 
-    def test_closedform_on_multi_array_equals_auto(self, capsys):
+    def test_auto_on_multi_array_equals_the_library(self, capsys):
         from distpla import eve_statistics, load_scenario, make_authenticator, mdp_optimal_pma
-        code, out, _ = run(capsys, "mdp", "--scenario", DESK, "--method", "closedform")
+        code, out, _ = run(capsys, "mdp", "--scenario", DESK, "--method", "auto")
         assert code == 0
         sc = load_scenario(DESK)
+        assert json.loads(out)["method"] == "auto"
         assert json.loads(out)["p_md"] == mdp_optimal_pma(make_authenticator(sc),
                                                           eve_statistics(sc))
+
+    def test_retired_closedform_method_is_refused(self, capsys, scenario_file):
+        """closedform was an alias of auto; the name is unknown now."""
+        code, out, err = run(capsys, "mdp", "--scenario", scenario_file, "--method", "closedform")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "unknown mdp --method 'closedform'"}
 
     def test_montecarlo_fields(self, capsys, scenario_file):
         code, out, _ = run(capsys, "mdp", "--scenario", scenario_file,
@@ -147,7 +154,7 @@ class TestMdp:
                                "--method", method)
             assert code == 2
             assert json.loads(err) == {"error": "ValueError",
-                                       "message": f"unknown mdp method {method!r}"}
+                                       "message": f"unknown mdp --method {method!r}"}
         code, _, err = run(capsys, "mdp", "--scenario", scenario_file,
                            "--method", "fixed:nonsense")
         assert code == 2
@@ -218,7 +225,7 @@ def _sweep_reference(path, points, samples=None, threads=1):
                                        seed=0, threads=threads)
             validate.append(f"{float(pfa)!r},"
                             f"{mdp_optimal_pma(auth, eve, method='saddlepoint')!r},"
-                            f"{est.value!r},{est.std_error!r}")
+                            f"{float(est.value[0])!r},{float(est.std_error[0])!r}")
     return roc, validate
 
 
@@ -319,7 +326,7 @@ def test_cli_import_skips_unused_scipy(tmp_path, solo_file):
                    "--out", str(tmp_path / "compare.csv")]) == ""
     solo = ["--scenario", solo_file]
     assert loaded(["optimize", *solo, "--out", str(tmp_path / "solo_best.json")],
-                  ["mdp", *solo, "--method", "closedform"],
+                  ["mdp", *solo, "--method", "auto"],
                   ["roc", *solo, "--points", "4"],
                   ["heatmap", *solo, "--grid", "4.0", "--out", str(tmp_path / "solo_map.csv")],
                   ["compare", *solo, "--grid", "4.0",
@@ -328,14 +335,14 @@ def test_cli_import_skips_unused_scipy(tmp_path, solo_file):
 
 def test_every_command_runs_without_scipy(tmp_path):
     """scipy is a test dependency only: with every import of it failing, each
-    command runs on each committed scenario, mdp by every method (closedform
-    on the multi-array layouts too) and delay in all three outage modes."""
+    command runs on each committed scenario, mdp by every method (auto on the
+    multi-array layouts too) and delay in all three outage modes."""
     commands = []
     for path in sorted(Path(DESK).parent.glob("*.json")):
         scenario, out = ["--scenario", str(path)], str(tmp_path / path.stem)
         commands += [["threshold", *scenario]]
         commands += [["mdp", *scenario, "--method", method, "--samples", "20000"]
-                     for method in ("saddlepoint", "closedform", "montecarlo", "statistical",
+                     for method in ("saddlepoint", "auto", "montecarlo", "statistical",
                                     "none", "fixed:2.0,0.5")]
         commands += [["roc", *scenario, "--points", "4"],
                      ["validate", *scenario, "--points", "3", "--samples", "20000"],
@@ -656,6 +663,16 @@ class TestFailureModes:
                                    "message": "exclusion zones cover the whole region"}
         assert not multiprocessing.active_children()
 
+    def test_retired_search_key_is_unknown(self, capsys, tmp_path):
+        """include_first_sidelobes was accepted only as true and did nothing;
+        the key is unknown now."""
+        p = tmp_path / "sidelobes.json"
+        p.write_text(json.dumps(dict(SMALL, search={"include_first_sidelobes": True})))
+        code, out, err = run(capsys, "threshold", "--scenario", str(p))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ScenarioError",
+                                   "message": "unknown key search.include_first_sidelobes"}
+
     def test_missing_scenario_file(self, capsys):
         code, _, err = run(capsys, "threshold", "--scenario", "does/not/exist.json")
         assert code == 2
@@ -751,20 +768,40 @@ class TestFailureModes:
         """On desk_2rrh 2M = 63.70 exceeds T = 32, so a fixed strategy's miss
         probability goes to 0 at very small and very large amplitudes.  Where
         some |eta|^2 alpha_j leaves the normal floats or an offset overflows,
-        mdp exits 3 on a NumericsError naming the amplitude; from 1e-152 to
-        1e153 it prints p_md 0.0 (1e-153 exits 3 too).  No amplitude emits a
-        RuntimeWarning, which the suite turns into an error."""
+        mdp exits 3 on a NumericsError naming the amplitude; from 1e-153 to
+        1e153 it prints p_md 0.0.  No amplitude emits a RuntimeWarning, which
+        the suite turns into an error."""
         off = ["1e-300", "1e-200", "1e-160", "1e-156", "1e-155", "1e-154", "1e154", "1e155",
                "1e200", "1.7e308"]
-        for eta in ["1e-153", *off]:
+        for eta in off:
             code, out, err = run(capsys, "mdp", "--scenario", DESK, "--method", f"fixed:{eta},0.5")
             assert code == 3 and out == "", eta
-            assert eta not in off or json.loads(err) == {"error": "NumericsError", "message": (
+            assert json.loads(err) == {"error": "NumericsError", "message": (
                 f"strategy amplitude {float(eta)!r} takes |eta|^2 alpha_j or an offset past "
                 "the float range")}
-        for eta in ("1e-152", "1e-100", "1e100", "1e153"):
+        for eta in ("1e-153", "1e-152", "1e-100", "1e100", "1e153"):
             code, out, _ = run(capsys, "mdp", "--scenario", DESK, "--method", f"fixed:{eta},0.5")
             assert code == 0 and json.loads(out)["p_md"] == 0.0, eta
+
+    def test_tiny_fixed_amplitudes_end_on_zero_or_a_named_refusal(self, capsys):
+        """Just above the smallest amplitude the form accepts, the case-(ii)
+        series row has mu and offset energies near 1e308.  Each of 20
+        log-spaced amplitudes in [5e-154, 5e-153] on desk_2rrh, and 1e-153 on
+        reference_2rrh8, prints p_md 0.0 (2M > T) or exits 3 on a
+        NumericsError naming the amplitude, without a RuntimeWarning."""
+        cases = [(DESK, repr(float(eta))) for eta in np.logspace(math.log10(5e-154),
+                                                                   math.log10(5e-153), 20)]
+        outcomes = []
+        for path, eta in cases + [(str(Path(DESK).with_name("reference_2rrh8.json")), "1e-153")]:
+            code, out, err = run(capsys, "mdp", "--scenario", path, "--method", f"fixed:{eta},0.5")
+            if code == 3:
+                assert json.loads(err) == {"error": "NumericsError", "message": (
+                    f"strategy amplitude {eta} takes |eta|^2 alpha_j or an offset past "
+                    "the float range")}, eta
+            else:
+                assert code == 0 and json.loads(out)["p_md"] == 0.0, (path, eta)
+            outcomes.append(code)
+        assert outcomes == [3] * 3 + [0] * 18       # the form refuses below 6.5e-154
 
     @pytest.mark.parametrize("method", ["fixed:0,0", "fixed:-0.0,0", "fixed:0,0.3", "fixed:-0,0.3"])
     def test_zero_strategy_amplitude_is_refused_by_flag(self, capsys, scenario_file, method):

@@ -19,9 +19,10 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _median_event(auth):
-    """{Re x_mid > 0} on the legitimate law: {Re h_mid > 0} under identity correlation."""
+    """{Re x_mid > 0} on the legitimate law: {Re h_mid > 0} under identity correlation,
+    one column."""
     mid = auth.stats.dim // 2
-    return WhitenedEvent(auth, lambda x: x[:, mid].real > 0)
+    return WhitenedEvent(auth, lambda x: x[:, mid:mid + 1].real > 0)
 
 
 def test_same_seed_same_result(dual_scenario):
@@ -149,11 +150,11 @@ def test_peak_memory_does_not_grow_with_the_thresholds(threads):
 
 def test_partial_final_block(dual_scenario):
     auth = make_authenticator(dual_scenario)
-    est = estimate_probability(WhitenedEvent(auth, lambda x: np.ones(len(x), bool)), auth.stats,
-                               BLOCK_SIZE + 1)
+    est = estimate_probability(WhitenedEvent(auth, lambda x: np.ones((len(x), 1), bool)),
+                               auth.stats, BLOCK_SIZE + 1)
     assert est.samples == BLOCK_SIZE + 1
-    assert est.hits == BLOCK_SIZE + 1
-    assert est.value == 1.0
+    assert est.hits.tolist() == [BLOCK_SIZE + 1]
+    assert est.value.tolist() == [1.0]
 
 
 def test_complementary_events_are_exact(dual_scenario):
@@ -162,7 +163,7 @@ def test_complementary_events_are_exact(dual_scenario):
     a = estimate_probability(ev, auth.stats, 30_000, seed=5)
     b = estimate_probability(WhitenedEvent(auth, lambda x: ~ev.decide(x)), auth.stats, 30_000,
                              seed=5)
-    assert a.hits + b.hits == 30_000
+    assert (a.hits + b.hits).tolist() == [30_000]
 
 
 def test_input_validation(dual_scenario):
@@ -173,6 +174,9 @@ def test_input_validation(dual_scenario):
     with pytest.raises(ValueError):
         # event returning the wrong shape must be rejected, not mis-counted
         estimate_probability(WhitenedEvent(auth, lambda x: np.ones(3, bool)), stats, 100)
+    with pytest.raises(ValueError, match=r"an \(n, k\) boolean block"):
+        # one event is one column: n booleans are not an (n, 1) block
+        estimate_probability(WhitenedEvent(auth, lambda x: np.ones(len(x), bool)), stats, 100)
     with pytest.raises(ValueError):
         estimate_probability(WhitenedEvent(auth, lambda x: np.ones((3, 2), bool)), stats, 100)
     with pytest.raises(ValueError):
@@ -184,13 +188,6 @@ def test_input_validation(dual_scenario):
     for threads in (0, -1):
         with pytest.raises(ValueError, match="threads must be at least 1"):
             estimate_probability(_median_event(auth), stats, 100, threads=threads)
-
-
-def test_one_column_event_keeps_python_scalars(dual_scenario):
-    auth = make_authenticator(dual_scenario)
-    est = estimate_probability(_median_event(auth), auth.stats, 1000, seed=2)
-    assert type(est.hits) is int and type(est.samples) is int
-    assert type(est.value) is float and type(est.std_error) is float
 
 
 def test_threshold_column_blocks_never_change_flags(monkeypatch):
@@ -221,15 +218,15 @@ def test_threshold_sweep_equals_separate_estimates(name):
     samples = 2 * BLOCK_SIZE + 1000       # ends in a partial block
     singles = [estimate_probability(best_case_acceptance_event(a), eve, samples, seed=2)
                for a in auths]
-    hits = [s.hits for s in singles]
+    hits = [int(s.hits[0]) for s in singles]
     assert hits[0] > 0 and hits == sorted(hits, reverse=True)
     event = best_case_acceptance_event(auths[0], [a.threshold for a in auths])
     for threads in (1, 2, 8):
         est = estimate_probability(event, eve, samples, seed=2, threads=threads)
         assert est.samples == samples
         assert est.hits.tolist() == hits
-        assert est.value.tolist() == [s.value for s in singles]
-        assert est.std_error.tolist() == [s.std_error for s in singles]
+        assert est.value.tolist() == [s.value[0] for s in singles]
+        assert est.std_error.tolist() == [s.std_error[0] for s in singles]
 
 
 def test_block_generator_streams_are_stable():
@@ -269,7 +266,7 @@ def test_acceptance_event_matches_discriminant(dual_scenario, rng):
     scale = 0.8 * np.exp(0.3j)
     flags = decide_on_channel(acceptance_event(auth, scale), h)
     direct = discriminant(auth, scale * h) < auth.threshold
-    assert np.array_equal(flags, direct)
+    assert np.array_equal(flags, direct[:, None])
 
 
 def test_best_case_event_matches_pointwise_optimum(dual_scenario, rng):
@@ -279,7 +276,7 @@ def test_best_case_event_matches_pointwise_optimum(dual_scenario, rng):
     h = sample_channel(ev, rng, 256)
     flags = decide_on_channel(best_case_acceptance_event(auth), h)
     direct = np.array([optimal_power_strategy(auth, row)[1] < auth.threshold for row in h])
-    assert np.array_equal(flags, direct)
+    assert np.array_equal(flags, direct[:, None])
 
 
 def test_estimate_matches_closed_form_gaussian(dual_scenario):
@@ -287,7 +284,7 @@ def test_estimate_matches_closed_form_gaussian(dual_scenario):
     x_0 = h_0 / L_00 with L_00 > 0, so the event is {Re x_0 > Re (L^{-1} mu)_0}."""
     auth = make_authenticator(dual_scenario)
     mu0 = auth.whitened_mean[0].real
-    est = estimate_probability(WhitenedEvent(auth, lambda x: x[:, 0].real > mu0), auth.stats,
+    est = estimate_probability(WhitenedEvent(auth, lambda x: x[:, :1].real > mu0), auth.stats,
                                400_000, seed=1)
     assert abs(est.value - 0.5) < 4 * est.std_error
     assert est.std_error == pytest.approx(np.sqrt(est.value * (1 - est.value) / est.samples))
@@ -351,4 +348,5 @@ def test_philox_layout_pinned_by_literal_hit_counts():
                                seed=3, threads=2)
     assert est.hits.tolist() == [803, 3185, 9593]
     tight = replace(auth, threshold=thresholds[2])
-    assert estimate_probability(acceptance_event(tight, 0.5), eve, 50_000, seed=3).hits == 12
+    assert estimate_probability(acceptance_event(tight, 0.5), eve, 50_000,
+                                seed=3).hits.tolist() == [12]

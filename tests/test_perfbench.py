@@ -7,21 +7,61 @@ import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PACKAGE = TRACING.parent.parent / "src" / "distpla"
+
+
+def _traced() -> dict:
+    """perfbench/tracing.py's TRACED literal, read from the source without running it."""
+    tree = ast.parse(TRACING.read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "TRACED")
 
 
 def test_traced_names_resolve():
     """Every function perfbench/tracing.py wraps exists in its distpla module,
-    so deleting or renaming one cannot quietly break a traced benchmark run.
-    The TRACED literal is read from the source, without running the module."""
-    tree = ast.parse(TRACING.read_text())
-    traced = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and getattr(node.targets[0], "id", None) == "TRACED")
+    so deleting or renaming one cannot quietly break a traced benchmark run."""
+    traced = _traced()
     assert traced
     for layer, names in traced.items():
         module = importlib.import_module(f"distpla.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"distpla.{layer}.{name}"
+
+
+def test_every_top_level_definition_is_reached():
+    """Every top-level function and class of src/distpla is reached, by the
+    names it uses, from cli.main, the names distpla/__init__ exports, the
+    names perfbench traces and the module-level statements, which run on
+    import.  A name resolves to its module's own definition or to what a
+    ``from .module import`` brings in; a local that shadows a top-level name
+    counts as a use of it, so the walk may reach too much, never too little."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    defined, imported = {}, {}
+    for module, tree in trees.items():
+        imported[module] = {alias.asname or alias.name: (node.module, alias.name)
+                            for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom) and node.level == 1
+                            for alias in node.names}
+        defined.update(((module, node.name), node) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+
+    def uses(module, nodes):
+        names = {n.id for node in nodes for n in ast.walk(node) if isinstance(n, ast.Name)}
+        return [imported[module].get(name, (module, name)) for name in names]
+
+    todo = [("cli", "main"), *imported["__init__"].values()]
+    todo += [(layer, name) for layer, names in _traced().items() for name in names]
+    todo += [ref for module, tree in trees.items()
+             for ref in uses(module, [node for node in tree.body
+                                      if not isinstance(node, (ast.FunctionDef, ast.ClassDef))])]
+    reached = set()
+    while todo:
+        ref = todo.pop()
+        if ref in defined and ref not in reached:
+            reached.add(ref)
+            todo += uses(ref[0], [defined[ref]])
+    assert sorted(f"{m}.{n}" for m, n in defined.keys() - reached) == []
 
 
 def _load(name):

@@ -143,6 +143,17 @@ class TestAngularInnerProduct:
             err_s = max(err_s, np.max(np.abs(pa._s_ee(ctx, omegas) / s_ee - 1.0)))
         assert err_g <= 1.2e-13 and err_s <= 1.1e-14
 
+    def test_s_ee_is_n_at_zero_correlation(self, single_scenario):
+        """Without correlation e(Omega)^H e(Omega) = n: the exponential form at
+        rho = 0 gives exactly n on seeded Omega in [-1, 1] and at its ends."""
+        base = _array_contexts(single_scenario)[0]
+        rng = np.random.default_rng(24)
+        omegas = np.concatenate((rng.uniform(-1.0, 1.0, 200), [-1.0, 1.0, 0.0]))
+        for n in range(1, 17):
+            for spacing in (0.25, 0.5, 0.75, 1.0):
+                ctx = replace(base, n=n, spacing=spacing, rho=0.0)
+                assert np.all(pa._s_ee(ctx, omegas) == n), (n, spacing)
+
     def test_dirichlet_near_poles_off_zero(self, single_scenario):
         """Where sin(pi s x) nears a pole s x = k != 0, _dirichlet takes its sines
         at x - k/s.  Against 40-digit mpmath: the closed-form g of the draw that

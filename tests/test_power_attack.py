@@ -146,8 +146,8 @@ class TestIndefiniteForm:
         form = build_indefinite_form(auth, ev)
         p_form, s_form = _form_mc(form, 200_000, seed=21)
         raw = estimate_probability(best_case_acceptance_event(auth), ev, 200_000, seed=22)
-        sigma = np.hypot(s_form, raw.std_error)
-        assert abs(p_form - raw.value) < 4 * max(sigma, 1e-4)
+        sigma = np.hypot(s_form, raw.std_error[0])
+        assert abs(p_form - raw.value[0]) < 4 * max(sigma, 1e-4)
 
     def test_fixed_form_matches_scaled_acceptance(self, dual_scenario):
         from distpla.monte_carlo import acceptance_event
@@ -161,8 +161,8 @@ class TestIndefiniteForm:
         p_form, s_form = _form_mc(form, 200_000, seed=31)
         raw = estimate_probability(acceptance_event(auth, strat.scale), ev,
                                    200_000, seed=32)
-        sigma = np.hypot(s_form, raw.std_error)
-        assert abs(p_form - raw.value) < 4 * max(sigma, 1e-4)
+        sigma = np.hypot(s_form, raw.std_error[0])
+        assert abs(p_form - raw.value[0]) < 4 * max(sigma, 1e-4)
 
     def test_zero_amplitude_rejected(self, dual_scenario):
         auth = make_authenticator(dual_scenario)
@@ -498,7 +498,7 @@ class TestBatchedSaddle:
         p_auto = mdp_optimal_pma(auth, ev)
         assert p_auto == pa._series_tail(*_rows([form]))[0]
         mc = estimate_probability(best_case_acceptance_event(auth), ev, 400_000, seed=0)
-        assert abs(p_auto - mc.value) < 4 * mc.std_error
+        assert abs(p_auto - mc.value[0]) < 4 * mc.std_error[0]
         p_md = mdp_optimal_pma_batch(auth, dual_scenario, [pos, dual_scenario.eve.position])
         assert p_md[0] == pytest.approx(p_auto, rel=1e-9)
         assert p_md[1] == mdp_optimal_pma(auth, eve_statistics(dual_scenario))
@@ -911,25 +911,24 @@ class TestMissProbability:
         ev = eve_statistics(single_scenario)
         p = mdp_single_array_closed_form(auth, ev)
         mc = estimate_probability(best_case_acceptance_event(auth), ev, 400_000, seed=9)
-        assert abs(p - mc.value) < 4 * max(mc.std_error, 1e-4)
+        assert abs(p - mc.value[0]) < 4 * max(mc.std_error[0], 1e-4)
 
     def test_closed_form_equals_auto_on_any_layout(self, dual_scenario):
-        # "closedform" names the series, as "auto" does, on every layout; the
-        # second layout's threshold swallows the mean (T >= 2M)
+        # mdp_single_array_closed_form takes the default route, the series, on
+        # every layout; the second layout's threshold swallows the mean (T >= 2M)
         swallowed = build_scenario([("a", (10.0, 55.0), 2), ("b", (70.0, 55.0), 2)],
                                    rice_db=-10.0)
         for sc in (dual_scenario, swallowed):
             auth = make_authenticator(sc)
             ev = eve_statistics(sc)
             p = mdp_optimal_pma(auth, ev)
-            assert mdp_optimal_pma(auth, ev, method="closedform") == p
             assert mdp_single_array_closed_form(auth, ev) == p
         assert auth.threshold >= 2.0 * auth.mahalanobis_energy and p == 1.0
 
     def test_closed_form_matches_saddlepoint(self, single_scenario):
         auth = make_authenticator(single_scenario)
         ev = eve_statistics(single_scenario)
-        p_cf = mdp_optimal_pma(auth, ev, method="closedform")
+        p_cf = mdp_optimal_pma(auth, ev, method="auto")
         p_sp = mdp_optimal_pma(auth, ev, method="saddlepoint")
         assert p_sp == pytest.approx(p_cf, rel=0.25)
 
@@ -969,6 +968,12 @@ class TestMissProbability:
         for method in ("montecarlo", "bogus"):
             with pytest.raises(ValueError):
                 mdp_optimal_pma(auth, ev, method=method)
+
+    def test_retired_closedform_method_is_refused(self, dual_scenario):
+        # "closedform" was an alias of "auto"; only "auto" names the series now
+        auth = make_authenticator(dual_scenario)
+        with pytest.raises(ValueError, match="unknown method 'closedform'"):
+            mdp_optimal_pma(auth, eve_statistics(dual_scenario), method="closedform")
 
 
 def _sweep_case(which, single_scenario):
@@ -1026,7 +1031,7 @@ class TestSweeps:
 
         def near_mc(p, event):
             est = estimate_probability(event, ev, 400_000, seed=0)
-            return abs(p - est.value) < 4 * est.std_error
+            return abs(p - est.value[0]) < 4 * est.std_error[0]
 
         monkeypatch.setattr(pa, "_saddle_tail", last_row_fails)
         with pytest.raises(SaddlepointError):

@@ -158,8 +158,7 @@ def test_search_block_types_checked():
     with pytest.raises(ScenarioError) as info:
         scenario_from_dict(bad)
     assert info.value.problems == [
-        "search.include_first_sidelobes: first-sidelobe pairs are always searched, "
-        "so it may only be true, got 'false'",
+        "unknown key search.include_first_sidelobes",
         "search.grid_resolution_m must be a number, got 'abc'",
         "search.g0 must be a number, got None",
         "search.small_scale_radius_m must be a number, got 'abc'",
@@ -170,18 +169,16 @@ def test_search_block_types_checked():
 def test_search_block_values():
     ok = dict(BASE)
     ok["search"] = {"grid_resolution_m": 0.25, "g0": 2, "small_scale_radius_m": 0,
-                    "include_first_sidelobes": True, "max_candidates": 7}
+                    "max_candidates": 7}
     search = scenario_from_dict(ok).search
     assert (search.grid_resolution, search.g0, search.small_scale_radius,
             search.max_candidates) == (0.25, 2.0, 0, 7)
-    # first-sidelobe pairs are always searched: a file that turns them off is
-    # refused rather than searched otherwise than it asks
-    for off in (False, None, 0):
+    # first-sidelobe pairs are always searched: the retired key that named
+    # them is unknown, whatever its value
+    for value in (True, False, None, 0):
         with pytest.raises(ScenarioError) as info:
-            scenario_from_dict(dict(ok, search=dict(ok["search"], include_first_sidelobes=off)))
-        assert info.value.problems == [
-            "search.include_first_sidelobes: first-sidelobe pairs are always searched, "
-            f"so it may only be true, got {off!r}"]
+            scenario_from_dict(dict(ok, search=dict(ok["search"], include_first_sidelobes=value)))
+        assert info.value.problems == ["unknown key search.include_first_sidelobes"]
     assert scenario_from_dict(dict(BASE)).search.small_scale_radius is None
     bad = dict(BASE)
     bad["search"] = {"small_scale_radius_m": -1, "grid_resolution_m": 0}
