@@ -83,14 +83,15 @@ def whiten(auth: Authenticator, y) -> np.ndarray:
     antenna and y_k / sqrt(c_j) on it, the numerator times inv_diag: at rho = 0
     y_k times the reciprocal, LAPACK's triangular solve up to the sign of a zero
     (an infinite y gives NaN).  Each column is whitened on its own, so its bits
-    do not depend on which columns share its block.
+    do not depend on which columns share its block.  One block is allocated:
+    rho y_{k-1}, the difference and the scaling are written into it in turn.
     """
     y = np.asarray(y, complex)
     diag = auth.inv_diag.reshape((-1,) + (1,) * (y.ndim - 1))
-    x = y.copy()
-    x[1:] -= auth.stats.rho * y[:-1]
+    x = np.empty_like(y)
+    np.subtract(y[1:], np.multiply(auth.stats.rho, y[:-1], out=x[1:]), out=x[1:])
     x[auth.stats.starts] = y[auth.stats.starts]
-    return x * diag
+    return np.multiply(x, diag, out=x)
 
 
 def discriminant(auth: Authenticator, h: np.ndarray) -> float | np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import combinations, product, repeat
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -177,8 +177,8 @@ def _count_term(ctx: _ArrayContext, lam: float, dist: np.ndarray,
                 omega: np.ndarray) -> np.ndarray:
     """One array's float32 phase q of the fast small-scale count, from its
     _point_geometry (dist, ω), which it overwrites.  _tile_fields sums cos q
-    and sin q in float32 and takes their float32 hypot: _point_fields' count
-    within e = _fast_count_error(N) of its float32 rounding, for N arrays.
+    and sin q in float32 and takes sqrt(re² + im²) in float32: _point_fields'
+    count within e = _fast_count_error(N) of its float32 rounding, for N arrays.
 
     The phase p, with sign(g) folded in as (pi/2)(sign - 1), is formed in
     float64 in turns t = p / 2 pi and reduced to q = 2 pi (t - rint t).
@@ -192,8 +192,10 @@ def _count_term(ctx: _ArrayContext, lam: float, dist: np.ndarray,
     _point_fields' phase modulo 2 pi, float32(q) within 2u of q (|q| <= pi),
     and numpy's float32 cos and sin within 2 ulp <= 2u each, 6u together.
     Summing N terms in float32 adds at most sqrt(2) u (2 + ... + N) <
-    0.71 (N² + N) u, the float32 hypot at most 1 ulp <= 2Nu, the rounding of
-    the float64 count to float32 Nu, and its own error under u.  In all the
+    0.71 (N² + N) u.  The squares, their sum and the root each round by at
+    most u relative, so sqrt(re² + im²), at most N, is within 2u relative,
+    2Nu absolute (an underflow of the squares adds under 2^-74).  The rounding of
+    the float64 count to float32 adds Nu, and its own error under u.  In all the
     error is under (N² + 11N) u; e = N (N + 64) u is over five times that,
     which also covers the float32 rounding (<= Nu) of the settle step's
     comparisons, and measured it is over 16 times the largest error.
@@ -405,12 +407,14 @@ def _lobe_union(main, side) -> np.ndarray:
 
 
 def _lobe_columns(ctxs: list[_ArrayContext], lobes: LobeSets, xs: np.ndarray,
-                  ys: np.ndarray) -> np.ndarray | slice:
-    """The columns of the ys × xs grid that can hold a lobe cell of _tile_fields.
+                  ys: np.ndarray) -> list[tuple[int, int]]:
+    """The columns of the ys × xs grid that can hold a lobe cell of
+    _tile_fields, as disjoint (start, stop) runs in increasing order: [(0,
+    xs.size)] where it keeps them all, [] where it keeps none.
 
-    Scans the centre column of each run of _SCAN_STRIDE columns.  Along a
-    row |dω/dx| <= 1/dist, so within h, the largest float64 offset of a
-    column from its run's centre, of a centre at distance r > h from an
+    Keeps whole groups of _SCAN_STRIDE columns, scanning each centre.  Along
+    a row |dω/dx| <= 1/dist, so within h, the largest float64 offset of a
+    column from its group's centre, of a centre at distance r > h from an
     array ω moves by at most h/(r - h).  1e-12 more covers the rounding: each
     float64 ω is within 8u (u = 2^-53) of its exact value at its cell, and
     the rounding of h and r moves h/(r - h) by under 30u wherever it is
@@ -426,8 +430,10 @@ def _lobe_columns(ctxs: list[_ArrayContext], lobes: LobeSets, xs: np.ndarray,
         bands = _in_bands(al, omega, h / np.where(close, np.inf, dist - h) + 1e-12)
         main.append(bands[0] | close)
         side.append(bands[1] | close)
-    runs = _lobe_union(main, side).any(axis=0)
-    return slice(None) if runs.all() else np.flatnonzero(np.repeat(runs, k)[:xs.size])
+    kept = _lobe_union(main, side).any(axis=0)
+    edges = np.flatnonzero(np.diff(kept, prepend=False, append=False)) * k
+    edges = np.minimum(edges, xs.size).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def _tile_fields(scenario: Scenario, ctxs: list[_ArrayContext], lobes: LobeSets,
@@ -436,31 +442,33 @@ def _tile_fields(scenario: Scenario, ctxs: list[_ArrayContext], lobes: LobeSets,
     allowed lobe cells (_lobe_union of _in_bands on _point_geometry's ω), and
     the float32 fast small-scale count at the ``evaluate`` cells, "members"
     or "allowed", -inf elsewhere (None for ``evaluate`` None).  One pass
-    over the columns that _lobe_columns keeps (every column for "allowed"),
-    at most _CHUNK_CELLS cells at a time: each array's _point_geometry,
-    taken once per chunk, decides its bands and gives its _count_term."""
+    over the column runs that _lobe_columns keeps (every column for
+    "allowed"), in rows × columns slices of a run of at most _CHUNK_CELLS
+    cells: each array's _point_geometry, taken once per chunk, decides its
+    bands and gives its _count_term."""
     allowed = _allowed_mask(scenario, xs, ys)
     members = np.zeros(allowed.shape, bool)
     count = None if evaluate is None else np.full(allowed.shape, -np.inf, np.float32)
-    cols = slice(None) if evaluate == "allowed" else _lobe_columns(ctxs, lobes, xs, ys)
-    kept, lam = xs[cols], wavelength(scenario.carrier_frequency)
-    width = min(kept.size, _CHUNK_CELLS) or 1
-    rows = _CHUNK_CELLS // width
-    for r0, c0 in product(range(0, ys.size, rows), range(0, kept.size, width)):
-        at = np.s_[r0:r0 + rows, c0:c0 + width] if isinstance(cols, slice) else (
-            np.s_[r0:r0 + rows], cols[c0:c0 + width])
-        px, py, ok = kept[None, c0:c0 + width], ys[r0:r0 + rows, None], allowed[at]
-        re = im = np.float32(0.0)
-        bands = []
-        for ctx, al in zip(ctxs, lobes.per_array):
-            dist, omega = _point_geometry(ctx, px, py)
-            bands.append(_in_bands(al, omega))
+    runs = [(0, xs.size)] if evaluate == "allowed" else _lobe_columns(ctxs, lobes, xs, ys)
+    lam = wavelength(scenario.carrier_frequency)
+    spans = ((c, min(c + _CHUNK_CELLS, b)) for a, b in runs for c in range(a, b, _CHUNK_CELLS))
+    for c0, c1 in spans:
+        rows = _CHUNK_CELLS // (c1 - c0)
+        for r0 in range(0, ys.size, rows):
+            at = np.s_[r0:r0 + rows, c0:c1]
+            px, py, ok = xs[None, c0:c1], ys[r0:r0 + rows, None], allowed[at]
+            re = im = np.float32(0.0)
+            bands = []
+            for ctx, al in zip(ctxs, lobes.per_array):
+                dist, omega = _point_geometry(ctx, px, py)
+                bands.append(_in_bands(al, omega))
+                if count is not None:
+                    q = _count_term(ctx, lam, dist, omega)
+                    re, im = re + np.cos(q), im + np.sin(q)
+            members[at] = lobe = _lobe_union(*zip(*bands)) & ok
             if count is not None:
-                q = _count_term(ctx, lam, dist, omega)
-                re, im = re + np.cos(q), im + np.sin(q)
-        members[at] = lobe = _lobe_union(*zip(*bands)) & ok
-        if count is not None:
-            count[at] = np.where(ok if evaluate == "allowed" else lobe, np.hypot(re, im), -np.inf)
+                count[at] = np.where(ok if evaluate == "allowed" else lobe,
+                                     np.sqrt(re * re + im * im), -np.inf)
     return allowed, members, count
 
 
@@ -623,9 +631,13 @@ def truncated_search(scenario: Scenario, threads: int = 1,
     centre, so a band's pass takes its rows and ``halo`` rows past each seam,
     and decides and counts its own rows only.  Each band settles on its own: a
     cell of R that discs on both sides of a seam reach is evaluated by both
-    bands.  The miss probabilities run in mdp_optimal_pma_batch's _CHUNK
-    chunks on the same workers.  Results depend neither on the band size nor
-    on ``threads``.
+    bands.  Each band returns its ``max_candidates`` (keep) survivors of best
+    f_obj; this process buffers them and keeps the keep best once the buffer
+    holds over 2·keep rows, and at the end: the order (f_obj descending,
+    row-major ties) is total, so these are the rows, in order, of one sort
+    of all bands', in at most 3·keep rows.  The miss probabilities run in
+    mdp_optimal_pma_batch's _CHUNK chunks on the same workers.  Results
+    depend neither on the band size nor on ``threads``.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -690,17 +702,18 @@ def truncated_search(scenario: Scenario, threads: int = 1,
 
     bands = range(0, ny, band)
     with _forked(min(threads, len(bands)), walk_band, rate) as run:
-        totals = np.zeros(4, int)
-        kept = (np.empty(0, np.intp), np.empty(0), np.empty(0))
+        totals, kept = np.zeros(4, int), []
         for *counts, idx, fobj, fss in run(0, bands):
             totals += counts
-            kept = best(*map(np.concatenate, zip(kept, (idx, fobj, fss))))
+            kept.append((idx, fobj, fss))
+            if sum(part[0].size for part in kept) > 2 * keep:
+                kept = [best(*map(np.concatenate, zip(*kept)))]
         n_allowed, n_lobe, n_optima, n_survivors = totals.tolist()
         if not n_allowed:
             raise EmptyRegionError("exclusion zones cover the whole region")
         if not n_lobe:
             raise NoCandidatesError("no grid point falls on a usable lobe")
-        idx, fobj, fss = kept
+        idx, fobj, fss = best(*map(np.concatenate, zip(*kept)))
         chunks = (idx[c:c + _CHUNK] for c in range(0, idx.size, _CHUNK))
         p_md = np.concatenate(list(run(1, chunks)))
     top = np.lexsort((idx, -p_md))[:_REPORTED]     # p_md descending, row-major ties

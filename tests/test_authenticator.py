@@ -94,6 +94,35 @@ def test_whiten_equals_the_dense_triangular_solve():
             assert _normwise_error(x, ref) < 1e-15, k
 
 
+def _three_step_whiten(auth, y):
+    """The copy, subtract and scale of whiten written with three temporaries."""
+    y = np.asarray(y, complex)
+    x = y.copy()
+    x[1:] -= auth.stats.rho * y[:-1]
+    x[auth.stats.starts] = y[auth.stats.starts]
+    return x * auth.inv_diag.reshape((-1,) + (1,) * (y.ndim - 1))
+
+
+def test_whiten_has_the_bits_of_the_three_step_formula():
+    """Written into one block, whiten gives the bits (signs of zeros and NaN
+    payloads included) of the copy, subtract and scale formula, at rho = 0
+    and at rho != 0, on vectors and (N, n) blocks with exact zeros, negative
+    zeros and infinities among their entries."""
+    rng = np.random.default_rng(38)
+    for k, (sc, y) in enumerate(_whitening_cases()):
+        y = y.copy()
+        y.imag[rng.random(y.shape) < 0.2] = -0.0
+        y.real[rng.random(y.shape) < 0.1] = 0.0
+        y[rng.random(y.shape) < 0.05] = np.inf
+        for rho in (0.0, sc.rho or 0.5, -0.3):
+            auth = make_authenticator(replace(sc, rho=rho))
+            with np.errstate(invalid="ignore"):
+                pairs = [(whiten(auth, v), _three_step_whiten(auth, v)) for v in (y, y[:, 0])]
+            for got, want in pairs:
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (k, rho)
+
+
 @pytest.mark.parametrize("rho, bound", [(0.95, 2e-14), (-0.95, 2e-14), (0.999, 1e-12)])
 def test_whiten_near_the_unit_circle(rho, bound):
     """Strong exponential correlation: within the stated normwise bound of the

@@ -591,6 +591,21 @@ class TestSearches:
         for threads in (1, 2, 3):
             assert searches(threads) == whole, threads
 
+    @pytest.mark.parametrize("radius", [None, 0.5])
+    def test_candidate_merge_flushing_every_few_bands(self, monkeypatch, radius):
+        """With a cap of 3 candidates and one-row bands, the walk's buffer of
+        band results passes 2 · 3 rows and is cut to the best 3 many times;
+        on 1, 2 and 3 worker processes the search equals the single default
+        band's on one, with every member a survivor (a disc under one cell)
+        and with a disc of 2 cells."""
+        sc = _search_scenario(small_scale_radius=radius, max_candidates=3)
+        whole = truncated_search(sc)
+        assert whole.n_grid <= pa._BAND_CELLS and whole.n_evaluated == 3
+        assert whole.n_survivors > 20 * 3
+        monkeypatch.setattr(pa, "_BAND_CELLS", 1)
+        for threads in (1, 2, 3):
+            assert truncated_search(sc, threads) == whole, threads
+
     @pytest.mark.usefixtures("every_candidate")
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         """Tile-pass chunks of 7 cells (under a row), of 100 and of the default
@@ -1035,6 +1050,11 @@ def _lobe_mask(sc, ctxs, lobes, xs, ys):
     return pa._tile_fields(open_sc, ctxs, lobes, xs, ys, None)[1]
 
 
+def _every_column(ctxs, lobes, xs, ys):
+    """_lobe_columns keeping every column: the dense tile pass."""
+    return [(0, xs.size)]
+
+
 def _restricted_and_dense_lobe_masks(monkeypatch, sc, res, rows):
     """The tile pass's lobe mask over the grid at ``res`` in tiles of ``rows``
     rows, as (restricted, dense) pairs per tile, and the number of tiles whose
@@ -1044,10 +1064,10 @@ def _restricted_and_dense_lobe_masks(monkeypatch, sc, res, rows):
     pairs, restricted = [], 0
     for r0 in range(0, ys.size, rows):
         tile_ys = ys[r0:r0 + rows]
-        restricted += isinstance(pa._lobe_columns(ctxs, lobes, xs, tile_ys), np.ndarray)
+        restricted += pa._lobe_columns(ctxs, lobes, xs, tile_ys) != [(0, xs.size)]
         got = _lobe_mask(sc, ctxs, lobes, xs, tile_ys)
         with monkeypatch.context() as m:
-            m.setattr(pa, "_lobe_columns", lambda *args: slice(None))
+            m.setattr(pa, "_lobe_columns", _every_column)
             pairs.append((got, _lobe_mask(sc, ctxs, lobes, xs, tile_ys)))
     return pairs, restricted
 
@@ -1304,6 +1324,52 @@ class TestRestrictedBandMasks:
         dense = _in_bands(lobes.per_array[0], omega)[0]
         assert dense[run] and not dense[run + k // 2]
         assert np.array_equal(_lobe_mask(sc, [ctx], lobes, xs, ys)[0], dense)
+
+    def test_runs_and_chunks_give_the_dense_fields(self, monkeypatch):
+        """Four rows of reference_2rrh8, where _lobe_columns keeps three
+        disjoint runs, two of them wider than the chunks (here 1,024 cells,
+        so a chunk is one row of part of a run): with "members" and
+        "allowed", the tile pass gives the allowed cells, the members and
+        the float32 count of the dense pass over every column in one chunk,
+        bit for bit."""
+        sc = load_scenario(SCENARIOS / "reference_2rrh8.json")
+        ctxs, lobes = _array_contexts(sc), lobe_sets(sc)
+        xs, ys = grid_axes(sc, pa.search_grid(sc)[0])
+        ys = ys[:4]
+        dense = {}
+        with monkeypatch.context() as m:
+            m.setattr(pa, "_lobe_columns", _every_column)
+            m.setattr(pa, "_CHUNK_CELLS", xs.size * ys.size)
+            for evaluate in ("members", "allowed"):
+                dense[evaluate] = pa._tile_fields(sc, ctxs, lobes, xs, ys, evaluate)
+        monkeypatch.setattr(pa, "_CHUNK_CELLS", 1024)
+        runs = pa._lobe_columns(ctxs, lobes, xs, ys)
+        widths = [b - a for a, b in runs]
+        assert len(runs) >= 3 and sum(w > 1024 for w in widths) >= 2 and sum(widths) < xs.size
+        assert all(a < b < c for (a, b), (c, _) in zip(runs, runs[1:]))
+        for evaluate, want in dense.items():
+            allowed, members, count = pa._tile_fields(sc, ctxs, lobes, xs, ys, evaluate)
+            assert np.array_equal(allowed, want[0]) and np.array_equal(members, want[1]), evaluate
+            assert np.array_equal(count.view(np.uint32), want[2].view(np.uint32)), evaluate
+            assert members.any() and np.any(count != -np.inf), evaluate
+
+    @pytest.mark.parametrize("name", ["desk_2rrh", "reference_2rrh8"])
+    def test_optimize_bytes_equal_the_dense_walk(self, monkeypatch, tmp_path, capsys, name):
+        """``optimize --out`` writes the same bytes with the restricted
+        column runs as with _lobe_columns keeping every column, on one
+        worker and on two."""
+        outs = {}
+        for dense in (False, True):
+            with monkeypatch.context() as m:
+                if dense:
+                    m.setattr(pa, "_lobe_columns", _every_column)
+                for threads in (1, 2):
+                    out = tmp_path / f"{dense}-{threads}.json"
+                    assert main(["optimize", "--scenario", str(SCENARIOS / f"{name}.json"),
+                                 "--threads", str(threads), "--out", str(out)]) == 0
+                    outs[dense, threads] = out.read_bytes()
+        capsys.readouterr()
+        assert len(set(outs.values())) == 1
 
 
 def test_lobe_mask_is_in_bands_on_point_geometry(rng):
