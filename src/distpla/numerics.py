@@ -4,7 +4,9 @@ Chi-square tails and quantiles, which with the model's 2N degrees of freedom
 (N antennas) are finite Poisson sums, bracketed root finding and bounded
 minimization.  The last two are Brent's methods, written out to return the
 bits of scipy's brentq and bounded minimize_scalar; scipy is not a
-dependency.  Collecting them here pins the tolerances in one place.
+dependency.  The root finder serves the lobe edges of position_attack and
+the saddle point of power_attack; collecting them here pins the tolerances
+in one place.
 """
 from __future__ import annotations
 

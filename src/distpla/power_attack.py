@@ -20,13 +20,13 @@ The tail is taken two ways (Monte-Carlo, in monte_carlo, is their oracle):
   and validate's column), which raises SaddlepointError without a saddle.
 The saddle exponent s(z) = c0 z + sum_i |c_i|^2 z d_i / (1 - z d_i) - ln z -
 sum_i m_i ln(1 - z d_i) lives on the strip where the moment generating
-function exists; s'(z) = 0 is solved for many rows at once by the safeguarded
-Newton-bisection of _saddle_root, the smaller side is approximated with a
-second-order correction (after Kuonen, Biometrika 86 (1999) 929-935), and a
-side whose factor leaves [0.1, 10] has no usable saddle.  _optimal_rows picks
-the route of every optimal-attack row: mdp_optimal_pma_batch feeds it many
-attacker positions at one threshold, mdp_optimal_pma_sweep one attacker at
-many thresholds; mdp_fixed_strategy_sweep varies only its form's constant.
+function exists; s'(z) = 0 is solved row by row by numerics.bracketed_root_find
+(Brent), the smaller side is approximated with a second-order correction (after
+Kuonen, Biometrika 86 (1999) 929-935), and a side whose factor leaves [0.1, 10]
+has no usable saddle.  _optimal_rows picks the route of every optimal-attack
+row: mdp_optimal_pma_batch feeds it many attacker positions at one threshold,
+mdp_optimal_pma_sweep one attacker at many thresholds; mdp_fixed_strategy_sweep
+varies only its form's constant.
 """
 from __future__ import annotations
 
@@ -37,14 +37,12 @@ import numpy as np
 
 from .authenticator import Authenticator, whiten
 from .geometry import ChannelStatistics, Scenario, rice_means
-from .numerics import NumericsError
+from .numerics import NumericsError, bracketed_root_find
 
 _EIG_DROP = 1e-14          # relative cutoff below which an eigenvalue is treated as zero
 _BRACKET_RIM = 1e-9        # how close the root bracket may approach the MGF singularity
 _Z_LO = 1e-12              # left end of every saddle bracket
-_XTOL = 1e-15              # saddle root tolerance: absolute part ...
-_RTOL = 4 * np.finfo(float).eps   # ... and relative part, as in brentq
-_MAX_ITER = 200            # Newton-bisection steps before a row counts as unsolved
+_XTOL = 1e-15              # absolute tolerance of every saddle root (bracketed_root_find's tol)
 _CHUNK = 4096              # attacker positions per batch in mdp_optimal_pma_batch
 _CORRECTION = (0.1, 10.0)  # second-order factors outside this range leave a side without a saddle
 _CUT = 64.0 * math.log(2.0)    # the series drops mass below e^-_CUT of a row's Chernoff bound
@@ -194,46 +192,6 @@ def _slopes(z: np.ndarray, d: np.ndarray, c2: np.ndarray, m: np.ndarray,
     return s1, s2
 
 
-def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bisection point, geometric while the bracket spans orders of magnitude."""
-    return np.where(hi > 4.0 * lo, np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
-
-
-def _saddle_root(d, c2, m, const, lo, hi) -> np.ndarray:
-    """Root of s'(z) on each row's bracket (lo, hi), where s'(lo) < 0 < s'(hi) and s'' > 0.
-
-    Safeguarded Newton-bisection: the Newton step on z s'(z), which is
-    nearly linear where the -1/z term dominates, is taken while it stays
-    inside the bracket and is at most half the step before last; otherwise
-    the bracket is bisected.  A row stops at an iterate z where s' is exactly
-    zero or the Newton step rounds to z (a converged iterate, which ends the
-    bracket), or once the step or the half-bracket falls below
-    (_XTOL + _RTOL |z|) / 2; rows still open after _MAX_ITER steps get NaN.
-    """
-    root = np.full(lo.shape, np.nan)
-    rows = np.arange(lo.size)
-    z = _midpoint(lo, hi)
-    step = step_old = hi - lo
-    for _ in range(_MAX_ITER):
-        if rows.size == 0:
-            break
-        s1, s2 = _slopes(z, d, c2, m, const)
-        lo = np.where(s1 < 0, z, lo)
-        hi = np.where(s1 > 0, z, hi)
-        newton = z - z * s1 / (s1 + z * s2)
-        take = (newton > lo) & (newton < hi) & (np.abs(newton - z) <= 0.5 * np.abs(step_old))
-        z_next = np.where(take, newton, _midpoint(lo, hi))
-        step_old, step = step, z_next - z
-        tol = 0.5 * (_XTOL + _RTOL * np.abs(z_next))
-        exact = (s1 == 0.0) | (newton == z)
-        done = exact | (np.abs(step) < tol) | (hi - lo < 2.0 * tol)
-        root[rows[done]] = np.where(exact, z, z_next)[done]
-        live = ~done
-        rows, z, lo, hi, step, step_old = (v[live] for v in (rows, z_next, lo, hi, step, step_old))
-        d, c2, m, const = d[live], c2[live], m[live], const[live]
-    return root
-
-
 def _saddle_side(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray) -> np.ndarray:
     """Approximate P(sum_i d_i |w_i + c_i|^2 + const > 0) on one side, row by row.
 
@@ -243,6 +201,8 @@ def _saddle_side(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray
     caller then relies on the complementary side).  The root is bracketed on
     (1e-12, z_rim (1 - _BRACKET_RIM)) with z_rim = 1 / max d; without a
     positive d the right end doubles from 1 until s' > 0, at most 400 times.
+    Every bracketed row's root is bracketed_root_find's on s' of that row
+    alone, to _XTOL; a row where it raises stays NaN.
     """
     p = np.where(~np.any(d > 0, axis=1) & (const <= 0), 0.0,
                  np.where(~np.any(d < 0, axis=1) & (const >= 0), 1.0, np.nan))
@@ -267,7 +227,14 @@ def _saddle_side(d: np.ndarray, c2: np.ndarray, m: np.ndarray, const: np.ndarray
         ok[doubling] = False
         sel = np.flatnonzero(ok)
         d, c2, m, const = d[sel], c2[sel], m[sel], const[sel]
-        z0 = _saddle_root(d, c2, m, const, lo[sel], hi[sel])
+        z0 = np.full(sel.size, np.nan)
+        for i, k in enumerate(sel):
+            row = (d[i:i + 1], c2[i:i + 1], m[i:i + 1], const[i:i + 1])
+            try:
+                z0[i] = bracketed_root_find(lambda z: float(_slopes(np.array([z]), *row)[0][0]),
+                                            lo[k], hi[k], _XTOL)
+            except NumericsError:       # the row keeps NaN: no saddle on this side
+                pass
 
         u = 1.0 - z0[:, None] * d
         s0 = const * z0 + _row_sum(c2 * z0[:, None] * d / u) - np.log(z0) - _row_sum(m * np.log(u))

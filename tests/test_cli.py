@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import distpla
+from distpla import power_attack
 from distpla.cli import main
 
 DESK = str(Path(__file__).resolve().parent.parent / "scenarios" / "desk_2rrh.json")
@@ -331,6 +332,31 @@ def test_cli_import_skips_unused_scipy(tmp_path, solo_file):
                   ["heatmap", *solo, "--grid", "4.0", "--out", str(tmp_path / "solo_map.csv")],
                   ["compare", *solo, "--grid", "4.0",
                    "--out", str(tmp_path / "solo_compare.csv")]) == ""
+
+
+@pytest.mark.parametrize("name", ["desk_2rrh", "reference_2rrh8"])
+def test_saddle_root_solves_stay_off_the_bulk_routes(name, monkeypatch, capsys):
+    """The saddle point solves s' = 0 row by row with bracketed_root_find, which is
+    cheap only while no bulk route reaches it: the search, heatmap, roc and delay
+    take the exact series.  mdp's saddle point solves once a side, validate's
+    column at most twice a threshold.  position_attack binds its own name for the
+    lobe edges, so only the saddle's solves are counted."""
+    calls, solve = [], power_attack.bracketed_root_find
+    monkeypatch.setattr(power_attack, "bracketed_root_find",
+                        lambda *args, **kwargs: (calls.append(1), solve(*args, **kwargs))[1])
+    common = ["--scenario", str(Path(DESK).with_name(name + ".json")), "--threads", "1",
+              "--samples", "2000"]
+    counts = {}
+    for argv in (["optimize"], ["heatmap", "--grid", "2.0"], ["roc"],
+                 ["delay", "--arrival", "8", "--rate", "4", "--resources", "4", "--noise", "1e-9"],
+                 ["mdp"], ["validate", "--points", "13"]):
+        calls.clear()
+        assert main(argv[:1] + common + argv[1:]) == 0
+        capsys.readouterr()
+        counts[argv[0]] = len(calls)
+    assert counts == {"optimize": 0, "heatmap": 0, "roc": 0, "delay": 0, "mdp": 2,
+                      "validate": counts["validate"]}
+    assert counts["validate"] <= 26
 
 
 def test_every_command_runs_without_scipy(tmp_path):
